@@ -1,0 +1,210 @@
+"""Unit tests of the bundled PPT SDP solver: the certified-gap formula,
+the Jordan-closure coordinates, and the full-space final stage that
+keeps a wrong closure from producing a wrong certified value."""
+
+import math
+
+import numpy as np
+import pytest
+
+from locclab import (
+    HidingPairSpec,
+    Operator,
+    PsiSpec,
+    SolverError,
+    make_hiding_pair,
+    make_psi,
+    make_rho_pair,
+)
+from locclab import sdp
+from locclab.distinguish import bipartite_canonical
+
+
+def objective(pair):
+    rho0, rho1 = pair
+    diff, da, db = bipartite_canonical(
+        Operator(rho0.layout, rho0.entries - rho1.entries))
+    return diff.entries, da, db
+
+
+def werner(d):
+    return objective(make_hiding_pair(HidingPairSpec(d=d)))
+
+
+def composed(lam, d2):
+    pair = make_hiding_pair(HidingPairSpec(d=2))
+    return objective(make_rho_pair(pair, make_psi(PsiSpec(lam=lam, d2=d2))))
+
+
+def random_density(rng, dim, real=False):
+    g = rng.normal(size=(dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def random_objective(rng, da, db, real=False):
+    d = da * db
+    return random_density(rng, d, real) - random_density(rng, d, real), da, db
+
+
+def partial_transpose(m, da, db):
+    """Transpose of the B factor, written out index by index."""
+    out = np.empty_like(m)
+    for a1 in range(da):
+        for b1 in range(db):
+            for a2 in range(da):
+                for b2 in range(db):
+                    out[a1 * db + b1, a2 * db + b2] = m[a1 * db + b2, a2 * db + b1]
+    return out
+
+
+def closure(x, da, db):
+    """The solver's closure basis for objective x (None when it is the
+    whole space), with the canonical basis it was built in."""
+    complex_field = float(np.abs(x.imag).max()) > 1e-13
+    work = x if complex_field else np.ascontiguousarray(x.real)
+    canon = sdp._Basis(da, db, complex_field)
+    return sdp._jordan_closure(work, canon), canon
+
+
+def residual(mats, elements):
+    """Norm of each matrix's component outside span(elements), in the
+    real inner product Re Tr[A B]."""
+    k = len(elements)
+    flat = elements.reshape(k, -1)
+    out = []
+    for m in mats:
+        v = m.reshape(-1)
+        coef = np.real(flat.conj() @ v)
+        out.append(np.linalg.norm(v - coef @ flat))
+    return np.array(out)
+
+
+class TestCertifiedGap:
+    def test_hand_computed_values(self):
+        # (nu + (l + sqrt(nu)) l / (1 - l)) / t
+        assert sdp.certified_gap(4.0, 0.5, 2.0) == pytest.approx(3.25, rel=1e-15)
+        assert sdp.certified_gap(16.0, 0.1, 1.0) == pytest.approx(
+            16.0 + 4.1 / 9.0, rel=1e-15)
+        assert sdp.certified_gap(144.0, 0.0, 1e8) == pytest.approx(1.44e-6, rel=1e-15)
+        assert sdp.certified_gap(64.0, 0.9, 10.0) == pytest.approx(
+            (64.0 + 8.9 * 9.0) / 10.0, rel=1e-15)
+
+    def test_no_certificate_at_unit_decrement(self):
+        assert sdp.certified_gap(16.0, 1.0, 1.0) == math.inf
+        assert sdp.certified_gap(16.0, 3.0, 1e6) == math.inf
+
+    def test_t_final_is_sized_by_the_formula(self):
+        x, da, db = werner(3)
+        res = sdp.solve_ppt_two_outcome(x, da, db, gap_tol=1e-6)
+        nu = 4.0 * da * db
+        assert res.t_final == pytest.approx(sdp.certified_gap(nu, 0.1, 1.0) / 1e-6,
+                                            rel=1e-12)
+        assert 0.0 < res.gap <= 1e-6
+        assert res.value == pytest.approx(res.primal + res.gap, abs=1e-15)
+
+    def test_final_decrement_above_one_raises(self, monkeypatch):
+        # every point but the start I/2 is reported infeasible, so the
+        # line search stalls and the final decrement stays large
+        chol = sdp._chol_blocks
+
+        def only_start(m, mt, eye):
+            if np.abs(m - eye / 2.0).max() > 1e-12:
+                return None
+            return chol(m, mt, eye)
+
+        monkeypatch.setattr(sdp, "_chol_blocks", only_start)
+        x, da, db = werner(2)
+        with pytest.raises(SolverError) as err:
+            sdp.solve_ppt_two_outcome(x, da, db)
+        assert err.value.gap == math.inf
+        assert err.value.value == pytest.approx(0.5 * np.trace(x).real, abs=1e-9)
+
+
+class TestJordanClosure:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_werner_closure_has_three_elements(self, d):
+        basis, _ = closure(*werner(d))
+        assert basis.n == 3
+
+    @pytest.mark.parametrize("lam", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("d2,k", [(2, 15), (3, 21), (4, 21)])
+    def test_composed_closure_size_is_pinned(self, lam, d2, k):
+        basis, _ = closure(*composed(lam, d2))
+        assert basis.n == k
+
+    @pytest.mark.parametrize("da,db,real", [(2, 2, False), (3, 3, False),
+                                            (3, 3, True)])
+    def test_generic_pairs_use_the_whole_space(self, da, db, real):
+        rng = np.random.default_rng(7 + da + real)
+        for _ in range(3):
+            basis, _ = closure(*random_objective(rng, da, db, real))
+            assert basis is None
+
+    @pytest.mark.parametrize("inp", [werner(3), composed(0.99, 2)],
+                             ids=["werner-d3", "composed-D16"])
+    def test_basis_is_orthonormal_and_closed(self, inp):
+        x, da, db = inp
+        basis, _ = closure(x, da, db)
+        e = basis.e
+        k, d, _ = e.shape
+        assert all(np.abs(m - m.conj().T).max() <= 1e-12 for m in e)
+        gram = np.real(e.reshape(k, -1).conj() @ e.reshape(k, -1).T)
+        assert np.abs(gram - np.eye(k)).max() <= 1e-9
+        assert residual([np.eye(d), x], e).max() <= 1e-9
+        products = [e[p] @ e[q] + e[q] @ e[p] for p in range(k) for q in range(p + 1)]
+        assert residual(products, e).max() <= 1e-9
+        transposed = [partial_transpose(m, da, db) for m in e]
+        assert residual(transposed, e).max() <= 1e-9
+
+
+def solve_both(x, da, db, monkeypatch):
+    reduced = sdp.solve_ppt_two_outcome(x, da, db)
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_jordan_closure", lambda x_mat, canon: None)
+        full = sdp.solve_ppt_two_outcome(x, da, db)
+    return reduced, full
+
+
+class TestReducedPath:
+    @pytest.mark.parametrize("inp,k", [(werner(3), 3), (composed(0.95, 2), 15),
+                                       (composed(0.95, 3), 21)],
+                             ids=["werner-d3", "composed-D16", "composed-D36"])
+    def test_reduced_and_canonical_solves_agree(self, inp, k, monkeypatch):
+        x, da, db = inp
+        reduced, full = solve_both(x, da, db, monkeypatch)
+        assert reduced.coords == k
+        assert full.coords == sdp._Basis(da, db, False).n
+        assert reduced.value == pytest.approx(full.value, abs=1e-9)
+        assert reduced.newton_steps == full.newton_steps
+        assert reduced.gap <= 1e-6
+
+    def test_generic_pair_reports_the_full_dimension(self):
+        x, da, db = random_objective(np.random.default_rng(3), 2, 2)
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        assert res.coords == 16
+
+    @pytest.mark.parametrize("inp", [werner(3), composed(0.9, 2)],
+                             ids=["werner-d3", "composed-D16"])
+    def test_truncated_basis_still_certifies_the_canonical_value(self, inp,
+                                                                 monkeypatch):
+        # rotate the closure basis so the traceless part of X is one
+        # element, then drop it: the path in the truncated space ignores
+        # the objective, and only the full-space stage can recover
+        x, da, db = inp
+        basis, canon = closure(x, da, db)
+        k, d, _ = basis.e.shape
+        flat = basis.e.reshape(k, -1)
+        x0 = x - np.trace(x).real / d * np.eye(d)
+        a = np.real(flat.conj() @ x0.reshape(-1))
+        q, _ = np.linalg.qr(np.column_stack([a, np.eye(k)]))
+        kept = np.tensordot(q[:, 1:k].T, basis.e, 1)
+        truncated = sdp._ClosureBasis(kept, da, db)
+        _, full = solve_both(x, da, db, monkeypatch)
+        monkeypatch.setattr(sdp, "_jordan_closure", lambda x_mat, c: truncated)
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        assert res.coords == k - 1
+        assert res.value == pytest.approx(full.value, abs=1e-9)
+        assert res.gap <= 1e-6
