@@ -32,7 +32,7 @@ from .game import (DetectionConfig, GameTranscript, IIDStrategy,
                    default_detection_oracle, detect_catalyst,
                    hoeffding_bound, azuma_bound, memory_block_strategy,
                    min_rounds, run_game)
-from .protocols import (concentration_distribution,
+from .protocols import (_use_exact, concentration_distribution,
                         concentration_success_prob)
 from .qmat import (DensityOperator, TensorLayout, operator_from_json,
                    operator_to_json, trace_norm)
@@ -358,7 +358,8 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
     spectrum = psi_spectrum(spec)
     n = int(params["n"])
     mode = params.get("mode") or "auto"
-    samples = int(params.get("samples") or 100_000)
+    samples = params.get("samples")
+    samples = 100_000 if samples is None else int(samples)
     dist = concentration_distribution(spectrum, n, mode=mode, samples=samples,
                                       seed=config.seed)
     mean_bits = sum(o.probability * o.log2_dim for o in dist)
@@ -370,6 +371,8 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         "outcomes": len(dist),
         "mode": mode,
     }
+    if not _use_exact(spectrum, n, mode, samples):
+        report["samples"] = samples
     target = params.get("target")
     if target is not None:
         est = concentration_success_prob(spectrum, n, float(target),

@@ -12,10 +12,15 @@ string in a type class carries the same coefficient prod_i p_i^{k_i/2},
 so the post-measurement state is maximally entangled on a subspace of
 dimension exactly the multinomial coefficient n!/prod_i k_i!, and
 log2_dim is its base-2 logarithm (computed via log-gamma).
+
+Exact mode lists the label types as array rows by stars and bars and
+weighs them once, so a success probability is a tail sum of those weights;
+sampling mode counts the runs of equal rows in the ``np.lexsort``-ed draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -111,11 +116,15 @@ def teleport(state: DensityOperator, x_label: str,
 
 # --- concentration -----------------------------------------------------
 
+def _log_multinomial(counts, n) -> np.ndarray:
+    """ln n!/prod_i k_i! along the last axis of ``counts``."""
+    return gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+
+
 def log2_multinomial(counts) -> float:
     """log2 of n!/prod_i k_i! via log-gamma."""
     counts = np.asarray(counts, dtype=np.float64)
-    n = counts.sum()
-    return float((gammaln(n + 1.0) - gammaln(counts + 1.0).sum()) / _LOG2)
+    return float(_log_multinomial(counts, counts.sum()) / _LOG2)
 
 
 def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
@@ -131,7 +140,7 @@ def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
     return log2_multinomial(counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcentrationOutcome:
     """One type-measurement outcome: label occupation vector, log2 of
     the concentrated maximally-entangled dimension, and its probability
@@ -196,17 +205,56 @@ def sample_type(spectrum: SchmidtSpectrum, n: int, rng) -> np.ndarray:
     return rng.multinomial(n, spectrum.label_probabilities())
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _count_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
+
+
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every occupation vector of ``parts`` labels summing to ``total``, as
+    an (m, parts) int64 array in lexicographic order: the gaps between the
+    bar positions that ``itertools.combinations`` yields in that order."""
+    m = _count_compositions(total, parts)
+    slots = total + parts - 1
+    bars = itertools.combinations(range(slots), parts - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(bars), dtype=np.int64,
+                       count=m * (parts - 1)).reshape(m, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
+def _exact_law(spectrum: SchmidtSpectrum, n: int):
+    """(counts, logw, weights) over every label type of n copies, where
+    logw is ln multinomial(n; k) and weights are the type probabilities."""
+    label_p = spectrum.label_probabilities()
+    possible = label_p > 0.0
+    counts = _compositions(n, label_p.size)
+    mass = counts @ np.log(np.where(possible, label_p, 1.0))
+    impossible = counts[:, ~possible].any(axis=1)
+    logw = _log_multinomial(counts, n)
+    return counts, logw, np.where(impossible, 0.0, np.exp(logw + mass))
+
+
+def _distinct_rows(draws: np.ndarray):
+    """``np.unique(draws, axis=0, return_counts=True)`` by a lexsort."""
+    rows = draws[np.lexsort(draws.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[starts], np.diff(starts, append=len(rows))
+
+
+def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
+               samples: int) -> bool:
+    """Validate the shared arguments; True when ``mode`` resolves to exact."""
+    if n < 1:
+        raise SpecError(f"copy count must be >= 1, got {n}")
+    if mode not in ("auto", "exact", "sample"):
+        raise SpecError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise SpecError(f"sample count must be >= 1, got {samples}")
+    n_types = _count_compositions(n, spectrum.num_labels)
+    exact_ok = n_types <= _MAX_EXACT_TYPES
+    if mode == "exact" and not exact_ok:
+        raise ModeError(f"{n_types} label types exceed the exact-enumeration cap "
+                        f"{_MAX_EXACT_TYPES}; use sampling mode")
+    return exact_ok if mode == "auto" else (mode == "exact")
 
 
 def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
@@ -217,46 +265,21 @@ def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
     Exact mode enumerates all label types (refused beyond ~1e6 types:
     ModeError points to sampling); sampling mode aggregates ``samples``
     seeded draws into empirical weights. Probabilities sum to 1 either
-    way.
+    way, and outcomes come in lexicographic order of their counts.
     """
-    if n < 1:
-        raise SpecError(f"copy count must be >= 1, got {n}")
-    if mode not in ("auto", "exact", "sample"):
-        raise SpecError(f"unknown mode {mode!r}")
-    d = spectrum.num_labels
-    n_types = _count_compositions(n, d)
-    exact_ok = n_types <= _MAX_EXACT_TYPES
-    if mode == "exact" and not exact_ok:
-        raise ModeError(f"{n_types} label types exceed the exact-enumeration cap "
-                        f"{_MAX_EXACT_TYPES}; use sampling mode")
-    use_exact = exact_ok if mode == "auto" else (mode == "exact")
-
-    label_p = spectrum.label_probabilities()
-    if use_exact:
-        counts = np.array(list(_compositions(n, d)), dtype=np.int64)
-        with np.errstate(divide="ignore"):
-            logp_labels = np.where(label_p > 0.0, np.log(label_p), -np.inf)
-        mass = counts @ np.where(np.isfinite(logp_labels), logp_labels, 0.0)
-        impossible = ((counts > 0) & ~np.isfinite(logp_labels)).any(axis=1)
-        logw = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
-        weights = np.where(impossible, 0.0, np.exp(logw + mass))
-        l2dim = logw / _LOG2
+    if _use_exact(spectrum, n, mode, samples):
+        counts, logw, weights = _exact_law(spectrum, n)
     else:
         rng = rng_from(seed, "concentration-distribution", n, samples)
-        draws = rng.multinomial(n, label_p, size=samples)
-        counts, freq = np.unique(draws, axis=0, return_counts=True)
+        draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
+        counts, freq = _distinct_rows(draws)
         weights = freq / samples
-        l2dim = (gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)) / _LOG2
-
-    outcomes = []
-    for row, bits, w in zip(counts, l2dim, weights):
-        if w == 0.0:
-            continue
-        outcomes.append(ConcentrationOutcome(
-            counts=tuple(int(c) for c in row),
-            log2_dim=float(max(bits, 0.0)),
-            probability=float(w)))
-    return tuple(outcomes)
+        logw = _log_multinomial(counts, n)
+    keep = weights != 0.0
+    return tuple(map(ConcentrationOutcome,
+                     zip(*counts[keep].T.tolist()),
+                     np.maximum(logw[keep] / _LOG2, 0.0).tolist(),
+                     weights[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -291,25 +314,17 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
     the target (same ~1e6-type cap as the distribution); sampling mode
     returns the empirical frequency with a 99% Wilson interval.
     """
-    if n < 1:
-        raise SpecError(f"copy count must be >= 1, got {n}")
-    if mode not in ("auto", "exact", "sample"):
-        raise SpecError(f"unknown mode {mode!r}")
-    d = spectrum.num_labels
-    n_types = _count_compositions(n, d)
-    exact_ok = n_types <= _MAX_EXACT_TYPES
-    if mode == "exact" and not exact_ok:
-        raise ModeError(f"{n_types} label types exceed the exact-enumeration cap "
-                        f"{_MAX_EXACT_TYPES}; use sampling mode")
-    use_exact = exact_ok if mode == "auto" else (mode == "exact")
-
-    if use_exact:
-        p = _exact_success_prob(spectrum, n, float(target_log2_dim))
+    target = float(target_log2_dim)
+    if not math.isfinite(target):
+        raise SpecError(f"target log2 dimension must be finite, got {target}")
+    if _use_exact(spectrum, n, mode, samples):
+        # memoized: block strategies re-ask for the same (spectrum, n, target)
+        p = _exact_success_cached(spectrum.values, n, target)
         return SuccessEstimate(estimate=p, ci_low=p, ci_high=p, exact=True)
     rng = rng_from(seed, "concentration-success", n, samples)
     draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
-    l2dim = (gammaln(n + 1.0) - gammaln(draws + 1.0).sum(axis=1)) / _LOG2
-    wins = int((l2dim >= target_log2_dim - 1e-9).sum())
+    l2dim = _log_multinomial(draws, n) / _LOG2
+    wins = int((l2dim >= target - 1e-9).sum())
     lo, hi = _wilson(wins, samples)
     return SuccessEstimate(estimate=wins / samples, ci_low=lo, ci_high=hi,
                            exact=False, samples=samples)
@@ -317,25 +332,9 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
 
 @lru_cache(maxsize=256)
 def _exact_success_cached(values: tuple, n: int, target: float) -> float:
-    spectrum = SchmidtSpectrum(values=values)
-    label_p = spectrum.label_probabilities()
-    counts = np.array(list(_compositions(n, spectrum.num_labels)),
-                      dtype=np.int64)
-    logw = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
-    l2dim = logw / _LOG2
-    with np.errstate(divide="ignore"):
-        logp = np.where(label_p > 0.0, np.log(label_p), -np.inf)
-    lin = counts @ np.where(np.isfinite(logp), logp, 0.0)
-    impossible = ((counts > 0) & ~np.isfinite(logp)).any(axis=1)
-    p = np.where(impossible | (l2dim < target - 1e-9), 0.0,
-                 np.exp(logw + lin)).sum()
+    _, logw, weights = _exact_law(SchmidtSpectrum(values=values), n)
+    p = np.where(logw / _LOG2 < target - 1e-9, 0.0, weights).sum()
     return float(min(max(p, 0.0), 1.0))
-
-
-def _exact_success_prob(spectrum: SchmidtSpectrum, n: int,
-                        target: float) -> float:
-    # memoized: block strategies re-ask for the same (spectrum, n, target)
-    return _exact_success_cached(spectrum.values, n, target)
 
 
 @dataclass(frozen=True)

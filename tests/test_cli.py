@@ -300,6 +300,26 @@ class TestConcentrateCommand:
                         "--n", "64", "--mode", "exact")
         assert err["type"] == "ModeError"
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_surface(self, capsys, samples):
+        err = run_error(capsys, "concentrate", "--lambda", "0.5", "--d2", "2",
+                        "--n", "4", "--mode", "sample", "--samples", samples)
+        assert err["type"] == "SpecError"
+
+    def test_nonfinite_target_surfaces(self, capsys):
+        err = run_error(capsys, "concentrate", "--lambda", "0.5", "--d2", "2",
+                        "--n", "4", "--target", "nan")
+        assert err["type"] == "SpecError"
+
+    def test_sampled_report_carries_sample_count(self, capsys):
+        report = run_json(capsys, "concentrate", "--lambda", "0.5", "--d2", "8",
+                          "--n", "64", "--samples", "500", "--target", "100")
+        assert report["samples"] == 500
+        assert report["success_exact"] is False
+        exact = run_json(capsys, "concentrate", "--lambda", "0.5", "--d2", "2",
+                         "--n", "4", "--samples", "500")
+        assert "samples" not in exact
+
 
 class TestRateCommand:
     def test_certain_iid(self, capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import chi2
 
 from locclab import (
@@ -33,6 +34,7 @@ from locclab import (
     teleport,
     type_log2_dim,
 )
+from locclab.protocols import _compositions, _distinct_rows
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -241,6 +243,120 @@ class TestConcentrationDistribution:
             dist = concentration_distribution(spec, n)
             mean = sum(o.probability * o.log2_dim for o in dist)
             assert mean <= n * spec.entropy_bits + 1e-9
+
+
+def loop_compositions(total, parts):
+    # recursive reference enumeration, lexicographic by construction
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in loop_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def loop_exact_distribution(spectrum, n):
+    # per-row reference for the exact law; the zero-probability mask and
+    # every float operation match the array code, so results must be ==
+    label_p = spectrum.label_probabilities()
+    counts = np.array(list(loop_compositions(n, spectrum.num_labels)),
+                      dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        logp_labels = np.where(label_p > 0.0, np.log(label_p), -np.inf)
+    mass = counts @ np.where(np.isfinite(logp_labels), logp_labels, 0.0)
+    impossible = ((counts > 0) & ~np.isfinite(logp_labels)).any(axis=1)
+    logw = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    weights = np.where(impossible, 0.0, np.exp(logw + mass))
+    outcomes = []
+    for row, bits, w in zip(counts, logw / math.log(2.0), weights):
+        if w == 0.0:
+            continue
+        outcomes.append(ConcentrationOutcome(
+            counts=tuple(int(c) for c in row),
+            log2_dim=float(max(bits, 0.0)),
+            probability=float(w)))
+    return tuple(outcomes)
+
+
+ORACLE_SPECTRA = (
+    psi_spectrum(PsiSpec(lam=0.3, d2=4)),
+    psi_spectrum(PsiSpec(lam=0.8, d2=8)),
+    SchmidtSpectrum(values=((0.5, 1), (0.3, 1), (0.2, 1))),
+    SchmidtSpectrum(values=((0.5, 1), (0.0, 2), (0.25, 2))),
+    SchmidtSpectrum(values=((1.0, 1),)),
+)
+
+
+class TestArrayEnumeration:
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_compositions_match_product_filter(self, parts):
+        for total in range(7):
+            brute = [c for c in itertools.product(range(total + 1), repeat=parts)
+                     if sum(c) == total]
+            got = _compositions(total, parts)
+            assert got.dtype == np.int64
+            assert got.shape == (len(brute), parts)
+            assert [tuple(r) for r in got.tolist()] == brute
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECTRA)
+    def test_exact_distribution_equals_per_row_loop(self, spec):
+        for n in (1, 2, 5, 9):
+            assert concentration_distribution(spec, n, mode="exact") == \
+                loop_exact_distribution(spec, n)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECTRA)
+    def test_success_is_tail_of_distribution(self, spec):
+        for n in (3, 8):
+            dist = concentration_distribution(spec, n, mode="exact")
+            for target in (0.0, 1.0, 0.6 * n, 1.3 * n):
+                tail = math.fsum(o.probability for o in dist
+                                 if o.log2_dim >= target - 1e-9)
+                est = concentration_success_prob(spec, n, target, mode="exact")
+                assert est.exact
+                assert est.estimate == pytest.approx(tail, abs=1e-12)
+
+    def test_distinct_rows_match_unique_beyond_int64_keys(self):
+        # (n+1)^8 > 2^63 at n=1024, so no packed-key shortcut would hold
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=8))
+        draws = np.random.default_rng(11).multinomial(
+            1024, spec.label_probabilities(), size=20_000)
+        rows, freq = _distinct_rows(draws)
+        ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(freq, ref_freq)
+
+    def test_distinct_rows_with_repeats(self):
+        draws = np.random.default_rng(2).integers(0, 3, size=(500, 3))
+        rows, freq = _distinct_rows(draws)
+        ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(freq, ref_freq)
+        assert freq.sum() == 500
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("mode", ["auto", "exact", "sample"])
+    def test_distribution_rejects_nonpositive_samples(self, samples, mode):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        with pytest.raises(SpecError):
+            concentration_distribution(spec, 4, mode=mode, samples=samples)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("mode", ["auto", "exact", "sample"])
+    def test_success_rejects_nonpositive_samples(self, samples, mode):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        with pytest.raises(SpecError):
+            concentration_success_prob(spec, 4, 1.0, mode=mode,
+                                       samples=samples)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_success_rejects_nonfinite_target(self, target, mode):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        with pytest.raises(SpecError):
+            concentration_success_prob(spec, 4, target, mode=mode,
+                                       samples=100)
 
 
 class TestMaximalEntanglementWitness:
