@@ -14,6 +14,7 @@ Layers, bottom up:
   bound chain combining them.
 - protocols: exact qudit teleportation and Schmidt-type entanglement
   concentration with exact outcome accounting.
+- stats: the 99% Wilson interval every Monte-Carlo frequency carries.
 - game: the multi-round discrimination engine, block-memory strategy,
   threshold detection protocols, and concentration-inequality
   validators (Hoeffding, Azuma, supermartingale audit).

@@ -7,9 +7,16 @@ record per line. Every file-writing run also writes a manifest with a
 config hash and SHA-256 digests of its inputs and outputs.
 
 All randomness flows from the --seed root through labeled substreams
-(the labels appear in the manifest), and parallel runs are canonicalized
-by trial id, so identical (config, seed, version) give byte-identical
-JSONL/CSV artifacts at any --threads setting.
+(the labels appear in the manifest), and the game commands (simulate,
+rate, detect) play their trials with the array engine ``play_trial`` in
+trial-id order in one thread, writing each trial's JSONL lines straight
+from its arrays, so identical (config, seed, version) give
+byte-identical JSONL/CSV artifacts. ``--threads`` is still accepted and
+validated but changes no work: every trial is a few vector operations,
+and there is no pool.
+
+Monte-Carlo frequencies in the stdout reports carry their sample counts
+and 99% Wilson intervals.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,10 +34,10 @@ import numpy as np
 
 from .distinguish import bound_bracket, helstrom
 from .errors import ConfigError, LoccLabError, ParseError
-from .game import (DetectionConfig, GameTranscript, IIDStrategy,
-                   default_detection_oracle, detect_catalyst,
-                   hoeffding_bound, azuma_bound, memory_block_strategy,
-                   min_rounds, run_game)
+from .game import (DetectionConfig, IIDStrategy, TrialArrays,
+                   _threshold_guess, azuma_bound, default_detection_oracle,
+                   hoeffding_bound, memory_block_strategy, min_rounds,
+                   play_trial)
 from .protocols import (_use_exact, concentration_distribution,
                         concentration_success_prob)
 from .qmat import (DensityOperator, TensorLayout, operator_from_json,
@@ -39,6 +45,7 @@ from .qmat import (DensityOperator, TensorLayout, operator_from_json,
 from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, make_psi,
                      make_rho_pair, psi_product_distance, psi_spectrum)
+from .stats import wilson_interval
 
 ARTIFACT_VERSION = "1"
 
@@ -205,38 +212,55 @@ def _make_strategy(params: dict):
     protocol = params.get("protocol")
     if protocol == "iid":
         _require(params, "p")
-        return lambda: IIDStrategy(float(params["p"]))
+        return IIDStrategy(float(params["p"]))
     if protocol == "memory-block":
         _require(params, "lam", "d2", "n_block")
         d1 = int(params.get("d1") or 2)
         spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
-        n_block = int(params["n_block"])
-        memory_block_strategy(d1, spec, n_block)  # fail fast on bad specs
-        return lambda: memory_block_strategy(d1, spec, n_block)
+        return memory_block_strategy(d1, spec, int(params["n_block"]))
     raise ConfigError(f"--protocol must be iid or memory-block, got {protocol!r}")
+
+
+def _ci_json(successes: int, trials: int) -> list[float] | None:
+    """99% Wilson interval as a JSON pair; null for zero trials."""
+    return list(wilson_interval(successes, trials)) if trials else None
 
 
 # --- stream/summary writers -------------------------------------------------
 
+class _JSONStrings(dict):
+    """Memo of json.dumps(s): each distinct descriptor is escaped once."""
+
+    def __missing__(self, key: str) -> str:
+        value = self[key] = json.dumps(key)
+        return value
+
+
 def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
-                     n: int, transcripts: list[tuple[int, GameTranscript]],
+                     n: int, trials: list[tuple[int, TrialArrays]],
                      guesses: dict[int, str] | None = None,
                      seed_streams: tuple[str, ...] = ()) -> dict:
+    """Write transcripts.jsonl (header, then one line per round, trial
+    by trial), summary.csv and the manifest. Each round line has the
+    bytes _canonical_json gives its record (keys sorted, no spaces)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl = out_dir / "transcripts.jsonl"
     header = {"protocol_id": protocol_id, "seed": config.seed, "n": n,
               "config": config.physics_dict()}
+    escaped = _JSONStrings()
     with open(jsonl, "w", encoding="utf-8", newline="") as f:
         f.write(_canonical_json(header) + "\n")
-        for trial, tr in transcripts:
-            for rec in tr.records:
-                f.write(_canonical_json(
-                    {"trial": trial, "j": rec.j, "Z": rec.Z, "Y": rec.Y,
-                     "X": rec.X, "memory": rec.memory_descriptor}) + "\n")
+        for trial, tr in trials:
+            tail = f',"trial":{trial}}}\n'
+            f.write("".join(
+                f'{{"X":{x},"Y":{y},"Z":{z},"j":{j},"memory":{m}{tail}'
+                for j, z, y, x, m in zip(
+                    range(1, tr.n + 1), tr.Z.tolist(), tr.Y.tolist(),
+                    tr.X.tolist(), map(escaped.__getitem__, tr.descriptors[1:]))))
     summary = out_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="") as f:
         f.write("trial,n,S_n,rate,guess\n")
-        for trial, tr in transcripts:
+        for trial, tr in trials:
             guess = (guesses or {}).get(trial, "")
             f.write(f"{trial},{tr.n},{tr.final_score},"
                     f"{_g17(tr.final_score / tr.n)},{guess}\n")
@@ -244,17 +268,6 @@ def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
                               seed_streams=seed_streams)
     return {"transcripts": str(jsonl), "summary": str(summary),
             "manifest": str(manifest)}
-
-
-def _parallel_trials(config: ExperimentConfig, worker, trials: int) -> list:
-    """Run worker(t) for t in range(trials); results sorted by trial id
-    so thread scheduling cannot affect any output byte."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(worker, range(trials)))
-    else:
-        results = [worker(t) for t in range(trials)]
-    return sorted(results, key=lambda item: item[0])
 
 
 # --- subcommands ------------------------------------------------------------
@@ -401,31 +414,34 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
 
 def cmd_simulate(config: ExperimentConfig) -> dict:
     params = config.params
-    factory = _make_strategy(params)
+    strategy = _make_strategy(params)
     rounds = int(params.get("rounds") or 100)
     trials = int(params.get("trials") or 1)
     if rounds < 1 or trials < 1:
         raise ConfigError("--rounds and --trials must be >= 1")
 
-    def worker(t: int):
-        return t, run_game(factory(), None, rounds, config.seed,
-                           stream=("trial", t))
-
-    transcripts = _parallel_trials(config, worker, trials)
-    rates = [tr.success_fraction for _, tr in transcripts]
+    played = [(t, play_trial(strategy, None, rounds, config.seed,
+                             stream=("trial", t)))
+              for t in range(trials)]
+    scores = [tr.final_score for _, tr in played]
+    rates = [score / rounds for score in scores]
     report = {
-        "protocol_id": transcripts[0][1].protocol_id,
+        "protocol_id": strategy.protocol_id,
         "trials": trials,
         "rounds": rounds,
         "mean_rate": float(np.mean(rates)),
         "min_rate": float(np.min(rates)),
         "max_rate": float(np.max(rates)),
+        # pooled over every round played; exact coverage assumes
+        # independent rounds (the iid protocol)
+        "pooled_rounds": trials * rounds,
+        "mean_rate_ci": _ci_json(sum(scores), trials * rounds),
     }
     if config.out:
         report["files"] = _write_run_files(
             Path(config.out), config, report["protocol_id"], rounds,
-            transcripts, seed_streams=("trial.*.rounds", "trial.*.success",
-                                       "trial.*.strategy"))
+            played, seed_streams=("trial.*.rounds", "trial.*.success",
+                                  "trial.*.strategy"))
     return report
 
 
@@ -445,17 +461,17 @@ def cmd_detect(config: ExperimentConfig) -> dict:
                                  n=int(n), mode=mode)
     oracle = default_detection_oracle(det_config)
 
-    def worker(t: int):
-        world = "tau" if t % 2 == 0 else "gamma"
-        result = detect_catalyst(det_config, oracle, config.seed, world,
-                                 stream=("trial", t))
-        return t, result
-
-    results = _parallel_trials(config, worker, trials)
+    played = []
+    guesses = {}
     per_world = {"tau": [0, 0], "gamma": [0, 0]}
-    for _, res in results:
-        per_world[res.world][1] += 1
-        per_world[res.world][0] += int(res.correct)
+    for t in range(trials):
+        world = "tau" if t % 2 == 0 else "gamma"
+        tr = play_trial(oracle.strategy_for(world), None, det_config.n,
+                        config.seed, stream=("trial", t, "detect", world))
+        guesses[t] = _threshold_guess(det_config, tr.final_score / det_config.n)
+        per_world[world][1] += 1
+        per_world[world][0] += int(guesses[t] == world)
+        played.append((t, tr))
     report = {
         "n": det_config.n,
         "mode": mode,
@@ -466,19 +482,20 @@ def cmd_detect(config: ExperimentConfig) -> dict:
         "azuma": azuma_bound(det_config.n, delta),
     }
     report["overall"] = 0.5 * (report["p_corr_tau"] + report["p_corr_gamma"])
+    for world, (hits, count) in per_world.items():
+        report[f"trials_{world}"] = count
+        report[f"p_corr_{world}_ci"] = _ci_json(hits, count)
     if config.out:
-        transcripts = [(t, res.transcript) for t, res in results]
-        guesses = {t: res.guess for t, res in results}
         report["files"] = _write_run_files(
             Path(config.out), config, "detect-" + mode, det_config.n,
-            transcripts, guesses=guesses,
+            played, guesses=guesses,
             seed_streams=("trial.*.detect.tau", "trial.*.detect.gamma"))
     return report
 
 
 def cmd_rate(config: ExperimentConfig) -> dict:
     params = config.params
-    factory = _make_strategy(params)
+    strategy = _make_strategy(params)
     _require(params, "r", "n_list")
     r = float(params["r"])
     if not 0.0 <= r <= 1.0:
@@ -491,29 +508,30 @@ def cmd_rate(config: ExperimentConfig) -> dict:
         raise ConfigError("--n-list must contain positive integers")
     trials = int(params.get("trials") or 100)
 
-    all_transcripts: list[tuple[int, GameTranscript]] = []
+    played: list[tuple[int, TrialArrays]] = []
     fracs = []
-    trial_offset = 0
+    cis = []
     for n in n_list:
-        def worker(t: int, n=n, base=trial_offset):
-            return base + t, run_game(factory(), None, n, config.seed,
-                                      stream=("rate", n, t))
-        batch = _parallel_trials(config, worker, trials)
-        hits = sum(tr.final_score >= r * tr.n - 1e-9 for _, tr in batch)
+        hits = 0
+        for t in range(trials):
+            tr = play_trial(strategy, None, n, config.seed,
+                            stream=("rate", n, t))
+            hits += tr.final_score >= r * n - 1e-9
+            played.append((len(played), tr))
         fracs.append(hits / trials)
-        all_transcripts.extend(batch)
-        trial_offset += trials
+        cis.append(_ci_json(hits, trials))
     report = {
         "r": r,
         "n_list": n_list,
         "success_frac": fracs,
+        "success_ci": cis,
         "trials": trials,
-        "protocol_id": all_transcripts[0][1].protocol_id,
+        "protocol_id": strategy.protocol_id,
     }
     if config.out:
         report["files"] = _write_run_files(
             Path(config.out), config, report["protocol_id"],
-            n_list[-1], all_transcripts,
+            n_list[-1], played,
             seed_streams=("rate.*.rounds", "rate.*.success",
                           "rate.*.strategy"))
     return report
@@ -540,7 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default=None,
                         help="output directory for artifacts")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for trial loops")
+                        help="accepted for compatibility (must be >= 1); "
+                             "trials run in trial-id order in one thread")
     common.add_argument("--format", dest="fmt", choices=("json", "csv"),
                         default="json", help="stdout report format")
 

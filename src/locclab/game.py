@@ -10,16 +10,32 @@ density-matrix backend is used only where the state spaces are tiny
 (see run_teleport_discrimination); the statistical claims being checked
 constrain success probabilities and memory bookkeeping only.
 
+One array engine, ``play_trial``, plays every trial: it draws all n
+referee bits and all n success uniforms u at once and hands u to
+``Strategy.play``, which returns the declared probabilities p and the
+memory descriptors; round j succeeds iff u_j < p_j. The contract is
+causal and one-draw-per-round: p_j may depend only on u_1..u_{j-1} (the
+outcomes of earlier rounds) and on the strategy's own stream, and each
+round consumes exactly one u. The base-class ``play`` is the adapter
+that drives ``success_probability``/``observe``/``descriptor`` round by
+round; the built-in strategies override it with closed forms that
+return the same numbers. ``run_game`` is the engine's one-trial case
+wrapped in a validated ``GameTranscript``.
+
 Randomness: referee bits, success draws, and strategy-owned randomness
 come from independently labeled substreams of one root seed, so
-detection thresholds cannot correlate with preparation.
+detection thresholds cannot correlate with preparation. Drawing a
+stream's values in one vector call gives the same numbers as drawing
+them one by one, so the array engine reproduces the round-by-round
+transcripts exactly.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +46,7 @@ from .seeding import rng_from
 from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, psi_product_distance,
                      psi_spectrum)
+from .stats import wilson_interval
 
 Label = int | str
 
@@ -113,6 +130,36 @@ class Strategy(ABC):
     def descriptor(self) -> str:
         return "-"
 
+    def play(self, u: np.ndarray, rng: np.random.Generator
+             ) -> tuple[np.ndarray, list[str]]:
+        """Play one trial against the success uniforms ``u`` (round j
+        succeeds iff u[j-1] < p[j-1]) and return the declared
+        probabilities p and the memory descriptors: the one before
+        round 1, then the one after each round. ``rng`` is the
+        strategy's own stream, the one ``reset`` received. An override
+        must keep the rounds causal: p[j-1] may depend on u[:j-1] and
+        rng only, and its draws from rng must be the ones the scalar
+        methods make, in the same order.
+
+        This default plays round by round through success_probability,
+        observe and descriptor. It stops at the first probability
+        outside [0, 1] or, for a catalytic strategy, the first changed
+        descriptor, and returns the rounds played so far for the engine
+        to report.
+        """
+        p: list[float] = []
+        descriptors = [self.descriptor()]
+        for j, uj in enumerate(u.tolist(), 1):
+            pj = float(self.success_probability(j))
+            p.append(pj)
+            if not 0.0 <= pj <= 1.0:
+                break
+            self.observe(j, uj < pj)
+            descriptors.append(self.descriptor())
+            if self.catalytic and descriptors[-1] != descriptors[-2]:
+                break
+        return np.array(p, dtype=float), descriptors
+
 
 class IIDStrategy(Strategy):
     """Memoryless oracle succeeding with fixed probability p each round."""
@@ -130,6 +177,9 @@ class IIDStrategy(Strategy):
 
     def descriptor(self) -> str:
         return f"iid:{self.p:.12g}"
+
+    def play(self, u, rng):
+        return np.full(len(u), self.p), [self.descriptor()] * (len(u) + 1)
 
     def batch_final_scores(self, n: int, trials: int,
                            rng: np.random.Generator) -> np.ndarray:
@@ -169,6 +219,14 @@ class HistoryCappedStrategy(Strategy):
 
     def descriptor(self) -> str:
         return f"failed={int(self._failed)}"
+
+    def play(self, u, rng):
+        n = len(u)
+        misses = np.flatnonzero(u >= self.p_cap)
+        first = int(misses[0]) + 1 if misses.size else n + 1  # first failed round
+        p = np.full(n, self.p_cap)
+        p[first:] = self.p_cap - self.drop
+        return p, ["failed=0"] * first + ["failed=1"] * (n + 1 - first)
 
     def batch_x_matrix(self, n: int, trials: int,
                        rng: np.random.Generator) -> np.ndarray:
@@ -247,6 +305,18 @@ class MemoryBlockStrategy(Strategy):
         budget = "full" if self._charged else "degraded"
         return f"block={self._block};budget={budget};used={self._used}"
 
+    def play(self, u, rng):
+        n, size = len(u), self.n_block
+        # block k's budget; each completed block draws one recharge
+        charged = np.ones(n // size + 1, dtype=bool)
+        charged[1:] = rng.random(n // size) < self.block_success_prob
+        p = np.where(np.repeat(charged, size)[:n], 1.0, 0.5)
+        table = _block_descriptors(size, n)
+        descriptors: list[str] = []
+        for k, full in enumerate(charged.tolist()):
+            descriptors += table[full][k * size:(k + 1) * size]
+        return p, descriptors
+
     def batch_final_scores(self, n: int, trials: int,
                            rng: np.random.Generator) -> np.ndarray:
         k_full, rem = divmod(n, self.n_block)
@@ -262,6 +332,16 @@ class MemoryBlockStrategy(Strategy):
         return scores
 
 
+@lru_cache(maxsize=32)
+def _block_descriptors(size: int, n: int) -> tuple[tuple[str, ...], ...]:
+    """MemoryBlockStrategy descriptors after m = 0..n rounds, indexed
+    [degraded, full]; shared by every trial of the same shape."""
+    return tuple(
+        tuple(f"block={m // size};budget={budget};used={m % size}"
+              for m in range(n + 1))
+        for budget in ("degraded", "full"))
+
+
 def memory_block_strategy(d1: int, psi_spec: PsiSpec,
                           n_block: int) -> MemoryBlockStrategy:
     """Build the reusable-memory block strategy (see MemoryBlockStrategy)."""
@@ -270,6 +350,83 @@ def memory_block_strategy(d1: int, psi_spec: PsiSpec,
 
 # --- game engine ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class TrialArrays:
+    """One n-round game as arrays: referee bits Z, guesses Y, success
+    indicators X = 1[Y = Z], running score S, and the memory descriptor
+    before round 1 followed by the one after each round (n + 1 strings)."""
+
+    protocol_id: str
+    Z: np.ndarray
+    Y: np.ndarray
+    X: np.ndarray
+    S: np.ndarray
+    descriptors: list[str]
+
+    @property
+    def n(self) -> int:
+        return len(self.X)
+
+    @property
+    def final_score(self) -> int:
+        return int(self.S[-1])
+
+
+def _first_change(descriptors: list[str]) -> int | None:
+    """First round j whose descriptor after differs from the one before."""
+    if descriptors.count(descriptors[0]) == len(descriptors):
+        return None
+    return next(j for j in range(1, len(descriptors))
+                if descriptors[j] != descriptors[j - 1])
+
+
+def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
+               stream: tuple[Label, ...] = ()) -> TrialArrays:
+    """Play n rounds against a uniform referee and return the arrays.
+
+    Referee bits, success uniforms and strategy randomness come from
+    the ``(*stream, "rounds" | "success" | "strategy")`` substreams of
+    ``seed``. Every invariant of the round loop is checked on the
+    arrays: declared probabilities in [0, 1] (SpecError naming the first
+    offending round), unchanged descriptors for catalytic strategies
+    (CatalystViolation naming the first changed round), X = 1[Y = Z]
+    and S = cumsum(X).
+    """
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
+    rng_strategy = rng_from(seed, *stream, "strategy")
+    strategy.reset(rng_strategy, pair)
+    z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
+    u = rng_from(seed, *stream, "success").random(n)
+    p, descriptors = strategy.play(u, rng_strategy)
+    p = np.asarray(p, dtype=float)
+
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    bad_round = int(bad[0]) + 1 if bad.size else n + 1
+    changed = _first_change(descriptors) if strategy.catalytic else None
+    if changed is not None and changed < bad_round:
+        raise CatalystViolation(
+            f"round {changed}: catalytic strategy changed its memory "
+            f"descriptor from {descriptors[changed - 1]!r} to "
+            f"{descriptors[changed]!r}")
+    if bad.size:
+        raise SpecError(f"strategy declared success probability "
+                        f"{float(p[bad[0]])} outside [0, 1] in round {bad_round}")
+    if p.shape != (n,) or len(descriptors) != n + 1:
+        raise SpecError(f"{type(strategy).__name__}.play returned {p.size} "
+                        f"probabilities and {len(descriptors)} descriptors "
+                        f"for {n} rounds (want {n} and {n + 1})")
+
+    success = u < p
+    y = np.where(success, z, 1 - z)
+    x = (y == z).astype(np.int64)
+    s = np.cumsum(x)
+    if not np.array_equal(x, success) or s[-1] != np.count_nonzero(success):
+        raise SpecError("round arrays break X = 1[Y = Z] or S = cumsum(X)")
+    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x, S=s,
+                       descriptors=descriptors)
+
+
 def run_game(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
              stream: tuple[Label, ...] = ()) -> GameTranscript:
     """Play n rounds against a uniform referee and return the transcript.
@@ -277,39 +434,17 @@ def run_game(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
     ``pair`` is forwarded to the strategy's reset for state-aware
     strategies; synthetic oracles ignore it. ``stream`` prefixes the
     substream labels so batch callers (trials, detection worlds) stay
-    on independent random streams of the same root seed.
+    on independent random streams of the same root seed. This is
+    ``play_trial`` with one RoundRecord per round.
     """
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
-    rng_rounds = rng_from(seed, *stream, "rounds")
-    rng_success = rng_from(seed, *stream, "success")
-    rng_strategy = rng_from(seed, *stream, "strategy")
-    strategy.reset(rng_strategy, pair)
-
-    records: list[RoundRecord] = []
-    partial: list[int] = []
-    total = 0
-    for j in range(1, n + 1):
-        before = strategy.descriptor()
-        p = float(strategy.success_probability(j))
-        if not 0.0 <= p <= 1.0:
-            raise SpecError(f"strategy declared success probability {p} "
-                            f"outside [0, 1] in round {j}")
-        z = int(rng_rounds.integers(0, 2))
-        success = bool(rng_success.random() < p)
-        y = z if success else 1 - z
-        strategy.observe(j, success)
-        after = strategy.descriptor()
-        if strategy.catalytic and after != before:
-            raise CatalystViolation(
-                f"round {j}: catalytic strategy changed its memory descriptor "
-                f"from {before!r} to {after!r}")
-        x = int(y == z)
-        total += x
-        records.append(RoundRecord(j=j, Z=z, Y=y, X=x, memory_descriptor=after))
-        partial.append(total)
-    return GameTranscript(records=tuple(records), S=tuple(partial),
-                          protocol_id=strategy.protocol_id, seed=seed, n=n)
+    trial = play_trial(strategy, pair, n, seed, stream)
+    records = tuple(
+        RoundRecord(j=j, Z=z, Y=y, X=x, memory_descriptor=memory)
+        for j, z, y, x, memory in zip(range(1, n + 1), trial.Z.tolist(),
+                                      trial.Y.tolist(), trial.X.tolist(),
+                                      trial.descriptors[1:]))
+    return GameTranscript(records=records, S=tuple(trial.S.tolist()),
+                          protocol_id=trial.protocol_id, seed=seed, n=n)
 
 
 def simulate_ensemble(strategy: Strategy, n: int, trials: int,
@@ -323,16 +458,22 @@ def simulate_ensemble(strategy: Strategy, n: int, trials: int,
         return batch(n, trials, rng_from(seed, "ensemble", "batch"))
     x = np.empty((trials, n), dtype=np.uint8)
     for t in range(trials):
-        transcript = run_game(strategy, None, n, seed, stream=("ensemble", t))
-        x[t] = [rec.X for rec in transcript.records]
+        x[t] = play_trial(strategy, None, n, seed, stream=("ensemble", t)).X
     return x
 
 
 # --- rate estimation --------------------------------------------------------
 
+def _interval(frac: float, trials: int) -> tuple[float, float]:
+    """99% Wilson interval of a frequency observed over ``trials``
+    independent trials."""
+    return wilson_interval(round(frac * trials), trials)
+
+
 @dataclass(frozen=True)
 class RateEstimate:
-    """Empirical Pr(S_n >= r n) at each checkpoint n, no interpolation."""
+    """Empirical Pr(S_n >= r n) at each checkpoint n, no interpolation;
+    every checkpoint rests on ``trials`` independent trials."""
 
     r: float
     n_list: tuple[int, ...]
@@ -343,6 +484,11 @@ class RateEstimate:
         for frac in self.success_frac:
             if not 0.0 <= frac <= 1.0:
                 raise SpecError(f"success fraction {frac} outside [0, 1]")
+
+    @property
+    def ci(self) -> tuple[tuple[float, float], ...]:
+        """99% Wilson interval of each checkpoint's success fraction."""
+        return tuple(_interval(f, self.trials) for f in self.success_frac)
 
 
 def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
@@ -368,7 +514,7 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
             scores = batch(n, trials, rng_from(seed, "rate", n, "batch"))
         else:
             scores = np.array([
-                run_game(strategy, pair, n, seed, stream=("rate", n, t)).final_score
+                play_trial(strategy, pair, n, seed, stream=("rate", n, t)).final_score
                 for t in range(trials)])
         fracs.append(float(np.mean(scores >= r * n - 1e-9)))
     return RateEstimate(r=float(r), n_list=tuple(int(n) for n in n_list),
@@ -478,7 +624,8 @@ def detect_catalyst(config: DetectionConfig, round_oracle: DetectionOracle,
 @dataclass(frozen=True)
 class DetectionReport:
     """Per-world empirical correctness with the tail bounds the
-    threshold rule is measured against."""
+    threshold rule is measured against; each world ran ``trials``
+    independent trials."""
 
     config: DetectionConfig
     trials: int
@@ -490,6 +637,16 @@ class DetectionReport:
     @property
     def overall(self) -> float:
         return 0.5 * (self.p_corr_tau + self.p_corr_gamma)
+
+    @property
+    def ci_tau(self) -> tuple[float, float]:
+        """99% Wilson interval of p_corr_tau."""
+        return _interval(self.p_corr_tau, self.trials)
+
+    @property
+    def ci_gamma(self) -> tuple[float, float]:
+        """99% Wilson interval of p_corr_gamma."""
+        return _interval(self.p_corr_gamma, self.trials)
 
 
 def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
@@ -507,10 +664,12 @@ def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
             guesses = _threshold_guess(config, scores / config.n)
             corr[world] = float(np.mean(guesses == world))
         else:
-            hits = sum(
-                detect_catalyst(config, round_oracle, seed, world,
-                                stream=("accuracy", t)).correct
-                for t in range(trials))
+            hits = 0
+            for t in range(trials):  # detect_catalyst's streams and rule
+                trial = play_trial(strategy, None, config.n, seed,
+                                   stream=("accuracy", t, "detect", world))
+                hits += _threshold_guess(
+                    config, trial.final_score / config.n) == world
             corr[world] = hits / trials
     return DetectionReport(config=config, trials=trials,
                            p_corr_tau=corr["tau"], p_corr_gamma=corr["gamma"],

@@ -33,9 +33,9 @@ from .errors import (DomainError, LayoutError, ModeError, ResourceError,
 from .qmat import DensityOperator, PureState, TensorLayout, permute, tensor
 from .seeding import rng_from
 from .states import SchmidtSpectrum
+from .stats import wilson_interval
 
 _MAX_EXACT_TYPES = 1_000_000
-_WILSON_Z_99 = 2.5758293035489004  # Phi^{-1}(0.995)
 _LOG2 = math.log(2.0)
 
 
@@ -294,15 +294,6 @@ class SuccessEstimate:
     samples: int | None = None
 
 
-def _wilson(successes: int, trials: int, z: float = _WILSON_Z_99):
-    phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials
-                         + z * z / (4 * trials * trials)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
-
-
 def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
                                target_log2_dim: float, mode: str = "auto",
                                samples: int = 200_000, seed: int = 0,
@@ -325,7 +316,7 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
     draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
     l2dim = _log_multinomial(draws, n) / _LOG2
     wins = int((l2dim >= target - 1e-9).sum())
-    lo, hi = _wilson(wins, samples)
+    lo, hi = wilson_interval(wins, samples)
     return SuccessEstimate(estimate=wins / samples, ci_low=lo, ci_high=hi,
                            exact=False, samples=samples)
 

@@ -64,6 +64,8 @@ class SchmidtSpectrum:
             raise SpecError("spectrum needs at least one value")
         total = 0.0
         for p, m in vals:
+            if not math.isfinite(p):
+                raise SpecError(f"spectrum probability {p} is not finite")
             if p < 0.0:
                 raise SpecError(f"spectrum probability {p} < 0")
             if m < 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from locclab import (
     operator_to_json,
 )
 from locclab.cli import ExperimentConfig, load_manifest, main
+from locclab.stats import wilson_interval
 
 
 def run_cli(capsys, *argv):
@@ -239,10 +241,85 @@ class TestSimulateCommand:
         assert report["protocol_id"] == "memory-block"
         assert report["min_rate"] >= 0.5  # first block always scores
 
+    def test_pooled_rate_interval(self, capsys):
+        report = run_json(capsys, "simulate", "--protocol", "iid", "--p",
+                          "0.7", "--rounds", "50", "--trials", "5",
+                          "--seed", "7")
+        assert report["pooled_rounds"] == 250
+        lo, hi = report["mean_rate_ci"]
+        successes = round(report["mean_rate"] * 250)
+        assert [lo, hi] == list(wilson_interval(successes, 250))
+        assert lo <= report["mean_rate"] <= hi
+
     def test_missing_protocol_parameter(self, capsys):
         err = run_error(capsys, "simulate", "--protocol", "iid")
         assert err["type"] == "ConfigError"
         assert "p" in err["message"]
+
+
+MB = ["--protocol", "memory-block", "--d1", "2", "--lambda", "0.5",
+      "--d2", "4"]
+
+# SHA-256 of (transcripts.jsonl, summary.csv), recorded from the
+# round-by-round engine that ran one run_game per trial; the array
+# engine must reproduce every byte.
+PINNED = {
+    "simulate-iid": (
+        ["simulate", "--protocol", "iid", "--p", "0.7", "--rounds", "50",
+         "--trials", "5", "--seed", "7"],
+        "2398e4f4e3534d088bc700f9bb24fd8a68bfc2e55dafed2a4e01df7db1cb94cb",
+        "9a905439f6cb87b54b979d6c6aa2a8502568cd80beb200a16cc98bd4c1d764ab"),
+    "simulate-memory-block": (
+        ["simulate", *MB, "--n-block", "4", "--rounds", "30", "--trials", "4",
+         "--seed", "7"],
+        "a95f78fcc91c89cfa3f9e68bf6aa8e9c7712e8fb36e3e6b44b855c87e1488bff",
+        "9b40eb013d520644ac00a2b1b4c1150dc73b030401ac8155de4f3f4b24cffdf9"),
+    "rate-memory-block": (
+        ["rate", *MB, "--n-block", "8", "--r", "0.8", "--n-list", "37,64",
+         "--trials", "6", "--seed", "5"],
+        "2831d4daa7192ee57672f8b981e0706be3a27b4f5b024431e93db0bd936f7b62",
+        "3b412dd41a7bd6455e8231a43b054215d091f8e60feeeaed7546ee6adcb8aa69"),
+    "rate-memory-block-nblock1": (
+        ["rate", *MB, "--n-block", "1", "--r", "0.6", "--n-list", "9,20",
+         "--trials", "4", "--seed", "5"],
+        "0e5c7b6ad8b4c534ca0d6857bf306844103d21ad96530676d0bb6d8e203e021c",
+        "03e5c8b33011b5649ad8eb80590258c6de14a6e6b14b69ea6b172ff7183b5592"),
+    "detect-catalyst": (
+        ["detect", "--p-tau", "0.9", "--p-locc", "0.5", "--delta", "0.1",
+         "--n", "60", "--trials", "7", "--seed", "3"],
+        "7e4dabc580416833abecd6ba9107ca0be04eac1d02c4b5dc2c5d54cf9837eb44",
+        "2cb7ef1ebc71ac5f6f41daa8f7d3e2e867d7a2d17f1e28dba6ad805ab0757f49"),
+    "detect-memory": (
+        ["detect", "--p-tau", "0.8", "--p-locc", "0.7", "--delta", "0.05",
+         "--n", "40", "--trials", "9", "--seed", "4",
+         "--mode", "memory-threshold"],
+        "e1f1e0cf09d237c7ae0dcf41df84a461bf183896e1f568cbbc2782713eea8fbc",
+        "284b5faee11bc18d97fcf96ec36cf8c4bc360668435cf375b3ca978c8e8490e3"),
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_artifact_digests(self, capsys, tmp_path, name, threads):
+        argv, jsonl, summary = PINNED[name]
+        run_json(capsys, *argv, "--threads", threads, "--out", str(tmp_path))
+        digest = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+                  for p in ("transcripts.jsonl", "summary.csv")}
+        assert digest == {"transcripts.jsonl": jsonl, "summary.csv": summary}
+
+    def test_round_lines_are_canonical_json(self, capsys, tmp_path):
+        run_json(capsys, *PINNED["simulate-memory-block"][0],
+                 "--out", str(tmp_path))
+        lines = (tmp_path / "transcripts.jsonl").read_text().splitlines()
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":"))
+        last = json.loads(lines[-1])
+        assert set(last) == {"trial", "j", "Z", "Y", "X", "memory"}
+        assert (last["trial"], last["j"]) == (3, 30)
+        assert last["memory"].startswith("block=7;")
+        assert last["memory"].endswith(";used=2")
 
 
 class TestDetectCommand:
@@ -255,6 +332,26 @@ class TestDetectCommand:
         assert report["p_corr_gamma"] >= 0.9
         assert report["overall"] == pytest.approx(
             0.5 * (report["p_corr_tau"] + report["p_corr_gamma"]), abs=1e-12)
+
+    def test_per_world_intervals(self, capsys):
+        report = run_json(capsys, "detect", "--p-tau", "0.9", "--p-locc",
+                          "0.75", "--delta", "0.05", "--n", "200",
+                          "--trials", "41", "--seed", "2")
+        assert (report["trials_tau"], report["trials_gamma"]) == (21, 20)
+        for world in ("tau", "gamma"):
+            count = report[f"trials_{world}"]
+            frac = report[f"p_corr_{world}"]
+            lo, hi = report[f"p_corr_{world}_ci"]
+            assert [lo, hi] == list(wilson_interval(round(frac * count), count))
+            assert lo <= frac <= hi
+
+    def test_single_trial_has_no_gamma_trials(self, capsys):
+        report = run_json(capsys, "detect", "--p-tau", "1.0", "--p-locc",
+                          "0.5", "--delta", "0.1", "--n", "40",
+                          "--trials", "1")
+        assert report["trials_tau"] == 1 and report["trials_gamma"] == 0
+        assert report["p_corr_gamma_ci"] is None
+        assert report["p_corr_tau_ci"] == list(wilson_interval(1, 1))
 
     def test_round_count_defaults_to_min_rounds(self, capsys):
         report = run_json(capsys, "detect", "--p-tau", "0.9", "--p-locc",
@@ -327,6 +424,16 @@ class TestRateCommand:
                           "--r", "1.0", "--n-list", "5,10", "--trials", "20")
         assert report["success_frac"] == [1.0, 1.0]
         assert report["n_list"] == [5, 10]
+
+    def test_success_intervals(self, capsys):
+        report = run_json(capsys, "rate", "--protocol", "iid", "--p", "0.5",
+                          "--r", "0.55", "--n-list", "20,40", "--trials",
+                          "200", "--seed", "3")
+        assert len(report["success_ci"]) == 2
+        for frac, (lo, hi) in zip(report["success_frac"],
+                                  report["success_ci"]):
+            assert [lo, hi] == list(wilson_interval(round(frac * 200), 200))
+            assert lo <= frac <= hi
 
     def test_bad_n_list(self, capsys):
         err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",

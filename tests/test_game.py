@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from locclab import (
     run_teleport_discrimination,
     simulate_ensemble,
 )
+from locclab.game import TrialArrays, play_trial
+from locclab.seeding import rng_from
+from locclab.stats import wilson_interval
 
 
 class ShiftyCatalyst(Strategy):
@@ -65,6 +69,183 @@ class SlowIID(Strategy):
 
     def success_probability(self, j):
         return self.p
+
+
+class BadAtRound(Strategy):
+    """Declares p outside [0, 1] from round ``bad`` on and, when
+    catalytic, changes its descriptor after round ``change``."""
+
+    protocol_id = "bad-at-round"
+
+    def __init__(self, bad, change=None, value=1.5):
+        self.bad, self.change, self.value = bad, change, value
+        self.catalytic = change is not None
+        self.rounds = 0
+
+    def reset(self, rng, pair=None):
+        self.rounds = 0
+
+    def success_probability(self, j):
+        return self.value if j >= self.bad else 0.5
+
+    def observe(self, j, success):
+        self.rounds = j
+
+    def descriptor(self):
+        return "moved" if self.change and self.rounds >= self.change else "same"
+
+
+def reference_game(strategy, n, seed=0, stream=()):
+    """The round-by-round engine: one scalar draw per round from each
+    substream, checks in the order the rounds reach them."""
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
+    rng_rounds = rng_from(seed, *stream, "rounds")
+    rng_success = rng_from(seed, *stream, "success")
+    strategy.reset(rng_from(seed, *stream, "strategy"), None)
+    zs, ys, xs, ps, memory = [], [], [], [], [strategy.descriptor()]
+    for j in range(1, n + 1):
+        before = strategy.descriptor()
+        p = float(strategy.success_probability(j))
+        if not 0.0 <= p <= 1.0:
+            raise SpecError(f"strategy declared success probability {p} "
+                            f"outside [0, 1] in round {j}")
+        z = int(rng_rounds.integers(0, 2))
+        success = bool(rng_success.random() < p)
+        y = z if success else 1 - z
+        strategy.observe(j, success)
+        after = strategy.descriptor()
+        if strategy.catalytic and after != before:
+            raise CatalystViolation(
+                f"round {j}: catalytic strategy changed its memory descriptor "
+                f"from {before!r} to {after!r}")
+        zs.append(z)
+        ys.append(y)
+        xs.append(int(y == z))
+        ps.append(p)
+        memory.append(after)
+    return ps, zs, ys, xs, memory
+
+
+MB = dict(d1=2, psi_spec=PsiSpec(lam=0.5, d2=4))
+# (id, strategy, n): p = 0 and 1, both drop extremes, and memory blocks
+# with n < n_block, n = k n_block, n not a multiple, and n_block = 1
+BUILTINS = [
+    ("iid-0", IIDStrategy(0.0), 7),
+    ("iid-1", IIDStrategy(1.0), 7),
+    ("iid-0.3", IIDStrategy(0.3), 50),
+    ("iid-catalytic", IIDStrategy(0.6, catalytic=True), 20),
+    ("capped", HistoryCappedStrategy(0.8, 0.3), 60),
+    ("capped-drop0", HistoryCappedStrategy(0.8, 0.0), 30),
+    ("capped-drop-all", HistoryCappedStrategy(0.6, 0.6), 30),
+    ("capped-certain", HistoryCappedStrategy(1.0, 0.5), 12),
+    ("block-n<size", memory_block_strategy(n_block=8, **MB), 5),
+    ("block-n=k*size", memory_block_strategy(n_block=4, **MB), 32),
+    ("block-n%size", memory_block_strategy(n_block=4, **MB), 37),
+    ("block-size1", memory_block_strategy(n_block=1, **MB), 25),
+    ("block-d2=8", memory_block_strategy(2, PsiSpec(0.5, 8), 16), 200),
+]
+
+
+def adapter_play(strategy, u, seed):
+    """Strategy.play, the round-by-round adapter, on a built-in."""
+    rng = np.random.default_rng(seed)
+    strategy.reset(rng)
+    return Strategy.play(strategy, u, rng)
+
+
+def closed_play(strategy, u, seed):
+    rng = np.random.default_rng(seed)
+    strategy.reset(rng)
+    return strategy.play(u, rng)
+
+
+class TestArrayEngine:
+    @pytest.mark.parametrize("name,strategy,n", BUILTINS,
+                             ids=[c[0] for c in BUILTINS])
+    def test_closed_form_matches_adapter(self, name, strategy, n):
+        for seed in range(4):
+            u = np.random.default_rng(100 + seed).random(n)
+            p_ref, d_ref = adapter_play(strategy, u, seed)
+            p, d = closed_play(strategy, u, seed)
+            np.testing.assert_array_equal(p, p_ref)
+            np.testing.assert_array_equal(u < p, u < p_ref)
+            assert list(d) == d_ref and len(d) == n + 1
+
+    @pytest.mark.parametrize("name,strategy,n", BUILTINS,
+                             ids=[c[0] for c in BUILTINS])
+    def test_engine_matches_round_loop(self, name, strategy, n):
+        for seed, stream in ((0, ()), (5, ("trial", 3)), (9, ("rate", n, 1))):
+            ps, zs, ys, xs, memory = reference_game(strategy, n, seed, stream)
+            tr = play_trial(strategy, None, n, seed, stream)
+            assert isinstance(tr, TrialArrays) and tr.n == n
+            assert tr.Z.tolist() == zs and tr.Y.tolist() == ys
+            assert tr.X.tolist() == xs
+            assert tr.S.tolist() == np.cumsum(xs).tolist()
+            assert tr.descriptors == memory
+            assert tr.final_score == sum(xs)
+
+    @pytest.mark.parametrize("p_cap,drop", [(0.7, 0.0), (0.7, 0.7)])
+    def test_history_capped_first_failure(self, p_cap, drop):
+        strategy = HistoryCappedStrategy(p_cap, drop)
+        first = np.array([0.9] + [0.1] * 9)  # fails in round 1
+        never = np.full(10, 0.1)
+        for u in (first, never):
+            p_ref, d_ref = adapter_play(strategy, u, 0)
+            p, d = closed_play(strategy, u, 0)
+            np.testing.assert_array_equal(p, p_ref)
+            assert d == d_ref
+        p, d = closed_play(strategy, first, 0)
+        assert p.tolist() == [p_cap] + [p_cap - drop] * 9
+        assert d == ["failed=0"] + ["failed=1"] * 10
+        p, d = closed_play(strategy, never, 0)
+        assert p.tolist() == [p_cap] * 10 and d == ["failed=0"] * 11
+
+    def test_memory_block_recharge_draws(self):
+        strategy = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 4)
+        q = strategy.block_success_prob
+        rng = np.random.default_rng(3)
+        strategy.reset(rng)
+        p, d = strategy.play(np.zeros(10), rng)
+        recharge = np.random.default_rng(3).random(2) < q  # 10 // 4 draws
+        expect = [1.0] * 4 + [1.0 if ok else 0.5 for ok in recharge for _ in range(4)]
+        assert p.tolist() == expect[:10]
+        assert d[4].startswith("block=1;") and d[8].startswith("block=2;")
+        assert d[-1].endswith("used=2")
+
+    @pytest.mark.parametrize("strategy,error,message", [
+        (ShiftyCatalyst(), CatalystViolation, "round 1: "),
+        (BadAtRound(bad=3), SpecError, "1.5 outside [0, 1] in round 3"),
+        (BadAtRound(bad=1, value=-0.25), SpecError, "in round 1"),
+        (BadAtRound(bad=4, value=math.nan), SpecError, "nan outside"),
+        (BadAtRound(bad=4, change=2), CatalystViolation, "round 2: "),
+        (BadAtRound(bad=2, change=2), SpecError, "in round 2"),
+    ])
+    def test_errors_match_round_loop(self, strategy, error, message):
+        with pytest.raises(error, match=re.escape(message)) as ref:
+            reference_game(strategy, 6, seed=1)
+        with pytest.raises(error) as got:
+            play_trial(strategy, None, 6, seed=1)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(error) as wrapped:
+            run_game(strategy, None, 6, seed=1)
+        assert str(wrapped.value) == str(ref.value)
+
+    def test_adapter_stops_at_first_failure(self):
+        strategy = BadAtRound(bad=3)
+        strategy.reset(None)
+        p, d = strategy.play(np.full(8, 0.5), None)
+        assert p.tolist() == [0.5, 0.5, 1.5] and len(d) == 3
+        assert strategy.rounds == 2  # observe never saw round 3
+
+    def test_malformed_play_rejected(self):
+        class Short(IIDStrategy):
+            def play(self, u, rng):
+                p, d = super().play(u, rng)
+                return p[:-1], d
+
+        with pytest.raises(SpecError, match="want 5 and 6"):
+            play_trial(Short(0.5), None, 5)
 
 
 class TestRunGame:
@@ -204,6 +385,24 @@ class TestEstimateRate:
         est = estimate_rate(strat, r=r, trials=400, n_list=(320,), seed=6)
         assert est.success_frac[0] >= 0.95
 
+    def test_wilson_interval_per_checkpoint(self):
+        est = estimate_rate(IIDStrategy(0.5), r=0.5, trials=200,
+                            n_list=(10, 40), seed=3)
+        assert len(est.ci) == 2 and est.trials == 200
+        for frac, (lo, hi) in zip(est.success_frac, est.ci):
+            assert 0.0 <= lo < frac < hi <= 1.0
+            assert (lo, hi) == wilson_interval(round(frac * 200), 200)
+        certain = estimate_rate(IIDStrategy(1.0), r=1.0, trials=50,
+                                n_list=(5,))
+        assert certain.ci[0][1] == 1.0 and certain.ci[0][0] > 0.85
+
+    def test_fallback_matches_round_loop(self):
+        est = estimate_rate(SlowIID(0.6), r=0.55, trials=30, n_list=(20,),
+                            seed=4)
+        hits = sum(sum(reference_game(SlowIID(0.6), 20, 4, ("rate", 20, t))[3])
+                   >= 0.55 * 20 - 1e-9 for t in range(30))
+        assert est.success_frac == (hits / 30,)
+
     def test_validation(self):
         with pytest.raises(SpecError):
             estimate_rate(IIDStrategy(0.5), r=1.5)
@@ -267,6 +466,26 @@ class TestDetection:
         report = detection_accuracy(config, oracle, trials=400, seed=2)
         assert report.p_corr_tau >= 0.99
         assert report.p_corr_gamma >= 0.99
+
+    def test_accuracy_intervals(self):
+        config = DetectionConfig(p_tau=0.9, p_locc=0.7, delta=0.05, n=50)
+        report = detection_accuracy(config, default_detection_oracle(config),
+                                    trials=300, seed=4)
+        for frac, (lo, hi) in ((report.p_corr_tau, report.ci_tau),
+                               (report.p_corr_gamma, report.ci_gamma)):
+            assert (lo, hi) == wilson_interval(round(frac * 300), 300)
+            assert lo <= frac <= hi
+
+    def test_accuracy_fallback_matches_detect_catalyst(self):
+        config = DetectionConfig(p_tau=0.9, p_locc=0.7, delta=0.05, n=50)
+        oracle = DetectionOracle(tau=SlowIID(0.9), gamma=SlowIID(0.7))
+        report = detection_accuracy(config, oracle, trials=20, seed=6)
+        for world, frac in (("tau", report.p_corr_tau),
+                            ("gamma", report.p_corr_gamma)):
+            hits = sum(detect_catalyst(config, oracle, 6, world,
+                                       stream=("accuracy", t)).correct
+                       for t in range(20))
+            assert frac == hits / 20
 
     def test_detection_determinism(self):
         config = DetectionConfig(p_tau=0.9, p_locc=0.5, delta=0.1, n=30)

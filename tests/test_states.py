@@ -244,6 +244,26 @@ class TestSchmidtSpectrum:
         with pytest.raises(SpecError):
             SchmidtSpectrum(values=((0.5, 1), (0.25, 1)))
 
+    @pytest.mark.parametrize("values", [
+        ((math.nan, 1), (0.5, 1)),
+        ((0.5, 1), (math.nan, 1)),
+        ((math.inf, 1), (0.5, 1)),
+        ((0.5, 1), (-math.inf, 1)),
+    ])
+    def test_nonfinite_probability_rejected(self, values, monkeypatch):
+        import locclab.protocols as protocols
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("concentration law reached")
+        monkeypatch.setattr(protocols, "_exact_law", unreachable)
+        monkeypatch.setattr(protocols, "concentration_distribution",
+                            unreachable)
+        with pytest.raises(SpecError, match="not finite"):
+            protocols.concentration_distribution(SchmidtSpectrum(values), 2)
+        with pytest.raises(SpecError, match="not finite"):
+            protocols.concentration_success_prob(SchmidtSpectrum(values), 4,
+                                                 1.0)
+
     def test_label_probabilities(self):
         spec = SchmidtSpectrum(values=((0.4, 1), (0.2, 3)))
         np.testing.assert_allclose(spec.label_probabilities(),
