@@ -120,8 +120,15 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_HASH_CHUNK = 1 << 20  # bytes per read, so hashing never holds a whole artifact
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _g17(x: float) -> str:
@@ -179,6 +186,21 @@ def _require(params: dict, *names):
         raise ConfigError(f"missing required parameters: {missing}")
 
 
+def _param(params: dict, name: str, default):
+    """``params[name]``, or ``default`` when it is missing or None. Any
+    given value, 0 included, is kept for the command to check."""
+    value = params.get(name)
+    return default if value is None else value
+
+
+def _count(params: dict, name: str, default: int) -> int:
+    """A round or trial count: ``default`` when absent, else >= 1."""
+    value = int(_param(params, name, default))
+    if value < 1:
+        raise ConfigError(f"--{name} must be >= 1, got {value}")
+    return value
+
+
 def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Path]]:
     """Resolve (state0, state1) from files or a named family."""
     f0, f1 = params.get("state0"), params.get("state1")
@@ -194,7 +216,7 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
                                              density=True))
         return states[0], states[1], paths
     family = params.get("family")
-    d = int(params.get("d") or 2)
+    d = int(_param(params, "d", 2))
     if family == "werner":
         s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
         return s0, s1, []
@@ -215,7 +237,7 @@ def _make_strategy(params: dict):
         return IIDStrategy(float(params["p"]))
     if protocol == "memory-block":
         _require(params, "lam", "d2", "n_block")
-        d1 = int(params.get("d1") or 2)
+        d1 = int(_param(params, "d1", 2))
         spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
         return memory_block_strategy(d1, spec, int(params["n_block"]))
     raise ConfigError(f"--protocol must be iid or memory-block, got {protocol!r}")
@@ -308,10 +330,8 @@ def cmd_entropy(config: ExperimentConfig) -> dict:
     params = config.params
     _require(params, "lam", "d2")
     spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
-    eps_prime = params.get("eps_prime")
-    if eps_prime is None:
-        eps_prime = psi_product_distance(spec)
-    d1 = int(params.get("d1") or 2)
+    eps_prime = _param(params, "eps_prime", psi_product_distance(spec))
+    d1 = int(_param(params, "d1", 2))
     cond = check_psi_conditions(spec, d1, float(eps_prime))
     return {
         "entropy_bits": cond.entropy_bits,
@@ -338,7 +358,7 @@ def cmd_construct(config: ExperimentConfig) -> dict:
         written.append(path)
 
     if family == "werner":
-        d = int(params.get("d") or 2)
+        d = int(_param(params, "d", 2))
         s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
         emit("sigma0.json", s0)
         emit("sigma1.json", s1)
@@ -348,14 +368,14 @@ def cmd_construct(config: ExperimentConfig) -> dict:
         emit("psi.json", psi.to_density())
     elif family == "rho-pair":
         _require(params, "lam", "d2")
-        d = int(params.get("d") or 2)
+        d = int(_param(params, "d", 2))
         pair = make_hiding_pair(HidingPairSpec(d=d))
         psi = make_psi(PsiSpec(lam=float(params["lam"]), d2=int(params["d2"])))
         r0, r1 = make_rho_pair(pair, psi)
         emit("rho0.json", r0)
         emit("rho1.json", r1)
     elif family == "max-entangled":
-        dim = int(params.get("dim") or 2)
+        dim = int(_param(params, "dim", 2))
         emit("phi.json", make_max_entangled(dim).to_density())
     else:
         raise ConfigError("construct --family must be one of werner, psi, "
@@ -370,9 +390,8 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
     spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
     spectrum = psi_spectrum(spec)
     n = int(params["n"])
-    mode = params.get("mode") or "auto"
-    samples = params.get("samples")
-    samples = 100_000 if samples is None else int(samples)
+    mode = _param(params, "mode", "auto")
+    samples = int(_param(params, "samples", 100_000))
     dist = concentration_distribution(spectrum, n, mode=mode, samples=samples,
                                       seed=config.seed)
     mean_bits = sum(o.probability * o.log2_dim for o in dist)
@@ -415,10 +434,8 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
 def cmd_simulate(config: ExperimentConfig) -> dict:
     params = config.params
     strategy = _make_strategy(params)
-    rounds = int(params.get("rounds") or 100)
-    trials = int(params.get("trials") or 1)
-    if rounds < 1 or trials < 1:
-        raise ConfigError("--rounds and --trials must be >= 1")
+    rounds = _count(params, "rounds", 100)
+    trials = _count(params, "trials", 1)
 
     played = [(t, play_trial(strategy, None, rounds, config.seed,
                              stream=("trial", t)))
@@ -447,16 +464,14 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
 
 def cmd_detect(config: ExperimentConfig) -> dict:
     params = config.params
-    p_tau = float(params.get("p_tau") if params.get("p_tau") is not None else 0.9)
-    p_locc = float(params.get("p_locc") if params.get("p_locc") is not None else 0.75)
-    delta = float(params.get("delta") if params.get("delta") is not None else 0.05)
-    mode = params.get("mode") or "catalyst-threshold"
-    trials = int(params.get("trials") or 100)
+    p_tau = float(_param(params, "p_tau", 0.9))
+    p_locc = float(_param(params, "p_locc", 0.75))
+    delta = float(_param(params, "delta", 0.05))
+    mode = _param(params, "mode", "catalyst-threshold")
+    trials = _count(params, "trials", 100)
     n = params.get("n")
     if n is None:
-        t = float(params.get("trace_distance")
-                  if params.get("trace_distance") is not None else 1.0)
-        n = min_rounds(delta, t)
+        n = min_rounds(delta, float(_param(params, "trace_distance", 1.0)))
     det_config = DetectionConfig(p_tau=p_tau, p_locc=p_locc, delta=delta,
                                  n=int(n), mode=mode)
     oracle = default_detection_oracle(det_config)
@@ -476,15 +491,17 @@ def cmd_detect(config: ExperimentConfig) -> dict:
         "n": det_config.n,
         "mode": mode,
         "trials": trials,
-        "p_corr_tau": per_world["tau"][0] / max(per_world["tau"][1], 1),
-        "p_corr_gamma": per_world["gamma"][0] / max(per_world["gamma"][1], 1),
         "hoeffding": hoeffding_bound(det_config.n, delta),
         "azuma": azuma_bound(det_config.n, delta),
     }
-    report["overall"] = 0.5 * (report["p_corr_tau"] + report["p_corr_gamma"])
+    # a world that ran no trial has no frequency, and then neither does
+    # the overall mean
     for world, (hits, count) in per_world.items():
+        report[f"p_corr_{world}"] = hits / count if count else None
         report[f"trials_{world}"] = count
         report[f"p_corr_{world}_ci"] = _ci_json(hits, count)
+    tau, gamma = report["p_corr_tau"], report["p_corr_gamma"]
+    report["overall"] = None if None in (tau, gamma) else 0.5 * (tau + gamma)
     if config.out:
         report["files"] = _write_run_files(
             Path(config.out), config, "detect-" + mode, det_config.n,
@@ -506,7 +523,7 @@ def cmd_rate(config: ExperimentConfig) -> dict:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}")
     if not n_list or any(n < 1 for n in n_list):
         raise ConfigError("--n-list must contain positive integers")
-    trials = int(params.get("trials") or 100)
+    trials = _count(params, "trials", 100)
 
     played: list[tuple[int, TrialArrays]] = []
     fracs = []

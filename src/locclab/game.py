@@ -10,24 +10,36 @@ density-matrix backend is used only where the state spaces are tiny
 (see run_teleport_discrimination); the statistical claims being checked
 constrain success probabilities and memory bookkeeping only.
 
-One array engine, ``play_trial``, plays every trial: it draws all n
-referee bits and all n success uniforms u at once and hands u to
-``Strategy.play``, which returns the declared probabilities p and the
-memory descriptors; round j succeeds iff u_j < p_j. The contract is
-causal and one-draw-per-round: p_j may depend only on u_1..u_{j-1} (the
-outcomes of earlier rounds) and on the strategy's own stream, and each
-round consumes exactly one u. The base-class ``play`` is the adapter
-that drives ``success_probability``/``observe``/``descriptor`` round by
-round; the built-in strategies override it with closed forms that
-return the same numbers. ``run_game`` is the engine's one-trial case
-wrapped in a validated ``GameTranscript``.
+One checked engine core plays every ensemble: it draws a (trials, n)
+array of success uniforms u and hands it to ``Strategy.play``, which
+returns the declared probabilities p, shape (trials, n), and one list
+of memory descriptors per trial; round j of a trial succeeds iff
+u_j < p_j. The contract is causal and one-draw-per-round: in each row,
+p_j may depend only on u_1..u_{j-1} (the outcomes of earlier rounds)
+and on the strategy's own stream, and each round consumes exactly one
+u. Rows share that stream in trial order. The base-class ``play`` is
+the adapter that resets the strategy before each row and drives
+``success_probability``/``observe``/``descriptor`` round by round; the
+built-in strategies override it with closed forms, vectorized over
+trials, that return the same numbers.
+
+``play_trial`` is the core with one trial on its per-trial substreams,
+plus the referee bits; ``run_game`` wraps it in a validated
+``GameTranscript`` and the CLI game commands write its arrays. The
+library ensembles (``simulate_ensemble``, ``estimate_rate``,
+``detection_accuracy``) call the core once per ensemble, checkpoint or
+world, on the ``("ensemble",)``, ``("rate", n)`` and
+``("accuracy", world)`` prefixes. They never need referee bits, and
+one stream pair per ensemble avoids seeding a generator per trial, so
+their numbers differ from the CLI's for the same seed.
 
 Randomness: referee bits, success draws, and strategy-owned randomness
 come from independently labeled substreams of one root seed, so
 detection thresholds cannot correlate with preparation. Drawing a
-stream's values in one vector call gives the same numbers as drawing
-them one by one, so the array engine reproduces the round-by-round
-transcripts exactly.
+stream's values in one array call gives the same numbers, in row-major
+order, as drawing them one by one, so the engine reproduces the
+round-by-round transcripts exactly and the first k rows of an ensemble
+are the k-trial ensemble.
 """
 
 from __future__ import annotations
@@ -130,35 +142,43 @@ class Strategy(ABC):
     def descriptor(self) -> str:
         return "-"
 
-    def play(self, u: np.ndarray, rng: np.random.Generator
-             ) -> tuple[np.ndarray, list[str]]:
-        """Play one trial against the success uniforms ``u`` (round j
-        succeeds iff u[j-1] < p[j-1]) and return the declared
-        probabilities p and the memory descriptors: the one before
-        round 1, then the one after each round. ``rng`` is the
-        strategy's own stream, the one ``reset`` received. An override
-        must keep the rounds causal: p[j-1] may depend on u[:j-1] and
-        rng only, and its draws from rng must be the ones the scalar
-        methods make, in the same order.
+    def play(self, u: np.ndarray, rng: np.random.Generator, pair=None
+             ) -> tuple[np.ndarray, list[list[str]]]:
+        """Play one trial per row of the (trials, n) success uniforms
+        ``u`` (round j of row t succeeds iff u[t, j-1] < p[t, j-1]) and
+        return the declared probabilities p, shape (trials, n), and one
+        descriptor list per trial: the descriptor before round 1, then
+        the one after each round; rows with equal descriptors may share
+        one list, which callers only read. ``rng`` is the strategy's own
+        stream, shared by the rows in order; ``pair`` is what ``reset``
+        takes. An override must keep each row causal: p[t, j-1] may
+        depend on u[t, :j-1] and rng only, and its draws from rng must
+        be the ones the scalar methods make, row after row, in the same
+        order.
 
-        This default plays round by round through success_probability,
-        observe and descriptor. It stops at the first probability
-        outside [0, 1] or, for a catalytic strategy, the first changed
-        descriptor, and returns the rounds played so far for the engine
-        to report.
+        This default resets the strategy before each row, then plays it
+        round by round through success_probability, observe and
+        descriptor. A row stops at its first probability outside [0, 1]
+        or, for a catalytic strategy, its first changed descriptor; its
+        descriptor list then ends there and its unplayed rounds are NaN,
+        for the engine to report.
         """
-        p: list[float] = []
-        descriptors = [self.descriptor()]
-        for j, uj in enumerate(u.tolist(), 1):
-            pj = float(self.success_probability(j))
-            p.append(pj)
-            if not 0.0 <= pj <= 1.0:
-                break
-            self.observe(j, uj < pj)
-            descriptors.append(self.descriptor())
-            if self.catalytic and descriptors[-1] != descriptors[-2]:
-                break
-        return np.array(p, dtype=float), descriptors
+        trials, n = u.shape
+        p = np.full((trials, n), np.nan)
+        descriptors = []
+        for row, u_row in zip(p, u.tolist()):
+            self.reset(rng, pair)
+            memory = [self.descriptor()]
+            for j, uj in enumerate(u_row, 1):
+                pj = row[j - 1] = float(self.success_probability(j))
+                if not 0.0 <= pj <= 1.0:
+                    break
+                self.observe(j, uj < pj)
+                memory.append(self.descriptor())
+                if self.catalytic and memory[-1] != memory[-2]:
+                    break
+            descriptors.append(memory)
+        return p, descriptors
 
 
 class IIDStrategy(Strategy):
@@ -178,16 +198,9 @@ class IIDStrategy(Strategy):
     def descriptor(self) -> str:
         return f"iid:{self.p:.12g}"
 
-    def play(self, u, rng):
-        return np.full(len(u), self.p), [self.descriptor()] * (len(u) + 1)
-
-    def batch_final_scores(self, n: int, trials: int,
-                           rng: np.random.Generator) -> np.ndarray:
-        return rng.binomial(n, self.p, size=trials)
-
-    def batch_x_matrix(self, n: int, trials: int,
-                       rng: np.random.Generator) -> np.ndarray:
-        return (rng.random((trials, n)) < self.p).astype(np.uint8)
+    def play(self, u, rng, pair=None):
+        trials, n = u.shape
+        return np.full(u.shape, self.p), [[self.descriptor()] * (n + 1)] * trials
 
 
 class HistoryCappedStrategy(Strategy):
@@ -220,29 +233,17 @@ class HistoryCappedStrategy(Strategy):
     def descriptor(self) -> str:
         return f"failed={int(self._failed)}"
 
-    def play(self, u, rng):
-        n = len(u)
-        misses = np.flatnonzero(u >= self.p_cap)
-        first = int(misses[0]) + 1 if misses.size else n + 1  # first failed round
-        p = np.full(n, self.p_cap)
-        p[first:] = self.p_cap - self.drop
-        return p, ["failed=0"] * first + ["failed=1"] * (n + 1 - first)
-
-    def batch_x_matrix(self, n: int, trials: int,
-                       rng: np.random.Generator) -> np.ndarray:
-        x = np.empty((trials, n), dtype=np.uint8)
-        failed = np.zeros(trials, dtype=bool)
-        p_hi, p_lo = self.p_cap, self.p_cap - self.drop
-        for j in range(n):
-            p = np.where(failed, p_lo, p_hi)
-            col = rng.random(trials) < p
-            x[:, j] = col
-            failed |= ~col
-        return x
-
-    def batch_final_scores(self, n: int, trials: int,
-                           rng: np.random.Generator) -> np.ndarray:
-        return self.batch_x_matrix(n, trials, rng).sum(axis=1)
+    def play(self, u, rng, pair=None):
+        trials, n = u.shape
+        misses = u >= self.p_cap
+        # each row's first failed round, n + 1 when it never fails
+        first = np.where(misses.any(axis=1), misses.argmax(axis=1) + 1, n + 1)
+        p = np.where(np.arange(1, n + 1) > first[:, None],
+                     self.p_cap - self.drop, self.p_cap)
+        firsts = first.tolist()
+        lists = {f: ["failed=0"] * f + ["failed=1"] * (n + 1 - f)
+                 for f in set(firsts)}
+        return p, [lists[f] for f in firsts]
 
 
 class MemoryBlockStrategy(Strategy):
@@ -305,31 +306,20 @@ class MemoryBlockStrategy(Strategy):
         budget = "full" if self._charged else "degraded"
         return f"block={self._block};budget={budget};used={self._used}"
 
-    def play(self, u, rng):
-        n, size = len(u), self.n_block
-        # block k's budget; each completed block draws one recharge
-        charged = np.ones(n // size + 1, dtype=bool)
-        charged[1:] = rng.random(n // size) < self.block_success_prob
-        p = np.where(np.repeat(charged, size)[:n], 1.0, 0.5)
+    def play(self, u, rng, pair=None):
+        (trials, n), size = u.shape, self.n_block
+        # block k's budget per row; each completed block draws one recharge
+        charged = np.ones((trials, n // size + 1), dtype=bool)
+        charged[:, 1:] = rng.random((trials, n // size)) < self.block_success_prob
+        p = np.where(np.repeat(charged, size, axis=1)[:, :n], 1.0, 0.5)
         table = _block_descriptors(size, n)
-        descriptors: list[str] = []
-        for k, full in enumerate(charged.tolist()):
-            descriptors += table[full][k * size:(k + 1) * size]
+        descriptors = []
+        for row in charged.tolist():
+            memory: list[str] = []
+            for k, full in enumerate(row):
+                memory += table[full][k * size:(k + 1) * size]
+            descriptors.append(memory)
         return p, descriptors
-
-    def batch_final_scores(self, n: int, trials: int,
-                           rng: np.random.Generator) -> np.ndarray:
-        k_full, rem = divmod(n, self.n_block)
-        scores = np.zeros(trials, dtype=np.int64)
-        lengths = [self.n_block] * k_full + ([rem] if rem else [])
-        for i, length in enumerate(lengths):
-            if i == 0:
-                ok = np.ones(trials, dtype=bool)
-            else:
-                ok = rng.random(trials) < self.block_success_prob
-            fallback = rng.binomial(length, 0.5, size=trials)
-            scores += np.where(ok, length, fallback)
-        return scores
 
 
 @lru_cache(maxsize=32)
@@ -380,44 +370,68 @@ def _first_change(descriptors: list[str]) -> int | None:
                 if descriptors[j] != descriptors[j - 1])
 
 
+def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
+                  stream: tuple[Label, ...]
+                  ) -> tuple[np.ndarray, list[list[str]]]:
+    """The engine core: play ``trials`` rows of n rounds on the
+    ``(*stream, "success" | "strategy")`` substreams of ``seed`` and
+    return the success indicators X = 1[u < p], shape (trials, n), with
+    the descriptor lists.
+
+    Every invariant of the round loop is checked, trial by trial:
+    declared probabilities in [0, 1] (SpecError naming the first
+    offending round), unchanged descriptors for catalytic strategies
+    (CatalystViolation naming the first changed round), and the shapes
+    ``play`` returned.
+    """
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
+    if trials < 1:
+        raise SpecError(f"trial count must be >= 1, got {trials}")
+    u = rng_from(seed, *stream, "success").random((trials, n))
+    p, descriptors = strategy.play(u, rng_from(seed, *stream, "strategy"), pair)
+    p = np.asarray(p, dtype=float)
+    malformed = (f"{type(strategy).__name__}.play returned probabilities of "
+                 f"shape {p.shape} and {len(descriptors)} descriptor lists for "
+                 f"{trials} trials of {n} rounds (want {n} and {n + 1} per trial)")
+    if p.shape != (trials, n) or len(descriptors) != trials:
+        raise SpecError(malformed)
+
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    bad_round = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, n + 1)
+    # report the first failing trial; without the catalytic check, that
+    # is the first trial with a bad probability
+    for t in (range(trials) if strategy.catalytic
+              else np.flatnonzero(bad_round <= n)[:1]):
+        memory, first_bad = descriptors[t], int(bad_round[t])
+        changed = _first_change(memory) if strategy.catalytic else None
+        if changed is not None and changed < first_bad:
+            raise CatalystViolation(
+                f"round {changed}: catalytic strategy changed its memory "
+                f"descriptor from {memory[changed - 1]!r} to "
+                f"{memory[changed]!r}")
+        if first_bad <= n:
+            raise SpecError(f"strategy declared success probability "
+                            f"{float(p[t, first_bad - 1])} outside [0, 1] "
+                            f"in round {first_bad}")
+    if any(len(memory) != n + 1 for memory in descriptors):
+        raise SpecError(malformed)
+    return u < p, descriptors
+
+
 def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
                stream: tuple[Label, ...] = ()) -> TrialArrays:
     """Play n rounds against a uniform referee and return the arrays.
 
-    Referee bits, success uniforms and strategy randomness come from
-    the ``(*stream, "rounds" | "success" | "strategy")`` substreams of
-    ``seed``. Every invariant of the round loop is checked on the
-    arrays: declared probabilities in [0, 1] (SpecError naming the first
-    offending round), unchanged descriptors for catalytic strategies
-    (CatalystViolation naming the first changed round), X = 1[Y = Z]
-    and S = cumsum(X).
+    This is the engine core with one trial: success uniforms and
+    strategy randomness come from the ``(*stream, "success" |
+    "strategy")`` substreams of ``seed``, referee bits from
+    ``(*stream, "rounds")``. On top of the core's checks, X = 1[Y = Z]
+    and S = cumsum(X) are verified on the arrays.
     """
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
-    rng_strategy = rng_from(seed, *stream, "strategy")
-    strategy.reset(rng_strategy, pair)
+    (success,), (descriptors,) = _play_checked(strategy, pair, n, 1, seed,
+                                               stream)
     z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
-    u = rng_from(seed, *stream, "success").random(n)
-    p, descriptors = strategy.play(u, rng_strategy)
-    p = np.asarray(p, dtype=float)
-
-    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    bad_round = int(bad[0]) + 1 if bad.size else n + 1
-    changed = _first_change(descriptors) if strategy.catalytic else None
-    if changed is not None and changed < bad_round:
-        raise CatalystViolation(
-            f"round {changed}: catalytic strategy changed its memory "
-            f"descriptor from {descriptors[changed - 1]!r} to "
-            f"{descriptors[changed]!r}")
-    if bad.size:
-        raise SpecError(f"strategy declared success probability "
-                        f"{float(p[bad[0]])} outside [0, 1] in round {bad_round}")
-    if p.shape != (n,) or len(descriptors) != n + 1:
-        raise SpecError(f"{type(strategy).__name__}.play returned {p.size} "
-                        f"probabilities and {len(descriptors)} descriptors "
-                        f"for {n} rounds (want {n} and {n + 1})")
-
-    success = u < p
     y = np.where(success, z, 1 - z)
     x = (y == z).astype(np.int64)
     s = np.cumsum(x)
@@ -433,7 +447,7 @@ def run_game(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
 
     ``pair`` is forwarded to the strategy's reset for state-aware
     strategies; synthetic oracles ignore it. ``stream`` prefixes the
-    substream labels so batch callers (trials, detection worlds) stay
+    substream labels so callers (trials, detection worlds) stay
     on independent random streams of the same root seed. This is
     ``play_trial`` with one RoundRecord per round.
     """
@@ -449,17 +463,10 @@ def run_game(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
 
 def simulate_ensemble(strategy: Strategy, n: int, trials: int,
                       seed: int = 0) -> np.ndarray:
-    """(trials, n) matrix of success indicators, using the strategy's
-    vectorized sampler when it has one."""
-    if trials < 1:
-        raise SpecError(f"trial count must be >= 1, got {trials}")
-    batch = getattr(strategy, "batch_x_matrix", None)
-    if batch is not None:
-        return batch(n, trials, rng_from(seed, "ensemble", "batch"))
-    x = np.empty((trials, n), dtype=np.uint8)
-    for t in range(trials):
-        x[t] = play_trial(strategy, None, n, seed, stream=("ensemble", t)).X
-    return x
+    """(trials, n) matrix of success indicators: one call of the engine
+    core on the ``("ensemble",)`` stream pair."""
+    x, _ = _play_checked(strategy, None, n, trials, seed, ("ensemble",))
+    return x.view(np.uint8)
 
 
 # --- rate estimation --------------------------------------------------------
@@ -496,27 +503,18 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
                   ) -> RateEstimate:
     """Estimate how often the strategy scores at least r n by round n.
 
-    Trials are independent with split seeds; checkpoints are evaluated
-    by fresh runs at each n (memory strategies are not resumable across
-    checkpoints). Strategies exposing batch_final_scores are sampled in
-    one vectorized pass per checkpoint.
+    Each checkpoint is one fresh ensemble of independent trials on the
+    ``("rate", n)`` stream pair (memory strategies are not resumable
+    across checkpoints).
     """
     if not 0.0 <= r <= 1.0:
         raise SpecError(f"target rate {r} outside [0, 1]")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
     fracs = []
-    batch = getattr(strategy, "batch_final_scores", None)
     for n in n_list:
-        if n < 1:
-            raise SpecError(f"checkpoint {n} must be >= 1")
-        if batch is not None:
-            scores = batch(n, trials, rng_from(seed, "rate", n, "batch"))
-        else:
-            scores = np.array([
-                play_trial(strategy, pair, n, seed, stream=("rate", n, t)).final_score
-                for t in range(trials)])
-        fracs.append(float(np.mean(scores >= r * n - 1e-9)))
+        x, _ = _play_checked(strategy, pair, n, trials, seed, ("rate", n))
+        fracs.append(float(np.mean(x.sum(axis=1) >= r * n - 1e-9)))
     return RateEstimate(r=float(r), n_list=tuple(int(n) for n in n_list),
                         success_frac=tuple(fracs), trials=trials)
 
@@ -651,26 +649,15 @@ class DetectionReport:
 
 def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
                        trials: int = 1000, seed: int = 0) -> DetectionReport:
-    """Monte-Carlo correctness of the threshold test in both worlds."""
-    if trials < 1:
-        raise SpecError(f"trial count must be >= 1, got {trials}")
+    """Monte-Carlo correctness of the threshold test in both worlds:
+    one engine-core ensemble per world on the ``("accuracy", world)``
+    stream pair."""
     corr = {}
     for world in ("tau", "gamma"):
-        strategy = round_oracle.strategy_for(world)
-        batch = getattr(strategy, "batch_final_scores", None)
-        if batch is not None:
-            scores = batch(config.n, trials,
-                           rng_from(seed, "accuracy", world, "batch"))
-            guesses = _threshold_guess(config, scores / config.n)
-            corr[world] = float(np.mean(guesses == world))
-        else:
-            hits = 0
-            for t in range(trials):  # detect_catalyst's streams and rule
-                trial = play_trial(strategy, None, config.n, seed,
-                                   stream=("accuracy", t, "detect", world))
-                hits += _threshold_guess(
-                    config, trial.final_score / config.n) == world
-            corr[world] = hits / trials
+        x, _ = _play_checked(round_oracle.strategy_for(world), None, config.n,
+                             trials, seed, ("accuracy", world))
+        guesses = _threshold_guess(config, x.sum(axis=1) / config.n)
+        corr[world] = float(np.mean(guesses == world))
     return DetectionReport(config=config, trials=trials,
                            p_corr_tau=corr["tau"], p_corr_gamma=corr["gamma"],
                            hoeffding=hoeffding_bound(config.n, config.delta),

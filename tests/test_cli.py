@@ -24,6 +24,7 @@ from locclab import (
     TensorLayout,
     operator_to_json,
 )
+from locclab import cli
 from locclab.cli import ExperimentConfig, load_manifest, main
 from locclab.stats import wilson_interval
 
@@ -192,6 +193,12 @@ class TestConstructCommand:
         with pytest.raises(ConfigError):
             load_manifest(tmp_path / "manifest.json")
 
+    def test_digest_of_file_larger_than_one_chunk(self, tmp_path):
+        data = np.random.default_rng(1).bytes(2 * cli._HASH_CHUNK + 123)
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        assert cli._sha256_file(path) == hashlib.sha256(data).hexdigest()
+
     def test_requires_out(self, capsys):
         err = run_error(capsys, "construct", "--family", "werner", "--d", "2")
         assert err["type"] == "ConfigError"
@@ -352,6 +359,9 @@ class TestDetectCommand:
         assert report["trials_tau"] == 1 and report["trials_gamma"] == 0
         assert report["p_corr_gamma_ci"] is None
         assert report["p_corr_tau_ci"] == list(wilson_interval(1, 1))
+        # no gamma trial: no gamma frequency and no overall mean
+        assert report["p_corr_tau"] == 1.0
+        assert report["p_corr_gamma"] is None and report["overall"] is None
 
     def test_round_count_defaults_to_min_rounds(self, capsys):
         report = run_json(capsys, "detect", "--p-tau", "0.9", "--p-locc",
@@ -439,6 +449,36 @@ class TestRateCommand:
         err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
                         "--r", "0.5", "--n-list", "5,x")
         assert err["type"] == "ConfigError"
+
+
+IID = ["--protocol", "iid", "--p", "0.5"]
+DETECT = ["detect", "--p-locc", "0.5", "--delta", "0.1", "--n", "10"]
+
+# an explicit 0 or negative is an error, never the default
+NON_POSITIVE = {
+    "simulate-rounds-0": (["simulate", *IID, "--rounds", "0"], "ConfigError"),
+    "simulate-rounds-negative": (["simulate", *IID, "--rounds", "-3"],
+                                 "ConfigError"),
+    "simulate-trials-0": (["simulate", *IID, "--trials", "0"], "ConfigError"),
+    "rate-trials-0": (["rate", *IID, "--r", "0.5", "--n-list", "5",
+                       "--trials", "0"], "ConfigError"),
+    "detect-trials-0": ([*DETECT, "--trials", "0"], "ConfigError"),
+    "detect-trials-negative": ([*DETECT, "--trials", "-2"], "ConfigError"),
+    "helstrom-d-0": (["helstrom", "--family", "werner", "--d", "0"],
+                     "SpecError"),
+    "entropy-d1-0": (["entropy", "--lambda", "0.5", "--d2", "4", "--d1", "0"],
+                     "SpecError"),
+    "construct-dim-0": (["construct", "--family", "max-entangled", "--dim",
+                         "0"], "SpecError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_POSITIVE))
+def test_non_positive_value_is_an_error(capsys, tmp_path, case):
+    argv, error = NON_POSITIVE[case]
+    err = run_error(capsys, *argv, "--out", str(tmp_path))
+    assert err["type"] == error
+    assert ">= " in err["message"]
 
 
 class TestErrorSurface:

@@ -59,8 +59,8 @@ class ShiftyCatalyst(Strategy):
 
 
 class SlowIID(Strategy):
-    """IID oracle without the vectorized batch hooks, to exercise the
-    per-trial fallback paths."""
+    """IID oracle without a closed-form play, to exercise the
+    base-class adapter."""
 
     protocol_id = "slow-iid"
 
@@ -148,29 +148,39 @@ BUILTINS = [
 
 
 def adapter_play(strategy, u, seed):
-    """Strategy.play, the round-by-round adapter, on a built-in."""
-    rng = np.random.default_rng(seed)
-    strategy.reset(rng)
-    return Strategy.play(strategy, u, rng)
+    """Strategy.play, the round-by-round adapter, on a built-in; it
+    resets the strategy before each row of u itself."""
+    return Strategy.play(strategy, u, np.random.default_rng(seed))
 
 
 def closed_play(strategy, u, seed):
-    rng = np.random.default_rng(seed)
-    strategy.reset(rng)
-    return strategy.play(u, rng)
+    return strategy.play(u, np.random.default_rng(seed))
 
 
 class TestArrayEngine:
     @pytest.mark.parametrize("name,strategy,n", BUILTINS,
                              ids=[c[0] for c in BUILTINS])
     def test_closed_form_matches_adapter(self, name, strategy, n):
-        for seed in range(4):
-            u = np.random.default_rng(100 + seed).random(n)
+        # rows share one rng, so the block recharge draws must line up
+        for seed, trials in ((0, 1), (1, 1), (2, 3), (3, 5)):
+            u = np.random.default_rng(100 + seed).random((trials, n))
             p_ref, d_ref = adapter_play(strategy, u, seed)
             p, d = closed_play(strategy, u, seed)
+            assert p.shape == (trials, n)
             np.testing.assert_array_equal(p, p_ref)
             np.testing.assert_array_equal(u < p, u < p_ref)
-            assert list(d) == d_ref and len(d) == n + 1
+            assert [list(row) for row in d] == d_ref and len(d) == trials
+            assert all(len(row) == n + 1 for row in d)
+
+    @pytest.mark.parametrize("name,strategy,n",
+                             BUILTINS + [("slow-iid", SlowIID(0.6), 20)],
+                             ids=[c[0] for c in BUILTINS] + ["slow-iid"])
+    def test_ensemble_prefix(self, name, strategy, n):
+        full = simulate_ensemble(strategy, n, trials=7, seed=12)
+        np.testing.assert_array_equal(full[:3], simulate_ensemble(
+            strategy, n, trials=3, seed=12))
+        np.testing.assert_array_equal(full[:1], simulate_ensemble(
+            strategy, n, trials=1, seed=12))
 
     @pytest.mark.parametrize("name,strategy,n", BUILTINS,
                              ids=[c[0] for c in BUILTINS])
@@ -190,28 +200,28 @@ class TestArrayEngine:
         strategy = HistoryCappedStrategy(p_cap, drop)
         first = np.array([0.9] + [0.1] * 9)  # fails in round 1
         never = np.full(10, 0.1)
-        for u in (first, never):
-            p_ref, d_ref = adapter_play(strategy, u, 0)
-            p, d = closed_play(strategy, u, 0)
-            np.testing.assert_array_equal(p, p_ref)
-            assert d == d_ref
-        p, d = closed_play(strategy, first, 0)
-        assert p.tolist() == [p_cap] + [p_cap - drop] * 9
-        assert d == ["failed=0"] + ["failed=1"] * 10
-        p, d = closed_play(strategy, never, 0)
-        assert p.tolist() == [p_cap] * 10 and d == ["failed=0"] * 11
+        both = np.stack([first, never])
+        p_ref, d_ref = adapter_play(strategy, both, 0)
+        p, d = closed_play(strategy, both, 0)
+        np.testing.assert_array_equal(p, p_ref)
+        assert d == d_ref
+        assert p[0].tolist() == [p_cap] + [p_cap - drop] * 9
+        assert d[0] == ["failed=0"] + ["failed=1"] * 10
+        assert p[1].tolist() == [p_cap] * 10 and d[1] == ["failed=0"] * 11
 
     def test_memory_block_recharge_draws(self):
         strategy = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 4)
         q = strategy.block_success_prob
-        rng = np.random.default_rng(3)
-        strategy.reset(rng)
-        p, d = strategy.play(np.zeros(10), rng)
-        recharge = np.random.default_rng(3).random(2) < q  # 10 // 4 draws
-        expect = [1.0] * 4 + [1.0 if ok else 0.5 for ok in recharge for _ in range(4)]
-        assert p.tolist() == expect[:10]
-        assert d[4].startswith("block=1;") and d[8].startswith("block=2;")
-        assert d[-1].endswith("used=2")
+        p, d = strategy.play(np.zeros((2, 10)), np.random.default_rng(3))
+        # 10 // 4 draws per row, row after row
+        recharge = np.random.default_rng(3).random((2, 2)) < q
+        for row, draws in enumerate(recharge):
+            expect = [1.0] * 4 + [1.0 if ok else 0.5 for ok in draws
+                                  for _ in range(4)]
+            assert p[row].tolist() == expect[:10]
+            assert d[row][4].startswith("block=1;")
+            assert d[row][8].startswith("block=2;")
+            assert d[row][-1].endswith("used=2")
 
     @pytest.mark.parametrize("strategy,error,message", [
         (ShiftyCatalyst(), CatalystViolation, "round 1: "),
@@ -230,22 +240,32 @@ class TestArrayEngine:
         with pytest.raises(error) as wrapped:
             run_game(strategy, None, 6, seed=1)
         assert str(wrapped.value) == str(ref.value)
+        with pytest.raises(error) as ensemble:
+            simulate_ensemble(strategy, 6, trials=3, seed=1)
+        assert str(ensemble.value) == str(ref.value)
 
     def test_adapter_stops_at_first_failure(self):
         strategy = BadAtRound(bad=3)
-        strategy.reset(None)
-        p, d = strategy.play(np.full(8, 0.5), None)
-        assert p.tolist() == [0.5, 0.5, 1.5] and len(d) == 3
+        p, d = strategy.play(np.full((2, 8), 0.5), None)
+        for row, memory in zip(p, d):
+            assert row[:3].tolist() == [0.5, 0.5, 1.5] and len(memory) == 3
+            assert np.isnan(row[3:]).all()  # rounds never played
         assert strategy.rounds == 2  # observe never saw round 3
 
     def test_malformed_play_rejected(self):
         class Short(IIDStrategy):
-            def play(self, u, rng):
-                p, d = super().play(u, rng)
-                return p[:-1], d
+            def play(self, u, rng, pair=None):
+                p, d = super().play(u, rng, pair)
+                return p[:, :-1], d
 
-        with pytest.raises(SpecError, match="want 5 and 6"):
-            play_trial(Short(0.5), None, 5)
+        class ShortMemory(IIDStrategy):
+            def play(self, u, rng, pair=None):
+                p, d = super().play(u, rng, pair)
+                return p, [memory[:-1] for memory in d]
+
+        for strategy in (Short(0.5), ShortMemory(0.5)):
+            with pytest.raises(SpecError, match="want 5 and 6"):
+                play_trial(strategy, None, 5)
 
 
 class TestRunGame:
@@ -312,11 +332,30 @@ class TestSimulateEnsemble:
         assert float(x.mean()) == pytest.approx(0.75, abs=0.02)
 
     def test_fallback_matches_run_game(self):
-        strat = SlowIID(0.6)
-        x = simulate_ensemble(strat, n=20, trials=5, seed=8)
-        for t in range(5):
-            tr = run_game(strat, None, 20, 8, stream=("ensemble", t))
-            np.testing.assert_array_equal(x[t], [r.X for r in tr.records])
+        # the adapter path on the one ("ensemble",) stream pair: a scalar
+        # success draw per round, trial after trial
+        x = simulate_ensemble(SlowIID(0.6), n=20, trials=5, seed=8)
+        rng = rng_from(8, "ensemble", "success")
+        expect = [[int(rng.random() < 0.6) for _ in range(20)] for _ in range(5)]
+        assert x.dtype == np.uint8 and x.tolist() == expect
+
+    def test_adapter_matches_closed_form(self):
+        for p in (0.0, 0.35, 1.0):
+            np.testing.assert_array_equal(
+                simulate_ensemble(SlowIID(p), n=30, trials=6, seed=2),
+                simulate_ensemble(IIDStrategy(p), n=30, trials=6, seed=2))
+            slow = estimate_rate(SlowIID(p), r=0.4, trials=40, n_list=(10, 25),
+                                 seed=3)
+            fast = estimate_rate(IIDStrategy(p), r=0.4, trials=40,
+                                 n_list=(10, 25), seed=3)
+            assert slow == fast
+        config = DetectionConfig(p_tau=0.9, p_locc=0.7, delta=0.05, n=50)
+        slow = detection_accuracy(config, DetectionOracle(
+            tau=SlowIID(0.9), gamma=SlowIID(0.7)), trials=60, seed=6)
+        fast = detection_accuracy(config, DetectionOracle(
+            tau=IIDStrategy(0.9), gamma=IIDStrategy(0.7)), trials=60, seed=6)
+        assert (slow.p_corr_tau, slow.p_corr_gamma) == (
+            fast.p_corr_tau, fast.p_corr_gamma)
 
     def test_trial_validation(self):
         with pytest.raises(SpecError):
@@ -354,10 +393,12 @@ class TestMemoryBlockStrategy:
         spec = PsiSpec(lam=0.5, d2=4)
         strat = memory_block_strategy(2, spec, 8)
         q = strat.block_success_prob
-        scores = strat.batch_final_scores(16, 50_000, np.random.default_rng(5))
+        scores = simulate_ensemble(strat, 16, 50_000, seed=5).sum(axis=1)
         expect = 8 + q * 8 + (1 - q) * 4
         assert float(scores.mean()) == pytest.approx(expect, abs=0.05)
         assert scores.min() >= 8  # first block never fails
+        est = estimate_rate(strat, r=0.5, trials=5_000, n_list=(16,), seed=5)
+        assert est.success_frac == (1.0,)
 
     def test_descriptor_tracks_blocks(self):
         strat = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 4)
@@ -399,8 +440,11 @@ class TestEstimateRate:
     def test_fallback_matches_round_loop(self):
         est = estimate_rate(SlowIID(0.6), r=0.55, trials=30, n_list=(20,),
                             seed=4)
-        hits = sum(sum(reference_game(SlowIID(0.6), 20, 4, ("rate", 20, t))[3])
-                   >= 0.55 * 20 - 1e-9 for t in range(30))
+        # one scalar success draw per round from the ("rate", 20) stream,
+        # trial after trial
+        rng = rng_from(4, "rate", 20, "success")
+        hits = sum(sum(rng.random() < 0.6 for _ in range(20)) >= 0.55 * 20 - 1e-9
+                   for _ in range(30))
         assert est.success_frac == (hits / 30,)
 
     def test_validation(self):
@@ -480,12 +524,14 @@ class TestDetection:
         config = DetectionConfig(p_tau=0.9, p_locc=0.7, delta=0.05, n=50)
         oracle = DetectionOracle(tau=SlowIID(0.9), gamma=SlowIID(0.7))
         report = detection_accuracy(config, oracle, trials=20, seed=6)
-        for world, frac in (("tau", report.p_corr_tau),
-                            ("gamma", report.p_corr_gamma)):
-            hits = sum(detect_catalyst(config, oracle, 6, world,
-                                       stream=("accuracy", t)).correct
-                       for t in range(20))
-            assert frac == hits / 20
+        for world, p, frac in (("tau", 0.9, report.p_corr_tau),
+                               ("gamma", 0.7, report.p_corr_gamma)):
+            # detect_catalyst's rule on the ("accuracy", world) stream
+            rng = rng_from(6, "accuracy", world, "success")
+            scores = [sum(rng.random() < p for _ in range(50)) for _ in range(20)]
+            guesses = ["tau" if abs(s / 50 - 0.9) <= 0.05 else "gamma"
+                       for s in scores]
+            assert frac == guesses.count(world) / 20
 
     def test_detection_determinism(self):
         config = DetectionConfig(p_tau=0.9, p_locc=0.5, delta=0.1, n=30)
