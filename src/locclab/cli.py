@@ -347,39 +347,35 @@ def cmd_construct(config: ExperimentConfig) -> dict:
     params = config.params
     if not config.out:
         raise ConfigError("construct requires --out DIRECTORY")
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     family = params.get("family")
-    written: list[Path] = []
-
-    def emit(name: str, op) -> None:
-        path = out_dir / name
-        path.write_text(operator_to_json(op) + "\n", encoding="utf-8")
-        written.append(path)
-
     if family == "werner":
         d = int(_param(params, "d", 2))
         s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
-        emit("sigma0.json", s0)
-        emit("sigma1.json", s1)
+        ops = {"sigma0.json": s0, "sigma1.json": s1}
     elif family == "psi":
         _require(params, "lam", "d2")
         psi = make_psi(PsiSpec(lam=float(params["lam"]), d2=int(params["d2"])))
-        emit("psi.json", psi.to_density())
+        ops = {"psi.json": psi.to_density()}
     elif family == "rho-pair":
         _require(params, "lam", "d2")
         d = int(_param(params, "d", 2))
         pair = make_hiding_pair(HidingPairSpec(d=d))
         psi = make_psi(PsiSpec(lam=float(params["lam"]), d2=int(params["d2"])))
         r0, r1 = make_rho_pair(pair, psi)
-        emit("rho0.json", r0)
-        emit("rho1.json", r1)
+        ops = {"rho0.json": r0, "rho1.json": r1}
     elif family == "max-entangled":
         dim = int(_param(params, "dim", 2))
-        emit("phi.json", make_max_entangled(dim).to_density())
+        ops = {"phi.json": make_max_entangled(dim).to_density()}
     else:
         raise ConfigError("construct --family must be one of werner, psi, "
                           "rho-pair, max-entangled")
+    # the operators are built (and their parameters checked) before --out
+    # is created, so a rejected run leaves nothing behind
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = [out_dir / name for name in ops]
+    for path, op in zip(written, ops.values()):
+        path.write_text(operator_to_json(op) + "\n", encoding="utf-8")
     write_manifest(out_dir, config, written)
     return {"written": {p.name: _sha256_file(p) for p in written}}
 
@@ -674,6 +670,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _csv_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return _g17(value)
     if isinstance(value, (list, dict)):

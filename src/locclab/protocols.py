@@ -13,15 +13,20 @@ so the post-measurement state is maximally entangled on a subspace of
 dimension exactly the multinomial coefficient n!/prod_i k_i!, and
 log2_dim is its base-2 logarithm (computed via log-gamma).
 
-Exact mode lists the label types as array rows by stars and bars and
-weighs them once, so a success probability is a tail sum of those weights;
-sampling mode counts the runs of equal rows in the ``np.lexsort``-ed draws.
+Exact mode lists the label types as array rows and weighs them once, so
+a success probability is a tail sum of those weights; the rows are built
+one label at a time, each generation stacking the vectors of every smaller
+total behind their leading occupation. Sampling mode counts the runs of
+equal rows in the ``np.lexsort``-ed draws. Either way the distribution's
+outcomes are built in bulk from the columns: their checks run once on the
+whole columns, and the slots of bare instances are filled directly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -156,6 +161,30 @@ class ConcentrationOutcome:
         if not (-1e-12 <= self.probability <= 1.0 + 1e-12):
             raise SpecError(f"probability {self.probability} outside [0, 1]")
 
+    @classmethod
+    def _from_columns(cls, counts: np.ndarray, log2_dim: np.ndarray,
+                      probability: np.ndarray) -> tuple[ConcentrationOutcome, ...]:
+        """One outcome per row of the (m, labels) ``counts`` array and the
+        two length-m float columns, equal to constructing each row.
+
+        ``__post_init__``'s checks run once on the whole columns; the first
+        bad row is rebuilt by the constructor so it raises the same error.
+        The slots of bare instances are then filled by their descriptors.
+        """
+        bad = (log2_dim < -1e-12) | ~((probability >= -1e-12)
+                                      & (probability <= 1.0 + 1e-12))
+        if bad.any():
+            i = int(np.argmax(bad))
+            cls(tuple(counts[i].tolist()), float(log2_dim[i]),
+                float(probability[i]))
+        out = tuple(map(object.__new__, itertools.repeat(cls, len(counts))))
+        # one column at a time, so each one's Python list is freed before
+        # the next is built
+        deque(map(cls.counts.__set__, out, zip(*counts.T.tolist())), maxlen=0)
+        deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
+        deque(map(cls.probability.__set__, out, probability.tolist()), maxlen=0)
+        return out
+
 
 @dataclass
 class SchmidtTypeState:
@@ -211,14 +240,30 @@ def _count_compositions(total: int, parts: int) -> int:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Every occupation vector of ``parts`` labels summing to ``total``, as
-    an (m, parts) int64 array in lexicographic order: the gaps between the
-    bar positions that ``itertools.combinations`` yields in that order."""
-    m = _count_compositions(total, parts)
-    slots = total + parts - 1
-    bars = itertools.combinations(range(slots), parts - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(bars), dtype=np.int64,
-                       count=m * (parts - 1)).reshape(m, parts - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    an (m, parts) int64 array in lexicographic order.
+
+    Built one label at a time. ``rows`` holds the vectors of every total
+    s = total, ..., 0 in ``width`` labels, as blocks in that order, so the
+    vectors of s and all smaller totals are the suffix that starts at
+    block s. Prefixing that suffix with the leading occupation 0, 1, ...,
+    s (one per block) gives the vectors of s in ``width + 1`` labels. The
+    last generation builds only ``total``: every total there would be the
+    largest array of the call.
+    """
+    rows = np.arange(total, -1, -1, dtype=np.int64)[:, None]
+    sizes = np.ones(total + 1, dtype=np.int64)         # rows of total s = 0..total
+    for width in range(1, parts):
+        tail = np.cumsum(sizes)                        # rows of totals s, ..., 0
+        tops = [total] if width == parts - 1 else range(total, -1, -1)
+        grown = np.empty((tail[tops].sum(), width + 1), dtype=np.int64)
+        at = 0
+        for s in tops:
+            block = grown[at:at + tail[s]]
+            block[:, 0] = np.repeat(np.arange(s + 1), sizes[s::-1])
+            block[:, 1:] = rows[len(rows) - tail[s]:]
+            at += tail[s]
+        rows, sizes = grown, tail
+    return rows[:sizes[total]]
 
 
 def _exact_law(spectrum: SchmidtSpectrum, n: int):
@@ -276,10 +321,10 @@ def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
         weights = freq / samples
         logw = _log_multinomial(counts, n)
     keep = weights != 0.0
-    return tuple(map(ConcentrationOutcome,
-                     zip(*counts[keep].T.tolist()),
-                     np.maximum(logw[keep] / _LOG2, 0.0).tolist(),
-                     weights[keep].tolist()))
+    # rebinding drops the unfiltered arrays before the outcomes are built
+    counts, logw, weights = counts[keep], logw[keep], weights[keep]
+    return ConcentrationOutcome._from_columns(
+        counts, np.maximum(logw / _LOG2, 0.0), weights)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -203,6 +204,16 @@ class TestConstructCommand:
         err = run_error(capsys, "construct", "--family", "werner", "--d", "2")
         assert err["type"] == "ConfigError"
 
+    def test_rejected_parameters_create_no_directory(self, capsys, tmp_path):
+        out = tmp_path / "unused"
+        err = run_error(capsys, "construct", "--family", "max-entangled",
+                        "--dim", "0", "--out", str(out))
+        assert err["type"] == "SpecError"
+        err = run_error(capsys, "construct", "--family", "psi",
+                        "--lambda", "0.5", "--out", str(out))
+        assert err["type"] == "ConfigError"
+        assert not out.exists()
+
     def test_artifacts_are_reproducible(self, capsys, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
@@ -362,6 +373,17 @@ class TestDetectCommand:
         # no gamma trial: no gamma frequency and no overall mean
         assert report["p_corr_tau"] == 1.0
         assert report["p_corr_gamma"] is None and report["overall"] is None
+
+    def test_csv_null_is_an_empty_cell(self, capsys):
+        code, out, _ = run_cli(capsys, "detect", "--p-tau", "1.0", "--p-locc",
+                               "0.5", "--delta", "0.1", "--n", "40",
+                               "--trials", "1", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(out.strip().split("\n"))
+        cells = dict(zip(header, row, strict=True))
+        assert "None" not in row
+        for key in ("overall", "p_corr_gamma", "p_corr_gamma_ci"):
+            assert cells[key] == ""
 
     def test_round_count_defaults_to_min_rounds(self, capsys):
         report = run_json(capsys, "detect", "--p-tau", "0.9", "--p-locc",

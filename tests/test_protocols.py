@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -297,6 +299,48 @@ class TestArrayEnumeration:
             assert got.dtype == np.int64
             assert got.shape == (len(brute), parts)
             assert [tuple(r) for r in got.tolist()] == brute
+
+    @pytest.mark.parametrize("total, parts",
+                             [(16, 8), (0, 1), (0, 3), (0, 8), (5, 1), (16, 1)])
+    def test_compositions_match_bar_positions(self, total, parts):
+        # stars and bars: the gaps between the bar positions that
+        # itertools.combinations yields in lexicographic order
+        slots = total + parts - 1
+        bars = np.array(list(itertools.combinations(range(slots), parts - 1)),
+                        dtype=np.int64)
+        ref = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+        got = _compositions(total, parts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+
+    def test_bulk_outcomes_match_constructor(self):
+        counts = np.array([[2, 0, 1], [0, 3, 0], [1, 1, 1]], dtype=np.int64)
+        log2_dim = np.array([math.log2(3), 0.0, math.log2(6)])
+        probability = np.array([0.25, 0.125, 0.625])
+        bulk = ConcentrationOutcome._from_columns(counts, log2_dim, probability)
+        built = tuple(ConcentrationOutcome(counts=tuple(int(c) for c in row),
+                                           log2_dim=float(b), probability=float(p))
+                      for row, b, p in zip(counts, log2_dim, probability))
+        assert bulk == built
+        assert [hash(o) for o in bulk] == [hash(o) for o in built]
+        assert all(type(c) is int for o in bulk for c in o.counts)
+        assert all(type(o.log2_dim) is float and type(o.probability) is float
+                   for o in bulk)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bulk[0].probability = 0.5
+        assert pickle.loads(pickle.dumps(bulk)) == built
+        empty = np.empty(0)
+        assert ConcentrationOutcome._from_columns(
+            np.empty((0, 3), dtype=np.int64), empty, empty) == ()
+
+    @pytest.mark.parametrize("log2_dim, probability",
+                             [(1.0, 1.5), (-0.5, 0.5), (1.0, float("nan"))])
+    def test_bulk_outcomes_reject_bad_columns(self, log2_dim, probability):
+        counts = np.array([[1, 1], [2, 0]], dtype=np.int64)
+        with pytest.raises(SpecError):
+            ConcentrationOutcome._from_columns(
+                counts, np.array([0.0, log2_dim]),
+                np.array([0.5, probability]))
 
     @pytest.mark.parametrize("spec", ORACLE_SPECTRA)
     def test_exact_distribution_equals_per_row_loop(self, spec):
