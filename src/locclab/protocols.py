@@ -121,15 +121,16 @@ def teleport(state: DensityOperator, x_label: str,
 
 # --- concentration -----------------------------------------------------
 
-def _log_multinomial(counts, n) -> np.ndarray:
-    """ln n!/prod_i k_i! along the last axis of ``counts``."""
-    return gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=-1)
+def _log_multinomial(counts: np.ndarray, n: int) -> np.ndarray:
+    """ln n!/prod_i k_i! along the last axis of the integer ``counts``
+    (each row summing to n), reading ln k! from a table of k = 0..n."""
+    return gammaln(n + 1.0) - gammaln(np.arange(n + 1) + 1.0)[counts].sum(axis=-1)
 
 
 def log2_multinomial(counts) -> float:
     """log2 of n!/prod_i k_i! via log-gamma."""
     counts = np.asarray(counts, dtype=np.float64)
-    return float(_log_multinomial(counts, counts.sum()) / _LOG2)
+    return float((gammaln(counts.sum() + 1.0) - gammaln(counts + 1.0).sum()) / _LOG2)
 
 
 def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:

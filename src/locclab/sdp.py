@@ -26,10 +26,18 @@ The Hessian in these coordinates is H_pq = sum over blocks of
 Re Tr[G E_p G E_q] (with E^{T_B} on the two transposed blocks), built
 from the k products G E G at O(k D^3) cost. When S is the whole space
 (k = n, the generic case) the canonical basis of Hermitian (or real
-symmetric, when X is real) matrices is used instead, with Hessians
-assembled through Tr[G E G E'] = sum_{abcd} G[d,a] G[b,c] E[a,b] E'[c,d]:
-an order-D^4 tensor contracted against a sparse basis map, partial
-transposition entering as an axis permutation of that tensor.
+symmetric, when X is real) matrices is used instead, and its Hessian is
+a dense array expression with no basis map (for the real field, the
+symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM J.
+Optim. 1998):
+
+- complex field: the sum of the Kronecker products conj(G) (x) G,
+  formed as one matrix product and read in two axis orders;
+- real field: row slabs of outer products of rows of G, read at the
+  upper-triangle positions.
+
+The partial transpose permutes canonical coordinates, so the transposed
+blocks enter as an axis permutation or as transposed positions.
 
 S is found numerically, so a wrong rank decision could give a subspace
 the path leaves. The last centering stage therefore always runs in the
@@ -60,7 +68,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import NumericError, SolverError
 from .tolerances import TOL
@@ -77,6 +84,9 @@ _CLOSURE_TOL = 1e-6
 _EIGEN_MERGE = 1e-8
 # Bound on the matrix entries of one chunk of closure candidates.
 _CHUNK_ENTRIES = 1 << 20
+# Bound on the entries of one row slab of a real-field Hessian; 2^15 to
+# 2^17 timed fastest at D=36 and D=64 (the slab stays in cache).
+_SLAB_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,71 +117,110 @@ def certified_gap(nu: float, decrement: float, t: float) -> float:
 
 
 class _Basis:
-    """Orthonormal real coordinates for Hermitian (or real symmetric)
-    matrices, with the sparse map L from coordinates to vec(M)."""
+    """Orthonormal real coordinates for all Hermitian (or real symmetric)
+    matrices. ``mat`` maps (..., n) coordinates to (..., D, D) matrices
+    and ``coords`` maps back, so both also convert stacks.
+
+    Complex field: x is a real D x D array (n = D^2) and
+    M(x) = (x + x^T)/2 + i (x - x^T)/2, so ||M||_F = ||x||. Real field:
+    the diagonal, then sqrt(2) times the upper triangle, so
+    M(x) = sum_p x_p s_p (e_{I_p J_p} + e_{J_p I_p}) with s_p = 1/2 on
+    the diagonal and 1/sqrt(2) above it.
+    """
 
     def __init__(self, dim_a: int, dim_b: int, complex_field: bool):
         self.dim_a, self.dim_b = dim_a, dim_b
-        dim = self.dim = dim_a * dim_b
+        d = self.dim = dim_a * dim_b
         self.complex_field = complex_field
-        iu, ju = np.triu_indices(dim, 1)
-        rt = 1.0 / np.sqrt(2.0)
-        rows = [np.arange(dim) * dim + np.arange(dim)]
-        cols = [np.arange(dim)]
-        vals = [np.ones(dim, dtype=np.complex128 if complex_field else np.float64)]
-        npairs = iu.size
-        k0 = dim
-        # symmetric off-diagonal elements (E = (e_ij + e_ji)/sqrt(2))
-        rows += [iu * dim + ju, ju * dim + iu]
-        cols += [k0 + np.arange(npairs)] * 2
-        vals += [np.full(npairs, rt), np.full(npairs, rt)]
-        n = dim + npairs
         if complex_field:
-            # antisymmetric elements (E = i(e_ij - e_ji)/sqrt(2))
-            k1 = dim + npairs
-            rows += [iu * dim + ju, ju * dim + iu]
-            cols += [k1 + np.arange(npairs)] * 2
-            vals += [np.full(npairs, 1j * rt), np.full(npairs, -1j * rt)]
-            n += npairs
-        self.n = n
-        data = np.concatenate([np.asarray(v, dtype=np.complex128 if complex_field
-                                          else np.float64) for v in vals])
-        self.L = scipy.sparse.csr_matrix(
-            (data, (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim * dim, n))
-        self.L_adj = self.L.conj().transpose().tocsr()
-        self.L_t = self.L.transpose().tocsr()
+            self.n = d * d
+            return
+        iu, ju = np.triu_indices(d, 1)
+        self._rows = np.concatenate([np.arange(d), iu])
+        self._cols = np.concatenate([np.arange(d), ju])
+        self.n = self._rows.size
+        self._scale = np.concatenate([np.full(d, 0.5), np.full(iu.size, np.sqrt(0.5))])
+        # positions of the same entries after the partial transpose
+        a1, a2 = np.divmod(self._rows, dim_b)
+        b1, b2 = np.divmod(self._cols, dim_b)
+        self._rows_pt, self._cols_pt = a1 * dim_b + b2, b1 * dim_b + a2
+        # flat slab positions (I_q, J_q), then (J_q, I_q)
+        self._at = np.concatenate([self._rows * d + self._cols,
+                                   self._cols * d + self._rows])
 
     def mat(self, x: np.ndarray) -> np.ndarray:
-        return (self.L @ x).reshape(self.dim, self.dim)
+        d = self.dim
+        if self.complex_field:
+            x = x.reshape(x.shape[:-1] + (d, d))
+            xt = x.swapaxes(-1, -2)
+            return 0.5 * ((x + xt) + 1j * (x - xt))
+        m = np.zeros(x.shape[:-1] + (d, d))
+        m[..., self._rows, self._cols] = x * self._scale
+        return m + m.swapaxes(-1, -2)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
         """Real coordinates of a Hermitian matrix (also the adjoint map
-        used for gradients)."""
-        return np.real(self.L_adj @ g.reshape(-1))
+        used for gradients): x_p = Re Tr[g M(e_p)]."""
+        if self.complex_field:
+            r, i = g.real, g.imag
+            x = 0.5 * ((r + i) + (r - i).swapaxes(-1, -2))
+            return x.reshape(g.shape[:-2] + (self.n,))
+        return self._scale * (g[..., self._rows, self._cols]
+                              + g[..., self._cols, self._rows])
 
     def hessian(self, gs) -> np.ndarray:
+        """H_pq = sum over blocks of Re Tr[G M(e_p) G M(e_q)], with the
+        partial transposes of M(e_p), M(e_q) on blocks 3 and 4."""
+        if self.complex_field:
+            return self._hessian_complex(gs)
         g1, g2, g3, g4 = gs
+        d, n = self.dim, self.n
+        rows, cols = self._rows, self._cols
+        rows_pt, cols_pt = self._rows_pt, self._cols_pt
+        # H_pq = 2 s_p s_q sum_G (G[I_p,I_q] G[J_p,J_q] + G[I_p,J_q] G[J_p,I_q]):
+        # row p is the sum of outer(G[I_p], G[J_p]), read at (I_q, J_q)
+        # and at (J_q, I_q); blocks 3 and 4 use the transposed positions,
+        # read through the partial transpose of their slab
+        h = np.empty((n, n))
+        step = max(1, _SLAB_ENTRIES // (d * d))
+        for lo in range(0, n, step):
+            p = slice(lo, lo + step)
+            slab = g1[rows[p], :, None] * g1[cols[p], None, :]
+            slab += g2[rows[p], :, None] * g2[cols[p], None, :]
+            slab_pt = g3[rows_pt[p], :, None] * g3[cols_pt[p], None, :]
+            slab_pt += g4[rows_pt[p], :, None] * g4[cols_pt[p], None, :]
+            slab += _pt_mat(slab_pt, self.dim_a, self.dim_b)
+            both = slab.reshape(len(slab), d * d)[:, self._at]
+            h[p] = both[:, :n] + both[:, n:]
+        h *= 2.0 * np.multiply.outer(self._scale, self._scale)
+        return h
+
+    def _hessian_complex(self, gs) -> np.ndarray:
+        # With W[a,b,c,d] = sum_G conj(G)[a,c] G[b,d], the sum of the
+        # Kronecker products conj(G) (x) G, H[ab,cd] = Re W[a,b,c,d] -
+        # Im W[a,b,d,c]. Rearranged to rows (a,c) and columns (b,d), W is
+        # the product of the stacked vec(conj G) and vec(G) (Van Loan &
+        # Pitsianis). The partial transpose permutes these coordinates,
+        # so blocks 3 and 4 enter through an axis permutation.
         d = self.dim
-        t4 = np.einsum("da,bc->abcd", g1, g1)
-        t4 += np.einsum("da,bc->abcd", g2, g2)
-        t34 = np.einsum("da,bc->abcd", g3, g3)
-        t34 += np.einsum("da,bc->abcd", g4, g4)
-        t4 += _pt_axes_tensor(t34, self.dim_a, self.dim_b)
-        del t34
-        # t4 stays alive until h exists: freeing it first measured ~20%
-        # slower generic solves (allocator reuse of the freed block)
-        right = self.L_t @ t4.reshape(d * d, d * d).T  # (n, D^2)
-        h = self.L_t @ right.T                          # (n, n)
-        return np.ascontiguousarray(h.real) if self.complex_field else h
+        g = np.stack(gs).reshape(4, d * d)
+
+        def pair_sum(k: slice) -> np.ndarray:
+            w = (g[k].conj().T @ g[k]).reshape(d, d, d, d)
+            return w.real.transpose(0, 2, 1, 3) - w.imag.transpose(0, 2, 3, 1)
+
+        h = pair_sum(slice(0, 2))
+        h8 = h.reshape((self.dim_a, self.dim_b) * 4)
+        h8 += _pt_axes(pair_sum(slice(2, 4)), self.dim_a, self.dim_b)
+        return h.reshape(self.n, self.n)
 
 
-def _pt_axes_tensor(t4: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Pull the order-4 Hessian tensor of a block back through the
-    partial transpose: swap the B column indices pairwise."""
-    d = da * db
-    t8 = t4.reshape(da, db, da, db, da, db, da, db)
-    return t8.transpose(0, 3, 2, 1, 4, 7, 6, 5).reshape(d, d, d, d)
+def _pt_axes(t4: np.ndarray, da: int, db: int) -> np.ndarray:
+    """An order-4 complex-field Hessian tensor with the B indices swapped
+    within each coordinate pair (how the partial transpose permutes the
+    coordinates), as an order-8 view."""
+    t8 = t4.reshape((da, db) * 4)
+    return t8.transpose(0, 3, 2, 1, 4, 7, 6, 5)
 
 
 def _pt_mat(m: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -247,7 +296,7 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
 
     def add(cands: np.ndarray) -> bool:
         nonlocal basis
-        c = np.real(canon.L_adj @ cands.reshape(len(cands), d * d).T).T
+        c = canon.coords(cands)
         c /= np.maximum(np.linalg.norm(c, axis=1, keepdims=True), 1.0)
         c -= (c @ basis.T) @ basis
         q, r, _ = scipy.linalg.qr(c.T, mode="economic", pivoting=True,
@@ -259,15 +308,12 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
         basis = np.vstack([basis, np.linalg.qr(new.T)[0].T])
         return len(basis) == n
 
-    def mats(rows: np.ndarray) -> np.ndarray:
-        return (canon.L @ rows.T).T.reshape(len(rows), d, d)
-
     if add(x_mat[None]):
         return None
     lo = 0
     while lo < len(basis):
         hi = len(basis)
-        e = mats(basis)
+        e = canon.mat(basis)
         extra = _spectral_projectors(np.tensordot(rng.standard_normal(hi), e, 1))
         extra = np.concatenate([np.asarray(extra).reshape(-1, d, d),
                                 _pt_mat(e[lo:hi], canon.dim_a, canon.dim_b)])
@@ -287,7 +333,7 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
                 return None
             start += size
         lo = hi
-    return _ClosureBasis(mats(basis), canon.dim_a, canon.dim_b)
+    return _ClosureBasis(canon.mat(basis), canon.dim_a, canon.dim_b)
 
 
 def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
@@ -316,6 +362,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     x_mat = np.asarray(x_mat, dtype=np.complex128)
     if x_mat.shape != (d, d):
         raise SolverError(f"objective shape {x_mat.shape} != ({d}, {d})")
+    if not np.isfinite(x_mat).all():
+        raise NumericError("SDP objective matrix must be finite")
     if d > MAX_TOTAL_DIM:
         raise SolverError(
             f"total dimension {d} exceeds the bundled solver limit {MAX_TOTAL_DIM}")

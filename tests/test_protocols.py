@@ -36,7 +36,7 @@ from locclab import (
     teleport,
     type_log2_dim,
 )
-from locclab.protocols import _compositions, _distinct_rows
+from locclab.protocols import _compositions, _distinct_rows, _exact_law
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -358,6 +358,21 @@ class TestArrayEnumeration:
                 est = concentration_success_prob(spec, n, target, mode="exact")
                 assert est.exact
                 assert est.estimate == pytest.approx(tail, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECTRA)
+    def test_log_multinomial_equals_direct_gammaln(self, spec):
+        # the ln k! table must give exactly the per-cell gammaln sums
+        n = 9
+        counts, logw, _ = _exact_law(spec, n)
+        np.testing.assert_array_equal(
+            logw, gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1))
+        n = 64
+        sampled = concentration_distribution(spec, n, mode="sample",
+                                             samples=2000, seed=4)
+        counts = np.array([o.counts for o in sampled])
+        direct = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+        assert [o.log2_dim for o in sampled] == \
+            np.maximum(direct / math.log(2.0), 0.0).tolist()
 
     def test_distinct_rows_match_unique_beyond_int64_keys(self):
         # (n+1)^8 > 2^63 at n=1024, so no packed-key shortcut would hold

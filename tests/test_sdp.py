@@ -1,6 +1,7 @@
 """Unit tests of the bundled PPT SDP solver: the certified-gap formula,
-the Jordan-closure coordinates, and the full-space final stage that
-keeps a wrong closure from producing a wrong certified value."""
+the canonical coordinates and their Hessian, the Jordan-closure
+coordinates, and the full-space final stage that keeps a wrong closure
+from producing a wrong certified value."""
 
 import math
 
@@ -9,6 +10,7 @@ import pytest
 
 from locclab import (
     HidingPairSpec,
+    NumericError,
     Operator,
     PsiSpec,
     SolverError,
@@ -80,6 +82,74 @@ def residual(mats, elements):
         coef = np.real(flat.conj() @ v)
         out.append(np.linalg.norm(v - coef @ flat))
     return np.array(out)
+
+
+def random_positive(rng, dim, real):
+    g = rng.normal(size=(dim, dim))
+    if not real:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    return g @ g.conj().T + 0.1 * np.eye(dim)
+
+
+def reference_hessian(elements, gs, da, db):
+    """H_pq = Re sum_b Tr[G_b E_p G_b E_q], with E^{T_B} on blocks 3 and 4."""
+    transposed = np.array([partial_transpose(m, da, db) for m in elements])
+    h = 0.0
+    for g, es in zip(gs, (elements, elements, transposed, transposed)):
+        geg = np.array([g @ m @ g for m in es])
+        h = h + np.real(np.einsum("pij,qji->pq", geg, es))
+    return h
+
+
+class TestCanonicalBasis:
+    @pytest.mark.parametrize("da,db,real", [(2, 3, False), (3, 2, False),
+                                            (2, 3, True), (3, 2, True)])
+    def test_hessian_and_coordinates_match_the_definitions(self, da, db, real,
+                                                           monkeypatch):
+        rng = np.random.default_rng(11 + da + 5 * real)
+        d = da * db
+        basis = sdp._Basis(da, db, complex_field=not real)
+        n = basis.n
+        assert n == (d * (d + 1) // 2 if real else d * d)
+        elements = np.array([basis.mat(v) for v in np.eye(n)])
+        gram = np.real(np.einsum("pij,qji->pq", elements, elements))
+        assert np.abs(gram - np.eye(n)).max() <= 1e-12
+        assert all(np.abs(m - m.conj().T).max() == 0.0 for m in elements)
+
+        x = rng.normal(size=(3, n))
+        g = np.array([random_positive(rng, d, real) for _ in range(3)])
+        for xi, gi in zip(x, g):
+            np.testing.assert_allclose(basis.coords(basis.mat(xi)), xi,
+                                       rtol=0, atol=1e-12)
+            assert basis.coords(gi) @ xi == pytest.approx(
+                np.real(np.trace(gi @ basis.mat(xi))), rel=1e-12)
+        np.testing.assert_array_equal(basis.mat(x),
+                                      np.array([basis.mat(xi) for xi in x]))
+        np.testing.assert_array_equal(basis.coords(g),
+                                      np.array([basis.coords(gi) for gi in g]))
+
+        gs = [random_positive(rng, d, real) for _ in range(4)]
+        ref = reference_hessian(elements, gs, da, db)
+        scale = np.abs(ref).max()
+        assert np.abs(basis.hessian(gs) - ref).max() <= 1e-12 * scale
+        # one row per slab exercises every slab boundary of the real field
+        monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 1)
+        assert np.abs(basis.hessian(gs) - ref).max() <= 1e-12 * scale
+
+    def test_basis_holds_no_sparse_map(self):
+        for real in (False, True):
+            basis = sdp._Basis(2, 3, complex_field=not real)
+            assert not any(type(v).__module__.startswith("scipy.sparse")
+                           for v in vars(basis).values())
+
+
+class TestObjectiveValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_objective_raises_numeric_error(self, bad):
+        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
+        x[0, 0] = bad
+        with pytest.raises(NumericError):
+            sdp.solve_ppt_two_outcome(x, 2, 2)
 
 
 class TestCertifiedGap:
