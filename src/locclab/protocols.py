@@ -280,10 +280,23 @@ def _exact_law(spectrum: SchmidtSpectrum, n: int):
 
 
 def _distinct_rows(draws: np.ndarray):
-    """``np.unique(draws, axis=0, return_counts=True)`` by a lexsort."""
-    rows = draws[np.lexsort(draws.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    return rows[starts], np.diff(starts, append=len(rows))
+    """``np.unique(draws, axis=0, return_counts=True)`` for nonnegative
+    integer rows, by a lexsort on keys that each pack as many adjacent
+    columns (in base ``draws.max() + 1``) as fit in an int64."""
+    base = int(draws.max()) + 1
+    width = 1
+    while width < draws.shape[1] and base ** (width + 1) <= 2 ** 63:
+        width += 1
+    keys = []
+    for lo in range(0, draws.shape[1], width):
+        key = np.zeros(len(draws), dtype=np.int64)
+        for col in draws.T[lo:lo + width]:
+            key = key * base + col
+        keys.append(key)
+    order = np.lexsort(keys[::-1])
+    keys = np.array(keys)[:, order]
+    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    return draws[order[starts]], np.diff(starts, append=len(draws))
 
 
 def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,

@@ -8,7 +8,9 @@ Solves, for a Hermitian matrix X on C^{dA} (x) C^{dB},
 where T_B transposes the B factor. The barrier is -log det over the four
 affine slack blocks M, I-M, M^{T_B}, I-M^{T_B}, with total barrier
 parameter nu = 4D. Path following uses damped Newton steps with exact
-Hessians.
+Hessians. The four slack blocks are factored and inverted as one
+(4, D, D) stack, and the line search hands its accepted point's factors
+to the next step.
 
 Coordinates. Let S be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
@@ -203,7 +205,7 @@ class _Basis:
         # Pitsianis). The partial transpose permutes these coordinates,
         # so blocks 3 and 4 enter through an axis permutation.
         d = self.dim
-        g = np.stack(gs).reshape(4, d * d)
+        g = np.reshape(gs, (4, d * d))
 
         def pair_sum(k: slice) -> np.ndarray:
             w = (g[k].conj().T @ g[k]).reshape(d, d, d, d)
@@ -337,19 +339,20 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
 
 
 def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
-    """Cholesky factors of the four slack blocks, or None if any is not
+    """Cholesky factors of the four slack blocks M, I-M, M^{T_B},
+    I-M^{T_B} as one (4, D, D) stack, or None if any block is not
     positive definite."""
-    out = []
-    for s in (m, eye - m, mt, eye - mt):
-        try:
-            out.append(np.linalg.cholesky(s))
-        except np.linalg.LinAlgError:
-            return None
-    return out
+    try:
+        return np.linalg.cholesky(np.stack((m, eye - m, mt, eye - mt)))
+    except np.linalg.LinAlgError:
+        return None
 
 
-def _logdet_from_chol(chols) -> float:
-    return 2.0 * sum(float(np.log(np.diag(c).real).sum()) for c in chols)
+def _logdet_from_chol(chols: np.ndarray) -> float:
+    # summed per block, then over the blocks in order: the line search
+    # compares these values, and the pinned step counts rest on that order
+    diag = np.diagonal(chols, axis1=-2, axis2=-1).real
+    return 2.0 * sum(np.log(diag).sum(axis=1).tolist())
 
 
 def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
@@ -402,17 +405,14 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                 return None
             return -t * float(c_obj @ xv) - _logdet_from_chol(chols), chols
 
+        cur = f_value(x)
+        if cur is None:
+            raise SolverError("iterate left the feasible cone",
+                              value=None, gap=None)
         while True:
-            cur = f_value(x)
-            if cur is None:
-                raise SolverError("iterate left the feasible cone",
-                                  value=None, gap=None)
             f_cur, chols = cur
-            gs = []
-            for c in chols:
-                inv_c = scipy.linalg.solve_triangular(c, eye, lower=True,
-                                                      check_finite=False)
-                gs.append(inv_c.conj().T @ inv_c)
+            inv_c = np.linalg.inv(chols)
+            gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
             g1, g2, g3, g4 = gs
             grad_mat = (-t) * x_work + (-g1 + g2
                                         - _pt_mat(g3, dim_a, dim_b)
@@ -422,10 +422,13 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             step_dir = None
             ridge = 0.0
             for _ in range(4):
+                # cho_factor overwrites its copy; hess stays for a retry
+                a = hess.copy(order="F")
+                if ridge:
+                    a.flat[::basis.n + 1] += ridge
                 try:
-                    cf = scipy.linalg.cho_factor(
-                        hess + ridge * np.eye(basis.n), lower=True,
-                        overwrite_a=True, check_finite=False)
+                    cf = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
+                                                 check_finite=False)
                     step_dir = scipy.linalg.cho_solve(cf, -grad,
                                                       check_finite=False)
                     break
@@ -444,7 +447,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                 trial = x + scale * step_dir
                 val = f_value(trial)
                 if val is not None and val[0] <= f_cur - 0.25 * scale * lam2:
-                    x = trial
+                    # the accepted point's factors serve the next step
+                    x, cur = trial, val
                     accepted = True
                     break
                 scale *= 0.5

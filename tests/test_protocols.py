@@ -375,10 +375,22 @@ class TestArrayEnumeration:
             np.maximum(direct / math.log(2.0), 0.0).tolist()
 
     def test_distinct_rows_match_unique_beyond_int64_keys(self):
-        # (n+1)^8 > 2^63 at n=1024, so no packed-key shortcut would hold
+        # (n+1)^8 > 2^63 at n=1024, so the eight columns need two packed
+        # keys (six, then two)
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=8))
         draws = np.random.default_rng(11).multinomial(
             1024, spec.label_probabilities(), size=20_000)
+        rows, freq = _distinct_rows(draws)
+        ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(freq, ref_freq)
+
+    def test_distinct_rows_match_unique_in_one_int64_key(self):
+        # 65^8 < 2^63, so at n=64 one key holds all eight columns
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=8))
+        draws = np.random.default_rng(12).multinomial(
+            64, spec.label_probabilities(), size=20_000)
+        assert draws.max() + 1 <= 65
         rows, freq = _distinct_rows(draws)
         ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
         np.testing.assert_array_equal(rows, ref_rows)

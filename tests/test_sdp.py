@@ -193,6 +193,50 @@ class TestCertifiedGap:
         assert err.value.value == pytest.approx(0.5 * np.trace(x).real, abs=1e-9)
 
 
+def swap_mixture(c, a, real):
+    """c I + a F on C^2 (x) C^2, F the swap: eigenvalues c + a (three
+    times) and c - a; its partial transpose c I + 2a |phi+><phi+| has
+    eigenvalues c + 2a and c (three times)."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    m = c * np.eye(4) + a * swap
+    return m if real else m.astype(complex)
+
+
+class TestSlackFactors:
+    @pytest.mark.parametrize("real", [False, True])
+    def test_stacked_factors_rebuild_the_four_slacks(self, real):
+        da, db = 2, 3
+        rng = np.random.default_rng(31 + real)
+        h = random_positive(rng, da * db, real)
+        eye = np.eye(da * db)
+        m = eye / 2.0 + 0.4 * (h - np.trace(h) / (da * db) * eye) / np.linalg.norm(h)
+        mt = partial_transpose(m, da, db)
+        chols = sdp._chol_blocks(m, mt, eye)
+        assert chols.shape == (4, da * db, da * db)
+        rebuilt = chols @ chols.conj().swapaxes(-1, -2)
+        for got, slack in zip(rebuilt, (m, eye - m, mt, eye - mt)):
+            np.testing.assert_allclose(got, slack, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_none_when_only_the_last_block_fails(self, real):
+        m = swap_mixture(0.5, 0.3, real)
+        mt = partial_transpose(m, 2, 2)
+        eye = np.eye(4)
+        for slack in (m, eye - m, mt):
+            np.linalg.cholesky(slack)
+        assert np.linalg.eigvalsh(eye - mt).min() == pytest.approx(-0.1)
+        assert sdp._chol_blocks(m, mt, eye) is None
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_logdet_equals_the_sum_of_slogdets(self, real):
+        m = swap_mixture(0.5, 0.2, real)
+        mt = partial_transpose(m, 2, 2)
+        eye = np.eye(4)
+        ref = sum(np.linalg.slogdet(s)[1] for s in (m, eye - m, mt, eye - mt))
+        got = sdp._logdet_from_chol(sdp._chol_blocks(m, mt, eye))
+        assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+
 class TestJordanClosure:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_werner_closure_has_three_elements(self, d):
@@ -278,3 +322,19 @@ class TestReducedPath:
         assert res.coords == k - 1
         assert res.value == pytest.approx(full.value, abs=1e-9)
         assert res.gap <= 1e-6
+
+
+class TestPinnedSolves:
+    # step counts and certified values: a change to the slack algebra
+    # must leave the iterates where they are
+    @pytest.mark.parametrize("inp,steps,value", [
+        (werner(3), 36, 0.5000008743507312),
+        (composed(0.95, 2), 53, 0.8119641479088087),
+        (random_objective(np.random.default_rng(21), 2, 2), 41, 0.5352270189320981),
+        (random_objective(np.random.default_rng(22), 3, 3, real=True), 54,
+         0.5308461567101334),
+    ], ids=["werner-d3", "composed-D16", "random-complex-2x2", "random-real-3x3"])
+    def test_steps_and_value_are_pinned(self, inp, steps, value):
+        res = sdp.solve_ppt_two_outcome(*inp)
+        assert res.newton_steps == steps
+        assert res.value == pytest.approx(value, rel=0, abs=1e-12)
