@@ -14,6 +14,11 @@ The three satisfy 1/2 <= locc_lower <= ppt_upper <= helstrom <= 1 and
 are packaged as a :class:`BoundBracket`. :func:`thm2_locc_bound` is the
 closed-form bound eps + (1 + eps')/2 for the composed hiding-pair
 construction.
+
+Every one-way channel, whichever party measures first, comes from one
+builder, ``_basis_channel``; the LOCC and PPT bounds read the pair
+through one ``_canonical_difference`` (layout check, rho0 - rho1, A|B
+order).
 """
 
 from __future__ import annotations
@@ -137,24 +142,36 @@ def apply_channel(channel: MeasurementChannel, x) -> ChannelOutput:
     return ChannelOutput(values=vals, measured_norm=float(np.abs(vals).sum()))
 
 
-def _conditional_block(delta4: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # <u| (x) I  Delta  |u> (x) I  as a dB x dB matrix
-    return np.einsum("a,abcd,c->bd", u.conj(), delta4, u)
+def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator):
+    """The difference rho0 - rho1 permuted to A|B, with (dim_A, dim_B)."""
+    if rho0.layout != rho1.layout:
+        raise LayoutError(
+            f"state layouts differ: {rho0.layout.labels} vs {rho1.layout.labels}")
+    return bipartite_canonical(Operator(rho0.layout, rho0.entries - rho1.entries))
 
 
-def _basis_channel(a_vectors: np.ndarray, b_vectors_for: list[np.ndarray],
-                   name: str, structure: str) -> MeasurementChannel:
+def _conditional_bases(d4: np.ndarray, first: np.ndarray) -> list[np.ndarray]:
+    """Eigenbasis of the second party's block <u|Delta|u> for each column
+    u of ``first``; ``d4`` is Delta as a (first, second, first, second)
+    tensor."""
+    return [np.linalg.eigh(np.einsum("a,abcd,c->bd", u.conj(), d4, u))[1]
+            for u in first.T]
+
+
+def _basis_channel(first: np.ndarray, cond: list[np.ndarray], name: str,
+                   structure: str, first_party: str = "A") -> MeasurementChannel:
+    """Rank-one product projectors: ``first_party`` measures the columns of
+    ``first`` and, on outcome k, the other party the columns of
+    ``cond[k]``. Elements and factors stay ordered A (x) B."""
+    a_first = first_party == "A"
     elements, outcomes, factors = [], [], []
-    da = a_vectors.shape[0]
-    for k in range(a_vectors.shape[1]):
-        ua = a_vectors[:, k]
-        pa = np.outer(ua, ua.conj())
-        bvecs = b_vectors_for[k]
-        for m in range(bvecs.shape[1]):
-            vb = bvecs[:, m]
-            pb = np.outer(vb, vb.conj())
+    for k in range(first.shape[1]):
+        p1 = np.outer(first[:, k], first[:, k].conj())
+        for m in range(cond[k].shape[1]):
+            p2 = np.outer(cond[k][:, m], cond[k][:, m].conj())
+            pa, pb = (p1, p2) if a_first else (p2, p1)
             elements.append(np.kron(pa, pb))
-            outcomes.append(f"a{k}b{m}")
+            outcomes.append(f"a{k}b{m}" if a_first else f"b{k}a{m}")
             factors.append((pa, pb))
     return MeasurementChannel(tuple(elements), tuple(outcomes), structure,
                               tuple(factors), name)
@@ -172,51 +189,23 @@ def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
     sign of their difference functional, so the value is preserved
     while the element count drops to 2).
     """
-    if rho0.layout != rho1.layout:
-        raise LayoutError("state layouts differ")
-    diff = Operator(rho0.layout, rho0.entries - rho1.entries)
-    diff_c, da, db = bipartite_canonical(diff)
+    diff_c, da, db = _canonical_difference(rho0, rho1)
     d4 = diff_c.entries.reshape(da, db, da, db)
 
-    chans = []
     comp_a = np.eye(da, dtype=np.complex128)
     comp_b = np.eye(db, dtype=np.complex128)
-    chans.append(_basis_channel(comp_a, [comp_b] * da,
-                                "computational-product", LOCAL_BASIS))
+    chans = [_basis_channel(comp_a, [comp_b] * da, "computational-product",
+                            LOCAL_BASIS)]
+    # measure A first, then the mirror: the same construction on the
+    # party-swapped difference tensor
+    for party, name, d4_first in (("A", "a-eig-conditional-b", d4),
+                                  ("B", "b-eig-conditional-a",
+                                   d4.transpose(1, 0, 3, 2))):
+        _, first = np.linalg.eigh(np.einsum("abcb->ac", d4_first))
+        chans.append(_basis_channel(first, _conditional_bases(d4_first, first),
+                                    name, LOCAL_BASIS, first_party=party))
 
-    marg_a = np.einsum("abcb->ac", d4)
-    _, vec_a = np.linalg.eigh(marg_a)
-    cond_b = []
-    for k in range(da):
-        blk = _conditional_block(d4, vec_a[:, k])
-        _, vb = np.linalg.eigh(blk)
-        cond_b.append(vb)
-    adaptive = _basis_channel(vec_a, cond_b, "a-eig-conditional-b", LOCAL_BASIS)
-    chans.append(adaptive)
-
-    # mirrored: measure B first; reuse the same construction on the
-    # swapped difference tensor
-    d4_swapped = d4.transpose(1, 0, 3, 2)
-    marg_b = np.einsum("abcb->ac", d4_swapped)
-    _, vec_b = np.linalg.eigh(marg_b)
-    cond_a = []
-    for k in range(db):
-        blk = _conditional_block(d4_swapped, vec_b[:, k])
-        _, va = np.linalg.eigh(blk)
-        cond_a.append(va)
-    elements, outcomes, factors = [], [], []
-    for k in range(db):
-        ub = vec_b[:, k]
-        pb = np.outer(ub, ub.conj())
-        for m in range(da):
-            va_vec = cond_a[k][:, m]
-            pa = np.outer(va_vec, va_vec.conj())
-            elements.append(np.kron(pa, pb))
-            outcomes.append(f"b{k}a{m}")
-            factors.append((pa, pb))
-    chans.append(MeasurementChannel(tuple(elements), tuple(outcomes), LOCAL_BASIS,
-                                    tuple(factors), "b-eig-conditional-a"))
-
+    adaptive = chans[1]
     signs = apply_channel(adaptive, diff_c).values >= 0.0
     eye_total = np.eye(da * db, dtype=np.complex128)
     plus = sum((e for e, s in zip(adaptive.elements, signs) if s),
@@ -233,14 +222,11 @@ def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
     """Best achievable success probability over the strategy library
     (first maximizer wins ties). Values are exact for the returned
     witness channel, hence certified lower bounds."""
-    if rho0.layout != rho1.layout:
-        raise LayoutError("state layouts differ")
+    diff_c, _, _ = _canonical_difference(rho0, rho1)
     if library is None:
         library = one_way_library(rho0, rho1)
     if not library:
         raise ConfigError("strategy library is empty")
-    diff = Operator(rho0.layout, rho0.entries - rho1.entries)
-    diff_c, _, _ = bipartite_canonical(diff)
     best_val, best_chan = -np.inf, None
     for chan in library:
         out = apply_channel(chan, diff_c)
@@ -263,10 +249,7 @@ class PPTBound:
 
 def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator,
             gap_tol: float = TOL.sdp_gap) -> PPTBound:
-    if rho0.layout != rho1.layout:
-        raise LayoutError("state layouts differ")
-    diff = Operator(rho0.layout, rho0.entries - rho1.entries)
-    diff_c, da, db = bipartite_canonical(diff)
+    diff_c, da, db = _canonical_difference(rho0, rho1)
     res: SDPResult = solve_ppt_two_outcome(diff_c.entries, da, db, gap_tol=gap_tol)
     h = helstrom(rho0, rho1)
     # primal+gap certifies the SDP optimum from above; the global optimum

@@ -55,7 +55,7 @@ from .errors import CatalystViolation, DomainError, SpecError
 from .protocols import concentration_success_prob, teleport
 from .qmat import DensityOperator
 from .seeding import rng_from
-from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
+from .states import (HidingPairSpec, PsiSpec, _swap, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, psi_product_distance,
                      psi_spectrum)
 from .stats import wilson_interval
@@ -802,12 +802,7 @@ def run_teleport_discrimination(d: int = 2, n: int = 1000,
     for sigma in (sigma0, sigma1):
         outputs.append(teleport(sigma, "A1", resource).state)
 
-    dim = d * d
-    swap = np.zeros((dim, dim))
-    for i in range(d):
-        for k in range(d):
-            swap[i * d + k, k * d + i] = 1.0
-    p_sym = (np.eye(dim) + swap) / 2.0  # swap-invariant, factor order free
+    p_sym = (np.eye(d * d) + _swap(d)) / 2.0  # swap-invariant, factor order free
     sym_probs = [float(np.real(np.trace(p_sym @ out.entries)))
                  for out in outputs]
 

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericError, SolverError
 from .tolerances import TOL
@@ -422,18 +423,15 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             step_dir = None
             ridge = 0.0
             for _ in range(4):
-                # cho_factor overwrites its copy; hess stays for a retry
+                # dpotrf factors its copy in place; hess stays for a retry
                 a = hess.copy(order="F")
                 if ridge:
                     a.flat[::basis.n + 1] += ridge
-                try:
-                    cf = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True,
-                                                 check_finite=False)
-                    step_dir = scipy.linalg.cho_solve(cf, -grad,
-                                                      check_finite=False)
+                chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+                if info == 0:
+                    step_dir, _ = dpotrs(chol, -grad, lower=1)
                     break
-                except np.linalg.LinAlgError:
-                    ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / basis.n)
+                ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / basis.n)
             if step_dir is None:
                 raise SolverError("Newton system factorization failed",
                                   value=float(c_obj @ x), gap=nu / t)

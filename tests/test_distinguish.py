@@ -90,11 +90,14 @@ class TestHelstrom:
         b = DensityOperator(layout, np.eye(2) / 2)
         assert helstrom(a, b) == pytest.approx(0.75, abs=1e-12)
 
-    def test_layout_mismatch(self):
-        a = DensityOperator(TensorLayout((("A1", 2),)), np.eye(2) / 2)
-        b = DensityOperator(TensorLayout((("A1", 3),)), np.eye(3) / 3)
+    @pytest.mark.parametrize("functional", [helstrom, one_way_library,
+                                            locc_lower_bound, ppt_sdp,
+                                            bound_bracket])
+    def test_layout_mismatch(self, functional):
+        a = DensityOperator(AB22, np.eye(4) / 4)
+        b = DensityOperator(TensorLayout((("A1", 2), ("B1", 3))), np.eye(6) / 6)
         with pytest.raises(LayoutError):
-            helstrom(a, b)
+            functional(a, b)
 
     def test_additivity_under_common_factor(self):
         rng = np.random.default_rng(4)
@@ -178,6 +181,95 @@ class TestLoccLowerBound:
         s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
         with pytest.raises(ConfigError):
             locc_lower_bound(s0, s1, library=())
+
+
+def canonical_difference(rho0, rho1):
+    """rho0 - rho1 with the A factors moved first, as a (dA, dB, dA, dB)
+    tensor; the permutation is written out from the layout labels."""
+    labels = rho0.layout.labels
+    dims = [rho0.layout.dim_of(lab) for lab in labels]
+    order = ([i for i, lab in enumerate(labels) if lab.startswith("A")]
+             + [i for i, lab in enumerate(labels) if lab.startswith("B")])
+    n = len(labels)
+    diff = (rho0.entries - rho1.entries).reshape(dims + dims)
+    diff = diff.transpose(order + [n + i for i in order])
+    da = math.prod(dims[i] for i in order if labels[i].startswith("A"))
+    db = math.prod(dims) // da
+    return diff.reshape(da, db, da, db)
+
+
+def expected_library(d4):
+    """The four library channels rebuilt from raw numpy, in library
+    order: (name, [(outcome label, element), ...])."""
+    da, db = d4.shape[0], d4.shape[1]
+
+    def proj(v):
+        return np.outer(v, v.conj())
+
+    comp = [(f"a{k}b{m}", np.kron(proj(np.eye(da)[:, k]), proj(np.eye(db)[:, m])))
+            for k in range(da) for m in range(db)]
+
+    # A first: eigenbasis of the A marginal, then of each conditional B block
+    marg_a = np.zeros((da, da), dtype=np.complex128)
+    for b in range(db):
+        marg_a += d4[:, b, :, b]
+    _, ua = np.linalg.eigh(marg_a)
+    a_first = []
+    for k in range(da):
+        u = ua[:, k]
+        blk = np.zeros((db, db), dtype=np.complex128)
+        for a1 in range(da):
+            for a2 in range(da):
+                blk += u[a1].conj() * d4[a1, :, a2, :] * u[a2]
+        _, vb = np.linalg.eigh(blk)
+        for m in range(db):
+            a_first.append((f"a{k}b{m}", np.kron(proj(u), proj(vb[:, m]))))
+
+    # B first: the mirror image, elements still ordered A (x) B
+    marg_b = np.zeros((db, db), dtype=np.complex128)
+    for a in range(da):
+        marg_b += d4[a, :, a, :]
+    _, ub = np.linalg.eigh(marg_b)
+    b_first = []
+    for k in range(db):
+        u = ub[:, k]
+        blk = np.zeros((da, da), dtype=np.complex128)
+        for b1 in range(db):
+            for b2 in range(db):
+                blk += u[b1].conj() * d4[:, b1, :, b2] * u[b2]
+        _, va = np.linalg.eigh(blk)
+        for m in range(da):
+            b_first.append((f"b{k}a{m}", np.kron(proj(va[:, m]), proj(u))))
+
+    delta = d4.reshape(da * db, da * db)
+    plus = sum((e for _, e in a_first if np.trace(e @ delta).real >= 0.0),
+               np.zeros_like(delta))
+    binary = [("guess0", plus), ("guess1", np.eye(da * db) - plus)]
+    return [("computational-product", comp), ("a-eig-conditional-b", a_first),
+            ("b-eig-conditional-a", b_first),
+            ("a-eig-conditional-b-binary", binary)]
+
+
+class TestOneWayLibrary:
+    @pytest.mark.parametrize("pair", ["werner3", "composed16", "random3x2"])
+    def test_layout_matches_raw_construction(self, pair):
+        if pair == "werner3":
+            rho0, rho1 = make_hiding_pair(HidingPairSpec(d=3))
+        elif pair == "composed16":
+            rho0, rho1 = make_rho_pair(make_hiding_pair(HidingPairSpec(d=2)),
+                                       make_psi(PsiSpec(lam=0.9, d2=2)))
+        else:
+            rng = np.random.default_rng(2024)
+            layout = TensorLayout((("A1", 3), ("B1", 2)))
+            rho0 = DensityOperator(layout, random_density(rng, 6))
+            rho1 = DensityOperator(layout, random_density(rng, 6))
+        library = one_way_library(rho0, rho1)
+        expected = expected_library(canonical_difference(rho0, rho1))
+        assert [ch.name for ch in library] == [name for name, _ in expected]
+        for ch, (_, elems) in zip(library, expected):
+            assert ch.outcomes == tuple(label for label, _ in elems)
+            for got, (_, want) in zip(ch.elements, elems):
+                assert np.abs(got - want).max() < 1e-12
 
 
 class TestPptUpperBound:

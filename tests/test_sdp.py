@@ -192,6 +192,27 @@ class TestCertifiedGap:
         assert err.value.gap == math.inf
         assert err.value.value == pytest.approx(0.5 * np.trace(x).real, abs=1e-9)
 
+    def test_failed_newton_factorization_retries_with_a_ridge(self, monkeypatch):
+        # the first factorization of every Newton system reports "not
+        # positive definite", so every step is taken on hess + ridge * I
+        potrf = sdp.dpotrf
+        diagonals = []
+
+        def fail_first(a, **kw):
+            diagonals.append(np.diag(a).copy())
+            if len(diagonals) % 2 == 1:
+                return a, 1
+            return potrf(a, **kw)
+
+        monkeypatch.setattr(sdp, "dpotrf", fail_first)
+        x, da, db = werner(2)
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        assert len(diagonals) % 2 == 0
+        assert len(diagonals) >= 2 * res.newton_steps > 0
+        for plain, ridged in zip(diagonals[::2], diagonals[1::2]):
+            assert np.all(ridged > plain)
+        assert 0.5 + 0.5 * res.value == pytest.approx(5.0 / 6.0, abs=1e-5)
+
 
 def swap_mixture(c, a, real):
     """c I + a F on C^2 (x) C^2, F the swap: eigenvalues c + a (three
