@@ -38,9 +38,10 @@ from .states import (HidingPairSpec, PsiConditions, PsiSpec, SchmidtSpectrum,
                      sample_separable)
 from .sdp import SDPResult, solve_ppt_two_outcome
 from .distinguish import (BoundBracket, ChannelOutput, MeasurementChannel,
-                          PPTBound, apply_channel, bound_bracket, helstrom,
-                          locc_lower_bound, one_way_library, ppt_sdp,
-                          ppt_upper_bound, thm2_locc_bound)
+                          OneWayProtocol, PPTBound, apply_channel,
+                          bound_bracket, helstrom, locc_lower_bound,
+                          one_way_library, ppt_sdp, ppt_upper_bound,
+                          thm2_locc_bound)
 from .protocols import (ConcentrationOutcome, FailureExponentFit,
                         SchmidtTypeState, SuccessEstimate, TeleportResult,
                         concentration_distribution,
@@ -72,7 +73,7 @@ __all__ = [
     "psi_spectrum", "psi_marginal_entropy", "psi_product_distance",
     "check_psi_conditions", "sample_separable",
     "SDPResult", "solve_ppt_two_outcome",
-    "MeasurementChannel", "ChannelOutput", "apply_channel",
+    "MeasurementChannel", "OneWayProtocol", "ChannelOutput", "apply_channel",
     "one_way_library", "locc_lower_bound", "helstrom",
     "PPTBound", "ppt_sdp", "ppt_upper_bound", "thm2_locc_bound",
     "BoundBracket", "bound_bracket",

@@ -5,8 +5,8 @@ success probability, has no known algorithm; this module brackets it:
 
 * :func:`helstrom` -- the global optimum 1/2 + ||rho0 - rho1||_1 / 4,
   an upper bound for every restricted measurement class;
-* :func:`locc_lower_bound` -- best value over an explicit library of
-  one-way product strategies, a certified achievable lower bound;
+* :func:`locc_lower_bound` -- best value over a library of one-way LOCC
+  protocols, a certified achievable lower bound;
 * :func:`ppt_upper_bound` -- the PPT measurement relaxation solved by
   the bundled SDP, an upper bound on every LOCC value.
 
@@ -15,16 +15,20 @@ are packaged as a :class:`BoundBracket`. :func:`thm2_locc_bound` is the
 closed-form bound eps + (1 + eps')/2 for the composed hiding-pair
 construction.
 
-Every one-way channel, whichever party measures first, comes from one
-builder, ``_basis_channel``; the LOCC and PPT bounds read the pair
-through one ``_canonical_difference`` (layout check, rho0 - rho1, A|B
-order).
+A one-way strategy is a :class:`OneWayProtocol`: a first basis for the
+party that measures first and one conditional basis for the other party
+per first outcome, both checked unitary. The protocol is one-way LOCC by
+construction, and its value is read off the conditional blocks
+<u_k|Delta|u_k> without forming any D x D element; only the winning
+strategy becomes a :class:`MeasurementChannel`, built by one builder,
+``_basis_channel``. The LOCC and PPT bounds read the pair through one
+``_canonical_difference`` (layout check, rho0 - rho1, A|B order).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +66,120 @@ def bipartite_canonical(m):
     return mp, da, db
 
 
+def _party_first(d4: np.ndarray, first_party: str) -> np.ndarray:
+    """Delta as a (first, second, first, second) tensor for the party
+    that measures first; ``d4`` is ordered (A, B, A, B)."""
+    return d4 if first_party == "A" else d4.transpose(1, 0, 3, 2)
+
+
+def _conditional_blocks(d4_first: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The second party's blocks <u_k|Delta|u_k>, one per column u_k of
+    ``first``, as one (k, d2, d2) stack."""
+    return np.einsum("ak,abcd,ck->kbd", first.conj(), d4_first, first)
+
+
+@dataclass(frozen=True)
+class OneWayProtocol:
+    """A one-way LOCC measurement.
+
+    ``first_party`` ("A" or "B") measures the columns u_k of the unitary
+    ``first``; on outcome k the other party measures the columns v_km of
+    the unitary ``cond[k]`` (one (k, d2, d2) stack). Outcome (k, m) is
+    the product projector |u_k><u_k| (x) |v_km><v_km|, with the factors
+    ordered A (x) B. With ``guess``, a (k, m) array of 0s and 1s, the
+    outcomes are coarse-grained to the two guesses. Construction checks
+    both bases unitary, so the protocol is one-way LOCC by structure.
+    """
+
+    first_party: str
+    first: np.ndarray
+    cond: np.ndarray
+    guess: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.first_party not in ("A", "B"):
+            raise ChannelError(
+                f"first party must be 'A' or 'B', got {self.first_party!r}")
+        first = np.array(self.first, dtype=np.complex128)
+        cond = np.array(self.cond, dtype=np.complex128)
+        if first.ndim != 2 or first.shape[0] != first.shape[1]:
+            raise ChannelError(f"first basis has shape {first.shape}")
+        if (cond.ndim != 3 or cond.shape[0] != first.shape[0]
+                or cond.shape[1] != cond.shape[2]):
+            raise ChannelError(f"conditional bases have shape {cond.shape}; "
+                               f"need one square basis per first outcome "
+                               f"({first.shape[0]})")
+        # unitarity is what makes the outcomes a complete measurement, so
+        # it is held to the POVM completeness tolerance
+        for label, u in (("first", first[None]), ("conditional", cond)):
+            defect = float(np.abs(u.conj().swapaxes(-1, -2) @ u
+                                  - np.eye(u.shape[-1])).max())
+            if not defect <= TOL.povm_sum:
+                raise ChannelError(f"{label} basis is not unitary: "
+                                   f"max |U^dagger U - I| = {defect:.3e}")
+        arrays = [("first", first), ("cond", cond)]
+        if self.guess is not None:
+            guess = np.array(self.guess)
+            if guess.shape != cond.shape[:2] or not np.isin(guess, (0, 1)).all():
+                raise ChannelError(f"guess map must be a {cond.shape[:2]} array "
+                                   f"of 0s and 1s")
+            arrays.append(("guess", guess.astype(np.int8)))
+        for attr, arr in arrays:
+            arr.setflags(write=False)
+            object.__setattr__(self, attr, arr)
+
+    @property
+    def outcomes(self) -> tuple[str, ...]:
+        if self.guess is not None:
+            return ("guess0", "guess1")
+        k, m = self.cond.shape[:2]
+        first, second = ("a", "b") if self.first_party == "A" else ("b", "a")
+        return tuple(f"{first}{i}{second}{j}" for i in range(k) for j in range(m))
+
+    def blocks(self, d4: np.ndarray) -> np.ndarray:
+        """The conditional blocks of Delta, given as an (A, B, A, B)
+        tensor, that :meth:`functionals` reads."""
+        d4_first = _party_first(d4, self.first_party)
+        if d4_first.shape[:2] != (self.first.shape[0], self.cond.shape[1]):
+            raise LayoutError(
+                f"operator factors {d4.shape[:2]} (A, B) do not match the "
+                f"protocol's bases, first party {self.first_party}")
+        return _conditional_blocks(d4_first, self.first)
+
+    def functionals(self, blocks: np.ndarray) -> np.ndarray:
+        """Tr[M Delta] for each outcome M, from the conditional blocks:
+        v_km^dagger <u_k|Delta|u_k> v_km, summed per guess when the
+        outcomes are coarse-grained."""
+        t = np.einsum("kbm,kbc,kcm->km", self.cond.conj(), blocks, self.cond).real
+        if self.guess is None:
+            return t.reshape(-1)
+        return np.array([t[self.guess == g].sum() for g in (0, 1)])
+
+    def value(self, blocks: np.ndarray) -> float:
+        """Success probability 1/2 + 1/4 sum_M |Tr[M Delta]|."""
+        return 0.5 + 0.25 * float(np.abs(self.functionals(blocks)).sum())
+
+    def elements(self) -> tuple[np.ndarray, tuple | None]:
+        """The (n, D, D) stack of POVM elements, in :attr:`outcomes`
+        order and A (x) B factor order, with the (A part, B part) factors
+        of each product projector (None once coarse-grained)."""
+        k, d2, m = self.cond.shape
+        d1 = self.first.shape[0]
+        p1 = np.einsum("ik,jk->kij", self.first, self.first.conj())
+        p2 = np.einsum("kim,kjm->kmij", self.cond, self.cond.conj())
+        if self.first_party == "A":
+            elems = np.einsum("kij,kmab->kmiajb", p1, p2)
+            factors = tuple((p1[i], p2[i, j]) for i in range(k) for j in range(m))
+        else:
+            elems = np.einsum("kij,kmab->kmaibj", p1, p2)
+            factors = tuple((p2[i, j], p1[i]) for i in range(k) for j in range(m))
+        elems = elems.reshape(k * m, d1 * d2, d1 * d2)
+        if self.guess is None:
+            return elems, factors
+        plus = elems[self.guess.reshape(-1) == 0].sum(axis=0)
+        return np.stack((plus, np.eye(d1 * d2) - plus)), None
+
+
 @dataclass(frozen=True)
 class MeasurementChannel:
     """A finite POVM with an outcome label per element.
@@ -69,8 +187,10 @@ class MeasurementChannel:
     ``structure`` records how the elements arise: ``product-povm``
     elements carry an explicit (A-part, B-part) factorization in
     ``factors``; ``local-basis`` is the special case of rank-one product
-    projectors; ``general`` promises nothing. Construction validates
-    positivity, completeness, and any claimed factorization.
+    projectors; ``general`` promises nothing. A channel that realizes a
+    one-way LOCC measurement carries it as ``protocol``. Construction
+    validates positivity, completeness, any claimed factorization, and
+    that the elements and outcomes are those of the protocol.
     """
 
     elements: tuple[np.ndarray, ...]
@@ -78,6 +198,7 @@ class MeasurementChannel:
     structure: str = GENERAL
     factors: tuple | None = None
     name: str = "channel"
+    protocol: OneWayProtocol | None = None
 
     def __post_init__(self):
         if self.structure not in _STRUCTURES:
@@ -117,6 +238,14 @@ class MeasurementChannel:
                 if float(np.abs(np.kron(fa, fb) - e).max()) > TOL.povm_sum:
                     raise ChannelError("claimed product factorization does not "
                                        "reproduce the element")
+        if self.protocol is not None:
+            expected, _ = self.protocol.elements()
+            if (self.outcomes != self.protocol.outcomes
+                    or expected.shape[1] != d
+                    or float(np.abs(np.stack(elems) - expected).max())
+                    > TOL.povm_sum):
+                raise ChannelError("elements and outcomes are not those of the "
+                                   "channel's protocol")
 
     @property
     def dim(self) -> int:
@@ -142,98 +271,100 @@ def apply_channel(channel: MeasurementChannel, x) -> ChannelOutput:
     return ChannelOutput(values=vals, measured_norm=float(np.abs(vals).sum()))
 
 
-def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator):
-    """The difference rho0 - rho1 permuted to A|B, with (dim_A, dim_B)."""
+def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.ndarray:
+    """The difference rho0 - rho1 permuted to A|B, as a (dA, dB, dA, dB)
+    tensor."""
     if rho0.layout != rho1.layout:
         raise LayoutError(
             f"state layouts differ: {rho0.layout.labels} vs {rho1.layout.labels}")
-    return bipartite_canonical(Operator(rho0.layout, rho0.entries - rho1.entries))
+    diff_c, da, db = bipartite_canonical(
+        Operator(rho0.layout, rho0.entries - rho1.entries))
+    return diff_c.entries.reshape(da, db, da, db)
 
 
-def _conditional_bases(d4: np.ndarray, first: np.ndarray) -> list[np.ndarray]:
-    """Eigenbasis of the second party's block <u|Delta|u> for each column
-    u of ``first``; ``d4`` is Delta as a (first, second, first, second)
-    tensor."""
-    return [np.linalg.eigh(np.einsum("a,abcd,c->bd", u.conj(), d4, u))[1]
-            for u in first.T]
+def _library(d4: np.ndarray) -> list[tuple[str, OneWayProtocol, np.ndarray]]:
+    """The default strategies in library order, each as (name, protocol,
+    its conditional blocks of Delta)."""
+    da, db = d4.shape[:2]
+    comp = OneWayProtocol("A", np.eye(da), np.broadcast_to(np.eye(db), (da, db, db)))
+    entries = [("computational-product", comp, comp.blocks(d4))]
+    # measure A first, then the mirror: the same construction on the
+    # party-swapped difference tensor
+    for party, name in (("A", "a-eig-conditional-b"), ("B", "b-eig-conditional-a")):
+        d4_first = _party_first(d4, party)
+        _, first = np.linalg.eigh(np.einsum("abcb->ac", d4_first))
+        blocks = _conditional_blocks(d4_first, first)
+        entries.append((name, OneWayProtocol(party, first, np.linalg.eigh(blocks)[1]),
+                        blocks))
+    # outcomes grouped by the sign of their functional keep the value
+    _, adaptive, blocks = entries[1]
+    guess = (adaptive.functionals(blocks) < 0.0).reshape(adaptive.cond.shape[:2])
+    entries.append(("a-eig-conditional-b-binary", replace(adaptive, guess=guess),
+                    blocks))
+    return entries
 
 
-def _basis_channel(first: np.ndarray, cond: list[np.ndarray], name: str,
-                   structure: str, first_party: str = "A") -> MeasurementChannel:
-    """Rank-one product projectors: ``first_party`` measures the columns of
-    ``first`` and, on outcome k, the other party the columns of
-    ``cond[k]``. Elements and factors stay ordered A (x) B."""
-    a_first = first_party == "A"
-    elements, outcomes, factors = [], [], []
-    for k in range(first.shape[1]):
-        p1 = np.outer(first[:, k], first[:, k].conj())
-        for m in range(cond[k].shape[1]):
-            p2 = np.outer(cond[k][:, m], cond[k][:, m].conj())
-            pa, pb = (p1, p2) if a_first else (p2, p1)
-            elements.append(np.kron(pa, pb))
-            outcomes.append(f"a{k}b{m}" if a_first else f"b{k}a{m}")
-            factors.append((pa, pb))
-    return MeasurementChannel(tuple(elements), tuple(outcomes), structure,
-                              tuple(factors), name)
+def _basis_channel(protocol: OneWayProtocol, name: str) -> MeasurementChannel:
+    """The protocol's measurement as a validated channel: rank-one product
+    projectors tagged ``local-basis``, or the two coarse-grained guesses
+    tagged ``general``."""
+    elements, factors = protocol.elements()
+    structure = GENERAL if factors is None else LOCAL_BASIS
+    return MeasurementChannel(tuple(elements), protocol.outcomes, structure,
+                              factors, name, protocol)
 
 
 def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
                     ) -> tuple[MeasurementChannel, ...]:
-    """Deterministic library of one-way product strategies evaluated on
-    the pair's difference operator.
+    """Deterministic library of one-way LOCC strategies adapted to the
+    pair's difference operator, as channels carrying their protocols.
 
     Contents: the computational product basis; measure-A-first in the
     eigenbasis of the A marginal of the difference with conditional B
     eigenbases; the mirrored measure-B-first channel; and a two-outcome
-    coarse graining of the adaptive channel (elements grouped by the
+    coarse graining of the adaptive channel (outcomes grouped by the
     sign of their difference functional, so the value is preserved
     while the element count drops to 2).
     """
-    diff_c, da, db = _canonical_difference(rho0, rho1)
-    d4 = diff_c.entries.reshape(da, db, da, db)
-
-    comp_a = np.eye(da, dtype=np.complex128)
-    comp_b = np.eye(db, dtype=np.complex128)
-    chans = [_basis_channel(comp_a, [comp_b] * da, "computational-product",
-                            LOCAL_BASIS)]
-    # measure A first, then the mirror: the same construction on the
-    # party-swapped difference tensor
-    for party, name, d4_first in (("A", "a-eig-conditional-b", d4),
-                                  ("B", "b-eig-conditional-a",
-                                   d4.transpose(1, 0, 3, 2))):
-        _, first = np.linalg.eigh(np.einsum("abcb->ac", d4_first))
-        chans.append(_basis_channel(first, _conditional_bases(d4_first, first),
-                                    name, LOCAL_BASIS, first_party=party))
-
-    adaptive = chans[1]
-    signs = apply_channel(adaptive, diff_c).values >= 0.0
-    eye_total = np.eye(da * db, dtype=np.complex128)
-    plus = sum((e for e, s in zip(adaptive.elements, signs) if s),
-               np.zeros_like(eye_total))
-    minus = eye_total - plus
-    chans.append(MeasurementChannel((plus, minus), ("guess0", "guess1"), GENERAL,
-                                    None, "a-eig-conditional-b-binary"))
-    return tuple(chans)
+    d4 = _canonical_difference(rho0, rho1)
+    return tuple(_basis_channel(protocol, name) for name, protocol, _ in _library(d4))
 
 
 def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
                      library: tuple[MeasurementChannel, ...] | None = None,
                      ) -> tuple[float, MeasurementChannel]:
-    """Best achievable success probability over the strategy library
-    (first maximizer wins ties). Values are exact for the returned
-    witness channel, hence certified lower bounds."""
-    diff_c, _, _ = _canonical_difference(rho0, rho1)
+    """Best achievable success probability over a library of one-way
+    LOCC strategies (first maximizer wins ties), with the winning
+    channel. Every strategy is scored from its protocol's bases, so the
+    value is achieved by LOCC and is a certified lower bound; a channel
+    in an explicit ``library`` that carries no protocol raises
+    ConfigError."""
+    d4 = _canonical_difference(rho0, rho1)
+    return _locc_lower(d4, library)
+
+
+def _locc_lower(d4: np.ndarray, library: tuple[MeasurementChannel, ...] | None,
+                ) -> tuple[float, MeasurementChannel]:
     if library is None:
-        library = one_way_library(rho0, rho1)
-    if not library:
+        entries = _library(d4)
+    elif not library:
         raise ConfigError("strategy library is empty")
-    best_val, best_chan = -np.inf, None
-    for chan in library:
-        out = apply_channel(chan, diff_c)
-        val = 0.5 + 0.25 * out.measured_norm
+    else:
+        bare = [chan.name for chan in library if chan.protocol is None]
+        if bare:
+            raise ConfigError(f"channels {bare} carry no one-way protocol, so "
+                              f"their values are not LOCC lower bounds")
+        entries = [(chan.name, chan.protocol, chan.protocol.blocks(d4))
+                   for chan in library]
+    best_val, best = -np.inf, 0
+    for i, (_, protocol, blocks) in enumerate(entries):
+        val = protocol.value(blocks)
         if val > best_val + 1e-15:
-            best_val, best_chan = val, chan
-    return float(best_val), best_chan
+            best_val, best = val, i
+    if library is not None:
+        return float(best_val), library[best]
+    name, protocol, _ = entries[best]
+    return float(best_val), _basis_channel(protocol, name)
 
 
 @dataclass(frozen=True)
@@ -249,11 +380,16 @@ class PPTBound:
 
 def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator,
             gap_tol: float = TOL.sdp_gap) -> PPTBound:
-    diff_c, da, db = _canonical_difference(rho0, rho1)
-    res: SDPResult = solve_ppt_two_outcome(diff_c.entries, da, db, gap_tol=gap_tol)
-    h = helstrom(rho0, rho1)
+    return _ppt_sdp(_canonical_difference(rho0, rho1), helstrom(rho0, rho1),
+                    gap_tol)
+
+
+def _ppt_sdp(d4: np.ndarray, h: float, gap_tol: float) -> PPTBound:
+    da, db = d4.shape[:2]
+    res: SDPResult = solve_ppt_two_outcome(d4.reshape(da * db, da * db), da, db,
+                                           gap_tol=gap_tol)
     # primal+gap certifies the SDP optimum from above; the global optimum
-    # is an independent upper bound, so the min is still certified
+    # h is an independent upper bound, so the min is still certified
     value = 0.5 + 0.5 * max(res.value, 0.0)
     value = min(value, h)
     return PPTBound(value=value, sdp_gap=res.gap, primal=0.5 + 0.5 * res.primal,
@@ -304,9 +440,11 @@ class BoundBracket:
 def bound_bracket(rho0: DensityOperator, rho1: DensityOperator,
                   library: tuple[MeasurementChannel, ...] | None = None,
                   gap_tol: float = TOL.sdp_gap) -> BoundBracket:
-    """Compute all three bounds and package them with the best witness."""
+    """Compute all three bounds and package them with the best witness;
+    the Helstrom value and the canonical difference are formed once."""
     h = helstrom(rho0, rho1)
-    low, witness = locc_lower_bound(rho0, rho1, library)
-    ppt = ppt_sdp(rho0, rho1, gap_tol=gap_tol)
+    d4 = _canonical_difference(rho0, rho1)
+    low, witness = _locc_lower(d4, library)
+    ppt = _ppt_sdp(d4, h, gap_tol)
     return BoundBracket(helstrom=h, locc_lower=low, ppt_upper=ppt.value,
                         witness=witness, sdp_gap=ppt.sdp_gap)

@@ -26,8 +26,9 @@ followed in an orthonormal basis E_1..E_k of S:
 
 The Hessian in these coordinates is H_pq = sum over blocks of
 Re Tr[G E_p G E_q] (with E^{T_B} on the two transposed blocks), built
-from the k products G E G at O(k D^3) cost. When S is the whole space
-(k = n, the generic case) the canonical basis of Hermitian (or real
+from the k products G E G at O(k D^3) cost. When S outgrows max(n/8, 8)
+of the n coordinates (the generic case, where S is the whole space), the
+closure stops growing and the canonical basis of Hermitian (or real
 symmetric, when X is real) matrices is used instead, and its Hessian is
 a dense array expression with no basis map (for the real field, the
 symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM J.
@@ -280,7 +281,11 @@ def _spectral_projectors(a: np.ndarray) -> list:
 def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     """Orthonormal basis of the smallest subspace that contains I and
     ``x_mat`` and is closed under the Jordan product and the partial
-    transpose; None when that subspace is the whole space.
+    transpose; None once it grows past max(n // 8, 8) elements or fills
+    the space, so that a generic pair goes to the canonical coordinates
+    without growing the closure to k = n (structured pairs stay far
+    below: 3 for Werner pairs, 15/21 for the composed pairs). Giving up
+    early is exact; it only chooses the slower coordinates.
 
     Elements are rows of canonical coordinates. Each generation takes
     the partial transposes of the elements the previous generation added
@@ -293,6 +298,7 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     near-cancellation.
     """
     d, n = canon.dim, canon.n
+    give_up = min(max(n // 8, 8), n - 1)
     rng = np.random.default_rng(0)
     # element 0 is I, whose Jordan products add nothing
     basis = canon.coords(np.eye(d))[None] / np.sqrt(d)
@@ -309,7 +315,7 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
         new = q[:, :rank].T
         new -= (new @ basis.T) @ basis
         basis = np.vstack([basis, np.linalg.qr(new.T)[0].T])
-        return len(basis) == n
+        return len(basis) > give_up
 
     if add(x_mat[None]):
         return None

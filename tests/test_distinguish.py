@@ -10,6 +10,7 @@ from locclab import (
     HidingPairSpec,
     LayoutError,
     MeasurementChannel,
+    OneWayProtocol,
     PsiSpec,
     SpecError,
     TensorLayout,
@@ -371,3 +372,120 @@ class TestBoundBracket:
         for ch in one_way_library(s0, s1):
             value = 0.5 + apply_channel(ch, x).measured_norm / 4.0
             assert value <= upper + 1e-6
+
+
+def hiding_projectors(d):
+    """P_sym and P_asym on C^d (x) C^d, from the swap written out."""
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for k in range(d):
+            swap[i * d + k, k * d + i] = 1.0
+    return (np.eye(d * d) + swap) / 2.0, (np.eye(d * d) - swap) / 2.0
+
+
+def witness_pairs():
+    """The 11-pair set of the library's bit-identity checks, with the
+    witness each pair had when channels were scored element by element."""
+    hiding2 = make_hiding_pair(HidingPairSpec(d=2))
+    for d in (2, 3, 4):
+        yield (f"werner{d}", make_hiding_pair(HidingPairSpec(d=d)),
+               "computational-product")
+    for d2 in (2, 3):
+        yield (f"composed{(2 * d2) ** 2}",
+               make_rho_pair(hiding2, make_psi(PsiSpec(lam=0.9, d2=d2))),
+               "computational-product")
+    shapes = [((2, 2), "a-eig-conditional-b"), ((2, 3), "a-eig-conditional-b"),
+              ((3, 2), "b-eig-conditional-a"), ((3, 4), "a-eig-conditional-b"),
+              ((2, 8), "a-eig-conditional-b"), ((4, 4), "b-eig-conditional-a")]
+    for i, ((da, db), witness) in enumerate(shapes):
+        rng = np.random.default_rng(100 + i)
+        layout = TensorLayout((("A1", da), ("B1", db)))
+        yield (f"random{da}x{db}",
+               (DensityOperator(layout, random_density(rng, da * db)),
+                DensityOperator(layout, random_density(rng, da * db))),
+               witness)
+
+
+class TestProtocolWitnesses:
+    @pytest.mark.parametrize("label,pair,witness", list(witness_pairs()),
+                             ids=[label for label, _, _ in witness_pairs()])
+    def test_witness_and_value_match_the_element_evaluation(self, label, pair,
+                                                            witness):
+        value, chan = locc_lower_bound(*pair)
+        assert chan.name == witness
+        d4 = canonical_difference(*pair)
+        delta = d4.reshape(d4.shape[0] * d4.shape[1], -1)
+        assert value == pytest.approx(
+            0.5 + apply_channel(chan, delta).measured_norm / 4.0, rel=0, abs=1e-15)
+
+    def test_one_channel_is_materialized(self, monkeypatch):
+        built = []
+        post_init = MeasurementChannel.__post_init__
+
+        def counting(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(MeasurementChannel, "__post_init__", counting)
+        pair = make_rho_pair(make_hiding_pair(HidingPairSpec(d=2)),
+                             make_psi(PsiSpec(lam=0.9, d2=3)))
+        _, witness = locc_lower_bound(*pair)
+        assert built == [witness.name]
+
+    def test_library_channels_carry_their_protocols(self):
+        rng = np.random.default_rng(5)
+        layout = TensorLayout((("A1", 3), ("B1", 2)))
+        pair = (DensityOperator(layout, random_density(rng, 6)),
+                DensityOperator(layout, random_density(rng, 6)))
+        library = one_way_library(*pair)
+        assert all(ch.protocol is not None for ch in library)
+        assert [ch.protocol.first_party for ch in library] == ["A", "A", "B", "A"]
+        assert library[3].protocol.guess is not None
+        value, witness = locc_lower_bound(*pair, library=library)
+        default_value, default_witness = locc_lower_bound(*pair)
+        assert value == default_value
+        assert witness.name == default_witness.name
+        assert any(witness is ch for ch in library)
+
+    def test_global_channel_is_rejected(self):
+        # {P_sym, P_asym} reads the hiding pair perfectly, far above the
+        # PPT ceiling 5/6; it has no one-way protocol, so it is no witness
+        s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
+        p_sym, p_asym = hiding_projectors(2)
+        chan = MeasurementChannel((p_sym, p_asym), ("sym", "asym"), name="global")
+        x = s0.entries - s1.entries
+        assert 0.5 + apply_channel(chan, x).measured_norm / 4.0 == pytest.approx(1.0)
+        with pytest.raises(ConfigError):
+            locc_lower_bound(s0, s1, library=(chan,))
+        with pytest.raises(ConfigError):
+            bound_bracket(s0, s1, library=(chan,))
+
+    def test_non_unitary_basis_is_rejected(self):
+        eye = np.eye(2)
+        squashed = np.array([[1.0, 0.0], [0.0, 0.5]])
+        with pytest.raises(ChannelError):
+            OneWayProtocol("A", squashed, np.stack([eye, eye]))
+        with pytest.raises(ChannelError):
+            OneWayProtocol("B", eye, np.stack([eye, squashed]))
+        # a complete but non-orthogonal "basis": |0>, |+>
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]]) / np.array([1.0, math.sqrt(2)])
+        with pytest.raises(ChannelError):
+            OneWayProtocol("A", skew, np.stack([eye, eye]))
+
+    def test_elements_must_realize_the_protocol(self):
+        s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
+        comp = one_way_library(s0, s1)[0]
+        p_sym, p_asym = hiding_projectors(2)
+        with pytest.raises(ChannelError):
+            MeasurementChannel((p_sym, p_asym), ("guess0", "guess1"),
+                               protocol=comp.protocol)
+        swapped = comp.outcomes[::-1]
+        with pytest.raises(ChannelError):
+            MeasurementChannel(comp.elements, swapped, comp.structure,
+                               comp.factors, protocol=comp.protocol)
+
+    def test_protocol_dimensions_must_match_the_pair(self):
+        s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
+        t0, t1 = make_hiding_pair(HidingPairSpec(d=3))
+        with pytest.raises(LayoutError):
+            locc_lower_bound(t0, t1, library=one_way_library(s0, s1))

@@ -278,6 +278,23 @@ class TestJordanClosure:
             basis, _ = closure(*random_objective(rng, da, db, real))
             assert basis is None
 
+    def test_generic_pair_gives_up_before_the_whole_space(self):
+        # the closure of a generic pair is the whole space (k = n = 256);
+        # it stops once it outgrows max(n // 8, 8) = 32 elements, so no
+        # generation starts from a larger basis
+        x, da, db = random_objective(np.random.default_rng(40), 4, 4)
+        canon = sdp._Basis(da, db, complex_field=True)
+        sizes = []
+        mat = canon.mat
+
+        def recording(coords):
+            sizes.append(len(coords))
+            return mat(coords)
+
+        canon.mat = recording
+        assert sdp._jordan_closure(x, canon) is None
+        assert 2 <= max(sizes) <= max(canon.n // 8, 8) < canon.n
+
     @pytest.mark.parametrize("inp", [werner(3), composed(0.99, 2)],
                              ids=["werner-d3", "composed-D16"])
     def test_basis_is_orthonormal_and_closed(self, inp):
