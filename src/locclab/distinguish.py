@@ -20,9 +20,10 @@ party that measures first and one conditional basis for the other party
 per first outcome, both checked unitary. The protocol is one-way LOCC by
 construction, and its value is read off the conditional blocks
 <u_k|Delta|u_k> without forming any D x D element; only the winning
-strategy becomes a :class:`MeasurementChannel`, built by one builder,
-``_basis_channel``. The LOCC and PPT bounds read the pair through one
-``_canonical_difference`` (layout check, rho0 - rho1, A|B order).
+strategy becomes a :class:`MeasurementChannel`, which carries its
+protocol as its only structural claim. The LOCC and PPT bounds read the
+pair through one ``_canonical_difference`` (layout check, rho0 - rho1,
+A|B order).
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ from .errors import ChannelError, ConfigError, LayoutError, NumericError, SpecEr
 from .qmat import DensityOperator, Operator, TensorLayout, permute, trace_norm
 from .sdp import SDPResult, solve_ppt_two_outcome
 from .tolerances import TOL
-
-PRODUCT_POVM = "product-povm"
-LOCAL_BASIS = "local-basis"
-GENERAL = "general"
-_STRUCTURES = (PRODUCT_POVM, LOCAL_BASIS, GENERAL)
-
 
 def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> float:
     """Optimal (unrestricted) discrimination probability for a uniform
@@ -159,91 +154,73 @@ class OneWayProtocol:
         """Success probability 1/2 + 1/4 sum_M |Tr[M Delta]|."""
         return 0.5 + 0.25 * float(np.abs(self.functionals(blocks)).sum())
 
-    def elements(self) -> tuple[np.ndarray, tuple | None]:
+    def elements(self) -> np.ndarray:
         """The (n, D, D) stack of POVM elements, in :attr:`outcomes`
-        order and A (x) B factor order, with the (A part, B part) factors
-        of each product projector (None once coarse-grained)."""
+        order and A (x) B factor order."""
         k, d2, m = self.cond.shape
         d1 = self.first.shape[0]
         p1 = np.einsum("ik,jk->kij", self.first, self.first.conj())
         p2 = np.einsum("kim,kjm->kmij", self.cond, self.cond.conj())
-        if self.first_party == "A":
-            elems = np.einsum("kij,kmab->kmiajb", p1, p2)
-            factors = tuple((p1[i], p2[i, j]) for i in range(k) for j in range(m))
-        else:
-            elems = np.einsum("kij,kmab->kmaibj", p1, p2)
-            factors = tuple((p2[i, j], p1[i]) for i in range(k) for j in range(m))
-        elems = elems.reshape(k * m, d1 * d2, d1 * d2)
+        order = "kmiajb" if self.first_party == "A" else "kmaibj"
+        elems = np.einsum(f"kij,kmab->{order}", p1, p2).reshape(
+            k * m, d1 * d2, d1 * d2)
         if self.guess is None:
-            return elems, factors
+            return elems
         plus = elems[self.guess.reshape(-1) == 0].sum(axis=0)
-        return np.stack((plus, np.eye(d1 * d2) - plus)), None
+        return np.stack((plus, np.eye(d1 * d2) - plus))
 
 
 @dataclass(frozen=True)
 class MeasurementChannel:
     """A finite POVM with an outcome label per element.
 
-    ``structure`` records how the elements arise: ``product-povm``
-    elements carry an explicit (A-part, B-part) factorization in
-    ``factors``; ``local-basis`` is the special case of rank-one product
-    projectors; ``general`` promises nothing. A channel that realizes a
-    one-way LOCC measurement carries it as ``protocol``. Construction
-    validates positivity, completeness, any claimed factorization, and
+    ``elements`` is a sequence of D x D matrices or one (n, D, D) stack.
+    A channel that realizes a one-way LOCC measurement carries it as
+    ``protocol``, its only structural claim. Construction validates the
+    elements as one stack (finite, Hermitian, positive, complete) and
     that the elements and outcomes are those of the protocol.
     """
 
     elements: tuple[np.ndarray, ...]
     outcomes: tuple[str, ...]
-    structure: str = GENERAL
-    factors: tuple | None = None
     name: str = "channel"
     protocol: OneWayProtocol | None = None
 
     def __post_init__(self):
-        if self.structure not in _STRUCTURES:
-            raise ChannelError(f"unknown structure tag {self.structure!r}")
-        if not self.elements:
+        if len(self.elements) == 0:
             raise ChannelError("a measurement channel needs at least one element")
         if len(self.outcomes) != len(self.elements):
             raise ChannelError("one outcome label per element required")
-        elems = []
         d = None
         for e in self.elements:
-            arr = np.array(e, dtype=np.complex128)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ChannelError(f"POVM element has shape {arr.shape}")
+            shape = np.shape(e)
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ChannelError(f"POVM element has shape {shape}")
             if d is None:
-                d = arr.shape[0]
-            elif arr.shape[0] != d:
+                d = shape[0]
+            elif shape[0] != d:
                 raise ChannelError("POVM elements have mixed dimensions")
-            if float(np.abs(arr - arr.conj().T).max()) > TOL.povm_psd:
-                raise ChannelError("POVM element is not Hermitian")
-            if float(np.linalg.eigvalsh(arr)[0]) < -TOL.povm_psd:
-                raise ChannelError("POVM element has a negative eigenvalue "
-                                   f"beyond {TOL.povm_psd}")
-            arr.setflags(write=False)
-            elems.append(arr)
-        total = sum(elems)
-        if float(np.abs(total - np.eye(d)).max()) > TOL.povm_sum:
+        stack = np.array(self.elements, dtype=np.complex128)
+        if not np.isfinite(stack).all():
+            raise ChannelError("POVM elements are not finite")
+        # the checks are written NaN-safe: a NaN defect fails them
+        asym = float(np.abs(stack - stack.conj().swapaxes(1, 2)).max())
+        if not asym <= TOL.povm_psd:
+            raise ChannelError("POVM element is not Hermitian")
+        if not float(np.linalg.eigvalsh(stack)[:, 0].min()) >= -TOL.povm_psd:
+            raise ChannelError("POVM element has a negative eigenvalue "
+                               f"beyond {TOL.povm_psd}")
+        if not float(np.abs(stack.sum(axis=0) - np.eye(d)).max()) <= TOL.povm_sum:
             raise ChannelError(f"POVM elements do not sum to identity within "
                                f"{TOL.povm_sum}")
-        object.__setattr__(self, "elements", tuple(elems))
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
-        if self.structure in (PRODUCT_POVM, LOCAL_BASIS):
-            if self.factors is None or len(self.factors) != len(elems):
-                raise ChannelError(
-                    f"{self.structure} channels must carry per-element factors")
-            for e, (fa, fb) in zip(elems, self.factors):
-                if float(np.abs(np.kron(fa, fb) - e).max()) > TOL.povm_sum:
-                    raise ChannelError("claimed product factorization does not "
-                                       "reproduce the element")
         if self.protocol is not None:
-            expected, _ = self.protocol.elements()
+            expected = self.protocol.elements()
             if (self.outcomes != self.protocol.outcomes
-                    or expected.shape[1] != d
-                    or float(np.abs(np.stack(elems) - expected).max())
-                    > TOL.povm_sum):
+                    or expected.shape != stack.shape
+                    or not float(np.abs(stack - expected).max()) <= TOL.povm_sum):
                 raise ChannelError("elements and outcomes are not those of the "
                                    "channel's protocol")
 
@@ -304,16 +281,6 @@ def _library(d4: np.ndarray) -> list[tuple[str, OneWayProtocol, np.ndarray]]:
     return entries
 
 
-def _basis_channel(protocol: OneWayProtocol, name: str) -> MeasurementChannel:
-    """The protocol's measurement as a validated channel: rank-one product
-    projectors tagged ``local-basis``, or the two coarse-grained guesses
-    tagged ``general``."""
-    elements, factors = protocol.elements()
-    structure = GENERAL if factors is None else LOCAL_BASIS
-    return MeasurementChannel(tuple(elements), protocol.outcomes, structure,
-                              factors, name, protocol)
-
-
 def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
                     ) -> tuple[MeasurementChannel, ...]:
     """Deterministic library of one-way LOCC strategies adapted to the
@@ -327,7 +294,8 @@ def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
     while the element count drops to 2).
     """
     d4 = _canonical_difference(rho0, rho1)
-    return tuple(_basis_channel(protocol, name) for name, protocol, _ in _library(d4))
+    return tuple(MeasurementChannel(protocol.elements(), protocol.outcomes, name,
+                                    protocol) for name, protocol, _ in _library(d4))
 
 
 def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
@@ -364,7 +332,8 @@ def _locc_lower(d4: np.ndarray, library: tuple[MeasurementChannel, ...] | None,
     if library is not None:
         return float(best_val), library[best]
     name, protocol, _ = entries[best]
-    return float(best_val), _basis_channel(protocol, name)
+    return float(best_val), MeasurementChannel(protocol.elements(), protocol.outcomes,
+                                               name, protocol)
 
 
 @dataclass(frozen=True)

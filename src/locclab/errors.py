@@ -26,7 +26,8 @@ class SpecError(LoccLabError):
 
 class ChannelError(LoccLabError):
     """Measurement-channel invariant violation: POVM elements that are
-    not positive, do not sum to identity, or carry a false structure tag."""
+    not positive, do not sum to identity, or do not match the channel's
+    protocol."""
 
 
 class ConfigError(LoccLabError):

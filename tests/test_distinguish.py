@@ -13,6 +13,7 @@ from locclab import (
     OneWayProtocol,
     PsiSpec,
     SpecError,
+    TOL,
     TensorLayout,
     apply_channel,
     bound_bracket,
@@ -160,6 +161,46 @@ class TestApplyChannel:
             v_basis = apply_channel(basis, x).measured_norm
             assert v_fine >= v_coarse - 1e-12
             assert v_basis >= v_coarse - 1e-12
+
+
+TILT = np.array([[0.5, 0.1], [0.0, 0.5]])
+OVERSHOOT = 2.0 * TOL.povm_psd
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize("elements, outcomes, message", [
+        ((), (), "at least one element"),
+        ((np.eye(2),), ("a", "b"), "one outcome label per element"),
+        ((np.ones((2, 3)),), ("a",), "has shape"),
+        ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])), ("a", "b"),
+         "mixed dimensions"),
+        ((TILT, np.eye(2) - TILT), ("a", "b"), "not Hermitian"),
+        ((np.diag([1.0 + OVERSHOOT, 0.0]), np.diag([-OVERSHOOT, 1.0])), ("a", "b"),
+         "negative eigenvalue"),
+        ((np.diag([1.0, 0.0]),), ("a",), "do not sum to identity"),
+        ((np.diag([np.nan, 0.0]), np.eye(2)), ("a", "b"), "not finite"),
+        ((np.diag([np.inf, 0.0]), np.diag([-np.inf, 1.0])), ("a", "b"), "not finite"),
+    ], ids=["empty", "outcome-count", "non-square", "mixed-dims", "non-hermitian",
+            "negative-eigenvalue", "incomplete", "nan", "inf"])
+    def test_each_invariant_is_enforced(self, elements, outcomes, message):
+        with pytest.raises(ChannelError, match=message):
+            MeasurementChannel(elements, outcomes)
+
+    def test_stack_builds_the_same_channel(self):
+        s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
+        for chan in one_way_library(s0, s1):
+            stack = np.stack(chan.elements)
+            rebuilt = MeasurementChannel(stack, chan.outcomes, chan.name, chan.protocol)
+            assert rebuilt.outcomes == chan.outcomes
+            assert len(rebuilt.elements) == len(chan.elements)
+            for e, f in zip(rebuilt.elements, chan.elements):
+                assert e.tobytes() == f.tobytes()
+            # the channel holds a read-only copy, not the caller's array
+            stack[0] = 0.0
+            assert rebuilt.elements[0].tobytes() == chan.elements[0].tobytes()
+            assert not rebuilt.elements[0].flags.writeable
+        with pytest.raises(ChannelError):
+            MeasurementChannel(np.zeros((0, 2, 2)), ())
 
 
 class TestLoccLowerBound:
@@ -481,8 +522,7 @@ class TestProtocolWitnesses:
                                protocol=comp.protocol)
         swapped = comp.outcomes[::-1]
         with pytest.raises(ChannelError):
-            MeasurementChannel(comp.elements, swapped, comp.structure,
-                               comp.factors, protocol=comp.protocol)
+            MeasurementChannel(comp.elements, swapped, protocol=comp.protocol)
 
     def test_protocol_dimensions_must_match_the_pair(self):
         s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
