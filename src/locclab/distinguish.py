@@ -73,7 +73,7 @@ def _conditional_blocks(d4_first: np.ndarray, first: np.ndarray) -> np.ndarray:
     return np.einsum("ak,abcd,ck->kbd", first.conj(), d4_first, first)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneWayProtocol:
     """A one-way LOCC measurement.
 
@@ -170,7 +170,7 @@ class OneWayProtocol:
         return np.stack((plus, np.eye(d1 * d2) - plus))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementChannel:
     """A finite POVM with an outcome label per element.
 
@@ -229,7 +229,7 @@ class MeasurementChannel:
         return self.elements[0].shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelOutput:
     """Outcome functionals Tr[M_i X] and their induced measured norm
     sum_i |Tr[M_i X]|."""
@@ -357,8 +357,9 @@ def _ppt_sdp(d4: np.ndarray, h: float, gap_tol: float) -> PPTBound:
     da, db = d4.shape[:2]
     res: SDPResult = solve_ppt_two_outcome(d4.reshape(da * db, da * db), da, db,
                                            gap_tol=gap_tol)
-    # primal+gap certifies the SDP optimum from above; the global optimum
-    # h is an independent upper bound, so the min is still certified
+    # res.value = U(res.certificate), checked by eigenvalue sums, bounds
+    # the SDP optimum from above; the global optimum h is an independent
+    # upper bound, so the min is still certified
     value = 0.5 + 0.5 * max(res.value, 0.0)
     value = min(value, h)
     return PPTBound(value=value, sdp_gap=res.gap, primal=0.5 + 0.5 * res.primal,
@@ -381,7 +382,7 @@ def thm2_locc_bound(eps: float, eps_prime: float) -> float:
     return eps + (1.0 + eps_prime) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundBracket:
     """The three-bound sandwich for one state pair. Construction
     enforces 1/2 <= locc_lower <= ppt_upper <= helstrom <= 1 (up to

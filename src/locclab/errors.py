@@ -54,8 +54,12 @@ class CatalystViolation(LoccLabError):
 
 
 class SolverError(LoccLabError):
-    """The bundled SDP solver failed to converge. Carries the best
-    primal value and gap bound seen so far when available."""
+    """The bundled SDP solver could not certify its value: it did not
+    converge, or its dual certificate left a gap above the tolerance.
+    A solve that ran carries ``value``, an upper bound on the optimum
+    checked from its certificate (loose, never wrong), and ``gap``, the
+    distance from there down to the primal value reached; both are None
+    for an input the solver refused."""
 
     def __init__(self, message: str, value: float | None = None,
                  gap: float | None = None):

@@ -10,7 +10,8 @@ affine slack blocks M, I-M, M^{T_B}, I-M^{T_B}, with total barrier
 parameter nu = 4D. Path following uses damped Newton steps with exact
 Hessians. The four slack blocks are factored and inverted as one
 (4, D, D) stack, and the line search hands its accepted point's factors
-to the next step.
+to the next Newton step, also across a change of t. The whole path runs
+in one coordinate system.
 
 Coordinates. Let S be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
@@ -43,26 +44,42 @@ The partial transpose permutes canonical coordinates, so the transposed
 blocks enter as an axis permutation or as transposed positions.
 
 S is found numerically, so a wrong rank decision could give a subspace
-the path leaves. The last centering stage therefore always runs in the
-canonical coordinates, starting from the reduced iterate: when S is
-invariant one full-space Hessian shows the decrement is already small;
-otherwise the same Newton loop keeps stepping, or, when that decrement
-is 1 or more, follows the whole path again in canonical coordinates.
-The certificate below rests on the full-space decrement.
+the path leaves. Nothing in the reported value rests on S, though: the
+bound is checked in the original D x D coordinates.
 
-Certificate. At a point with Newton decrement l < 1 for parameter t,
-the distance to the central point is at most l/(1-l) in the local norm
-and t times the dual norm of the objective is at most l + sqrt(nu)
-(Nesterov, Introductory Lectures on Convex Optimization, Thm 4.2.7), so
-the primal value is within
+Certificate. For every Hermitian B and every M with 0 <= M <= I and
+0 <= M^{T_B} <= I,
 
-    gap = (nu + (l + sqrt(nu)) l/(1-l)) / t
+    Re Tr[M X] = Re Tr[M (X - B^{T_B})] + Re Tr[M^{T_B} B]
+               <= Tr[(X - B^{T_B})_+] + Tr[B_+] =: U(B),
 
-of the optimum, which is what ``SDPResult.gap`` reports. A final
-decrement of 1 or more certifies nothing and raises SolverError.
+so U(B) bounds the optimum from above whatever B is: a poor B gives a
+loose bound, never a wrong one (minimizing U over B is the Lagrange dual
+of the PPT relaxation; cf. Matthews, Wehner & Winter, Commun. Math.
+Phys. 291, 813 (2009)). At t_final the solver takes B = Y4 - Y3 with
+
+    Y3 = (G3 - G3 dM^{T_B} G3) / t,   Y4 = (G4 + G4 dM^{T_B} G4) / t,
+
+where G3, G4 are the slack inverses of M^{T_B} and I - M^{T_B} and dM
+is the last Newton step, in the coordinates the path used: these are
+the first-order slack inverses at the Newton point, the dual variables
+of the two transposed constraints. ``SDPResult.value`` is U(B) from two
+``eigvalsh`` calls plus a rounding allowance of D^2 eps ||A||_F for each
+of the two matrices A: with eps = 2u and ||A||_F >= ||A||_2, it covers
+an error of 2 D u ||A||_2 in each of the D eigenvalues, the order of the
+backward error of a Hermitian eigensolver (the allowance follows
+Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)). A gap
+above ``gap_tol`` raises SolverError carrying the value and the gap.
+
+The path-following bound (nu + (l + sqrt(nu)) l/(1-l))/t on the gap at
+Newton decrement l (Nesterov, Introductory Lectures on Convex
+Optimization, Thm 4.2.7) only sizes t_final.
 
 No external solver is used; numpy/scipy provide dense linear algebra
-only. Intended for total dimension D <= 64.
+only. The total dimension is capped at D <= 64 because a generic pair
+takes the canonical coordinates, whose Newton system has n^2 entries
+for n = D^2 (real field: D(D+1)/2) coordinates: 134 MB at D = 64 for the
+complex field, and 16 times that at D = 128.
 """
 
 from __future__ import annotations
@@ -93,14 +110,17 @@ _CHUNK_ENTRIES = 1 << 20
 _SLAB_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SDPResult:
     """Certified outcome of one solve.
 
-    ``value`` = primal + gap is a guaranteed upper bound on the true
-    optimum; ``primal`` is attained by the feasible ``optimizer``.
+    ``value`` = U(``certificate``) plus its rounding allowance is a
+    guaranteed upper bound on the true optimum, which anyone can check
+    with two eigenvalue sums (see the module docstring); ``primal`` is
+    attained by the feasible ``optimizer``, and ``gap`` = value - primal.
     ``coords`` is the number of real coordinates the path following
     used: the dimension of the Jordan closure, or the full dimension.
+    Equality is identity.
     """
 
     value: float
@@ -110,11 +130,13 @@ class SDPResult:
     t_final: float
     coords: int
     optimizer: np.ndarray
+    certificate: np.ndarray
 
 
 def certified_gap(nu: float, decrement: float, t: float) -> float:
-    """Duality gap certified at barrier parameter ``t`` by a Newton
-    ``decrement`` < 1; infinite when the decrement is 1 or more."""
+    """Path-following bound on the duality gap at barrier parameter
+    ``t`` and Newton ``decrement`` < 1 (infinite when the decrement is 1
+    or more); it sizes t_final."""
     if decrement >= 1.0:
         return float("inf")
     return (nu + (decrement + np.sqrt(nu)) * decrement / (1.0 - decrement)) / t
@@ -362,12 +384,26 @@ def _logdet_from_chol(chols: np.ndarray) -> float:
     return 2.0 * sum(np.log(diag).sum(axis=1).tolist())
 
 
+def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> float:
+    """U(B) = Tr[(X - B^{T_B})_+] + Tr[B_+] for a Hermitian ``b``, plus
+    the rounding allowance D^2 eps ||A||_F of each eigenvalue sum."""
+    d = dim_a * dim_b
+    total = 0.0
+    for a in ((x_mat + x_mat.conj().T) / 2.0 - _pt_mat(b, dim_a, dim_b), b):
+        w = np.linalg.eigvalsh(a)
+        total += float(w[w > 0.0].sum())
+        total += d * d * float(np.finfo(float).eps) * float(np.linalg.norm(a))
+    return total
+
+
 def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                           gap_tol: float = TOL.sdp_gap,
                           mu: float = 20.0,
                           max_newton: int = 800) -> SDPResult:
     """Run the path-following solve. Raises SolverError on dimension
-    overflow or non-convergence (carrying the best value and gap seen)."""
+    overflow or a gap tolerance that is not positive, on
+    non-convergence, or when the certified gap exceeds ``gap_tol`` (the
+    last two carry the certified value and its gap)."""
     d = dim_a * dim_b
     x_mat = np.asarray(x_mat, dtype=np.complex128)
     if x_mat.shape != (d, d):
@@ -377,6 +413,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     if d > MAX_TOTAL_DIM:
         raise SolverError(
             f"total dimension {d} exceeds the bundled solver limit {MAX_TOTAL_DIM}")
+    if not gap_tol > 0.0:
+        raise SolverError(f"gap tolerance must be positive, got {gap_tol}")
     if float(np.abs(x_mat - x_mat.conj().T).max()) > TOL.hermitian * max(
             1.0, float(np.abs(x_mat).max())):
         raise NumericError("SDP objective matrix must be Hermitian")
@@ -388,113 +426,89 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         x_work = x_mat
     canon = _Basis(dim_a, dim_b, complex_field)
     basis = _jordan_closure(x_work, canon) or canon
-    coords_used = basis.n
     eye = np.eye(d, dtype=x_work.dtype)
+    c_obj = basis.coords(x_work)
 
     nu = 4.0 * d
-    # the certificate needs only decrement <= lam_stop at t_final, so
-    # t_final is sized for that decrement rather than perfect centering
+    # centering to decrement lam_stop at t_final would certify gap_tol
+    # by the path-following bound, so t_final is sized by that bound
     lam_stop = 0.1
     t_final = certified_gap(nu, lam_stop, 1.0) / gap_tol
+    t = min(1.0, t_final)
+    x = basis.coords(eye / 2.0)
+    m = basis.mat(x)
+    chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
+    logdet = _logdet_from_chol(chols)
     steps = 0
-
-    def center(basis, x, t, give_up=np.inf):
-        """Damped Newton steps at parameter t until the decrement is at
-        most lam_stop, reaches ``give_up``, or the line search stalls;
-        returns the point and its decrement."""
-        nonlocal steps
-        c_obj = basis.coords(x_work)
-
-        def f_value(xv: np.ndarray):
-            m = basis.mat(xv)
-            chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
-            if chols is None:
-                return None
-            return -t * float(c_obj @ xv) - _logdet_from_chol(chols), chols
-
-        cur = f_value(x)
-        if cur is None:
-            raise SolverError("iterate left the feasible cone",
-                              value=None, gap=None)
-        while True:
-            f_cur, chols = cur
-            inv_c = np.linalg.inv(chols)
-            gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
-            g1, g2, g3, g4 = gs
-            grad_mat = (-t) * x_work + (-g1 + g2
-                                        - _pt_mat(g3, dim_a, dim_b)
-                                        + _pt_mat(g4, dim_a, dim_b))
-            grad = basis.coords(grad_mat)
-            hess = basis.hessian(gs)
-            step_dir = None
-            ridge = 0.0
-            for _ in range(4):
-                # dpotrf factors its copy in place; hess stays for a retry
-                a = hess.copy(order="F")
-                if ridge:
-                    a.flat[::basis.n + 1] += ridge
-                chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-                if info == 0:
-                    step_dir, _ = dpotrs(chol, -grad, lower=1)
-                    break
-                ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / basis.n)
-            if step_dir is None:
-                raise SolverError("Newton system factorization failed",
-                                  value=float(c_obj @ x), gap=nu / t)
-            lam2 = max(float(-grad @ step_dir), 0.0)
-            decrement = np.sqrt(lam2)
-            if decrement <= lam_stop or decrement >= give_up:
+    failure = None
+    while True:
+        # Newton system at (x, t); the accepted point's factors serve it
+        inv_c = np.linalg.inv(chols)
+        gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
+        g1, g2, g3, g4 = gs
+        grad_mat = (-t) * x_work + (-g1 + g2
+                                    - _pt_mat(g3, dim_a, dim_b)
+                                    + _pt_mat(g4, dim_a, dim_b))
+        grad = basis.coords(grad_mat)
+        hess = basis.hessian(gs)
+        step_dir = None
+        ridge = 0.0
+        for _ in range(4):
+            # dpotrf factors its copy in place; hess stays for a retry
+            a = hess.copy(order="F")
+            if ridge:
+                a.flat[::basis.n + 1] += ridge
+            chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                step_dir, _ = dpotrs(chol, -grad, lower=1)
                 break
+            ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / basis.n)
+        if step_dir is None:
+            failure = "Newton system factorization failed"
+            step_dir = np.zeros(basis.n)
+            break
+        lam2 = max(float(-grad @ step_dir), 0.0)
+        decrement = np.sqrt(lam2)
+        moved = False
+        if decrement > lam_stop:
+            f_cur = -t * float(c_obj @ x) - logdet
             scale = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-            accepted = False
-            while scale > 1e-14:
+            while scale > 1e-14 and not moved:
                 trial = x + scale * step_dir
-                val = f_value(trial)
-                if val is not None and val[0] <= f_cur - 0.25 * scale * lam2:
-                    # the accepted point's factors serve the next step
-                    x, cur = trial, val
-                    accepted = True
-                    break
+                m = basis.mat(trial)
+                trial_chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
+                if trial_chols is not None:
+                    trial_logdet = _logdet_from_chol(trial_chols)
+                    if (-t * float(c_obj @ trial) - trial_logdet
+                            <= f_cur - 0.25 * scale * lam2):
+                        x, chols, logdet = trial, trial_chols, trial_logdet
+                        moved = True
                 scale *= 0.5
-            if not accepted:
-                # at the numerical floor of centering accuracy; the
-                # decrement-based certificate below stays valid
-                break
+        if moved:
             steps += 1
             if steps > max_newton:
-                raise SolverError(
-                    f"no convergence within {max_newton} Newton steps",
-                    value=float(c_obj @ x), gap=nu / t)
-        return x, float(decrement)
-
-    def follow(basis):
-        t = min(1.0, t_final)
-        x = basis.coords(eye / 2.0)
-        while True:
-            x, decrement = center(basis, x, t)
-            if t >= t_final:
-                return x, decrement
+                failure = f"no convergence within {max_newton} Newton steps"
+                break
+        elif t < t_final:
+            # centered, or at the numerical floor of centering accuracy
             t = min(t * mu, t_final)
+        else:
+            break
 
-    x, decrement = follow(basis)
-    if basis is not canon:
-        # The final stage runs in full-space coordinates, so the
-        # certificate rests on the full-space decrement. A decrement of 1
-        # or more means the path left the subspace; Newton steps at
-        # t_final from there overran the 800-step budget on truncated
-        # bases, so the path is followed again from the start.
-        x, decrement = center(canon, canon.coords(basis.mat(x)), t_final,
-                              give_up=1.0)
-        if decrement >= 1.0:
-            x, decrement = follow(canon)
-
-    primal = float(canon.coords(x_work) @ x)
-    gap = certified_gap(nu, decrement, t_final)
-    if not np.isfinite(gap):
-        raise SolverError(
-            f"final Newton decrement {decrement:.3g} >= 1 certifies no gap",
-            value=primal, gap=gap)
-    m_final = canon.mat(x)
-    return SDPResult(value=primal + gap, primal=primal, gap=gap,
-                     newton_steps=steps, t_final=t_final, coords=coords_used,
-                     optimizer=np.asarray(m_final, dtype=np.complex128))
+    # the dual certificate from the last Newton step: first-order updates
+    # of the slack inverses of M^{T_B} and I - M^{T_B}, divided by t
+    dm_pt = _pt_mat(basis.mat(step_dir), dim_a, dim_b)
+    b = (g4 + g4 @ dm_pt @ g4 - g3 + g3 @ dm_pt @ g3) / t
+    b = (b + b.conj().T) / 2.0
+    value = _dual_bound(x_work, b, dim_a, dim_b)
+    primal = float(c_obj @ x)
+    gap = value - primal
+    if failure is None and not gap <= gap_tol:
+        failure = f"certified gap {gap:.3g} exceeds {gap_tol:.3g}"
+    if failure is not None:
+        raise SolverError(failure, value=value, gap=gap)
+    m_final = basis.mat(x)
+    return SDPResult(value=value, primal=primal, gap=gap,
+                     newton_steps=steps, t_final=t_final, coords=basis.n,
+                     optimizer=np.asarray(m_final, dtype=np.complex128),
+                     certificate=np.asarray(b, dtype=np.complex128))

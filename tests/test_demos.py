@@ -37,3 +37,15 @@ def test_detection_demo_runs():
     out, rows = run_demo("detection.py")
     assert "min_rounds(delta=0.05, T=1) = 1110" in out
     assert rows == ["200", "600", "1110", "2000"]
+
+
+def test_hiding_bounds_demo_runs():
+    out, rows = run_demo("hiding_bounds.py")
+    assert rows == ["2", "3", "4", "5"]
+    for line in out.splitlines():
+        cols = line.split()
+        if not cols or not cols[0].isdigit():
+            continue
+        d, ppt_upper, gap = int(cols[0]), float(cols[2]), float(cols[5])
+        assert abs(ppt_upper - (0.5 + 1.0 / (d + 1))) <= 1e-6
+        assert 0.0 < gap <= 1e-6

@@ -25,6 +25,7 @@ from locclab import (
     one_way_library,
     ppt_sdp,
     ppt_upper_bound,
+    solve_ppt_two_outcome,
     tensor,
     thm2_locc_bound,
     trace_norm,
@@ -414,6 +415,33 @@ class TestBoundBracket:
             value = 0.5 + apply_channel(ch, x).measured_norm / 4.0
             assert value <= upper + 1e-6
 
+
+
+def _equal_valued_pair(kind):
+    """Two separately built, equal-valued instances of one result type
+    that holds numpy arrays."""
+    s0, s1 = make_hiding_pair(HidingPairSpec(d=2))
+    x = s0.entries - s1.entries
+    build = {
+        "channel": lambda: one_way_library(s0, s1)[0],
+        "protocol": lambda: one_way_library(s0, s1)[0].protocol,
+        "output": lambda: apply_channel(one_way_library(s0, s1)[0], x),
+        "bracket": lambda: bound_bracket(s0, s1),
+        "sdp": lambda: solve_ppt_two_outcome(np.diag([0.5, -0.25, 0.25, -0.5]), 2, 2),
+    }[kind]
+    return build(), build()
+
+
+@pytest.mark.parametrize("kind", ["channel", "protocol", "output", "bracket", "sdp"])
+def test_array_holding_results_compare_by_identity(kind):
+    # the generated field-wise __eq__ would compare numpy arrays and
+    # raise numpy's ambiguous-truth ValueError; these types compare and
+    # hash by identity
+    a, b = _equal_valued_pair(kind)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 def hiding_projectors(d):
     """P_sym and P_asym on C^d (x) C^d, from the swap written out."""

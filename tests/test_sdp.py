@@ -1,7 +1,7 @@
-"""Unit tests of the bundled PPT SDP solver: the certified-gap formula,
-the canonical coordinates and their Hessian, the Jordan-closure
-coordinates, and the full-space final stage that keeps a wrong closure
-from producing a wrong certified value."""
+"""Unit tests of the bundled PPT SDP solver: the path-following gap
+formula that sizes t_final, the canonical coordinates and their Hessian,
+the Jordan-closure coordinates, and the one-matrix dual certificate that
+keeps a wrong closure from producing a wrong certified value."""
 
 import math
 
@@ -60,6 +60,14 @@ def partial_transpose(m, da, db):
                 for b2 in range(db):
                     out[a1 * db + b1, a2 * db + b2] = m[a1 * db + b2, a2 * db + b1]
     return out
+
+
+def dual_bound(x, b, da, db):
+    """U(B) = Tr[(X - B^{T_B})_+] + Tr[B_+], from plain eigenvalue sums."""
+    def positive_part(a):
+        w = np.linalg.eigvalsh(a)
+        return w[w > 0].sum()
+    return positive_part(x - partial_transpose(b, da, db)) + positive_part(b)
 
 
 def closure(x, da, db):
@@ -151,6 +159,15 @@ class TestObjectiveValidation:
         with pytest.raises(NumericError):
             sdp.solve_ppt_two_outcome(x, 2, 2)
 
+    @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, math.nan])
+    def test_gap_tolerance_must_be_positive(self, gap_tol):
+        # a negative tolerance once ran the path with t < 0 and returned
+        # -0.75 as the "upper bound" of an SDP whose optimum is 0.75
+        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
+        with pytest.raises(SolverError, match="gap tolerance") as err:
+            sdp.solve_ppt_two_outcome(x, 2, 2, gap_tol=gap_tol)
+        assert err.value.value is None and err.value.gap is None
+
 
 class TestCertifiedGap:
     def test_hand_computed_values(self):
@@ -173,11 +190,12 @@ class TestCertifiedGap:
         assert res.t_final == pytest.approx(sdp.certified_gap(nu, 0.1, 1.0) / 1e-6,
                                             rel=1e-12)
         assert 0.0 < res.gap <= 1e-6
-        assert res.value == pytest.approx(res.primal + res.gap, abs=1e-15)
+        assert res.primal <= dual_bound(x, res.certificate, da, db) <= res.value
 
     def test_final_decrement_above_one_raises(self, monkeypatch):
         # every point but the start I/2 is reported infeasible, so the
-        # line search stalls and the final decrement stays large
+        # line search stalls and the final decrement stays large; the
+        # certificate from that point is loose, and still an upper bound
         chol = sdp._chol_blocks
 
         def only_start(m, mt, eye):
@@ -185,12 +203,15 @@ class TestCertifiedGap:
                 return None
             return chol(m, mt, eye)
 
-        monkeypatch.setattr(sdp, "_chol_blocks", only_start)
         x, da, db = werner(2)
+        optimum = sdp.solve_ppt_two_outcome(x, da, db)
+        monkeypatch.setattr(sdp, "_chol_blocks", only_start)
         with pytest.raises(SolverError) as err:
             sdp.solve_ppt_two_outcome(x, da, db)
-        assert err.value.gap == math.inf
-        assert err.value.value == pytest.approx(0.5 * np.trace(x).real, abs=1e-9)
+        assert err.value.gap > 1e-6
+        assert err.value.value >= optimum.value
+        assert err.value.value - err.value.gap == pytest.approx(
+            0.5 * np.trace(x).real, abs=1e-9)
 
     def test_failed_newton_factorization_retries_with_a_ridge(self, monkeypatch):
         # the first factorization of every Newton system reports "not
@@ -344,7 +365,8 @@ class TestReducedPath:
                                                                  monkeypatch):
         # rotate the closure basis so the traceless part of X is one
         # element, then drop it: the path in the truncated space ignores
-        # the objective, and only the full-space stage can recover
+        # the objective, so its certificate is loose; the solve raises,
+        # and the value it carries still bounds the canonical optimum
         x, da, db = inp
         basis, canon = closure(x, da, db)
         k, d, _ = basis.e.shape
@@ -356,21 +378,52 @@ class TestReducedPath:
         truncated = sdp._ClosureBasis(kept, da, db)
         _, full = solve_both(x, da, db, monkeypatch)
         monkeypatch.setattr(sdp, "_jordan_closure", lambda x_mat, c: truncated)
-        res = sdp.solve_ppt_two_outcome(x, da, db)
-        assert res.coords == k - 1
-        assert res.value == pytest.approx(full.value, abs=1e-9)
-        assert res.gap <= 1e-6
+        assert truncated.n == k - 1
+        with pytest.raises(SolverError) as err:
+            sdp.solve_ppt_two_outcome(x, da, db)
+        assert err.value.gap > 1e-6
+        assert err.value.value >= full.value
 
+
+
+PINNED = [werner(3), composed(0.95, 2),
+          random_objective(np.random.default_rng(21), 2, 2),
+          random_objective(np.random.default_rng(22), 3, 3, real=True)]
+RANDOM = [random_objective(np.random.default_rng(60 + i), da, db, real)
+          for i, (da, db, real) in enumerate([
+              (2, 2, False), (2, 3, False), (3, 3, False), (4, 4, False),
+              (2, 4, False), (2, 2, True), (3, 2, True), (4, 4, True),
+              (8, 2, True)])]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("inp", PINNED + RANDOM,
+                             ids=["werner-d3", "composed-D16", "pinned-complex-2x2",
+                                  "pinned-real-3x3", "complex-2x2", "complex-2x3",
+                                  "complex-3x3", "complex-4x4", "complex-2x4",
+                                  "real-2x2", "real-3x2", "real-4x4", "real-8x2"])
+    def test_certificate_brackets_the_optimum(self, inp):
+        x, da, db = inp
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        b = res.certificate
+        assert b.shape == (da * db, da * db)
+        assert np.abs(b - b.conj().T).max() == 0.0
+        u = dual_bound(x, b, da, db)
+        assert res.primal <= u <= res.value <= res.primal + 1e-6
+        # the reported value adds only a rounding allowance to U(B)
+        assert res.value - u <= 1e-10
+        assert res.gap == pytest.approx(res.value - res.primal, abs=1e-15)
+        # any Hermitian B bounds the optimum: a worse one is loose, not wrong
+        assert dual_bound(x, b / 2.0, da, db) >= res.primal
 
 class TestPinnedSolves:
     # step counts and certified values: a change to the slack algebra
     # must leave the iterates where they are
     @pytest.mark.parametrize("inp,steps,value", [
-        (werner(3), 36, 0.5000008743507312),
-        (composed(0.95, 2), 53, 0.8119641479088087),
-        (random_objective(np.random.default_rng(21), 2, 2), 41, 0.5352270189320981),
-        (random_objective(np.random.default_rng(22), 3, 3, real=True), 54,
-         0.5308461567101334),
+        (PINNED[0], 36, 0.5000001454104259),
+        (PINNED[1], 53, 0.811963413694515),
+        (PINNED[2], 41, 0.5352265218498858),
+        (PINNED[3], 54, 0.5308456280513579),
     ], ids=["werner-d3", "composed-D16", "random-complex-2x2", "random-real-3x3"])
     def test_steps_and_value_are_pinned(self, inp, steps, value):
         res = sdp.solve_ppt_two_outcome(*inp)
