@@ -9,9 +9,21 @@ where T_B transposes the B factor. The barrier is -log det over the four
 affine slack blocks M, I-M, M^{T_B}, I-M^{T_B}, with total barrier
 parameter nu = 4D. Path following uses damped Newton steps with exact
 Hessians. The four slack blocks are factored and inverted as one
-(4, D, D) stack, and the line search hands its accepted point's factors
-to the next Newton step, also across a change of t. The whole path runs
-in one coordinate system.
+(4, D, D) stack. Each point is factored once: the slack inverses, the
+Hessian and its Cholesky factor are built at the start and when the line
+search accepts a new point. A change of t leaves the point where it is,
+so it recomputes only the gradient and solves with the factor already
+held; a solve builds one Newton system more than it takes Newton steps.
+The whole path runs in one coordinate system.
+
+Buffers. Building and factoring a canonical Newton system takes n x n
+arrays of 0.5-1 MB at D = 16: the complex product W of each block pair,
+their realignments and the F-ordered matrix that dpotrf factors in
+place. glibc serves arrays that large with fresh mmap pages unless an
+earlier large free has raised its threshold, so each solve allocates
+the complex W (or the real field's row slabs), the Hessian and the
+factor once and fills them in place. The factor's memory is free while
+the Hessian is built, and holds the realignment of the transposed pair.
 
 Coordinates. Let S be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
@@ -84,6 +96,7 @@ complex field, and 16 times that at D = 128.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +155,17 @@ def certified_gap(nu: float, decrement: float, t: float) -> float:
     return (nu + (decrement + np.sqrt(nu)) * decrement / (1.0 - decrement)) / t
 
 
+@dataclass(frozen=True, eq=False)
+class _NewtonBuffers:
+    """Work arrays for the Newton systems of one solve: the F-ordered
+    Cholesky factor, and for canonical coordinates the Hessian and the
+    scratch its assembly fills (see the module docstring)."""
+
+    factor: np.ndarray
+    hess: np.ndarray | None = None
+    scratch: tuple = ()
+
+
 class _Basis:
     """Orthonormal real coordinates for all Hermitian (or real symmetric)
     matrices. ``mat`` maps (..., n) coordinates to (..., D, D) matrices
@@ -194,51 +218,78 @@ class _Basis:
         return self._scale * (g[..., self._rows, self._cols]
                               + g[..., self._cols, self._rows])
 
-    def hessian(self, gs) -> np.ndarray:
-        """H_pq = sum over blocks of Re Tr[G M(e_p) G M(e_q)], with the
-        partial transposes of M(e_p), M(e_q) on blocks 3 and 4."""
+    def newton_buffers(self) -> _NewtonBuffers:
+        n, d = self.n, self.dim
+        factor, hess = np.empty((n, n), order="F"), np.empty((n, n))
         if self.complex_field:
-            return self._hessian_complex(gs)
+            return _NewtonBuffers(factor, hess, (np.empty((n, n), dtype=np.complex128),))
+        # two slabs, a product and the slab rows read at both positions
+        rows = min(max(1, _SLAB_ENTRIES // (d * d)), n)
+        return _NewtonBuffers(factor, hess,
+                              (*np.empty((3, rows, d, d)), np.empty((rows, 2 * n))))
+
+    def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
+        """H_pq = sum over blocks of Re Tr[G M(e_p) G M(e_q)], with the
+        partial transposes of M(e_p), M(e_q) on blocks 3 and 4. Built in
+        the buffers of ``work`` (from ``newton_buffers``) and returned as
+        ``work.hess``; without them, in fresh ones."""
+        work = work or self.newton_buffers()
+        if self.complex_field:
+            return self._hessian_complex(gs, work)
         g1, g2, g3, g4 = gs
         d, n = self.dim, self.n
         rows, cols = self._rows, self._cols
         rows_pt, cols_pt = self._rows_pt, self._cols_pt
+        split = (-1, self.dim_a, self.dim_b, self.dim_a, self.dim_b)
         # H_pq = 2 s_p s_q sum_G (G[I_p,I_q] G[J_p,J_q] + G[I_p,J_q] G[J_p,I_q]):
         # row p is the sum of outer(G[I_p], G[J_p]), read at (I_q, J_q)
         # and at (J_q, I_q); blocks 3 and 4 use the transposed positions,
         # read through the partial transpose of their slab
-        h = np.empty((n, n))
-        step = max(1, _SLAB_ENTRIES // (d * d))
+        h = work.hess
+        slabs, slabs_pt, prods, reads = work.scratch
+        step = len(slabs)
         for lo in range(0, n, step):
             p = slice(lo, lo + step)
-            slab = g1[rows[p], :, None] * g1[cols[p], None, :]
-            slab += g2[rows[p], :, None] * g2[cols[p], None, :]
-            slab_pt = g3[rows_pt[p], :, None] * g3[cols_pt[p], None, :]
-            slab_pt += g4[rows_pt[p], :, None] * g4[cols_pt[p], None, :]
-            slab += _pt_mat(slab_pt, self.dim_a, self.dim_b)
-            both = slab.reshape(len(slab), d * d)[:, self._at]
-            h[p] = both[:, :n] + both[:, n:]
-        h *= 2.0 * np.multiply.outer(self._scale, self._scale)
+            r = len(rows[p])
+            slab, slab_pt, prod, both = slabs[:r], slabs_pt[:r], prods[:r], reads[:r]
+            np.multiply(g1[rows[p], :, None], g1[cols[p], None, :], out=slab)
+            slab += np.multiply(g2[rows[p], :, None], g2[cols[p], None, :], out=prod)
+            np.multiply(g3[rows_pt[p], :, None], g3[cols_pt[p], None, :], out=slab_pt)
+            slab_pt += np.multiply(g4[rows_pt[p], :, None], g4[cols_pt[p], None, :],
+                                   out=prod)
+            slab5 = slab.reshape(split)
+            slab5 += slab_pt.reshape(split).swapaxes(-3, -1)
+            np.take(slab.reshape(r, d * d), self._at, axis=1, out=both)
+            np.add(both[:, :n], both[:, n:], out=h[p])
+            scale = np.multiply.outer(self._scale[p], self._scale, out=both[:, :n])
+            scale *= 2.0
+            h[p] *= scale
         return h
 
-    def _hessian_complex(self, gs) -> np.ndarray:
+    def _hessian_complex(self, gs, work: _NewtonBuffers) -> np.ndarray:
         # With W[a,b,c,d] = sum_G conj(G)[a,c] G[b,d], the sum of the
         # Kronecker products conj(G) (x) G, H[ab,cd] = Re W[a,b,c,d] -
         # Im W[a,b,d,c]. Rearranged to rows (a,c) and columns (b,d), W is
         # the product of the stacked vec(conj G) and vec(G) (Van Loan &
         # Pitsianis). The partial transpose permutes these coordinates,
-        # so blocks 3 and 4 enter through an axis permutation.
+        # so blocks 3 and 4 enter through an axis permutation; their
+        # realignment goes to the factor's memory, unused until the
+        # Hessian is factored.
         d = self.dim
         g = np.reshape(gs, (4, d * d))
+        (w,) = work.scratch
+        w4 = w.reshape(d, d, d, d)
 
-        def pair_sum(k: slice) -> np.ndarray:
-            w = (g[k].conj().T @ g[k]).reshape(d, d, d, d)
-            return w.real.transpose(0, 2, 1, 3) - w.imag.transpose(0, 2, 3, 1)
+        def pair_sum(k: slice, out: np.ndarray) -> np.ndarray:
+            np.matmul(g[k].conj().T, g[k], out=w)
+            return np.subtract(w4.real.transpose(0, 2, 1, 3),
+                               w4.imag.transpose(0, 2, 3, 1), out=out)
 
-        h = pair_sum(slice(0, 2))
-        h8 = h.reshape((self.dim_a, self.dim_b) * 4)
-        h8 += _pt_axes(pair_sum(slice(2, 4)), self.dim_a, self.dim_b)
-        return h.reshape(self.n, self.n)
+        h8 = pair_sum(slice(0, 2), work.hess.reshape(d, d, d, d))
+        h8 = h8.reshape((self.dim_a, self.dim_b) * 4)
+        realigned = pair_sum(slice(2, 4), work.factor.T.reshape(d, d, d, d))
+        h8 += _pt_axes(realigned, self.dim_a, self.dim_b)
+        return work.hess
 
 
 def _pt_axes(t4: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -279,7 +330,12 @@ class _ClosureBasis:
     def coords(self, g: np.ndarray) -> np.ndarray:
         return np.real(g.reshape(-1) @ self._adj[: self.dim ** 2])
 
-    def hessian(self, gs) -> np.ndarray:
+    def newton_buffers(self) -> _NewtonBuffers:
+        return _NewtonBuffers(np.empty((self.n, self.n), order="F"))
+
+    def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
+        """The k x k Hessian; it is small and takes no buffer from
+        ``work``."""
         g1, g2, g3, g4 = gs
         y = g1 @ self.e @ g1 + g2 @ self.e @ g2
         y_pt = g3 @ self.e_pt @ g3 + g4 @ self.e_pt @ g4
@@ -355,7 +411,8 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
         i, j = i[keep], j[keep]
         start = 0
         while start == 0 or start < i.size:
-            size = min(_CHUNK_ENTRIES // (d * d), max(16, n - len(basis)))
+            # no larger than the give-up limit can still take
+            size = min(_CHUNK_ENTRIES // (d * d), max(16, give_up + 1 - len(basis)))
             ab = e[i[start:start + size]] @ e[j[start:start + size]]
             chunk = ab + ab.conj().swapaxes(1, 2)
             if start == 0:
@@ -375,6 +432,36 @@ def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
         return np.linalg.cholesky(np.stack((m, eye - m, mt, eye - mt)))
     except np.linalg.LinAlgError:
         return None
+
+
+def _newton_factor(hess: np.ndarray, factor: np.ndarray):
+    """Cholesky factor of the Newton system ``hess``, made in place in
+    the F-ordered buffer ``factor``; a failed attempt is retried with a
+    growing ridge on the diagonal, and None is returned after four."""
+    n = len(hess)
+    ridge = 0.0
+    for _ in range(4):
+        # dpotrf factors the buffer in place; hess stays for a retry
+        np.copyto(factor, hess)
+        if ridge:
+            factor.flat[::n + 1] += ridge
+        chol, info = dpotrf(factor, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return chol
+        ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / n)
+    return None
+
+
+def _positive_int(value) -> bool:
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def _finite_above(value, floor: float) -> bool:
+    try:
+        return math.isfinite(value) and value > floor
+    except TypeError:
+        return False
 
 
 def _logdet_from_chol(chols: np.ndarray) -> float:
@@ -400,10 +487,14 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                           gap_tol: float = TOL.sdp_gap,
                           mu: float = 20.0,
                           max_newton: int = 800) -> SDPResult:
-    """Run the path-following solve. Raises SolverError on dimension
-    overflow or a gap tolerance that is not positive, on
-    non-convergence, or when the certified gap exceeds ``gap_tol`` (the
-    last two carry the certified value and its gap)."""
+    """Run the path-following solve. Raises SolverError on factor
+    dimensions that are not integers >= 1 or on dimension overflow, on a
+    ``gap_tol`` that is not finite and positive, a ``mu``
+    that is not finite and > 1 or a ``max_newton`` that is not an integer
+    >= 1, on non-convergence, or when the certified gap exceeds
+    ``gap_tol`` (the last two carry the certified value and its gap)."""
+    if not (_positive_int(dim_a) and _positive_int(dim_b)):
+        raise SolverError(f"factor dimensions must be integers >= 1, got {dim_a!r}, {dim_b!r}")
     d = dim_a * dim_b
     x_mat = np.asarray(x_mat, dtype=np.complex128)
     if x_mat.shape != (d, d):
@@ -413,8 +504,14 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     if d > MAX_TOTAL_DIM:
         raise SolverError(
             f"total dimension {d} exceeds the bundled solver limit {MAX_TOTAL_DIM}")
-    if not gap_tol > 0.0:
-        raise SolverError(f"gap tolerance must be positive, got {gap_tol}")
+    # checked before the path starts: mu <= 1 never reaches t_final, and a
+    # NaN or infinite gap_tol or mu sizes t_final to NaN, 0 or inf
+    if not _finite_above(gap_tol, 0.0):
+        raise SolverError(f"gap tolerance must be finite and positive, got {gap_tol}")
+    if not _finite_above(mu, 1.0):
+        raise SolverError(f"barrier factor mu must be finite and > 1, got {mu}")
+    if not _positive_int(max_newton):
+        raise SolverError(f"max_newton must be an integer >= 1, got {max_newton!r}")
     if float(np.abs(x_mat - x_mat.conj().T).max()) > TOL.hermitian * max(
             1.0, float(np.abs(x_mat).max())):
         raise NumericError("SDP objective matrix must be Hermitian")
@@ -439,34 +536,27 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     m = basis.mat(x)
     chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
     logdet = _logdet_from_chol(chols)
+    work = basis.newton_buffers()
     steps = 0
     failure = None
+    new_point = True
     while True:
-        # Newton system at (x, t); the accepted point's factors serve it
-        inv_c = np.linalg.inv(chols)
-        gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
-        g1, g2, g3, g4 = gs
-        grad_mat = (-t) * x_work + (-g1 + g2
-                                    - _pt_mat(g3, dim_a, dim_b)
-                                    + _pt_mat(g4, dim_a, dim_b))
-        grad = basis.coords(grad_mat)
-        hess = basis.hessian(gs)
-        step_dir = None
-        ridge = 0.0
-        for _ in range(4):
-            # dpotrf factors its copy in place; hess stays for a retry
-            a = hess.copy(order="F")
-            if ridge:
-                a.flat[::basis.n + 1] += ridge
-            chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
-                step_dir, _ = dpotrs(chol, -grad, lower=1)
+        if new_point:
+            # the Newton system of a new point, built and factored once;
+            # a change of t reuses it and recomputes only the gradient
+            inv_c = np.linalg.inv(chols)
+            gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
+            g1, g2, g3, g4 = gs
+            barrier_grad = (-g1 + g2
+                            - _pt_mat(g3, dim_a, dim_b)
+                            + _pt_mat(g4, dim_a, dim_b))
+            chol = _newton_factor(basis.hessian(gs, work), work.factor)
+            if chol is None:
+                failure = "Newton system factorization failed"
+                step_dir = np.zeros(basis.n)
                 break
-            ridge = max(ridge * 100.0, 1e-10 * float(np.trace(hess)) / basis.n)
-        if step_dir is None:
-            failure = "Newton system factorization failed"
-            step_dir = np.zeros(basis.n)
-            break
+        grad = basis.coords((-t) * x_work + barrier_grad)
+        step_dir, _ = dpotrs(chol, -grad, lower=1)
         lam2 = max(float(-grad @ step_dir), 0.0)
         decrement = np.sqrt(lam2)
         moved = False
@@ -484,6 +574,7 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                         x, chols, logdet = trial, trial_chols, trial_logdet
                         moved = True
                 scale *= 0.5
+        new_point = moved
         if moved:
             steps += 1
             if steps > max_newton:

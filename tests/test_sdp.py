@@ -168,6 +168,35 @@ class TestObjectiveValidation:
             sdp.solve_ppt_two_outcome(x, 2, 2, gap_tol=gap_tol)
         assert err.value.value is None and err.value.gap is None
 
+    @pytest.mark.parametrize("kw,match", [
+        ({"gap_tol": math.inf}, "gap tolerance"),
+        ({"gap_tol": "1e-6"}, "gap tolerance"),
+        # mu <= 1 never reaches t_final: these once looped forever
+        ({"mu": 1.0}, "mu"), ({"mu": 0.5}, "mu"), ({"mu": -20.0}, "mu"),
+        ({"mu": math.nan}, "mu"), ({"mu": math.inf}, "mu"),
+        ({"max_newton": -1}, "max_newton"), ({"max_newton": 0}, "max_newton"),
+        ({"max_newton": 2.5}, "max_newton"), ({"max_newton": True}, "max_newton"),
+    ], ids=["gap-inf", "gap-str", "mu-1", "mu-0.5", "mu-neg", "mu-nan", "mu-inf",
+            "steps-neg", "steps-0", "steps-float", "steps-bool"])
+    def test_path_parameters_are_checked_before_the_path(self, kw, match):
+        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
+        with pytest.raises(SolverError, match=match) as err:
+            sdp.solve_ppt_two_outcome(x, 2, 2, **kw)
+        assert err.value.value is None and err.value.gap is None
+
+    @pytest.mark.parametrize("da,db", [(0, 2), (-2, -2), (2.0, 2), (True, 4)])
+    def test_factor_dimensions_must_be_positive_integers(self, da, db):
+        # (0, 2) and (-2, -2) once escaped as numpy's bare ValueError
+        x = np.eye(4, dtype=complex)
+        with pytest.raises(SolverError, match="factor dimensions") as err:
+            sdp.solve_ppt_two_outcome(x, da, db)
+        assert err.value.value is None and err.value.gap is None
+
+    def test_smallest_valid_parameters_solve(self):
+        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
+        res = sdp.solve_ppt_two_outcome(x, 2, 2, mu=1.5, max_newton=np.int64(800))
+        assert res.value == pytest.approx(0.75, abs=1e-6)
+
 
 class TestCertifiedGap:
     def test_hand_computed_values(self):
@@ -385,7 +414,6 @@ class TestReducedPath:
         assert err.value.value >= full.value
 
 
-
 PINNED = [werner(3), composed(0.95, 2),
           random_objective(np.random.default_rng(21), 2, 2),
           random_objective(np.random.default_rng(22), 3, 3, real=True)]
@@ -416,6 +444,7 @@ class TestCertificate:
         # any Hermitian B bounds the optimum: a worse one is loose, not wrong
         assert dual_bound(x, b / 2.0, da, db) >= res.primal
 
+
 class TestPinnedSolves:
     # step counts and certified values: a change to the slack algebra
     # must leave the iterates where they are
@@ -429,3 +458,61 @@ class TestPinnedSolves:
         res = sdp.solve_ppt_two_outcome(*inp)
         assert res.newton_steps == steps
         assert res.value == pytest.approx(value, rel=0, abs=1e-12)
+
+
+def count_calls(monkeypatch, cls, name):
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kw):
+        calls.append(None)
+        return original(self, *args, **kw)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestNewtonSystems:
+    # each point's Newton system is built and factored once: at the start
+    # and after each accepted step, never again after a change of t
+    @pytest.mark.parametrize("inp,coords", [
+        (werner(3), 3), (PINNED[2], 16), (PINNED[3], 45),
+    ], ids=["closure-werner-d3", "complex-2x2", "real-3x3"])
+    def test_one_hessian_per_point(self, inp, coords, monkeypatch):
+        canonical = count_calls(monkeypatch, sdp._Basis, "hessian")
+        closure = count_calls(monkeypatch, sdp._ClosureBasis, "hessian")
+        res = sdp.solve_ppt_two_outcome(*inp)
+        assert res.coords == coords
+        assert len(canonical) + len(closure) == res.newton_steps + 1
+
+    def test_ridge_retry_factors_each_point_twice(self, monkeypatch):
+        # the first factorization of every Newton system fails, as in
+        # TestCertifiedGap; each point is then factored with a ridge, once
+        potrf = sdp.dpotrf
+        calls = []
+
+        def fail_first(a, **kw):
+            calls.append(None)
+            if len(calls) % 2 == 1:
+                return a, 1
+            return potrf(a, **kw)
+
+        monkeypatch.setattr(sdp, "dpotrf", fail_first)
+        res = sdp.solve_ppt_two_outcome(*werner(2))
+        assert len(calls) == 2 * (res.newton_steps + 1)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_buffered_hessian_equals_a_fresh_one(self, real, monkeypatch):
+        rng = np.random.default_rng(51 + real)
+        basis = sdp._Basis(3, 2, complex_field=not real)
+        gs = np.array([random_positive(rng, 6, real) for _ in range(4)])
+        first, second = basis.hessian(gs), basis.hessian(gs)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        work = basis.newton_buffers()
+        assert basis.hessian(gs, work) is work.hess
+        np.testing.assert_array_equal(work.hess, first)
+        # several slabs per buffer, the last one shorter than the rest
+        monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 4 * 36)
+        work = basis.newton_buffers()
+        np.testing.assert_array_equal(basis.hessian(gs, work), first)
