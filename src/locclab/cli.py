@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -250,12 +252,21 @@ def _ci_json(successes: int, trials: int) -> list[float] | None:
 
 # --- stream/summary writers -------------------------------------------------
 
-class _JSONStrings(dict):
-    """Memo of json.dumps(s): each distinct descriptor is escaped once."""
+class _Strings(dict):
+    """Memo of ``make(key)``: each distinct key is formatted once."""
 
-    def __missing__(self, key: str) -> str:
-        value = self[key] = json.dumps(key)
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        value = self[key] = self.make(key)
         return value
+
+
+# the head of a round line, indexed by 4 X + 2 Y + Z (TrialArrays hold bits)
+_ROUND_HEADS = tuple(f'{{"X":{c >> 2},"Y":{c >> 1 & 1},"Z":{c & 1},"j":'
+                     for c in range(8))
 
 
 def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
@@ -264,21 +275,31 @@ def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
                      seed_streams: tuple[str, ...] = ()) -> dict:
     """Write transcripts.jsonl (header, then one line per round, trial
     by trial), summary.csv and the manifest. Each round line has the
-    bytes _canonical_json gives its record (keys sorted, no spaces)."""
+    bytes _canonical_json gives its record (keys sorted, no spaces).
+
+    A line is four prebuilt pieces: the ``{"X":x,"Y":y,"Z":z,"j":`` head
+    of its (X, Y, Z), the ``j,"memory":`` piece of its round, its escaped
+    descriptor (each distinct one escaped once) and the trial's tail; a
+    trial's lines are one join of them.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonl = out_dir / "transcripts.jsonl"
     header = {"protocol_id": protocol_id, "seed": config.seed, "n": n,
               "config": config.physics_dict()}
-    escaped = _JSONStrings()
+    escaped = _Strings(json.dumps)
+    rounds = [f'{j},"memory":'
+              for j in range(1, max(tr.n for _, tr in trials) + 1)]
     with open(jsonl, "w", encoding="utf-8", newline="") as f:
         f.write(_canonical_json(header) + "\n")
         for trial, tr in trials:
-            tail = f',"trial":{trial}}}\n'
-            f.write("".join(
-                f'{{"X":{x},"Y":{y},"Z":{z},"j":{j},"memory":{m}{tail}'
-                for j, z, y, x, m in zip(
-                    range(1, tr.n + 1), tr.Z.tolist(), tr.Y.tolist(),
-                    tr.X.tolist(), map(escaped.__getitem__, tr.descriptors[1:]))))
+            # zip stops with the heads, after this trial's n rounds
+            f.write("".join(itertools.chain.from_iterable(zip(
+                map(_ROUND_HEADS.__getitem__,
+                    (4 * tr.X + 2 * tr.Y + tr.Z).tolist()),
+                rounds,
+                map(escaped.__getitem__,
+                    itertools.islice(tr.descriptors, 1, None)),
+                itertools.repeat(f',"trial":{trial}}}\n')))))
     summary = out_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="") as f:
         f.write("trial,n,S_n,rate,guess\n")
@@ -290,6 +311,32 @@ def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
                               seed_streams=seed_streams)
     return {"transcripts": str(jsonl), "summary": str(summary),
             "manifest": str(manifest)}
+
+
+_CSV_ROWS = 1 << 14  # distribution.csv rows per write
+
+
+def _write_distribution(path: Path, dist, labels: int) -> None:
+    """distribution.csv: one ``k_1|...|k_L,log2_dim,probability`` row per
+    outcome, each row one %-format of its counts and two floats, written
+    _CSV_ROWS rows at a time.
+
+    A law has few distinct log2 dimensions and probabilities, so each
+    float is formatted once. The memo's keys compare by value, so -0.0
+    would share 0.0's string; neither column holds a negative zero.
+    """
+    row = "|".join(["%d"] * labels) + ",%s,%s\n"
+    g17 = _Strings(_g17)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("counts,log2_dim,probability\n")
+        for lo in range(0, len(dist), _CSV_ROWS):
+            part = dist[lo:lo + _CSV_ROWS]
+            f.write("".join(map(row.__mod__, map(
+                operator.add, map(operator.attrgetter("counts"), part),
+                zip(map(g17.__getitem__,
+                        map(operator.attrgetter("log2_dim"), part)),
+                    map(g17.__getitem__,
+                        map(operator.attrgetter("probability"), part)))))))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -414,11 +461,7 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         table = out_dir / "distribution.csv"
-        with open(table, "w", encoding="utf-8", newline="") as f:
-            f.write("counts,log2_dim,probability\n")
-            for o in dist:
-                label = "|".join(str(c) for c in o.counts)
-                f.write(f"{label},{_g17(o.log2_dim)},{_g17(o.probability)}\n")
+        _write_distribution(table, dist, spectrum.num_labels)
         rp = out_dir / "report.json"
         rp.write_text(_canonical_json(report) + "\n", encoding="utf-8")
         write_manifest(out_dir, config, [table, rp],

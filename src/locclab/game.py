@@ -17,11 +17,12 @@ of memory descriptors per trial; round j of a trial succeeds iff
 u_j < p_j. The contract is causal and one-draw-per-round: in each row,
 p_j may depend only on u_1..u_{j-1} (the outcomes of earlier rounds)
 and on the strategy's own stream, and each round consumes exactly one
-u. Rows share that stream in trial order. The base-class ``play`` is
-the adapter that resets the strategy before each row and drives
-``success_probability``/``observe``/``descriptor`` round by round; the
-built-in strategies override it with closed forms, vectorized over
-trials, that return the same numbers.
+u. Rows share that stream in trial order, so a large ensemble is played
+in chunks of rows, in bounded memory and with the numbers of one call.
+The base-class ``play`` is the adapter that resets the strategy before
+each row and drives ``success_probability``/``observe``/``descriptor``
+round by round; the built-in strategies override it with closed forms,
+vectorized over trials, that return the same numbers.
 
 ``play_trial`` is the core with one trial on its per-trial substreams,
 plus the referee bits; ``run_game`` wraps it in a validated
@@ -370,13 +371,16 @@ def _first_change(descriptors: list[str]) -> int | None:
                 if descriptors[j] != descriptors[j - 1])
 
 
-def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
-                  stream: tuple[Label, ...]
-                  ) -> tuple[np.ndarray, list[list[str]]]:
-    """The engine core: play ``trials`` rows of n rounds on the
-    ``(*stream, "success" | "strategy")`` substreams of ``seed`` and
-    return the success indicators X = 1[u < p], shape (trials, n), with
-    the descriptor lists.
+# uniforms per chunk of rows the engine core plays at once (2 MiB of float64)
+_CHUNK_CELLS = 1 << 18
+
+
+def _play_rows(strategy: Strategy, pair, u: np.ndarray,
+               rng: np.random.Generator
+               ) -> tuple[np.ndarray, list[list[str]]]:
+    """``strategy.play`` on the (rows, n) success uniforms ``u`` and the
+    strategy stream ``rng``; returns the success indicators X = 1[u < p]
+    with the descriptor lists.
 
     Every invariant of the round loop is checked, trial by trial:
     declared probabilities in [0, 1] (SpecError naming the first
@@ -384,12 +388,8 @@ def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
     (CatalystViolation naming the first changed round), and the shapes
     ``play`` returned.
     """
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
-    if trials < 1:
-        raise SpecError(f"trial count must be >= 1, got {trials}")
-    u = rng_from(seed, *stream, "success").random((trials, n))
-    p, descriptors = strategy.play(u, rng_from(seed, *stream, "strategy"), pair)
+    trials, n = u.shape
+    p, descriptors = strategy.play(u, rng, pair)
     p = np.asarray(p, dtype=float)
     malformed = (f"{type(strategy).__name__}.play returned probabilities of "
                  f"shape {p.shape} and {len(descriptors)} descriptor lists for "
@@ -419,18 +419,48 @@ def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
     return u < p, descriptors
 
 
+def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
+                  stream: tuple[Label, ...]) -> np.ndarray:
+    """The engine core of the ensembles: play ``trials`` rows of n rounds
+    on the ``(*stream, "success" | "strategy")`` substreams of ``seed``
+    and return the success indicators, shape (trials, n).
+
+    Rows are played and checked (``_play_rows``) in chunks of at most
+    max(1, _CHUNK_CELLS // n) rows, whose descriptors are dropped, so
+    memory beyond the result stays bounded. A chunk's uniforms are the
+    next draws of the success stream and ``play`` draws from its stream
+    row after row, so the chunks give the numbers of one call.
+    """
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
+    if trials < 1:
+        raise SpecError(f"trial count must be >= 1, got {trials}")
+    uniforms = rng_from(seed, *stream, "success")
+    own = rng_from(seed, *stream, "strategy")
+    x = np.empty((trials, n), dtype=bool)
+    rows = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, trials, rows):
+        chunk = x[lo:lo + rows]
+        chunk[...], _ = _play_rows(strategy, pair,
+                                   uniforms.random(chunk.shape), own)
+    return x
+
+
 def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
                stream: tuple[Label, ...] = ()) -> TrialArrays:
     """Play n rounds against a uniform referee and return the arrays.
 
-    This is the engine core with one trial: success uniforms and
+    This is the checked engine core with one trial: success uniforms and
     strategy randomness come from the ``(*stream, "success" |
     "strategy")`` substreams of ``seed``, referee bits from
     ``(*stream, "rounds")``. On top of the core's checks, X = 1[Y = Z]
     and S = cumsum(X) are verified on the arrays.
     """
-    (success,), (descriptors,) = _play_checked(strategy, pair, n, 1, seed,
-                                               stream)
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
+    (success,), (descriptors,) = _play_rows(
+        strategy, pair, rng_from(seed, *stream, "success").random((1, n)),
+        rng_from(seed, *stream, "strategy"))
     z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
     y = np.where(success, z, 1 - z)
     x = (y == z).astype(np.int64)
@@ -465,8 +495,8 @@ def simulate_ensemble(strategy: Strategy, n: int, trials: int,
                       seed: int = 0) -> np.ndarray:
     """(trials, n) matrix of success indicators: one call of the engine
     core on the ``("ensemble",)`` stream pair."""
-    x, _ = _play_checked(strategy, None, n, trials, seed, ("ensemble",))
-    return x.view(np.uint8)
+    return _play_checked(strategy, None, n, trials, seed,
+                         ("ensemble",)).view(np.uint8)
 
 
 # --- rate estimation --------------------------------------------------------
@@ -513,7 +543,7 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
         raise SpecError(f"trial count must be >= 1, got {trials}")
     fracs = []
     for n in n_list:
-        x, _ = _play_checked(strategy, pair, n, trials, seed, ("rate", n))
+        x = _play_checked(strategy, pair, n, trials, seed, ("rate", n))
         fracs.append(float(np.mean(x.sum(axis=1) >= r * n - 1e-9)))
     return RateEstimate(r=float(r), n_list=tuple(int(n) for n in n_list),
                         success_frac=tuple(fracs), trials=trials)
@@ -654,8 +684,8 @@ def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
     stream pair."""
     corr = {}
     for world in ("tau", "gamma"):
-        x, _ = _play_checked(round_oracle.strategy_for(world), None, config.n,
-                             trials, seed, ("accuracy", world))
+        x = _play_checked(round_oracle.strategy_for(world), None, config.n,
+                          trials, seed, ("accuracy", world))
         guesses = _threshold_guess(config, x.sum(axis=1) / config.n)
         corr[world] = float(np.mean(guesses == world))
     return DetectionReport(config=config, trials=trials,

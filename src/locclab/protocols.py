@@ -20,6 +20,16 @@ total behind their leading occupation. Sampling mode counts the runs of
 equal rows in the ``np.lexsort``-ed draws. Either way the distribution's
 outcomes are built in bulk from the columns: their checks run once on the
 whole columns, and the slots of bare instances are filled directly.
+
+An exact distribution leaves its law behind for the success
+probability: the module keeps the key (spectrum values, n) and the
+log-weight and weight columns of the last exact distribution, made
+read-only (16 bytes per type), when no type has zero weight (so the
+columns it already holds are the whole law). An exact success
+probability on the same (spectrum, n) takes its tail sum from them and
+enumerates the law only otherwise; the next exact distribution replaces
+them. Exact success probabilities are also memoized per (spectrum, n,
+target), which the memory-block strategies re-ask for.
 """
 
 from __future__ import annotations
@@ -279,6 +289,10 @@ def _exact_law(spectrum: SchmidtSpectrum, n: int):
     return counts, logw, np.where(impossible, 0.0, np.exp(logw + mass))
 
 
+# ((spectrum values, n), (logw, weights)) of the last exact distribution
+_last_law: tuple = (None, None)
+
+
 def _distinct_rows(draws: np.ndarray):
     """``np.unique(draws, axis=0, return_counts=True)`` for nonnegative
     integer rows, by a lexsort on keys that each pack as many adjacent
@@ -326,7 +340,9 @@ def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
     seeded draws into empirical weights. Probabilities sum to 1 either
     way, and outcomes come in lexicographic order of their counts.
     """
-    if _use_exact(spectrum, n, mode, samples):
+    global _last_law
+    exact = _use_exact(spectrum, n, mode, samples)
+    if exact:
         counts, logw, weights = _exact_law(spectrum, n)
     else:
         rng = rng_from(seed, "concentration-distribution", n, samples)
@@ -335,8 +351,13 @@ def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
         weights = freq / samples
         logw = _log_multinomial(counts, n)
     keep = weights != 0.0
-    # rebinding drops the unfiltered arrays before the outcomes are built
-    counts, logw, weights = counts[keep], logw[keep], weights[keep]
+    if not keep.all():
+        # rebinding drops the unfiltered arrays before the outcomes are built
+        counts, logw, weights = counts[keep], logw[keep], weights[keep]
+    elif exact:
+        # the whole law, read-only, for _exact_success_cached
+        logw.flags.writeable = weights.flags.writeable = False
+        _last_law = ((spectrum.values, n), (logw, weights))
     return ConcentrationOutcome._from_columns(
         counts, np.maximum(logw / _LOG2, 0.0), weights)
 
@@ -382,7 +403,11 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
 
 @lru_cache(maxsize=256)
 def _exact_success_cached(values: tuple, n: int, target: float) -> float:
-    _, logw, weights = _exact_law(SchmidtSpectrum(values=values), n)
+    key, law = _last_law
+    if key == (values, n):
+        logw, weights = law
+    else:
+        _, logw, weights = _exact_law(SchmidtSpectrum(values=values), n)
     p = np.where(logw / _LOG2 < target - 1e-9, 0.0, weights).sum()
     return float(min(max(p, 0.0), 1.0))
 

@@ -27,6 +27,7 @@ from locclab import (
 )
 from locclab import cli
 from locclab.cli import ExperimentConfig, load_manifest, main
+from locclab.game import play_trial
 from locclab.stats import wilson_interval
 
 
@@ -340,6 +341,70 @@ class TestPinnedArtifacts:
         assert last["memory"].endswith(";used=2")
 
 
+def reference_round_lines(trials):
+    """transcripts.jsonl round lines, one f-string per round."""
+    for trial, tr in trials:
+        tail = f',"trial":{trial}}}\n'
+        for j, z, y, x, m in zip(range(1, tr.n + 1), tr.Z.tolist(),
+                                 tr.Y.tolist(), tr.X.tolist(),
+                                 tr.descriptors[1:]):
+            memory = json.dumps(m)
+            yield f'{{"X":{x},"Y":{y},"Z":{z},"j":{j},"memory":{memory}{tail}'
+
+
+class Escaped(locclab.Strategy):
+    """Descriptors that JSON must escape: a quote, a backslash, non-ASCII
+    letters and control characters."""
+
+    protocol_id = "escaped"
+    QUIRKS = ('say "hi"', "back\\slash", "\u03c8\u2192\u03bb", "tab\tbell\x07",
+              "new\nline", "")
+
+    def reset(self, rng, pair=None):
+        self.hits = 0
+
+    def success_probability(self, j):
+        return 0.6
+
+    def observe(self, j, success):
+        self.hits += success
+
+    def descriptor(self):
+        return f"{self.QUIRKS[self.hits % len(self.QUIRKS)]}{self.hits}"
+
+
+class TestRunFileWriter:
+    def test_escaped_descriptors(self, tmp_path):
+        trials = [(t, play_trial(Escaped(), None, n, 3, stream=("trial", t)))
+                  for t, n in enumerate((5, 40, 1, 17))]
+        descriptors = {m for _, tr in trials for m in tr.descriptors[1:]}
+        assert {q for q in Escaped.QUIRKS
+                if any(m.startswith(q) for m in descriptors)} == set(
+                    Escaped.QUIRKS)
+        config = ExperimentConfig(command="simulate", seed=3)
+        cli._write_run_files(tmp_path, config, "escaped", 40, trials)
+        lines = (tmp_path / "transcripts.jsonl").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        assert lines[1:] == list(reference_round_lines(trials))
+        records = [json.loads(line) for line in lines[1:]]
+        assert [r["memory"] for r in records] == [
+            m for _, tr in trials for m in tr.descriptors[1:]]
+
+    def test_rate_trials_of_different_lengths(self, capsys, tmp_path):
+        n_list, trials, seed = (7, 30, 1, 12), 3, 5
+        run_json(capsys, "rate", *MB, "--n-block", "4", "--r", "0.8",
+                 "--n-list", ",".join(map(str, n_list)), "--trials",
+                 str(trials), "--seed", str(seed), "--out", str(tmp_path))
+        strategy = locclab.memory_block_strategy(
+            2, locclab.PsiSpec(lam=0.5, d2=4), 4)
+        played = [play_trial(strategy, None, n, seed, stream=("rate", n, t))
+                  for n in n_list for t in range(trials)]
+        lines = (tmp_path / "transcripts.jsonl").read_text().splitlines(
+            keepends=True)
+        assert json.loads(lines[0])["n"] == n_list[-1]
+        assert lines[1:] == list(reference_round_lines(enumerate(played)))
+
+
 class TestDetectCommand:
     def test_explicit_round_count(self, capsys):
         report = run_json(capsys, "detect", "--p-tau", "0.9", "--p-locc",
@@ -423,6 +488,59 @@ class TestConcentrateCommand:
         probs = [float(r.split(",")[2]) for r in rows[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
         assert len(rows) == 1 + 5
+
+    # SHA-256 of distribution.csv, recorded from the writer that formatted
+    # one row per outcome with an f-string
+    @pytest.mark.parametrize("argv,digest", [
+        (["--d2", "4", "--n", "6", "--lambda", "0.5", "--mode", "exact"],
+         "5aefc80547a0f1fa8506fd5b6049fa3f1a9108f6cc7785cf7b6f75af3e4c9310"),
+        (["--d2", "4", "--n", "40", "--lambda", "0.3", "--mode", "sample",
+          "--samples", "5000", "--seed", "11"],
+         "b081cfd83ccbd2ed2a09312655b158d258b8a9bfc61f20b59e6b6c2fa5963675"),
+    ], ids=["exact-d2=4-n6", "sampled-d2=4-n40"])
+    def test_distribution_csv_digest(self, capsys, tmp_path, argv, digest):
+        run_json(capsys, "concentrate", *argv, "--out", str(tmp_path))
+        data = (tmp_path / "distribution.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_distribution_csv_rows_equal_per_row_format(self, capsys,
+                                                        tmp_path):
+        # 19 448 outcomes: more than one block of written rows
+        run_json(capsys, "concentrate", "--lambda", "0.35", "--d2", "8",
+                 "--n", "10", "--mode", "exact", "--out", str(tmp_path))
+        dist = locclab.concentration_distribution(
+            locclab.psi_spectrum(locclab.PsiSpec(lam=0.35, d2=8)), 10,
+            mode="exact")
+        assert len(dist) > cli._CSV_ROWS
+        expect = ["counts,log2_dim,probability"] + [
+            f"{'|'.join(str(c) for c in o.counts)},"
+            f"{format(o.log2_dim, '.17g')},{format(o.probability, '.17g')}"
+            for o in dist]
+        rows = (tmp_path / "distribution.csv").read_text().split("\n")
+        assert rows == expect + [""]
+
+    def test_target_enumerates_the_law_once(self, capsys, monkeypatch):
+        from locclab import protocols
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return law(*args)
+        law = protocols._exact_law
+        monkeypatch.setattr(protocols, "_exact_law", counted)
+        protocols._exact_success_cached.cache_clear()
+        report = run_json(capsys, "concentrate", "--lambda", "0.41", "--d2",
+                          "4", "--n", "9", "--mode", "exact", "--target",
+                          "8.5")
+        assert calls == [9]
+        # a cold computation of the same success probability agrees
+        protocols._exact_success_cached.cache_clear()
+        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        cold = locclab.concentration_success_prob(
+            locclab.psi_spectrum(locclab.PsiSpec(lam=0.41, d2=4)), 9, 8.5,
+            mode="exact")
+        assert calls == [9, 9]
+        assert report["success_prob"] == cold.estimate
 
     def test_exact_mode_refusal_surfaces(self, capsys):
         err = run_error(capsys, "concentrate", "--lambda", "0.5", "--d2", "8",

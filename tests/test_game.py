@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from locclab import (
     run_teleport_discrimination,
     simulate_ensemble,
 )
+from locclab import game
 from locclab.game import TrialArrays, play_trial
 from locclab.seeding import rng_from
 from locclab.stats import wilson_interval
@@ -147,6 +149,16 @@ BUILTINS = [
 ]
 
 
+ROUND_LOOP_ERRORS = [
+    (ShiftyCatalyst(), CatalystViolation, "round 1: "),
+    (BadAtRound(bad=3), SpecError, "1.5 outside [0, 1] in round 3"),
+    (BadAtRound(bad=1, value=-0.25), SpecError, "in round 1"),
+    (BadAtRound(bad=4, value=math.nan), SpecError, "nan outside"),
+    (BadAtRound(bad=4, change=2), CatalystViolation, "round 2: "),
+    (BadAtRound(bad=2, change=2), SpecError, "in round 2"),
+]
+
+
 def adapter_play(strategy, u, seed):
     """Strategy.play, the round-by-round adapter, on a built-in; it
     resets the strategy before each row of u itself."""
@@ -223,14 +235,7 @@ class TestArrayEngine:
             assert d[row][8].startswith("block=2;")
             assert d[row][-1].endswith("used=2")
 
-    @pytest.mark.parametrize("strategy,error,message", [
-        (ShiftyCatalyst(), CatalystViolation, "round 1: "),
-        (BadAtRound(bad=3), SpecError, "1.5 outside [0, 1] in round 3"),
-        (BadAtRound(bad=1, value=-0.25), SpecError, "in round 1"),
-        (BadAtRound(bad=4, value=math.nan), SpecError, "nan outside"),
-        (BadAtRound(bad=4, change=2), CatalystViolation, "round 2: "),
-        (BadAtRound(bad=2, change=2), SpecError, "in round 2"),
-    ])
+    @pytest.mark.parametrize("strategy,error,message", ROUND_LOOP_ERRORS)
     def test_errors_match_round_loop(self, strategy, error, message):
         with pytest.raises(error, match=re.escape(message)) as ref:
             reference_game(strategy, 6, seed=1)
@@ -266,6 +271,56 @@ class TestArrayEngine:
         for strategy in (Short(0.5), ShortMemory(0.5)):
             with pytest.raises(SpecError, match="want 5 and 6"):
                 play_trial(strategy, None, 5)
+
+
+class TestChunkedCore:
+    """The ensemble core plays rows in chunks of _CHUNK_CELLS // n rows;
+    the numbers must be those of one call over every row."""
+
+    @staticmethod
+    def ensembles(strategy, n):
+        config = DetectionConfig(p_tau=0.9, p_locc=0.6, delta=0.1, n=n)
+        oracle = DetectionOracle(tau=strategy, gamma=strategy)
+        return (simulate_ensemble(strategy, n, trials=8, seed=21),
+                estimate_rate(strategy, None, 0.6, 8, (n, n + 3), 22),
+                detection_accuracy(config, oracle, trials=8, seed=23))
+
+    @pytest.mark.parametrize("name,strategy,n",
+                             BUILTINS + [("slow-iid", SlowIID(0.6), 20)],
+                             ids=[c[0] for c in BUILTINS] + ["slow-iid"])
+    def test_chunks_match_one_call(self, name, strategy, n, monkeypatch):
+        assert 8 * (n + 3) <= game._CHUNK_CELLS  # one chunk by default
+        x, rate, accuracy = self.ensembles(strategy, n)
+        # three rows of n per chunk: 8 trials cross two chunk boundaries
+        # and end in a short chunk
+        monkeypatch.setattr(game, "_CHUNK_CELLS", 3 * n)
+        x3, rate3, accuracy3 = self.ensembles(strategy, n)
+        np.testing.assert_array_equal(x3, x)
+        assert (rate3, accuracy3) == (rate, accuracy)
+        monkeypatch.setattr(game, "_CHUNK_CELLS", 1)  # one row per chunk
+        np.testing.assert_array_equal(self.ensembles(strategy, n)[0], x)
+
+    @pytest.mark.parametrize("strategy,error,message", ROUND_LOOP_ERRORS)
+    def test_errors_in_one_row_chunks(self, strategy, error, message,
+                                      monkeypatch):
+        monkeypatch.setattr(game, "_CHUNK_CELLS", 1)
+        with pytest.raises(error) as ref:
+            reference_game(strategy, 6, seed=1)
+        with pytest.raises(error) as chunked:
+            simulate_ensemble(strategy, 6, trials=3, seed=1)
+        assert str(chunked.value) == str(ref.value)
+
+    def test_memory_stays_bounded(self):
+        # one call would hold two (2000, 2000) float64 arrays, 64 MB; a
+        # chunk holds u and p of at most _CHUNK_CELLS cells, 4 MiB
+        tracemalloc.start()
+        try:
+            x = simulate_ensemble(IIDStrategy(0.5), 2000, 2000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (2000, 2000)
+        assert peak < x.nbytes + 16 * 2**20
 
 
 class TestRunGame:

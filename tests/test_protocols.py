@@ -36,6 +36,7 @@ from locclab import (
     teleport,
     type_log2_dim,
 )
+from locclab import protocols
 from locclab.protocols import _compositions, _distinct_rows, _exact_law
 
 
@@ -403,6 +404,97 @@ class TestArrayEnumeration:
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(freq, ref_freq)
         assert freq.sum() == 500
+
+
+class TestLawMemo:
+    """The last exact law's (logw, weights) columns, kept for the exact
+    success probability of the same (spectrum, n)."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Forget every remembered law and record the n of each exact
+        enumeration."""
+        calls = []
+
+        def counting(spectrum, n):
+            calls.append(n)
+            return law(spectrum, n)
+        law = protocols._exact_law
+        monkeypatch.setattr(protocols, "_exact_law", counting)
+        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        protocols._exact_success_cached.cache_clear()
+        yield calls
+        protocols._exact_success_cached.cache_clear()
+
+    @staticmethod
+    def cold(spec, n, target):
+        """The success probability from a freshly enumerated law."""
+        protocols._exact_success_cached.cache_clear()
+        protocols._last_law = (None, None)
+        return concentration_success_prob(spec, n, target,
+                                          mode="exact").estimate
+
+    @pytest.mark.parametrize("lam,d2,n", [(0.5, 8, 16), (0.27, 4, 11),
+                                          (0.8, 2, 30)])
+    def test_success_after_distribution_is_bit_identical(self, counted, lam,
+                                                         d2, n):
+        spec = psi_spectrum(PsiSpec(lam=lam, d2=d2))
+        targets = (0.5 * n, 1.0 * n, 1.5 * n, 2.0 * n)
+        cold = [self.cold(spec, n, t) for t in targets]
+        assert counted == [n] * len(targets)
+        counted.clear()
+        concentration_distribution(spec, n, mode="exact")
+        protocols._exact_success_cached.cache_clear()
+        warm = [concentration_success_prob(spec, n, t, mode="exact").estimate
+                for t in targets]
+        assert counted == [n]
+        assert list(map(repr, warm)) == list(map(repr, cold))
+
+    def test_other_spectrum_or_n_forces_a_recompute(self, counted):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
+        other = psi_spectrum(PsiSpec(lam=0.6, d2=4))
+        concentration_distribution(spec, 9, mode="exact")
+        concentration_success_prob(spec, 9, 7.0, mode="exact")
+        assert counted == [9]
+        concentration_distribution(other, 9, mode="exact")
+        concentration_success_prob(spec, 9, 6.0, mode="exact")
+        assert counted == [9, 9, 9]
+        concentration_distribution(spec, 8, mode="exact")
+        concentration_success_prob(spec, 9, 5.0, mode="exact")
+        assert counted == [9, 9, 9, 8, 9]
+        # only a distribution leaves its law behind
+        concentration_success_prob(spec, 9, 4.0, mode="exact")
+        assert counted == [9, 9, 9, 8, 9, 9]
+        assert protocols._last_law[0] == (spec.values, 8)
+        assert concentration_success_prob(spec, 9, 5.0, mode="exact"
+                                          ).estimate == self.cold(spec, 9, 5.0)
+
+    def test_kept_arrays_are_read_only(self, counted):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
+        concentration_distribution(spec, 7, mode="exact")
+        key, (logw, weights) = protocols._last_law
+        assert key == (spec.values, 7)
+        assert len(logw) == len(weights) == math.comb(7 + 3, 3)
+        for column in (logw, weights):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_zero_weight_law_is_not_kept(self, counted):
+        # a zero-probability label gives zero-weight types; the
+        # distribution drops them and keeps nothing
+        spec = SchmidtSpectrum(values=((0.6, 1), (0.4, 1), (0.0, 2)))
+        dist = concentration_distribution(spec, 5, mode="exact")
+        assert len(dist) == 6 and protocols._last_law == (None, None)
+        est = concentration_success_prob(spec, 5, 2.0, mode="exact").estimate
+        assert counted == [5, 5]
+        assert est == pytest.approx(math.fsum(
+            o.probability for o in dist if o.log2_dim >= 2.0 - 1e-9), abs=1e-12)
+
+    def test_sampled_distribution_keeps_nothing(self, counted):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
+        concentration_distribution(spec, 9, mode="sample", samples=500)
+        assert protocols._last_law == (None, None) and counted == []
 
 
 class TestArgumentValidation:
