@@ -119,9 +119,6 @@ class Operator:
         """Max entrywise |M - M^dagger|."""
         return float(np.abs(self.entries - self.entries.conj().T).max())
 
-    def is_hermitian(self, tol: float = TOL.hermitian) -> bool:
-        return self.adjoint_defect() <= tol
-
 
 @dataclass(frozen=True)
 class DensityOperator(Operator):

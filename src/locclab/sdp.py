@@ -17,13 +17,13 @@ held; a solve builds one Newton system more than it takes Newton steps.
 The whole path runs in one coordinate system.
 
 Buffers. Building and factoring a canonical Newton system takes n x n
-arrays of 0.5-1 MB at D = 16: the complex product W of each block pair,
-their realignments and the F-ordered matrix that dpotrf factors in
-place. glibc serves arrays that large with fresh mmap pages unless an
-earlier large free has raised its threshold, so each solve allocates
-the complex W (or the real field's row slabs), the Hessian and the
-factor once and fills them in place. The factor's memory is free while
-the Hessian is built, and holds the realignment of the transposed pair.
+arrays of 0.5 MB at D = 16: the Hessian, the scratch slabs its assembly
+writes and the F-ordered matrix that dpotrf factors in place. glibc
+serves arrays that large with fresh mmap pages unless an earlier large
+free has raised its threshold, so each solve allocates the Hessian, its
+scratch (two real n x n slabs for the complex field, row slabs for the
+real field) and the factor once and fills them in place. The factor
+takes no part in the assembly.
 
 Coordinates. Let S be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
@@ -47,8 +47,10 @@ a dense array expression with no basis map (for the real field, the
 symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM J.
 Optim. 1998):
 
-- complex field: the sum of the Kronecker products conj(G) (x) G,
-  formed as one matrix product and read in two axis orders;
+- complex field: the real part of the sum of the Kronecker products
+  conj(G) (x) G at (i,j),(k,l) less its imaginary part at (i,j),(l,k),
+  written straight in that layout as broadcast real products of the
+  rows of G and of i G (inner dimension 4 per block pair);
 - real field: row slabs of outer products of rows of G, read at the
   upper-triangle positions.
 
@@ -121,6 +123,9 @@ _CHUNK_ENTRIES = 1 << 20
 # Bound on the entries of one row slab of a real-field Hessian; 2^15 to
 # 2^17 timed fastest at D=36 and D=64 (the slab stays in cache).
 _SLAB_ENTRIES = 1 << 16
+# Factors 1 and i: the real and imaginary parts of G and of i G, stacked
+# by one product, hold the operands of the complex-field Hessian.
+_ONE_I = np.array([1.0, 1j]).reshape(2, 1, 1, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,12 +225,14 @@ class _Basis:
 
     def newton_buffers(self) -> _NewtonBuffers:
         n, d = self.n, self.dim
-        factor, hess = np.empty((n, n), order="F"), np.empty((n, n))
+        factor = np.empty((n, n), order="F")
         if self.complex_field:
-            return _NewtonBuffers(factor, hess, (np.empty((n, n), dtype=np.complex128),))
+            # the Hessian and two scratch slabs, as one (3, D, D, D, D) block
+            block = np.empty((3,) + (d,) * 4)
+            return _NewtonBuffers(factor, block[0].reshape(n, n), (block,))
         # two slabs, a product and the slab rows read at both positions
         rows = min(max(1, _SLAB_ENTRIES // (d * d)), n)
-        return _NewtonBuffers(factor, hess,
+        return _NewtonBuffers(factor, np.empty((n, n)),
                               (*np.empty((3, rows, d, d)), np.empty((rows, 2 * n))))
 
     def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
@@ -267,28 +274,31 @@ class _Basis:
         return h
 
     def _hessian_complex(self, gs, work: _NewtonBuffers) -> np.ndarray:
-        # With W[a,b,c,d] = sum_G conj(G)[a,c] G[b,d], the sum of the
-        # Kronecker products conj(G) (x) G, H[ab,cd] = Re W[a,b,c,d] -
-        # Im W[a,b,d,c]. Rearranged to rows (a,c) and columns (b,d), W is
-        # the product of the stacked vec(conj G) and vec(G) (Van Loan &
-        # Pitsianis). The partial transpose permutes these coordinates,
-        # so blocks 3 and 4 enter through an axis permutation; their
-        # realignment goes to the factor's memory, unused until the
-        # Hessian is factored.
+        # With G = R + iJ, a block pair adds to H[ij,kl]
+        #   sum_G R_ik R_jl + J_ik J_jl + J_il R_jk - R_il J_jk
+        #   = sum_m P[i,k,m] Q[j,m,l] + P'[j,k,m] Q[i,m,l],
+        # where m runs over the pair's two blocks and their real and
+        # imaginary parts, P[i] holds the rows G[i,k] (P'[j] those of
+        # i G) and Q[j] = P[j]^T. Each term is a broadcast product with
+        # inner dimension 4 written in the final (i,j),(k,l) layout: the
+        # first terms of both pairs as one product into the Hessian and
+        # the transposed pair's slab, the second terms through the last
+        # slab. The partial transpose permutes the coordinates, so the
+        # transposed pair enters through an axis permutation.
         d = self.dim
-        g = np.reshape(gs, (4, d * d))
-        (w,) = work.scratch
-        w4 = w.reshape(d, d, d, d)
-
-        def pair_sum(k: slice, out: np.ndarray) -> np.ndarray:
-            np.matmul(g[k].conj().T, g[k], out=w)
-            return np.subtract(w4.real.transpose(0, 2, 1, 3),
-                               w4.imag.transpose(0, 2, 3, 1), out=out)
-
-        h8 = pair_sum(slice(0, 2), work.hess.reshape(d, d, d, d))
-        h8 = h8.reshape((self.dim_a, self.dim_b) * 4)
-        realigned = pair_sum(slice(2, 4), work.factor.T.reshape(d, d, d, d))
-        h8 += _pt_axes(realigned, self.dim_a, self.dim_b)
+        g = np.asarray(gs).reshape(2, 2, d, d)
+        p = np.empty((2, 2, d, d, 2), dtype=np.complex128)
+        np.multiply(g.transpose(0, 2, 3, 1), _ONE_I, out=p)
+        # p[s, pair, i, k, (block, part)]: s = 0 for G, 1 for i G
+        p = p.view(np.float64)
+        q = p[0].swapaxes(2, 3).copy()
+        (block,) = work.scratch
+        np.matmul(p[0, :, :, None], q[:, None], out=block[:2])
+        h4, pair_pt, term = block[0], block[1], block[2]
+        h4 += np.matmul(p[1, 0], q[0, :, None], out=term)
+        pair_pt += np.matmul(p[1, 1], q[1, :, None], out=term)
+        h8 = h4.reshape((self.dim_a, self.dim_b) * 4)
+        h8 += _pt_axes(pair_pt, self.dim_a, self.dim_b)
         return work.hess
 
 

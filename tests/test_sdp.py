@@ -151,6 +151,44 @@ class TestCanonicalBasis:
                            for v in vars(basis).values())
 
 
+class TestComplexHessian:
+    """The complex-field Hessian, built in its final layout, against the
+    definition: factor orders with dA != dB both ways, and D = 16."""
+
+    @staticmethod
+    def case(da, db, seed):
+        rng = np.random.default_rng(seed)
+        basis = sdp._Basis(da, db, complex_field=True)
+        elements = np.array([basis.mat(v) for v in np.eye(basis.n)])
+        gs = np.array([random_positive(rng, da * db, False) for _ in range(4)])
+        return basis, elements, gs
+
+    @pytest.mark.parametrize("da,db", [(2, 4), (4, 2), (3, 3), (2, 8)])
+    def test_fresh_and_buffered_match_the_definition(self, da, db):
+        basis, elements, gs = self.case(da, db, 61 + 7 * da + db)
+        ref = reference_hessian(elements, gs, da, db)
+        scale = np.abs(ref).max()
+        fresh = basis.hessian(gs)
+        assert np.abs(fresh - ref).max() <= 1e-12 * scale
+        work = basis.newton_buffers()
+        assert basis.hessian(gs, work) is work.hess
+        assert np.abs(work.hess - ref).max() <= 1e-12 * scale
+
+    def test_buffered_calls_leave_no_stale_scratch(self):
+        basis, _, gs = self.case(2, 4, 67)
+        other = gs[::-1] + 0.5 * np.eye(8)
+        work = basis.newton_buffers()
+        for g in (gs, other, gs):
+            fresh = basis.hessian(g)
+            assert basis.hessian(g, work) is work.hess
+            np.testing.assert_array_equal(work.hess, fresh)
+
+    def test_buffers_hold_no_complex_array(self):
+        work = sdp._Basis(3, 2, complex_field=True).newton_buffers()
+        arrays = [work.factor, work.hess, *work.scratch]
+        assert all(a.dtype == np.float64 for a in arrays)
+
+
 class TestObjectiveValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_objective_raises_numeric_error(self, bad):
