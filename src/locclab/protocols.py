@@ -11,7 +11,13 @@ the occupation vector k of the n local Schmidt labels. Every label
 string in a type class carries the same coefficient prod_i p_i^{k_i/2},
 so the post-measurement state is maximally entangled on a subspace of
 dimension exactly the multinomial coefficient n!/prod_i k_i!, and
-log2_dim is its base-2 logarithm (computed via log-gamma).
+log2_dim is its base-2 logarithm. Occupations are integers, so ln k! is
+read from an exact table of k = 0..n: a port of Cephes ``lgam`` (the
+routine behind ``scipy.special.gammaln``) at the integer points x = k+1
+only, with Cephes' constants and operation order and libm's ``log``.
+It gives gammaln's values bit for bit, so log2_dim is what the log-gamma
+formula gave, and no concentration or game command has to import scipy
+(which takes longer than most of those commands' work).
 
 Exact mode lists the label types as array rows and weighs them once, so
 a success probability is a tail sum of those weights; the rows are built
@@ -41,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (DomainError, LayoutError, ModeError, ResourceError,
                      SpecError)
@@ -131,28 +136,88 @@ def teleport(state: DensityOperator, x_label: str,
 
 # --- concentration -----------------------------------------------------
 
+# Cephes lgam for x >= 13: ln sqrt(2 pi) and the Stirling series
+# coefficients it uses below x = 1000 (highest power of 1/x^2 first).
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+# lgam below x = 13 is the log of the exact product (x-1)!
+_SMALL_LOG_FACTORIALS = np.array([math.log(float(math.factorial(k)))
+                                  for k in range(12)])
+
+
+def _log_factorials(k: np.ndarray) -> np.ndarray:
+    """ln k! for the nonnegative int64 array ``k``, equal bit for bit to
+    ``scipy.special.gammaln(k + 1.0)``: Cephes ``lgam`` at x = k + 1.
+
+    Below x = 13 that is the log of the exact product; from there the
+    Stirling series (x - 1/2) ln x - x + ln sqrt(2 pi) plus a correction
+    in p = 1/x^2 divided by x: Cephes' five-term polynomial below 1000,
+    a three-term one from 1000, none above 1e8. The elementwise float
+    operations are the C expressions' operations in the same order,
+    and ln x comes from ``math.log`` (libm), whose results numpy's own
+    log need not match in the last place.
+    """
+    out = np.empty(k.shape)
+    small = k < 12
+    out[small] = _SMALL_LOG_FACTORIALS[k[small]]
+    x = k[~small] + 1.0
+    q = (x - 0.5) * np.fromiter(map(math.log, x.tolist()), np.float64,
+                                x.size) - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = _STIRLING[0]
+    for a in _STIRLING[1:]:
+        series = series * p + a
+    short = ((7.9365079365079365079365e-4 * p
+              - 2.7777777777777777777778e-3) * p
+             + 0.0833333333333333333333)
+    tail = np.where(x >= 1000.0, short, series) / x
+    out[~small] = np.where(x > 1.0e8, q, q + tail)
+    return out
+
+
+def _occupations(counts) -> np.ndarray:
+    """``counts`` as an int64 array; SpecError unless every entry is a
+    nonnegative integer (a float one must be finite and below 2^53)."""
+    arr = np.asarray(counts)
+    if arr.dtype.kind != "i":
+        try:
+            arr = arr.astype(np.float64)
+        except (TypeError, ValueError):
+            raise SpecError(f"occupation numbers must be integers, got "
+                            f"{counts!r}") from None
+        if not ((arr == np.floor(arr)) & (np.abs(arr) < 2.0 ** 53)).all():
+            raise SpecError(f"occupation numbers must be finite integers "
+                            f"below 2^53, got {counts!r}")
+    if arr.min(initial=0) < 0:
+        raise SpecError("occupation numbers must be nonnegative")
+    return arr.astype(np.int64)
+
+
 def _log_multinomial(counts: np.ndarray, n: int) -> np.ndarray:
     """ln n!/prod_i k_i! along the last axis of the integer ``counts``
     (each row summing to n), reading ln k! from a table of k = 0..n."""
-    return gammaln(n + 1.0) - gammaln(np.arange(n + 1) + 1.0)[counts].sum(axis=-1)
+    table = _log_factorials(np.arange(n + 1))
+    return table[n] - table[counts].sum(axis=-1)
 
 
 def log2_multinomial(counts) -> float:
-    """log2 of n!/prod_i k_i! via log-gamma."""
-    counts = np.asarray(counts, dtype=np.float64)
-    return float((gammaln(counts.sum() + 1.0) - gammaln(counts + 1.0).sum()) / _LOG2)
+    """log2 of n!/prod_i k_i! for the occupations ``counts`` (n is their
+    sum); SpecError unless they are nonnegative integers."""
+    counts = _occupations(counts)
+    ln_n = _log_factorials(np.array([counts.sum()]))[0]
+    return float((ln_n - _log_factorials(counts).sum()) / _LOG2)
 
 
 def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
     """log2 dimension of the type class picked out by a label occupation
     vector: the strings sharing the type have equal coefficients, so the
     class concentrates a maximally entangled state of multinomial size."""
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _occupations(counts)
     if counts.shape != (spectrum.num_labels,):
         raise SpecError(f"counts shape {counts.shape} does not match the "
                         f"{spectrum.num_labels} spectrum labels")
-    if counts.min(initial=0) < 0:
-        raise SpecError("occupation numbers must be nonnegative")
     return log2_multinomial(counts)
 
 

@@ -90,10 +90,13 @@ Newton decrement l (Nesterov, Introductory Lectures on Convex
 Optimization, Thm 4.2.7) only sizes t_final.
 
 No external solver is used; numpy/scipy provide dense linear algebra
-only. The total dimension is capped at D <= 64 because a generic pair
-takes the canonical coordinates, whose Newton system has n^2 entries
-for n = D^2 (real field: D(D+1)/2) coordinates: 134 MB at D = 64 for the
-complex field, and 16 times that at D = 128.
+only. scipy loads at the first solve, not with this module: the
+closure's pivoted QR and the Newton system's dpotrf/dpotrs are the
+package's only scipy calls, so a process that never solves never pays
+for importing it. The total dimension is capped at D <= 64 because a
+generic pair takes the canonical coordinates, whose Newton system has
+n^2 entries for n = D^2 (real field: D(D+1)/2) coordinates: 134 MB at
+D = 64 for the complex field, and 16 times that at D = 128.
 """
 
 from __future__ import annotations
@@ -102,8 +105,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NumericError, SolverError
 from .tolerances import TOL
@@ -385,6 +386,8 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     matrix with a dominant eigenvalue would only reach through
     near-cancellation.
     """
+    from scipy.linalg import qr
+
     d, n = canon.dim, canon.n
     give_up = min(max(n // 8, 8), n - 1)
     rng = np.random.default_rng(0)
@@ -396,8 +399,7 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
         c = canon.coords(cands)
         c /= np.maximum(np.linalg.norm(c, axis=1, keepdims=True), 1.0)
         c -= (c @ basis.T) @ basis
-        q, r, _ = scipy.linalg.qr(c.T, mode="economic", pivoting=True,
-                                  check_finite=False)
+        q, r, _ = qr(c.T, mode="economic", pivoting=True, check_finite=False)
         rank = min(int(np.count_nonzero(np.abs(np.diag(r)) > _CLOSURE_TOL)),
                    n - len(basis))
         new = q[:, :rank].T
@@ -442,6 +444,18 @@ def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
         return np.linalg.cholesky(np.stack((m, eye - m, mt, eye - mt)))
     except np.linalg.LinAlgError:
         return None
+
+
+# LAPACK's Cholesky factor and solve through scipy, imported at the first
+# call. They stay module attributes, so that a caller can wrap them.
+def dpotrf(*args, **kwargs):
+    from scipy.linalg.lapack import dpotrf
+    return dpotrf(*args, **kwargs)
+
+
+def dpotrs(*args, **kwargs):
+    from scipy.linalg.lapack import dpotrs
+    return dpotrs(*args, **kwargs)
 
 
 def _newton_factor(hess: np.ndarray, factor: np.ndarray):

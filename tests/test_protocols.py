@@ -37,7 +37,8 @@ from locclab import (
     type_log2_dim,
 )
 from locclab import protocols
-from locclab.protocols import _compositions, _distinct_rows, _exact_law
+from locclab.protocols import (_compositions, _distinct_rows, _exact_law,
+                               _log_factorials)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -125,11 +126,50 @@ class TestTypeAccounting:
         with pytest.raises(SpecError):
             type_log2_dim(spec, [3, -1])
 
+    @pytest.mark.parametrize("counts", [[-1, 2], [0.5, 0.5], [math.nan, 1],
+                                        [math.inf, 1], [1e300, 1], ["a", 1],
+                                        np.array([2**64 - 1, 1], np.uint64)])
+    def test_log2_multinomial_rejects_non_occupations(self, counts):
+        with pytest.raises(SpecError):
+            log2_multinomial(counts)
+
+    def test_log2_multinomial_takes_integral_floats(self):
+        assert log2_multinomial([3.0, 3.0]) == log2_multinomial([3, 3])
+        assert log2_multinomial(np.array([2, 1, 1], dtype=np.uint8)) == \
+            log2_multinomial([2, 1, 1])
+
+    @pytest.mark.parametrize("counts", [[1.5, 0.5], [math.nan, 2], [3.0, -1.0]])
+    def test_type_log2_dim_rejects_non_integers(self, counts):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        with pytest.raises(SpecError):
+            type_log2_dim(spec, counts)
+
     def test_outcome_validation(self):
         with pytest.raises(SpecError):
             ConcentrationOutcome(counts=(1, 1), log2_dim=-0.5, probability=0.5)
         with pytest.raises(SpecError):
             ConcentrationOutcome(counts=(1, 1), log2_dim=1.0, probability=1.5)
+
+
+class TestLogFactorials:
+    """The ln k! table equals scipy's gammaln(k + 1) bit for bit."""
+
+    def test_table_equals_gammaln(self):
+        k = np.arange(200_001)
+        table = _log_factorials(k)
+        assert (table == gammaln(k + 1.0)).all()
+
+    @pytest.mark.parametrize("x", [1, 2, 12, 13, 14, 999, 1000, 1001,
+                                   10**6, 12 * 10**6, 10**8, 10**8 + 1,
+                                   3 * 10**9, 10**12, 2**53])
+    def test_branch_edges_equal_gammaln(self, x):
+        # x = k + 1: lgam changes formula at 13, 1000 and above 1e8
+        k = np.array([x - 1])
+        assert _log_factorials(k)[0] == gammaln(float(x))
+
+    def test_any_shape(self):
+        k = np.array([[0, 5, 40], [13, 2000, 12]])
+        np.testing.assert_array_equal(_log_factorials(k), gammaln(k + 1.0))
 
 
 class TestSchmidtTypeState:
