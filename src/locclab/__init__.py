@@ -8,10 +8,10 @@ Layers, bottom up:
 - states: the concrete state families (symmetric/antisymmetric hiding
   pairs, the tunable near-product entangled psi, maximally entangled
   resources, random separable samples).
-- distinguish: Helstrom optimum, explicit one-way measurement
-  strategies (certified lower bounds), a bundled interior-point SDP for
-  the PPT relaxation (certified upper bounds), and the closed-form
-  bound chain combining them.
+- distinguish: Helstrom optimum, one-way LOCC protocols (certified
+  lower bounds), a bundled interior-point SDP for the PPT relaxation
+  (certified upper bounds), and the closed-form bound chain combining
+  them.
 - protocols: exact qudit teleportation and Schmidt-type entanglement
   concentration with exact outcome accounting.
 - stats: the 99% Wilson interval every Monte-Carlo frequency carries.
@@ -37,8 +37,7 @@ from .states import (HidingPairSpec, PsiConditions, PsiSpec, SchmidtSpectrum,
                      psi_marginal_entropy, psi_product_distance, psi_spectrum,
                      sample_separable)
 from .sdp import SDPResult, solve_ppt_two_outcome
-from .distinguish import (BoundBracket, ChannelOutput, MeasurementChannel,
-                          OneWayProtocol, PPTBound, apply_channel,
+from .distinguish import (BoundBracket, OneWayProtocol, PPTBound,
                           bound_bracket, helstrom, locc_lower_bound,
                           one_way_library, ppt_sdp, ppt_upper_bound,
                           thm2_locc_bound)
@@ -73,8 +72,7 @@ __all__ = [
     "psi_spectrum", "psi_marginal_entropy", "psi_product_distance",
     "check_psi_conditions", "sample_separable",
     "SDPResult", "solve_ppt_two_outcome",
-    "MeasurementChannel", "OneWayProtocol", "ChannelOutput", "apply_channel",
-    "one_way_library", "locc_lower_bound", "helstrom",
+    "OneWayProtocol", "one_way_library", "locc_lower_bound", "helstrom",
     "PPTBound", "ppt_sdp", "ppt_upper_bound", "thm2_locc_bound",
     "BoundBracket", "bound_bracket",
     "TeleportResult", "teleport",

@@ -15,13 +15,12 @@ are packaged as a :class:`BoundBracket`. :func:`thm2_locc_bound` is the
 closed-form bound eps + (1 + eps')/2 for the composed hiding-pair
 construction.
 
-A one-way strategy is a :class:`OneWayProtocol`: a first basis for the
-party that measures first and one conditional basis for the other party
-per first outcome, both checked unitary. The protocol is one-way LOCC by
-construction, and its value is read off the conditional blocks
-<u_k|Delta|u_k> without forming any D x D element; only the winning
-strategy becomes a :class:`MeasurementChannel`, which carries its
-protocol as its only structural claim. The LOCC and PPT bounds read the
+A one-way strategy is a named :class:`OneWayProtocol`: a first basis for
+the party that measures first and one conditional basis for the other
+party per first outcome, both checked unitary. The protocol is one-way
+LOCC by construction, its value is read off the conditional blocks
+<u_k|Delta|u_k> without forming any D x D element, and the winning
+protocol is the LOCC witness itself. The LOCC and PPT bounds read the
 pair through one ``_canonical_difference`` (layout check, rho0 - rho1,
 A|B order).
 """
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChannelError, ConfigError, LayoutError, NumericError, SpecError
-from .qmat import DensityOperator, Operator, TensorLayout, permute, trace_norm
+from .qmat import DensityOperator, Operator, permute, trace_norm
 from .sdp import SDPResult, solve_ppt_two_outcome
 from .tolerances import TOL
 
@@ -83,13 +82,15 @@ class OneWayProtocol:
     the product projector |u_k><u_k| (x) |v_km><v_km|, with the factors
     ordered A (x) B. With ``guess``, a (k, m) array of 0s and 1s, the
     outcomes are coarse-grained to the two guesses. Construction checks
-    both bases unitary, so the protocol is one-way LOCC by structure.
+    both bases unitary, so the protocol is one-way LOCC by structure;
+    ``name`` labels it as a witness.
     """
 
     first_party: str
     first: np.ndarray
     cond: np.ndarray
     guess: np.ndarray | None = None
+    name: str = "one-way"
 
     def __post_init__(self):
         if self.first_party not in ("A", "B"):
@@ -97,13 +98,15 @@ class OneWayProtocol:
                 f"first party must be 'A' or 'B', got {self.first_party!r}")
         first = np.array(self.first, dtype=np.complex128)
         cond = np.array(self.cond, dtype=np.complex128)
-        if first.ndim != 2 or first.shape[0] != first.shape[1]:
+        if first.ndim != 2 or first.shape[0] != first.shape[1] or first.size == 0:
             raise ChannelError(f"first basis has shape {first.shape}")
         if (cond.ndim != 3 or cond.shape[0] != first.shape[0]
-                or cond.shape[1] != cond.shape[2]):
+                or cond.shape[1] != cond.shape[2] or cond.size == 0):
             raise ChannelError(f"conditional bases have shape {cond.shape}; "
                                f"need one square basis per first outcome "
                                f"({first.shape[0]})")
+        if not (np.isfinite(first).all() and np.isfinite(cond).all()):
+            raise ChannelError("bases are not finite")
         # unitarity is what makes the outcomes a complete measurement, so
         # it is held to the POVM completeness tolerance
         for label, u in (("first", first[None]), ("conditional", cond)):
@@ -170,84 +173,6 @@ class OneWayProtocol:
         return np.stack((plus, np.eye(d1 * d2) - plus))
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementChannel:
-    """A finite POVM with an outcome label per element.
-
-    ``elements`` is a sequence of D x D matrices or one (n, D, D) stack.
-    A channel that realizes a one-way LOCC measurement carries it as
-    ``protocol``, its only structural claim. Construction validates the
-    elements as one stack (finite, Hermitian, positive, complete) and
-    that the elements and outcomes are those of the protocol.
-    """
-
-    elements: tuple[np.ndarray, ...]
-    outcomes: tuple[str, ...]
-    name: str = "channel"
-    protocol: OneWayProtocol | None = None
-
-    def __post_init__(self):
-        if len(self.elements) == 0:
-            raise ChannelError("a measurement channel needs at least one element")
-        if len(self.outcomes) != len(self.elements):
-            raise ChannelError("one outcome label per element required")
-        d = None
-        for e in self.elements:
-            shape = np.shape(e)
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ChannelError(f"POVM element has shape {shape}")
-            if d is None:
-                d = shape[0]
-            elif shape[0] != d:
-                raise ChannelError("POVM elements have mixed dimensions")
-        stack = np.array(self.elements, dtype=np.complex128)
-        if not np.isfinite(stack).all():
-            raise ChannelError("POVM elements are not finite")
-        # the checks are written NaN-safe: a NaN defect fails them
-        asym = float(np.abs(stack - stack.conj().swapaxes(1, 2)).max())
-        if not asym <= TOL.povm_psd:
-            raise ChannelError("POVM element is not Hermitian")
-        if not float(np.linalg.eigvalsh(stack)[:, 0].min()) >= -TOL.povm_psd:
-            raise ChannelError("POVM element has a negative eigenvalue "
-                               f"beyond {TOL.povm_psd}")
-        if not float(np.abs(stack.sum(axis=0) - np.eye(d)).max()) <= TOL.povm_sum:
-            raise ChannelError(f"POVM elements do not sum to identity within "
-                               f"{TOL.povm_sum}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(stack))
-        object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
-        if self.protocol is not None:
-            expected = self.protocol.elements()
-            if (self.outcomes != self.protocol.outcomes
-                    or expected.shape != stack.shape
-                    or not float(np.abs(stack - expected).max()) <= TOL.povm_sum):
-                raise ChannelError("elements and outcomes are not those of the "
-                                   "channel's protocol")
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelOutput:
-    """Outcome functionals Tr[M_i X] and their induced measured norm
-    sum_i |Tr[M_i X]|."""
-
-    values: np.ndarray
-    measured_norm: float
-
-
-def apply_channel(channel: MeasurementChannel, x) -> ChannelOutput:
-    """Evaluate the channel on a Hermitian operator (or raw matrix)."""
-    arr = x.entries if isinstance(x, Operator) else np.asarray(x, dtype=np.complex128)
-    if arr.shape != (channel.dim, channel.dim):
-        raise LayoutError(
-            f"operator dim {arr.shape} does not match channel dim {channel.dim}")
-    vals = np.array([np.trace(e @ arr).real for e in channel.elements])
-    return ChannelOutput(values=vals, measured_norm=float(np.abs(vals).sum()))
-
-
 def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.ndarray:
     """The difference rho0 - rho1 permuted to A|B, as a (dA, dB, dA, dB)
     tensor."""
@@ -259,81 +184,76 @@ def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.nd
     return diff_c.entries.reshape(da, db, da, db)
 
 
-def _library(d4: np.ndarray) -> list[tuple[str, OneWayProtocol, np.ndarray]]:
-    """The default strategies in library order, each as (name, protocol,
-    its conditional blocks of Delta)."""
+def _library(d4: np.ndarray) -> list[tuple[OneWayProtocol, np.ndarray]]:
+    """The default strategies in library order, each as (protocol, its
+    conditional blocks of Delta)."""
     da, db = d4.shape[:2]
-    comp = OneWayProtocol("A", np.eye(da), np.broadcast_to(np.eye(db), (da, db, db)))
-    entries = [("computational-product", comp, comp.blocks(d4))]
+    comp = OneWayProtocol("A", np.eye(da), np.broadcast_to(np.eye(db), (da, db, db)),
+                          name="computational-product")
+    entries = [(comp, comp.blocks(d4))]
     # measure A first, then the mirror: the same construction on the
     # party-swapped difference tensor
     for party, name in (("A", "a-eig-conditional-b"), ("B", "b-eig-conditional-a")):
         d4_first = _party_first(d4, party)
         _, first = np.linalg.eigh(np.einsum("abcb->ac", d4_first))
         blocks = _conditional_blocks(d4_first, first)
-        entries.append((name, OneWayProtocol(party, first, np.linalg.eigh(blocks)[1]),
-                        blocks))
+        entries.append((OneWayProtocol(party, first, np.linalg.eigh(blocks)[1],
+                                       name=name), blocks))
     # outcomes grouped by the sign of their functional keep the value
-    _, adaptive, blocks = entries[1]
+    adaptive, blocks = entries[1]
     guess = (adaptive.functionals(blocks) < 0.0).reshape(adaptive.cond.shape[:2])
-    entries.append(("a-eig-conditional-b-binary", replace(adaptive, guess=guess),
+    entries.append((replace(adaptive, guess=guess, name="a-eig-conditional-b-binary"),
                     blocks))
     return entries
 
 
 def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
-                    ) -> tuple[MeasurementChannel, ...]:
-    """Deterministic library of one-way LOCC strategies adapted to the
-    pair's difference operator, as channels carrying their protocols.
+                    ) -> tuple[OneWayProtocol, ...]:
+    """Deterministic library of named one-way LOCC protocols adapted to
+    the pair's difference operator.
 
     Contents: the computational product basis; measure-A-first in the
     eigenbasis of the A marginal of the difference with conditional B
-    eigenbases; the mirrored measure-B-first channel; and a two-outcome
-    coarse graining of the adaptive channel (outcomes grouped by the
+    eigenbases; the mirrored measure-B-first protocol; and a two-outcome
+    coarse graining of the adaptive protocol (outcomes grouped by the
     sign of their difference functional, so the value is preserved
-    while the element count drops to 2).
+    while the outcome count drops to 2).
     """
     d4 = _canonical_difference(rho0, rho1)
-    return tuple(MeasurementChannel(protocol.elements(), protocol.outcomes, name,
-                                    protocol) for name, protocol, _ in _library(d4))
+    return tuple(protocol for protocol, _ in _library(d4))
 
 
 def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
-                     library: tuple[MeasurementChannel, ...] | None = None,
-                     ) -> tuple[float, MeasurementChannel]:
+                     library: tuple[OneWayProtocol, ...] | None = None,
+                     ) -> tuple[float, OneWayProtocol]:
     """Best achievable success probability over a library of one-way
-    LOCC strategies (first maximizer wins ties), with the winning
-    channel. Every strategy is scored from its protocol's bases, so the
-    value is achieved by LOCC and is a certified lower bound; a channel
-    in an explicit ``library`` that carries no protocol raises
+    LOCC protocols (first maximizer wins ties), with the winning
+    protocol. Every protocol is scored from its bases, so the value is
+    achieved by LOCC and is a certified lower bound; an entry of an
+    explicit ``library`` that is not a :class:`OneWayProtocol` raises
     ConfigError."""
     d4 = _canonical_difference(rho0, rho1)
     return _locc_lower(d4, library)
 
 
-def _locc_lower(d4: np.ndarray, library: tuple[MeasurementChannel, ...] | None,
-                ) -> tuple[float, MeasurementChannel]:
+def _locc_lower(d4: np.ndarray, library: tuple[OneWayProtocol, ...] | None,
+                ) -> tuple[float, OneWayProtocol]:
     if library is None:
         entries = _library(d4)
     elif not library:
         raise ConfigError("strategy library is empty")
     else:
-        bare = [chan.name for chan in library if chan.protocol is None]
-        if bare:
-            raise ConfigError(f"channels {bare} carry no one-way protocol, so "
-                              f"their values are not LOCC lower bounds")
-        entries = [(chan.name, chan.protocol, chan.protocol.blocks(d4))
-                   for chan in library]
-    best_val, best = -np.inf, 0
-    for i, (_, protocol, blocks) in enumerate(entries):
+        others = [type(p).__name__ for p in library if not isinstance(p, OneWayProtocol)]
+        if others:
+            raise ConfigError(f"library entries of type {others} are not one-way "
+                              f"protocols, so their values are not LOCC lower bounds")
+        entries = [(p, p.blocks(d4)) for p in library]
+    best_val, best = -np.inf, entries[0][0]
+    for protocol, blocks in entries:
         val = protocol.value(blocks)
         if val > best_val + 1e-15:
-            best_val, best = val, i
-    if library is not None:
-        return float(best_val), library[best]
-    name, protocol, _ = entries[best]
-    return float(best_val), MeasurementChannel(protocol.elements(), protocol.outcomes,
-                                               name, protocol)
+            best_val, best = val, protocol
+    return float(best_val), best
 
 
 @dataclass(frozen=True)
@@ -349,6 +269,10 @@ class PPTBound:
 
 def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator,
             gap_tol: float = TOL.sdp_gap) -> PPTBound:
+    """The PPT relaxation of the pair with its solver diagnostics:
+    the certified value (capped by the Helstrom value), the certificate
+    gap, the primal value reached and the Newton steps taken.
+    :func:`ppt_upper_bound` returns only the value."""
     return _ppt_sdp(_canonical_difference(rho0, rho1), helstrom(rho0, rho1),
                     gap_tol)
 
@@ -391,14 +315,15 @@ class BoundBracket:
     helstrom: float
     locc_lower: float
     ppt_upper: float
-    witness: MeasurementChannel = field(repr=False)
+    witness: OneWayProtocol = field(repr=False)
     sdp_gap: float
 
     def __post_init__(self):
         slack = 1e-9
         chain = (0.5, self.locc_lower, self.ppt_upper, self.helstrom, 1.0)
+        # written NaN-safe: a NaN end fails the comparison
         for lo, hi in zip(chain, chain[1:]):
-            if lo > hi + slack:
+            if not lo <= hi + slack:
                 raise NumericError(
                     f"bound bracket out of order: {chain}")
 
@@ -408,7 +333,7 @@ class BoundBracket:
 
 
 def bound_bracket(rho0: DensityOperator, rho1: DensityOperator,
-                  library: tuple[MeasurementChannel, ...] | None = None,
+                  library: tuple[OneWayProtocol, ...] | None = None,
                   gap_tol: float = TOL.sdp_gap) -> BoundBracket:
     """Compute all three bounds and package them with the best witness;
     the Helstrom value and the canonical difference are formed once."""

@@ -25,9 +25,10 @@ class SpecError(LoccLabError):
 
 
 class ChannelError(LoccLabError):
-    """Measurement-channel invariant violation: POVM elements that are
-    not positive, do not sum to identity, or do not match the channel's
-    protocol."""
+    """One-way protocol invariant violation: a first party other than A
+    or B, bases that are empty, of the wrong shape, not finite or not
+    unitary (so the outcomes would not form a complete measurement), or
+    a guess map that is not one 0 or 1 per outcome."""
 
 
 class ConfigError(LoccLabError):
