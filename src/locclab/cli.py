@@ -40,8 +40,7 @@ from .game import (DetectionConfig, IIDStrategy, TrialArrays,
                    _threshold_guess, azuma_bound, default_detection_oracle,
                    hoeffding_bound, memory_block_strategy, min_rounds,
                    play_trial)
-from .protocols import (_use_exact, concentration_distribution,
-                        concentration_success_prob)
+from .protocols import _law_columns, _use_exact, concentration_success_prob
 from .qmat import (DensityOperator, TensorLayout, operator_from_json,
                    operator_to_json, trace_norm)
 from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
@@ -316,27 +315,26 @@ def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
 _CSV_ROWS = 1 << 14  # distribution.csv rows per write
 
 
-def _write_distribution(path: Path, dist, labels: int) -> None:
+def _write_distribution(path: Path, counts: np.ndarray, log2_dim: list,
+                        probability: list) -> None:
     """distribution.csv: one ``k_1|...|k_L,log2_dim,probability`` row per
-    outcome, each row one %-format of its counts and two floats, written
-    _CSV_ROWS rows at a time.
+    row of the law's columns (``_law_columns``), each row one %-format of
+    its counts and two floats, written _CSV_ROWS rows at a time.
 
     A law has few distinct log2 dimensions and probabilities, so each
     float is formatted once. The memo's keys compare by value, so -0.0
     would share 0.0's string; neither column holds a negative zero.
     """
-    row = "|".join(["%d"] * labels) + ",%s,%s\n"
+    row = "|".join(["%d"] * counts.shape[1]) + ",%s,%s\n"
     g17 = _Strings(_g17)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("counts,log2_dim,probability\n")
-        for lo in range(0, len(dist), _CSV_ROWS):
-            part = dist[lo:lo + _CSV_ROWS]
+        for lo in range(0, len(counts), _CSV_ROWS):
+            hi = lo + _CSV_ROWS
             f.write("".join(map(row.__mod__, map(
-                operator.add, map(operator.attrgetter("counts"), part),
-                zip(map(g17.__getitem__,
-                        map(operator.attrgetter("log2_dim"), part)),
-                    map(g17.__getitem__,
-                        map(operator.attrgetter("probability"), part)))))))
+                operator.add, map(tuple, counts[lo:hi].tolist()),
+                zip(map(g17.__getitem__, log2_dim[lo:hi]),
+                    map(g17.__getitem__, probability[lo:hi]))))))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -435,15 +433,16 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
     n = int(params["n"])
     mode = _param(params, "mode", "auto")
     samples = int(_param(params, "samples", 100_000))
-    dist = concentration_distribution(spectrum, n, mode=mode, samples=samples,
-                                      seed=config.seed)
-    mean_bits = sum(o.probability * o.log2_dim for o in dist)
+    counts, log2_dim, probability = _law_columns(spectrum, n, mode, samples,
+                                                 config.seed)
+    log2_dim, probability = log2_dim.tolist(), probability.tolist()
+    mean_bits = sum(map(operator.mul, probability, log2_dim))
     report = {
         "n": n,
         "entropy_bits": spectrum.entropy_bits,
         "mean_log2_dim": mean_bits,
         "mean_log2_dim_per_copy": mean_bits / n,
-        "outcomes": len(dist),
+        "outcomes": len(counts),
         "mode": mode,
     }
     if not _use_exact(spectrum, n, mode, samples):
@@ -461,7 +460,7 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         table = out_dir / "distribution.csv"
-        _write_distribution(table, dist, spectrum.num_labels)
+        _write_distribution(table, counts, log2_dim, probability)
         rp = out_dir / "report.json"
         rp.write_text(_canonical_json(report) + "\n", encoding="utf-8")
         write_manifest(out_dir, config, [table, rp],

@@ -25,7 +25,12 @@ one label at a time, each generation stacking the vectors of every smaller
 total behind their leading occupation. Sampling mode counts the runs of
 equal rows in the ``np.lexsort``-ed draws. Either way the distribution's
 outcomes are built in bulk from the columns: their checks run once on the
-whole columns, and the slots of bare instances are filled directly.
+whole columns, and the slots of bare instances are filled directly. Each
+outcome's ``counts`` tuple is built on its first read from its row of the
+law's read-only counts table, which the outcomes keep alive (245 157 x 8
+int64, 15.7 MB, at n=16 and d2=8), so building an outcome makes one object
+for the cyclic garbage collector to track, not two. The ``concentrate``
+command reads the law's columns directly and builds no outcome.
 
 An exact distribution leaves its law behind for the success
 probability: the module keeps the key (spectrum values, n) and the
@@ -221,45 +226,78 @@ def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
     return log2_multinomial(counts)
 
 
+class _TableRow:
+    """The slots behind a bulk outcome's deferred ``counts``: its law's
+    read-only (m, labels) int64 counts table and its row there."""
+
+    __slots__ = ("_table", "_row")
+
+
 @dataclass(frozen=True, slots=True)
-class ConcentrationOutcome:
+class ConcentrationOutcome(_TableRow):
     """One type-measurement outcome: label occupation vector, log2 of
     the concentrated maximally-entangled dimension, and its probability
-    (or empirical weight in sampling mode)."""
+    (or empirical weight in sampling mode).
+
+    Outcomes built in bulk by ``concentration_distribution`` each refer to
+    the law's read-only (m, labels) int64 counts table and build their
+    ``counts`` tuple from their row of it on first read, so one outcome
+    kept on its own keeps the whole table alive. Equality, hashing, repr,
+    pickling and copies see only the tuple.
+    """
 
     counts: tuple[int, ...]
     log2_dim: float
     probability: float
 
     def __post_init__(self):
-        if self.log2_dim < -1e-12:
-            raise SpecError("log2_dim must be nonnegative")
+        if not (-1e-12 <= self.log2_dim < math.inf):
+            raise SpecError(f"log2_dim {self.log2_dim} must be finite and "
+                            "nonnegative")
         if not (-1e-12 <= self.probability <= 1.0 + 1e-12):
             raise SpecError(f"probability {self.probability} outside [0, 1]")
+
+    def __getattr__(self, name):
+        # reached only while a bulk outcome's counts slot is empty
+        if name != "counts":
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        counts = tuple(self._table[self._row].tolist())
+        object.__setattr__(self, "counts", counts)
+        return counts
 
     @classmethod
     def _from_columns(cls, counts: np.ndarray, log2_dim: np.ndarray,
                       probability: np.ndarray) -> tuple[ConcentrationOutcome, ...]:
-        """One outcome per row of the (m, labels) ``counts`` array and the
-        two length-m float columns, equal to constructing each row.
+        """One outcome per row of the (m, labels) int64 ``counts`` array and
+        the two length-m float columns, equal to constructing each row.
 
         ``__post_init__``'s checks run once on the whole columns; the first
         bad row is rebuilt by the constructor so it raises the same error.
-        The slots of bare instances are then filled by their descriptors.
+        The slots of bare instances are then filled by their descriptors,
+        each with its row of ``counts`` in place of a counts tuple, so an
+        outcome is one GC-tracked object. The outcomes take ``counts`` over:
+        it is made read-only in place, not copied.
         """
-        bad = (log2_dim < -1e-12) | ~((probability >= -1e-12)
-                                      & (probability <= 1.0 + 1e-12))
-        if bad.any():
-            i = int(np.argmax(bad))
+        ok = ((-1e-12 <= log2_dim) & (log2_dim < math.inf)
+              & (-1e-12 <= probability) & (probability <= 1.0 + 1e-12))
+        if not ok.all():
+            i = int(np.argmin(ok))
             cls(tuple(counts[i].tolist()), float(log2_dim[i]),
                 float(probability[i]))
-        out = tuple(map(object.__new__, itertools.repeat(cls, len(counts))))
+        counts.flags.writeable = False
+        m = len(counts)
+        # a list, then one tuple: a tuple grown from an iterator without a
+        # length hint is resized, and re-tracked by the GC, as it grows
+        out = list(map(object.__new__, itertools.repeat(cls, m)))
+        deque(map(cls._table.__set__, out, itertools.repeat(counts, m)),
+              maxlen=0)
+        deque(map(cls._row.__set__, out, range(m)), maxlen=0)
         # one column at a time, so each one's Python list is freed before
         # the next is built
-        deque(map(cls.counts.__set__, out, zip(*counts.T.tolist())), maxlen=0)
         deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
         deque(map(cls.probability.__set__, out, probability.tolist()), maxlen=0)
-        return out
+        return tuple(out)
 
 
 @dataclass
@@ -395,16 +433,13 @@ def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
     return exact_ok if mode == "auto" else (mode == "exact")
 
 
-def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
-                               mode: str = "auto", samples: int = 100_000,
-                               seed: int = 0) -> tuple[ConcentrationOutcome, ...]:
-    """Full outcome distribution of the type measurement on n copies.
-
-    Exact mode enumerates all label types (refused beyond ~1e6 types:
-    ModeError points to sampling); sampling mode aggregates ``samples``
-    seeded draws into empirical weights. Probabilities sum to 1 either
-    way, and outcomes come in lexicographic order of their counts.
-    """
+def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
+                 seed: int):
+    """(counts, log2_dim, probability) columns of the type measurement's
+    law on n copies: the (m, labels) int64 occupations in lexicographic
+    order and two length-m float columns, without the types of weight
+    zero. An exact law with no such type is left in ``_last_law`` for
+    ``_exact_success_cached``."""
     global _last_law
     exact = _use_exact(spectrum, n, mode, samples)
     if exact:
@@ -423,8 +458,21 @@ def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
         # the whole law, read-only, for _exact_success_cached
         logw.flags.writeable = weights.flags.writeable = False
         _last_law = ((spectrum.values, n), (logw, weights))
+    return counts, np.maximum(logw / _LOG2, 0.0), weights
+
+
+def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
+                               mode: str = "auto", samples: int = 100_000,
+                               seed: int = 0) -> tuple[ConcentrationOutcome, ...]:
+    """Full outcome distribution of the type measurement on n copies.
+
+    Exact mode enumerates all label types (refused beyond ~1e6 types:
+    ModeError points to sampling); sampling mode aggregates ``samples``
+    seeded draws into empirical weights. Probabilities sum to 1 either
+    way, and outcomes come in lexicographic order of their counts.
+    """
     return ConcentrationOutcome._from_columns(
-        counts, np.maximum(logw / _LOG2, 0.0), weights)
+        *_law_columns(spectrum, n, mode, samples, seed))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import gc
+import hashlib
 import itertools
 import math
 import pickle
@@ -149,6 +152,12 @@ class TestTypeAccounting:
             ConcentrationOutcome(counts=(1, 1), log2_dim=-0.5, probability=0.5)
         with pytest.raises(SpecError):
             ConcentrationOutcome(counts=(1, 1), log2_dim=1.0, probability=1.5)
+
+    @pytest.mark.parametrize("log2_dim", [math.nan, math.inf, -math.inf])
+    def test_outcome_rejects_non_finite_log2_dim(self, log2_dim):
+        with pytest.raises(SpecError):
+            ConcentrationOutcome(counts=(1, 1), log2_dim=log2_dim,
+                                 probability=0.5)
 
 
 class TestLogFactorials:
@@ -375,7 +384,9 @@ class TestArrayEnumeration:
             np.empty((0, 3), dtype=np.int64), empty, empty) == ()
 
     @pytest.mark.parametrize("log2_dim, probability",
-                             [(1.0, 1.5), (-0.5, 0.5), (1.0, float("nan"))])
+                             [(1.0, 1.5), (-0.5, 0.5), (1.0, float("nan")),
+                              (math.nan, 0.5), (math.inf, 0.5),
+                              (-math.inf, 0.5)])
     def test_bulk_outcomes_reject_bad_columns(self, log2_dim, probability):
         counts = np.array([[1, 1], [2, 0]], dtype=np.int64)
         with pytest.raises(SpecError):
@@ -444,6 +455,116 @@ class TestArrayEnumeration:
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(freq, ref_freq)
         assert freq.sum() == 500
+
+
+PSI_35 = psi_spectrum(PsiSpec(lam=0.35, d2=8))
+
+
+def law_digest(dist) -> str:
+    """sha256 of every outcome's counts (as int64) and of the bits of its
+    two floats: equal digests mean equal hex for every float and equal
+    counts tuples."""
+    counts = np.array([o.counts for o in dist], dtype=np.int64)
+    floats = np.array([(o.log2_dim, o.probability) for o in dist])
+    return hashlib.sha256(counts.tobytes() + floats.tobytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def law16():
+    # 245 157 outcomes: the largest exact law the benchmark builds
+    return concentration_distribution(PSI_35, 16, mode="exact")
+
+
+class TestDeferredCounts:
+    """Bulk outcomes build their counts tuple on its first read; only the
+    garbage collector's count of tracked objects can tell."""
+
+    def test_one_tracked_object_per_outcome(self):
+        m = 10_000
+        counts = np.random.default_rng(3).integers(0, 9, size=(m, 4))
+        log2_dim, probability = np.zeros(m), np.full(m, 1.0 / m)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            dist = ConcentrationOutcome._from_columns(counts, log2_dim,
+                                                      probability)
+            grown = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert grown <= m + 16
+        # no outcome holds a counts tuple before it is read
+        assert not any(isinstance(r, tuple)
+                       for o in dist for r in gc.get_referents(o))
+        first = dist[0].counts
+        assert any(r is first for r in gc.get_referents(dist[0]))
+        assert first == tuple(counts[0].tolist())
+
+    @pytest.mark.parametrize("mode, n", [("exact", 9), ("sample", 64)])
+    def test_deferred_counts_are_invisible(self, mode, n):
+        def bulk():
+            return concentration_distribution(PSI_35, n, mode=mode,
+                                              samples=5000, seed=7)
+        counts, log2_dim, probability = protocols._law_columns(
+            PSI_35, n, mode, 5000, 7)
+        built = tuple(map(ConcentrationOutcome, map(tuple, counts.tolist()),
+                          log2_dim.tolist(), probability.tolist()))
+        hashes, reprs = list(map(hash, built)), list(map(repr, built))
+        # each check on outcomes whose counts were never read
+        assert bulk() == built
+        assert list(map(hash, bulk())) == hashes
+        assert list(map(repr, bulk())) == reprs
+        dist = bulk()
+        first = [o.counts for o in dist]
+        assert dist == built
+        assert list(map(hash, dist)) == hashes
+        assert list(map(repr, dist)) == reprs
+        assert all(o.counts is c for o, c in zip(dist, first))
+        assert all(type(c) is int for row in first for c in row)
+        unread = bulk()
+        for o in (unread[-1], dist[-1]):
+            for f in dataclasses.fields(ConcentrationOutcome):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(o, f.name, None)
+        assert unread[-1] == built[-1]
+        for o in (unread[0], dist[0]):
+            for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o),
+                         copy.copy(o)):
+                assert type(twin) is ConcentrationOutcome
+                assert twin == built[0] and repr(twin) == repr(built[0])
+
+    def test_pickle_size_does_not_grow_with_the_law(self, law16):
+        law9 = concentration_distribution(PSI_35, 9, mode="exact")
+        for o in (law9[0], law9[-1], law16[0], law16[-1]):
+            size = len(pickle.dumps(o))  # before counts is read
+            plain = ConcentrationOutcome(o.counts, o.log2_dim, o.probability)
+            assert size == len(pickle.dumps(plain)) < 256
+
+    def test_fields_are_unchanged(self):
+        assert [f.name for f in dataclasses.fields(ConcentrationOutcome)] == \
+            ["counts", "log2_dim", "probability"]
+
+    # law_digest of each law as built before counts were deferred
+    PINNED = {
+        1: "ff2a1865344a58bdd382d64024f9b44249e8d0fe434bba23a48643dab6d309f2",
+        2: "080c1d837779e089d5fe6c59d9fdaddc37ee2f37b6607834c53c49f7e2a3dba4",
+        5: "4b04ba34ac258afbade6e5b4654954f2ed50e0959f09c8352a6c977f50f9799f",
+        9: "d0325af6f11fcdf69b8ab8547f09fb375b9faca998bbf14d0da85073b2191cd9",
+        16: "6f2b0aed3c6ed4705483d3560d69af060efec76198e6b047991a1de340836d32",
+        64: "df9a6fc1e25150ed8a148dd2901bde408f1434aecabc7c663c94ac80cd2cc88e",
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+    def test_exact_laws_are_unchanged(self, request, n):
+        dist = (request.getfixturevalue("law16") if n == 16
+                else concentration_distribution(PSI_35, n, mode="exact"))
+        assert law_digest(dist) == self.PINNED[n]
+
+    def test_sampled_law_is_unchanged(self):
+        dist = concentration_distribution(PSI_35, 64, mode="sample",
+                                          samples=20_000, seed=7)
+        assert law_digest(dist) == self.PINNED[64]
 
 
 class TestLawMemo:
