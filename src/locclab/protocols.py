@@ -29,8 +29,13 @@ whole columns, and the slots of bare instances are filled directly. Each
 outcome's ``counts`` tuple is built on its first read from its row of the
 law's read-only counts table, which the outcomes keep alive (245 157 x 8
 int64, 15.7 MB, at n=16 and d2=8), so building an outcome makes one object
-for the cyclic garbage collector to track, not two. The ``concentrate``
-command reads the law's columns directly and builds no outcome.
+for the cyclic garbage collector to track, not two. Since an outcome
+refers only to that table, an int and two floats, it cannot be part of a
+reference cycle, and the outcomes are built with the collector paused
+(when it is enabled and no other Python thread is alive; it is enabled
+again afterwards), so those that outlive the young generations no longer
+set off full collections during the build. The ``concentrate`` command
+reads the law's columns directly and builds no outcome.
 
 An exact distribution leaves its law behind for the success
 probability: the module keeps the key (spectrum values, n) and the
@@ -45,10 +50,12 @@ target), which the memory-block strategies re-ask for.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +69,8 @@ from .stats import wilson_interval
 
 _MAX_EXACT_TYPES = 1_000_000
 _LOG2 = math.log(2.0)
+# rows of occupations turned into ln k! values at a time (~1 MB at 8 labels)
+_ROW_CHUNK = 16_384
 
 
 # --- teleportation -----------------------------------------------------
@@ -201,10 +210,20 @@ def _occupations(counts) -> np.ndarray:
 
 
 def _log_multinomial(counts: np.ndarray, n: int) -> np.ndarray:
-    """ln n!/prod_i k_i! along the last axis of the integer ``counts``
-    (each row summing to n), reading ln k! from a table of k = 0..n."""
+    """ln n!/prod_i k_i! for each row of the (m, labels) integer ``counts``
+    (each row summing to n), reading ln k! from a table of k = 0..n.
+
+    The (rows, labels) float table lookups are made ``_ROW_CHUNK`` rows at
+    a time, not as one (m, labels) temporary; each row is still summed on
+    its own, so the values are the same bits.
+    """
     table = _log_factorials(np.arange(n + 1))
-    return table[n] - table[counts].sum(axis=-1)
+    out = np.empty(len(counts))
+    for lo in range(0, len(counts), _ROW_CHUNK):
+        part = out[lo:lo + _ROW_CHUNK]
+        table[counts[lo:lo + _ROW_CHUNK]].sum(axis=-1, out=part)
+        np.subtract(table[n], part, out=part)
+    return out
 
 
 def log2_multinomial(counts) -> float:
@@ -278,6 +297,15 @@ class ConcentrationOutcome(_TableRow):
         each with its row of ``counts`` in place of a counts tuple, so an
         outcome is one GC-tracked object. The outcomes take ``counts`` over:
         it is made read-only in place, not copied.
+
+        The outcomes are built with the cyclic collector paused when it is
+        enabled and the calling thread is the only Python thread, and it is
+        enabled again afterwards, also on an error; otherwise it is left
+        alone. An outcome refers only to the read-only table, an int and
+        two floats, so it cannot be part of a reference cycle: the pause
+        frees nothing late, it only replaces the full collections that the
+        surviving outcomes set off during the build by one young collection
+        after it.
         """
         ok = ((-1e-12 <= log2_dim) & (log2_dim < math.inf)
               & (-1e-12 <= probability) & (probability <= 1.0 + 1e-12))
@@ -287,17 +315,41 @@ class ConcentrationOutcome(_TableRow):
                 float(probability[i]))
         counts.flags.writeable = False
         m = len(counts)
-        # a list, then one tuple: a tuple grown from an iterator without a
-        # length hint is resized, and re-tracked by the GC, as it grows
-        out = list(map(object.__new__, itertools.repeat(cls, m)))
-        deque(map(cls._table.__set__, out, itertools.repeat(counts, m)),
-              maxlen=0)
-        deque(map(cls._row.__set__, out, range(m)), maxlen=0)
-        # one column at a time, so each one's Python list is freed before
-        # the next is built
-        deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
-        deque(map(cls.probability.__set__, out, probability.tolist()), maxlen=0)
-        return tuple(out)
+        # another thread may rely on the collector while this one builds
+        pause = gc.isenabled() and threading.active_count() == 1
+        if pause:
+            gc.disable()
+        try:
+            # a list, then one tuple: a tuple grown from an iterator without
+            # a length hint is resized, and re-tracked by the GC, as it grows
+            out = list(map(object.__new__, itertools.repeat(cls, m)))
+            deque(map(cls._table.__set__, out, itertools.repeat(counts, m)),
+                  maxlen=0)
+            deque(map(cls._row.__set__, out, range(m)), maxlen=0)
+            # one column at a time, so each one's Python list is freed
+            # before the next is built
+            deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
+            deque(map(cls.probability.__set__, out, probability.tolist()),
+                  maxlen=0)
+            return tuple(out)
+        finally:
+            if pause:
+                gc.enable()
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The __setattr__ and __delattr__ that frozen=True generates name the class
+# that slots=True replaces, so on a name that is not a field they raise
+# TypeError from super(); refuse every name, as a plain frozen dataclass does.
+ConcentrationOutcome.__setattr__ = _refuse_set
+ConcentrationOutcome.__delattr__ = _refuse_delete
 
 
 @dataclass
@@ -448,6 +500,7 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
         rng = rng_from(seed, "concentration-distribution", n, samples)
         draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
         counts, freq = _distinct_rows(draws)
+        del draws  # the (samples, labels) draws, before the columns grow
         weights = freq / samples
         logw = _log_multinomial(counts, n)
     keep = weights != 0.0

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -534,6 +535,27 @@ class TestDeferredCounts:
                 assert type(twin) is ConcentrationOutcome
                 assert twin == built[0] and repr(twin) == repr(built[0])
 
+    @pytest.mark.parametrize("built", ["bulk", "constructor"])
+    @pytest.mark.parametrize("op", ["set", "delete"])
+    def test_other_attributes_are_frozen(self, op, built):
+        if built == "bulk":  # refused before its counts are first read
+            o = concentration_distribution(PSI_35, 5, mode="exact")[3]
+            counts, log2_dim, probability = protocols._law_columns(
+                PSI_35, 5, "exact", 1, 0)
+            plain = ConcentrationOutcome(tuple(counts[3].tolist()),
+                                         float(log2_dim[3]),
+                                         float(probability[3]))
+        else:
+            o = plain = ConcentrationOutcome((1, 2), 0.5, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'foo'"):
+            if op == "set":
+                o.foo = 1
+            else:
+                del o.foo
+        assert not hasattr(o, "foo")
+        assert o == plain and hash(o) == hash(plain) and repr(o) == repr(plain)
+        assert pickle.loads(pickle.dumps(o)) == plain == copy.copy(o)
+
     def test_pickle_size_does_not_grow_with_the_law(self, law16):
         law9 = concentration_distribution(PSI_35, 9, mode="exact")
         for o in (law9[0], law9[-1], law16[0], law16[-1]):
@@ -565,6 +587,79 @@ class TestDeferredCounts:
         dist = concentration_distribution(PSI_35, 64, mode="sample",
                                           samples=20_000, seed=7)
         assert law_digest(dist) == self.PINNED[64]
+
+
+class TestCollectorPause:
+    """Bulk outcomes are built with the cyclic collector paused, only while
+    the calling thread is the only Python thread, and it is restored."""
+
+    M = 60_000
+
+    @staticmethod
+    def columns(m):
+        counts = np.random.default_rng(5).integers(0, 9, size=(m, 4))
+        return counts, np.zeros(m), np.full(m, 1.0 / m)
+
+    @staticmethod
+    def collections_during(build):
+        """(generation, collector enabled) of each collection ``build``
+        starts."""
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append((info["generation"], gc.isenabled()))
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            build()
+        finally:
+            gc.callbacks.remove(record)
+        return starts
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            ConcentrationOutcome._from_columns(*self.columns(1000))
+            assert gc.isenabled() is enabled
+            bad = self.columns(1000)
+            bad[2][500] = 2.0
+            with pytest.raises(SpecError):
+                ConcentrationOutcome._from_columns(*bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_single_thread_build_starts_no_collection(self):
+        assert gc.isenabled()
+        assert threading.active_count() == 1
+        columns = self.columns(self.M)
+        out = []
+        starts = self.collections_during(
+            lambda: out.append(ConcentrationOutcome._from_columns(*columns)))
+        assert starts == []
+        assert gc.isenabled()
+        assert len(out[0]) == self.M
+
+    def test_no_pause_while_another_thread_runs(self):
+        assert gc.isenabled()
+        parked = threading.Event()
+        other = threading.Thread(target=parked.wait)
+        other.start()
+        try:
+            assert threading.active_count() >= 2
+            columns = self.columns(self.M)
+            starts = self.collections_during(
+                lambda: ConcentrationOutcome._from_columns(*columns))
+        finally:
+            parked.set()
+            other.join()
+        assert starts
+        assert all(enabled for _, enabled in starts)
+        assert gc.isenabled()
 
 
 class TestLawMemo:
