@@ -271,7 +271,8 @@ def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator,
             gap_tol: float = TOL.sdp_gap) -> PPTBound:
     """The PPT relaxation of the pair with its solver diagnostics:
     the certified value (capped by the Helstrom value), the certificate
-    gap, the primal value reached and the Newton steps taken.
+    gap, the primal value reached and the solver iterations taken (one
+    Newton system each).
     :func:`ppt_upper_bound` returns only the value."""
     return _ppt_sdp(_canonical_difference(rho0, rho1), helstrom(rho0, rho1),
                     gap_tol)

@@ -1,20 +1,55 @@
-"""Bundled log-barrier interior-point solver for the binary PPT SDP.
+"""Bundled primal-dual interior-point solver for the binary PPT SDP.
 
 Solves, for a Hermitian matrix X on C^{dA} (x) C^{dB},
 
     maximize    Re Tr[M X]
     subject to  0 <= M <= I,   0 <= M^{T_B} <= I,
 
-where T_B transposes the B factor. The barrier is -log det over the four
-affine slack blocks M, I-M, M^{T_B}, I-M^{T_B}, with total barrier
-parameter nu = 4D. Path following uses damped Newton steps with exact
-Hessians. The four slack blocks are factored and inverted as one
-(4, D, D) stack. Each point is factored once: the slack inverses, the
-Hessian and its Cholesky factor are built at the start and when the line
-search accepts a new point. A change of t leaves the point where it is,
-so it recomputes only the gradient and solves with the factor already
-held; a solve builds one Newton system more than it takes Newton steps.
-The whole path runs in one coordinate system.
+where T_B transposes the B factor, together with its dual
+
+    minimize    Tr Z2 + Tr Z4
+    subject to  Z2 - Z1 + (Z4 - Z3)^{T_B} = X,   Z1, .., Z4 >= 0.
+
+M = M(x) has real coordinates x. The four slack blocks
+S = F(x) = (M, I-M, M^{T_B}, I-M^{T_B}) are one (4, D, D) stack, always
+recomputed from x, and so is the dual Z. The method starts infeasible:
+x at I/2, strictly inside the primal set, and Z at I, whose dual
+residual c + A*(Z) (in coordinates, with c the coordinates of X and A*
+the adjoint of dx -> dS) is c. Each iteration drives both the residual
+and <S, Z> = nu mu (nu = 4D) down.
+
+Iteration: one Nesterov-Todd (NT) step with Mehrotra's predictor-corrector
+(Todd, Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998); Mehrotra, SIAM J.
+Optim. 2, 575 (1992)).
+
+- Scaling. From the Cholesky factors S = L_S L_S^H, Z = L_Z L_Z^H of
+  each block and the SVD L_Z^H L_S = U diag(lam) V^H (two batched
+  Cholesky factorizations and one batched SVD), G^{-1} =
+  diag(lam)^{-1/2} U^H L_Z^H takes S and Z to the same diagonal matrix
+  diag(lam), and W^{-1} = G^{-H} G^{-1} is the inverse NT scaling point
+  (W Z W = S).
+- Newton system. dZ + W^{-1} dS W^{-1} = R with A*(dZ) = -(c + A*(Z))
+  gives H dx = A*(R) + c + A*(Z), where H_pq = sum over blocks of
+  Re Tr[W^{-1} E_p W^{-1} E_q] (with E^{T_B} on blocks 3 and 4) is the
+  Hessian form below with G = W^{-1}. H is built and factored once per
+  iteration and solved twice.
+- Predictor: R = -Z, no centering; its right-hand side is c. Its step
+  lengths a_p, a_d set sigma = (<S + a_p dS, Z + a_d dZ> / <S, Z>)^3.
+- Corrector: in the scaled space, lam o (dS^ + dZ^) = sigma mu I - lam^2
+  - dS_a^ o dZ_a^, with o the Jordan product (AB+BA)/2 and dS_a^, dZ_a^
+  the scaled predictor directions.
+- Step: 0.95 of the distance to the boundary, separately for x and Z,
+  from the eigenvalues of the scaled directions diag(lam)^{-1/2} dS^
+  diag(lam)^{-1/2} (likewise dZ^). There is no line search.
+
+Stop. The value is U(B) of B = Z4 - Z3, read straight off the dual
+iterate (see Certificate). It is checked once <S, Z> <= gap_tol, and the
+solve stops when U(B) - Re Tr[M X] <= gap_tol/10. A solve that runs out
+of ``max_newton`` iterations, loses positive definiteness (an iterate, or
+the Newton system after its ridge retries) or stalls (<S, Z> and the
+residual negligible while the gap stays open) ends at its last iterate:
+it returns when that iterate certifies ``gap_tol``, and raises
+SolverError carrying U(B) and the gap otherwise.
 
 Buffers. Building and factoring a canonical Newton system takes n x n
 arrays of 0.5 MB at D = 16: the Hessian, the scratch slabs its assembly
@@ -25,22 +60,29 @@ scratch (two real n x n slabs for the complex field, row slabs for the
 real field) and the factor once and fills them in place. The factor
 takes no part in the assembly.
 
-Coordinates. Let S be the smallest real subspace of Hermitian matrices
+Coordinates. Let J be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
-under T_B (Permenter & Parrilo, Math. Program. 2020). The path is
-followed in an orthonormal basis E_1..E_k of S:
+under T_B (Permenter & Parrilo, Math. Program. 2020). The iteration runs
+in an orthonormal basis E_1..E_k of J:
 
-- the slack inverses of any M in S lie in S, so the full-space barrier
-  gradient at a point of S lies in S;
-- the minimizer of the barrier restricted to S has a gradient orthogonal
-  to S, so that gradient is zero;
-- hence the central path never leaves S, and the Newton steps in S are
-  the full-space Newton steps.
+- J is a Jordan algebra, so it holds the inverse and square root of each
+  of its positive definite elements and the product A B A of any two of
+  its elements; it holds A^{T_B} with A;
+- so when M and the Z blocks lie in J, so do the four slacks, the NT
+  scaling points W = S^{1/2} (S^{1/2} Z S^{1/2})^{-1/2} S^{1/2}, S^{-1},
+  W^{-1} dS W^{-1} for dS in J, the corrector term and the full-space
+  dual residual X - (Z2 - Z1 + (Z4 - Z3)^{T_B});
+- hence the full-space Newton direction from a point of J is the
+  direction solved in J, and from x = I/2, Z = I the full-space
+  iterates never leave J.
+
+Rounding does move Z off J, where the residual read in J coordinates
+cannot see it, so each new Z is projected back onto J.
 
 The Hessian in these coordinates is H_pq = sum over blocks of
 Re Tr[G E_p G E_q] (with E^{T_B} on the two transposed blocks), built
-from the k products G E G at O(k D^3) cost. When S outgrows max(n/8, 8)
-of the n coordinates (the generic case, where S is the whole space), the
+from the k products G E G at O(k D^3) cost. When J outgrows max(n/8, 8)
+of the n coordinates (the generic case, where J is the whole space), the
 closure stops growing and the canonical basis of Hermitian (or real
 symmetric, when X is real) matrices is used instead, and its Hessian is
 a dense array expression with no basis map (for the real field, the
@@ -57,9 +99,9 @@ Optim. 1998):
 The partial transpose permutes canonical coordinates, so the transposed
 blocks enter as an axis permutation or as transposed positions.
 
-S is found numerically, so a wrong rank decision could give a subspace
-the path leaves. Nothing in the reported value rests on S, though: the
-bound is checked in the original D x D coordinates.
+J is found numerically, so a wrong rank decision could give a subspace
+the iterates leave. Nothing in the reported value rests on J, though:
+the bound is checked in the original D x D coordinates.
 
 Certificate. For every Hermitian B and every M with 0 <= M <= I and
 0 <= M^{T_B} <= I,
@@ -70,24 +112,14 @@ Certificate. For every Hermitian B and every M with 0 <= M <= I and
 so U(B) bounds the optimum from above whatever B is: a poor B gives a
 loose bound, never a wrong one (minimizing U over B is the Lagrange dual
 of the PPT relaxation; cf. Matthews, Wehner & Winter, Commun. Math.
-Phys. 291, 813 (2009)). At t_final the solver takes B = Y4 - Y3 with
-
-    Y3 = (G3 - G3 dM^{T_B} G3) / t,   Y4 = (G4 + G4 dM^{T_B} G4) / t,
-
-where G3, G4 are the slack inverses of M^{T_B} and I - M^{T_B} and dM
-is the last Newton step, in the coordinates the path used: these are
-the first-order slack inverses at the Newton point, the dual variables
-of the two transposed constraints. ``SDPResult.value`` is U(B) from two
-``eigvalsh`` calls plus a rounding allowance of D^2 eps ||A||_F for each
-of the two matrices A: with eps = 2u and ||A||_F >= ||A||_2, it covers
-an error of 2 D u ||A||_2 in each of the D eigenvalues, the order of the
-backward error of a Hermitian eigensolver (the allowance follows
-Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)). A gap
-above ``gap_tol`` raises SolverError carrying the value and the gap.
-
-The path-following bound (nu + (l + sqrt(nu)) l/(1-l))/t on the gap at
-Newton decrement l (Nesterov, Introductory Lectures on Convex
-Optimization, Thm 4.2.7) only sizes t_final.
+Phys. 291, 813 (2009)). For a dual-feasible Z, B = Z4 - Z3 gives
+X - B^{T_B} = Z2 - Z1 and U(B) <= Tr Z2 + Tr Z4; the solver takes B from
+its last dual iterate, feasible or not. ``SDPResult.value`` is U(B)
+from two ``eigvalsh`` calls plus a rounding allowance of D^2 eps ||A||_F
+for each of the two matrices A: with eps = 2u and ||A||_F >= ||A||_2, it
+covers an error of 2 D u ||A||_2 in each of the D eigenvalues, the order
+of the backward error of a Hermitian eigensolver (the allowance follows
+Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)).
 
 No external solver is used; numpy/scipy provide dense linear algebra
 only. scipy loads at the first solve, not with this module: the
@@ -127,6 +159,8 @@ _SLAB_ENTRIES = 1 << 16
 # Factors 1 and i: the real and imaginary parts of G and of i G, stacked
 # by one product, hold the operands of the complex-field Hessian.
 _ONE_I = np.array([1.0, 1j]).reshape(2, 1, 1, 1, 1)
+# Fraction of the step to the boundary that an iteration takes.
+_STEP_TO_BOUNDARY = 0.95
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +171,9 @@ class SDPResult:
     guaranteed upper bound on the true optimum, which anyone can check
     with two eigenvalue sums (see the module docstring); ``primal`` is
     attained by the feasible ``optimizer``, and ``gap`` = value - primal.
-    ``coords`` is the number of real coordinates the path following
-    used: the dimension of the Jordan closure, or the full dimension.
+    ``coords`` is the number of real coordinates the iteration used: the
+    dimension of the Jordan closure, or the full dimension;
+    ``newton_steps`` is the number of iterations, one Newton system each.
     Equality is identity.
     """
 
@@ -146,19 +181,9 @@ class SDPResult:
     primal: float
     gap: float
     newton_steps: int
-    t_final: float
     coords: int
     optimizer: np.ndarray
     certificate: np.ndarray
-
-
-def certified_gap(nu: float, decrement: float, t: float) -> float:
-    """Path-following bound on the duality gap at barrier parameter
-    ``t`` and Newton ``decrement`` < 1 (infinite when the decrement is 1
-    or more); it sizes t_final."""
-    if decrement >= 1.0:
-        return float("inf")
-    return (nu + (decrement + np.sqrt(nu)) * decrement / (1.0 - decrement)) / t
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +364,8 @@ class _ClosureBasis:
         return np.tensordot(x, self.e, 1)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
-        return np.real(g.reshape(-1) @ self._adj[: self.dim ** 2])
+        d2 = self.dim ** 2
+        return np.real(g.reshape(g.shape[:-2] + (d2,)) @ self._adj[:d2])
 
     def newton_buffers(self) -> _NewtonBuffers:
         return _NewtonBuffers(np.empty((self.n, self.n), order="F"))
@@ -488,13 +514,6 @@ def _finite_above(value, floor: float) -> bool:
         return False
 
 
-def _logdet_from_chol(chols: np.ndarray) -> float:
-    # summed per block, then over the blocks in order: the line search
-    # compares these values, and the pinned step counts rest on that order
-    diag = np.diagonal(chols, axis1=-2, axis2=-1).real
-    return 2.0 * sum(np.log(diag).sum(axis=1).tolist())
-
-
 def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> float:
     """U(B) = Tr[(X - B^{T_B})_+] + Tr[B_+] for a Hermitian ``b``, plus
     the rounding allowance D^2 eps ||A||_F of each eigenvalue sum."""
@@ -507,16 +526,35 @@ def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> flo
     return total
 
 
+def _nt_scaling(chol_s: np.ndarray, chol_z: np.ndarray):
+    """Nesterov-Todd scaling of the four blocks from the Cholesky factors
+    L_S, L_Z of S and Z: with L_Z^H L_S = U diag(lam) V^H, returns
+    T = U^H L_Z^H and lam. G^{-1} = diag(lam)^{-1/2} T maps both S and Z
+    to diag(lam) (G^{-1} S G^{-H} = G^H Z G), and W^{-1} = T^H diag(lam)^{-1} T."""
+    u, lam, _ = np.linalg.svd(chol_z.conj().swapaxes(-1, -2) @ chol_s)
+    return u.conj().swapaxes(-1, -2) @ chol_z.conj().swapaxes(-1, -2), lam
+
+
+def _step_lengths(p_s: np.ndarray, p_z: np.ndarray) -> tuple:
+    """0.95 of the steps to the boundary along the scaled primal and dual
+    directions: for each, the largest a <= 1 with I + (a / 0.95) p
+    positive semidefinite in every block."""
+    low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].min(axis=1)
+    return tuple(1.0 if w >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -w
+                 for w in low.tolist())
+
+
 def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
                           gap_tol: float = TOL.sdp_gap,
-                          mu: float = 20.0,
                           max_newton: int = 800) -> SDPResult:
-    """Run the path-following solve. Raises SolverError on factor
-    dimensions that are not integers >= 1 or on dimension overflow, on a
-    ``gap_tol`` that is not finite and positive, a ``mu``
-    that is not finite and > 1 or a ``max_newton`` that is not an integer
-    >= 1, on non-convergence, or when the certified gap exceeds
-    ``gap_tol`` (the last two carry the certified value and its gap)."""
+    """Run the primal-dual solve. Raises SolverError on factor dimensions
+    that are not integers >= 1 or on dimension overflow, on a ``gap_tol``
+    that is not finite and positive or a ``max_newton`` (the most
+    iterations, one Newton system each) that is not an integer >= 1, and
+    when the certified gap of the last iterate exceeds ``gap_tol``: after
+    ``max_newton`` iterations, when an iterate or its Newton system stops
+    being positive definite, or when the iterates stall (these carry the
+    certified value and its gap)."""
     if not (_positive_int(dim_a) and _positive_int(dim_b)):
         raise SolverError(f"factor dimensions must be integers >= 1, got {dim_a!r}, {dim_b!r}")
     d = dim_a * dim_b
@@ -528,12 +566,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     if d > MAX_TOTAL_DIM:
         raise SolverError(
             f"total dimension {d} exceeds the bundled solver limit {MAX_TOTAL_DIM}")
-    # checked before the path starts: mu <= 1 never reaches t_final, and a
-    # NaN or infinite gap_tol or mu sizes t_final to NaN, 0 or inf
     if not _finite_above(gap_tol, 0.0):
         raise SolverError(f"gap tolerance must be finite and positive, got {gap_tol}")
-    if not _finite_above(mu, 1.0):
-        raise SolverError(f"barrier factor mu must be finite and > 1, got {mu}")
     if not _positive_int(max_newton):
         raise SolverError(f"max_newton must be an integer >= 1, got {max_newton!r}")
     if float(np.abs(x_mat - x_mat.conj().T).max()) > TOL.hermitian * max(
@@ -549,81 +583,116 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     basis = _jordan_closure(x_work, canon) or canon
     eye = np.eye(d, dtype=x_work.dtype)
     c_obj = basis.coords(x_work)
-
     nu = 4.0 * d
-    # centering to decrement lam_stop at t_final would certify gap_tol
-    # by the path-following bound, so t_final is sized by that bound
-    lam_stop = 0.1
-    t_final = certified_gap(nu, lam_stop, 1.0) / gap_tol
-    t = min(1.0, t_final)
+
+    def pt(m):
+        return _pt_mat(m, dim_a, dim_b)
+
+    def slacks(dx):
+        # A(dx): the change of the four slacks M, I-M, M^T_B, I-M^T_B
+        dm = basis.mat(dx)
+        dm_pt = pt(dm)
+        return np.stack((dm, -dm, dm_pt, -dm_pt))
+
+    def adjoint(y):
+        # A*(y), so that c + A*(Z) is the dual residual
+        return basis.coords(y[0] - y[1] + pt(y[2] - y[3]))
+
+    def certify(z):
+        b = z[3] - z[2]
+        b = (b + b.conj().T) / 2.0
+        return _dual_bound(x_work, b, dim_a, dim_b), b
+
     x = basis.coords(eye / 2.0)
     m = basis.mat(x)
-    chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
-    logdet = _logdet_from_chol(chols)
+    chol_s = _chol_blocks(m, pt(m), eye)
+    z = np.stack((eye,) * 4)
+    chol_z = z.copy()
     work = basis.newton_buffers()
     steps = 0
     failure = None
-    new_point = True
-    while True:
-        if new_point:
-            # the Newton system of a new point, built and factored once;
-            # a change of t reuses it and recomputes only the gradient
-            inv_c = np.linalg.inv(chols)
-            gs = inv_c.conj().swapaxes(-1, -2) @ inv_c
-            g1, g2, g3, g4 = gs
-            barrier_grad = (-g1 + g2
-                            - _pt_mat(g3, dim_a, dim_b)
-                            + _pt_mat(g4, dim_a, dim_b))
-            chol = _newton_factor(basis.hessian(gs, work), work.factor)
-            if chol is None:
-                failure = "Newton system factorization failed"
-                step_dir = np.zeros(basis.n)
-                break
-        grad = basis.coords((-t) * x_work + barrier_grad)
-        step_dir, _ = dpotrs(chol, -grad, lower=1)
-        lam2 = max(float(-grad @ step_dir), 0.0)
-        decrement = np.sqrt(lam2)
-        moved = False
-        if decrement > lam_stop:
-            f_cur = -t * float(c_obj @ x) - logdet
-            scale = 1.0 if decrement <= 0.25 else 1.0 / (1.0 + decrement)
-            while scale > 1e-14 and not moved:
-                trial = x + scale * step_dir
-                m = basis.mat(trial)
-                trial_chols = _chol_blocks(m, _pt_mat(m, dim_a, dim_b), eye)
-                if trial_chols is not None:
-                    trial_logdet = _logdet_from_chol(trial_chols)
-                    if (-t * float(c_obj @ trial) - trial_logdet
-                            <= f_cur - 0.25 * scale * lam2):
-                        x, chols, logdet = trial, trial_chols, trial_logdet
-                        moved = True
-                scale *= 0.5
-        new_point = moved
-        if moved:
-            steps += 1
-            if steps > max_newton:
-                failure = f"no convergence within {max_newton} Newton steps"
-                break
-        elif t < t_final:
-            # centered, or at the numerical floor of centering accuracy
-            t = min(t * mu, t_final)
-        else:
+    while failure is None:
+        try:
+            t, lam = _nt_scaling(chol_s, chol_z)
+        except np.linalg.LinAlgError:
+            lam = None
+        if lam is None or not (np.isfinite(lam).all() and lam.min() > 0.0):
+            failure = "iterate lost positive definiteness"
             break
+        complementarity = float(np.square(lam).sum())
+        residual = c_obj + adjoint(z)
+        if complementarity <= gap_tol:
+            gap = certify(z)[0] - float(c_obj @ x)
+            if gap <= gap_tol / 10.0:
+                break
+            # the gap is at most <S, Z> + 2 sqrt(D) ||residual|| when the
+            # coordinates hold the objective; once both are negligible,
+            # further iterations cannot close it
+            if (complementarity + 2.0 * math.sqrt(d) * float(np.linalg.norm(residual))
+                    <= gap_tol / 100.0):
+                failure = "iterates stalled"
+                break
+        if steps >= max_newton:
+            failure = f"no convergence within {max_newton} iterations"
+            break
+        steps += 1
+        th = t.conj().swapaxes(-1, -2)
+        root = np.sqrt(lam)
+        y = t / root[:, :, None]
+        chol = _newton_factor(basis.hessian(y.conj().swapaxes(-1, -2) @ y, work),
+                              work.factor)
+        if chol is None:
+            failure = "Newton system factorization failed"
+            break
+        lam_outer = lam[:, :, None] * lam[:, None, :]
+        root_outer = root[:, :, None] * root[:, None, :]
+        try:
+            # predictor (sigma = 0): its right-hand side A*(-Z) + residual is c
+            dx, _ = dpotrs(chol, c_obj, lower=1)
+            p_s = (t @ slacks(dx) @ th) / lam_outer
+            p_z = -np.eye(d) - p_s
+            a_p, a_d = _step_lengths(p_s, p_z)
+            ds_hat, dz_hat = root_outer * p_s, root_outer * p_z
+            lam_diag = lam[:, :, None] * np.eye(d)
+            reached = float(np.real(np.sum((lam_diag + a_p * ds_hat)
+                                           * (lam_diag + a_d * dz_hat).conj())))
+            sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
 
-    # the dual certificate from the last Newton step: first-order updates
-    # of the slack inverses of M^{T_B} and I - M^{T_B}, divided by t
-    dm_pt = _pt_mat(basis.mat(step_dir), dim_a, dim_b)
-    b = (g4 + g4 @ dm_pt @ g4 - g3 + g3 @ dm_pt @ g3) / t
-    b = (b + b.conj().T) / 2.0
-    value = _dual_bound(x_work, b, dim_a, dim_b)
+            # corrector: in the scaled space, Lambda o (dS + dZ) =
+            # sigma mu I - Lambda^2 - dS_a o dZ_a, with o the Jordan product
+            corr = ds_hat @ dz_hat
+            corr = (corr + corr.conj().swapaxes(-1, -2)) / 2.0
+            q = corr * (-2.0 / ((lam[:, :, None] + lam[:, None, :]) * root_outer))
+            q[:, range(d), range(d)] += (sigma * complementarity / nu
+                                         / np.square(lam) - 1.0)
+            dx, _ = dpotrs(chol, residual + adjoint(th @ q @ t), lower=1)
+            p_s = (t @ slacks(dx) @ th) / lam_outer
+            p_z = q - p_s
+            a_p, a_d = _step_lengths(p_s, p_z)
+            x_next = x + a_p * dx
+            # Z stays in the span of the coordinates in exact arithmetic;
+            # projecting drops the rounding outside it, which the residual
+            # cannot see
+            z_next = basis.mat(basis.coords(z + a_d * (th @ p_z @ t)))
+            m = basis.mat(x_next)
+            chol_s = _chol_blocks(m, pt(m), eye)
+            chol_z = np.linalg.cholesky(z_next)
+        except np.linalg.LinAlgError:
+            chol_s = None
+        if chol_s is None or not (np.isfinite(chol_s).all()
+                                  and np.isfinite(chol_z).all()):
+            failure = "iterate lost positive definiteness"
+        else:
+            x, z = x_next, z_next
+
+    value, b = certify(z)
     primal = float(c_obj @ x)
     gap = value - primal
-    if failure is None and not gap <= gap_tol:
-        failure = f"certified gap {gap:.3g} exceeds {gap_tol:.3g}"
-    if failure is not None:
-        raise SolverError(failure, value=value, gap=gap)
-    m_final = basis.mat(x)
+    if not gap <= gap_tol:
+        raise SolverError(f"certified gap {gap:.3g} exceeds {gap_tol:.3g}"
+                          + (f" ({failure})" if failure else ""),
+                          value=value, gap=gap)
     return SDPResult(value=value, primal=primal, gap=gap,
-                     newton_steps=steps, t_final=t_final, coords=basis.n,
-                     optimizer=np.asarray(m_final, dtype=np.complex128),
+                     newton_steps=steps, coords=basis.n,
+                     optimizer=np.asarray(basis.mat(x), dtype=np.complex128),
                      certificate=np.asarray(b, dtype=np.complex128))

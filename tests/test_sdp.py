@@ -1,7 +1,9 @@
-"""Unit tests of the bundled PPT SDP solver: the path-following gap
-formula that sizes t_final, the canonical coordinates and their Hessian,
-the Jordan-closure coordinates, and the one-matrix dual certificate that
-keeps a wrong closure from producing a wrong certified value."""
+"""Unit tests of the bundled PPT SDP solver: the canonical coordinates
+and their Hessian, the Jordan-closure coordinates, the primal-dual
+iteration (one Newton system per iteration, failures that carry a
+certified bound), the one-matrix dual certificate that keeps a wrong
+closure from producing a wrong certified value, and a family of pairs
+with a closed-form PPT value."""
 
 import math
 
@@ -209,13 +211,9 @@ class TestObjectiveValidation:
     @pytest.mark.parametrize("kw,match", [
         ({"gap_tol": math.inf}, "gap tolerance"),
         ({"gap_tol": "1e-6"}, "gap tolerance"),
-        # mu <= 1 never reaches t_final: these once looped forever
-        ({"mu": 1.0}, "mu"), ({"mu": 0.5}, "mu"), ({"mu": -20.0}, "mu"),
-        ({"mu": math.nan}, "mu"), ({"mu": math.inf}, "mu"),
         ({"max_newton": -1}, "max_newton"), ({"max_newton": 0}, "max_newton"),
         ({"max_newton": 2.5}, "max_newton"), ({"max_newton": True}, "max_newton"),
-    ], ids=["gap-inf", "gap-str", "mu-1", "mu-0.5", "mu-neg", "mu-nan", "mu-inf",
-            "steps-neg", "steps-0", "steps-float", "steps-bool"])
+    ], ids=["gap-inf", "gap-str", "steps-neg", "steps-0", "steps-float", "steps-bool"])
     def test_path_parameters_are_checked_before_the_path(self, kw, match):
         x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
         with pytest.raises(SolverError, match=match) as err:
@@ -232,37 +230,23 @@ class TestObjectiveValidation:
 
     def test_smallest_valid_parameters_solve(self):
         x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
-        res = sdp.solve_ppt_two_outcome(x, 2, 2, mu=1.5, max_newton=np.int64(800))
+        res = sdp.solve_ppt_two_outcome(x, 2, 2, max_newton=np.int64(800))
         assert res.value == pytest.approx(0.75, abs=1e-6)
 
 
 class TestCertifiedGap:
-    def test_hand_computed_values(self):
-        # (nu + (l + sqrt(nu)) l / (1 - l)) / t
-        assert sdp.certified_gap(4.0, 0.5, 2.0) == pytest.approx(3.25, rel=1e-15)
-        assert sdp.certified_gap(16.0, 0.1, 1.0) == pytest.approx(
-            16.0 + 4.1 / 9.0, rel=1e-15)
-        assert sdp.certified_gap(144.0, 0.0, 1e8) == pytest.approx(1.44e-6, rel=1e-15)
-        assert sdp.certified_gap(64.0, 0.9, 10.0) == pytest.approx(
-            (64.0 + 8.9 * 9.0) / 10.0, rel=1e-15)
+    # a solve that cannot close its gap raises SolverError carrying U(B)
+    # of its last iterate and the gap down to that iterate's primal value
 
-    def test_no_certificate_at_unit_decrement(self):
-        assert sdp.certified_gap(16.0, 1.0, 1.0) == math.inf
-        assert sdp.certified_gap(16.0, 3.0, 1e6) == math.inf
+    @staticmethod
+    def start_bound(x, da, db):
+        # the first iterate: M = I/2 and Z = I, so B = Z4 - Z3 = 0
+        return sdp._dual_bound(x, np.zeros_like(x), da, db), 0.5 * np.trace(x).real
 
-    def test_t_final_is_sized_by_the_formula(self):
-        x, da, db = werner(3)
-        res = sdp.solve_ppt_two_outcome(x, da, db, gap_tol=1e-6)
-        nu = 4.0 * da * db
-        assert res.t_final == pytest.approx(sdp.certified_gap(nu, 0.1, 1.0) / 1e-6,
-                                            rel=1e-12)
-        assert 0.0 < res.gap <= 1e-6
-        assert res.primal <= dual_bound(x, res.certificate, da, db) <= res.value
-
-    def test_final_decrement_above_one_raises(self, monkeypatch):
+    def test_lost_primal_definiteness_raises_with_the_last_bound(self, monkeypatch):
         # every point but the start I/2 is reported infeasible, so the
-        # line search stalls and the final decrement stays large; the
-        # certificate from that point is loose, and still an upper bound
+        # first step loses positive definiteness; the certificate of the
+        # start is loose, and still an upper bound
         chol = sdp._chol_blocks
 
         def only_start(m, mt, eye):
@@ -280,9 +264,56 @@ class TestCertifiedGap:
         assert err.value.value - err.value.gap == pytest.approx(
             0.5 * np.trace(x).real, abs=1e-9)
 
+    def test_lost_dual_definiteness_raises_with_the_last_bound(self, monkeypatch):
+        # the dual step of the first corrector overshoots the boundary,
+        # so Z stops being positive definite: numpy's LinAlgError must not
+        # escape, and the error carries U(B) of the start
+        steps = sdp._step_lengths
+        calls = []
+
+        def overshoot(p_s, p_z):
+            calls.append(None)
+            a_p, a_d = steps(p_s, p_z)
+            return (a_p, 50.0) if len(calls) == 2 else (a_p, a_d)
+
+        x, da, db = PINNED[2]
+        optimum = sdp.solve_ppt_two_outcome(x, da, db)
+        monkeypatch.setattr(sdp, "_step_lengths", overshoot)
+        with pytest.raises(SolverError, match="positive definite") as err:
+            sdp.solve_ppt_two_outcome(x, da, db)
+        value, primal = self.start_bound(x, da, db)
+        assert err.value.value == value >= optimum.value
+        assert err.value.value - err.value.gap == pytest.approx(primal, abs=1e-12)
+
+    def test_failed_newton_factor_raises_with_the_last_bound(self, monkeypatch):
+        # every factorization fails, ridge retries included
+        calls = []
+
+        def never(a, **kw):
+            calls.append(None)
+            return a, 1
+
+        x, da, db = werner(3)
+        monkeypatch.setattr(sdp, "dpotrf", never)
+        with pytest.raises(SolverError, match="factorization") as err:
+            sdp.solve_ppt_two_outcome(x, da, db)
+        assert len(calls) == 4
+        value, primal = self.start_bound(x, da, db)
+        assert err.value.value == value
+        assert err.value.value - err.value.gap == pytest.approx(primal, abs=1e-12)
+
+    def test_iteration_limit_raises_with_the_last_bound(self):
+        x, da, db = werner(3)
+        with pytest.raises(SolverError, match="within 3 iterations") as err:
+            sdp.solve_ppt_two_outcome(x, da, db, max_newton=3)
+        optimum = sdp.solve_ppt_two_outcome(x, da, db)
+        assert err.value.gap > 1e-6
+        assert err.value.value >= optimum.value
+
     def test_failed_newton_factorization_retries_with_a_ridge(self, monkeypatch):
         # the first factorization of every Newton system reports "not
-        # positive definite", so every step is taken on hess + ridge * I
+        # positive definite", so every direction is solved with
+        # hess + ridge * I
         potrf = sdp.dpotrf
         diagonals = []
 
@@ -335,15 +366,6 @@ class TestSlackFactors:
             np.linalg.cholesky(slack)
         assert np.linalg.eigvalsh(eye - mt).min() == pytest.approx(-0.1)
         assert sdp._chol_blocks(m, mt, eye) is None
-
-    @pytest.mark.parametrize("real", [False, True])
-    def test_logdet_equals_the_sum_of_slogdets(self, real):
-        m = swap_mixture(0.5, 0.2, real)
-        mt = partial_transpose(m, 2, 2)
-        eye = np.eye(4)
-        ref = sum(np.linalg.slogdet(s)[1] for s in (m, eye - m, mt, eye - mt))
-        got = sdp._logdet_from_chol(sdp._chol_blocks(m, mt, eye))
-        assert got == pytest.approx(ref, rel=1e-14, abs=1e-14)
 
 
 class TestJordanClosure:
@@ -484,18 +506,34 @@ class TestCertificate:
 
 
 class TestPinnedSolves:
-    # step counts and certified values: a change to the slack algebra
-    # must leave the iterates where they are
+    # iteration counts and certified values: a change to the slack or
+    # scaling algebra must leave the iterates where they are
     @pytest.mark.parametrize("inp,steps,value", [
-        (PINNED[0], 36, 0.5000001454104259),
-        (PINNED[1], 53, 0.811963413694515),
-        (PINNED[2], 41, 0.5352265218498858),
-        (PINNED[3], 54, 0.5308456280513579),
+        (PINNED[0], 8, 0.5000000068860869),
+        (PINNED[1], 9, 0.8119633019216888),
+        (PINNED[2], 9, 0.5352264442432706),
+        (PINNED[3], 10, 0.5308454248934135),
     ], ids=["werner-d3", "composed-D16", "random-complex-2x2", "random-real-3x3"])
     def test_steps_and_value_are_pinned(self, inp, steps, value):
         res = sdp.solve_ppt_two_outcome(*inp)
         assert res.newton_steps == steps
         assert res.value == pytest.approx(value, rel=0, abs=1e-12)
+
+    # the certified value and gap of the log-barrier solver this method
+    # replaced (36, 53, 41 and 54 Newton steps): both solvers certify
+    # their brackets, so each primal value lies below the other's value
+    @pytest.mark.parametrize("inp,value,gap", [
+        (PINNED[0], 0.5000001454104259, 2.539999147121996e-07),
+        (PINNED[1], 0.811963413694515, 2.555804267112549e-07),
+        (PINNED[2], 0.5352265218498857, 4.905641841634889e-07),
+        (PINNED[3], 0.5308456280513579, 4.7031366234850935e-07),
+    ], ids=["werner-d3", "composed-D16", "random-complex-2x2", "random-real-3x3"])
+    def test_brackets_overlap_the_barrier_brackets(self, inp, value, gap):
+        res = sdp.solve_ppt_two_outcome(*inp)
+        assert res.value >= value - gap
+        assert res.primal <= value
+        # the stop at gap_tol / 10 gives a tighter bound than the barrier's
+        assert res.value < value and res.gap <= 1e-7
 
 
 def count_calls(monkeypatch, cls, name):
@@ -511,8 +549,8 @@ def count_calls(monkeypatch, cls, name):
 
 
 class TestNewtonSystems:
-    # each point's Newton system is built and factored once: at the start
-    # and after each accepted step, never again after a change of t
+    # each iteration builds and factors one Newton system, at its
+    # iterate, and solves it for both the predictor and the corrector
     @pytest.mark.parametrize("inp,coords", [
         (werner(3), 3), (PINNED[2], 16), (PINNED[3], 45),
     ], ids=["closure-werner-d3", "complex-2x2", "real-3x3"])
@@ -521,11 +559,11 @@ class TestNewtonSystems:
         closure = count_calls(monkeypatch, sdp._ClosureBasis, "hessian")
         res = sdp.solve_ppt_two_outcome(*inp)
         assert res.coords == coords
-        assert len(canonical) + len(closure) == res.newton_steps + 1
+        assert len(canonical) + len(closure) == res.newton_steps
 
     def test_ridge_retry_factors_each_point_twice(self, monkeypatch):
         # the first factorization of every Newton system fails, as in
-        # TestCertifiedGap; each point is then factored with a ridge, once
+        # TestCertifiedGap; each iterate is then factored with a ridge, once
         potrf = sdp.dpotrf
         calls = []
 
@@ -537,7 +575,7 @@ class TestNewtonSystems:
 
         monkeypatch.setattr(sdp, "dpotrf", fail_first)
         res = sdp.solve_ppt_two_outcome(*werner(2))
-        assert len(calls) == 2 * (res.newton_steps + 1)
+        assert len(calls) == 2 * res.newton_steps
 
     @pytest.mark.parametrize("real", [False, True])
     def test_buffered_hessian_equals_a_fresh_one(self, real, monkeypatch):
@@ -554,3 +592,36 @@ class TestNewtonSystems:
         monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 4 * 36)
         work = basis.newton_buffers()
         np.testing.assert_array_equal(basis.hessian(gs, work), first)
+
+
+def werner_power(d, k):
+    """sigma_s^{(x)k} - sigma_a^{(x)k}: k copies of the extreme Werner pair
+    on C^d (x) C^d (normalized projectors onto the symmetric and the
+    antisymmetric subspace), with the A factors of all copies first,
+    as the objective of a (d^k) x (d^k) split."""
+    eye = np.eye(d * d)
+    swap = eye[[b * d + a for a in range(d) for b in range(d)]]
+    rho = [np.ones((1, 1)), np.ones((1, 1))]
+    for _ in range(k):
+        rho = [np.kron(rho[0], (eye + swap) / (d * (d + 1))),
+               np.kron(rho[1], (eye - swap) / (d * (d - 1)))]
+    # row axes (a1 b1 .. ak bk), then the column axes: to (a1..ak b1..bk)
+    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    x = (rho[0] - rho[1]).reshape((d,) * (4 * k))
+    x = x.transpose(order + [2 * k + i for i in order])
+    return x.reshape(d ** (2 * k), d ** (2 * k)), d ** k, d ** k
+
+
+class TestClosedFormFamily:
+    # the PPT value of k copies of the extreme Werner pair is
+    # 1 - ((d-1)/(d+1))^k / 2 in the 1/2 + x/2 scale: the primal value
+    # reached and the certified value must bracket it
+    @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (4, 1), (2, 3)],
+                             ids=["d2-k1", "d2-k2", "d3-k1", "d4-k1", "d2-k3-D64"])
+    def test_certified_value_brackets_the_closed_form(self, d, k):
+        x, da, db = werner_power(d, k)
+        assert np.trace(x) == pytest.approx(0.0, abs=1e-12)
+        closed = 1.0 - 0.5 * ((d - 1) / (d + 1)) ** k
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        assert 0.5 + 0.5 * res.primal <= closed <= 0.5 + 0.5 * res.value
+        assert res.newton_steps <= 12
