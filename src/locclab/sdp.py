@@ -40,7 +40,8 @@ Optim. 2, 575 (1992)).
   the scaled predictor directions.
 - Step: 0.95 of the distance to the boundary, separately for x and Z,
   from the eigenvalues of the scaled directions diag(lam)^{-1/2} dS^
-  diag(lam)^{-1/2} (likewise dZ^). There is no line search.
+  diag(lam)^{-1/2} (likewise dZ^); the predictor's scaled dZ^ is -I
+  minus its dS^, so one spectrum gives both. There is no line search.
 
 Stop. The value is U(B) of B = Z4 - Z3, read straight off the dual
 iterate (see Certificate). It is checked once <S, Z> <= gap_tol, and the
@@ -99,6 +100,11 @@ Optim. 1998):
 The partial transpose permutes canonical coordinates, so the transposed
 blocks enter as an axis permutation or as transposed positions.
 
+J is grown in generations of candidates that lie in it, projector-driven
+(one eigh and one pivoted QR each), with rank decisions made on
+X / ||X||_F since cX has the closure of X; with probability 1 the growth
+stops at J itself (``_jordan_closure`` gives the argument).
+
 J is found numerically, so a wrong rank decision could give a subspace
 the iterates leave. Nothing in the reported value rests on J, though:
 the bound is checked in the original D x D coordinates.
@@ -143,16 +149,15 @@ from .tolerances import TOL
 
 MAX_TOTAL_DIM = 64
 
-# Rank decisions of the Jordan closure. Candidates are built from
-# orthonormal elements; on the composed pairs (lambda up to 0.9999) and
-# random pairs up to D=16, new directions left residuals >= 1.6e-3 and
-# round-off left residuals <= 5e-10.
+# Rank decisions of the Jordan closure, on candidates of unit Frobenius
+# norm. On the composed pairs (lambda up to 0.9999), the Werner pairs and
+# their k-copy powers, with X scaled by 1e-7 to 1e3, new directions left
+# residuals >= 3.4e-2 and round-off left residuals <= 3e-10; on random
+# pairs up to D=16, new directions left residuals >= 2.9e-3.
 _CLOSURE_TOL = 1e-6
 # Eigenvalues closer than this, relative to the spectral radius, share a
 # spectral projector.
 _EIGEN_MERGE = 1e-8
-# Bound on the matrix entries of one chunk of closure candidates.
-_CHUNK_ENTRIES = 1 << 20
 # Bound on the entries of one row slab of a real-field Hessian; 2^15 to
 # 2^17 timed fastest at D=36 and D=64 (the slab stays in cache).
 _SLAB_ENTRIES = 1 << 16
@@ -382,84 +387,72 @@ class _ClosureBasis:
         return np.real(h)
 
 
-def _spectral_projectors(a: np.ndarray) -> list:
-    """Projectors onto the eigenspaces of the Hermitian matrix ``a``,
-    or none when it has fewer than three distinct eigenvalues (then
-    they lie in span{I, a})."""
+def _spectral_projectors(a: np.ndarray) -> np.ndarray:
+    """Projectors onto the eigenspaces of the Hermitian matrix ``a``, as
+    a stack; empty when it has fewer than three distinct eigenvalues
+    (then they lie in span{I, a})."""
     w, v = np.linalg.eigh(a)
     cuts = np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1
     if cuts.size < 2:
-        return []
-    return [v[:, g] @ v[:, g].conj().T for g in np.split(np.arange(w.size), cuts)]
+        return np.empty((0,) + a.shape, a.dtype)
+    return np.stack([v[:, g] @ v[:, g].conj().T
+                     for g in np.split(np.arange(w.size), cuts)])
 
 
 def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     """Orthonormal basis of the smallest subspace that contains I and
     ``x_mat`` and is closed under the Jordan product and the partial
-    transpose; None once it grows past max(n // 8, 8) elements or fills
-    the space, so that a generic pair goes to the canonical coordinates
-    without growing the closure to k = n (structured pairs stay far
-    below: 3 for Werner pairs, 15/21 for the composed pairs). Giving up
-    early is exact; it only chooses the slower coordinates.
+    transpose; None once it would grow past max(n // 8, 8) elements or
+    fill the space, so that a generic pair goes to the canonical
+    coordinates without growing the closure to k = n (structured pairs
+    stay far below: 3 for Werner pairs, 15/21 for the composed pairs).
+    Giving up early is exact; it only chooses the slower coordinates.
 
-    Elements are rows of canonical coordinates. Each generation takes
-    the partial transposes of the elements the previous generation added
-    and their Jordan products with every element, in bounded chunks; a
-    chunk's residual after projecting out the basis is split by pivoted
-    QR, and directions above _CLOSURE_TOL are added. Spectral projectors
-    of one random element of the current span join each generation: they
-    lie in the closure, and they resolve directions that powers of a
-    matrix with a dominant eigenvalue would only reach through
-    near-cancellation.
+    Elements are rows of canonical coordinates. A generation's
+    candidates, scaled to unit norm, are split by one pivoted QR after
+    the basis is projected out, and directions above _CLOSURE_TOL join
+    the basis. The first generation is X / ||X||_F (0 for X = 0), its
+    partial transpose, the spectral projectors of both and their partial
+    transposes; each later one is the spectral projectors of one seeded
+    random element r of the current span V and the partial transposes of
+    the elements the previous generation added. All of them lie in the
+    closure J. A generation that adds nothing leaves V closed under the
+    partial transpose and holding r^2 (from the projectors of r, or from
+    I and r). The r in V with r^2 in V form an algebraic subset of V,
+    proper unless V is closed under squaring; so with probability 1 V is
+    closed under squaring, hence under AB + BA = (A+B)^2 - A^2 - B^2,
+    and V = J.
     """
     from scipy.linalg import qr
 
     d, n = canon.dim, canon.n
     give_up = min(max(n // 8, 8), n - 1)
     rng = np.random.default_rng(0)
-    # element 0 is I, whose Jordan products add nothing
     basis = canon.coords(np.eye(d))[None] / np.sqrt(d)
 
-    def add(cands: np.ndarray) -> bool:
-        nonlocal basis
+    def pt(m):
+        return _pt_mat(m, canon.dim_a, canon.dim_b)
+
+    x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
+    x_pt = pt(x_unit)
+    proj = np.concatenate([_spectral_projectors(x_unit), _spectral_projectors(x_pt)])
+    cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
+    while True:
         c = canon.coords(cands)
         c /= np.maximum(np.linalg.norm(c, axis=1, keepdims=True), 1.0)
         c -= (c @ basis.T) @ basis
-        q, r, _ = qr(c.T, mode="economic", pivoting=True, check_finite=False)
-        rank = min(int(np.count_nonzero(np.abs(np.diag(r)) > _CLOSURE_TOL)),
-                   n - len(basis))
+        q, tri, _ = qr(c.T, mode="economic", pivoting=True, check_finite=False)
+        rank = int(np.count_nonzero(np.abs(np.diag(tri)) > _CLOSURE_TOL))
+        if rank == 0:
+            return _ClosureBasis(canon.mat(basis), canon.dim_a, canon.dim_b)
+        if len(basis) + rank > give_up:
+            return None
         new = q[:, :rank].T
         new -= (new @ basis.T) @ basis
         basis = np.vstack([basis, np.linalg.qr(new.T)[0].T])
-        return len(basis) > give_up
-
-    if add(x_mat[None]):
-        return None
-    lo = 0
-    while lo < len(basis):
-        hi = len(basis)
         e = canon.mat(basis)
-        extra = _spectral_projectors(np.tensordot(rng.standard_normal(hi), e, 1))
-        extra = np.concatenate([np.asarray(extra).reshape(-1, d, d),
-                                _pt_mat(e[lo:hi], canon.dim_a, canon.dim_b)])
-        # Jordan products of each new element with every element but I;
-        # the first chunk also carries the projectors and transposes
-        i, j = np.tril_indices(hi)
-        keep = (i >= lo) & (j >= 1)
-        i, j = i[keep], j[keep]
-        start = 0
-        while start == 0 or start < i.size:
-            # no larger than the give-up limit can still take
-            size = min(_CHUNK_ENTRIES // (d * d), max(16, give_up + 1 - len(basis)))
-            ab = e[i[start:start + size]] @ e[j[start:start + size]]
-            chunk = ab + ab.conj().swapaxes(1, 2)
-            if start == 0:
-                chunk = np.concatenate([extra, chunk])
-            if add(chunk):
-                return None
-            start += size
-        lo = hi
-    return _ClosureBasis(canon.mat(basis), canon.dim_a, canon.dim_b)
+        mixed = np.tensordot(rng.standard_normal(len(e)), e, 1)
+        cands = np.concatenate([_spectral_projectors(mixed), pt(e[-rank:])])
 
 
 def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
@@ -535,11 +528,17 @@ def _nt_scaling(chol_s: np.ndarray, chol_z: np.ndarray):
     return u.conj().swapaxes(-1, -2) @ chol_z.conj().swapaxes(-1, -2), lam
 
 
-def _step_lengths(p_s: np.ndarray, p_z: np.ndarray) -> tuple:
+def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
     """0.95 of the steps to the boundary along the scaled primal and dual
     directions: for each, the largest a <= 1 with I + (a / 0.95) p
-    positive semidefinite in every block."""
-    low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].min(axis=1)
+    positive semidefinite in every block. ``p_z`` None stands for the
+    predictor's dual direction -I - p_s, whose smallest eigenvalue is
+    -1 minus the largest of p_s, so one spectrum gives both steps."""
+    if p_z is None:
+        w = np.linalg.eigvalsh(p_s)
+        low = np.array([w[:, 0].min(), -1.0 - w[:, -1].max()])
+    else:
+        low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].min(axis=1)
     return tuple(1.0 if w >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -w
                  for w in low.tolist())
 
@@ -651,7 +650,7 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             dx, _ = dpotrs(chol, c_obj, lower=1)
             p_s = (t @ slacks(dx) @ th) / lam_outer
             p_z = -np.eye(d) - p_s
-            a_p, a_d = _step_lengths(p_s, p_z)
+            a_p, a_d = _step_lengths(p_s, None)
             ds_hat, dz_hat = root_outer * p_s, root_outer * p_z
             lam_diag = lam[:, :, None] * np.eye(d)
             reached = float(np.real(np.sum((lam_diag + a_p * ds_hat)

@@ -94,6 +94,24 @@ def residual(mats, elements):
     return np.array(out)
 
 
+def werner_power(d, k):
+    """sigma_s^{(x)k} - sigma_a^{(x)k}: k copies of the extreme Werner pair
+    on C^d (x) C^d (normalized projectors onto the symmetric and the
+    antisymmetric subspace), with the A factors of all copies first,
+    as the objective of a (d^k) x (d^k) split."""
+    eye = np.eye(d * d)
+    swap = eye[[b * d + a for a in range(d) for b in range(d)]]
+    rho = [np.ones((1, 1)), np.ones((1, 1))]
+    for _ in range(k):
+        rho = [np.kron(rho[0], (eye + swap) / (d * (d + 1))),
+               np.kron(rho[1], (eye - swap) / (d * (d - 1)))]
+    # row axes (a1 b1 .. ak bk), then the column axes: to (a1..ak b1..bk)
+    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    x = (rho[0] - rho[1]).reshape((d,) * (4 * k))
+    x = x.transpose(order + [2 * k + i for i in order])
+    return x.reshape(d ** (2 * k), d ** (2 * k)), d ** k, d ** k
+
+
 def random_positive(rng, dim, real):
     g = rng.normal(size=(dim, dim))
     if not real:
@@ -390,8 +408,9 @@ class TestJordanClosure:
 
     def test_generic_pair_gives_up_before_the_whole_space(self):
         # the closure of a generic pair is the whole space (k = n = 256);
-        # it stops once it outgrows max(n // 8, 8) = 32 elements, so no
-        # generation starts from a larger basis
+        # it stops once it would outgrow max(n // 8, 8) = 32 elements, so
+        # no generation starts from a larger basis (here the first
+        # generation already gives up, before any later one starts)
         x, da, db = random_objective(np.random.default_rng(40), 4, 4)
         canon = sdp._Basis(da, db, complex_field=True)
         sizes = []
@@ -403,15 +422,19 @@ class TestJordanClosure:
 
         canon.mat = recording
         assert sdp._jordan_closure(x, canon) is None
-        assert 2 <= max(sizes) <= max(canon.n // 8, 8) < canon.n
+        assert max(sizes, default=0) <= max(canon.n // 8, 8) < canon.n
 
-    @pytest.mark.parametrize("inp", [werner(3), composed(0.99, 2)],
-                             ids=["werner-d3", "composed-D16"])
-    def test_basis_is_orthonormal_and_closed(self, inp):
+    @pytest.mark.parametrize("inp,k", [(werner(3), 3), (composed(0.99, 2), 15),
+                                       (composed(0.95, 3), 21),
+                                       (werner_power(2, 3), 10)],
+                             ids=["werner-d3", "composed-D16", "composed-D36",
+                                  "k-copy-D64"])
+    def test_basis_is_orthonormal_and_closed(self, inp, k):
         x, da, db = inp
         basis, _ = closure(x, da, db)
         e = basis.e
-        k, d, _ = e.shape
+        assert e.shape[0] == k
+        d = e.shape[1]
         assert all(np.abs(m - m.conj().T).max() <= 1e-12 for m in e)
         gram = np.real(e.reshape(k, -1).conj() @ e.reshape(k, -1).T)
         assert np.abs(gram - np.eye(k)).max() <= 1e-9
@@ -420,6 +443,34 @@ class TestJordanClosure:
         assert residual(products, e).max() <= 1e-9
         transposed = [partial_transpose(m, da, db) for m in e]
         assert residual(transposed, e).max() <= 1e-9
+
+    @pytest.mark.parametrize("inp", [werner(3), composed(0.95, 3)],
+                             ids=["werner-d3", "composed-D36"])
+    def test_seeded_generator_repeats_the_basis(self, inp):
+        first, _ = closure(*inp)
+        second, _ = closure(*inp)
+        np.testing.assert_array_equal(first.e, second.e)
+
+    # the closure of cX is the closure of X: a small objective keeps its
+    # coordinates, and its solve still closes the gap
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("inp,k", [
+        (random_objective(np.random.default_rng(3), 2, 2), 16),
+        (werner(3), 3), (composed(0.95, 2), 15),
+    ], ids=["complex-2x2", "werner-d3", "composed-D16"])
+    def test_scaled_objective_keeps_its_closure(self, inp, k, scale):
+        x, da, db = inp
+        res = sdp.solve_ppt_two_outcome(scale * x, da, db)
+        assert res.coords == k
+        assert res.gap <= 1e-6
+
+    def test_zero_objective_gives_the_identity(self):
+        x = np.zeros((6, 6))
+        basis, _ = closure(x, 2, 3)
+        assert basis.n == 1
+        res = sdp.solve_ppt_two_outcome(x, 2, 3)
+        assert res.coords == 1
+        assert abs(res.value) <= 1e-6
 
 
 def solve_both(x, da, db, monkeypatch):
@@ -592,24 +643,6 @@ class TestNewtonSystems:
         monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 4 * 36)
         work = basis.newton_buffers()
         np.testing.assert_array_equal(basis.hessian(gs, work), first)
-
-
-def werner_power(d, k):
-    """sigma_s^{(x)k} - sigma_a^{(x)k}: k copies of the extreme Werner pair
-    on C^d (x) C^d (normalized projectors onto the symmetric and the
-    antisymmetric subspace), with the A factors of all copies first,
-    as the objective of a (d^k) x (d^k) split."""
-    eye = np.eye(d * d)
-    swap = eye[[b * d + a for a in range(d) for b in range(d)]]
-    rho = [np.ones((1, 1)), np.ones((1, 1))]
-    for _ in range(k):
-        rho = [np.kron(rho[0], (eye + swap) / (d * (d + 1))),
-               np.kron(rho[1], (eye - swap) / (d * (d - 1)))]
-    # row axes (a1 b1 .. ak bk), then the column axes: to (a1..ak b1..bk)
-    order = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-    x = (rho[0] - rho[1]).reshape((d,) * (4 * k))
-    x = x.transpose(order + [2 * k + i for i in order])
-    return x.reshape(d ** (2 * k), d ** (2 * k)), d ** k, d ** k
 
 
 class TestClosedFormFamily:
