@@ -23,7 +23,8 @@ Exact mode lists the label types as array rows and weighs them once, so
 a success probability is a tail sum of those weights; the rows are built
 one label at a time, each generation stacking the vectors of every smaller
 total behind their leading occupation. Sampling mode counts the runs of
-equal rows in the ``np.lexsort``-ed draws. Either way the distribution's
+equal rows in the sorted draws (``np.argsort`` when one packed int64 key
+holds a row, ``np.lexsort`` otherwise). Either way the distribution's
 outcomes are built in bulk from the columns: their checks run once on the
 whole columns, and the slots of bare instances are filled directly. Each
 outcome's ``counts`` tuple is built on its first read from its row of the
@@ -451,7 +452,8 @@ _last_law: tuple = (None, None)
 def _distinct_rows(draws: np.ndarray):
     """``np.unique(draws, axis=0, return_counts=True)`` for nonnegative
     integer rows, by a lexsort on keys that each pack as many adjacent
-    columns (in base ``draws.max() + 1``) as fit in an int64."""
+    columns (in base ``draws.max() + 1``) as fit in an int64. One key
+    needs no stable sort: the rows of a run of equal keys are equal."""
     base = int(draws.max()) + 1
     width = 1
     while width < draws.shape[1] and base ** (width + 1) <= 2 ** 63:
@@ -462,7 +464,7 @@ def _distinct_rows(draws: np.ndarray):
         for col in draws.T[lo:lo + width]:
             key = key * base + col
         keys.append(key)
-    order = np.lexsort(keys[::-1])
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     keys = np.array(keys)[:, order]
     starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
     return draws[order[starts]], np.diff(starts, append=len(draws))

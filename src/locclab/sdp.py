@@ -23,11 +23,13 @@ Iteration: one Nesterov-Todd (NT) step with Mehrotra's predictor-corrector
 Optim. 2, 575 (1992)).
 
 - Scaling. From the Cholesky factors S = L_S L_S^H, Z = L_Z L_Z^H of
-  each block and the SVD L_Z^H L_S = U diag(lam) V^H (two batched
-  Cholesky factorizations and one batched SVD), G^{-1} =
-  diag(lam)^{-1/2} U^H L_Z^H takes S and Z to the same diagonal matrix
-  diag(lam), and W^{-1} = G^{-H} G^{-1} is the inverse NT scaling point
-  (W Z W = S).
+  each block and the eigendecomposition L_Z^H S L_Z = U diag(lam^2) U^H
+  (two batched Cholesky factorizations and one batched eigh, the form
+  of Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 545 (1999)),
+  G^{-1} = diag(lam)^{-1/2} U^H L_Z^H takes S and Z to the same diagonal
+  matrix diag(lam), and W^{-1} = G^{-H} G^{-1} is the inverse NT scaling
+  point (W Z W = S). The order and phases of the eigenvectors change
+  neither W^{-1} nor the spectra of the scaled directions.
 - Newton system. dZ + W^{-1} dS W^{-1} = R with A*(dZ) = -(c + A*(Z))
   gives H dx = A*(R) + c + A*(Z), where H_pq = sum over blocks of
   Re Tr[W^{-1} E_p W^{-1} E_q] (with E^{T_B} on blocks 3 and 4) is the
@@ -254,6 +256,11 @@ class _Basis:
         return self._scale * (g[..., self._rows, self._cols]
                               + g[..., self._cols, self._rows])
 
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """``mat(coords(g))``: the Hermitian (real field: symmetric) part."""
+        gt = g.swapaxes(-1, -2)
+        return 0.5 * (g + (gt.conj() if self.complex_field else gt))
+
     def newton_buffers(self) -> _NewtonBuffers:
         n, d = self.n, self.dim
         factor = np.empty((n, n), order="F")
@@ -371,6 +378,10 @@ class _ClosureBasis:
     def coords(self, g: np.ndarray) -> np.ndarray:
         d2 = self.dim ** 2
         return np.real(g.reshape(g.shape[:-2] + (d2,)) @ self._adj[:d2])
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the span of the basis."""
+        return self.mat(self.coords(g))
 
     def newton_buffers(self) -> _NewtonBuffers:
         return _NewtonBuffers(np.empty((self.n, self.n), order="F"))
@@ -521,11 +532,15 @@ def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> flo
 
 def _nt_scaling(chol_s: np.ndarray, chol_z: np.ndarray):
     """Nesterov-Todd scaling of the four blocks from the Cholesky factors
-    L_S, L_Z of S and Z: with L_Z^H L_S = U diag(lam) V^H, returns
-    T = U^H L_Z^H and lam. G^{-1} = diag(lam)^{-1/2} T maps both S and Z
-    to diag(lam) (G^{-1} S G^{-H} = G^H Z G), and W^{-1} = T^H diag(lam)^{-1} T."""
-    u, lam, _ = np.linalg.svd(chol_z.conj().swapaxes(-1, -2) @ chol_s)
-    return u.conj().swapaxes(-1, -2) @ chol_z.conj().swapaxes(-1, -2), lam
+    L_S, L_Z of S and Z: with L_Z^H S L_Z = A A^H = U diag(lam^2) U^H for
+    A = L_Z^H L_S, returns T = U^H L_Z^H and lam. G^{-1} = diag(lam)^{-1/2} T
+    maps both S and Z to diag(lam) (G^{-1} S G^{-H} = G^H Z G), and
+    W^{-1} = T^H diag(lam)^{-1} T. Eigenvalues that rounding leaves below
+    0 give lam = 0, which the caller reads as a lost positive definiteness."""
+    lz_h = chol_z.conj().swapaxes(-1, -2)
+    a = lz_h @ chol_s
+    w, u = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+    return u.conj().swapaxes(-1, -2) @ lz_h, np.sqrt(np.maximum(w, 0.0))
 
 
 def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
@@ -583,15 +598,19 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     eye = np.eye(d, dtype=x_work.dtype)
     c_obj = basis.coords(x_work)
     nu = 4.0 * d
+    signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape(4, 1, 1)
 
     def pt(m):
         return _pt_mat(m, dim_a, dim_b)
 
-    def slacks(dx):
-        # A(dx): the change of the four slacks M, I-M, M^T_B, I-M^T_B
+    def scaled(dx, t, th, inv_outer):
+        # T A(dx) T^H / (lam_i lam_j) per block, for A(dx) the change of the
+        # slacks M, I-M, M^T_B, I-M^T_B: each block pair of T takes dM or
+        # dM^T_B, and inv_outer carries the sign of the slack
         dm = basis.mat(dx)
-        dm_pt = pt(dm)
-        return np.stack((dm, -dm, dm_pt, -dm_pt))
+        pairs = (2, 2, d, d)
+        prod = t.reshape(pairs) @ np.stack((dm, pt(dm)))[:, None] @ th.reshape(pairs)
+        return prod.reshape(4, d, d) * inv_outer
 
     def adjoint(y):
         # A*(y), so that c + A*(Z) is the dual residual
@@ -643,16 +662,17 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         if chol is None:
             failure = "Newton system factorization failed"
             break
-        lam_outer = lam[:, :, None] * lam[:, None, :]
+        inv_outer = signs / (lam[:, :, None] * lam[:, None, :])
         root_outer = root[:, :, None] * root[:, None, :]
         try:
-            # predictor (sigma = 0): its right-hand side A*(-Z) + residual is c
+            # predictor (sigma = 0): its right-hand side A*(-Z) + residual is
+            # c, and its scaled dZ^ is -diag(lam) - dS^
             dx, _ = dpotrs(chol, c_obj, lower=1)
-            p_s = (t @ slacks(dx) @ th) / lam_outer
-            p_z = -np.eye(d) - p_s
+            p_s = scaled(dx, t, th, inv_outer)
             a_p, a_d = _step_lengths(p_s, None)
-            ds_hat, dz_hat = root_outer * p_s, root_outer * p_z
-            lam_diag = lam[:, :, None] * np.eye(d)
+            ds_hat = root_outer * p_s
+            lam_diag = lam[:, :, None] * eye
+            dz_hat = -lam_diag - ds_hat
             reached = float(np.real(np.sum((lam_diag + a_p * ds_hat)
                                            * (lam_diag + a_d * dz_hat).conj())))
             sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
@@ -662,17 +682,17 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             corr = ds_hat @ dz_hat
             corr = (corr + corr.conj().swapaxes(-1, -2)) / 2.0
             q = corr * (-2.0 / ((lam[:, :, None] + lam[:, None, :]) * root_outer))
-            q[:, range(d), range(d)] += (sigma * complementarity / nu
-                                         / np.square(lam) - 1.0)
+            q.reshape(4, d * d)[:, ::d + 1] += (sigma * complementarity / nu
+                                                / np.square(lam) - 1.0)
             dx, _ = dpotrs(chol, residual + adjoint(th @ q @ t), lower=1)
-            p_s = (t @ slacks(dx) @ th) / lam_outer
+            p_s = scaled(dx, t, th, inv_outer)
             p_z = q - p_s
             a_p, a_d = _step_lengths(p_s, p_z)
             x_next = x + a_p * dx
             # Z stays in the span of the coordinates in exact arithmetic;
             # projecting drops the rounding outside it, which the residual
             # cannot see
-            z_next = basis.mat(basis.coords(z + a_d * (th @ p_z @ t)))
+            z_next = basis.project(z + a_d * (th @ p_z @ t))
             m = basis.mat(x_next)
             chol_s = _chol_blocks(m, pt(m), eye)
             chol_z = np.linalg.cholesky(z_next)

@@ -6,6 +6,7 @@ closure from producing a wrong certified value, and a family of pairs
 with a closed-form PPT value."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,80 @@ class TestSlackFactors:
         assert sdp._chol_blocks(m, mt, eye) is None
 
 
+def positive_blocks(rng, d, real, cond):
+    """Four positive definite d x d blocks with condition number cond."""
+    out = []
+    for _ in range(4):
+        g = rng.normal(size=(d, d))
+        if not real:
+            g = g + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(g)
+        w = np.geomspace(1.0, 1.0 / cond, d) * rng.uniform(0.5, 2.0)
+        out.append((q * w) @ q.conj().T)
+    return np.array(out)
+
+
+def relative_error(got, want):
+    return float((np.linalg.norm(got - want, axis=(1, 2))
+                  / np.linalg.norm(want, axis=(1, 2))).max())
+
+
+class TestNTScaling:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("cond", [1e1, 1e3, 1e6])
+    def test_scaling_takes_both_blocks_to_diag_lam(self, real, cond):
+        rng = np.random.default_rng(int(math.log10(cond)) + 10 * real)
+        d = 6
+        s, z = positive_blocks(rng, d, real, cond), positive_blocks(rng, d, real, cond)
+        t, lam = sdp._nt_scaling(np.linalg.cholesky(s), np.linalg.cholesky(z))
+        diag = lam[..., None] * np.eye(d)
+        g_inv = t / np.sqrt(lam)[..., None]
+        g = np.linalg.inv(g_inv)
+        g_inv_h, g_h = g_inv.conj().swapaxes(-1, -2), g.conj().swapaxes(-1, -2)
+        assert relative_error(g_inv @ s @ g_inv_h, diag) <= 1e-10
+        assert relative_error(g_h @ z @ g, diag) <= 1e-10
+        # W = G G^H, the NT scaling point
+        w = g @ g_h
+        assert relative_error(w @ z @ w, s) <= 1e-10
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_singular_scaling_gives_lam_zero_without_a_warning(self, real):
+        # a 1e-9 diagonal entry of L_S leaves L_Z^H S L_Z with an
+        # eigenvalue ~1e-18 of its norm, below the rounding of eigh, which
+        # returns it below 0 for this seed on OpenBLAS; it must come out
+        # as lam ~ 0, never as a warning and NaN
+        rng = np.random.default_rng(0)
+        d = 4
+        chol = [np.linalg.cholesky(b) for b in
+                (positive_blocks(rng, d, real, 10.0) for _ in range(2))]
+        chol[0][1, 2, 2] = 1e-9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, lam = sdp._nt_scaling(*chol)
+        assert np.isfinite(lam).all()
+        assert 0.0 <= lam[1].min() <= 1e-7
+        assert lam[[0, 2, 3]].min() > 0.1
+
+
+class TestProjection:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("closure_basis", [False, True])
+    def test_project_is_mat_of_coords(self, real, closure_basis):
+        rng = np.random.default_rng(41 + real + 2 * closure_basis)
+        da, db = 2, 3
+        d = da * db
+        basis = canon = sdp._Basis(da, db, complex_field=not real)
+        if closure_basis:
+            rows = np.linalg.qr(rng.normal(size=(canon.n, 7)))[0].T
+            basis = sdp._ClosureBasis(canon.mat(rows), da, db)
+        g = rng.normal(size=(4, d, d))
+        if not real:
+            g = g + 1j * rng.normal(size=(4, d, d))
+        got = basis.project(g)
+        assert got.shape == g.shape
+        assert np.abs(got - basis.mat(basis.coords(g))).max() <= 1e-15
+
+
 class TestJordanClosure:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_werner_closure_has_three_elements(self, d):
@@ -643,6 +718,57 @@ class TestNewtonSystems:
         monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 4 * 36)
         work = basis.newton_buffers()
         np.testing.assert_array_equal(basis.hessian(gs, work), first)
+
+
+def svd_scaling(chol_s, chol_z):
+    """The NT scaling from the SVD L_Z^H L_S = U diag(lam) V^H: T = U^H L_Z^H."""
+    lz_h = chol_z.conj().swapaxes(-1, -2)
+    u, lam, _ = np.linalg.svd(lz_h @ chol_s)
+    return u.conj().swapaxes(-1, -2) @ lz_h, lam
+
+
+def pure_objective(rng, da, db, real):
+    """Difference of two random pure states."""
+    d = da * db
+    out = []
+    for _ in range(2):
+        v = rng.normal(size=d)
+        if not real:
+            v = v + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return out[0] - out[1], da, db
+
+
+PARITY = {
+    "complex-2x2": random_objective(np.random.default_rng(71), 2, 2),
+    "complex-2x3": random_objective(np.random.default_rng(72), 2, 3),
+    "complex-3x3": random_objective(np.random.default_rng(73), 3, 3),
+    "real-3x2": random_objective(np.random.default_rng(74), 3, 2, real=True),
+    "real-4x2": random_objective(np.random.default_rng(75), 4, 2, real=True),
+    "pure-complex-2x3": pure_objective(np.random.default_rng(76), 2, 3, False),
+    "pure-real-3x3": pure_objective(np.random.default_rng(77), 3, 3, True),
+    "composed-D16": composed(0.9, 2),
+    "composed-D36": composed(0.99, 3),
+    "werner-d3": werner(3),
+    "werner-d5": werner(5),
+    "complex-2x2-x1e3": (1e3 * PINNED[2][0], 2, 2),
+}
+
+
+class TestScalingParity:
+    # the eigh scaling differs from the SVD one only in the order and the
+    # phases of U, which change neither W^{-1} nor the spectra of the
+    # scaled directions: the iterates agree up to rounding
+    @pytest.mark.parametrize("name", list(PARITY))
+    def test_same_iterations_as_the_svd_scaling(self, name, monkeypatch):
+        inp = PARITY[name]
+        res = sdp.solve_ppt_two_outcome(*inp)
+        monkeypatch.setattr(sdp, "_nt_scaling", svd_scaling)
+        ref = sdp.solve_ppt_two_outcome(*inp)
+        assert res.newton_steps == ref.newton_steps
+        assert abs(res.value - ref.value) <= 1e-10 * max(1.0, abs(ref.value))
+        assert res.coords == ref.coords
 
 
 class TestClosedFormFamily:
