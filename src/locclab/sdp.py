@@ -11,12 +11,13 @@ where T_B transposes the B factor, together with its dual
     subject to  Z2 - Z1 + (Z4 - Z3)^{T_B} = X,   Z1, .., Z4 >= 0.
 
 M = M(x) has real coordinates x. The four slack blocks
-S = F(x) = (M, I-M, M^{T_B}, I-M^{T_B}) are one (4, D, D) stack, always
-recomputed from x, and so is the dual Z. The method starts infeasible:
-x at I/2, strictly inside the primal set, and Z at I, whose dual
-residual c + A*(Z) (in coordinates, with c the coordinates of X and A*
-the adjoint of dx -> dS) is c. Each iteration drives both the residual
-and <S, Z> = nu mu (nu = 4D) down.
+S = F(x) = (M, I-M, M^{T_B}, I-M^{T_B}) are one (4, D, D) stack (for a
+structured pair, a (4, B, s, s) stack of small blocks; see Blocks),
+always recomputed from x, and so is the dual Z. The method starts
+infeasible: x at I/2, strictly inside the primal set, and Z at I, whose
+dual residual c + A*(Z) (in coordinates, with c the coordinates of X and
+A* the adjoint of dx -> dS) is c. Each iteration drives both the
+residual and <S, Z> = nu mu (nu = 4D) down.
 
 Iteration: one Nesterov-Todd (NT) step with Mehrotra's predictor-corrector
 (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998); Mehrotra, SIAM J.
@@ -84,13 +85,13 @@ cannot see it, so each new Z is projected back onto J.
 
 The Hessian in these coordinates is H_pq = sum over blocks of
 Re Tr[G E_p G E_q] (with E^{T_B} on the two transposed blocks), built
-from the k products G E G at O(k D^3) cost. When J outgrows max(n/8, 8)
-of the n coordinates (the generic case, where J is the whole space), the
-closure stops growing and the canonical basis of Hermitian (or real
-symmetric, when X is real) matrices is used instead, and its Hessian is
-a dense array expression with no basis map (for the real field, the
-symmetric Kronecker product of Alizadeh, Haeberly & Overton, SIAM J.
-Optim. 1998):
+from the k products G E G on the small blocks of J (see Blocks). When J
+outgrows max(n/8, 8) of the n coordinates (the generic case, where J is
+the whole space), the closure stops growing and the canonical basis of
+Hermitian (or real symmetric, when X is real) matrices is used instead,
+and its Hessian is a dense array expression with no basis map (for the
+real field, the symmetric Kronecker product of Alizadeh, Haeberly &
+Overton, SIAM J. Optim. 1998):
 
 - complex field: the real part of the sum of the Kronecker products
   conj(G) (x) G at (i,j),(k,l) less its imaginary part at (i,j),(l,k),
@@ -110,6 +111,42 @@ stops at J itself (``_jordan_closure`` gives the argument).
 J is found numerically, so a wrong rank decision could give a subspace
 the iterates leave. Nothing in the reported value rests on J, though:
 the bound is checked in the original D x D coordinates.
+
+Blocks. J and the partial transposes of its elements generate a
+*-algebra, so one unitary q splits every element E of J at once:
+q^H E q = (+)_i A_i (x) I_{m_i}, with blocks A_i of size n_i and
+multiplicities m_i (Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+Appl. Math. 27 (2010); de Klerk, Dobre & Pasechnik, Math. Program. 129
+(2011)). Every iterate lies in J, so the iteration runs on the blocks:
+
+- Decomposition. The eigenspaces of a seeded random element of J merge
+  into one block when a chain of elements E or E^{T_B} couples them,
+  read from batched products V^H E V (V its eigenvectors, no loop over
+  pairs of eigenspaces). Within a block, the bases of the eigenspaces
+  are aligned by the polar factor of their coupling in a second random
+  element. Real closures give a real q.
+- Check. The form is kept only if q^H q = I within 1e-12 and it
+  rebuilds every E and E^{T_B} within 1e-10. Otherwise, and when the
+  blocks would be no smaller than D x D, the solve runs as the one-block
+  case: q = I, one D x D block of weight 1.
+- Stack. The blocks form one (B, s, s) stack, s the least common
+  multiple of the n_i (the closures of composed, Werner and k-copy
+  pairs have n_i = 1 or 2). Block i enters as I_{s/n_i} (x) A_i at
+  weight m_i n_i / s: a scalar block of a 2 x 2 stack is diag(a, a) at
+  half weight. This is exact, since the copies of a block evolve
+  identically, and nu stays 4D. The weights enter <S, Z>, the
+  predictor's reached <S, Z>, the Hessian, the adjoint and the
+  projection of Z.
+- No filler. A block is never padded to size s with filler entries:
+  a filler eigenvalue equal to a true one lets eigh mix the two, after
+  which no mask separates them in the scaled frame.
+- Values. The certificate B = Z4 - Z3 is mapped back to D x D before
+  U(B) is checked, and the optimizer is M(x) in D x D.
+
+Composed pairs at D = 36 split into three 2 x 2 blocks and twelve
+scalars, Werner pairs into three scalars, k-copy pairs into scalars
+only (their PPT SDP is a linear program). Generic pairs keep the
+canonical coordinates.
 
 Certificate. For every Hermitian B and every M with 0 <= M <= I and
 0 <= M^{T_B} <= I,
@@ -160,6 +197,17 @@ _CLOSURE_TOL = 1e-6
 # Eigenvalues closer than this, relative to the spectral radius, share a
 # spectral projector.
 _EIGEN_MERGE = 1e-8
+# Coupling between two eigenspaces of a random closure element, in
+# Frobenius norm over the unit-norm elements and partial transposes,
+# above which they join one block.
+_COUPLING_TOL = 1e-8
+# A block form is kept when its basis change q has q^H q = I and it
+# rebuilds every closure element and partial transpose within these.
+_UNITARY_TOL = 1e-12
+_BLOCK_TOL = 1e-10
+# Closure elements per batched product while a block form is found and
+# checked; small batches keep the scratch, and so the peak RSS, small.
+_BATCH = 8
 # Bound on the entries of one row slab of a real-field Hessian; 2^15 to
 # 2^17 timed fastest at D=36 and D=64 (the slab stays in cache).
 _SLAB_ENTRIES = 1 << 16
@@ -261,6 +309,26 @@ class _Basis:
         gt = g.swapaxes(-1, -2)
         return 0.5 * (g + (gt.conj() if self.complex_field else gt))
 
+    # The iteration's view: one D x D block of weight 1, with no map back.
+    project_stack = project
+    weight = np.ones(1)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.dim, self.dim)
+
+    def pair(self, x: np.ndarray) -> np.ndarray:
+        """M(x) and M(x)^{T_B} as a (2, D, D) stack."""
+        m = self.mat(x)
+        return np.stack((m, _pt_mat(m, self.dim_a, self.dim_b)))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Coordinates of Y1 - Y2 + (Y3 - Y4)^{T_B} for a (4, D, D) stack."""
+        return self.coords(y[0] - y[1] + _pt_mat(y[2] - y[3], self.dim_a, self.dim_b))
+
+    def full(self, b: np.ndarray) -> np.ndarray:
+        return b
+
     def newton_buffers(self) -> _NewtonBuffers:
         n, d = self.n, self.dim
         factor = np.empty((n, n), order="F")
@@ -357,45 +425,236 @@ def _pt_mat(m: np.ndarray, da: int, db: int) -> np.ndarray:
             .reshape(lead + (d, d)))
 
 
+class _Blocks:
+    """Block form q ((+)_i A_i (x) I_{m_i}) q^H of a stack of L matrices
+    of size D x D, for a unitary q (None: the identity). ``stack`` holds
+    I_{s/n_i} (x) A_i of every matrix as an (L, B, s, s) array, with n_i
+    the size of block i (``sizes``), m_i its multiplicity (``mults``)
+    and s a common multiple of the n_i; ``weight`` holds m_i n_i / s, so
+    that Tr over D x D is the weighted sum of the block traces. ``full``
+    maps a (..., B, s, s) stack of this form back to D x D."""
+
+    def __init__(self, q: np.ndarray | None, stack: np.ndarray, sizes, mults):
+        self.q, self.stack = q, stack
+        n, m = np.asarray(sizes), np.asarray(mults)
+        self.sizes, self.mults = tuple(n.tolist()), tuple(m.tolist())
+        s = stack.shape[-1]
+        d = self.dim = int(n @ m)
+        self.weight = m * n / s
+        # entry (i, j) of the leading copy of A_b in the stack, and the
+        # entries (i m + r, j m + r) of A_b (x) I_m at the block's offset
+        count = n * n * m
+        b = np.repeat(np.arange(len(n)), count)
+        at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        nb, mb, offset = n[b], m[b], (np.cumsum(n * m) - n * m)[b]
+        i, j, r = at // (nb * mb), at // mb % nb, at % mb
+        self._src = (b * s + i) * s + j
+        self._dst = (offset + i * mb + r) * d + offset + j * mb + r
+
+    def full(self, stack: np.ndarray) -> np.ndarray:
+        lead = stack.shape[:-3]
+        d = self.dim
+        out = np.zeros(lead + (d * d,), stack.dtype)
+        out[..., self._dst] = stack.reshape(lead + (-1,))[..., self._src]
+        out = out.reshape(lead + (d, d))
+        if self.q is None:
+            return out
+        return self.q @ out @ self.q.conj().T
+
+    def rebuilds(self, mats: np.ndarray) -> bool:
+        """Whether q^H q = I within _UNITARY_TOL and ``full(stack)`` gives
+        back ``mats`` within _BLOCK_TOL."""
+        q = self.q
+        # written so that a NaN fails
+        if q is not None and not float(
+                np.abs(q.conj().T @ q - np.eye(len(q))).max()) <= _UNITARY_TOL:
+            return False
+        for lo in range(0, len(mats), _BATCH):
+            part = slice(lo, lo + _BATCH)
+            error = self.full(self.stack[part])
+            error -= mats[part]
+            if not float(np.abs(error).max(initial=0.0)) <= _BLOCK_TOL:
+                return False
+        return True
+
+
+def _repeat_block(a: np.ndarray, r: int) -> np.ndarray:
+    """I_r (x) a for a stack of square matrices ``a``."""
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (r, n, r, n), a.dtype)
+    for i in range(r):
+        out[..., i, :, i, :] = a
+    return out.reshape(a.shape[:-2] + (r * n, r * n))
+
+
+def _block_form(both: np.ndarray) -> _Blocks | None:
+    """Candidate block form of the closure elements E_p (the first half
+    of ``both``) and their partial transposes (the second half), still
+    to be checked with ``_Blocks.rebuilds``. None when the eigenspaces
+    that one block joins differ in dimension, or when the stacked blocks
+    would be no smaller than D x D.
+
+    In a basis where every element is (+)_i A_i (x) I_{m_i}, a generic
+    element has n_i distinct eigenvalues in block i, each m_i times, so
+    the eigenspaces of a seeded random element r of the closure have the
+    dimensions m_i. Eigenspaces that a chain of elements couples (a
+    nonzero block of V^H E V, V the eigenvectors of r, read from batched
+    products) make up one block. Within a block, the basis of each
+    eigenspace is turned by the polar factor of its coupling block with
+    the first eigenspace in a second random element, which makes that
+    coupling a multiple of I_m; A_i is the average of the m_i diagonal
+    copies.
+    """
+    k, d = len(both) // 2, both.shape[-1]
+    coef = np.random.default_rng(1).standard_normal((2, k))
+    w, v = np.linalg.eigh(np.tensordot(coef[0], both[:k], 1))
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1))
+    dims = np.diff(np.append(starts, d))
+    # V^H E V, and its squared entries summed over E
+    c = np.empty(both.shape, np.result_type(both, v))
+    strength = np.zeros((d, d))
+    for lo in range(0, 2 * k, _BATCH):
+        part = slice(lo, lo + _BATCH)
+        np.matmul(v.conj().T @ both[part], v, out=c[part])
+        strength += np.square(np.abs(c[part])).sum(axis=0)
+    # eigenspaces coupled directly, then through chains
+    member = np.repeat(np.eye(len(dims)), dims, axis=0)
+    reach = (member.T @ (strength > _COUPLING_TOL ** 2) @ member + np.eye(len(dims))) > 0
+    while True:
+        grown = reach @ reach
+        if (grown == reach).all():
+            break
+        reach = grown
+    # each block is named by its first eigenspace, its root
+    first = reach.argmax(axis=1)
+    if (dims != dims[first]).any():
+        return None
+    is_root = first == np.arange(len(dims))
+    roots = np.flatnonzero(is_root)
+    in_block = (np.cumsum(is_root) - 1)[first] == np.arange(len(roots))[:, None]
+    sizes, mults = in_block.sum(axis=1), dims[roots]
+    s = math.lcm(*sizes.tolist())
+    if s >= d:
+        return None
+    # the columns of V block after block, eigenspace after eigenspace
+    order = np.nonzero(in_block)[1]
+    span = dims[order]
+    cols = np.repeat(starts[order] - (np.cumsum(span) - span), span) + np.arange(d)
+    q = v[:, cols]
+    stack = np.zeros((2 * k, len(roots), s, s), c.dtype)
+    single = sizes == 1
+    diag = np.add.reduceat(c.diagonal(axis1=1, axis2=2), starts, axis=1) / dims
+    stack[:, single] = diag[:, roots[single], None, None] * np.eye(s)
+    link = np.tensordot(coef[1], c[:k], 1)
+    offsets = np.cumsum(sizes * mults) - sizes * mults
+    for b in np.flatnonzero(~single):
+        n, m = int(sizes[b]), int(mults[b])
+        at = slice(offsets[b], offsets[b] + n * m)
+        idx = cols[at]
+        sub = c[:, idx[:, None], idx]
+        if m > 1:
+            # polar factors L (L^H L)^{-1/2} of the couplings L of the
+            # first eigenspace with the others
+            link_b = link[idx[:m, None], idx[m:]].reshape(m, n - 1, m).swapaxes(0, 1)
+            w2, u = np.linalg.eigh(link_b.conj().swapaxes(-1, -2) @ link_b)
+            if not w2.min() > _COUPLING_TOL ** 2:
+                return None
+            polar = link_b @ (u / np.sqrt(w2)[:, None, :]) @ u.conj().swapaxes(-1, -2)
+            turn = np.zeros((n, m, n, m), v.dtype)
+            turn[0, :, 0, :] = np.eye(m)
+            turn[np.arange(1, n), :, np.arange(1, n), :] = polar.conj().swapaxes(-1, -2)
+            turn = turn.reshape(n * m, n * m)
+            q[:, at] = q[:, at] @ turn
+            sub = turn.conj().T @ sub @ turn
+        a = np.trace(sub.reshape(-1, n, m, n, m), axis1=2, axis2=4) / m
+        stack[:, b] = _repeat_block(a, s // n)
+    return _Blocks(q, stack, sizes, mults)
+
+
 class _ClosureBasis:
     """Orthonormal basis E_1..E_k of the Jordan closure, held as dense
-    matrices together with their partial transposes."""
+    matrices (``mat``, ``coords`` and ``project`` act on D x D matrices)
+    and in the block form of the module docstring, ``blocks``: the form
+    from ``_block_form`` when it rebuilds every E_p and E_p^{T_B}, and
+    otherwise one D x D block (q the identity, weight 1). The iteration
+    runs on (..., B, s, s) stacks of blocks: ``pair`` gives M(x) and
+    M(x)^{T_B}, ``adjoint``, ``project_stack`` and ``hessian`` take
+    stacks with ``weight`` in every trace, and ``full`` maps a stack back
+    to D x D."""
 
     def __init__(self, elements: np.ndarray, dim_a: int, dim_b: int):
         self.n, d, _ = elements.shape
         self.dim = d
         self.e = elements
-        self.e_pt = _pt_mat(elements, dim_a, dim_b)
-        # columns conj(vec E_q) stacked over conj(vec E_q^{T_B}), so that
-        # vec(Y) @ adj[:D^2] = Tr[Y E_q] for Hermitian E_q
-        self._adj = np.concatenate(
-            [elements.reshape(self.n, d * d), self.e_pt.reshape(self.n, d * d)],
-            axis=1).conj().T
+        # columns conj(vec E_q), so that vec(Y) @ adj = Tr[Y E_q] for
+        # Hermitian E_q (a view for the real field)
+        flat = elements.reshape(self.n, d * d)
+        self._adj = (flat.conj() if np.iscomplexobj(flat) else flat).T
+        both = np.concatenate([elements, _pt_mat(elements, dim_a, dim_b)])
+        form = _block_form(both)
+        if form is None or not form.rebuilds(both):
+            form = _Blocks(None, both[:, None], (d,), (1,))
+        self.blocks = form
+        self.shape = form.stack.shape[1:]
+        self.weight = form.weight[:, None]
+        self._stack = form.stack.reshape((2, self.n, -1))
+        # [E_1 .. E_k] side by side in each block: (2, 1, B, s, k s)
+        b, s, _ = self.shape
+        self._wide = np.ascontiguousarray(
+            form.stack.reshape(2, self.n, b, s, s).transpose(0, 2, 3, 1, 4)
+        ).reshape(2, 1, b, s, self.n * s)
+        # the same adjoint in block coordinates, weighted: rows for the
+        # blocks of Y, then for those of the transposed Y
+        weighted = form.stack * form.weight[:, None, None]
+        self._adj_stack = (weighted.reshape(2, self.n, -1).transpose(0, 2, 1)
+                           .reshape(-1, self.n).conj())
 
     def mat(self, x: np.ndarray) -> np.ndarray:
         return np.tensordot(x, self.e, 1)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
         d2 = self.dim ** 2
-        return np.real(g.reshape(g.shape[:-2] + (d2,)) @ self._adj[:d2])
+        return np.real(g.reshape(g.shape[:-2] + (d2,)) @ self._adj)
 
     def project(self, g: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of the basis."""
         return self.mat(self.coords(g))
 
+    def pair(self, x: np.ndarray) -> np.ndarray:
+        """M(x) and M(x)^{T_B} as a (2, B, s, s) stack."""
+        return (x @ self._stack).reshape((2,) + self.shape)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Re Tr[(Y1 - Y2) E_p] + Re Tr[(Y3 - Y4) E_p^{T_B}] of a (4, B, s, s)
+        stack."""
+        flat = np.concatenate([(y[0] - y[1]).ravel(), (y[2] - y[3]).ravel()])
+        return np.real(flat @ self._adj_stack)
+
+    def project_stack(self, y: np.ndarray) -> np.ndarray:
+        """``project`` of each matrix of a (..., B, s, s) stack."""
+        lead = y.shape[:-3]
+        half = len(self._adj_stack) // 2
+        x = np.real(y.reshape(lead + (-1,)) @ self._adj_stack[:half])
+        return (x @ self._stack[0]).reshape(y.shape)
+
+    def full(self, stack: np.ndarray) -> np.ndarray:
+        return self.blocks.full(stack)
+
     def newton_buffers(self) -> _NewtonBuffers:
         return _NewtonBuffers(np.empty((self.n, self.n), order="F"))
 
     def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
-        """The k x k Hessian; it is small and takes no buffer from
-        ``work``."""
-        g1, g2, g3, g4 = gs
-        y = g1 @ self.e @ g1 + g2 @ self.e @ g2
-        y_pt = g3 @ self.e_pt @ g3 + g4 @ self.e_pt @ g4
-        d2 = self.dim ** 2
-        h = np.concatenate([y.reshape(self.n, d2), y_pt.reshape(self.n, d2)],
-                           axis=1) @ self._adj
-        return np.real(h)
+        """The k x k Hessian from (4, B, s, s) blocks G; it is small and
+        takes no buffer from ``work``. Each block of G multiplies the k
+        blocks E_p side by side, [G E_1 .. G E_k], and then stacked, so a
+        block takes two products however large k is."""
+        k, (b, s, _) = self.n, self.shape
+        g = np.reshape(gs, (2, 2) + self.shape)
+        y = (g @ self._wide).reshape(2, 2, b, s, k, s).swapaxes(3, 4)
+        y = (y.reshape(2, 2, b, k * s, s) @ g).sum(axis=1)
+        y = y.reshape(2, b, k, s, s).transpose(2, 0, 1, 3, 4).reshape(k, -1)
+        return np.real(y @ self._adj_stack)
 
 
 def _spectral_projectors(a: np.ndarray) -> np.ndarray:
@@ -551,9 +810,9 @@ def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
     -1 minus the largest of p_s, so one spectrum gives both steps."""
     if p_z is None:
         w = np.linalg.eigvalsh(p_s)
-        low = np.array([w[:, 0].min(), -1.0 - w[:, -1].max()])
+        low = np.array([w[..., 0].min(), -1.0 - w[..., -1].max()])
     else:
-        low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].min(axis=1)
+        low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].reshape(2, -1).min(axis=1)
     return tuple(1.0 if w >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -w
                  for w in low.tolist())
 
@@ -595,36 +854,31 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         x_work = x_mat
     canon = _Basis(dim_a, dim_b, complex_field)
     basis = _jordan_closure(x_work, canon) or canon
-    eye = np.eye(d, dtype=x_work.dtype)
+    # the iteration runs on stacks of the basis's blocks (one D x D block
+    # for canonical coordinates), each weighted in every trace
+    size = basis.shape[-1]
+    eye = np.eye(size, dtype=x_work.dtype)
+    weight = basis.weight
     c_obj = basis.coords(x_work)
     nu = 4.0 * d
-    signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape(4, 1, 1)
-
-    def pt(m):
-        return _pt_mat(m, dim_a, dim_b)
+    signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * len(basis.shape))
 
     def scaled(dx, t, th, inv_outer):
         # T A(dx) T^H / (lam_i lam_j) per block, for A(dx) the change of the
         # slacks M, I-M, M^T_B, I-M^T_B: each block pair of T takes dM or
         # dM^T_B, and inv_outer carries the sign of the slack
-        dm = basis.mat(dx)
-        pairs = (2, 2, d, d)
-        prod = t.reshape(pairs) @ np.stack((dm, pt(dm)))[:, None] @ th.reshape(pairs)
-        return prod.reshape(4, d, d) * inv_outer
-
-    def adjoint(y):
-        # A*(y), so that c + A*(Z) is the dual residual
-        return basis.coords(y[0] - y[1] + pt(y[2] - y[3]))
+        pairs = (2, 2) + basis.shape
+        prod = t.reshape(pairs) @ basis.pair(dx)[:, None] @ th.reshape(pairs)
+        return prod.reshape(t.shape) * inv_outer
 
     def certify(z):
-        b = z[3] - z[2]
+        b = basis.full(z[3] - z[2])
         b = (b + b.conj().T) / 2.0
         return _dual_bound(x_work, b, dim_a, dim_b), b
 
-    x = basis.coords(eye / 2.0)
-    m = basis.mat(x)
-    chol_s = _chol_blocks(m, pt(m), eye)
-    z = np.stack((eye,) * 4)
+    x = basis.coords(np.eye(d, dtype=x_work.dtype) / 2.0)
+    chol_s = _chol_blocks(*basis.pair(x), eye)
+    z = np.broadcast_to(eye, (4,) + basis.shape).copy()
     chol_z = z.copy()
     work = basis.newton_buffers()
     steps = 0
@@ -637,8 +891,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         if lam is None or not (np.isfinite(lam).all() and lam.min() > 0.0):
             failure = "iterate lost positive definiteness"
             break
-        complementarity = float(np.square(lam).sum())
-        residual = c_obj + adjoint(z)
+        complementarity = float((np.square(lam) * weight).sum())
+        residual = c_obj + basis.adjoint(z)
         if complementarity <= gap_tol:
             gap = certify(z)[0] - float(c_obj @ x)
             if gap <= gap_tol / 10.0:
@@ -656,14 +910,14 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         steps += 1
         th = t.conj().swapaxes(-1, -2)
         root = np.sqrt(lam)
-        y = t / root[:, :, None]
+        y = t / root[..., None]
         chol = _newton_factor(basis.hessian(y.conj().swapaxes(-1, -2) @ y, work),
                               work.factor)
         if chol is None:
             failure = "Newton system factorization failed"
             break
-        inv_outer = signs / (lam[:, :, None] * lam[:, None, :])
-        root_outer = root[:, :, None] * root[:, None, :]
+        inv_outer = signs / (lam[..., :, None] * lam[..., None, :])
+        root_outer = root[..., :, None] * root[..., None, :]
         try:
             # predictor (sigma = 0): its right-hand side A*(-Z) + residual is
             # c, and its scaled dZ^ is -diag(lam) - dS^
@@ -671,9 +925,9 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             p_s = scaled(dx, t, th, inv_outer)
             a_p, a_d = _step_lengths(p_s, None)
             ds_hat = root_outer * p_s
-            lam_diag = lam[:, :, None] * eye
+            lam_diag = lam[..., None] * eye
             dz_hat = -lam_diag - ds_hat
-            reached = float(np.real(np.sum((lam_diag + a_p * ds_hat)
+            reached = float(np.real(np.sum(weight[..., None] * (lam_diag + a_p * ds_hat)
                                            * (lam_diag + a_d * dz_hat).conj())))
             sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
 
@@ -681,10 +935,10 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             # sigma mu I - Lambda^2 - dS_a o dZ_a, with o the Jordan product
             corr = ds_hat @ dz_hat
             corr = (corr + corr.conj().swapaxes(-1, -2)) / 2.0
-            q = corr * (-2.0 / ((lam[:, :, None] + lam[:, None, :]) * root_outer))
-            q.reshape(4, d * d)[:, ::d + 1] += (sigma * complementarity / nu
-                                                / np.square(lam) - 1.0)
-            dx, _ = dpotrs(chol, residual + adjoint(th @ q @ t), lower=1)
+            q = corr * (-2.0 / ((lam[..., :, None] + lam[..., None, :]) * root_outer))
+            q.reshape(-1, size * size)[:, ::size + 1] += (
+                sigma * complementarity / nu / np.square(lam) - 1.0).reshape(-1, size)
+            dx, _ = dpotrs(chol, residual + basis.adjoint(th @ q @ t), lower=1)
             p_s = scaled(dx, t, th, inv_outer)
             p_z = q - p_s
             a_p, a_d = _step_lengths(p_s, p_z)
@@ -692,9 +946,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             # Z stays in the span of the coordinates in exact arithmetic;
             # projecting drops the rounding outside it, which the residual
             # cannot see
-            z_next = basis.project(z + a_d * (th @ p_z @ t))
-            m = basis.mat(x_next)
-            chol_s = _chol_blocks(m, pt(m), eye)
+            z_next = basis.project_stack(z + a_d * (th @ p_z @ t))
+            chol_s = _chol_blocks(*basis.pair(x_next), eye)
             chol_z = np.linalg.cholesky(z_next)
         except np.linalg.LinAlgError:
             chol_s = None

@@ -784,3 +784,218 @@ class TestClosedFormFamily:
         res = sdp.solve_ppt_two_outcome(x, da, db)
         assert 0.5 + 0.5 * res.primal <= closed <= 0.5 + 0.5 * res.value
         assert res.newton_steps <= 12
+
+
+def pt_stack(m, da, db):
+    """Partial transpose on B of a stack of matrices, by axis swap."""
+    k = len(m)
+    return (m.reshape(k, da, db, da, db).transpose(0, 1, 4, 3, 2)
+            .reshape(k, da * db, da * db))
+
+
+def block_diagonal(blocks, mults):
+    """(+)_i A_i (x) I_{m_i} for a stack of matrices per block."""
+    d = sum(a.shape[-1] * m for a, m in zip(blocks, mults))
+    out = np.zeros((len(blocks[0]), d, d), blocks[0].dtype)
+    at = 0
+    for a, m in zip(blocks, mults):
+        n = a.shape[-1] * m
+        out[:, at:at + n, at:at + n] = np.kron(a, np.eye(m))
+        at += n
+    return out
+
+
+def leading_blocks(form):
+    """The blocks A_i of a block form, read off its stack after checking
+    that each stacked block is I_{s/n_i} (x) A_i."""
+    s = form.stack.shape[-1]
+    out = []
+    for b, n in enumerate(form.sizes):
+        a = form.stack[:, b, :n, :n]
+        np.testing.assert_array_equal(
+            form.stack[:, b], np.kron(np.eye(s // n), a) if s > n else a)
+        out.append(a)
+    return out
+
+
+BLOCK_PAIRS = {
+    **{f"werner-d{d}": werner(d) for d in (2, 3, 4, 5)},
+    "composed-D16": composed(0.9, 2),
+    "composed-D36": composed(0.95, 3),
+    "composed-D64": composed(0.99, 4),
+    "k-copy-D64": werner_power(2, 3),
+}
+
+
+class TestBlockDecomposition:
+    @pytest.mark.parametrize("name", list(BLOCK_PAIRS))
+    def test_blocks_rebuild_every_element(self, name):
+        x, da, db = BLOCK_PAIRS[name]
+        basis, _ = closure(x, da, db)
+        form = basis.blocks
+        d = da * db
+        q = form.q
+        assert q is not None and q.dtype == form.stack.dtype == np.float64
+        assert np.abs(q.T @ q - np.eye(d)).max() <= 1e-12
+        assert sum(n * m for n, m in zip(form.sizes, form.mults)) == d
+        s = form.stack.shape[-1]
+        assert all(s % n == 0 for n in form.sizes)
+        np.testing.assert_allclose(
+            form.weight, [m * n / s for n, m in zip(form.sizes, form.mults)])
+        both = np.concatenate([basis.e, pt_stack(basis.e, da, db)])
+        rebuilt = q @ block_diagonal(leading_blocks(form), form.mults) @ q.T
+        assert np.abs(rebuilt - both).max() <= 1e-10
+        assert np.abs(form.full(form.stack) - rebuilt).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_werner_blocks_are_three_scalars(self, d):
+        form = closure(*werner(d))[0].blocks
+        assert form.sizes == (1, 1, 1)
+        assert sorted(form.mults) == sorted([d * (d + 1) // 2 - 1, d * (d - 1) // 2, 1])
+
+    @pytest.mark.parametrize("lam,d2,scalars", [(0.9, 2, 6), (0.95, 3, 12),
+                                                (0.99, 4, 12)])
+    def test_composed_blocks_are_three_2x2_and_scalars(self, lam, d2, scalars):
+        form = closure(*composed(lam, d2))[0].blocks
+        pairs = sorted(zip(form.sizes, form.mults))
+        assert [m for n, m in pairs if n == 2] == [1, 1, 2]
+        assert sum(n == 1 for n in form.sizes) == scalars
+        assert set(form.sizes) == {1, 2}
+
+    def test_k_copy_blocks_are_scalars(self):
+        form = closure(*werner_power(2, 3))[0].blocks
+        assert set(form.sizes) == {1}
+
+    @pytest.mark.parametrize("name", ["werner-d3", "composed-D36"])
+    def test_seeded_decomposition_repeats(self, name):
+        first, second = (closure(*BLOCK_PAIRS[name])[0].blocks for _ in range(2))
+        np.testing.assert_array_equal(first.q, second.q)
+        np.testing.assert_array_equal(first.stack, second.stack)
+        assert (first.sizes, first.mults) == (second.sizes, second.mults)
+
+
+def one_block(monkeypatch, x, da, db):
+    """The solve with the block form refused: one D x D block."""
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_block_form", lambda both: None)
+        return sdp.solve_ppt_two_outcome(x, da, db)
+
+
+def rotate_a(inp, seed):
+    """X under a random complex unitary on the A factor, which commutes
+    with the partial transpose on B: a complex objective with the same
+    closure structure."""
+    x, da, db = inp
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da)))
+    u = np.kron(u, np.eye(db))
+    return u @ x @ u.conj().T, da, db
+
+
+BLOCK_PARITY = {
+    "composed-0.5-d2": composed(0.5, 2),
+    "composed-0.7-d4": composed(0.7, 4),
+    "composed-0.9-d2": composed(0.9, 2),
+    "composed-0.9-d3": composed(0.9, 3),
+    "composed-0.99-d4": composed(0.99, 4),
+    "composed-0.9999-d2": composed(0.9999, 2),
+    "composed-0.9999-d3": composed(0.9999, 3),
+    "werner-d3": werner(3),
+    "werner-d5": werner(5),
+    "k-copy-d2-k2": werner_power(2, 2),
+    "composed-0.9-d2-x1e3": (1e3 * composed(0.9, 2)[0], 4, 4),
+    "composed-0.99-d3-complex": rotate_a(composed(0.99, 3), 5),
+}
+
+
+class TestBlockParity:
+    # the iterates on the blocks are the D x D iterates in another basis:
+    # the same iterations up to rounding
+    @pytest.mark.parametrize("name", list(BLOCK_PARITY))
+    def test_same_iterations_as_one_block(self, name, monkeypatch):
+        x, da, db = BLOCK_PARITY[name]
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        ref = one_block(monkeypatch, x, da, db)
+        form = closure(x, da, db)[0].blocks
+        assert form.q is not None
+        # a real closure gives a real basis change
+        assert np.iscomplexobj(form.q) == bool(np.abs(np.imag(x)).max() > 1e-13)
+        assert res.newton_steps == ref.newton_steps
+        assert res.coords == ref.coords
+        assert abs(res.value - ref.value) <= 1e-10 * max(1.0, abs(ref.value))
+        assert res.optimizer.shape == res.certificate.shape == (da * db, da * db)
+
+    def test_corrupted_decomposition_runs_as_one_block(self, monkeypatch):
+        # swapping two columns of q across blocks breaks the form: the
+        # check refuses it, and the solve is the one-block solve
+        x, da, db = composed(0.9, 2)
+        decompose = sdp._block_form
+        corrupted = []
+
+        def swapped(both):
+            form = decompose(both)
+            q = form.q.copy()
+            q[:, [0, -1]] = q[:, [-1, 0]]
+            bad = sdp._Blocks(q, form.stack, form.sizes, form.mults)
+            assert form.rebuilds(both) and not bad.rebuilds(both)
+            corrupted.append(bad)
+            return bad
+
+        monkeypatch.setattr(sdp, "_block_form", swapped)
+        basis, _ = closure(x, da, db)
+        assert corrupted and basis.blocks.q is None
+        assert basis.blocks.sizes == (da * db,) and basis.shape == (1, da * db, da * db)
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        monkeypatch.undo()
+        ref = one_block(monkeypatch, x, da, db)
+        assert (res.newton_steps, res.value, res.primal) == (
+            ref.newton_steps, ref.value, ref.primal)
+        np.testing.assert_array_equal(res.certificate, ref.certificate)
+
+
+class TestStackedHooks:
+    @staticmethod
+    def stacks(rng, blocks, s, real):
+        return np.stack([positive_blocks(rng, s, real, 1e2) for _ in range(blocks)],
+                        axis=1)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_scaling_and_steps_match_each_block(self, real):
+        rng = np.random.default_rng(81 + real)
+        s_mat, z_mat = self.stacks(rng, 5, 3, real), self.stacks(rng, 5, 3, real)
+        assert s_mat.shape == (4, 5, 3, 3)
+        chol_s, chol_z = np.linalg.cholesky(s_mat), np.linalg.cholesky(z_mat)
+        t, lam = sdp._nt_scaling(chol_s, chol_z)
+        for b in range(5):
+            tb, lam_b = sdp._nt_scaling(chol_s[:, b], chol_z[:, b])
+            np.testing.assert_allclose(lam[:, b], lam_b, rtol=1e-12, atol=0)
+            # W^{-1} = T^H diag(lam)^{-1} T does not depend on the eigenvectors' phases
+            w_inv = t[:, b].conj().swapaxes(-1, -2) @ (t[:, b] / lam[:, b, :, None])
+            w_ref = tb.conj().swapaxes(-1, -2) @ (tb / lam_b[..., None])
+            assert relative_error(w_inv, w_ref) <= 1e-12
+        p_s = s_mat - 0.5 * z_mat
+        p_z = z_mat - 0.5 * s_mat
+        for p in (None, p_z):
+            per_block = [sdp._step_lengths(p_s[:, b], None if p is None else p[:, b])
+                         for b in range(5)]
+            assert sdp._step_lengths(p_s, p) == tuple(min(a) for a in zip(*per_block))
+
+    @pytest.mark.parametrize("name", ["composed-D16", "werner-d4"])
+    def test_weighted_trace_is_the_full_trace(self, name):
+        # <S, Z> summed over the blocks with their weights, as the
+        # iteration reads it off the NT scaling, is Re Tr[S Z] in D x D
+        x, da, db = BLOCK_PAIRS[name]
+        basis, _ = closure(x, da, db)
+        rng = np.random.default_rng(91)
+        d = da * db
+        m = basis.pair(basis.coords(np.eye(d) / 2.0) + 0.02 * rng.normal(size=basis.n))
+        eye = np.eye(basis.shape[-1])
+        s_mat = np.stack((m[0], eye - m[0], m[1], eye - m[1]))
+        z_mat = basis.project_stack(eye + 0.2 * rng.normal(size=s_mat.shape))
+        _, lam = sdp._nt_scaling(np.linalg.cholesky(s_mat), np.linalg.cholesky(z_mat))
+        weighted = float((np.square(lam) * basis.weight).sum())
+        full = sum(np.trace(a @ b).real for a, b in zip(basis.full(s_mat),
+                                                       basis.full(z_mat)))
+        assert weighted == pytest.approx(full, rel=1e-12)
+        direct = float(np.sum(basis.weight[..., None] * s_mat * z_mat.conj()))
+        assert direct == pytest.approx(full, rel=1e-12)
