@@ -11,9 +11,10 @@ All randomness flows from the --seed root through labeled substreams
 rate, detect) play their trials with the array engine ``play_trial`` in
 trial-id order in one thread, writing each trial's JSONL lines straight
 from its arrays, so identical (config, seed, version) give
-byte-identical JSONL/CSV artifacts. ``--threads`` is still accepted and
-validated but changes no work: every trial is a few vector operations,
-and there is no pool.
+byte-identical JSONL/CSV artifacts. Without --out they keep only the
+scores (and detect's guesses), not the trials. ``--threads`` is still
+accepted and validated but changes no work: every trial is a few vector
+operations, and there is no pool.
 
 Monte-Carlo frequencies in the stdout reports carry their sample counts
 and 99% Wilson intervals.
@@ -475,10 +476,14 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
     rounds = _count(params, "rounds", 100)
     trials = _count(params, "trials", 1)
 
-    played = [(t, play_trial(strategy, None, rounds, config.seed,
-                             stream=("trial", t)))
-              for t in range(trials)]
-    scores = [tr.final_score for _, tr in played]
+    # transcripts are kept only for --out; otherwise just the scores
+    played = []
+    scores = []
+    for t in range(trials):
+        tr = play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
+        scores.append(tr.final_score)
+        if config.out:
+            played.append((t, tr))
     rates = [score / rounds for score in scores]
     report = {
         "protocol_id": strategy.protocol_id,
@@ -524,7 +529,8 @@ def cmd_detect(config: ExperimentConfig) -> dict:
         guesses[t] = _threshold_guess(det_config, tr.final_score / det_config.n)
         per_world[world][1] += 1
         per_world[world][0] += int(guesses[t] == world)
-        played.append((t, tr))
+        if config.out:
+            played.append((t, tr))
     report = {
         "n": det_config.n,
         "mode": mode,
@@ -572,7 +578,8 @@ def cmd_rate(config: ExperimentConfig) -> dict:
             tr = play_trial(strategy, None, n, config.seed,
                             stream=("rate", n, t))
             hits += tr.final_score >= r * n - 1e-9
-            played.append((len(played), tr))
+            if config.out:
+                played.append((len(played), tr))
         fracs.append(hits / trials)
         cis.append(_ci_json(hits, trials))
     report = {

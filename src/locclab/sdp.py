@@ -48,7 +48,8 @@ Optim. 2, 575 (1992)).
 
 Stop. The value is U(B) of B = Z4 - Z3, read straight off the dual
 iterate (see Certificate). It is checked once <S, Z> <= gap_tol, and the
-solve stops when U(B) - Re Tr[M X] <= gap_tol/10. A solve that runs out
+solve stops when U(B) - Re Tr[M X] <= gap_tol/10; the check's U(B) and B
+are the reported ones, not computed again. A solve that runs out
 of ``max_newton`` iterations, loses positive definiteness (an iterate, or
 the Newton system after its ridge retries) or stalls (<S, Z> and the
 residual negligible while the gap stays open) ends at its last iterate:
@@ -106,7 +107,13 @@ blocks enter as an axis permutation or as transposed positions.
 J is grown in generations of candidates that lie in it, projector-driven
 (one eigh and one pivoted QR each), with rank decisions made on
 X / ||X||_F since cX has the closure of X; with probability 1 the growth
-stops at J itself (``_jordan_closure`` gives the argument).
+stops at J itself (``_jordan_closure`` gives the argument). J holds the
+spectral projectors of X and of X^{T_B}, and their span has dimension
+r_X + r_G - c (r_X, r_G eigenspaces, c the components of the graph that
+links P_i and Q_j when P_i Q_j != 0). When that already exceeds
+max(n/8, 8), as for generic pairs with 5 <= D <= 15 (real field: up to
+D = 30), the closure gives up before its first generation: no candidate
+and no pivoted QR.
 
 J is found numerically, so a wrong rank decision could give a subspace
 the iterates leave. Nothing in the reported value rests on J, though:
@@ -267,6 +274,7 @@ class _Basis:
     def __init__(self, dim_a: int, dim_b: int, complex_field: bool):
         self.dim_a, self.dim_b = dim_a, dim_b
         d = self.dim = dim_a * dim_b
+        self.shape = (d, d)
         self.complex_field = complex_field
         if complex_field:
             self.n = d * d
@@ -313,14 +321,10 @@ class _Basis:
     project_stack = project
     weight = np.ones(1)
 
-    @property
-    def shape(self) -> tuple:
-        return (self.dim, self.dim)
-
     def pair(self, x: np.ndarray) -> np.ndarray:
         """M(x) and M(x)^{T_B} as a (2, D, D) stack."""
         m = self.mat(x)
-        return np.stack((m, _pt_mat(m, self.dim_a, self.dim_b)))
+        return np.concatenate((m[None], _pt_mat(m, self.dim_a, self.dim_b)[None]))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Coordinates of Y1 - Y2 + (Y3 - Y4)^{T_B} for a (4, D, D) stack."""
@@ -507,9 +511,8 @@ def _block_form(both: np.ndarray) -> _Blocks | None:
     """
     k, d = len(both) // 2, both.shape[-1]
     coef = np.random.default_rng(1).standard_normal((2, k))
-    w, v = np.linalg.eigh(np.tensordot(coef[0], both[:k], 1))
-    starts = np.concatenate(
-        ([0], np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1))
+    v, cuts = _eigenspaces(np.tensordot(coef[0], both[:k], 1))
+    starts = np.concatenate(([0], cuts))
     dims = np.diff(np.append(starts, d))
     # V^H E V, and its squared entries summed over E
     c = np.empty(both.shape, np.result_type(both, v))
@@ -520,14 +523,9 @@ def _block_form(both: np.ndarray) -> _Blocks | None:
         strength += np.square(np.abs(c[part])).sum(axis=0)
     # eigenspaces coupled directly, then through chains
     member = np.repeat(np.eye(len(dims)), dims, axis=0)
-    reach = (member.T @ (strength > _COUPLING_TOL ** 2) @ member + np.eye(len(dims))) > 0
-    while True:
-        grown = reach @ reach
-        if (grown == reach).all():
-            break
-        reach = grown
     # each block is named by its first eigenspace, its root
-    first = reach.argmax(axis=1)
+    first = _first_linked(
+        (member.T @ (strength > _COUPLING_TOL ** 2) @ member + np.eye(len(dims))) > 0)
     if (dims != dims[first]).any():
         return None
     is_root = first == np.arange(len(dims))
@@ -597,6 +595,7 @@ class _ClosureBasis:
             form = _Blocks(None, both[:, None], (d,), (1,))
         self.blocks = form
         self.shape = form.stack.shape[1:]
+        self._pair_shape = (2,) + self.shape
         self.weight = form.weight[:, None]
         self._stack = form.stack.reshape((2, self.n, -1))
         # [E_1 .. E_k] side by side in each block: (2, 1, B, s, k s)
@@ -623,7 +622,7 @@ class _ClosureBasis:
 
     def pair(self, x: np.ndarray) -> np.ndarray:
         """M(x) and M(x)^{T_B} as a (2, B, s, s) stack."""
-        return (x @ self._stack).reshape((2,) + self.shape)
+        return (x @ self._stack).reshape(self._pair_shape)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Re Tr[(Y1 - Y2) E_p] + Re Tr[(Y3 - Y4) E_p^{T_B}] of a (4, B, s, s)
@@ -657,16 +656,51 @@ class _ClosureBasis:
         return np.real(y @ self._adj_stack)
 
 
-def _spectral_projectors(a: np.ndarray) -> np.ndarray:
-    """Projectors onto the eigenspaces of the Hermitian matrix ``a``, as
-    a stack; empty when it has fewer than three distinct eigenvalues
-    (then they lie in span{I, a})."""
+def _first_linked(linked: np.ndarray) -> np.ndarray:
+    """First node of each node's connected component, for a symmetric
+    boolean relation given as a square matrix with a true diagonal."""
+    reach = linked
+    while True:
+        grown = reach @ reach
+        if (grown == reach).all():
+            return reach.argmax(axis=1)
+        reach = grown
+
+
+def _eigenspaces(a: np.ndarray):
+    """Eigenvectors of the Hermitian matrix ``a`` (columns, eigenvalues
+    ascending) and the column indices where a new eigenspace starts."""
     w, v = np.linalg.eigh(a)
-    cuts = np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1
+    return v, np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1
+
+
+def _spectral_projectors(v: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Projectors onto the eigenspaces from ``_eigenspaces``, as a stack;
+    empty when there are fewer than three (then they lie in the span of I
+    and the matrix)."""
     if cuts.size < 2:
-        return np.empty((0,) + a.shape, a.dtype)
+        return np.empty((0,) + v.shape, v.dtype)
     return np.stack([v[:, g] @ v[:, g].conj().T
-                     for g in np.split(np.arange(w.size), cuts)])
+                     for g in np.split(np.arange(len(v)), cuts)])
+
+
+def _projector_span(v_x: np.ndarray, cuts_x: np.ndarray,
+                    v_pt: np.ndarray, cuts_pt: np.ndarray) -> int:
+    """Dimension r_X + r_G - c of the span of the spectral projectors P_i
+    of X and Q_j of X^{T_B}, given by ``_eigenspaces`` of both: r_X and
+    r_G eigenspaces, and c components of the graph that links P_i and
+    Q_j when ||P_i Q_j||_F^2 (the squared moduli of V^H U summed over
+    the pair's columns) exceeds _CLOSURE_TOL. Every P_i and Q_j is
+    linked, since its masses sum to its rank (>= 1) over at most D
+    partners, so c counts the components among the P_i. A weak link left
+    out can only raise c, and so only lower the dimension returned."""
+    mass = np.square(np.abs(v_x.conj().T @ v_pt))
+    mass = np.add.reduceat(np.add.reduceat(mass, np.append(0, cuts_x), axis=0),
+                           np.append(0, cuts_pt), axis=1)
+    linked = mass > _CLOSURE_TOL
+    first = _first_linked(linked @ linked.T)
+    components = int(np.count_nonzero(first == np.arange(len(first))))
+    return cuts_x.size + cuts_pt.size + 2 - components
 
 
 def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
@@ -677,6 +711,21 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     coordinates without growing the closure to k = n (structured pairs
     stay far below: 3 for Werner pairs, 15/21 for the composed pairs).
     Giving up early is exact; it only chooses the slower coordinates.
+
+    J holds the spectral projectors P_i of X and Q_j of X^{T_B}. A
+    Hermitian matrix in both spans, sum_i a_i P_i = sum_j b_j Q_j, gives
+    a_i P_i Q_j = P_i (sum_k b_k Q_k) Q_j = b_j P_i Q_j, so a_i = b_j
+    wherever P_i Q_j != 0: the coefficients are constant on each
+    component of the graph linking such P_i and Q_j, and the spans meet
+    in c dimensions for c components. Hence dim J >= r_X + r_G - c, with
+    r_X and r_G the numbers of eigenspaces (``_projector_span``, read off
+    the eigenvectors the first generation computes anyway), and when
+    that exceeds the give-up size the closure returns None before any
+    candidate is formed. The count is taken only when its largest value,
+    r_X + r_G - 1, exceeds that size: generic pairs with 5 <= D <= 15
+    (real field: up to D = 30) give up there, while generic D = 4 and
+    complex D >= 16 pairs (7 <= 8 and 31 <= 32 at D = 16) give up after
+    the first generation's pivoted QR.
 
     Elements are rows of canonical coordinates. A generation's
     candidates, scaled to unit norm, are split by one pivoted QR after
@@ -705,7 +754,14 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
 
     x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
     x_pt = pt(x_unit)
-    proj = np.concatenate([_spectral_projectors(x_unit), _spectral_projectors(x_pt)])
+    (v_x, cuts_x), (v_pt, cuts_pt) = _eigenspaces(x_unit), _eigenspaces(x_pt)
+    # the projectors span at most r_X + r_G - 1 dimensions (c >= 1), so
+    # their span is counted only when that exceeds give_up
+    if (cuts_x.size + cuts_pt.size + 1 > give_up
+            and _projector_span(v_x, cuts_x, v_pt, cuts_pt) > give_up):
+        return None
+    proj = np.concatenate([_spectral_projectors(v_x, cuts_x),
+                           _spectral_projectors(v_pt, cuts_pt)])
     cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
     while True:
         c = canon.coords(cands)
@@ -722,15 +778,20 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
         basis = np.vstack([basis, np.linalg.qr(new.T)[0].T])
         e = canon.mat(basis)
         mixed = np.tensordot(rng.standard_normal(len(e)), e, 1)
-        cands = np.concatenate([_spectral_projectors(mixed), pt(e[-rank:])])
+        cands = np.concatenate([_spectral_projectors(*_eigenspaces(mixed)),
+                                pt(e[-rank:])])
 
 
 def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
     """Cholesky factors of the four slack blocks M, I-M, M^{T_B},
     I-M^{T_B} as one (4, D, D) stack, or None if any block is not
     positive definite."""
+    slacks = np.empty((4,) + m.shape, np.result_type(m, eye))
+    slacks[0], slacks[2] = m, mt
+    np.subtract(eye, m, out=slacks[1])
+    np.subtract(eye, mt, out=slacks[3])
     try:
-        return np.linalg.cholesky(np.stack((m, eye - m, mt, eye - mt)))
+        return np.linalg.cholesky(slacks)
     except np.linalg.LinAlgError:
         return None
 
@@ -810,11 +871,12 @@ def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
     -1 minus the largest of p_s, so one spectrum gives both steps."""
     if p_z is None:
         w = np.linalg.eigvalsh(p_s)
-        low = np.array([w[..., 0].min(), -1.0 - w[..., -1].max()])
+        low_s, low_z = float(w[..., 0].min()), -1.0 - float(w[..., -1].max())
     else:
-        low = np.linalg.eigvalsh(np.stack((p_s, p_z)))[..., 0].reshape(2, -1).min(axis=1)
-    return tuple(1.0 if w >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -w
-                 for w in low.tolist())
+        w = np.linalg.eigvalsh(np.concatenate((p_s, p_z)))
+        low_s, low_z = w[..., 0].reshape(2, -1).min(axis=1).tolist()
+    return (1.0 if low_s >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -low_s,
+            1.0 if low_z >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -low_z)
 
 
 def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
@@ -859,17 +921,20 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     size = basis.shape[-1]
     eye = np.eye(size, dtype=x_work.dtype)
     weight = basis.weight
+    # the weights broadcast over the rows of each block
+    weight_rows = weight[..., None]
+    # the (4, ...) stacks of the iteration, and as two pairs of blocks
+    stack, pairs = (4,) + basis.shape, (2, 2) + basis.shape
     c_obj = basis.coords(x_work)
     nu = 4.0 * d
     signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * len(basis.shape))
 
-    def scaled(dx, t, th, inv_outer):
+    def scaled(dx, t_pairs, th_pairs, inv_outer):
         # T A(dx) T^H / (lam_i lam_j) per block, for A(dx) the change of the
         # slacks M, I-M, M^T_B, I-M^T_B: each block pair of T takes dM or
         # dM^T_B, and inv_outer carries the sign of the slack
-        pairs = (2, 2) + basis.shape
-        prod = t.reshape(pairs) @ basis.pair(dx)[:, None] @ th.reshape(pairs)
-        return prod.reshape(t.shape) * inv_outer
+        prod = t_pairs @ basis.pair(dx)[:, None] @ th_pairs
+        return prod.reshape(stack) * inv_outer
 
     def certify(z):
         b = basis.full(z[3] - z[2])
@@ -878,11 +943,13 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
 
     x = basis.coords(np.eye(d, dtype=x_work.dtype) / 2.0)
     chol_s = _chol_blocks(*basis.pair(x), eye)
-    z = np.broadcast_to(eye, (4,) + basis.shape).copy()
+    z = np.broadcast_to(eye, stack).copy()
     chol_z = z.copy()
     work = basis.newton_buffers()
     steps = 0
     failure = None
+    # U(B) and B of the current z, once its gap check has computed them
+    bound = None
     while failure is None:
         try:
             t, lam = _nt_scaling(chol_s, chol_z)
@@ -894,7 +961,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         complementarity = float((np.square(lam) * weight).sum())
         residual = c_obj + basis.adjoint(z)
         if complementarity <= gap_tol:
-            gap = certify(z)[0] - float(c_obj @ x)
+            bound = certify(z)
+            gap = bound[0] - float(c_obj @ x)
             if gap <= gap_tol / 10.0:
                 break
             # the gap is at most <S, Z> + 2 sqrt(D) ||residual|| when the
@@ -918,17 +986,18 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             break
         inv_outer = signs / (lam[..., :, None] * lam[..., None, :])
         root_outer = root[..., :, None] * root[..., None, :]
+        t_pairs, th_pairs = t.reshape(pairs), th.reshape(pairs)
         try:
             # predictor (sigma = 0): its right-hand side A*(-Z) + residual is
             # c, and its scaled dZ^ is -diag(lam) - dS^
             dx, _ = dpotrs(chol, c_obj, lower=1)
-            p_s = scaled(dx, t, th, inv_outer)
+            p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
             a_p, a_d = _step_lengths(p_s, None)
             ds_hat = root_outer * p_s
             lam_diag = lam[..., None] * eye
             dz_hat = -lam_diag - ds_hat
-            reached = float(np.real(np.sum(weight[..., None] * (lam_diag + a_p * ds_hat)
-                                           * (lam_diag + a_d * dz_hat).conj())))
+            reached = float((weight_rows * (lam_diag + a_p * ds_hat)
+                             * (lam_diag + a_d * dz_hat).conj()).sum().real)
             sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
 
             # corrector: in the scaled space, Lambda o (dS + dZ) =
@@ -939,7 +1008,7 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             q.reshape(-1, size * size)[:, ::size + 1] += (
                 sigma * complementarity / nu / np.square(lam) - 1.0).reshape(-1, size)
             dx, _ = dpotrs(chol, residual + basis.adjoint(th @ q @ t), lower=1)
-            p_s = scaled(dx, t, th, inv_outer)
+            p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
             p_z = q - p_s
             a_p, a_d = _step_lengths(p_s, p_z)
             x_next = x + a_p * dx
@@ -956,8 +1025,9 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             failure = "iterate lost positive definiteness"
         else:
             x, z = x_next, z_next
+            bound = None
 
-    value, b = certify(z)
+    value, b = bound or certify(z)
     primal = float(c_obj @ x)
     gap = value - primal
     if not gap <= gap_tol:

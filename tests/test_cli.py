@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +590,51 @@ class TestRateCommand:
         err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
                         "--r", "0.5", "--n-list", "5,x")
         assert err["type"] == "ConfigError"
+
+
+# game commands, with the number of trials each plays
+GAMES = {
+    "simulate": (["simulate", "--protocol", "iid", "--p", "0.6", "--rounds",
+                  "40", "--trials", "6", "--seed", "2"], 6),
+    "rate": (["rate", *MB, "--n-block", "4", "--r", "0.7", "--n-list",
+              "12,30", "--trials", "4", "--seed", "2"], 8),
+    "detect": (["detect", "--p-tau", "0.9", "--p-locc", "0.5", "--delta",
+                "0.1", "--n", "30", "--trials", "5", "--seed", "2"], 5),
+}
+
+
+class TestTrialMemory:
+    # without --out a game command keeps no played trial: when the next
+    # one starts, only the previous one (the loop's last) may be alive;
+    # with --out every trial stays for the writer
+    @staticmethod
+    def live_at_each_call(monkeypatch, capsys, argv):
+        refs, live = [], []
+        play = cli.play_trial
+
+        def tracked(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            trial = play(*args, **kwargs)
+            refs.append(weakref.ref(trial))
+            return trial
+
+        monkeypatch.setattr(cli, "play_trial", tracked)
+        report = run_json(capsys, *argv)
+        monkeypatch.undo()
+        return report, live
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_without_out_at_most_one_trial_is_alive(self, monkeypatch, capsys,
+                                                     tmp_path, name):
+        argv, trials = GAMES[name]
+        report, live = self.live_at_each_call(monkeypatch, capsys, argv)
+        assert len(live) == trials
+        assert max(live) <= 1
+        kept, live = self.live_at_each_call(monkeypatch, capsys,
+                                            [*argv, "--out", str(tmp_path)])
+        assert live == list(range(trials))
+        # the same report, but for the files written
+        assert kept.pop("files") and kept == report
 
 
 IID = ["--protocol", "iid", "--p", "0.5"]

@@ -54,6 +54,19 @@ def random_objective(rng, da, db, real=False):
     return random_density(rng, d, real) - random_density(rng, d, real), da, db
 
 
+def pure_objective(rng, da, db, real):
+    """Difference of two random pure states."""
+    d = da * db
+    out = []
+    for _ in range(2):
+        v = rng.normal(size=d)
+        if not real:
+            v = v + 1j * rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        out.append(np.outer(v, v.conj()))
+    return out[0] - out[1], da, db
+
+
 def partial_transpose(m, da, db):
     """Transpose of the B factor, written out index by index."""
     out = np.empty_like(m)
@@ -548,6 +561,94 @@ class TestJordanClosure:
         assert abs(res.value) <= 1e-6
 
 
+def count_qr(monkeypatch):
+    """Record the calls of scipy's QR, which the closure imports when it
+    starts."""
+    import scipy.linalg
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    return calls
+
+
+def projector_rank(x, da, db):
+    """Numerical rank of the spectral projectors of x and x^{T_B}, from
+    their canonical coordinates."""
+    mats = []
+    for m in (x, partial_transpose(x, da, db)):
+        w, v = np.linalg.eigh(m)
+        for g in np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > 1e-8) + 1):
+            mats.append(v[:, g] @ v[:, g].conj().T)
+    flat = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats])
+    return np.linalg.matrix_rank(flat, tol=1e-8)
+
+
+class TestSpectralGiveUp:
+    # the spectral projectors of X and X^{T_B} lie in the closure and
+    # span r_X + r_G - c dimensions; a pair whose projectors alone
+    # outgrow the give-up size max(n // 8, 8) returns None before any
+    # candidate or pivoted QR, and only pairs with r_X + r_G - 1 above
+    # that size count c at all
+
+    @pytest.mark.parametrize("da,db", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_generic_complex_pair_gives_up_without_a_qr(self, da, db, monkeypatch):
+        calls = count_qr(monkeypatch)
+        for seed in range(3):
+            x, _, _ = random_objective(np.random.default_rng(110 + seed), da, db)
+            assert closure(x, da, db)[0] is None
+        assert calls == []
+
+    @pytest.mark.parametrize("inp", [
+        random_objective(np.random.default_rng(120), 2, 3),
+        random_objective(np.random.default_rng(121), 3, 3, real=True),
+        pure_objective(np.random.default_rng(122), 2, 3, False),
+        werner(3), composed(0.9, 2), werner_power(2, 2),
+        (np.diag(np.linspace(-0.3, 0.4, 8)), 2, 4),
+    ], ids=["complex-2x3", "real-3x3", "pure-2x3", "werner-d3", "composed-D16",
+            "k-copy-D16", "diagonal-2x4"])
+    def test_span_is_the_rank_of_the_projectors(self, inp):
+        x, da, db = inp
+        x = x / np.linalg.norm(x)
+        spaces = sdp._eigenspaces(x), sdp._eigenspaces(partial_transpose(x, da, db))
+        assert sdp._projector_span(*spaces[0], *spaces[1]) == projector_rank(x, da, db)
+
+    def test_diagonal_pair_keeps_its_closure(self, monkeypatch):
+        # X^{T_B} = X, so each P_i is one Q_j: c = 8 and the span is
+        # 8 + 8 - 8 = 8, the give-up size of the real 2 x 4 space, while
+        # r_X + r_G - 1 = 15 would have given the pair up
+        x = np.diag(np.linspace(-0.3, 0.4, 8))
+        v, cuts = sdp._eigenspaces(x)
+        assert sdp._projector_span(v, cuts, v, cuts) == 8
+        calls = count_qr(monkeypatch)
+        basis, canon = closure(x, 2, 4)
+        assert max(canon.n // 8, 8) == 8
+        assert basis.n == 8 and calls
+        res = sdp.solve_ppt_two_outcome(x, 2, 4)
+        assert res.coords == 8
+        # the diagonal pair's PPT value is the sum of its positive entries
+        assert res.value == pytest.approx(float(x[x > 0].sum()), abs=1e-6)
+
+    @pytest.mark.parametrize("da,db", [(2, 2), (4, 4), (2, 8)])
+    def test_d4_and_d16_complex_pairs_take_the_first_generation(self, da, db,
+                                                                monkeypatch):
+        # r_X + r_G - 1 = 7 <= 8 at D = 4 and 31 <= 32 at D = 16: the
+        # span is never counted, and the first generation's pivoted QR
+        # gives the pair up
+        x, _, _ = random_objective(np.random.default_rng(130 + da), da, db)
+        spans = []
+        span = sdp._projector_span
+        monkeypatch.setattr(sdp, "_projector_span",
+                            lambda *a: spans.append(None) or span(*a))
+        calls = count_qr(monkeypatch)
+        assert closure(x, da, db)[0] is None
+        assert spans == [] and len(calls) == 1
+
+
 def solve_both(x, da, db, monkeypatch):
     reduced = sdp.solve_ppt_two_outcome(x, da, db)
     with monkeypatch.context() as mp:
@@ -629,6 +730,48 @@ class TestCertificate:
         assert res.gap == pytest.approx(res.value - res.primal, abs=1e-15)
         # any Hermitian B bounds the optimum: a worse one is loose, not wrong
         assert dual_bound(x, b / 2.0, da, db) >= res.primal
+
+
+class TestCertificateReuse:
+    # the gap check's U(B) of the final iterate is the reported value,
+    # so each B is certified once: at the parent, the last B was
+    # certified again after the loop
+    @staticmethod
+    def recorded(monkeypatch):
+        bound = sdp._dual_bound
+        calls = []
+
+        def recording(x_mat, b, dim_a, dim_b):
+            value = bound(x_mat, b, dim_a, dim_b)
+            calls.append((b.copy(), value))
+            return value
+
+        monkeypatch.setattr(sdp, "_dual_bound", recording)
+        return calls
+
+    @pytest.mark.parametrize("inp", PINNED, ids=["werner-d3", "composed-D16",
+                                                 "complex-2x2", "real-3x3"])
+    def test_converged_solve_certifies_each_iterate_once(self, inp, monkeypatch):
+        x, da, db = inp
+        plain = sdp.solve_ppt_two_outcome(x, da, db)
+        calls = self.recorded(monkeypatch)
+        res = sdp.solve_ppt_two_outcome(x, da, db)
+        assert calls
+        for (b, _), (b_next, _) in zip(calls, calls[1:]):
+            assert not np.array_equal(b, b_next)
+        b, value = calls[-1]
+        assert res.value == value == plain.value
+        np.testing.assert_array_equal(res.certificate, b)
+        np.testing.assert_array_equal(res.certificate, plain.certificate)
+
+    def test_unchecked_iterate_is_certified_after_the_loop(self, monkeypatch):
+        # three iterations end before <S, Z> reaches the tolerance, so no
+        # gap check ran: the one call is the certificate of the error
+        calls = self.recorded(monkeypatch)
+        with pytest.raises(SolverError, match="within 3 iterations") as err:
+            sdp.solve_ppt_two_outcome(*werner(3), max_newton=3)
+        assert len(calls) == 1
+        assert err.value.value == calls[0][1]
 
 
 class TestPinnedSolves:
@@ -725,19 +868,6 @@ def svd_scaling(chol_s, chol_z):
     lz_h = chol_z.conj().swapaxes(-1, -2)
     u, lam, _ = np.linalg.svd(lz_h @ chol_s)
     return u.conj().swapaxes(-1, -2) @ lz_h, lam
-
-
-def pure_objective(rng, da, db, real):
-    """Difference of two random pure states."""
-    d = da * db
-    out = []
-    for _ in range(2):
-        v = rng.normal(size=d)
-        if not real:
-            v = v + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        out.append(np.outer(v, v.conj()))
-    return out[0] - out[1], da, db
 
 
 PARITY = {
