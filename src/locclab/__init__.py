@@ -48,13 +48,13 @@ from .protocols import (ConcentrationOutcome, FailureExponentFit,
                         log2_multinomial, sample_type, teleport,
                         type_log2_dim)
 from .game import (DetectionConfig, DetectionOracle, DetectionReport,
-                   DetectionResult, GameTranscript, HistoryCappedStrategy,
-                   IIDStrategy, MemoryBlockStrategy, RateEstimate,
-                   RoundRecord, Strategy, SupermartingaleReport, azuma_bound,
+                   DetectionResult, HistoryCappedStrategy, IIDStrategy,
+                   MemoryBlockStrategy, RateEstimate, Strategy,
+                   SupermartingaleReport, TrialArrays, azuma_bound,
                    check_supermartingale, default_detection_oracle,
                    detect_catalyst, detection_accuracy, estimate_rate,
                    hoeffding_bound, memory_block_strategy, min_rounds,
-                   run_game, run_teleport_discrimination, simulate_ensemble)
+                   play_trial, run_teleport_discrimination, simulate_ensemble)
 
 __version__ = "0.1.0"
 
@@ -80,9 +80,9 @@ __all__ = [
     "concentration_distribution", "concentration_success_prob",
     "sample_type", "type_log2_dim", "log2_multinomial",
     "FailureExponentFit", "failure_exponent_fit",
-    "RoundRecord", "GameTranscript", "Strategy", "IIDStrategy",
+    "TrialArrays", "Strategy", "IIDStrategy",
     "HistoryCappedStrategy", "MemoryBlockStrategy", "memory_block_strategy",
-    "run_game", "simulate_ensemble", "RateEstimate", "estimate_rate",
+    "play_trial", "simulate_ensemble", "RateEstimate", "estimate_rate",
     "DetectionConfig", "DetectionOracle", "DetectionResult",
     "DetectionReport", "default_detection_oracle", "detect_catalyst",
     "detection_accuracy", "min_rounds", "hoeffding_bound", "azuma_bound",

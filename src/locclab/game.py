@@ -4,11 +4,13 @@ concentration-inequality validators.
 The engine is probability-accounting: a strategy never sees the
 referee's bit Z_j, only whether its guess matched (classical feedback),
 and per round it declares a success probability computed from its own
-memory state. The engine draws the success indicator, forms Y_j from
-Z_j, and enforces the transcript invariants itself. A full
-density-matrix backend is used only where the state spaces are tiny
-(see run_teleport_discrimination); the statistical claims being checked
-constrain success probabilities and memory bookkeeping only.
+memory state. The engine draws the success indicator and forms Y_j
+from Z_j; a trial is one ``TrialArrays``, whose constructor checks the
+transcript invariants (Z and Y bits, X = 1[Y = Z], S = cumsum(X)) on
+the whole arrays. A full density-matrix backend is used only where the
+state spaces are tiny (see run_teleport_discrimination); the
+statistical claims being checked constrain success probabilities and
+memory bookkeeping only.
 
 One checked engine core plays every ensemble: it draws a (trials, n)
 array of success uniforms u and hands it to ``Strategy.play``, which
@@ -25,14 +27,14 @@ round by round; the built-in strategies override it with closed forms,
 vectorized over trials, that return the same numbers.
 
 ``play_trial`` is the core with one trial on its per-trial substreams,
-plus the referee bits; ``run_game`` wraps it in a validated
-``GameTranscript`` and the CLI game commands write its arrays. The
-library ensembles (``simulate_ensemble``, ``estimate_rate``,
-``detection_accuracy``) call the core once per ensemble, checkpoint or
-world, on the ``("ensemble",)``, ``("rate", n)`` and
-``("accuracy", world)`` prefixes. They never need referee bits, and
-one stream pair per ensemble avoids seeding a generator per trial, so
-their numbers differ from the CLI's for the same seed.
+plus the referee bits, returned as a ``TrialArrays``; the CLI game
+commands write its arrays. The library ensembles
+(``simulate_ensemble``, ``estimate_rate``, ``detection_accuracy``) call
+the core once per ensemble, checkpoint or world, on the
+``("ensemble",)``, ``("rate", n)`` and ``("accuracy", world)``
+prefixes. They never need referee bits, and one stream pair per
+ensemble avoids seeding a generator per trial, so their numbers differ
+from the CLI's for the same seed.
 
 Randomness: referee bits, success draws, and strategy-owned randomness
 come from independently labeled substreams of one root seed, so
@@ -62,57 +64,6 @@ from .states import (HidingPairSpec, PsiSpec, _swap, check_psi_conditions,
 from .stats import wilson_interval
 
 Label = int | str
-
-
-# --- transcript types ---------------------------------------------------
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round: referee bit Z, guess Y, success indicator X = 1[Y=Z],
-    and the strategy's opaque memory summary after the round."""
-
-    j: int
-    Z: int
-    Y: int
-    X: int
-    memory_descriptor: str
-
-    def __post_init__(self):
-        if self.Z not in (0, 1) or self.Y not in (0, 1):
-            raise SpecError(f"round {self.j}: Z and Y must be bits")
-        if self.X != int(self.Y == self.Z):
-            raise SpecError(f"round {self.j}: X must indicate Y == Z")
-
-
-@dataclass(frozen=True)
-class GameTranscript:
-    """Full record of one n-round game with the running score S."""
-
-    records: tuple[RoundRecord, ...]
-    S: tuple[int, ...]
-    protocol_id: str
-    seed: int
-    n: int
-
-    def __post_init__(self):
-        if len(self.records) != self.n or len(self.S) != self.n:
-            raise SpecError(f"transcript length mismatch: n={self.n}, "
-                            f"{len(self.records)} records, {len(self.S)} partial sums")
-        total = 0
-        for idx, rec in enumerate(self.records):
-            if rec.j != idx + 1:
-                raise SpecError(f"round indices must run 1..n, got {rec.j} at {idx}")
-            total += rec.X
-            if self.S[idx] != total:
-                raise SpecError(f"S_{idx + 1} = {self.S[idx]} does not telescope")
-
-    @property
-    def final_score(self) -> int:
-        return self.S[-1] if self.S else 0
-
-    @property
-    def success_fraction(self) -> float:
-        return self.final_score / self.n
 
 
 # --- strategies ----------------------------------------------------------
@@ -341,11 +292,17 @@ def memory_block_strategy(d1: int, psi_spec: PsiSpec,
 
 # --- game engine ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialArrays:
     """One n-round game as arrays: referee bits Z, guesses Y, success
     indicators X = 1[Y = Z], running score S, and the memory descriptor
-    before round 1 followed by the one after each round (n + 1 strings)."""
+    before round 1 followed by the one after each round (n + 1 strings).
+
+    The constructor checks these invariants with a few whole-array
+    operations and raises SpecError naming the first offending round.
+    Two trials are equal when their protocol, descriptors and arrays
+    are; trials are not hashable.
+    """
 
     protocol_id: str
     Z: np.ndarray
@@ -354,6 +311,42 @@ class TrialArrays:
     S: np.ndarray
     descriptors: list[str]
 
+    __hash__ = None
+
+    def __post_init__(self):
+        z, y, x, s = arrays = tuple(
+            map(np.asarray, (self.Z, self.Y, self.X, self.S)))
+        n = x.size
+        if not (n >= 1 and z.shape == y.shape == x.shape == s.shape == (n,)
+                and len(self.descriptors) == n + 1):
+            raise SpecError(
+                f"transcript length mismatch: n={n}, Z {z.shape}, Y {y.shape}, "
+                f"S {s.shape}, {len(self.descriptors)} descriptors (want "
+                f"n >= 1 rounds and n + 1 descriptors)")
+        if np.result_type(*arrays).kind not in "biu":
+            raise SpecError(f"transcript arrays must share an integer type, got "
+                            f"Z {z.dtype}, Y {y.dtype}, X {x.dtype}, S {s.dtype}")
+        # zero exactly in the rounds where Z, Y and X are bits and X = 1[Y = Z]
+        bad = ((z | y | x) >> 1) | (x ^ z ^ y ^ 1)
+        if bad.any():
+            j = int(np.flatnonzero(bad)[0])
+            raise SpecError(f"round {j + 1}: Z and Y must be bits"
+                            if (z[j] | y[j]) >> 1
+                            else f"round {j + 1}: X must indicate Y == Z")
+        telescopes = s == np.cumsum(x)
+        if not telescopes.all():
+            k = int(telescopes.argmin())
+            raise SpecError(f"S_{k + 1} = {s[k]} does not telescope")
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialArrays):
+            return NotImplemented
+        return (self.protocol_id == other.protocol_id
+                and self.descriptors == other.descriptors
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.Z, other.Z), (self.Y, other.Y),
+                    (self.X, other.X), (self.S, other.S))))
+
     @property
     def n(self) -> int:
         return len(self.X)
@@ -361,6 +354,10 @@ class TrialArrays:
     @property
     def final_score(self) -> int:
         return int(self.S[-1])
+
+    @property
+    def success_fraction(self) -> float:
+        return self.final_score / self.n
 
 
 def _first_change(descriptors: list[str]) -> int | None:
@@ -453,8 +450,12 @@ def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
     This is the checked engine core with one trial: success uniforms and
     strategy randomness come from the ``(*stream, "success" |
     "strategy")`` substreams of ``seed``, referee bits from
-    ``(*stream, "rounds")``. On top of the core's checks, X = 1[Y = Z]
-    and S = cumsum(X) are verified on the arrays.
+    ``(*stream, "rounds")``. ``pair`` is forwarded to the strategy's
+    reset for state-aware strategies; synthetic oracles ignore it.
+    ``stream`` prefixes the substream labels so callers (trials,
+    detection worlds) stay on independent random streams of the same
+    root seed. On top of the core's checks, the ``TrialArrays``
+    constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
     if n < 1:
         raise SpecError(f"round count must be >= 1, got {n}")
@@ -464,31 +465,8 @@ def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
     z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
     y = np.where(success, z, 1 - z)
     x = (y == z).astype(np.int64)
-    s = np.cumsum(x)
-    if not np.array_equal(x, success) or s[-1] != np.count_nonzero(success):
-        raise SpecError("round arrays break X = 1[Y = Z] or S = cumsum(X)")
-    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x, S=s,
-                       descriptors=descriptors)
-
-
-def run_game(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
-             stream: tuple[Label, ...] = ()) -> GameTranscript:
-    """Play n rounds against a uniform referee and return the transcript.
-
-    ``pair`` is forwarded to the strategy's reset for state-aware
-    strategies; synthetic oracles ignore it. ``stream`` prefixes the
-    substream labels so callers (trials, detection worlds) stay
-    on independent random streams of the same root seed. This is
-    ``play_trial`` with one RoundRecord per round.
-    """
-    trial = play_trial(strategy, pair, n, seed, stream)
-    records = tuple(
-        RoundRecord(j=j, Z=z, Y=y, X=x, memory_descriptor=memory)
-        for j, z, y, x, memory in zip(range(1, n + 1), trial.Z.tolist(),
-                                      trial.Y.tolist(), trial.X.tolist(),
-                                      trial.descriptors[1:]))
-    return GameTranscript(records=records, S=tuple(trial.S.tolist()),
-                          protocol_id=trial.protocol_id, seed=seed, n=n)
+    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x,
+                       S=np.cumsum(x), descriptors=descriptors)
 
 
 def simulate_ensemble(strategy: Strategy, n: int, trials: int,
@@ -618,7 +596,7 @@ class DetectionResult:
     guess: str
     world: str
     final_score: int
-    transcript: GameTranscript
+    transcript: TrialArrays
 
     @property
     def correct(self) -> bool:
@@ -641,8 +619,8 @@ def detect_catalyst(config: DetectionConfig, round_oracle: DetectionOracle,
     """Run the threshold test in the named simulated world and guess
     which world produced the transcript."""
     strategy = round_oracle.strategy_for(world)
-    transcript = run_game(strategy, None, config.n, seed,
-                          stream=stream + ("detect", world))
+    transcript = play_trial(strategy, None, config.n, seed,
+                            stream=stream + ("detect", world))
     frac = transcript.success_fraction
     return DetectionResult(guess=_threshold_guess(config, frac), world=world,
                            final_score=transcript.final_score,
@@ -771,15 +749,20 @@ def check_supermartingale(ensemble, p_cap: float, min_count: int = 50,
     p_cap beyond statistical tolerance.
 
     ``ensemble`` is either a (trials, n) 0/1 matrix or a list of
-    GameTranscript. Trajectories are bucketed by (j, S_j); within each
-    bucket the next-round success frequency p_hat is compared to p_cap
-    with the null standard error sqrt(p_cap (1 - p_cap) / m).
+    ``TrialArrays`` of n rounds each, whose success indicators X are
+    the rows. Trajectories are bucketed by (j, S_j); within each bucket
+    the next-round success frequency p_hat is compared to p_cap with
+    the null standard error sqrt(p_cap (1 - p_cap) / m).
     """
     if isinstance(ensemble, np.ndarray):
         x = ensemble
     else:
-        x = np.array([[rec.X for rec in tr.records] for tr in ensemble],
-                     dtype=np.uint8)
+        rows = [tr.X for tr in ensemble]
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise SpecError(f"ensemble trials must have equal round counts, "
+                            f"got {lengths}")
+        x = np.array(rows, dtype=np.uint8)
     if x.ndim != 2 or x.size == 0:
         raise SpecError("ensemble must be a nonempty (trials, n) matrix")
     if not np.isin(x, (0, 1)).all():
@@ -816,16 +799,20 @@ def check_supermartingale(ensemble, p_cap: float, min_count: int = 50,
 # --- density-matrix backend check ------------------------------------------
 
 def run_teleport_discrimination(d: int = 2, n: int = 1000,
-                                seed: int = 0) -> GameTranscript:
-    """Round loop on the exact density-matrix backend: teleport the
+                                seed: int = 0) -> TrialArrays:
+    """n rounds on the exact density-matrix backend: teleport the
     prepared half of the hiding pair to the guesser's side through a
     fresh |phi_d> each round, then measure the symmetric/antisymmetric
     projector globally. The pair is orthogonal, so every guess is
     correct; this validates the channel stack end to end.
 
     The teleportation channel is deterministic, so the per-world output
-    state is computed once and outcome sampling reuses it each round.
+    state is computed once; the referee bits and the measurement
+    outcomes of all rounds are one array draw each from the
+    ``("teleport", "rounds" | "outcome")`` substreams of ``seed``.
     """
+    if n < 1:
+        raise SpecError(f"round count must be >= 1, got {n}")
     sigma0, sigma1 = make_hiding_pair(HidingPairSpec(d=d))
     resource = make_max_entangled(d, labels=("Ap", "Bp"))
     outputs: list[DensityOperator] = []
@@ -833,23 +820,14 @@ def run_teleport_discrimination(d: int = 2, n: int = 1000,
         outputs.append(teleport(sigma, "A1", resource).state)
 
     p_sym = (np.eye(d * d) + _swap(d)) / 2.0  # swap-invariant, factor order free
-    sym_probs = [float(np.real(np.trace(p_sym @ out.entries)))
-                 for out in outputs]
+    sym_probs = np.array([float(np.real(np.trace(p_sym @ out.entries)))
+                          for out in outputs])
 
-    rng_rounds = rng_from(seed, "teleport", "rounds")
-    rng_outcome = rng_from(seed, "teleport", "outcome")
-    records = []
-    partial = []
-    total = 0
-    for j in range(1, n + 1):
-        z = int(rng_rounds.integers(0, 2))
-        sym = bool(rng_outcome.random() < sym_probs[z])
-        y = 0 if sym else 1
-        x = int(y == z)
-        total += x
-        records.append(RoundRecord(j=j, Z=z, Y=y, X=x,
-                                   memory_descriptor="resource=consumed"))
-        partial.append(total)
-    return GameTranscript(records=tuple(records), S=tuple(partial),
-                          protocol_id=f"teleport-discrimination-d{d}",
-                          seed=seed, n=n)
+    z = rng_from(seed, "teleport", "rounds").integers(0, 2, size=n)
+    sym = rng_from(seed, "teleport", "outcome").random(n) < sym_probs[z]
+    y = (~sym).astype(np.int64)  # symmetric outcome guesses 0
+    x = (y == z).astype(np.int64)
+    return TrialArrays(protocol_id=f"teleport-discrimination-d{d}", Z=z, Y=y,
+                       X=x, S=np.cumsum(x),
+                       descriptors=["resource=fresh"]
+                       + ["resource=consumed"] * n)

@@ -281,8 +281,8 @@ MB = ["--protocol", "memory-block", "--d1", "2", "--lambda", "0.5",
       "--d2", "4"]
 
 # SHA-256 of (transcripts.jsonl, summary.csv), recorded from the
-# round-by-round engine that ran one run_game per trial; the array
-# engine must reproduce every byte.
+# round-by-round engine that played one scalar round at a time; the
+# array engine must reproduce every byte.
 PINNED = {
     "simulate-iid": (
         ["simulate", "--protocol", "iid", "--p", "0.7", "--rounds", "50",

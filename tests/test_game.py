@@ -10,13 +10,12 @@ from locclab import (
     DetectionConfig,
     DetectionOracle,
     DomainError,
-    GameTranscript,
     HistoryCappedStrategy,
     IIDStrategy,
     PsiSpec,
-    RoundRecord,
     SpecError,
     Strategy,
+    TrialArrays,
     azuma_bound,
     check_supermartingale,
     concentration_success_prob,
@@ -27,13 +26,13 @@ from locclab import (
     hoeffding_bound,
     memory_block_strategy,
     min_rounds,
+    play_trial,
     psi_spectrum,
-    run_game,
     run_teleport_discrimination,
     simulate_ensemble,
 )
+import locclab
 from locclab import game
-from locclab.game import TrialArrays, play_trial
 from locclab.seeding import rng_from
 from locclab.stats import wilson_interval
 
@@ -242,9 +241,6 @@ class TestArrayEngine:
         with pytest.raises(error) as got:
             play_trial(strategy, None, 6, seed=1)
         assert str(got.value) == str(ref.value)
-        with pytest.raises(error) as wrapped:
-            run_game(strategy, None, 6, seed=1)
-        assert str(wrapped.value) == str(ref.value)
         with pytest.raises(error) as ensemble:
             simulate_ensemble(strategy, 6, trials=3, seed=1)
         assert str(ensemble.value) == str(ref.value)
@@ -323,60 +319,144 @@ class TestChunkedCore:
         assert peak < x.nbytes + 16 * 2**20
 
 
+def trial(Z, Y, X=None, S=None, descriptors=None, protocol_id="x"):
+    """A hand-built TrialArrays; X, S and the descriptors default to
+    the consistent ones."""
+    Z, Y = np.asarray(Z), np.asarray(Y)
+    X = (Y == Z).astype(np.int64) if X is None else np.asarray(X)
+    S = np.cumsum(X) if S is None else np.asarray(S)
+    if descriptors is None:
+        descriptors = ["-"] * (len(X) + 1)
+    return TrialArrays(protocol_id=protocol_id, Z=Z, Y=Y, X=X, S=S,
+                       descriptors=descriptors)
+
+
 class TestRunGame:
+    """One trial of the engine core, ``play_trial``."""
+
     def test_perfect_strategy(self):
-        tr = run_game(IIDStrategy(1.0), n=100)
+        tr = play_trial(IIDStrategy(1.0), n=100)
         assert tr.final_score == 100
-        assert tr.S == tuple(range(1, 101))
+        assert tr.S.tolist() == list(range(1, 101))
         assert tr.success_fraction == 1.0
 
     def test_hopeless_strategy(self):
-        tr = run_game(IIDStrategy(0.0), n=100)
+        tr = play_trial(IIDStrategy(0.0), n=100)
         assert tr.final_score == 0
 
     def test_uniform_guessing(self):
-        tr = run_game(IIDStrategy(0.5), n=10_000, seed=11)
+        tr = play_trial(IIDStrategy(0.5), n=10_000, seed=11)
         assert 0.47 <= tr.success_fraction <= 0.53
 
     def test_transcript_bookkeeping(self):
-        tr = run_game(IIDStrategy(0.75), n=200, seed=3)
+        tr = play_trial(IIDStrategy(0.75), n=200, seed=3)
         total = 0
-        for rec, s in zip(tr.records, tr.S):
-            assert rec.X == int(rec.Y == rec.Z)
-            total += rec.X
+        for z, y, x, s in zip(tr.Z.tolist(), tr.Y.tolist(), tr.X.tolist(),
+                              tr.S.tolist()):
+            assert x == int(y == z)
+            total += x
             assert s == total
         assert tr.protocol_id == "iid"
 
     def test_seed_determinism(self):
-        a = run_game(IIDStrategy(0.6), n=50, seed=9)
-        b = run_game(IIDStrategy(0.6), n=50, seed=9)
+        a = play_trial(IIDStrategy(0.6), n=50, seed=9)
+        b = play_trial(IIDStrategy(0.6), n=50, seed=9)
         assert a == b
-        c = run_game(IIDStrategy(0.6), n=50, seed=9, stream=("other",))
+        c = play_trial(IIDStrategy(0.6), n=50, seed=9, stream=("other",))
         assert c != a
 
     def test_invalid_probability(self):
         with pytest.raises(SpecError):
             IIDStrategy(1.5)
         with pytest.raises(SpecError):
-            run_game(SlowIID(1.2), n=3)
+            play_trial(SlowIID(1.2), n=3)
 
     def test_invalid_round_count(self):
         with pytest.raises(SpecError):
-            run_game(IIDStrategy(0.5), n=0)
+            play_trial(IIDStrategy(0.5), n=0)
 
     def test_catalyst_violation(self):
         with pytest.raises(CatalystViolation):
-            run_game(ShiftyCatalyst(), n=5)
+            play_trial(ShiftyCatalyst(), n=5)
 
     def test_round_record_validation(self):
-        with pytest.raises(SpecError):
-            RoundRecord(j=1, Z=2, Y=0, X=0, memory_descriptor="-")
+        with pytest.raises(SpecError, match="round 1: Z and Y must be bits"):
+            trial(Z=[2], Y=[0], X=[0])
 
     def test_transcript_validation(self):
-        rec = RoundRecord(j=1, Z=0, Y=0, X=1, memory_descriptor="-")
-        with pytest.raises(SpecError):
-            GameTranscript(records=(rec,), S=(0,), protocol_id="x",
-                           seed=0, n=1)
+        with pytest.raises(SpecError, match="S_1 = 0 does not telescope"):
+            trial(Z=[0], Y=[0], X=[1], S=[0])
+
+
+# (Z, Y, X, S, descriptors, message): one hand-built bad trial per
+# message, each broken in round 3 of 4 where a round is named; None
+# takes the consistent value
+BAD_TRIALS = {
+    "z-not-bit": ([0, 1, 2, 0], [0, 1, 0, 0], [1, 1, 0, 1], None, None,
+                  "round 3: Z and Y must be bits"),
+    "y-not-bit": ([0, 1, 0, 0], [0, 1, -1, 0], [1, 1, 0, 1], None, None,
+                  "round 3: Z and Y must be bits"),
+    "x-not-indicator": ([0, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1], None, None,
+                        "round 3: X must indicate Y == Z"),
+    "x-not-bit": ([0, 1, 0, 0], [0, 1, 0, 0], [1, 1, 2, 1], None, None,
+                  "round 3: X must indicate Y == Z"),
+    "s-not-telescoping": ([0, 1, 0, 0], [0, 1, 0, 0], None, [1, 2, 2, 4],
+                          None, "S_3 = 2 does not telescope"),
+    "s-short": ([0, 1, 0, 0], [0, 1, 0, 0], None, [1, 2, 3], None,
+                "transcript length mismatch: n=4"),
+    "z-long": ([0, 1, 0, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1], None, None,
+               "transcript length mismatch: n=4"),
+    "descriptors-n": ([0, 1, 0, 0], [0, 1, 0, 0], None, None, ["-"] * 4,
+                      "transcript length mismatch: n=4"),
+    "no-rounds": ([], [], None, None, ["-"],
+                  "transcript length mismatch: n=0"),
+    "two-dimensional": ([[0, 1]], [[0, 1]], None, None, ["-"] * 3,
+                        "transcript length mismatch: n=2"),
+    "scalars": (0, 0, 1, 1, ["-"] * 2, "transcript length mismatch: n=1"),
+    "float-arrays": ([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], None, None,
+                     "must share an integer type, got Z float64"),
+}
+
+
+class TestTrialArrays:
+    @pytest.mark.parametrize("case", sorted(BAD_TRIALS))
+    def test_bad_trial_rejected(self, case):
+        *fields, message = BAD_TRIALS[case]
+        with pytest.raises(SpecError, match=re.escape(message)):
+            trial(*fields)
+
+    def test_first_offending_round_is_named(self):
+        # round 2 breaks X = 1[Y = Z], round 3 the bits; then a round
+        # that breaks both reports the bits
+        with pytest.raises(SpecError, match=re.escape(
+                "round 2: X must indicate Y == Z")):
+            trial(Z=[0, 0, 5], Y=[0, 0, 0], X=[1, 0, 0])
+        with pytest.raises(SpecError, match=re.escape(
+                "round 2: Z and Y must be bits")):
+            trial(Z=[0, 0, 0], Y=[0, 7, 0], X=[1, 0, 2])
+
+    def test_accepts_consistent_trial(self):
+        tr = trial(Z=[0, 1, 1, 0], Y=[0, 0, 1, 0])
+        assert tr.n == 4 and tr.final_score == 3
+        assert tr.S.tolist() == [1, 1, 2, 3] and tr.success_fraction == 0.75
+        # boolean and narrow integer indicators are integers too
+        tr = trial(Z=np.array([1, 0], dtype=np.uint8), Y=[True, True],
+                   X=np.array([True, False]))
+        assert tr.final_score == 1
+
+    def test_value_equality(self):
+        a = play_trial(IIDStrategy(0.6), None, 50, 9)
+        b = play_trial(IIDStrategy(0.6), None, 50, 9)
+        assert a is not b and a == b and not a != b
+        assert a != play_trial(IIDStrategy(0.6), None, 49, 9)
+        assert a != "trial"
+        same = dict(Z=[0, 1], Y=[0, 1])
+        assert trial(**same) == trial(**same)
+        assert trial(**same) != trial(**same, protocol_id="y")
+        assert trial(**same) != trial(**same, descriptors=["-", "-", "+"])
+        assert trial(**same) != trial(Z=[1, 1], Y=[1, 1])
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestSimulateEnsemble:
@@ -441,7 +521,7 @@ class TestMemoryBlockStrategy:
 
     def test_first_block_is_free(self):
         strat = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 8)
-        tr = run_game(strat, n=8, seed=2)
+        tr = play_trial(strat, n=8, seed=2)
         assert tr.final_score == 8
 
     def test_second_block_mixture_mean(self):
@@ -457,9 +537,10 @@ class TestMemoryBlockStrategy:
 
     def test_descriptor_tracks_blocks(self):
         strat = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 4)
-        tr = run_game(strat, n=8, seed=1)
-        assert tr.records[0].memory_descriptor.startswith("block=0")
-        assert tr.records[4].memory_descriptor.startswith("block=1")
+        tr = play_trial(strat, n=8, seed=1)
+        # descriptors[j] is the memory after round j
+        assert tr.descriptors[1].startswith("block=0")
+        assert tr.descriptors[5].startswith("block=1")
 
 
 class TestEstimateRate:
@@ -649,9 +730,16 @@ class TestSupermartingaleAudit:
         assert report.max_z > report.z_tol
 
     def test_transcript_list_input(self):
-        trs = [run_game(IIDStrategy(0.5), n=10, seed=s) for s in range(120)]
+        trs = [play_trial(IIDStrategy(0.5), n=10, seed=s) for s in range(120)]
         report = check_supermartingale(trs, p_cap=0.5, min_count=30)
         assert report.trajectories == 120 and report.n == 10
+        x = np.array([tr.X for tr in trs], dtype=np.uint8)
+        assert check_supermartingale(x, p_cap=0.5, min_count=30) == report
+
+    def test_ragged_transcript_list_rejected(self):
+        trs = [play_trial(IIDStrategy(0.5), n=n, seed=1) for n in (10, 9)]
+        with pytest.raises(SpecError, match=re.escape("got [9, 10]")):
+            check_supermartingale(trs, p_cap=0.5)
 
     def test_input_validation(self):
         with pytest.raises(SpecError):
@@ -671,3 +759,58 @@ class TestTeleportDiscrimination:
     def test_dimension_three(self):
         tr = run_teleport_discrimination(d=3, n=100, seed=1)
         assert tr.final_score == 100
+
+    def test_matches_scalar_round_loop(self):
+        tr = run_teleport_discrimination(d=2, n=300, seed=7)
+        assert isinstance(tr, TrialArrays)
+        # one scalar draw per round from each stream; every outcome is
+        # symmetric exactly when Z = 0
+        rng_rounds = rng_from(7, "teleport", "rounds")
+        rng_outcome = rng_from(7, "teleport", "outcome")
+        zs, ys = [], []
+        for _ in range(300):
+            z = int(rng_rounds.integers(0, 2))
+            sym = rng_outcome.random() < (1.0 if z == 0 else 0.0)
+            zs.append(z)
+            ys.append(0 if sym else 1)
+        assert tr.Z.tolist() == zs and tr.Y.tolist() == ys
+        assert tr.final_score == tr.n == 300
+        assert tr.descriptors[1:] == ["resource=consumed"] * 300
+
+    def test_round_count_validation(self):
+        with pytest.raises(SpecError, match="round count"):
+            run_teleport_discrimination(d=2, n=0)
+
+
+GAME_API = sorted([
+    "DetectionConfig", "DetectionOracle", "DetectionReport", "DetectionResult",
+    "HistoryCappedStrategy", "IIDStrategy", "MemoryBlockStrategy",
+    "RateEstimate", "Strategy", "SupermartingaleReport", "TrialArrays",
+    "azuma_bound", "check_supermartingale", "default_detection_oracle",
+    "detect_catalyst", "detection_accuracy", "estimate_rate",
+    "hoeffding_bound", "memory_block_strategy", "min_rounds", "play_trial",
+    "run_teleport_discrimination", "simulate_ensemble",
+])
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        for name in locclab.__all__:
+            assert getattr(locclab, name) is not None, name
+        assert len(set(locclab.__all__)) == len(locclab.__all__)
+        assert locclab.play_trial is game.play_trial
+        assert locclab.TrialArrays is game.TrialArrays
+
+    def test_one_trial_type(self):
+        # every public name locclab.game defines is exported, and these
+        # are all of them: TrialArrays is the only trial type and
+        # play_trial the only function that plays one
+        def from_game(names, space):
+            return sorted(name for name in names
+                          if getattr(space[name], "__module__", None)
+                          == "locclab.game")
+
+        exported = from_game(locclab.__all__, vars(locclab))
+        defined = from_game([name for name in vars(game)
+                             if not name.startswith("_")], vars(game))
+        assert exported == defined == GAME_API
