@@ -20,7 +20,11 @@ the party that measures first and one conditional basis for the other
 party per first outcome, both checked unitary. The protocol is one-way
 LOCC by construction, its value is read off the conditional blocks
 <u_k|Delta|u_k> without forming any D x D element, and the winning
-protocol is the LOCC witness itself. The LOCC and PPT bounds read the
+protocol is the LOCC witness itself. The default library is scored
+witness-only: each strategy's value comes from its raw bases and
+conditional blocks with the protocol's own arithmetic, and only the
+winner is built and checked as a protocol, so its reported value is
+the one the witness reads. The LOCC and PPT bounds read the
 pair through one ``_canonical_difference`` (layout check, rho0 - rho1,
 A|B order).
 """
@@ -28,7 +32,7 @@ A|B order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +74,21 @@ def _conditional_blocks(d4_first: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The second party's blocks <u_k|Delta|u_k>, one per column u_k of
     ``first``, as one (k, d2, d2) stack."""
     return np.einsum("ak,abcd,ck->kbd", first.conj(), d4_first, first)
+
+
+def _functionals(cond: np.ndarray, blocks: np.ndarray,
+                 guess: np.ndarray | None) -> np.ndarray:
+    """:meth:`OneWayProtocol.functionals` of conditional bases ``cond``
+    and a guess map ``guess`` (None: every outcome)."""
+    t = np.einsum("kbm,kbc,kcm->km", cond.conj(), blocks, cond).real
+    if guess is None:
+        return t.reshape(-1)
+    return np.array([t[guess == g].sum() for g in (0, 1)])
+
+
+def _value(cond: np.ndarray, blocks: np.ndarray, guess: np.ndarray | None) -> float:
+    """:meth:`OneWayProtocol.value` of the same arrays."""
+    return 0.5 + 0.25 * float(np.abs(_functionals(cond, blocks, guess)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +167,11 @@ class OneWayProtocol:
         """Tr[M Delta] for each outcome M, from the conditional blocks:
         v_km^dagger <u_k|Delta|u_k> v_km, summed per guess when the
         outcomes are coarse-grained."""
-        t = np.einsum("kbm,kbc,kcm->km", self.cond.conj(), blocks, self.cond).real
-        if self.guess is None:
-            return t.reshape(-1)
-        return np.array([t[self.guess == g].sum() for g in (0, 1)])
+        return _functionals(self.cond, blocks, self.guess)
 
     def value(self, blocks: np.ndarray) -> float:
         """Success probability 1/2 + 1/4 sum_M |Tr[M Delta]|."""
-        return 0.5 + 0.25 * float(np.abs(self.functionals(blocks)).sum())
+        return _value(self.cond, blocks, self.guess)
 
     def elements(self) -> np.ndarray:
         """The (n, D, D) stack of POVM elements, in :attr:`outcomes`
@@ -184,25 +200,32 @@ def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.nd
     return diff_c.entries.reshape(da, db, da, db)
 
 
-def _library(d4: np.ndarray) -> list[tuple[OneWayProtocol, np.ndarray]]:
-    """The default strategies in library order, each as (protocol, its
-    conditional blocks of Delta)."""
+def _library(d4: np.ndarray) -> list[tuple[dict, np.ndarray]]:
+    """The default strategies in library order, each as (the arguments of
+    its :class:`OneWayProtocol`, its conditional blocks of Delta). The
+    bases are complex arrays, as the protocol stores them, and no
+    protocol is built."""
     da, db = d4.shape[:2]
-    comp = OneWayProtocol("A", np.eye(da), np.broadcast_to(np.eye(db), (da, db, db)),
-                          name="computational-product")
-    entries = [(comp, comp.blocks(d4))]
+    first = np.eye(da, dtype=np.complex128)
+    comp = dict(first_party="A", first=first,
+                cond=np.array(np.broadcast_to(np.eye(db, dtype=np.complex128),
+                                              (da, db, db))),
+                guess=None, name="computational-product")
+    entries = [(comp, _conditional_blocks(d4, first))]
     # measure A first, then the mirror: the same construction on the
     # party-swapped difference tensor
     for party, name in (("A", "a-eig-conditional-b"), ("B", "b-eig-conditional-a")):
         d4_first = _party_first(d4, party)
         _, first = np.linalg.eigh(np.einsum("abcb->ac", d4_first))
         blocks = _conditional_blocks(d4_first, first)
-        entries.append((OneWayProtocol(party, first, np.linalg.eigh(blocks)[1],
-                                       name=name), blocks))
+        cond = np.array(np.linalg.eigh(blocks)[1], dtype=np.complex128)
+        entries.append((dict(first_party=party, first=np.array(first, dtype=np.complex128),
+                             cond=cond, guess=None, name=name), blocks))
     # outcomes grouped by the sign of their functional keep the value
     adaptive, blocks = entries[1]
-    guess = (adaptive.functionals(blocks) < 0.0).reshape(adaptive.cond.shape[:2])
-    entries.append((replace(adaptive, guess=guess, name="a-eig-conditional-b-binary"),
+    guess = (_functionals(adaptive["cond"], blocks, None) < 0.0).reshape(
+        adaptive["cond"].shape[:2]).astype(np.int8)
+    entries.append((dict(adaptive, guess=guess, name="a-eig-conditional-b-binary"),
                     blocks))
     return entries
 
@@ -220,7 +243,7 @@ def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
     while the outcome count drops to 2).
     """
     d4 = _canonical_difference(rho0, rho1)
-    return tuple(protocol for protocol, _ in _library(d4))
+    return tuple(OneWayProtocol(**args) for args, _ in _library(d4))
 
 
 def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
@@ -238,8 +261,12 @@ def locc_lower_bound(rho0: DensityOperator, rho1: DensityOperator,
 
 def _locc_lower(d4: np.ndarray, library: tuple[OneWayProtocol, ...] | None,
                 ) -> tuple[float, OneWayProtocol]:
+    """The best value and its protocol, first maximizer first. The
+    default library is scored from its bases and only the winner is
+    built as a protocol; its value is the one that protocol reads."""
     if library is None:
         entries = _library(d4)
+        values = [_value(args["cond"], blocks, args["guess"]) for args, blocks in entries]
     elif not library:
         raise ConfigError("strategy library is empty")
     else:
@@ -247,13 +274,14 @@ def _locc_lower(d4: np.ndarray, library: tuple[OneWayProtocol, ...] | None,
         if others:
             raise ConfigError(f"library entries of type {others} are not one-way "
                               f"protocols, so their values are not LOCC lower bounds")
-        entries = [(p, p.blocks(d4)) for p in library]
-    best_val, best = -np.inf, entries[0][0]
-    for protocol, blocks in entries:
-        val = protocol.value(blocks)
+        values = [p.value(p.blocks(d4)) for p in library]
+    best_val, best = -np.inf, 0
+    for i, val in enumerate(values):
         if val > best_val + 1e-15:
-            best_val, best = val, protocol
-    return float(best_val), best
+            best_val, best = val, i
+    if library is None:
+        return float(best_val), OneWayProtocol(**entries[best][0])
+    return float(best_val), library[best]
 
 
 @dataclass(frozen=True)

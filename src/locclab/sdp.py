@@ -25,8 +25,9 @@ Optim. 2, 575 (1992)).
 
 - Scaling. From the Cholesky factors S = L_S L_S^H, Z = L_Z L_Z^H of
   each block and the eigendecomposition L_Z^H S L_Z = U diag(lam^2) U^H
-  (two batched Cholesky factorizations and one batched eigh, the form
-  of Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 545 (1999)),
+  (one batched Cholesky factorization of the eight blocks of S and Z,
+  made when the iterate is accepted, and one batched eigh, the form of
+  Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 545 (1999)),
   G^{-1} = diag(lam)^{-1/2} U^H L_Z^H takes S and Z to the same diagonal
   matrix diag(lam), and W^{-1} = G^{-H} G^{-1} is the inverse NT scaling
   point (W Z W = S). The order and phases of the eigenvectors change
@@ -47,14 +48,19 @@ Optim. 2, 575 (1992)).
   minus its dS^, so one spectrum gives both. There is no line search.
 
 Stop. The value is U(B) of B = Z4 - Z3, read straight off the dual
-iterate (see Certificate). It is checked once <S, Z> <= gap_tol, and the
-solve stops when U(B) - Re Tr[M X] <= gap_tol/10; the check's U(B) and B
-are the reported ones, not computed again. A solve that runs out
-of ``max_newton`` iterations, loses positive definiteness (an iterate, or
-the Newton system after its ridge retries) or stalls (<S, Z> and the
-residual negligible while the gap stays open) ends at its last iterate:
-it returns when that iterate certifies ``gap_tol``, and raises
-SolverError carrying U(B) and the gap otherwise.
+iterate (see Certificate). The gap contract is relative above 1: a gap
+counts as closed at gap_tol max(1, |U(B)|). U(B) is checked once
+<S, Z> <= gap_tol max(1, |Re Tr[M X]|) (the primal value standing in
+for U(B) until it is known), and the solve stops when U(B) - Re Tr[M X]
+<= gap_tol max(1, |U(B)|) / 10; the check's U(B) and B are the reported
+ones, not computed again. A solve that runs out of ``max_newton``
+iterations, loses positive definiteness (an iterate, or the Newton
+system after its ridge retries) or stalls (<S, Z> and the residual
+negligible while the gap stays open) ends at its last iterate: it
+returns when that iterate's gap is at most gap_tol max(1, |U(B)|), and
+raises SolverError carrying U(B) and the gap otherwise. An objective of
+trace norm at most 2, as every bracket's rho0 - rho1 is, has |U(B)| <= 1
+at the optimum, so there the contract is the absolute gap_tol.
 
 Buffers. Building and factoring a canonical Newton system takes n x n
 arrays of 0.5 MB at D = 16: the Hessian, the scratch slabs its assembly
@@ -104,16 +110,25 @@ Overton, SIAM J. Optim. 1998):
 The partial transpose permutes canonical coordinates, so the transposed
 blocks enter as an axis permutation or as transposed positions.
 
-J is grown in generations of candidates that lie in it, projector-driven
-(one eigh and one pivoted QR each), with rank decisions made on
-X / ||X||_F since cX has the closure of X; with probability 1 the growth
-stops at J itself (``_jordan_closure`` gives the argument). J holds the
-spectral projectors of X and of X^{T_B}, and their span has dimension
-r_X + r_G - c (r_X, r_G eigenspaces, c the components of the graph that
-links P_i and Q_j when P_i Q_j != 0). When that already exceeds
-max(n/8, 8), as for generic pairs with 5 <= D <= 15 (real field: up to
-D = 30), the closure gives up before its first generation: no candidate
-and no pivoted QR.
+J is grown in D x D matrix space, in generations of candidates that lie
+in it, projector-driven: each generation is one eigh of a random element
+and one eigendecomposition of the Gram matrix Re Tr[E_i E_j] of its
+candidates, whose eigenvalues above _CLOSURE_TOL^2 give the new
+directions, and a second Gram pass that restores their orthonormality
+(CholeskyQR2; Fukaya et al., ScalA 2014). Rank decisions are made on
+X / ||X||_F since cX has the closure of X; with probability 1 the
+growth stops at J itself (``_jordan_closure`` gives the argument). J
+holds the spectral projectors of X and of X^{T_B}, and their span has
+dimension r_X + r_G - c (r_X, r_G eigenspaces, c the components of the
+graph that links P_i and Q_j when P_i Q_j != 0). When that already
+exceeds max(n/8, 8), as for generic pairs with 5 <= D <= 15 (real
+field: up to D = 30), the closure gives up before its first
+generation. When it falls just short, as for generic complex D = 4 and
+D = 16 pairs, the partial transposes of a few P_i, which J also holds,
+take the count past the give-up size: their overlaps with the P_i and
+Q_j, read from diagonals of V^H P_i^{T_B} V, and the Gram matrix of the
+P_i and Q_j give the dimensions they add through a Schur complement,
+and the closure gives up with no candidate stack and no generation.
 
 J is found numerically, so a wrong rank decision could give a subspace
 the iterates leave. Nothing in the reported value rests on J, though:
@@ -174,10 +189,10 @@ of the backward error of a Hermitian eigensolver (the allowance follows
 Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)).
 
 No external solver is used; numpy/scipy provide dense linear algebra
-only. scipy loads at the first solve, not with this module: the
-closure's pivoted QR and the Newton system's dpotrf/dpotrs are the
-package's only scipy calls, so a process that never solves never pays
-for importing it. The total dimension is capped at D <= 64 because a
+only. The Newton system's dpotrf/dpotrs are the package's only scipy
+calls (the closure uses numpy alone). They are bound once, at the first
+solve, not with this module, so a process that never solves never pays
+for importing scipy. The total dimension is capped at D <= 64 because a
 generic pair takes the canonical coordinates, whose Newton system has
 n^2 entries for n = D^2 (real field: D(D+1)/2) coordinates: 134 MB at
 D = 64 for the complex field, and 16 times that at D = 128.
@@ -196,10 +211,11 @@ from .tolerances import TOL
 MAX_TOTAL_DIM = 64
 
 # Rank decisions of the Jordan closure, on candidates of unit Frobenius
-# norm. On the composed pairs (lambda up to 0.9999), the Werner pairs and
-# their k-copy powers, with X scaled by 1e-7 to 1e3, new directions left
-# residuals >= 3.4e-2 and round-off left residuals <= 3e-10; on random
-# pairs up to D=16, new directions left residuals >= 2.9e-3.
+# norm; Gram eigenvalues are compared with its square. On the composed
+# pairs (lambda up to 0.9999), the Werner pairs and their k-copy powers,
+# with X scaled by 1e-7 to 1e3, new directions left residuals >= 3.4e-2
+# and round-off left residuals <= 3e-10; on random pairs up to D=16, new
+# directions left residuals >= 2.9e-3.
 _CLOSURE_TOL = 1e-6
 # Eigenvalues closer than this, relative to the spectral radius, share a
 # spectral projector.
@@ -292,15 +308,21 @@ class _Basis:
         self._at = np.concatenate([self._rows * d + self._cols,
                                    self._cols * d + self._rows])
 
-    def mat(self, x: np.ndarray) -> np.ndarray:
+    def mat(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M(x), written into ``out`` when it is given."""
         d = self.dim
+        shape = x.shape[:-1] + (d, d)
         if self.complex_field:
-            x = x.reshape(x.shape[:-1] + (d, d))
+            out = np.empty(shape, np.complex128) if out is None else out
+            x = x.reshape(shape)
             xt = x.swapaxes(-1, -2)
-            return 0.5 * ((x + xt) + 1j * (x - xt))
-        m = np.zeros(x.shape[:-1] + (d, d))
+            np.add(x, xt, out=out.real)
+            np.subtract(x, xt, out=out.imag)
+            out *= 0.5
+            return out
+        m = np.zeros(shape)
         m[..., self._rows, self._cols] = x * self._scale
-        return m + m.swapaxes(-1, -2)
+        return np.add(m, m.swapaxes(-1, -2), out=out)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
         """Real coordinates of a Hermitian matrix (also the adjoint map
@@ -323,8 +345,12 @@ class _Basis:
 
     def pair(self, x: np.ndarray) -> np.ndarray:
         """M(x) and M(x)^{T_B} as a (2, D, D) stack."""
-        m = self.mat(x)
-        return np.concatenate((m[None], _pt_mat(m, self.dim_a, self.dim_b)[None]))
+        d = self.dim
+        out = np.empty((2, d, d), np.complex128 if self.complex_field else np.float64)
+        self.mat(x, out[0])
+        split = (self.dim_a, self.dim_b) * 2
+        np.copyto(out[1].reshape(split), out[0].reshape(split).swapaxes(1, 3))
+        return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Coordinates of Y1 - Y2 + (Y3 - Y4)^{T_B} for a (4, D, D) stack."""
@@ -684,23 +710,89 @@ def _spectral_projectors(v: np.ndarray, cuts: np.ndarray) -> np.ndarray:
                      for g in np.split(np.arange(len(v)), cuts)])
 
 
-def _projector_span(v_x: np.ndarray, cuts_x: np.ndarray,
-                    v_pt: np.ndarray, cuts_pt: np.ndarray) -> int:
-    """Dimension r_X + r_G - c of the span of the spectral projectors P_i
-    of X and Q_j of X^{T_B}, given by ``_eigenspaces`` of both: r_X and
-    r_G eigenspaces, and c components of the graph that links P_i and
-    Q_j when ||P_i Q_j||_F^2 (the squared moduli of V^H U summed over
-    the pair's columns) exceeds _CLOSURE_TOL. Every P_i and Q_j is
-    linked, since its masses sum to its rank (>= 1) over at most D
-    partners, so c counts the components among the P_i. A weak link left
-    out can only raise c, and so only lower the dimension returned."""
+def _projector_mass(v_x: np.ndarray, cuts_x: np.ndarray,
+                    v_pt: np.ndarray, cuts_pt: np.ndarray) -> np.ndarray:
+    """Overlaps Tr[P_i Q_j] = ||P_i Q_j||_F^2 of the spectral projectors
+    P_i of X and Q_j of X^{T_B}, given by ``_eigenspaces`` of both: the
+    squared moduli of V^H U summed over the pair's columns."""
     mass = np.square(np.abs(v_x.conj().T @ v_pt))
-    mass = np.add.reduceat(np.add.reduceat(mass, np.append(0, cuts_x), axis=0),
+    return np.add.reduceat(np.add.reduceat(mass, np.append(0, cuts_x), axis=0),
                            np.append(0, cuts_pt), axis=1)
+
+
+def _projector_span(mass: np.ndarray) -> int:
+    """Dimension r_X + r_G - c of the span of the spectral projectors P_i
+    of X and Q_j of X^{T_B}, from their ``_projector_mass``: r_X and r_G
+    eigenspaces, and c components of the graph that links P_i and Q_j
+    when Tr[P_i Q_j] exceeds _CLOSURE_TOL. Every P_i and Q_j is linked,
+    since its masses sum to its rank (>= 1) over at most D partners, so
+    c counts the components among the P_i. A weak link left out can only
+    raise c, and so only lower the dimension returned."""
     linked = mass > _CLOSURE_TOL
     first = _first_linked(linked @ linked.T)
     components = int(np.count_nonzero(first == np.arange(len(first))))
-    return cuts_x.size + cuts_pt.size + 2 - components
+    return sum(mass.shape) - components
+
+
+def _transposed_projectors_span(v_x: np.ndarray, cuts_x: np.ndarray,
+                               v_pt: np.ndarray, cuts_pt: np.ndarray,
+                               mass: np.ndarray, count: int, pt) -> int:
+    """Dimension of the span of the spectral projectors P_i of X, Q_j of
+    X^{T_B} and the partial transposes P_i^{T_B} of the first ``count``
+    P_i, read from Gram matrices (unit-norm elements) with no D x D
+    candidate stack.
+
+    The P_i are orthonormal, so the Schur complement of their block in
+    the Gram matrix of all these elements is the Gram matrix of the
+    parts of the Q_j and P_i^{T_B} outside span{P_i}: H - K^T K, with K
+    their overlaps with the P_i and H their own Gram matrix. ``mass``
+    holds Tr[P_i Q_j]; the Q_j are orthonormal, and so are the
+    P_i^{T_B}, since Tr[P_i^{T_B} P_k^{T_B}] = Tr[P_i P_k]; the overlaps
+    Tr[E P_k] and Tr[E Q_j] of E = P_i^{T_B} sum the diagonals of V^H E V
+    and U^H E U over each eigenspace. The span is r_X plus the number of
+    eigenvalues of the complement above _CLOSURE_TOL^2."""
+    d = len(v_x)
+    starts = np.append(0, cuts_x), np.append(0, cuts_pt)
+    norms = [1.0 / np.sqrt(np.diff(np.append(st, d))) for st in starts]
+    ends = [*cuts_x[:count].tolist(), d][:count]
+    cands = pt(np.stack([v_x[:, a:b] @ v_x[:, a:b].conj().T
+                         for a, b in zip(starts[0][:count].tolist(), ends)]))
+    # Tr[E P_k] sums the diagonal of V^H E V over the columns of P_k
+    over_x, over_pt = (
+        np.add.reduceat((v.conj() * (cands @ v)).real.sum(axis=1), st, axis=1)
+        * (norm * norms[0][:count, None])
+        for v, st, norm in zip((v_x, v_pt), starts, norms))
+    k = np.concatenate([mass * np.multiply.outer(*norms), over_x.T], axis=1)
+    schur = -(k.T @ k)
+    schur.flat[::len(schur) + 1] += 1.0
+    schur[:-count, -count:] += over_pt.T
+    schur[-count:, :-count] += over_pt
+    added = np.count_nonzero(np.linalg.eigvalsh(schur) > _CLOSURE_TOL ** 2)
+    return cuts_x.size + 1 + int(added)
+
+
+def _new_directions(cands: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal directions that the candidate rows add to the span of
+    the orthonormal rows ``basis`` (real rows: matrices flattened, complex
+    entries as two reals, so that dot products are Re Tr[A B]).
+
+    Candidates are scaled to unit norm (a zero one stays zero) and the
+    basis is projected out; the eigenvectors of their Gram matrix with
+    eigenvalues above _CLOSURE_TOL^2 (the singular values of the rows
+    above _CLOSURE_TOL) give the new directions, scaled by the inverse
+    square roots. That loses orthogonality in proportion to the squared
+    condition number, so a second pass repeats the projection and the
+    Gram step on the directions found (CholeskyQR2; Fukaya et al., ScalA
+    2014)."""
+    c = cands / np.maximum(np.linalg.norm(cands, axis=1, keepdims=True), 1.0)
+    for tol in (_CLOSURE_TOL ** 2, 0.0):
+        c -= (c @ basis.T) @ basis
+        w, u = np.linalg.eigh(c @ c.T)
+        keep = w > tol
+        c = (u[:, keep] / np.sqrt(w[keep])).T @ c
+        if not len(c):
+            break
+    return c
 
 
 def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
@@ -718,94 +810,116 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     wherever P_i Q_j != 0: the coefficients are constant on each
     component of the graph linking such P_i and Q_j, and the spans meet
     in c dimensions for c components. Hence dim J >= r_X + r_G - c, with
-    r_X and r_G the numbers of eigenspaces (``_projector_span``, read off
-    the eigenvectors the first generation computes anyway), and when
+    r_X and r_G the numbers of eigenspaces (``_projector_span``), and when
     that exceeds the give-up size the closure returns None before any
-    candidate is formed. The count is taken only when its largest value,
-    r_X + r_G - 1, exceeds that size: generic pairs with 5 <= D <= 15
-    (real field: up to D = 30) give up there, while generic D = 4 and
-    complex D >= 16 pairs (7 <= 8 and 31 <= 32 at D = 16) give up after
-    the first generation's pivoted QR.
+    candidate is formed: generic pairs with 5 <= D <= 15 (real field: up
+    to D = 30). When it falls short by at most r_X, J also holds the
+    P_i^{T_B}, and the dimensions that enough of them add to the span
+    (``_transposed_projectors_span``, from the Gram matrix of the P_i and
+    Q_j and the diagonals of V^H P_i^{T_B} V) can take the count past
+    the give-up size: generic complex D = 4 pairs (span 7 of 8) and
+    D = 16 pairs (31 of 32) give up there, with no candidate stack and no
+    generation. (Real D = 4 pairs give up after their first generation:
+    there the P_i^{T_B} lie in the span of the P_i and Q_j.) The count is taken only when r_X + r_G - 1 + r_X, the
+    most it can reach, exceeds the give-up size.
 
-    Elements are rows of canonical coordinates. A generation's
-    candidates, scaled to unit norm, are split by one pivoted QR after
-    the basis is projected out, and directions above _CLOSURE_TOL join
-    the basis. The first generation is X / ||X||_F (0 for X = 0), its
-    partial transpose, the spectral projectors of both and their partial
-    transposes; each later one is the spectral projectors of one seeded
-    random element r of the current span V and the partial transposes of
-    the elements the previous generation added. All of them lie in the
-    closure J. A generation that adds nothing leaves V closed under the
-    partial transpose and holding r^2 (from the projectors of r, or from
-    I and r). The r in V with r^2 in V form an algebraic subset of V,
-    proper unless V is closed under squaring; so with probability 1 V is
-    closed under squaring, hence under AB + BA = (A+B)^2 - A^2 - B^2,
-    and V = J.
+    Elements are D x D matrices, compared in Re Tr[A B]. A generation's
+    candidates grow the basis by ``_new_directions``: one Gram
+    eigendecomposition, with directions above _CLOSURE_TOL, and a second
+    Gram pass that restores orthonormality. The first generation is
+    X / ||X||_F (0 for X = 0), its partial transpose, the spectral
+    projectors of both and their partial transposes; each later one is
+    the spectral projectors of one seeded random element r of the current
+    span V and the partial transposes of the elements the previous
+    generation added. All of them lie in the closure J. A generation
+    that adds nothing leaves V closed under the partial transpose and
+    holding r^2 (from the projectors of r, or from I and r). The r in V
+    with r^2 in V form an algebraic subset of V, proper unless V is
+    closed under squaring; so with probability 1 V is closed under
+    squaring, hence under AB + BA = (A+B)^2 - A^2 - B^2, and V = J.
     """
-    from scipy.linalg import qr
-
     d, n = canon.dim, canon.n
     give_up = min(max(n // 8, 8), n - 1)
     rng = np.random.default_rng(0)
-    basis = canon.coords(np.eye(d))[None] / np.sqrt(d)
+    dtype = np.complex128 if canon.complex_field else np.float64
 
     def pt(m):
         return _pt_mat(m, canon.dim_a, canon.dim_b)
 
+    # the basis is held as real rows, complex entries as two reals, so
+    # that a dot product of rows is Re Tr[A B]
+    def rows(m):
+        return np.ascontiguousarray(m, dtype).reshape(len(m), d * d).view(np.float64)
+
+    def mats(flat):
+        return flat.view(dtype).reshape(len(flat), d, d)
+
     x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
     x_pt = pt(x_unit)
     (v_x, cuts_x), (v_pt, cuts_pt) = _eigenspaces(x_unit), _eigenspaces(x_pt)
-    # the projectors span at most r_X + r_G - 1 dimensions (c >= 1), so
-    # their span is counted only when that exceeds give_up
-    if (cuts_x.size + cuts_pt.size + 1 > give_up
-            and _projector_span(v_x, cuts_x, v_pt, cuts_pt) > give_up):
-        return None
+    # the projectors and the P_i^{T_B} span at most r_X + r_G - 1 + r_X
+    # dimensions (c >= 1), so they are counted only when that exceeds
+    # give_up
+    r_x = cuts_x.size + 1
+    if r_x + cuts_pt.size + r_x > give_up:
+        mass = _projector_mass(v_x, cuts_x, v_pt, cuts_pt)
+        span = _projector_span(mass)
+        short = give_up + 1 - span
+        if short <= 0 or (short <= r_x and _transposed_projectors_span(
+                v_x, cuts_x, v_pt, cuts_pt, mass, short, pt) > give_up):
+            return None
     proj = np.concatenate([_spectral_projectors(v_x, cuts_x),
                            _spectral_projectors(v_pt, cuts_pt)])
     cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
+    basis = rows(np.eye(d)[None] / np.sqrt(d))
     while True:
-        c = canon.coords(cands)
-        c /= np.maximum(np.linalg.norm(c, axis=1, keepdims=True), 1.0)
-        c -= (c @ basis.T) @ basis
-        q, tri, _ = qr(c.T, mode="economic", pivoting=True, check_finite=False)
-        rank = int(np.count_nonzero(np.abs(np.diag(tri)) > _CLOSURE_TOL))
-        if rank == 0:
-            return _ClosureBasis(canon.mat(basis), canon.dim_a, canon.dim_b)
-        if len(basis) + rank > give_up:
+        new = _new_directions(rows(cands), basis)
+        if len(new) == 0:
+            return _ClosureBasis(mats(basis), canon.dim_a, canon.dim_b)
+        if len(basis) + len(new) > give_up:
             return None
-        new = q[:, :rank].T
-        new -= (new @ basis.T) @ basis
-        basis = np.vstack([basis, np.linalg.qr(new.T)[0].T])
-        e = canon.mat(basis)
+        basis = np.concatenate([basis, new])
+        e = mats(basis)
         mixed = np.tensordot(rng.standard_normal(len(e)), e, 1)
         cands = np.concatenate([_spectral_projectors(*_eigenspaces(mixed)),
-                                pt(e[-rank:])])
+                                pt(e[-len(new):])])
 
 
-def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray):
+def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray,
+                 z: np.ndarray | None = None):
     """Cholesky factors of the four slack blocks M, I-M, M^{T_B},
-    I-M^{T_B} as one (4, D, D) stack, or None if any block is not
-    positive definite."""
-    slacks = np.empty((4,) + m.shape, np.result_type(m, eye))
+    I-M^{T_B} as one (4, D, D) stack, followed by those of the four
+    blocks of ``z`` when it is given (an (8, D, D) stack from one batched
+    call), or None if any block is not positive definite."""
+    slacks = np.empty((4 if z is None else 8,) + m.shape, np.result_type(m, eye))
     slacks[0], slacks[2] = m, mt
     np.subtract(eye, m, out=slacks[1])
     np.subtract(eye, mt, out=slacks[3])
+    if z is not None:
+        slacks[4:] = z
     try:
         return np.linalg.cholesky(slacks)
     except np.linalg.LinAlgError:
         return None
 
 
-# LAPACK's Cholesky factor and solve through scipy, imported at the first
-# call. They stay module attributes, so that a caller can wrap them.
-def dpotrf(*args, **kwargs):
-    from scipy.linalg.lapack import dpotrf
-    return dpotrf(*args, **kwargs)
+# LAPACK's Cholesky factor and solve through scipy. They are module
+# attributes, so that a caller can wrap them, and ``_load_lapack`` binds
+# them at the first solve, so that importing this module loads no scipy.
+def __getattr__(name: str):
+    if name in ("dpotrf", "dpotrs"):
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def dpotrs(*args, **kwargs):
-    from scipy.linalg.lapack import dpotrs
-    return dpotrs(*args, **kwargs)
+def _load_lapack() -> None:
+    """Bind ``dpotrf`` and ``dpotrs`` to scipy's routines unless they are
+    bound already (a wrapped routine stays)."""
+    if "dpotrs" not in globals():
+        from scipy.linalg import lapack
+        globals().setdefault("dpotrf", lapack.dpotrf)
+        globals().setdefault("dpotrs", lapack.dpotrs)
 
 
 def _newton_factor(hess: np.ndarray, factor: np.ndarray):
@@ -886,7 +1000,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     that are not integers >= 1 or on dimension overflow, on a ``gap_tol``
     that is not finite and positive or a ``max_newton`` (the most
     iterations, one Newton system each) that is not an integer >= 1, and
-    when the certified gap of the last iterate exceeds ``gap_tol``: after
+    when the certified gap of the last iterate exceeds
+    ``gap_tol`` * max(1, |U(B)|) (see the module docstring): after
     ``max_newton`` iterations, when an iterate or its Newton system stops
     being positive definite, or when the iterates stall (these carry the
     certified value and its gap)."""
@@ -946,6 +1061,7 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     z = np.broadcast_to(eye, stack).copy()
     chol_z = z.copy()
     work = basis.newton_buffers()
+    _load_lapack()
     steps = 0
     failure = None
     # U(B) and B of the current z, once its gap check has computed them
@@ -960,16 +1076,19 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             break
         complementarity = float((np.square(lam) * weight).sum())
         residual = c_obj + basis.adjoint(z)
-        if complementarity <= gap_tol:
+        primal = float(c_obj @ x)
+        # the tolerance scales with |U(B)|, estimated by |primal| until
+        # U(B) is computed
+        tol = gap_tol * max(1.0, abs(primal))
+        if complementarity <= tol:
             bound = certify(z)
-            gap = bound[0] - float(c_obj @ x)
-            if gap <= gap_tol / 10.0:
+            if bound[0] - primal <= gap_tol * max(1.0, abs(bound[0])) / 10.0:
                 break
             # the gap is at most <S, Z> + 2 sqrt(D) ||residual|| when the
             # coordinates hold the objective; once both are negligible,
             # further iterations cannot close it
             if (complementarity + 2.0 * math.sqrt(d) * float(np.linalg.norm(residual))
-                    <= gap_tol / 100.0):
+                    <= tol / 100.0):
                 failure = "iterates stalled"
                 break
         if steps >= max_newton:
@@ -1016,22 +1135,22 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
             # projecting drops the rounding outside it, which the residual
             # cannot see
             z_next = basis.project_stack(z + a_d * (th @ p_z @ t))
-            chol_s = _chol_blocks(*basis.pair(x_next), eye)
-            chol_z = np.linalg.cholesky(z_next)
+            chols = _chol_blocks(*basis.pair(x_next), eye, z_next)
         except np.linalg.LinAlgError:
-            chol_s = None
-        if chol_s is None or not (np.isfinite(chol_s).all()
-                                  and np.isfinite(chol_z).all()):
+            chols = None
+        if chols is None or not np.isfinite(chols).all():
             failure = "iterate lost positive definiteness"
         else:
             x, z = x_next, z_next
+            chol_s, chol_z = chols[:4], chols[4:]
             bound = None
 
     value, b = bound or certify(z)
     primal = float(c_obj @ x)
     gap = value - primal
-    if not gap <= gap_tol:
-        raise SolverError(f"certified gap {gap:.3g} exceeds {gap_tol:.3g}"
+    limit = gap_tol * max(1.0, abs(value))
+    if not gap <= limit:
+        raise SolverError(f"certified gap {gap:.3g} exceeds {limit:.3g}"
                           + (f" ({failure})" if failure else ""),
                           value=value, gap=gap)
     return SDPResult(value=value, primal=primal, gap=gap,

@@ -510,6 +510,45 @@ class TestProtocolWitnesses:
         _, witness = locc_lower_bound(*pair)
         assert bound_bracket(*pair).witness_id == witness.name
 
+    def test_default_library_builds_only_the_witness(self, monkeypatch):
+        # the default strategies are scored from their bases; only the
+        # winner is constructed (and checked) as a OneWayProtocol
+        built = []
+        check = OneWayProtocol.__post_init__
+
+        def counting(protocol):
+            built.append(protocol.name)
+            check(protocol)
+
+        monkeypatch.setattr(OneWayProtocol, "__post_init__", counting)
+        for _, pair, witness in witness_pairs():
+            built.clear()
+            assert bound_bracket(*pair).witness_id == witness
+            assert built == [witness]
+
+    def test_witness_is_the_best_of_the_built_library(self):
+        # bit for bit: the default bracket's value and witness against the
+        # built library scored through an explicit library=
+        rng = np.random.default_rng(2031)
+        pairs = [pair for _, pair, _ in witness_pairs()]
+        for da, db in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
+            layout = TensorLayout((("A1", da), ("B1", db)))
+            for real in (False, True):
+                mats = [random_density(rng, da * db) for _ in range(2)]
+                if real:
+                    mats = [m.real / np.trace(m.real) for m in mats]
+                pairs.append(tuple(DensityOperator(layout, m) for m in mats))
+        names = set()
+        for pair in pairs:
+            value, want = locc_lower_bound(*pair, library=one_way_library(*pair))
+            br = bound_bracket(*pair)
+            assert br.locc_lower == value and br.witness_id == want.name
+            for attr in ("first", "cond", "guess"):
+                np.testing.assert_array_equal(getattr(br.witness, attr),
+                                              getattr(want, attr))
+            names.add(want.name)
+        assert len(names) >= 3
+
     def test_explicit_library_matches_the_default(self):
         rng = np.random.default_rng(5)
         layout = TensorLayout((("A1", 3), ("B1", 2)))

@@ -178,6 +178,17 @@ class TestCanonicalBasis:
         monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 1)
         assert np.abs(basis.hessian(gs) - ref).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_pair_is_the_matrix_and_its_partial_transpose(self, real):
+        da, db = 2, 3
+        basis = sdp._Basis(da, db, complex_field=not real)
+        x = np.random.default_rng(12 + real).normal(size=basis.n)
+        m = basis.mat(x)
+        got = basis.pair(x)
+        assert got.dtype == m.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got[0], m)
+        np.testing.assert_array_equal(got[1], partial_transpose(m, da, db))
+
     def test_basis_holds_no_sparse_map(self):
         for real in (False, True):
             basis = sdp._Basis(2, 3, complex_field=not real)
@@ -281,10 +292,11 @@ class TestCertifiedGap:
         # start is loose, and still an upper bound
         chol = sdp._chol_blocks
 
-        def only_start(m, mt, eye):
+        # the iterate's slacks and dual blocks are factored by one call
+        def only_start(m, mt, eye, *z):
             if np.abs(m - eye / 2.0).max() > 1e-12:
                 return None
-            return chol(m, mt, eye)
+            return chol(m, mt, eye, *z)
 
         x, da, db = werner(2)
         optimum = sdp.solve_ppt_two_outcome(x, da, db)
@@ -342,6 +354,24 @@ class TestCertifiedGap:
         assert err.value.gap > 1e-6
         assert err.value.value >= optimum.value
 
+    def test_lapack_routines_are_bound_once(self, monkeypatch):
+        # after the first solve the routines are scipy's own, and a solve
+        # runs no import statement
+        import builtins
+        from scipy.linalg import lapack
+        x, da, db = werner(2)
+        sdp.solve_ppt_two_outcome(x, da, db)
+        assert sdp.dpotrf is lapack.dpotrf and sdp.dpotrs is lapack.dpotrs
+        load = builtins.__import__
+
+        def guard(name, *args, **kwargs):
+            assert not name.startswith("scipy"), name
+            return load(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", guard)
+        random = random_objective(np.random.default_rng(8), 2, 3)
+        assert sdp.solve_ppt_two_outcome(*random).gap <= 1e-6
+
     def test_failed_newton_factorization_retries_with_a_ridge(self, monkeypatch):
         # the first factorization of every Newton system reports "not
         # positive definite", so every direction is solved with
@@ -363,6 +393,29 @@ class TestCertifiedGap:
         for plain, ridged in zip(diagonals[::2], diagonals[1::2]):
             assert np.all(ridged > plain)
         assert 0.5 + 0.5 * res.value == pytest.approx(5.0 / 6.0, abs=1e-5)
+
+
+class TestRelativeGap:
+    # the certified gap is held to gap_tol * max(1, |U(B)|): an objective
+    # scaled past trace norm 2 asks for the same relative accuracy, and
+    # the bracket objectives (|U| <= 1) keep the absolute gap_tol
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_scaled_objective_certifies_a_relative_gap(self, scale):
+        x, da, db = werner_power(2, 3)
+        closed = scale * (1.0 - (1.0 / 3.0) ** 3)
+        res = sdp.solve_ppt_two_outcome(scale * x, da, db)
+        assert res.coords == 10
+        assert 0.0 <= res.gap <= 1e-6 * abs(res.value)
+        assert res.primal <= closed * (1.0 + 1e-12) <= res.value * (1.0 + 2e-12)
+        assert res.value == pytest.approx(
+            sdp._dual_bound(scale * x, res.certificate, da, db), rel=1e-14)
+
+    def test_unit_objectives_keep_the_absolute_gap(self):
+        # |U(B)| <= 1, so the last gap of an unfinished solve is still
+        # held to gap_tol itself
+        x, da, db = werner(3)
+        with pytest.raises(SolverError, match=r"exceeds 1e-06"):
+            sdp.solve_ppt_two_outcome(x, da, db, max_newton=3)
 
 
 def swap_mixture(c, a, real):
@@ -388,6 +441,20 @@ class TestSlackFactors:
         rebuilt = chols @ chols.conj().swapaxes(-1, -2)
         for got, slack in zip(rebuilt, (m, eye - m, mt, eye - mt)):
             np.testing.assert_allclose(got, slack, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_fused_factors_append_the_dual_blocks(self, real):
+        da, db = 2, 3
+        rng = np.random.default_rng(33 + real)
+        z = np.array([random_positive(rng, da * db, real) for _ in range(4)])
+        eye = np.eye(da * db, dtype=z.dtype)
+        m = eye / 2.0
+        chols = sdp._chol_blocks(m, partial_transpose(m, da, db), eye, z)
+        assert chols.shape == (8, da * db, da * db)
+        np.testing.assert_array_equal(chols[4:], np.linalg.cholesky(z))
+        np.testing.assert_array_equal(chols[:4], sdp._chol_blocks(m, m, eye))
+        z[3] = -z[3]
+        assert sdp._chol_blocks(m, m, eye, z) is None
 
     @pytest.mark.parametrize("real", [False, True])
     def test_none_when_only_the_last_block_fails(self, real):
@@ -494,23 +561,25 @@ class TestJordanClosure:
             basis, _ = closure(*random_objective(rng, da, db, real))
             assert basis is None
 
-    def test_generic_pair_gives_up_before_the_whole_space(self):
-        # the closure of a generic pair is the whole space (k = n = 256);
-        # it stops once it would outgrow max(n // 8, 8) = 32 elements, so
+    def test_generic_pair_gives_up_before_the_whole_space(self, monkeypatch):
+        # the closure of a generic pair is the whole space (k = n = 1024);
+        # it stops once it would outgrow max(n // 8, 8) = 128 elements, so
         # no generation starts from a larger basis (here the first
-        # generation already gives up, before any later one starts)
-        x, da, db = random_objective(np.random.default_rng(40), 4, 4)
+        # generation already gives up, before any later one starts; at
+        # D = 32 its projectors and their partial transposes cannot
+        # decide that before the generation)
+        x, da, db = random_objective(np.random.default_rng(40), 4, 8)
         canon = sdp._Basis(da, db, complex_field=True)
         sizes = []
-        mat = canon.mat
+        grow = sdp._new_directions
 
-        def recording(coords):
-            sizes.append(len(coords))
-            return mat(coords)
+        def recording(cands, basis):
+            sizes.append(len(basis))
+            return grow(cands, basis)
 
-        canon.mat = recording
+        monkeypatch.setattr(sdp, "_new_directions", recording)
         assert sdp._jordan_closure(x, canon) is None
-        assert max(sizes, default=0) <= max(canon.n // 8, 8) < canon.n
+        assert sizes and max(sizes) <= max(canon.n // 8, 8) < canon.n
 
     @pytest.mark.parametrize("inp,k", [(werner(3), 3), (composed(0.99, 2), 15),
                                        (composed(0.95, 3), 21),
@@ -561,25 +630,24 @@ class TestJordanClosure:
         assert abs(res.value) <= 1e-6
 
 
-def count_qr(monkeypatch):
-    """Record the calls of scipy's QR, which the closure imports when it
-    starts."""
-    import scipy.linalg
+def count_generations(monkeypatch):
+    """Record the calls of the closure's orthonormalization, one per
+    generation (``_new_directions``, Gram eigendecompositions)."""
     calls = []
-    qr = scipy.linalg.qr
+    grow = sdp._new_directions
 
     def counting(*args, **kwargs):
         calls.append(None)
-        return qr(*args, **kwargs)
+        return grow(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    monkeypatch.setattr(sdp, "_new_directions", counting)
     return calls
 
 
-def projector_rank(x, da, db):
-    """Numerical rank of the spectral projectors of x and x^{T_B}, from
-    their canonical coordinates."""
-    mats = []
+def projector_rank(x, da, db, extra=()):
+    """Numerical rank of the spectral projectors of x and x^{T_B} and of
+    the matrices ``extra``, from their canonical coordinates."""
+    mats = list(extra)
     for m in (x, partial_transpose(x, da, db)):
         w, v = np.linalg.eigh(m)
         for g in np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > 1e-8) + 1):
@@ -597,7 +665,7 @@ class TestSpectralGiveUp:
 
     @pytest.mark.parametrize("da,db", [(2, 3), (2, 4), (3, 3), (3, 4)])
     def test_generic_complex_pair_gives_up_without_a_qr(self, da, db, monkeypatch):
-        calls = count_qr(monkeypatch)
+        calls = count_generations(monkeypatch)
         for seed in range(3):
             x, _, _ = random_objective(np.random.default_rng(110 + seed), da, db)
             assert closure(x, da, db)[0] is None
@@ -615,7 +683,8 @@ class TestSpectralGiveUp:
         x, da, db = inp
         x = x / np.linalg.norm(x)
         spaces = sdp._eigenspaces(x), sdp._eigenspaces(partial_transpose(x, da, db))
-        assert sdp._projector_span(*spaces[0], *spaces[1]) == projector_rank(x, da, db)
+        mass = sdp._projector_mass(*spaces[0], *spaces[1])
+        assert sdp._projector_span(mass) == projector_rank(x, da, db)
 
     def test_diagonal_pair_keeps_its_closure(self, monkeypatch):
         # X^{T_B} = X, so each P_i is one Q_j: c = 8 and the span is
@@ -623,8 +692,8 @@ class TestSpectralGiveUp:
         # r_X + r_G - 1 = 15 would have given the pair up
         x = np.diag(np.linspace(-0.3, 0.4, 8))
         v, cuts = sdp._eigenspaces(x)
-        assert sdp._projector_span(v, cuts, v, cuts) == 8
-        calls = count_qr(monkeypatch)
+        assert sdp._projector_span(sdp._projector_mass(v, cuts, v, cuts)) == 8
+        calls = count_generations(monkeypatch)
         basis, canon = closure(x, 2, 4)
         assert max(canon.n // 8, 8) == 8
         assert basis.n == 8 and calls
@@ -634,19 +703,91 @@ class TestSpectralGiveUp:
         assert res.value == pytest.approx(float(x[x > 0].sum()), abs=1e-6)
 
     @pytest.mark.parametrize("da,db", [(2, 2), (4, 4), (2, 8)])
-    def test_d4_and_d16_complex_pairs_take_the_first_generation(self, da, db,
-                                                                monkeypatch):
-        # r_X + r_G - 1 = 7 <= 8 at D = 4 and 31 <= 32 at D = 16: the
-        # span is never counted, and the first generation's pivoted QR
-        # gives the pair up
+    def test_d4_and_d16_complex_pairs_give_up_without_a_generation(self, da, db,
+                                                                   monkeypatch):
+        # r_X + r_G - 1 = 7 of the give-up size 8 at D = 4 and 31 of 32 at
+        # D = 16: the partial transposes of two P_i take the span past it,
+        # so the pair gives up with no candidate stack and no generation
         x, _, _ = random_objective(np.random.default_rng(130 + da), da, db)
-        spans = []
-        span = sdp._projector_span
-        monkeypatch.setattr(sdp, "_projector_span",
-                            lambda *a: spans.append(None) or span(*a))
-        calls = count_qr(monkeypatch)
+        counted = []
+        count = sdp._transposed_projectors_span
+        monkeypatch.setattr(sdp, "_transposed_projectors_span",
+                            lambda *a: counted.append(a[-2]) or count(*a))
+        stacks = []
+        monkeypatch.setattr(sdp, "_spectral_projectors",
+                            lambda *a: stacks.append(None))
+        calls = count_generations(monkeypatch)
         assert closure(x, da, db)[0] is None
-        assert spans == [] and len(calls) == 1
+        assert counted == [2] and stacks == [] and calls == []
+
+
+class TestGramGrowth:
+    @pytest.mark.parametrize("inp", [
+        werner(3), composed(0.95, 3), werner_power(2, 3),
+        (np.diag(np.linspace(-0.3, 0.4, 8)), 2, 4),
+        random_objective(np.random.default_rng(140), 4, 4),
+        random_objective(np.random.default_rng(141), 2, 8),
+        random_objective(np.random.default_rng(142), 2, 2, real=True),
+    ], ids=["werner-d3", "composed-D36", "k-copy-D64", "diagonal-2x4",
+            "complex-4x4", "complex-2x8", "real-2x2"])
+    def test_closure_imports_no_scipy(self, inp, monkeypatch):
+        import builtins
+        load = builtins.__import__
+
+        def guard(name, *args, **kwargs):
+            assert not name.startswith("scipy"), name
+            return load(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", guard)
+        closure(*inp)
+
+    def test_new_directions_keep_the_rank_and_restore_orthonormality(self):
+        # twelve candidates in six directions whose singular values fall
+        # to 1e-5, and six more that add only 1e-8: a single Gram pass
+        # would leave the kept directions orthogonal to ~1e-6 only
+        rng = np.random.default_rng(150)
+        basis = np.linalg.qr(rng.normal(size=(200, 3)))[0].T
+        q = np.linalg.qr(rng.normal(size=(200, 6)))[0].T
+        q -= (q @ basis.T) @ basis
+        q = np.linalg.qr(q.T)[0].T
+        mix = rng.normal(size=(12, 6)) * np.geomspace(1.0, 1e-5, 6)
+        cands = np.concatenate([mix @ q, rng.normal(size=(6, 3)) @ basis
+                                + 1e-8 * rng.normal(size=(6, 200))])
+        cands += rng.normal(size=(18, 3)) @ basis
+        new = sdp._new_directions(cands, basis)
+        assert new.shape == (6, 200)
+        assert np.abs(new @ new.T - np.eye(6)).max() <= 1e-14
+        assert np.abs(new @ basis.T).max() <= 1e-14
+        # the new rows span the six directions, up to the 1e-8 noise
+        assert np.abs(q - (q @ new.T) @ new).max() <= 1e-6
+
+    def test_nothing_new_gives_no_rows(self):
+        basis = np.eye(5)[:2]
+        assert sdp._new_directions(np.array([[2.0, 1.0, 0, 0, 0]]), basis).shape == (0, 5)
+
+    @pytest.mark.parametrize("inp", [
+        random_objective(np.random.default_rng(160), 2, 2),
+        random_objective(np.random.default_rng(161), 2, 3, real=True),
+        pure_objective(np.random.default_rng(162), 2, 3, False),
+        werner(3), composed(0.9, 2),
+        (np.diag(np.linspace(-0.3, 0.4, 8)), 2, 4),
+    ], ids=["complex-2x2", "real-2x3", "pure-2x3", "werner-d3", "composed-D16",
+            "diagonal-2x4"])
+    def test_transposed_projector_span_is_the_rank(self, inp):
+        # the Schur-complement count equals the numerical rank of the
+        # projectors of X and X^{T_B} with the partial transposes of the
+        # first P_i, built as matrices
+        x, da, db = inp
+        x = x / np.linalg.norm(x)
+        v, cuts = sdp._eigenspaces(x)
+        u, cuts_pt = sdp._eigenspaces(partial_transpose(x, da, db))
+        mass = sdp._projector_mass(v, cuts, u, cuts_pt)
+        for count in range(1, cuts.size + 2):
+            got = sdp._transposed_projectors_span(
+                v, cuts, u, cuts_pt, mass, count, lambda m: pt_stack(m, da, db))
+            firsts = [partial_transpose(v[:, g] @ v[:, g].conj().T, da, db)
+                      for g in np.split(np.arange(len(v)), cuts)[:count]]
+            assert got == projector_rank(x, da, db, firsts)
 
 
 def solve_both(x, da, db, monkeypatch):
