@@ -342,8 +342,9 @@ def _write_distribution(path: Path, counts: np.ndarray, log2_dim: list,
 
 def cmd_helstrom(config: ExperimentConfig) -> dict:
     rho0, rho1, inputs = _load_pair(config.params)
-    td = trace_norm(rho0.entries - rho1.entries)
-    report = {"trace_distance": td, "p_opt": helstrom(rho0, rho1)}
+    # helstrom checks the layouts before the entries are subtracted
+    p_opt = helstrom(rho0, rho1)
+    report = {"trace_distance": trace_norm(rho0.entries - rho1.entries), "p_opt": p_opt}
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)

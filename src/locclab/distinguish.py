@@ -41,12 +41,19 @@ from .qmat import DensityOperator, Operator, permute, trace_norm
 from .sdp import SDPResult, solve_ppt_two_outcome
 from .tolerances import TOL
 
+
+def _same_layout(rho0: DensityOperator, rho1: DensityOperator) -> None:
+    """Raise LayoutError unless both states have the same (label, dim)
+    factors."""
+    if rho0.layout != rho1.layout:
+        raise LayoutError(
+            f"state layouts differ: {rho0.layout.factors} vs {rho1.layout.factors}")
+
+
 def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> float:
     """Optimal (unrestricted) discrimination probability for a uniform
     prior: 1/2 + ||rho0 - rho1||_1 / 4."""
-    if rho0.layout != rho1.layout:
-        raise LayoutError(
-            f"state layouts differ: {rho0.layout.labels} vs {rho1.layout.labels}")
+    _same_layout(rho0, rho1)
     return 0.5 + 0.25 * trace_norm(rho0.entries - rho1.entries)
 
 
@@ -192,9 +199,7 @@ class OneWayProtocol:
 def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.ndarray:
     """The difference rho0 - rho1 permuted to A|B, as a (dA, dB, dA, dB)
     tensor."""
-    if rho0.layout != rho1.layout:
-        raise LayoutError(
-            f"state layouts differ: {rho0.layout.labels} vs {rho1.layout.labels}")
+    _same_layout(rho0, rho1)
     diff_c, da, db = bipartite_canonical(
         Operator(rho0.layout, rho0.entries - rho1.entries))
     return diff_c.entries.reshape(da, db, da, db)

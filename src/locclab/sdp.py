@@ -117,18 +117,18 @@ candidates, whose eigenvalues above _CLOSURE_TOL^2 give the new
 directions, and a second Gram pass that restores their orthonormality
 (CholeskyQR2; Fukaya et al., ScalA 2014). Rank decisions are made on
 X / ||X||_F since cX has the closure of X; with probability 1 the
-growth stops at J itself (``_jordan_closure`` gives the argument). J
-holds the spectral projectors of X and of X^{T_B}, and their span has
-dimension r_X + r_G - c (r_X, r_G eigenspaces, c the components of the
-graph that links P_i and Q_j when P_i Q_j != 0). When that already
-exceeds max(n/8, 8), as for generic pairs with 5 <= D <= 15 (real
-field: up to D = 30), the closure gives up before its first
-generation. When it falls just short, as for generic complex D = 4 and
-D = 16 pairs, the partial transposes of a few P_i, which J also holds,
-take the count past the give-up size: their overlaps with the P_i and
-Q_j, read from diagonals of V^H P_i^{T_B} V, and the Gram matrix of the
-P_i and Q_j give the dimensions they add through a Schur complement,
-and the closure gives up with no candidate stack and no generation.
+growth stops at J itself (``_jordan_closure`` gives the argument).
+Before the first generation, one count bounds dim J from below: J holds
+the r_X spectral projectors P_i of X, the r_G projectors Q_j of X^{T_B}
+and the partial transposes P_i^{T_B}, and the dimension of their span
+is r_X plus the rank of the Schur complement of the P_i in the Gram
+matrix of the P_i, the Q_j and the first few P_i^{T_B}, whose entries
+are read from the eigenvectors of X and X^{T_B} with no D x D candidate
+stack. The count takes as many transposes as would pass max(n/8, 8)
+if the P_i and Q_j met only in I and each transpose added a dimension,
+and the closure gives up when it passes: generic pairs with
+5 <= D <= 15 (real field: up to D = 30) with no transpose, generic
+complex D = 4 and D = 16 pairs with two.
 
 J is found numerically, so a wrong rank decision could give a subspace
 the iterates leave. Nothing in the reported value rests on J, though:
@@ -710,53 +710,33 @@ def _spectral_projectors(v: np.ndarray, cuts: np.ndarray) -> np.ndarray:
                      for g in np.split(np.arange(len(v)), cuts)])
 
 
-def _projector_mass(v_x: np.ndarray, cuts_x: np.ndarray,
-                    v_pt: np.ndarray, cuts_pt: np.ndarray) -> np.ndarray:
-    """Overlaps Tr[P_i Q_j] = ||P_i Q_j||_F^2 of the spectral projectors
-    P_i of X and Q_j of X^{T_B}, given by ``_eigenspaces`` of both: the
-    squared moduli of V^H U summed over the pair's columns."""
-    mass = np.square(np.abs(v_x.conj().T @ v_pt))
-    return np.add.reduceat(np.add.reduceat(mass, np.append(0, cuts_x), axis=0),
-                           np.append(0, cuts_pt), axis=1)
-
-
-def _projector_span(mass: np.ndarray) -> int:
-    """Dimension r_X + r_G - c of the span of the spectral projectors P_i
-    of X and Q_j of X^{T_B}, from their ``_projector_mass``: r_X and r_G
-    eigenspaces, and c components of the graph that links P_i and Q_j
-    when Tr[P_i Q_j] exceeds _CLOSURE_TOL. Every P_i and Q_j is linked,
-    since its masses sum to its rank (>= 1) over at most D partners, so
-    c counts the components among the P_i. A weak link left out can only
-    raise c, and so only lower the dimension returned."""
-    linked = mass > _CLOSURE_TOL
-    first = _first_linked(linked @ linked.T)
-    components = int(np.count_nonzero(first == np.arange(len(first))))
-    return sum(mass.shape) - components
-
-
-def _transposed_projectors_span(v_x: np.ndarray, cuts_x: np.ndarray,
-                               v_pt: np.ndarray, cuts_pt: np.ndarray,
-                               mass: np.ndarray, count: int, pt) -> int:
+def _projector_span(v_x: np.ndarray, cuts_x: np.ndarray,
+                    v_pt: np.ndarray, cuts_pt: np.ndarray, count: int, pt) -> int:
     """Dimension of the span of the spectral projectors P_i of X, Q_j of
     X^{T_B} and the partial transposes P_i^{T_B} of the first ``count``
-    P_i, read from Gram matrices (unit-norm elements) with no D x D
-    candidate stack.
+    P_i, given by ``_eigenspaces`` of X and X^{T_B} and read from Gram
+    matrices of unit-norm elements, with no D x D candidate stack.
 
     The P_i are orthonormal, so the Schur complement of their block in
     the Gram matrix of all these elements is the Gram matrix of the
     parts of the Q_j and P_i^{T_B} outside span{P_i}: H - K^T K, with K
-    their overlaps with the P_i and H their own Gram matrix. ``mass``
-    holds Tr[P_i Q_j]; the Q_j are orthonormal, and so are the
-    P_i^{T_B}, since Tr[P_i^{T_B} P_k^{T_B}] = Tr[P_i P_k]; the overlaps
-    Tr[E P_k] and Tr[E Q_j] of E = P_i^{T_B} sum the diagonals of V^H E V
-    and U^H E U over each eigenspace. The span is r_X plus the number of
-    eigenvalues of the complement above _CLOSURE_TOL^2."""
+    their overlaps with the P_i and H their own Gram matrix. The Q_j are
+    orthonormal, and so are the P_i^{T_B}, since
+    Tr[P_i^{T_B} P_k^{T_B}] = Tr[P_i P_k]. Tr[P_i Q_j] sums the squared
+    moduli of V^H U over the pair's columns (V, U the eigenvectors of X
+    and X^{T_B}); the overlaps Tr[E P_k] and Tr[E Q_j] of E = P_i^{T_B}
+    sum the diagonals of V^H E V and U^H E U over each eigenspace. The
+    span is r_X plus the number of eigenvalues of the complement above
+    _CLOSURE_TOL^2."""
     d = len(v_x)
-    starts = np.append(0, cuts_x), np.append(0, cuts_pt)
-    norms = [1.0 / np.sqrt(np.diff(np.append(st, d))) for st in starts]
-    ends = [*cuts_x[:count].tolist(), d][:count]
-    cands = pt(np.stack([v_x[:, a:b] @ v_x[:, a:b].conj().T
-                         for a, b in zip(starts[0][:count].tolist(), ends)]))
+    starts = [np.concatenate(([0], cuts)) for cuts in (cuts_x, cuts_pt)]
+    norms = [1.0 / np.sqrt(np.add.reduceat(np.ones(d), st)) for st in starts]
+    mass = np.add.reduceat(np.add.reduceat(np.square(np.abs(v_x.conj().T @ v_pt)),
+                                           starts[0], axis=0), starts[1], axis=1)
+    edges = [0, *cuts_x.tolist(), d]
+    firsts = [v_x[:, a:b] @ v_x[:, a:b].conj().T
+              for a, b in zip(edges[:count], edges[1:count + 1])]
+    cands = pt(np.array(firsts, v_x.dtype).reshape(count, d, d))
     # Tr[E P_k] sums the diagonal of V^H E V over the columns of P_k
     over_x, over_pt = (
         np.add.reduceat((v.conj() * (cands @ v)).real.sum(axis=1), st, axis=1)
@@ -765,10 +745,11 @@ def _transposed_projectors_span(v_x: np.ndarray, cuts_x: np.ndarray,
     k = np.concatenate([mass * np.multiply.outer(*norms), over_x.T], axis=1)
     schur = -(k.T @ k)
     schur.flat[::len(schur) + 1] += 1.0
-    schur[:-count, -count:] += over_pt.T
-    schur[-count:, :-count] += over_pt
+    r_g = len(starts[1])
+    schur[:r_g, r_g:] += over_pt.T
+    schur[r_g:, :r_g] += over_pt
     added = np.count_nonzero(np.linalg.eigvalsh(schur) > _CLOSURE_TOL ** 2)
-    return cuts_x.size + 1 + int(added)
+    return len(mass) + int(added)
 
 
 def _new_directions(cands: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -804,24 +785,19 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     stay far below: 3 for Werner pairs, 15/21 for the composed pairs).
     Giving up early is exact; it only chooses the slower coordinates.
 
-    J holds the spectral projectors P_i of X and Q_j of X^{T_B}. A
-    Hermitian matrix in both spans, sum_i a_i P_i = sum_j b_j Q_j, gives
-    a_i P_i Q_j = P_i (sum_k b_k Q_k) Q_j = b_j P_i Q_j, so a_i = b_j
-    wherever P_i Q_j != 0: the coefficients are constant on each
-    component of the graph linking such P_i and Q_j, and the spans meet
-    in c dimensions for c components. Hence dim J >= r_X + r_G - c, with
-    r_X and r_G the numbers of eigenspaces (``_projector_span``), and when
-    that exceeds the give-up size the closure returns None before any
-    candidate is formed: generic pairs with 5 <= D <= 15 (real field: up
-    to D = 30). When it falls short by at most r_X, J also holds the
-    P_i^{T_B}, and the dimensions that enough of them add to the span
-    (``_transposed_projectors_span``, from the Gram matrix of the P_i and
-    Q_j and the diagonals of V^H P_i^{T_B} V) can take the count past
-    the give-up size: generic complex D = 4 pairs (span 7 of 8) and
-    D = 16 pairs (31 of 32) give up there, with no candidate stack and no
-    generation. (Real D = 4 pairs give up after their first generation:
-    there the P_i^{T_B} lie in the span of the P_i and Q_j.) The count is taken only when r_X + r_G - 1 + r_X, the
-    most it can reach, exceeds the give-up size.
+    J holds the spectral projectors P_i of X and Q_j of X^{T_B} (r_X and
+    r_G eigenspaces) and the partial transposes P_i^{T_B}, so the
+    dimension of the span of these (``_projector_span``) bounds dim J
+    from below, and when it exceeds the give-up size the closure returns
+    None before any candidate is formed. The P_i and Q_j span at most
+    r_X + r_G - 1 dimensions, since both sum to I, and each P_i^{T_B}
+    adds at most one, so the count takes the first
+    give_up + 2 - r_X - r_G of them (none when the P_i and Q_j alone can
+    pass) and is skipped when that is more than r_X. Generic pairs with
+    5 <= D <= 15 (real field: up to D = 30) give up with no transpose,
+    generic complex D = 4 pairs (7 of 8 before the transposes) and D = 16
+    pairs (31 of 32) with two. Real D = 4 pairs give up after their first
+    generation: there the P_i^{T_B} lie in the span of the P_i and Q_j.
 
     Elements are D x D matrices, compared in Re Tr[A B]. A generation's
     candidates grow the basis by ``_new_directions``: one Gram
@@ -857,17 +833,12 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
     x_pt = pt(x_unit)
     (v_x, cuts_x), (v_pt, cuts_pt) = _eigenspaces(x_unit), _eigenspaces(x_pt)
-    # the projectors and the P_i^{T_B} span at most r_X + r_G - 1 + r_X
-    # dimensions (c >= 1), so they are counted only when that exceeds
-    # give_up
-    r_x = cuts_x.size + 1
-    if r_x + cuts_pt.size + r_x > give_up:
-        mass = _projector_mass(v_x, cuts_x, v_pt, cuts_pt)
-        span = _projector_span(mass)
-        short = give_up + 1 - span
-        if short <= 0 or (short <= r_x and _transposed_projectors_span(
-                v_x, cuts_x, v_pt, cuts_pt, mass, short, pt) > give_up):
-            return None
+    r_x, r_g = cuts_x.size + 1, cuts_pt.size + 1
+    # transposes needed when the P_i and Q_j meet only in I
+    short = give_up + 2 - r_x - r_g
+    if short <= r_x and _projector_span(v_x, cuts_x, v_pt, cuts_pt,
+                                        max(short, 0), pt) > give_up:
+        return None
     proj = np.concatenate([_spectral_projectors(v_x, cuts_x),
                            _spectral_projectors(v_pt, cuts_pt)])
     cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
@@ -885,18 +856,16 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
                                 pt(e[-len(new):])])
 
 
-def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray,
-                 z: np.ndarray | None = None):
+def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray, z: np.ndarray):
     """Cholesky factors of the four slack blocks M, I-M, M^{T_B},
-    I-M^{T_B} as one (4, D, D) stack, followed by those of the four
-    blocks of ``z`` when it is given (an (8, D, D) stack from one batched
-    call), or None if any block is not positive definite."""
-    slacks = np.empty((4 if z is None else 8,) + m.shape, np.result_type(m, eye))
+    I-M^{T_B} followed by those of the four blocks of ``z``, as one
+    (8, D, D) stack from one batched call, or None if any block is not
+    positive definite."""
+    slacks = np.empty((8,) + m.shape, np.result_type(m, eye))
     slacks[0], slacks[2] = m, mt
     np.subtract(eye, m, out=slacks[1])
     np.subtract(eye, mt, out=slacks[3])
-    if z is not None:
-        slacks[4:] = z
+    slacks[4:] = z
     try:
         return np.linalg.cholesky(slacks)
     except np.linalg.LinAlgError:
@@ -1057,9 +1026,9 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         return _dual_bound(x_work, b, dim_a, dim_b), b
 
     x = basis.coords(np.eye(d, dtype=x_work.dtype) / 2.0)
-    chol_s = _chol_blocks(*basis.pair(x), eye)
     z = np.broadcast_to(eye, stack).copy()
-    chol_z = z.copy()
+    chols = _chol_blocks(*basis.pair(x), eye, z)
+    chol_s, chol_z = chols[:4], chols[4:]
     work = basis.newton_buffers()
     _load_lapack()
     steps = 0

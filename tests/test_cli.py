@@ -116,6 +116,15 @@ class TestHelstromCommand:
                         "--state0", str(tmp_path / "sigma0.json"))
         assert err["type"] == "ConfigError"
 
+    def test_dimension_mismatch_is_a_layout_error(self, capsys, tmp_path):
+        for d in (2, 3):
+            run_json(capsys, "construct", "--family", "werner", "--d", str(d),
+                     "--out", str(tmp_path / f"w{d}"))
+        err = run_error(capsys, "helstrom",
+                        "--state0", str(tmp_path / "w2" / "sigma0.json"),
+                        "--state1", str(tmp_path / "w3" / "sigma0.json"))
+        assert err["type"] == "LayoutError"
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "helstrom", "--family", "werner",
                                "--d", "2", "--format", "csv")

@@ -114,6 +114,15 @@ class TestHelstrom:
         with pytest.raises(LayoutError):
             functional(a, b)
 
+    @pytest.mark.parametrize("functional", [helstrom, ppt_sdp])
+    def test_layout_mismatch_names_both_dimensions(self, functional):
+        # equal labels, different dimensions
+        a = DensityOperator(AB22, np.eye(4) / 4)
+        b = DensityOperator(TensorLayout((("A1", 2), ("B1", 3))), np.eye(6) / 6)
+        with pytest.raises(LayoutError) as err:
+            functional(a, b)
+        assert "('B1', 2)" in str(err.value) and "('B1', 3)" in str(err.value)
+
     def test_additivity_under_common_factor(self):
         rng = np.random.default_rng(4)
         rho0, rho1 = random_pair(rng)

@@ -293,10 +293,10 @@ class TestCertifiedGap:
         chol = sdp._chol_blocks
 
         # the iterate's slacks and dual blocks are factored by one call
-        def only_start(m, mt, eye, *z):
+        def only_start(m, mt, eye, z):
             if np.abs(m - eye / 2.0).max() > 1e-12:
                 return None
-            return chol(m, mt, eye, *z)
+            return chol(m, mt, eye, z)
 
         x, da, db = werner(2)
         optimum = sdp.solve_ppt_two_outcome(x, da, db)
@@ -436,7 +436,7 @@ class TestSlackFactors:
         eye = np.eye(da * db)
         m = eye / 2.0 + 0.4 * (h - np.trace(h) / (da * db) * eye) / np.linalg.norm(h)
         mt = partial_transpose(m, da, db)
-        chols = sdp._chol_blocks(m, mt, eye)
+        chols = sdp._chol_blocks(m, mt, eye, np.broadcast_to(eye, (4,) + eye.shape))[:4]
         assert chols.shape == (4, da * db, da * db)
         rebuilt = chols @ chols.conj().swapaxes(-1, -2)
         for got, slack in zip(rebuilt, (m, eye - m, mt, eye - mt)):
@@ -452,7 +452,9 @@ class TestSlackFactors:
         chols = sdp._chol_blocks(m, partial_transpose(m, da, db), eye, z)
         assert chols.shape == (8, da * db, da * db)
         np.testing.assert_array_equal(chols[4:], np.linalg.cholesky(z))
-        np.testing.assert_array_equal(chols[:4], sdp._chol_blocks(m, m, eye))
+        # the slack factors do not depend on the dual blocks
+        np.testing.assert_array_equal(
+            chols[:4], sdp._chol_blocks(m, m, eye, np.broadcast_to(eye, z.shape))[:4])
         z[3] = -z[3]
         assert sdp._chol_blocks(m, m, eye, z) is None
 
@@ -464,7 +466,7 @@ class TestSlackFactors:
         for slack in (m, eye - m, mt):
             np.linalg.cholesky(slack)
         assert np.linalg.eigvalsh(eye - mt).min() == pytest.approx(-0.1)
-        assert sdp._chol_blocks(m, mt, eye) is None
+        assert sdp._chol_blocks(m, mt, eye, np.broadcast_to(eye, (4, 4, 4))) is None
 
 
 def positive_blocks(rng, d, real, cond):
@@ -657,14 +659,14 @@ def projector_rank(x, da, db, extra=()):
 
 
 class TestSpectralGiveUp:
-    # the spectral projectors of X and X^{T_B} lie in the closure and
-    # span r_X + r_G - c dimensions; a pair whose projectors alone
-    # outgrow the give-up size max(n // 8, 8) returns None before any
-    # candidate or pivoted QR, and only pairs with r_X + r_G - 1 above
-    # that size count c at all
+    # the spectral projectors P_i of X and Q_j of X^{T_B} and the
+    # partial transposes P_i^{T_B} lie in the closure; a pair whose
+    # count of their span outgrows the give-up size max(n // 8, 8)
+    # returns None before any candidate or generation
 
     @pytest.mark.parametrize("da,db", [(2, 3), (2, 4), (3, 3), (3, 4)])
-    def test_generic_complex_pair_gives_up_without_a_qr(self, da, db, monkeypatch):
+    def test_generic_complex_pair_gives_up_without_a_generation(self, da, db,
+                                                                monkeypatch):
         calls = count_generations(monkeypatch)
         for seed in range(3):
             x, _, _ = random_objective(np.random.default_rng(110 + seed), da, db)
@@ -677,22 +679,33 @@ class TestSpectralGiveUp:
         pure_objective(np.random.default_rng(122), 2, 3, False),
         werner(3), composed(0.9, 2), werner_power(2, 2),
         (np.diag(np.linspace(-0.3, 0.4, 8)), 2, 4),
+        random_objective(np.random.default_rng(160), 2, 2),
+        random_objective(np.random.default_rng(161), 2, 3, real=True),
+        pure_objective(np.random.default_rng(162), 2, 3, False),
     ], ids=["complex-2x3", "real-3x3", "pure-2x3", "werner-d3", "composed-D16",
-            "k-copy-D16", "diagonal-2x4"])
+            "k-copy-D16", "diagonal-2x4", "complex-2x2", "real-2x3", "pure-2x3-b"])
     def test_span_is_the_rank_of_the_projectors(self, inp):
+        # the Schur-complement count equals the numerical rank of the
+        # projectors of X and X^{T_B} with the partial transposes of the
+        # first P_i, built as matrices, for every number of transposes
         x, da, db = inp
         x = x / np.linalg.norm(x)
-        spaces = sdp._eigenspaces(x), sdp._eigenspaces(partial_transpose(x, da, db))
-        mass = sdp._projector_mass(*spaces[0], *spaces[1])
-        assert sdp._projector_span(mass) == projector_rank(x, da, db)
+        v, cuts = sdp._eigenspaces(x)
+        u, cuts_pt = sdp._eigenspaces(partial_transpose(x, da, db))
+        for count in range(cuts.size + 2):
+            got = sdp._projector_span(v, cuts, u, cuts_pt, count,
+                                      lambda m: pt_stack(m, da, db))
+            firsts = [partial_transpose(v[:, g] @ v[:, g].conj().T, da, db)
+                      for g in np.split(np.arange(len(v)), cuts)[:count]]
+            assert got == projector_rank(x, da, db, firsts)
 
     def test_diagonal_pair_keeps_its_closure(self, monkeypatch):
-        # X^{T_B} = X, so each P_i is one Q_j: c = 8 and the span is
-        # 8 + 8 - 8 = 8, the give-up size of the real 2 x 4 space, while
-        # r_X + r_G - 1 = 15 would have given the pair up
+        # X^{T_B} = X, so each P_i is one Q_j and the span is 8, the
+        # give-up size of the real 2 x 4 space, while r_X + r_G - 1 = 15
+        # would have given the pair up
         x = np.diag(np.linspace(-0.3, 0.4, 8))
         v, cuts = sdp._eigenspaces(x)
-        assert sdp._projector_span(sdp._projector_mass(v, cuts, v, cuts)) == 8
+        assert sdp._projector_span(v, cuts, v, cuts, 0, lambda m: pt_stack(m, 2, 4)) == 8
         calls = count_generations(monkeypatch)
         basis, canon = closure(x, 2, 4)
         assert max(canon.n // 8, 8) == 8
@@ -710,8 +723,8 @@ class TestSpectralGiveUp:
         # so the pair gives up with no candidate stack and no generation
         x, _, _ = random_objective(np.random.default_rng(130 + da), da, db)
         counted = []
-        count = sdp._transposed_projectors_span
-        monkeypatch.setattr(sdp, "_transposed_projectors_span",
+        count = sdp._projector_span
+        monkeypatch.setattr(sdp, "_projector_span",
                             lambda *a: counted.append(a[-2]) or count(*a))
         stacks = []
         monkeypatch.setattr(sdp, "_spectral_projectors",
@@ -764,30 +777,6 @@ class TestGramGrowth:
     def test_nothing_new_gives_no_rows(self):
         basis = np.eye(5)[:2]
         assert sdp._new_directions(np.array([[2.0, 1.0, 0, 0, 0]]), basis).shape == (0, 5)
-
-    @pytest.mark.parametrize("inp", [
-        random_objective(np.random.default_rng(160), 2, 2),
-        random_objective(np.random.default_rng(161), 2, 3, real=True),
-        pure_objective(np.random.default_rng(162), 2, 3, False),
-        werner(3), composed(0.9, 2),
-        (np.diag(np.linspace(-0.3, 0.4, 8)), 2, 4),
-    ], ids=["complex-2x2", "real-2x3", "pure-2x3", "werner-d3", "composed-D16",
-            "diagonal-2x4"])
-    def test_transposed_projector_span_is_the_rank(self, inp):
-        # the Schur-complement count equals the numerical rank of the
-        # projectors of X and X^{T_B} with the partial transposes of the
-        # first P_i, built as matrices
-        x, da, db = inp
-        x = x / np.linalg.norm(x)
-        v, cuts = sdp._eigenspaces(x)
-        u, cuts_pt = sdp._eigenspaces(partial_transpose(x, da, db))
-        mass = sdp._projector_mass(v, cuts, u, cuts_pt)
-        for count in range(1, cuts.size + 2):
-            got = sdp._transposed_projectors_span(
-                v, cuts, u, cuts_pt, mass, count, lambda m: pt_stack(m, da, db))
-            firsts = [partial_transpose(v[:, g] @ v[:, g].conj().T, da, db)
-                      for g in np.split(np.arange(len(v)), cuts)[:count]]
-            assert got == projector_rank(x, da, db, firsts)
 
 
 def solve_both(x, da, db, monkeypatch):
