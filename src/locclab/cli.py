@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distinguish import bound_bracket, helstrom
+from .distinguish import _same_layout, bound_bracket
 from .errors import ConfigError, LoccLabError, ParseError
 from .game import (DetectionConfig, IIDStrategy, TrialArrays,
                    _threshold_guess, azuma_bound, default_detection_oracle,
@@ -342,9 +342,11 @@ def _write_distribution(path: Path, counts: np.ndarray, log2_dim: list,
 
 def cmd_helstrom(config: ExperimentConfig) -> dict:
     rho0, rho1, inputs = _load_pair(config.params)
-    # helstrom checks the layouts before the entries are subtracted
-    p_opt = helstrom(rho0, rho1)
-    report = {"trace_distance": trace_norm(rho0.entries - rho1.entries), "p_opt": p_opt}
+    # the layouts are checked before the entries are subtracted; p_opt is
+    # helstrom's formula on the one trace norm
+    _same_layout(rho0, rho1)
+    td = trace_norm(rho0.entries - rho1.entries)
+    report = {"trace_distance": td, "p_opt": 0.5 + 0.25 * td}
     if config.out:
         out_dir = Path(config.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -22,21 +22,30 @@ formula gave, and no concentration or game command has to import scipy
 Exact mode lists the label types as array rows and weighs them once, so
 a success probability is a tail sum of those weights; the rows are built
 one label at a time, each generation stacking the vectors of every smaller
-total behind their leading occupation. Sampling mode counts the runs of
-equal rows in the sorted draws (``np.argsort`` when one packed int64 key
-holds a row, ``np.lexsort`` otherwise). Either way the distribution's
-outcomes are built in bulk from the columns: their checks run once on the
-whole columns, and the slots of bare instances are filled directly. Each
-outcome's ``counts`` tuple is built on its first read from its row of the
-law's read-only counts table, which the outcomes keep alive (245 157 x 8
-int64, 15.7 MB, at n=16 and d2=8), so building an outcome makes one object
-for the cyclic garbage collector to track, not two. Since an outcome
-refers only to that table, an int and two floats, it cannot be part of a
-reference cycle, and the outcomes are built with the collector paused
-(when it is enabled and no other Python thread is alive; it is enabled
-again afterwards), so those that outlive the young generations no longer
-set off full collections during the build. The ``concentrate`` command
-reads the law's columns directly and builds no outcome.
+total behind their leading occupation. Sampling mode draws ``_ROW_CHUNK``
+rows at a time (the same rows as one draw from the same stream), packs
+each chunk into int64 keys in base n + 1 as it comes, and counts the runs
+of equal keys once they are sorted (``np.argsort`` when one key holds a
+row, ``np.lexsort`` otherwise); the distinct rows are decoded from their
+keys, so the (samples, labels) draws never exist at once. Either way the
+law's counts table has the narrowest unsigned dtype that holds n
+(``np.min_scalar_type(n)``: one byte per count up to n = 255).
+
+The distribution's outcomes are built in bulk from the columns: their
+checks run once on the whole columns, and the slots of bare instances are
+filled directly. Each outcome's ``counts`` tuple is built on its first
+read from its row of the law's read-only counts table, which the outcomes
+keep alive, so building an outcome makes one object for the cyclic
+garbage collector to track, not two. An outcome refers to a view of at
+most ``_VIEW_ROWS`` rows of the table and to its row there, an int that
+CPython keeps cached, so besides itself it adds only its two floats to
+what the law keeps alive. Since an outcome refers only to the table, an
+int and two floats, it cannot be part of a reference cycle, and the
+outcomes are built with the collector paused (when it is enabled and no
+other Python thread is alive; it is enabled again afterwards), so those
+that outlive the young generations no longer set off full collections
+during the build. The ``concentrate`` command reads the law's columns
+directly and builds no outcome.
 
 An exact distribution leaves its law behind for the success
 probability: the module keeps the key (spectrum values, n) and the
@@ -70,8 +79,13 @@ from .stats import wilson_interval
 
 _MAX_EXACT_TYPES = 1_000_000
 _LOG2 = math.log(2.0)
-# rows of occupations turned into ln k! values at a time (~1 MB at 8 labels)
+# rows of occupations drawn, or turned into ln k! values, at a time (~1 MB
+# of int64 at 8 labels)
 _ROW_CHUNK = 16_384
+# rows of a counts table per view that bulk outcomes refer to: CPython
+# keeps one cached int object for each of -5..256, so an outcome's row
+# index in its view, 0..255, makes no new object
+_VIEW_ROWS = 256
 
 
 # --- teleportation -----------------------------------------------------
@@ -247,8 +261,9 @@ def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
 
 
 class _TableRow:
-    """The slots behind a bulk outcome's deferred ``counts``: its law's
-    read-only (m, labels) int64 counts table and its row there."""
+    """The slots behind a bulk outcome's deferred ``counts``: a read-only
+    view of at most ``_VIEW_ROWS`` rows of its law's (m, labels) unsigned
+    integer counts table, and its row in that view."""
 
     __slots__ = ("_table", "_row")
 
@@ -260,10 +275,11 @@ class ConcentrationOutcome(_TableRow):
     (or empirical weight in sampling mode).
 
     Outcomes built in bulk by ``concentration_distribution`` each refer to
-    the law's read-only (m, labels) int64 counts table and build their
-    ``counts`` tuple from their row of it on first read, so one outcome
-    kept on its own keeps the whole table alive. Equality, hashing, repr,
-    pickling and copies see only the tuple.
+    a view of the law's read-only (m, labels) unsigned integer counts
+    table and build their ``counts`` tuple of Python ints from their row
+    of it on first read, so one outcome kept on its own keeps the whole
+    table alive. Equality, hashing, repr, pickling and copies see only the
+    tuple.
     """
 
     counts: tuple[int, ...]
@@ -289,15 +305,17 @@ class ConcentrationOutcome(_TableRow):
     @classmethod
     def _from_columns(cls, counts: np.ndarray, log2_dim: np.ndarray,
                       probability: np.ndarray) -> tuple[ConcentrationOutcome, ...]:
-        """One outcome per row of the (m, labels) int64 ``counts`` array and
-        the two length-m float columns, equal to constructing each row.
+        """One outcome per row of the (m, labels) integer ``counts`` array
+        and the two length-m float columns, equal to constructing each row.
 
         ``__post_init__``'s checks run once on the whole columns; the first
         bad row is rebuilt by the constructor so it raises the same error.
         The slots of bare instances are then filled by their descriptors,
-        each with its row of ``counts`` in place of a counts tuple, so an
-        outcome is one GC-tracked object. The outcomes take ``counts`` over:
-        it is made read-only in place, not copied.
+        each with a view of ``_VIEW_ROWS`` rows of ``counts`` and its row
+        in that view (a cached small int) in place of a counts tuple, so an
+        outcome is one GC-tracked object. The outcomes take ``counts`` over,
+        whatever its integer dtype: it is made read-only in place, not
+        copied.
 
         The outcomes are built with the cyclic collector paused when it is
         enabled and the calling thread is the only Python thread, and it is
@@ -316,6 +334,7 @@ class ConcentrationOutcome(_TableRow):
                 float(probability[i]))
         counts.flags.writeable = False
         m = len(counts)
+        views = [counts[lo:lo + _VIEW_ROWS] for lo in range(0, m, _VIEW_ROWS)]
         # another thread may rely on the collector while this one builds
         pause = gc.isenabled() and threading.active_count() == 1
         if pause:
@@ -324,9 +343,11 @@ class ConcentrationOutcome(_TableRow):
             # a list, then one tuple: a tuple grown from an iterator without
             # a length hint is resized, and re-tracked by the GC, as it grows
             out = list(map(object.__new__, itertools.repeat(cls, m)))
-            deque(map(cls._table.__set__, out, itertools.repeat(counts, m)),
-                  maxlen=0)
-            deque(map(cls._row.__set__, out, range(m)), maxlen=0)
+            deque(map(cls._table.__set__, out, itertools.chain.from_iterable(
+                map(itertools.repeat, views, itertools.repeat(_VIEW_ROWS)))),
+                maxlen=0)
+            deque(map(cls._row.__set__, out,
+                      itertools.cycle(range(_VIEW_ROWS))), maxlen=0)
             # one column at a time, so each one's Python list is freed
             # before the next is built
             deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
@@ -449,25 +470,50 @@ def _exact_law(spectrum: SchmidtSpectrum, n: int):
 _last_law: tuple = (None, None)
 
 
-def _distinct_rows(draws: np.ndarray):
-    """``np.unique(draws, axis=0, return_counts=True)`` for nonnegative
-    integer rows, by a lexsort on keys that each pack as many adjacent
-    columns (in base ``draws.max() + 1``) as fit in an int64. One key
-    needs no stable sort: the rows of a run of equal keys are equal."""
-    base = int(draws.max()) + 1
+def _distinct_rows(blocks, shape: tuple[int, int], base: int, dtype):
+    """(rows, counts) of the distinct rows of the nonnegative integer
+    blocks of rows (``shape`` stacked, every entry below ``base``): the
+    rows, of ``dtype``, in lexicographic order and how often each occurs,
+    as ``np.unique(np.vstack(blocks), axis=0, return_counts=True)`` gives
+    them.
+
+    Each block is packed into int64 keys as it comes, key j of a row
+    holding as many adjacent columns from j * width on as fit in an int64
+    in base ``base`` (the first most significant), so only the (keys, m)
+    key array is kept, never the stacked rows. The keys are sorted
+    (``np.argsort`` when one key holds a row, ``np.lexsort`` otherwise: the
+    rows of a run of equal keys are equal, so one key needs no stable
+    sort), and the distinct rows are decoded from their keys.
+    """
+    m, labels = shape
     width = 1
-    while width < draws.shape[1] and base ** (width + 1) <= 2 ** 63:
+    while width < labels and base ** (width + 1) <= 2 ** 63:
         width += 1
-    keys = []
-    for lo in range(0, draws.shape[1], width):
-        key = np.zeros(len(draws), dtype=np.int64)
-        for col in draws.T[lo:lo + width]:
-            key = key * base + col
-        keys.append(key)
+    keys = np.zeros((-(-labels // width), m), dtype=np.int64)
+    at = 0
+    for block in blocks:
+        for j, col in enumerate(block.T):
+            key = keys[j // width, at:at + len(block)]
+            key *= base
+            key += col
+        at += len(block)
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
-    keys = np.array(keys)[:, order]
+    keys = keys[:, order]
     starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
-    return draws[order[starts]], np.diff(starts, append=len(draws))
+    rows = np.empty((len(starts), labels), dtype)
+    for lo, key in zip(range(0, labels, width), keys[:, starts]):
+        for col in range(min(lo + width, labels) - 1, lo - 1, -1):
+            key, rows[:, col] = np.divmod(key, base)
+    return rows, np.diff(starts, append=m)
+
+
+def _draws(rng: np.random.Generator, n: int, label_p: np.ndarray,
+           samples: int):
+    """``rng.multinomial(n, label_p, size=samples)`` as blocks of at most
+    ``_ROW_CHUNK`` rows: consecutive calls continue the generator's
+    stream, so the blocks stacked are the rows of the one call."""
+    for lo in range(0, samples, _ROW_CHUNK):
+        yield rng.multinomial(n, label_p, size=min(_ROW_CHUNK, samples - lo))
 
 
 def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
@@ -490,9 +536,12 @@ def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
 def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
                  seed: int):
     """(counts, log2_dim, probability) columns of the type measurement's
-    law on n copies: the (m, labels) int64 occupations in lexicographic
-    order and two length-m float columns, without the types of weight
-    zero. An exact law with no such type is left in ``_last_law`` for
+    law on n copies: the (m, labels) occupations in lexicographic order,
+    of dtype ``np.min_scalar_type(n)`` (uint8 up to n = 255), and two
+    length-m float columns, without the types of weight zero. The exact
+    law's int64 table is narrowed after the filter, so it is freed when
+    this returns, before any outcome is built. An exact law with no
+    zero-weight type is left in ``_last_law`` for
     ``_exact_success_cached``."""
     global _last_law
     exact = _use_exact(spectrum, n, mode, samples)
@@ -500,9 +549,10 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
         counts, logw, weights = _exact_law(spectrum, n)
     else:
         rng = rng_from(seed, "concentration-distribution", n, samples)
-        draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
-        counts, freq = _distinct_rows(draws)
-        del draws  # the (samples, labels) draws, before the columns grow
+        label_p = spectrum.label_probabilities()
+        counts, freq = _distinct_rows(
+            _draws(rng, n, label_p, samples), (samples, label_p.size), n + 1,
+            np.min_scalar_type(n))
         weights = freq / samples
         logw = _log_multinomial(counts, n)
     keep = weights != 0.0
@@ -513,7 +563,8 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
         # the whole law, read-only, for _exact_success_cached
         logw.flags.writeable = weights.flags.writeable = False
         _last_law = ((spectrum.values, n), (logw, weights))
-    return counts, np.maximum(logw / _LOG2, 0.0), weights
+    return (counts.astype(np.min_scalar_type(n), copy=False),
+            np.maximum(logw / _LOG2, 0.0), weights)
 
 
 def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
@@ -561,9 +612,9 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
         p = _exact_success_cached(spectrum.values, n, target)
         return SuccessEstimate(estimate=p, ci_low=p, ci_high=p, exact=True)
     rng = rng_from(seed, "concentration-success", n, samples)
-    draws = rng.multinomial(n, spectrum.label_probabilities(), size=samples)
-    l2dim = _log_multinomial(draws, n) / _LOG2
-    wins = int((l2dim >= target - 1e-9).sum())
+    wins = sum(int((_log_multinomial(block, n) / _LOG2 >= target - 1e-9).sum())
+               for block in _draws(rng, n, spectrum.label_probabilities(),
+                                   samples))
     lo, hi = wilson_interval(wins, samples)
     return SuccessEstimate(estimate=wins / samples, ci_low=lo, ci_high=hi,
                            exact=False, samples=samples)

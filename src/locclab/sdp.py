@@ -733,21 +733,26 @@ def _projector_span(v_x: np.ndarray, cuts_x: np.ndarray,
     norms = [1.0 / np.sqrt(np.add.reduceat(np.ones(d), st)) for st in starts]
     mass = np.add.reduceat(np.add.reduceat(np.square(np.abs(v_x.conj().T @ v_pt)),
                                            starts[0], axis=0), starts[1], axis=1)
-    edges = [0, *cuts_x.tolist(), d]
-    firsts = [v_x[:, a:b] @ v_x[:, a:b].conj().T
-              for a, b in zip(edges[:count], edges[1:count + 1])]
-    cands = pt(np.array(firsts, v_x.dtype).reshape(count, d, d))
-    # Tr[E P_k] sums the diagonal of V^H E V over the columns of P_k
-    over_x, over_pt = (
-        np.add.reduceat((v.conj() * (cands @ v)).real.sum(axis=1), st, axis=1)
-        * (norm * norms[0][:count, None])
-        for v, st, norm in zip((v_x, v_pt), starts, norms))
-    k = np.concatenate([mass * np.multiply.outer(*norms), over_x.T], axis=1)
+    k = mass * np.multiply.outer(*norms)
+    # with count 0 the complement is the Q_j block alone: no transpose is
+    # built and nothing is added to it
+    if count:
+        edges = [0, *cuts_x.tolist(), d]
+        firsts = [v_x[:, a:b] @ v_x[:, a:b].conj().T
+                  for a, b in zip(edges[:count], edges[1:count + 1])]
+        cands = pt(np.array(firsts, v_x.dtype).reshape(count, d, d))
+        # Tr[E P_k] sums the diagonal of V^H E V over the columns of P_k
+        over_x, over_pt = (
+            np.add.reduceat((v.conj() * (cands @ v)).real.sum(axis=1), st, axis=1)
+            * (norm * norms[0][:count, None])
+            for v, st, norm in zip((v_x, v_pt), starts, norms))
+        k = np.concatenate([k, over_x.T], axis=1)
     schur = -(k.T @ k)
     schur.flat[::len(schur) + 1] += 1.0
-    r_g = len(starts[1])
-    schur[:r_g, r_g:] += over_pt.T
-    schur[r_g:, :r_g] += over_pt
+    if count:
+        r_g = len(starts[1])
+        schur[:r_g, r_g:] += over_pt.T
+        schur[r_g:, :r_g] += over_pt
     added = np.count_nonzero(np.linalg.eigvalsh(schur) > _CLOSURE_TOL ** 2)
     return len(mass) + int(added)
 

@@ -25,6 +25,7 @@ from locclab import (
     DensityOperator,
     TensorLayout,
     operator_to_json,
+    trace_norm,
 )
 from locclab import cli
 from locclab.cli import ExperimentConfig, load_manifest, main
@@ -124,6 +125,28 @@ class TestHelstromCommand:
                         "--state0", str(tmp_path / "w2" / "sigma0.json"),
                         "--state1", str(tmp_path / "w3" / "sigma0.json"))
         assert err["type"] == "LayoutError"
+
+    @pytest.mark.parametrize("family, d", [("werner", 2), ("werner", 3),
+                                           ("pure-vs-mixed", 3)])
+    def test_one_eigvalsh_per_call(self, monkeypatch, family, d):
+        config = ExperimentConfig(command="helstrom",
+                                  params={"family": family, "d": d})
+        rho0, rho1, _ = cli._load_pair(config.params)
+        monkeypatch.setattr(cli, "_load_pair", lambda params: (rho0, rho1, []))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = cli.cmd_helstrom(config)
+        dim = rho0.entries.shape[0]
+        assert shapes == [(dim, dim)]
+        monkeypatch.undo()
+        # the report's bits are those of helstrom and trace_norm
+        assert report == {"trace_distance": trace_norm(rho0.entries - rho1.entries),
+                          "p_opt": locclab.helstrom(rho0, rho1)}
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "helstrom", "--family", "werner",

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import math
 import pickle
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from locclab import (
 from locclab import protocols
 from locclab.protocols import (_compositions, _distinct_rows, _exact_law,
                                _log_factorials)
+from locclab.seeding import rng_from
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -55,6 +58,12 @@ def random_spectrum(rng: np.random.Generator) -> SchmidtSpectrum:
     parts = int(rng.integers(2, 5))
     raw = rng.dirichlet(np.ones(parts))
     return SchmidtSpectrum(values=tuple((float(p), 1) for p in raw))
+
+
+def distinct_rows(draws):
+    """_distinct_rows of one array of rows, packed in base max + 1."""
+    return _distinct_rows([draws], draws.shape, int(draws.max()) + 1,
+                          draws.dtype)
 
 
 class TestTeleport:
@@ -433,7 +442,7 @@ class TestArrayEnumeration:
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=8))
         draws = np.random.default_rng(11).multinomial(
             1024, spec.label_probabilities(), size=20_000)
-        rows, freq = _distinct_rows(draws)
+        rows, freq = distinct_rows(draws)
         ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(freq, ref_freq)
@@ -444,14 +453,14 @@ class TestArrayEnumeration:
         draws = np.random.default_rng(12).multinomial(
             64, spec.label_probabilities(), size=20_000)
         assert draws.max() + 1 <= 65
-        rows, freq = _distinct_rows(draws)
+        rows, freq = distinct_rows(draws)
         ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(freq, ref_freq)
 
     def test_distinct_rows_with_repeats(self):
         draws = np.random.default_rng(2).integers(0, 3, size=(500, 3))
-        rows, freq = _distinct_rows(draws)
+        rows, freq = distinct_rows(draws)
         ref_rows, ref_freq = np.unique(draws, axis=0, return_counts=True)
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(freq, ref_freq)
@@ -660,6 +669,96 @@ class TestCollectorPause:
         assert starts
         assert all(enabled for _, enabled in starts)
         assert gc.isenabled()
+
+
+class TestCompactLaws:
+    """A law keeps a narrow counts table, shared through views of
+    _VIEW_ROWS rows, and cached row indices; sampled laws are drawn
+    _ROW_CHUNK rows at a time."""
+
+    CHUNK = protocols._ROW_CHUNK
+    SAMPLES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 200_000]
+
+    @staticmethod
+    def one_draw(purpose, spec, n, samples, seed):
+        """np.unique of one ``rng.multinomial`` call on the stream that
+        ``purpose`` names."""
+        rng = rng_from(seed, purpose, n, samples)
+        draws = rng.multinomial(n, spec.label_probabilities(), size=samples)
+        return np.unique(draws, axis=0, return_counts=True)
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_sampled_law_equals_one_draw(self, samples):
+        self.check_sampled_law(PSI_35, 64, samples)
+
+    def test_sampled_law_in_two_keys_equals_one_draw(self):
+        # 301^8 > 2^63: each row packs into two keys (seven columns, then one)
+        self.check_sampled_law(PSI_35, 300, self.CHUNK + 1)
+
+    def check_sampled_law(self, spec, n, samples):
+        counts, log2_dim, probability = protocols._law_columns(
+            spec, n, "sample", samples, 5)
+        rows, freq = self.one_draw("concentration-distribution", spec, n,
+                                   samples, 5)
+        assert counts.dtype == np.min_scalar_type(n)
+        np.testing.assert_array_equal(counts, rows)
+        assert probability.tolist() == (freq / samples).tolist()
+        assert log2_dim.tolist() == np.maximum(
+            protocols._log_multinomial(rows, n) / math.log(2.0), 0.0).tolist()
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    def test_sampled_success_equals_one_draw(self, samples):
+        n, target = 64, 150.0
+        est = concentration_success_prob(PSI_35, n, target, mode="sample",
+                                         samples=samples, seed=5)
+        rows, freq = self.one_draw("concentration-success", PSI_35, n,
+                                   samples, 5)
+        wins = freq[protocols._log_multinomial(rows, n) / math.log(2.0)
+                    >= target - 1e-9].sum()
+        assert est.estimate == wins / samples and est.samples == samples
+
+    @pytest.mark.parametrize("n, dtype", [(255, np.uint8), (300, np.uint16)])
+    def test_table_dtype_holds_n(self, n, dtype):
+        spec = SchmidtSpectrum(values=((0.6, 1), (0.4, 1)))
+        counts = protocols._law_columns(spec, n, "exact", 1, 0)[0]
+        assert counts.dtype == dtype
+        dist = concentration_distribution(spec, n, mode="exact")
+        assert {o._table.dtype for o in dist} == {np.dtype(dtype)}
+        assert [o.counts for o in dist] == \
+            list(map(tuple, _compositions(n, 2).tolist()))
+        assert all(type(c) is int for o in dist for c in o.counts)
+
+    def test_outcomes_share_views_and_row_indices(self, law16):
+        m, rows = len(law16), protocols._VIEW_ROWS
+        assert len({id(o._table) for o in law16}) == -(-m // rows)
+        assert len({id(o._table.base) for o in law16}) == 1
+        assert {o._table.dtype for o in law16} == {np.dtype(np.uint8)}
+        assert [o._row for o in law16] == [i % rows for i in range(m)]
+        assert len({id(o._row) for o in law16}) == rows
+
+    def test_exact_law_retains_what_the_design_says(self, monkeypatch):
+        # Per outcome: the outcome itself, its slot in the distribution's
+        # tuple, its row of the one-byte table, its two floats and its
+        # (logw, weight) in _last_law; per view of _VIEW_ROWS rows at most
+        # 256 bytes (the array object and its shape and strides); 128 KB
+        # for the rest. An int64 table and a fresh int per outcome would
+        # add 56 + 28 bytes each.
+        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        n = 12
+        m, labels = math.comb(n + 7, 7), 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dist = concentration_distribution(PSI_35, n, mode="exact")
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == m
+        per_outcome = (sys.getsizeof(dist[0]) + 8 + labels * 1
+                       + 2 * sys.getsizeof(1.0) + 16)
+        bound = (m * per_outcome + -(-m // protocols._VIEW_ROWS) * 256
+                 + 131_072)
+        assert retained <= bound
 
 
 class TestLawMemo:
