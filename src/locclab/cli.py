@@ -11,10 +11,11 @@ All randomness flows from the --seed root through labeled substreams
 rate, detect) play their trials with the array engine ``play_trial`` in
 trial-id order in one thread, writing each trial's JSONL lines straight
 from its arrays, so identical (config, seed, version) give
-byte-identical JSONL/CSV artifacts. Without --out they keep only the
-scores (and detect's guesses), not the trials. ``--threads`` is still
-accepted and validated but changes no work: every trial is a few vector
-operations, and there is no pool.
+byte-identical JSONL/CSV artifacts. They keep only the scores (with
+--out each trial is written before the next is played), and a failed run
+removes its transcripts.jsonl, summary.csv and manifest.json from --out.
+``--threads`` is still accepted and validated but changes no work:
+every trial is a few vector operations, and there is no pool.
 
 Monte-Carlo frequencies in the stdout reports carry their sample counts
 and 99% Wilson intervals.
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
-import math
 import operator
 import sys
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,12 +159,31 @@ def write_manifest(out_dir: Path, config: ExperimentConfig,
     return path
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the regular file ``path``: ConfigError if there
+    is none, ParseError at the first byte that is not UTF-8."""
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} does not exist or is not a file")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8: {exc.reason}",
+                         offset=exc.start) from exc
+
+
 def load_manifest(path, verify: bool = True) -> dict:
     """Re-load a run manifest, re-hashing the recorded artifacts.
-    Digest mismatch (a tampered or regenerated artifact) raises
-    ConfigError."""
+    A missing manifest or a digest mismatch (a tampered or regenerated
+    artifact) raises ConfigError; malformed JSON raises ParseError."""
     path = Path(path)
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    text = _read_text(path, "manifest")
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed manifest JSON: {exc.msg}",
+                         offset=len(text[:exc.pos].encode("utf-8"))) from exc
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest JSON must be an object")
     if verify:
         for name, digest in manifest.get("outputs", {}).items():
             target = path.parent / name
@@ -210,12 +229,8 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
         raise ConfigError("--state0 and --state1 must be given together")
     if f0 is not None:
         paths = [Path(f0), Path(f1)]
-        states = []
-        for p in paths:
-            if not p.exists():
-                raise ConfigError(f"state file {p} does not exist")
-            states.append(operator_from_json(p.read_text(encoding="utf-8"),
-                                             density=True))
+        states = [operator_from_json(_read_text(p, "state file"), density=True)
+                  for p in paths]
         return states[0], states[1], paths
     family = params.get("family")
     d = int(_param(params, "d", 2))
@@ -269,58 +284,67 @@ _ROUND_HEADS = tuple(f'{{"X":{c >> 2},"Y":{c >> 1 & 1},"Z":{c & 1},"j":'
                      for c in range(8))
 
 
-def _write_run_files(out_dir: Path, config: ExperimentConfig, protocol_id: str,
-                     n: int, trials: list[tuple[int, TrialArrays]],
-                     guesses: dict[int, str] | None = None,
-                     seed_streams: tuple[str, ...] = ()) -> dict:
-    """Write transcripts.jsonl (header, then one line per round, trial
-    by trial), summary.csv and the manifest. Each round line has the
-    bytes _canonical_json gives its record (keys sorted, no spaces).
-
-    A line is four prebuilt pieces: the ``{"X":x,"Y":y,"Z":z,"j":`` head
-    of its (X, Y, Z), the ``j,"memory":`` piece of its round, its escaped
-    descriptor (each distinct one escaped once) and the trial's tail; a
-    trial's lines are one join of them.
+def _play_games(config: ExperimentConfig, protocol_id: str, n: int,
+                games: Iterable[TrialArrays],
+                guess: Callable[[int, int], str] | None = None,
+                seed_streams: tuple[str, ...] = ()) -> tuple[list, dict]:
+    """Play ``games`` (trials in trial-id order) and return their final
+    scores and the report's ``files`` entry (``{}`` without --out). Each
+    trial is freed once scored and, with --out, written: its
+    transcripts.jsonl lines and its summary.csv row (guess column
+    ``guess(score, rounds)``). The manifest follows the last trial; a run
+    that raises removes all three files. A round line has the bytes
+    _canonical_json gives its record: the ``{"X":x,"Y":y,"Z":z,"j":`` head
+    of its bits, the ``j,"memory":`` piece of its round, its escaped
+    descriptor (each distinct one escaped once) and the trial's tail.
     """
+    if not config.out:
+        return [tr.final_score for tr in games], {}
+    out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jsonl = out_dir / "transcripts.jsonl"
+    paths = jsonl, summary, _ = (
+        out_dir / "transcripts.jsonl", out_dir / "summary.csv",
+        out_dir / "manifest.json")
     header = {"protocol_id": protocol_id, "seed": config.seed, "n": n,
               "config": config.physics_dict()}
     escaped = _Strings(json.dumps)
-    rounds = [f'{j},"memory":'
-              for j in range(1, max(tr.n for _, tr in trials) + 1)]
-    with open(jsonl, "w", encoding="utf-8", newline="") as f:
-        f.write(_canonical_json(header) + "\n")
-        for trial, tr in trials:
-            # zip stops with the heads, after this trial's n rounds
-            f.write("".join(itertools.chain.from_iterable(zip(
-                map(_ROUND_HEADS.__getitem__,
-                    (4 * tr.X + 2 * tr.Y + tr.Z).tolist()),
-                rounds,
-                map(escaped.__getitem__,
-                    itertools.islice(tr.descriptors, 1, None)),
-                itertools.repeat(f',"trial":{trial}}}\n')))))
-    summary = out_dir / "summary.csv"
-    with open(summary, "w", encoding="utf-8", newline="") as f:
-        f.write("trial,n,S_n,rate,guess\n")
-        for trial, tr in trials:
-            guess = (guesses or {}).get(trial, "")
-            f.write(f"{trial},{tr.n},{tr.final_score},"
-                    f"{_g17(tr.final_score / tr.n)},{guess}\n")
-    manifest = write_manifest(out_dir, config, [jsonl, summary],
-                              seed_streams=seed_streams)
-    return {"transcripts": str(jsonl), "summary": str(summary),
-            "manifest": str(manifest)}
+    rounds, scores = [], []  # rounds: the j,"memory": pieces so far
+    try:
+        with (open(jsonl, "w", encoding="utf-8", newline="") as f,
+              open(summary, "w", encoding="utf-8", newline="") as s):
+            f.write(_canonical_json(header) + "\n")
+            s.write("trial,n,S_n,rate,guess\n")
+            for trial, tr in enumerate(games):
+                rounds += map('{},"memory":'.format,
+                              range(len(rounds) + 1, tr.n + 1))
+                # four pieces per line, each column filled by one slice
+                pieces = [f',"trial":{trial}}}\n'] * (4 * tr.n)
+                pieces[::4] = map(_ROUND_HEADS.__getitem__,
+                                  (4 * tr.X + 2 * tr.Y + tr.Z).tolist())
+                pieces[1::4] = rounds[:tr.n]
+                pieces[2::4] = map(escaped.__getitem__, tr.descriptors[1:])
+                f.write("".join(pieces))
+                scores.append(score := tr.final_score)
+                s.write(f"{trial},{tr.n},{score},{_g17(score / tr.n)},"
+                        f"{guess(score, tr.n) if guess else ''}\n")
+        write_manifest(out_dir, config, [jsonl, summary],
+                       seed_streams=seed_streams)
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
+    return scores, {"files": dict(zip(("transcripts", "summary", "manifest"),
+                                      map(str, paths)))}
 
 
 _CSV_ROWS = 1 << 14  # distribution.csv rows per write
 
 
-def _write_distribution(path: Path, counts: np.ndarray, log2_dim: list,
-                        probability: list) -> None:
-    """distribution.csv: one ``k_1|...|k_L,log2_dim,probability`` row per
-    row of the law's columns (``_law_columns``), each row one %-format of
-    its counts and two floats, written _CSV_ROWS rows at a time.
+def _distribution_csv(counts: np.ndarray, log2_dim: list, probability: list):
+    """distribution.csv in chunks: the header, then one
+    ``k_1|...|k_L,log2_dim,probability`` row per row of the law's columns
+    (``_law_columns``), each row one %-format of its counts and two
+    floats, _CSV_ROWS rows per chunk.
 
     A law has few distinct log2 dimensions and probabilities, so each
     float is formatted once. The memo's keys compare by value, so -0.0
@@ -328,17 +352,35 @@ def _write_distribution(path: Path, counts: np.ndarray, log2_dim: list,
     """
     row = "|".join(["%d"] * counts.shape[1]) + ",%s,%s\n"
     g17 = _Strings(_g17)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("counts,log2_dim,probability\n")
-        for lo in range(0, len(counts), _CSV_ROWS):
-            hi = lo + _CSV_ROWS
-            f.write("".join(map(row.__mod__, map(
-                operator.add, map(tuple, counts[lo:hi].tolist()),
-                zip(map(g17.__getitem__, log2_dim[lo:hi]),
-                    map(g17.__getitem__, probability[lo:hi]))))))
+    yield "counts,log2_dim,probability\n"
+    for lo in range(0, len(counts), _CSV_ROWS):
+        hi = lo + _CSV_ROWS
+        yield "".join(map(row.__mod__, map(
+            operator.add, map(tuple, counts[lo:hi].tolist()),
+            zip(map(g17.__getitem__, log2_dim[lo:hi]),
+                map(g17.__getitem__, probability[lo:hi])))))
 
 
 # --- subcommands ------------------------------------------------------------
+
+def _write_outputs(config: ExperimentConfig, files: dict[str, Iterable[str]],
+                   inputs: list[Path] = (),
+                   seed_streams: tuple[str, ...] = ()) -> list[Path]:
+    """With --out: write each of ``files`` (name -> its text in chunks)
+    into --out, then a manifest over them, and return their paths.
+    Without --out nothing is written."""
+    if not config.out:
+        return []
+    out_dir = Path(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in files]
+    for path, chunks in zip(paths, files.values()):
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
+    write_manifest(out_dir, config, paths, inputs=inputs,
+                   seed_streams=seed_streams)
+    return paths
+
 
 def cmd_helstrom(config: ExperimentConfig) -> dict:
     rho0, rho1, inputs = _load_pair(config.params)
@@ -347,12 +389,8 @@ def cmd_helstrom(config: ExperimentConfig) -> dict:
     _same_layout(rho0, rho1)
     td = trace_norm(rho0.entries - rho1.entries)
     report = {"trace_distance": td, "p_opt": 0.5 + 0.25 * td}
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rp = out_dir / "report.json"
-        rp.write_text(_canonical_json(report) + "\n", encoding="utf-8")
-        write_manifest(out_dir, config, [rp], inputs=inputs)
+    _write_outputs(config, {"report.json": [_canonical_json(report), "\n"]},
+                   inputs=inputs)
     return report
 
 
@@ -366,12 +404,8 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
         "sdp_gap": bracket.sdp_gap,
         "witness": bracket.witness_id,
     }
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rp = out_dir / "report.json"
-        rp.write_text(_canonical_json(report) + "\n", encoding="utf-8")
-        write_manifest(out_dir, config, [rp], inputs=inputs)
+    _write_outputs(config, {"report.json": [_canonical_json(report), "\n"]},
+                   inputs=inputs)
     return report
 
 
@@ -420,12 +454,8 @@ def cmd_construct(config: ExperimentConfig) -> dict:
                           "rho-pair, max-entangled")
     # the operators are built (and their parameters checked) before --out
     # is created, so a rejected run leaves nothing behind
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = [out_dir / name for name in ops]
-    for path, op in zip(written, ops.values()):
-        path.write_text(operator_to_json(op) + "\n", encoding="utf-8")
-    write_manifest(out_dir, config, written)
+    written = _write_outputs(config, {name: [operator_to_json(op), "\n"]
+                                      for name, op in ops.items()})
     return {"written": {p.name: _sha256_file(p) for p in written}}
 
 
@@ -460,16 +490,10 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         report["success_prob"] = est.estimate
         report["success_ci"] = [est.ci_low, est.ci_high]
         report["success_exact"] = est.exact
-    if config.out:
-        out_dir = Path(config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        table = out_dir / "distribution.csv"
-        _write_distribution(table, counts, log2_dim, probability)
-        rp = out_dir / "report.json"
-        rp.write_text(_canonical_json(report) + "\n", encoding="utf-8")
-        write_manifest(out_dir, config, [table, rp],
-                       seed_streams=("concentration-distribution",
-                                     "concentration-success"))
+    _write_outputs(config, {
+        "distribution.csv": _distribution_csv(counts, log2_dim, probability),
+        "report.json": [_canonical_json(report), "\n"]},
+        seed_streams=("concentration-distribution", "concentration-success"))
     return report
 
 
@@ -479,16 +503,13 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
     rounds = _count(params, "rounds", 100)
     trials = _count(params, "trials", 1)
 
-    # transcripts are kept only for --out; otherwise just the scores
-    played = []
-    scores = []
-    for t in range(trials):
-        tr = play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
-        scores.append(tr.final_score)
-        if config.out:
-            played.append((t, tr))
+    scores, written = _play_games(
+        config, strategy.protocol_id, rounds,
+        (play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
+         for t in range(trials)),
+        seed_streams=("trial.*.rounds", "trial.*.success", "trial.*.strategy"))
     rates = [score / rounds for score in scores]
-    report = {
+    return {
         "protocol_id": strategy.protocol_id,
         "trials": trials,
         "rounds": rounds,
@@ -499,61 +520,53 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
         # independent rounds (the iid protocol)
         "pooled_rounds": trials * rounds,
         "mean_rate_ci": _ci_json(sum(scores), trials * rounds),
+        **written,
     }
-    if config.out:
-        report["files"] = _write_run_files(
-            Path(config.out), config, report["protocol_id"], rounds,
-            played, seed_streams=("trial.*.rounds", "trial.*.success",
-                                  "trial.*.strategy"))
-    return report
 
 
 def cmd_detect(config: ExperimentConfig) -> dict:
     params = config.params
-    p_tau = float(_param(params, "p_tau", 0.9))
-    p_locc = float(_param(params, "p_locc", 0.75))
     delta = float(_param(params, "delta", 0.05))
     mode = _param(params, "mode", "catalyst-threshold")
     trials = _count(params, "trials", 100)
     n = params.get("n")
     if n is None:
         n = min_rounds(delta, float(_param(params, "trace_distance", 1.0)))
-    det_config = DetectionConfig(p_tau=p_tau, p_locc=p_locc, delta=delta,
-                                 n=int(n), mode=mode)
+    det_config = DetectionConfig(p_tau=float(_param(params, "p_tau", 0.9)),
+                                 p_locc=float(_param(params, "p_locc", 0.75)),
+                                 delta=delta, n=int(n), mode=mode)
     oracle = default_detection_oracle(det_config)
 
-    played = []
-    guesses = {}
-    per_world = {"tau": [0, 0], "gamma": [0, 0]}
-    for t in range(trials):
-        world = "tau" if t % 2 == 0 else "gamma"
-        tr = play_trial(oracle.strategy_for(world), None, det_config.n,
-                        config.seed, stream=("trial", t, "detect", world))
-        guesses[t] = _threshold_guess(det_config, tr.final_score / det_config.n)
-        per_world[world][1] += 1
-        per_world[world][0] += int(guesses[t] == world)
-        if config.out:
-            played.append((t, tr))
+    worlds = ("tau", "gamma")  # trial t plays worlds[t % 2]
+
+    def guess(score: int, rounds: int) -> str:
+        return _threshold_guess(det_config, score / rounds)
+
+    scores, written = _play_games(
+        config, "detect-" + mode, det_config.n,
+        (play_trial(oracle.strategy_for(worlds[t % 2]), None, det_config.n,
+                    config.seed, stream=("trial", t, "detect", worlds[t % 2]))
+         for t in range(trials)),
+        guess=guess,
+        seed_streams=("trial.*.detect.tau", "trial.*.detect.gamma"))
     report = {
         "n": det_config.n,
         "mode": mode,
         "trials": trials,
         "hoeffding": hoeffding_bound(det_config.n, delta),
         "azuma": azuma_bound(det_config.n, delta),
+        **written,
     }
     # a world that ran no trial has no frequency, and then neither does
     # the overall mean
-    for world, (hits, count) in per_world.items():
+    for w, world in enumerate(worlds):
+        count = len(scores[w::2])
+        hits = sum(guess(s, det_config.n) == world for s in scores[w::2])
         report[f"p_corr_{world}"] = hits / count if count else None
         report[f"trials_{world}"] = count
         report[f"p_corr_{world}_ci"] = _ci_json(hits, count)
     tau, gamma = report["p_corr_tau"], report["p_corr_gamma"]
     report["overall"] = None if None in (tau, gamma) else 0.5 * (tau + gamma)
-    if config.out:
-        report["files"] = _write_run_files(
-            Path(config.out), config, "detect-" + mode, det_config.n,
-            played, guesses=guesses,
-            seed_streams=("trial.*.detect.tau", "trial.*.detect.gamma"))
     return report
 
 
@@ -572,34 +585,23 @@ def cmd_rate(config: ExperimentConfig) -> dict:
         raise ConfigError("--n-list must contain positive integers")
     trials = _count(params, "trials", 100)
 
-    played: list[tuple[int, TrialArrays]] = []
-    fracs = []
-    cis = []
-    for n in n_list:
-        hits = 0
-        for t in range(trials):
-            tr = play_trial(strategy, None, n, config.seed,
-                            stream=("rate", n, t))
-            hits += tr.final_score >= r * n - 1e-9
-            if config.out:
-                played.append((len(played), tr))
-        fracs.append(hits / trials)
-        cis.append(_ci_json(hits, trials))
-    report = {
+    scores, written = _play_games(
+        config, strategy.protocol_id, n_list[-1],
+        (play_trial(strategy, None, n, config.seed, stream=("rate", n, t))
+         for n in n_list for t in range(trials)),
+        seed_streams=("rate.*.rounds", "rate.*.success", "rate.*.strategy"))
+    # scores come checkpoint by checkpoint, ``trials`` of each
+    hits = [sum(score >= r * n - 1e-9 for score in scores[i:i + trials])
+            for i, n in zip(range(0, len(scores), trials), n_list)]
+    return {
         "r": r,
         "n_list": n_list,
-        "success_frac": fracs,
-        "success_ci": cis,
+        "success_frac": [h / trials for h in hits],
+        "success_ci": [_ci_json(h, trials) for h in hits],
         "trials": trials,
         "protocol_id": strategy.protocol_id,
+        **written,
     }
-    if config.out:
-        report["files"] = _write_run_files(
-            Path(config.out), config, report["protocol_id"],
-            n_list[-1], played,
-            seed_streams=("rate.*.rounds", "rate.*.success",
-                          "rate.*.strategy"))
-    return report
 
 
 _COMMANDS = {
@@ -634,28 +636,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with catalysts and reusable quantum memory.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("helstrom", parents=[common],
-                       help="optimal two-state discrimination probability")
-    p.add_argument("--state0", type=str)
-    p.add_argument("--state1", type=str)
-    p.add_argument("--family", choices=("werner", "pure-vs-mixed"))
-    p.add_argument("--d", type=int)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--state0", type=str)
+    pair.add_argument("--state1", type=str)
+    pair.add_argument("--family", choices=("werner", "pure-vs-mixed"))
+    pair.add_argument("--d", type=int)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="LOCC lower / PPT upper / global bound bracket")
-    p.add_argument("--state0", type=str)
-    p.add_argument("--state1", type=str)
-    p.add_argument("--family", choices=("werner", "pure-vs-mixed"))
-    p.add_argument("--d", type=int)
+    protocol = argparse.ArgumentParser(add_help=False)
+    protocol.add_argument("--protocol", choices=("iid", "memory-block"),
+                          required=True)
+    protocol.add_argument("--p", type=float)
+    protocol.add_argument("--d1", type=int)
+    protocol.add_argument("--lambda", dest="lam", type=float)
+    protocol.add_argument("--d2", type=int)
+    protocol.add_argument("--n-block", dest="n_block", type=int)
 
-    p = sub.add_parser("simulate", parents=[common],
+    sub.add_parser("helstrom", parents=[common, pair],
+                   help="optimal two-state discrimination probability")
+    sub.add_parser("bounds", parents=[common, pair],
+                   help="LOCC lower / PPT upper / global bound bracket")
+
+    p = sub.add_parser("simulate", parents=[common, protocol],
                        help="multi-round discrimination game")
-    p.add_argument("--protocol", choices=("iid", "memory-block"), required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--d1", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--n-block", dest="n_block", type=int)
     p.add_argument("--rounds", type=int, default=100)
     p.add_argument("--trials", type=int, default=1)
 
@@ -681,14 +683,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--target", type=float)
 
-    p = sub.add_parser("rate", parents=[common],
+    p = sub.add_parser("rate", parents=[common, protocol],
                        help="empirical achievable-rate estimation")
-    p.add_argument("--protocol", choices=("iid", "memory-block"), required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--d1", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--d2", type=int)
-    p.add_argument("--n-block", dest="n_block", type=int)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n-list", dest="n_list", type=str, required=True)
     p.add_argument("--trials", type=int, default=100)

@@ -335,7 +335,8 @@ def operator_from_json(text: str, density: bool = True):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed operator JSON: {exc.msg}", offset=exc.pos) from exc
+        raise ParseError(f"malformed operator JSON: {exc.msg}",
+                         offset=len(text[:exc.pos].encode("utf-8"))) from exc
     if not isinstance(doc, dict) or set(doc) != {"layout", "entries"}:
         raise ParseError("operator JSON must have exactly the keys 'layout' and 'entries'")
     try:

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -23,6 +25,8 @@ import locclab
 from locclab import (
     ConfigError,
     DensityOperator,
+    ParseError,
+    SpecError,
     TensorLayout,
     operator_to_json,
     trace_norm,
@@ -414,8 +418,12 @@ class TestRunFileWriter:
         assert {q for q in Escaped.QUIRKS
                 if any(m.startswith(q) for m in descriptors)} == set(
                     Escaped.QUIRKS)
-        config = ExperimentConfig(command="simulate", seed=3)
-        cli._write_run_files(tmp_path, config, "escaped", 40, trials)
+        config = ExperimentConfig(command="simulate", seed=3,
+                                  out=str(tmp_path))
+        scores, written = cli._play_games(config, "escaped", 40,
+                                          (tr for _, tr in trials))
+        assert scores == [tr.final_score for _, tr in trials]
+        assert set(written["files"]) == {"transcripts", "summary", "manifest"}
         lines = (tmp_path / "transcripts.jsonl").read_text(
             encoding="utf-8").splitlines(keepends=True)
         assert lines[1:] == list(reference_round_lines(trials))
@@ -636,9 +644,9 @@ GAMES = {
 
 
 class TestTrialMemory:
-    # without --out a game command keeps no played trial: when the next
-    # one starts, only the previous one (the loop's last) may be alive;
-    # with --out every trial stays for the writer
+    # a game command keeps no played trial, with or without --out: when
+    # the next one starts, only the previous one (the loop's last) may
+    # be alive
     @staticmethod
     def live_at_each_call(monkeypatch, capsys, argv):
         refs, live = [], []
@@ -656,17 +664,37 @@ class TestTrialMemory:
         return report, live
 
     @pytest.mark.parametrize("name", sorted(GAMES))
-    def test_without_out_at_most_one_trial_is_alive(self, monkeypatch, capsys,
-                                                     tmp_path, name):
+    def test_at_most_one_trial_is_alive(self, monkeypatch, capsys, tmp_path,
+                                        name):
         argv, trials = GAMES[name]
         report, live = self.live_at_each_call(monkeypatch, capsys, argv)
         assert len(live) == trials
         assert max(live) <= 1
-        kept, live = self.live_at_each_call(monkeypatch, capsys,
-                                            [*argv, "--out", str(tmp_path)])
-        assert live == list(range(trials))
+        written, live = self.live_at_each_call(
+            monkeypatch, capsys, [*argv, "--out", str(tmp_path)])
+        assert len(live) == trials
+        assert max(live) <= 1
         # the same report, but for the files written
-        assert kept.pop("files") and kept == report
+        assert written.pop("files") and written == report
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_failed_run_leaves_no_run_files(self, monkeypatch, capsys,
+                                            tmp_path, name):
+        argv, _ = GAMES[name]
+        out = tmp_path / "run"
+        run_json(capsys, *argv, "--out", str(out))  # an earlier run's files
+        play, calls = cli.play_trial, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SpecError("third trial refused")
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "play_trial", failing)
+        err = run_error(capsys, *argv, "--out", str(out))
+        assert err == {"type": "SpecError", "message": "third trial refused"}
+        assert list(out.iterdir()) == []
 
 
 IID = ["--protocol", "iid", "--p", "0.5"]
@@ -714,8 +742,85 @@ class TestErrorSurface:
                         "--state1", str(tmp_path / "none1.json"))
         assert err["type"] == "ConfigError"
 
+    def test_state_file_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"layout": "\xe9t\xe9"}')
+        err = run_error(capsys, "helstrom", "--state0", str(bad),
+                        "--state1", str(bad))
+        assert err["type"] == "ParseError"
+        assert err["offset"] == 12
+
+    def test_state_file_json_offset_counts_bytes(self, capsys, tmp_path):
+        bad = tmp_path / "psi.json"
+        bad.write_text('{"layout": "\u03c8",}', encoding="utf-8")
+        err = run_error(capsys, "helstrom", "--state0", str(bad),
+                        "--state1", str(bad))
+        assert err["type"] == "ParseError"
+        assert err["offset"] == len('{"layout": "\u03c8",'.encode("utf-8"))
+
+    def test_state_file_is_a_directory(self, capsys, tmp_path):
+        err = run_error(capsys, "helstrom", "--state0", str(tmp_path),
+                        "--state1", str(tmp_path))
+        assert err["type"] == "ConfigError"
+
+    def test_malformed_manifest(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"outputs": {"\u03c8": 1,}}', encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_manifest(path)
+        # the byte offset of the stray "}", after the two-byte psi
+        assert info.value.offset == len('{"outputs": {"\u03c8": 1,'
+                                        .encode("utf-8"))
+
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_manifest(path)
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(ConfigError):
+            load_manifest(tmp_path / "manifest.json")
+
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
+
+
+def readme_examples():
+    """The ``locclab ...`` command lines of the README's ``sh`` block of
+    CLI examples, continuation lines joined, as argv lists."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    block = next(b for b in blocks if "\nlocclab " in "\n" + b)
+    return [shlex.split(line)[1:] for line in
+            block.replace("\\\n", " ").splitlines()
+            if line.startswith("locclab ")]
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "index", range(len(README_EXAMPLES)),
+    ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)])
+def test_readme_example(capsys, tmp_path, index):
+    # each line runs as written, with its runs/... paths under tmp_path,
+    # after the earlier lines that write the runs/... files it reads
+    def local(argv):
+        return [str(tmp_path / a) if a.startswith("runs/") else a
+                for a in argv]
+
+    argv = README_EXAMPLES[index]
+    for earlier in README_EXAMPLES[:index]:
+        if "--out" in earlier:
+            out = earlier[earlier.index("--out") + 1] + "/"
+            if any(a.startswith(out) for a in argv):
+                run_json(capsys, *local(earlier))
+    code, out, err = run_cli(capsys, *local(argv))
+    assert code == 0, err
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert isinstance(json.loads(out), dict)
 
 # What an installer writes into the `locclab` script: load the declared
 # entry point and exit with its return value. Run as
