@@ -28,8 +28,10 @@ each chunk into int64 keys in base n + 1 as it comes, and counts the runs
 of equal keys once they are sorted (``np.argsort`` when one key holds a
 row, ``np.lexsort`` otherwise); the distinct rows are decoded from their
 keys, so the (samples, labels) draws never exist at once. Either way the
-law's counts table has the narrowest unsigned dtype that holds n
-(``np.min_scalar_type(n)``: one byte per count up to n = 255).
+law's counts table is built in the narrowest unsigned dtype that holds n
+(``np.min_scalar_type(n)``: one byte per count up to n = 255) and no wider
+copy of it is made: exact mode weighs its rows ``_ROW_CHUNK`` at a time,
+so only one chunk of them is ever cast to float.
 
 The distribution's outcomes are built in bulk from the columns: their
 checks run once on the whole columns, and the slots of bare instances are
@@ -79,8 +81,8 @@ from .stats import wilson_interval
 
 _MAX_EXACT_TYPES = 1_000_000
 _LOG2 = math.log(2.0)
-# rows of occupations drawn, or turned into ln k! values, at a time (~1 MB
-# of int64 at 8 labels)
+# rows of occupations drawn, weighed or turned into ln k! values at a time
+# (~1 MB of int64 or float64 at 8 labels)
 _ROW_CHUNK = 16_384
 # rows of a counts table per view that bulk outcomes refer to: CPython
 # keeps one cached int object for each of -5..256, so an outcome's row
@@ -428,26 +430,28 @@ def _count_compositions(total: int, parts: int) -> int:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Every occupation vector of ``parts`` labels summing to ``total``, as
-    an (m, parts) int64 array in lexicographic order.
+    an (m, parts) array of dtype ``np.min_scalar_type(total)`` (uint8 up to
+    total = 255) in lexicographic order.
 
-    Built one label at a time. ``rows`` holds the vectors of every total
-    s = total, ..., 0 in ``width`` labels, as blocks in that order, so the
-    vectors of s and all smaller totals are the suffix that starts at
-    block s. Prefixing that suffix with the leading occupation 0, 1, ...,
-    s (one per block) gives the vectors of s in ``width + 1`` labels. The
-    last generation builds only ``total``: every total there would be the
-    largest array of the call.
+    Built one label at a time, every generation in that dtype. ``rows``
+    holds the vectors of every total s = total, ..., 0 in ``width`` labels,
+    as blocks in that order, so the vectors of s and all smaller totals are
+    the suffix that starts at block s. Prefixing that suffix with the
+    leading occupation 0, 1, ..., s (one per block) gives the vectors of s
+    in ``width + 1`` labels. The last generation builds only ``total``:
+    every total there would be the largest array of the call.
     """
-    rows = np.arange(total, -1, -1, dtype=np.int64)[:, None]
+    dtype = np.min_scalar_type(total)
+    rows = np.arange(total, -1, -1, dtype=dtype)[:, None]
     sizes = np.ones(total + 1, dtype=np.int64)         # rows of total s = 0..total
     for width in range(1, parts):
         tail = np.cumsum(sizes)                        # rows of totals s, ..., 0
         tops = [total] if width == parts - 1 else range(total, -1, -1)
-        grown = np.empty((tail[tops].sum(), width + 1), dtype=np.int64)
+        grown = np.empty((tail[tops].sum(), width + 1), dtype=dtype)
         at = 0
         for s in tops:
             block = grown[at:at + tail[s]]
-            block[:, 0] = np.repeat(np.arange(s + 1), sizes[s::-1])
+            block[:, 0] = np.repeat(np.arange(s + 1, dtype=dtype), sizes[s::-1])
             block[:, 1:] = rows[len(rows) - tail[s]:]
             at += tail[s]
         rows, sizes = grown, tail
@@ -456,11 +460,22 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 def _exact_law(spectrum: SchmidtSpectrum, n: int):
     """(counts, logw, weights) over every label type of n copies, where
-    logw is ln multinomial(n; k) and weights are the type probabilities."""
+    counts is ``_compositions``' narrow table, logw is ln multinomial(n; k)
+    and weights are the type probabilities.
+
+    ln prod_i p_i^{k_i} is ``counts @ ln p`` taken ``_ROW_CHUNK`` rows at a
+    time, so only one chunk of the table is cast to float at once; each row
+    is still one BLAS dot product, so on one BLAS thread the values are the
+    bits of the whole-table product.
+    """
     label_p = spectrum.label_probabilities()
     possible = label_p > 0.0
     counts = _compositions(n, label_p.size)
-    mass = counts @ np.log(np.where(possible, label_p, 1.0))
+    log_p = np.log(np.where(possible, label_p, 1.0))
+    mass = np.empty(len(counts))
+    for lo in range(0, len(counts), _ROW_CHUNK):
+        np.matmul(counts[lo:lo + _ROW_CHUNK], log_p,
+                  out=mass[lo:lo + _ROW_CHUNK])
     impossible = counts[:, ~possible].any(axis=1)
     logw = _log_multinomial(counts, n)
     return counts, logw, np.where(impossible, 0.0, np.exp(logw + mass))
@@ -538,10 +553,9 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
     """(counts, log2_dim, probability) columns of the type measurement's
     law on n copies: the (m, labels) occupations in lexicographic order,
     of dtype ``np.min_scalar_type(n)`` (uint8 up to n = 255), and two
-    length-m float columns, without the types of weight zero. The exact
-    law's int64 table is narrowed after the filter, so it is freed when
-    this returns, before any outcome is built. An exact law with no
-    zero-weight type is left in ``_last_law`` for
+    length-m float columns, without the types of weight zero. Both modes
+    build the table in that dtype, so no wider copy of it ever exists. An
+    exact law with no zero-weight type is left in ``_last_law`` for
     ``_exact_success_cached``."""
     global _last_law
     exact = _use_exact(spectrum, n, mode, samples)
@@ -563,8 +577,7 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
         # the whole law, read-only, for _exact_success_cached
         logw.flags.writeable = weights.flags.writeable = False
         _last_law = ((spectrum.values, n), (logw, weights))
-    return (counts.astype(np.min_scalar_type(n), copy=False),
-            np.maximum(logw / _LOG2, 0.0), weights)
+    return counts, np.maximum(logw / _LOG2, 0.0), weights
 
 
 def concentration_distribution(spectrum: SchmidtSpectrum, n: int,

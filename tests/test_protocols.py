@@ -356,12 +356,13 @@ class TestArrayEnumeration:
             brute = [c for c in itertools.product(range(total + 1), repeat=parts)
                      if sum(c) == total]
             got = _compositions(total, parts)
-            assert got.dtype == np.int64
+            assert got.dtype == np.min_scalar_type(total)
             assert got.shape == (len(brute), parts)
             assert [tuple(r) for r in got.tolist()] == brute
 
     @pytest.mark.parametrize("total, parts",
-                             [(16, 8), (0, 1), (0, 3), (0, 8), (5, 1), (16, 1)])
+                             [(16, 8), (0, 1), (0, 3), (0, 8), (5, 1), (16, 1),
+                              (300, 2)])
     def test_compositions_match_bar_positions(self, total, parts):
         # stars and bars: the gaps between the bar positions that
         # itertools.combinations yields in lexicographic order
@@ -370,7 +371,7 @@ class TestArrayEnumeration:
                         dtype=np.int64)
         ref = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
         got = _compositions(total, parts)
-        assert got.dtype == np.int64
+        assert got.dtype == np.min_scalar_type(total)
         np.testing.assert_array_equal(got, ref)
 
     def test_bulk_outcomes_match_constructor(self):
@@ -759,6 +760,28 @@ class TestCompactLaws:
         bound = (m * per_outcome + -(-m // protocols._VIEW_ROWS) * 256
                  + 131_072)
         assert retained <= bound
+
+    def test_exact_law_peak_is_narrow(self, monkeypatch):
+        # The law is built in the one-byte table's dtype: at most four
+        # float64 columns (mass, logw, weights and one temporary), two bool
+        # columns and the table are alive at once, plus one _ROW_CHUNK-row
+        # float lookup while ln k! is read; 256 KB for the rest. That is
+        # 68 bytes per type at n = 12 (47 measured); an int64 table and its
+        # float64 cast peak at 136.
+        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        n = 12
+        m, labels = math.comb(n + 7, 7), 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            columns = protocols._law_columns(PSI_35, n, "exact", 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns[0]) == m
+        bound = (m * (labels + 4 * 8 + 2)
+                 + protocols._ROW_CHUNK * labels * 8 + 262_144)
+        assert peak <= bound
 
 
 class TestLawMemo:

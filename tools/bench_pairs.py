@@ -1,0 +1,202 @@
+"""Compare two checkouts with alternating pairs of benchmark runs.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --label narrow-law --workload game-protocols \\
+        --seeds 201-208,301-306
+
+For each seed, ``python3 perfbench/run.py --workload W --seed S --trace 0``
+runs once in each checkout, one after the other, for the run length that
+checkout's ``BENCHMARK.json`` sets (``run_seconds``). The parent
+runs first on the seeds at even positions of the list and the change on
+the others, so neither side always meets the machine in the state the
+other one left it.
+
+Each side gets ``BENCH_<label>-parent.json`` or ``BENCH_<label>-change.json``
+at the root of the change checkout. A file holds the runner's
+``# machine`` facts, the digest of the checkout's uncommitted diff (null
+when there is none), the seeds, which side ran first for each of them,
+every pair's end-to-end metric values and the per-item medians of each
+run. Its ``result`` holds the median over the pairs of each metric, in the
+runner's result-line format.
+
+It stops and exits 1 at the first run that exits non-zero or reports a
+failed item, and then writes no file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+class PairError(Exception):
+    pass
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'201-204,301' -> [201, 202, 203, 204, 301]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
+        raise PairError(f"seeds {text!r}: need two or more, none repeated")
+    return seeds
+
+
+def diff_digest(checkout: Path) -> str | None:
+    """SHA-256 of ``git diff --binary HEAD`` in ``checkout``; None when the
+    tracked files match HEAD or the checkout is not a git repository."""
+    proc = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=checkout,
+                          capture_output=True, timeout=60)
+    if proc.returncode != 0 or not proc.stdout:
+        return None
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def run_seconds(checkout: Path) -> int:
+    """The run length the checkout's benchmark sets, which run.py uses
+    when it gets no --seconds."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return int(spec["run_seconds"])
+
+
+def item_medians(checkout: Path, workload: str, seed: int) -> dict:
+    """Median scaled latency of each item label over the run's passes.
+
+    This reads perfbench/run.py's own results record
+    (``.perfbench_out/results/<workload>-seed<seed>-trace0.json``, its
+    ``passes_detail`` -> ``items`` -> ``s`` and per-pass ``scale``), so it
+    depends on that record's layout and is the only place here that does.
+    Once the runner exports per-item figures itself (ROADMAP *Export*),
+    take them from there and delete this."""
+    path = (checkout / ".perfbench_out" / "results"
+            / f"{workload}-seed{seed}-trace0.json")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    times: dict[str, list[float]] = {}
+    for rec in record["passes_detail"]:
+        for item in rec["items"]:
+            times.setdefault(item["label"], []).append(item["s"] * rec["scale"])
+    return {label: statistics.median(v) for label, v in sorted(times.items())}
+
+
+def run_side(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=20 * run_seconds(checkout) + 600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise PairError(f"{checkout} seed {seed} exited {proc.returncode}:\n"
+                        f"{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        failures = [ln for ln in lines if ln.startswith("# FAILED")]
+        raise PairError(f"{checkout} seed {seed}: {result['failed']} failed "
+                        "items\n" + "\n".join(failures))
+    machine = next(json.loads(ln[len("# machine "):]) for ln in lines
+                   if ln.startswith("# machine "))
+    return {"machine": machine, "result": result,
+            "items": item_medians(checkout, workload, seed)}
+
+
+def side_record(side: str, args, seconds: int, seeds: list[int],
+                first: list, runs: list[dict], diff: str | None) -> dict:
+    machines = [r["machine"] for r in runs]
+    if any(m != machines[0] for m in machines):
+        raise PairError(f"{side}: machine facts changed between runs")
+    names = list(runs[0]["result"]["metrics"])
+    series = {n: [r["result"]["metrics"][n]["value"] for r in runs]
+              for n in names}
+    items = {k: [r["items"][k] for r in runs] for k in runs[0]["items"]}
+    return {
+        "label": f"{args.label}-{side}",
+        "command": (f"python3 perfbench/run.py --workload {args.workload} "
+                    f"--seed <seed> --seconds {seconds} --trace 0"),
+        "machine": machines[0],
+        "diff_sha256": diff,
+        "seeds": seeds,
+        "first": first,
+        "series": series,
+        "items": items,
+        "item_medians": {k: statistics.median(v) for k, v in items.items()},
+        "result": {
+            "correct": True,
+            "attempted": sum(r["result"]["attempted"] for r in runs),
+            "failed": 0,
+            "metrics": {n: {"value": statistics.median(series[n]),
+                            "unit": runs[0]["result"]["metrics"][n]["unit"]}
+                        for n in names},
+        },
+    }
+
+
+def quartiles(values: list[float]) -> str:
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
+
+
+def summary(records: dict) -> list[str]:
+    """One line per metric: each side's median and quartiles and the pairs
+    where the change is lower; one line per item: the medians."""
+    parent, change = records["parent"], records["change"]
+    lines = []
+    for name, values in parent["series"].items():
+        other = change["series"][name]
+        lower = sum(c < p for p, c in zip(values, other))
+        lines.append(f"{name:<12} parent {quartiles(values)} change "
+                     f"{quartiles(other)}  change lower in "
+                     f"{lower}/{len(values)} pairs")
+    for label, values in parent["items"].items():
+        other = change["items"][label]
+        lower = sum(c < p for p, c in zip(values, other))
+        lines.append(f"  item {label:<36} parent "
+                     f"{statistics.median(values):.4g} s change "
+                     f"{statistics.median(other):.4g} s  change lower in "
+                     f"{lower}/{len(values)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workload", default="game-protocols")
+    parser.add_argument("--seeds", required=True)
+    args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+        dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+        diffs = {side: diff_digest(d) for side, d in dirs.items()}
+        runs = {side: [] for side in SIDES}
+        first = []
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            first.append(order[0])
+            for side in order:
+                runs[side].append(run_side(dirs[side], args.workload, seed))
+            print(f"# seed {seed} done ({order[0]} first)", flush=True)
+        records = {side: side_record(side, args, run_seconds(dirs[side]),
+                                     seeds, first, runs[side], diffs[side])
+                   for side in SIDES}
+    except PairError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 1
+    for side, record in records.items():
+        path = dirs["change"] / f"BENCH_{args.label}-{side}.json"
+        path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"# wrote {path}")
+    print("\n".join(summary(records)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
