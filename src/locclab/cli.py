@@ -3,8 +3,11 @@
 Subcommands: helstrom, bounds, simulate, detect, concentrate, rate,
 entropy, construct. Structured outputs are JSON; tabular plot data is
 CSV; round streams are JSON-lines with one header line and one round
-record per line. Every file-writing run also writes a manifest with a
-config hash and SHA-256 digests of its inputs and outputs.
+record per line. One writer owns --out: it writes a run's files in
+order, then a manifest with a config hash and SHA-256 digests of the
+run's inputs and outputs. A run that fails removes those files and
+manifest.json from --out, an earlier run's included, and an --out that
+cannot be written is a ConfigError naming the path.
 
 All randomness flows from the --seed root through labeled substreams
 (the labels appear in the manifest), and the game commands (simulate,
@@ -12,8 +15,7 @@ rate, detect) play their trials with the array engine ``play_trial`` in
 trial-id order in one thread, writing each trial's JSONL lines straight
 from its arrays, so identical (config, seed, version) give
 byte-identical JSONL/CSV artifacts. They keep only the scores (with
---out each trial is written before the next is played), and a failed run
-removes its transcripts.jsonl, summary.csv and manifest.json from --out.
+--out each trial's lines are written before the next is played).
 ``--threads`` is still accepted and validated but changes no work:
 every trial is a few vector operations, and there is no pool.
 
@@ -24,6 +26,7 @@ and 99% Wilson intervals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import operator
@@ -42,7 +45,7 @@ from .game import (DetectionConfig, IIDStrategy, TrialArrays,
                    hoeffding_bound, memory_block_strategy, min_rounds,
                    play_trial)
 from .protocols import _law_columns, _use_exact, concentration_success_prob
-from .qmat import (DensityOperator, TensorLayout, operator_from_json,
+from .qmat import (DensityOperator, TensorLayout, _fmt17, operator_from_json,
                    operator_to_json, trace_norm)
 from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, make_psi,
@@ -133,15 +136,12 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # --- manifest ------------------------------------------------------------
 
 def write_manifest(out_dir: Path, config: ExperimentConfig,
                    outputs: list[Path], inputs: list[Path] = (),
-                   seed_streams: tuple[str, ...] = ()) -> Path:
+                   seed_streams: tuple[str, ...] = ()) -> dict:
+    """Write and return out_dir/manifest.json over outputs and inputs."""
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "command": config.command,
@@ -153,10 +153,9 @@ def write_manifest(out_dir: Path, config: ExperimentConfig,
         "inputs": {str(p): _sha256_file(Path(p)) for p in inputs},
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return manifest
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -173,8 +172,9 @@ def _read_text(path: Path, what: str) -> str:
 
 def load_manifest(path, verify: bool = True) -> dict:
     """Re-load a run manifest, re-hashing the recorded artifacts.
-    A missing manifest or a digest mismatch (a tampered or regenerated
-    artifact) raises ConfigError; malformed JSON raises ParseError."""
+    A missing or non-file manifest or artifact, or a digest mismatch (a
+    tampered or regenerated artifact), raises ConfigError; a malformed
+    manifest raises ParseError."""
     path = Path(path)
     text = _read_text(path, "manifest")
     try:
@@ -184,17 +184,20 @@ def load_manifest(path, verify: bool = True) -> dict:
                          offset=len(text[:exc.pos].encode("utf-8"))) from exc
     if not isinstance(manifest, dict):
         raise ParseError("manifest JSON must be an object")
-    if verify:
-        for name, digest in manifest.get("outputs", {}).items():
-            target = path.parent / name
-            if not target.exists():
-                raise ConfigError(f"manifest output {name} is missing")
+    outputs, inputs = manifest.get("outputs", {}), manifest.get("inputs", {})
+    if not (isinstance(outputs, dict) and isinstance(inputs, dict)):
+        raise ParseError("manifest outputs and inputs must be JSON objects")
+    if verify:  # an input that no longer exists is not checked
+        recorded = [(path.parent / name, digest, "output")
+                    for name, digest in outputs.items()]
+        recorded += [(Path(name), digest, "input")
+                     for name, digest in inputs.items() if Path(name).exists()]
+        for target, digest, what in recorded:
+            if not target.is_file():
+                raise ConfigError(f"manifest {what} {target} is missing or "
+                                  "not a file")
             if _sha256_file(target) != digest:
-                raise ConfigError(f"digest mismatch for output {name}")
-        for name, digest in manifest.get("inputs", {}).items():
-            target = Path(name)
-            if target.exists() and _sha256_file(target) != digest:
-                raise ConfigError(f"digest mismatch for input {name}")
+                raise ConfigError(f"digest mismatch for {what} {target}")
     return manifest
 
 
@@ -265,7 +268,34 @@ def _ci_json(successes: int, trials: int) -> list[float] | None:
     return list(wilson_interval(successes, trials)) if trials else None
 
 
-# --- stream/summary writers -------------------------------------------------
+# --- artifact writers ------------------------------------------------------
+
+def _write_outputs(config: ExperimentConfig, files: dict[str, Iterable[str]],
+                   inputs: list[Path] = (),
+                   seed_streams: tuple[str, ...] = ()) -> dict[str, str]:
+    """Write ``files`` (name -> its text in chunks) into --out in order,
+    then a manifest over them; return its output digests ({} without
+    --out). A run that raises removes these names and manifest.json from
+    a directory --out; an OSError becomes a ConfigError naming --out."""
+    if not config.out:
+        return {}
+    out_dir = Path(config.out)
+    paths = [out_dir / name for name in files]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path, chunks in zip(paths, files.values()):
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.writelines(chunks)
+        return write_manifest(out_dir, config, paths, inputs=inputs,
+                              seed_streams=seed_streams)["outputs"]
+    except BaseException as exc:
+        for path in [*paths, out_dir / "manifest.json"]:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write --out {out_dir}: {exc}") from exc
+        raise
+
 
 class _Strings(dict):
     """Memo of ``make(key)``: each distinct key is formatted once."""
@@ -290,51 +320,41 @@ def _play_games(config: ExperimentConfig, protocol_id: str, n: int,
                 seed_streams: tuple[str, ...] = ()) -> tuple[list, dict]:
     """Play ``games`` (trials in trial-id order) and return their final
     scores and the report's ``files`` entry (``{}`` without --out). Each
-    trial is freed once scored and, with --out, written: its
-    transcripts.jsonl lines and its summary.csv row (guess column
-    ``guess(score, rounds)``). The manifest follows the last trial; a run
-    that raises removes all three files. A round line has the bytes
+    trial is freed once scored and, with --out, its transcripts.jsonl
+    lines written; the summary.csv rows (guess column ``guess(score,
+    rounds)``) follow the last trial. A round line has the bytes
     _canonical_json gives its record: the ``{"X":x,"Y":y,"Z":z,"j":`` head
     of its bits, the ``j,"memory":`` piece of its round, its escaped
     descriptor (each distinct one escaped once) and the trial's tail.
     """
     if not config.out:
         return [tr.final_score for tr in games], {}
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = jsonl, summary, _ = (
-        out_dir / "transcripts.jsonl", out_dir / "summary.csv",
-        out_dir / "manifest.json")
-    header = {"protocol_id": protocol_id, "seed": config.seed, "n": n,
-              "config": config.physics_dict()}
-    escaped = _Strings(json.dumps)
-    rounds, scores = [], []  # rounds: the j,"memory": pieces so far
-    try:
-        with (open(jsonl, "w", encoding="utf-8", newline="") as f,
-              open(summary, "w", encoding="utf-8", newline="") as s):
-            f.write(_canonical_json(header) + "\n")
-            s.write("trial,n,S_n,rate,guess\n")
-            for trial, tr in enumerate(games):
-                rounds += map('{},"memory":'.format,
-                              range(len(rounds) + 1, tr.n + 1))
-                # four pieces per line, each column filled by one slice
-                pieces = [f',"trial":{trial}}}\n'] * (4 * tr.n)
-                pieces[::4] = map(_ROUND_HEADS.__getitem__,
-                                  (4 * tr.X + 2 * tr.Y + tr.Z).tolist())
-                pieces[1::4] = rounds[:tr.n]
-                pieces[2::4] = map(escaped.__getitem__, tr.descriptors[1:])
-                f.write("".join(pieces))
-                scores.append(score := tr.final_score)
-                s.write(f"{trial},{tr.n},{score},{_g17(score / tr.n)},"
-                        f"{guess(score, tr.n) if guess else ''}\n")
-        write_manifest(out_dir, config, [jsonl, summary],
-                       seed_streams=seed_streams)
-    except BaseException:
-        for path in paths:
-            path.unlink(missing_ok=True)
-        raise
-    return scores, {"files": dict(zip(("transcripts", "summary", "manifest"),
-                                      map(str, paths)))}
+    scores, summary = [], ["trial,n,S_n,rate,guess\n"]
+
+    def transcripts():
+        yield _canonical_json({"protocol_id": protocol_id, "seed": config.seed,
+                               "n": n, "config": config.physics_dict()}) + "\n"
+        escaped = _Strings(json.dumps)
+        rounds = []  # the j,"memory": pieces so far
+        for trial, tr in enumerate(games):
+            rounds += map('{},"memory":'.format,
+                          range(len(rounds) + 1, tr.n + 1))
+            # four pieces per line, each column filled by one slice
+            pieces = [f',"trial":{trial}}}\n'] * (4 * tr.n)
+            pieces[::4] = map(_ROUND_HEADS.__getitem__,
+                              (4 * tr.X + 2 * tr.Y + tr.Z).tolist())
+            pieces[1::4] = rounds[:tr.n]
+            pieces[2::4] = map(escaped.__getitem__, tr.descriptors[1:])
+            yield "".join(pieces)
+            scores.append(score := tr.final_score)
+            summary.append(f"{trial},{tr.n},{score},{_fmt17(score / tr.n)},"
+                           f"{guess(score, tr.n) if guess else ''}\n")
+
+    files = {"transcripts.jsonl": transcripts(), "summary.csv": summary}
+    _write_outputs(config, files, seed_streams=seed_streams)
+    return scores, {"files": {key: str(Path(config.out, name)) for key, name in
+                              zip(("transcripts", "summary", "manifest"),
+                                  [*files, "manifest.json"])}}
 
 
 _CSV_ROWS = 1 << 14  # distribution.csv rows per write
@@ -351,36 +371,17 @@ def _distribution_csv(counts: np.ndarray, log2_dim: list, probability: list):
     would share 0.0's string; neither column holds a negative zero.
     """
     row = "|".join(["%d"] * counts.shape[1]) + ",%s,%s\n"
-    g17 = _Strings(_g17)
+    fmt17 = _Strings(_fmt17)
     yield "counts,log2_dim,probability\n"
     for lo in range(0, len(counts), _CSV_ROWS):
         hi = lo + _CSV_ROWS
         yield "".join(map(row.__mod__, map(
             operator.add, map(tuple, counts[lo:hi].tolist()),
-            zip(map(g17.__getitem__, log2_dim[lo:hi]),
-                map(g17.__getitem__, probability[lo:hi])))))
+            zip(map(fmt17.__getitem__, log2_dim[lo:hi]),
+                map(fmt17.__getitem__, probability[lo:hi])))))
 
 
 # --- subcommands ------------------------------------------------------------
-
-def _write_outputs(config: ExperimentConfig, files: dict[str, Iterable[str]],
-                   inputs: list[Path] = (),
-                   seed_streams: tuple[str, ...] = ()) -> list[Path]:
-    """With --out: write each of ``files`` (name -> its text in chunks)
-    into --out, then a manifest over them, and return their paths.
-    Without --out nothing is written."""
-    if not config.out:
-        return []
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / name for name in files]
-    for path, chunks in zip(paths, files.values()):
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.writelines(chunks)
-    write_manifest(out_dir, config, paths, inputs=inputs,
-                   seed_streams=seed_streams)
-    return paths
-
 
 def cmd_helstrom(config: ExperimentConfig) -> dict:
     rho0, rho1, inputs = _load_pair(config.params)
@@ -454,9 +455,8 @@ def cmd_construct(config: ExperimentConfig) -> dict:
                           "rho-pair, max-entangled")
     # the operators are built (and their parameters checked) before --out
     # is created, so a rejected run leaves nothing behind
-    written = _write_outputs(config, {name: [operator_to_json(op), "\n"]
-                                      for name, op in ops.items()})
-    return {"written": {p.name: _sha256_file(p) for p in written}}
+    files = {name: [operator_to_json(op), "\n"] for name, op in ops.items()}
+    return {"written": _write_outputs(config, files)}
 
 
 def cmd_concentrate(config: ExperimentConfig) -> dict:
@@ -721,7 +721,7 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return _g17(value)
+        return _fmt17(value)
     if isinstance(value, (list, dict)):
         return "\"" + _canonical_json(value).replace("\"", "\"\"") + "\""
     return str(value)

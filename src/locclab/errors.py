@@ -33,7 +33,8 @@ class ChannelError(LoccLabError):
 
 class ConfigError(LoccLabError):
     """Invalid experiment configuration: unknown fields, empty strategy
-    libraries, or manifest digest mismatches."""
+    libraries, manifest digest mismatches, or an --out that cannot be
+    written."""
 
 
 class ModeError(LoccLabError):

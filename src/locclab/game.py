@@ -778,17 +778,15 @@ def check_supermartingale(ensemble, p_cap: float, min_count: int = 50,
     violations = 0
     max_z = -math.inf
     for j in range(n):
-        col = x[:, j].astype(np.float64)
         counts = np.bincount(scores)
-        sums = np.bincount(scores, weights=col)
-        for s in np.nonzero(counts >= min_count)[0]:
-            m = counts[s]
-            p_hat = sums[s] / m
-            z = (p_hat - p_cap) / math.sqrt(null_var / m)
-            max_z = max(max_z, z)
-            buckets += 1
-            if z > z_tol:
-                violations += 1
+        sums = np.bincount(scores, weights=x[:, j])
+        kept = counts >= min_count
+        m = counts[kept]
+        z = (sums[kept] / m - p_cap) / np.sqrt(null_var / m)
+        if m.size:
+            max_z = max(max_z, float(z.max()))
+        buckets += m.size
+        violations += int(np.count_nonzero(z > z_tol))
         scores += x[:, j]
     return SupermartingaleReport(
         trajectories=trials, n=n, p_cap=p_cap, buckets=buckets,

@@ -20,19 +20,14 @@ from .qmat import DensityOperator, PureState, TensorLayout, permute, tensor
 from .seeding import rng_from
 from .tolerances import TOL
 
-WERNER_PROJECTORS = "werner-projectors"
-
 
 @dataclass(frozen=True)
 class HidingPairSpec:
     """Parameters of the orthogonal projector pair on C^d x C^d."""
 
     d: int
-    family: str = WERNER_PROJECTORS
 
     def __post_init__(self):
-        if self.family != WERNER_PROJECTORS:
-            raise SpecError(f"unknown hiding-pair family {self.family!r}")
         if self.d < 2:
             raise SpecError(f"hiding pair needs local dimension d >= 2, got {self.d}")
 

@@ -20,14 +20,10 @@ class Tolerances:
     unit_norm: float = 1e-12
     # POVM completeness: max entrywise |sum_i M_i - I|
     povm_sum: float = 1e-9
-    # POVM element positivity: eigenvalues >= -povm_psd
-    povm_psd: float = 1e-9
     # Schmidt spectrum normalization |sum p*m - 1|
     spectrum_sum: float = 1e-12
     # certified duality gap target for the bundled SDP solver
     sdp_gap: float = 1e-6
-    # relative Frobenius reconstruction error allowed for eigensolves
-    eig_reconstruction: float = 1e-10
 
 
 TOL = Tolerances()

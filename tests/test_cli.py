@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -263,6 +264,13 @@ class TestConstructCommand:
         m1 = load_manifest(dirs[1] / "manifest.json")
         assert m0["outputs"] == m1["outputs"]
         assert m0["config_hash"] == m1["config_hash"]
+
+    def test_written_digests_are_the_manifest_outputs(self, capsys, tmp_path):
+        report = run_json(capsys, "construct", "--family", "werner", "--d",
+                          "2", "--out", str(tmp_path))
+        manifest = load_manifest(tmp_path / "manifest.json")
+        assert report["written"] == manifest["outputs"]
+        assert set(report["written"]) == {"sigma0.json", "sigma1.json"}
 
 
 class TestSimulateCommand:
@@ -697,6 +705,72 @@ class TestTrialMemory:
         assert list(out.iterdir()) == []
 
 
+def disk_full(path) -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+class TestOutFailureContract:
+    # every --out command: a run that raises leaves none of its files and
+    # no manifest.json, an earlier run's included; an OSError is a
+    # structured ConfigError
+    def test_concentrate_failing_inside_its_csv(self, monkeypatch, capsys,
+                                                tmp_path):
+        run_json(capsys, "bounds", "--family", "werner", "--d", "2",
+                 "--out", str(tmp_path))
+        assert {p.name for p in tmp_path.iterdir()} == {"report.json",
+                                                        "manifest.json"}
+        csv_chunks = cli._distribution_csv
+
+        def failing(*args):
+            chunks = csv_chunks(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise disk_full(tmp_path / "distribution.csv")
+
+        monkeypatch.setattr(cli, "_distribution_csv", failing)
+        monkeypatch.setattr(cli, "_CSV_ROWS", 4)
+        err = run_error(capsys, "concentrate", "--lambda", "0.5", "--d2", "3",
+                        "--n", "6", "--out", str(tmp_path))
+        assert err["type"] == "ConfigError"
+        assert str(tmp_path) in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_construct_failing_on_its_second_file(self, monkeypatch, capsys,
+                                                  tmp_path):
+        argv = ["construct", "--family", "werner", "--d", "2",
+                "--out", str(tmp_path)]
+        run_json(capsys, *argv)
+        opened = []
+
+        def failing_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            if len(opened) == 2:
+                raise disk_full(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        err = run_error(capsys, *argv)
+        assert opened == ["sigma0.json", "sigma1.json"]
+        assert err["type"] == "ConfigError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["helstrom", "--family", "werner", "--d", "2"],
+        ["simulate", "--protocol", "iid", "--p", "0.5", "--rounds", "5"],
+    ], ids=["helstrom", "simulate"])
+    def test_out_naming_a_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "taken"
+        target.write_bytes(b"an earlier file\n")
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError"
+        assert str(target) in error["message"]
+        assert target.read_bytes() == b"an earlier file\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+
 IID = ["--protocol", "iid", "--p", "0.5"]
 DETECT = ["detect", "--p-locc", "0.5", "--delta", "0.1", "--n", "10"]
 
@@ -781,6 +855,22 @@ class TestErrorSurface:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("key", ["outputs", "inputs"])
+    def test_manifest_entries_that_are_not_an_object(self, tmp_path, key):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({key: ["report.json"]}), encoding="utf-8")
+        with pytest.raises(ParseError, match="must be JSON objects"):
+            load_manifest(path, verify=True)
+
+    @pytest.mark.parametrize("key", ["outputs", "inputs"])
+    def test_manifest_entry_that_is_a_directory(self, tmp_path, key):
+        (tmp_path / "runs").mkdir()
+        name = "runs" if key == "outputs" else str(tmp_path / "runs")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({key: {name: "0" * 64}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="not a file"):
+            load_manifest(path, verify=True)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -505,8 +505,8 @@ class TestProtocolWitnesses:
         for protocol in one_way_library(*pair):
             elems = protocol.elements()
             eye = np.eye(elems.shape[1])
-            assert np.abs(elems - elems.conj().swapaxes(1, 2)).max() <= TOL.povm_psd
-            assert np.linalg.eigvalsh(elems)[:, 0].min() >= -TOL.povm_psd
+            assert np.abs(elems - elems.conj().swapaxes(1, 2)).max() <= TOL.psd
+            assert np.linalg.eigvalsh(elems)[:, 0].min() >= -TOL.psd
             assert np.abs(elems.sum(axis=0) - eye).max() <= TOL.povm_sum
 
     def test_no_elements_on_the_bound_path(self, monkeypatch):

@@ -729,6 +729,13 @@ class TestSupermartingaleAudit:
         assert not report.passed
         assert report.max_z > report.z_tol
 
+    def test_pinned_audit_fields(self):
+        # the figures of a bucket-by-bucket loop over the same ensemble
+        x = simulate_ensemble(IIDStrategy(0.65), n=60, trials=3000, seed=9)
+        report = check_supermartingale(x, p_cap=0.5)
+        assert (report.buckets, report.violations) == (618, 492)
+        assert report.max_z == float.fromhex("0x1.cfe26e06c27e2p+3")
+
     def test_transcript_list_input(self):
         trs = [play_trial(IIDStrategy(0.5), n=10, seed=s) for s in range(120)]
         report = check_supermartingale(trs, p_cap=0.5, min_count=30)

@@ -67,8 +67,6 @@ class TestHidingPair:
     def test_bad_specs(self):
         with pytest.raises(SpecError):
             HidingPairSpec(d=1)
-        with pytest.raises(SpecError):
-            HidingPairSpec(d=3, family="random-subspace")
 
 
 class TestMakePsi:
