@@ -141,7 +141,9 @@ def _sha256_file(path: Path) -> str:
 def write_manifest(out_dir: Path, config: ExperimentConfig,
                    outputs: list[Path], inputs: list[Path] = (),
                    seed_streams: tuple[str, ...] = ()) -> dict:
-    """Write and return out_dir/manifest.json over outputs and inputs."""
+    """Write and return out_dir/manifest.json over outputs and inputs.
+    Inputs are recorded under their resolved absolute paths, so the
+    manifest checks them from any working directory."""
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "command": config.command,
@@ -150,7 +152,7 @@ def write_manifest(out_dir: Path, config: ExperimentConfig,
             _canonical_json(config.physics_dict()).encode("utf-8")).hexdigest(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "seed_streams": list(seed_streams),
-        "inputs": {str(p): _sha256_file(Path(p)) for p in inputs},
+        "inputs": {str(Path(p).resolve()): _sha256_file(Path(p)) for p in inputs},
         "outputs": {p.name: _sha256_file(p) for p in outputs},
     }
     (out_dir / "manifest.json").write_text(

@@ -425,8 +425,9 @@ def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
     Rows are played and checked (``_play_rows``) in chunks of at most
     max(1, _CHUNK_CELLS // n) rows, whose descriptors are dropped, so
     memory beyond the result stays bounded. A chunk's uniforms are the
-    next draws of the success stream and ``play`` draws from its stream
-    row after row, so the chunks give the numbers of one call.
+    next draws of the success stream, written into one buffer that every
+    chunk reuses, and ``play`` draws from its stream row after row, so
+    the chunks give the numbers of one call.
     """
     if n < 1:
         raise SpecError(f"round count must be >= 1, got {n}")
@@ -436,10 +437,14 @@ def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
     own = rng_from(seed, *stream, "strategy")
     x = np.empty((trials, n), dtype=bool)
     rows = max(1, _CHUNK_CELLS // n)
+    # one uniforms buffer for every chunk: a fresh 2 MiB array per chunk
+    # would be mmapped and faulted in anew unless an earlier large free
+    # had raised glibc's mmap threshold
+    u = np.empty((min(rows, trials), n))
     for lo in range(0, trials, rows):
         chunk = x[lo:lo + rows]
         chunk[...], _ = _play_rows(strategy, pair,
-                                   uniforms.random(chunk.shape), own)
+                                   uniforms.random(out=u[:len(chunk)]), own)
     return x
 
 

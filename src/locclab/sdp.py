@@ -192,7 +192,18 @@ No external solver is used; numpy/scipy provide dense linear algebra
 only. The Newton system's dpotrf/dpotrs are the package's only scipy
 calls (the closure uses numpy alone). They are bound once, at the first
 solve, not with this module, so a process that never solves never pays
-for importing scipy. The total dimension is capped at D <= 64 because a
+for importing scipy. The batched eigensolves and Cholesky factors of
+the iteration and the closure call the LAPACK gufuncs that numpy.linalg
+itself calls (numpy.linalg._umath_linalg's eigh_lo, eigvalsh_lo and
+cholesky_lo, through ``_eigh``, ``_eigvalsh`` and ``_cholesky``): at the
+solver's block sizes numpy.linalg's wrapper (dtype checks, an errstate
+per call) costs about as many Python calls as the rest of an iteration,
+and the same gufunc gives the same bits. A failed factorization or
+eigensolve then leaves NaN in its output instead of raising LinAlgError;
+``solve_ppt_two_outcome`` and ``_jordan_closure`` each set numpy's
+floating-point error state once, ignoring every flag, and the
+iteration's finiteness checks turn that NaN into a failed step. The
+total dimension is capped at D <= 64 because a
 generic pair takes the canonical coordinates, whose Newton system has
 n^2 entries for n = D^2 (real field: D(D+1)/2) coordinates: 134 MB at
 D = 64 for the complex field, and 16 times that at D = 128.
@@ -204,6 +215,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericError, SolverError
 from .tolerances import TOL
@@ -239,6 +251,24 @@ _SLAB_ENTRIES = 1 << 16
 _ONE_I = np.array([1.0, 1j]).reshape(2, 1, 1, 1, 1)
 # Fraction of the step to the boundary that an iteration takes.
 _STEP_TO_BOUNDARY = 0.95
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)`` of a float64 or complex128 stack, from the
+    gufunc it calls, with no wrapper: NaN where LAPACK fails, signalled
+    under the caller's floating-point error state."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` in the same way as ``_eigh``."""
+    return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky(a)`` in the same way as ``_eigh``: a factor
+    that is not positive definite comes out as NaN."""
+    return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,7 +379,7 @@ class _Basis:
         out = np.empty((2, d, d), np.complex128 if self.complex_field else np.float64)
         self.mat(x, out[0])
         split = (self.dim_a, self.dim_b) * 2
-        np.copyto(out[1].reshape(split), out[0].reshape(split).swapaxes(1, 3))
+        out[1].reshape(split)[...] = out[0].reshape(split).swapaxes(1, 3)
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -581,7 +611,8 @@ def _block_form(both: np.ndarray) -> _Blocks | None:
             # polar factors L (L^H L)^{-1/2} of the couplings L of the
             # first eigenspace with the others
             link_b = link[idx[:m, None], idx[m:]].reshape(m, n - 1, m).swapaxes(0, 1)
-            w2, u = np.linalg.eigh(link_b.conj().swapaxes(-1, -2) @ link_b)
+            w2, u = _eigh(link_b.conj().swapaxes(-1, -2) @ link_b)
+            # written so that a NaN fails
             if not w2.min() > _COUPLING_TOL ** 2:
                 return None
             polar = link_b @ (u / np.sqrt(w2)[:, None, :]) @ u.conj().swapaxes(-1, -2)
@@ -696,7 +727,7 @@ def _first_linked(linked: np.ndarray) -> np.ndarray:
 def _eigenspaces(a: np.ndarray):
     """Eigenvectors of the Hermitian matrix ``a`` (columns, eigenvalues
     ascending) and the column indices where a new eigenspace starts."""
-    w, v = np.linalg.eigh(a)
+    w, v = _eigh(a)
     return v, np.flatnonzero(np.diff(w) > _EIGEN_MERGE * max(-w[0], w[-1])) + 1
 
 
@@ -753,7 +784,7 @@ def _projector_span(v_x: np.ndarray, cuts_x: np.ndarray,
         r_g = len(starts[1])
         schur[:r_g, r_g:] += over_pt.T
         schur[r_g:, :r_g] += over_pt
-    added = np.count_nonzero(np.linalg.eigvalsh(schur) > _CLOSURE_TOL ** 2)
+    added = np.count_nonzero(_eigvalsh(schur) > _CLOSURE_TOL ** 2)
     return len(mass) + int(added)
 
 
@@ -773,7 +804,7 @@ def _new_directions(cands: np.ndarray, basis: np.ndarray) -> np.ndarray:
     c = cands / np.maximum(np.linalg.norm(cands, axis=1, keepdims=True), 1.0)
     for tol in (_CLOSURE_TOL ** 2, 0.0):
         c -= (c @ basis.T) @ basis
-        w, u = np.linalg.eigh(c @ c.T)
+        w, u = _eigh(c @ c.T)
         keep = w > tol
         c = (u[:, keep] / np.sqrt(w[keep])).T @ c
         if not len(c):
@@ -821,7 +852,6 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     """
     d, n = canon.dim, canon.n
     give_up = min(max(n // 8, 8), n - 1)
-    rng = np.random.default_rng(0)
     dtype = np.complex128 if canon.complex_field else np.float64
 
     def pt(m):
@@ -835,46 +865,53 @@ def _jordan_closure(x_mat: np.ndarray, canon: _Basis) -> _ClosureBasis | None:
     def mats(flat):
         return flat.view(dtype).reshape(len(flat), d, d)
 
-    x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
-    x_pt = pt(x_unit)
-    (v_x, cuts_x), (v_pt, cuts_pt) = _eigenspaces(x_unit), _eigenspaces(x_pt)
-    r_x, r_g = cuts_x.size + 1, cuts_pt.size + 1
-    # transposes needed when the P_i and Q_j meet only in I
-    short = give_up + 2 - r_x - r_g
-    if short <= r_x and _projector_span(v_x, cuts_x, v_pt, cuts_pt,
-                                        max(short, 0), pt) > give_up:
-        return None
-    proj = np.concatenate([_spectral_projectors(v_x, cuts_x),
-                           _spectral_projectors(v_pt, cuts_pt)])
-    cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
-    basis = rows(np.eye(d)[None] / np.sqrt(d))
-    while True:
-        new = _new_directions(rows(cands), basis)
-        if len(new) == 0:
-            return _ClosureBasis(mats(basis), canon.dim_a, canon.dim_b)
-        if len(basis) + len(new) > give_up:
+    # the random elements come from one seeded stream, made only when a
+    # generation grows the span
+    rng = None
+    # a failed eigensolve gives NaN, which adds no direction; the
+    # certified value never rests on the closure (see the module docstring)
+    with np.errstate(all="ignore"):
+        x_unit = x_mat / (np.linalg.norm(x_mat) or 1.0)
+        x_pt = pt(x_unit)
+        (v_x, cuts_x), (v_pt, cuts_pt) = _eigenspaces(x_unit), _eigenspaces(x_pt)
+        r_x, r_g = cuts_x.size + 1, cuts_pt.size + 1
+        # transposes needed when the P_i and Q_j meet only in I
+        short = give_up + 2 - r_x - r_g
+        if short <= r_x and _projector_span(v_x, cuts_x, v_pt, cuts_pt,
+                                            max(short, 0), pt) > give_up:
             return None
-        basis = np.concatenate([basis, new])
-        e = mats(basis)
-        mixed = np.tensordot(rng.standard_normal(len(e)), e, 1)
-        cands = np.concatenate([_spectral_projectors(*_eigenspaces(mixed)),
-                                pt(e[-len(new):])])
+        proj = np.concatenate([_spectral_projectors(v_x, cuts_x),
+                               _spectral_projectors(v_pt, cuts_pt)])
+        cands = np.concatenate([x_unit[None], x_pt[None], proj, pt(proj)])
+        basis = rows(np.eye(d)[None] / np.sqrt(d))
+        while True:
+            new = _new_directions(rows(cands), basis)
+            if len(new) == 0:
+                return _ClosureBasis(mats(basis), canon.dim_a, canon.dim_b)
+            if len(basis) + len(new) > give_up:
+                return None
+            basis = np.concatenate([basis, new])
+            e = mats(basis)
+            if rng is None:
+                rng = np.random.default_rng(0)
+            mixed = np.tensordot(rng.standard_normal(len(e)), e, 1)
+            cands = np.concatenate([_spectral_projectors(*_eigenspaces(mixed)),
+                                    pt(e[-len(new):])])
 
 
 def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray, z: np.ndarray):
     """Cholesky factors of the four slack blocks M, I-M, M^{T_B},
     I-M^{T_B} followed by those of the four blocks of ``z``, as one
     (8, D, D) stack from one batched call, or None if any block is not
-    positive definite."""
+    positive definite (a failed block leaves NaN in the factors; so does
+    a NaN entry)."""
     slacks = np.empty((8,) + m.shape, np.result_type(m, eye))
     slacks[0], slacks[2] = m, mt
     np.subtract(eye, m, out=slacks[1])
     np.subtract(eye, mt, out=slacks[3])
     slacks[4:] = z
-    try:
-        return np.linalg.cholesky(slacks)
-    except np.linalg.LinAlgError:
-        return None
+    chols = _cholesky(slacks)
+    return chols if np.isfinite(chols).all() else None
 
 
 # LAPACK's Cholesky factor and solve through scipy. They are module
@@ -904,7 +941,7 @@ def _newton_factor(hess: np.ndarray, factor: np.ndarray):
     ridge = 0.0
     for _ in range(4):
         # dpotrf factors the buffer in place; hess stays for a retry
-        np.copyto(factor, hess)
+        factor[...] = hess
         if ridge:
             factor.flat[::n + 1] += ridge
         chol, info = dpotrf(factor, lower=1, clean=0, overwrite_a=1)
@@ -932,7 +969,7 @@ def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> flo
     d = dim_a * dim_b
     total = 0.0
     for a in ((x_mat + x_mat.conj().T) / 2.0 - _pt_mat(b, dim_a, dim_b), b):
-        w = np.linalg.eigvalsh(a)
+        w = _eigvalsh(a)
         total += float(w[w > 0.0].sum())
         total += d * d * float(np.finfo(float).eps) * float(np.linalg.norm(a))
     return total
@@ -947,7 +984,7 @@ def _nt_scaling(chol_s: np.ndarray, chol_z: np.ndarray):
     0 give lam = 0, which the caller reads as a lost positive definiteness."""
     lz_h = chol_z.conj().swapaxes(-1, -2)
     a = lz_h @ chol_s
-    w, u = np.linalg.eigh(a @ a.conj().swapaxes(-1, -2))
+    w, u = _eigh(a @ a.conj().swapaxes(-1, -2))
     return u.conj().swapaxes(-1, -2) @ lz_h, np.sqrt(np.maximum(w, 0.0))
 
 
@@ -958,10 +995,10 @@ def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
     predictor's dual direction -I - p_s, whose smallest eigenvalue is
     -1 minus the largest of p_s, so one spectrum gives both steps."""
     if p_z is None:
-        w = np.linalg.eigvalsh(p_s)
+        w = _eigvalsh(p_s)
         low_s, low_z = float(w[..., 0].min()), -1.0 - float(w[..., -1].max())
     else:
-        w = np.linalg.eigvalsh(np.concatenate((p_s, p_z)))
+        w = _eigvalsh(np.concatenate((p_s, p_z)))
         low_s, low_z = w[..., 0].reshape(2, -1).min(axis=1).tolist()
     return (1.0 if low_s >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -low_s,
             1.0 if low_z >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -low_z)
@@ -1003,7 +1040,17 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         x_work = np.ascontiguousarray(x_mat.real)
     else:
         x_work = x_mat
-    canon = _Basis(dim_a, dim_b, complex_field)
+    # a failed factorization or eigensolve leaves NaN, which the checks
+    # of the iteration read as a lost positive definiteness
+    with np.errstate(all="ignore"):
+        return _solve(x_work, _Basis(dim_a, dim_b, complex_field), gap_tol, max_newton)
+
+
+def _solve(x_work: np.ndarray, canon: _Basis, gap_tol: float,
+           max_newton: int) -> SDPResult:
+    """The primal-dual iteration of ``solve_ppt_two_outcome`` on its
+    checked objective (real for the real field)."""
+    dim_a, dim_b, d = canon.dim_a, canon.dim_b, canon.dim
     basis = _jordan_closure(x_work, canon) or canon
     # the iteration runs on stacks of the basis's blocks (one D x D block
     # for canonical coordinates), each weighted in every trace
@@ -1041,11 +1088,8 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     # U(B) and B of the current z, once its gap check has computed them
     bound = None
     while failure is None:
-        try:
-            t, lam = _nt_scaling(chol_s, chol_z)
-        except np.linalg.LinAlgError:
-            lam = None
-        if lam is None or not (np.isfinite(lam).all() and lam.min() > 0.0):
+        t, lam = _nt_scaling(chol_s, chol_z)
+        if not (np.isfinite(lam).all() and lam.min() > 0.0):
             failure = "iterate lost positive definiteness"
             break
         complementarity = float((np.square(lam) * weight).sum())
@@ -1080,39 +1124,36 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
         inv_outer = signs / (lam[..., :, None] * lam[..., None, :])
         root_outer = root[..., :, None] * root[..., None, :]
         t_pairs, th_pairs = t.reshape(pairs), th.reshape(pairs)
-        try:
-            # predictor (sigma = 0): its right-hand side A*(-Z) + residual is
-            # c, and its scaled dZ^ is -diag(lam) - dS^
-            dx, _ = dpotrs(chol, c_obj, lower=1)
-            p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
-            a_p, a_d = _step_lengths(p_s, None)
-            ds_hat = root_outer * p_s
-            lam_diag = lam[..., None] * eye
-            dz_hat = -lam_diag - ds_hat
-            reached = float((weight_rows * (lam_diag + a_p * ds_hat)
-                             * (lam_diag + a_d * dz_hat).conj()).sum().real)
-            sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
+        # predictor (sigma = 0): its right-hand side A*(-Z) + residual is
+        # c, and its scaled dZ^ is -diag(lam) - dS^
+        dx, _ = dpotrs(chol, c_obj, lower=1)
+        p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
+        a_p, a_d = _step_lengths(p_s, None)
+        ds_hat = root_outer * p_s
+        lam_diag = lam[..., None] * eye
+        dz_hat = -lam_diag - ds_hat
+        reached = float((weight_rows * (lam_diag + a_p * ds_hat)
+                         * (lam_diag + a_d * dz_hat).conj()).sum().real)
+        sigma = min(max(reached / complementarity, 0.0), 1.0) ** 3
 
-            # corrector: in the scaled space, Lambda o (dS + dZ) =
-            # sigma mu I - Lambda^2 - dS_a o dZ_a, with o the Jordan product
-            corr = ds_hat @ dz_hat
-            corr = (corr + corr.conj().swapaxes(-1, -2)) / 2.0
-            q = corr * (-2.0 / ((lam[..., :, None] + lam[..., None, :]) * root_outer))
-            q.reshape(-1, size * size)[:, ::size + 1] += (
-                sigma * complementarity / nu / np.square(lam) - 1.0).reshape(-1, size)
-            dx, _ = dpotrs(chol, residual + basis.adjoint(th @ q @ t), lower=1)
-            p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
-            p_z = q - p_s
-            a_p, a_d = _step_lengths(p_s, p_z)
-            x_next = x + a_p * dx
-            # Z stays in the span of the coordinates in exact arithmetic;
-            # projecting drops the rounding outside it, which the residual
-            # cannot see
-            z_next = basis.project_stack(z + a_d * (th @ p_z @ t))
-            chols = _chol_blocks(*basis.pair(x_next), eye, z_next)
-        except np.linalg.LinAlgError:
-            chols = None
-        if chols is None or not np.isfinite(chols).all():
+        # corrector: in the scaled space, Lambda o (dS + dZ) =
+        # sigma mu I - Lambda^2 - dS_a o dZ_a, with o the Jordan product
+        corr = ds_hat @ dz_hat
+        corr = (corr + corr.conj().swapaxes(-1, -2)) / 2.0
+        q = corr * (-2.0 / ((lam[..., :, None] + lam[..., None, :]) * root_outer))
+        q.reshape(-1, size * size)[:, ::size + 1] += (
+            sigma * complementarity / nu / np.square(lam) - 1.0).reshape(-1, size)
+        dx, _ = dpotrs(chol, residual + basis.adjoint(th @ q @ t), lower=1)
+        p_s = scaled(dx, t_pairs, th_pairs, inv_outer)
+        p_z = q - p_s
+        a_p, a_d = _step_lengths(p_s, p_z)
+        x_next = x + a_p * dx
+        # Z stays in the span of the coordinates in exact arithmetic;
+        # projecting drops the rounding outside it, which the residual
+        # cannot see
+        z_next = basis.project_stack(z + a_d * (th @ p_z @ t))
+        chols = _chol_blocks(*basis.pair(x_next), eye, z_next)
+        if chols is None:
             failure = "iterate lost positive definiteness"
         else:
             x, z = x_next, z_next

@@ -233,6 +233,25 @@ class TestConstructCommand:
         with pytest.raises(ConfigError):
             load_manifest(tmp_path / "manifest.json")
 
+    def test_tampered_input_fails_from_another_directory(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # inputs given as relative paths are recorded resolved, so the
+        # check does not depend on where the manifest is read from
+        monkeypatch.chdir(tmp_path)
+        run_json(capsys, "construct", "--family", "werner", "--d", "2",
+                 "--out", "runs/w")
+        run_json(capsys, "helstrom", "--state0", "runs/w/sigma0.json",
+                 "--state1", "runs/w/sigma1.json", "--out", "runs/h")
+        manifest = load_manifest("runs/h/manifest.json")
+        assert set(manifest["inputs"]) == {
+            str(tmp_path.resolve() / "runs" / "w" / name)
+            for name in ("sigma0.json", "sigma1.json")}
+        target = tmp_path / "runs" / "w" / "sigma0.json"
+        target.write_text(target.read_text().replace("0.3", "0.4"))
+        monkeypatch.chdir(tmp_path / "runs")
+        with pytest.raises(ConfigError, match="digest mismatch for input"):
+            load_manifest("h/manifest.json")
+
     def test_digest_of_file_larger_than_one_chunk(self, tmp_path):
         data = np.random.default_rng(1).bytes(2 * cli._HASH_CHUNK + 123)
         path = tmp_path / "big.bin"

@@ -456,7 +456,9 @@ class TestSlackFactors:
         np.testing.assert_array_equal(
             chols[:4], sdp._chol_blocks(m, m, eye, np.broadcast_to(eye, z.shape))[:4])
         z[3] = -z[3]
-        assert sdp._chol_blocks(m, m, eye, z) is None
+        # a failed block is NaN, under the error state a solve sets
+        with np.errstate(all="ignore"):
+            assert sdp._chol_blocks(m, m, eye, z) is None
 
     @pytest.mark.parametrize("real", [False, True])
     def test_none_when_only_the_last_block_fails(self, real):
@@ -466,7 +468,12 @@ class TestSlackFactors:
         for slack in (m, eye - m, mt):
             np.linalg.cholesky(slack)
         assert np.linalg.eigvalsh(eye - mt).min() == pytest.approx(-0.1)
-        assert sdp._chol_blocks(m, mt, eye, np.broadcast_to(eye, (4, 4, 4))) is None
+        # under the error state a solve sets, the failed block is NaN,
+        # with no LinAlgError and no warning
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            assert np.isnan(sdp._cholesky(eye - mt)).all()
+            assert sdp._chol_blocks(m, mt, eye, np.broadcast_to(eye, (4, 4, 4))) is None
 
 
 def positive_blocks(rng, d, real, cond):
@@ -1274,3 +1281,69 @@ class TestStackedHooks:
         assert weighted == pytest.approx(full, rel=1e-12)
         direct = float(np.sum(basis.weight[..., None] * s_mat * z_mat.conj()))
         assert direct == pytest.approx(full, rel=1e-12)
+
+
+def block_stacks():
+    """Seeded real and complex (L, D, D) stacks and the (L, B, s, s)
+    block stack of a composed pair's closure, each as a Hermitian stack
+    and a positive definite one."""
+    rng = np.random.default_rng(97)
+    stacks = {}
+    for real in (False, True):
+        a = rng.normal(size=(5, 6, 6))
+        if not real:
+            a = a + 1j * rng.normal(size=a.shape)
+        stacks["real" if real else "complex"] = a + a.conj().swapaxes(-1, -2)
+    basis, _ = closure(*composed(0.9, 2))
+    stacks["composed-blocks"] = basis.blocks.stack
+    positive = {name: a @ a.conj().swapaxes(-1, -2) + np.eye(a.shape[-1])
+                for name, a in stacks.items()}
+    return stacks, positive
+
+
+class TestLapackShims:
+    # the solver calls numpy.linalg's own gufuncs, without the wrapper:
+    # the bits must be numpy.linalg's, and a failure must come out as
+    # NaN that the iteration's checks catch, never as LinAlgError or a
+    # warning
+
+    STACKS, POSITIVE = block_stacks()
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_shims_equal_numpy_linalg_bit_for_bit(self, name):
+        a, pd = self.STACKS[name], self.POSITIVE[name]
+        if name == "composed-blocks":
+            assert a.ndim == 4 and a.dtype == np.float64
+        w, v = sdp._eigh(a)
+        want_w, want_v = np.linalg.eigh(a)
+        for got, want in ((w, want_w), (v, want_v), (sdp._eigvalsh(a), np.linalg.eigvalsh(a)),
+                          (sdp._cholesky(pd), np.linalg.cholesky(pd))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shim", ["_eigh", "_eigvalsh", "_cholesky"])
+    def test_nan_from_a_shim_ends_in_solver_error(self, shim, monkeypatch):
+        # from the second iteration on, every stack the shim gets in the
+        # iteration (the generic pair's closure gives up on 2-D calls
+        # only) has a NaN entry, as a failed LAPACK call would leave
+        x, da, db = random_objective(np.random.default_rng(8), 2, 3)
+        optimum = sdp.solve_ppt_two_outcome(x, da, db)
+        real = getattr(sdp, shim)
+        calls = []
+
+        def poisoned(a):
+            if a.ndim == 3:
+                calls.append(None)
+                if len(calls) > 2:
+                    a = a.copy()
+                    a[..., 0, 0] = np.nan
+            return real(a)
+
+        monkeypatch.setattr(sdp, shim, poisoned)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="positive definite") as err:
+                sdp.solve_ppt_two_outcome(x, da, db)
+        assert len(calls) > 2
+        assert math.isfinite(err.value.value) and err.value.value >= optimum.value
+        assert err.value.gap > 1e-6
