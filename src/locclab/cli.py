@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import operator
@@ -40,10 +41,9 @@ import numpy as np
 
 from .distinguish import _same_layout, bound_bracket
 from .errors import ConfigError, LoccLabError, ParseError
-from .game import (DetectionConfig, IIDStrategy, TrialArrays,
-                   _threshold_guess, azuma_bound, default_detection_oracle,
-                   hoeffding_bound, memory_block_strategy, min_rounds,
-                   play_trial)
+from .game import (DetectionConfig, IIDStrategy, RateEstimate, TrialArrays,
+                   azuma_bound, default_detection_oracle, hoeffding_bound,
+                   memory_block_strategy, min_rounds, play_trial)
 from .protocols import _law_columns, _use_exact, concentration_success_prob
 from .qmat import (DensityOperator, TensorLayout, _fmt17, operator_from_json,
                    operator_to_json, trace_norm)
@@ -316,6 +316,13 @@ _ROUND_HEADS = tuple(f'{{"X":{c >> 2},"Y":{c >> 1 & 1},"Z":{c & 1},"j":'
                      for c in range(8))
 
 
+def _trial_streams(*prefixes: str) -> tuple[str, ...]:
+    """Manifest entries of the substreams that ``play_trial`` draws under
+    each stream prefix."""
+    return tuple(f"{prefix}.{name}" for prefix in prefixes
+                 for name in ("rounds", "success", "strategy"))
+
+
 def _play_games(config: ExperimentConfig, protocol_id: str, n: int,
                 games: Iterable[TrialArrays],
                 guess: Callable[[int, int], str] | None = None,
@@ -481,8 +488,11 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         "outcomes": len(counts),
         "mode": mode,
     }
-    if not _use_exact(spectrum, n, mode, samples):
+    sampled = not _use_exact(spectrum, n, mode, samples)
+    if sampled:
         report["samples"] = samples
+    # a sampled law draws one substream, and a sampled target one more
+    streams = ("concentration-distribution.<n>.<samples>",) if sampled else ()
     target = params.get("target")
     if target is not None:
         est = concentration_success_prob(spectrum, n, float(target),
@@ -492,10 +502,12 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
         report["success_prob"] = est.estimate
         report["success_ci"] = [est.ci_low, est.ci_high]
         report["success_exact"] = est.exact
+        if sampled:
+            streams += ("concentration-success.<n>.<samples>",)
     _write_outputs(config, {
         "distribution.csv": _distribution_csv(counts, log2_dim, probability),
         "report.json": [_canonical_json(report), "\n"]},
-        seed_streams=("concentration-distribution", "concentration-success"))
+        seed_streams=streams)
     return report
 
 
@@ -509,7 +521,7 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
         config, strategy.protocol_id, rounds,
         (play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
          for t in range(trials)),
-        seed_streams=("trial.*.rounds", "trial.*.success", "trial.*.strategy"))
+        seed_streams=_trial_streams("trial.<t>"))
     rates = [score / rounds for score in scores]
     return {
         "protocol_id": strategy.protocol_id,
@@ -542,7 +554,7 @@ def cmd_detect(config: ExperimentConfig) -> dict:
     worlds = ("tau", "gamma")  # trial t plays worlds[t % 2]
 
     def guess(score: int, rounds: int) -> str:
-        return _threshold_guess(det_config, score / rounds)
+        return det_config.guess(score / rounds)
 
     scores, written = _play_games(
         config, "detect-" + mode, det_config.n,
@@ -550,7 +562,8 @@ def cmd_detect(config: ExperimentConfig) -> dict:
                     config.seed, stream=("trial", t, "detect", worlds[t % 2]))
          for t in range(trials)),
         guess=guess,
-        seed_streams=("trial.*.detect.tau", "trial.*.detect.gamma"))
+        seed_streams=_trial_streams(*(f"trial.<t>.detect.{world}"
+                                      for world in worlds[:trials])))
     report = {
         "n": det_config.n,
         "mode": mode,
@@ -591,9 +604,9 @@ def cmd_rate(config: ExperimentConfig) -> dict:
         config, strategy.protocol_id, n_list[-1],
         (play_trial(strategy, None, n, config.seed, stream=("rate", n, t))
          for n in n_list for t in range(trials)),
-        seed_streams=("rate.*.rounds", "rate.*.success", "rate.*.strategy"))
+        seed_streams=_trial_streams("rate.<n>.<t>"))
     # scores come checkpoint by checkpoint, ``trials`` of each
-    hits = [sum(score >= r * n - 1e-9 for score in scores[i:i + trials])
+    hits = [sum(RateEstimate.reached(score, r, n) for score in scores[i:i + trials])
             for i, n in zip(range(0, len(scores), trials), n_list)]
     return {
         "r": r,
@@ -620,6 +633,7 @@ _COMMANDS = {
 
 # --- argument parsing ----------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,

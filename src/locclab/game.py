@@ -510,6 +510,13 @@ class RateEstimate:
         """99% Wilson interval of each checkpoint's success fraction."""
         return tuple(_interval(f, self.trials) for f in self.success_frac)
 
+    @staticmethod
+    def reached(score, r: float, n: int):
+        """Whether a score S_n (or each of an array of them) reaches r n,
+        with 1e-9 of slack for the rounding of r n: the success rule of
+        every checkpoint."""
+        return score >= r * n - 1e-9
+
 
 def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
                   trials: int = 100, n_list=(100,), seed: int = 0
@@ -527,7 +534,7 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
     fracs = []
     for n in n_list:
         x = _play_checked(strategy, pair, n, trials, seed, ("rate", n))
-        fracs.append(float(np.mean(x.sum(axis=1) >= r * n - 1e-9)))
+        fracs.append(float(np.mean(RateEstimate.reached(x.sum(axis=1), r, n))))
     return RateEstimate(r=float(r), n_list=tuple(int(n) for n in n_list),
                         success_frac=tuple(fracs), trials=trials)
 
@@ -569,6 +576,17 @@ class DetectionConfig:
             raise SpecError(f"memory mode needs 0 < delta <= "
                             f"(p_tau - p_locc)/2 = {gap}; got {self.delta}")
 
+    def guess(self, frac) -> np.ndarray | str:
+        """The world, "tau" or "gamma", that the threshold rule guesses
+        from a success fraction S_n/n (or from each of an array of them)."""
+        if self.mode == "catalyst-threshold":
+            is_tau = np.abs(np.asarray(frac) - self.p_tau) <= self.delta
+        else:
+            is_tau = np.asarray(frac) - self.p_locc >= self.delta
+        if np.ndim(is_tau) == 0:
+            return "tau" if bool(is_tau) else "gamma"
+        return np.where(is_tau, "tau", "gamma")
+
 
 @dataclass(frozen=True)
 class DetectionOracle:
@@ -608,16 +626,6 @@ class DetectionResult:
         return self.guess == self.world
 
 
-def _threshold_guess(config: DetectionConfig, frac) -> np.ndarray | str:
-    if config.mode == "catalyst-threshold":
-        is_tau = np.abs(np.asarray(frac) - config.p_tau) <= config.delta
-    else:
-        is_tau = np.asarray(frac) - config.p_locc >= config.delta
-    if np.ndim(is_tau) == 0:
-        return "tau" if bool(is_tau) else "gamma"
-    return np.where(is_tau, "tau", "gamma")
-
-
 def detect_catalyst(config: DetectionConfig, round_oracle: DetectionOracle,
                     seed: int = 0, world: str = "tau",
                     stream: tuple[Label, ...] = ()) -> DetectionResult:
@@ -627,7 +635,7 @@ def detect_catalyst(config: DetectionConfig, round_oracle: DetectionOracle,
     transcript = play_trial(strategy, None, config.n, seed,
                             stream=stream + ("detect", world))
     frac = transcript.success_fraction
-    return DetectionResult(guess=_threshold_guess(config, frac), world=world,
+    return DetectionResult(guess=config.guess(frac), world=world,
                            final_score=transcript.final_score,
                            transcript=transcript)
 
@@ -669,7 +677,7 @@ def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
     for world in ("tau", "gamma"):
         x = _play_checked(round_oracle.strategy_for(world), None, config.n,
                           trials, seed, ("accuracy", world))
-        guesses = _threshold_guess(config, x.sum(axis=1) / config.n)
+        guesses = config.guess(x.sum(axis=1) / config.n)
         corr[world] = float(np.mean(guesses == world))
     return DetectionReport(config=config, trials=trials,
                            p_corr_tau=corr["tau"], p_corr_gamma=corr["gamma"],

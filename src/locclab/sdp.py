@@ -66,10 +66,12 @@ Buffers. Building and factoring a canonical Newton system takes n x n
 arrays of 0.5 MB at D = 16: the Hessian, the scratch slabs its assembly
 writes and the F-ordered matrix that dpotrf factors in place. glibc
 serves arrays that large with fresh mmap pages unless an earlier large
-free has raised its threshold, so each solve allocates the Hessian, its
+free has raised its threshold, so none of them is allocated per
+iteration. A basis lives for one solve and owns the Hessian and its
 scratch (two real n x n slabs for the complex field, row slabs for the
-real field) and the factor once and fills them in place. The factor
-takes no part in the assembly.
+real field): ``_Basis.hessian`` makes them at its first call and refills
+them on later calls. The solve owns the factor, which takes no part in
+the assembly, and ``_load_lapack`` binds dpotrf and dpotrs.
 
 Coordinates. Let J be the smallest real subspace of Hermitian matrices
 that contains I and X and is closed under the Jordan product AB+BA and
@@ -190,9 +192,9 @@ Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46 (2007)).
 
 No external solver is used; numpy/scipy provide dense linear algebra
 only. The Newton system's dpotrf/dpotrs are the package's only scipy
-calls (the closure uses numpy alone). They are bound once, at the first
-solve, not with this module, so a process that never solves never pays
-for importing scipy. The batched eigensolves and Cholesky factors of
+calls (the closure uses numpy alone). ``_load_lapack`` binds them once,
+at the first solve, not with this module, so a process that never
+solves loads no scipy. The batched eigensolves and Cholesky factors of
 the iteration and the closure call the LAPACK gufuncs that numpy.linalg
 itself calls (numpy.linalg._umath_linalg's eigh_lo, eigvalsh_lo and
 cholesky_lo, through ``_eigh``, ``_eigvalsh`` and ``_cholesky``): at the
@@ -294,17 +296,6 @@ class SDPResult:
     certificate: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _NewtonBuffers:
-    """Work arrays for the Newton systems of one solve: the F-ordered
-    Cholesky factor, and for canonical coordinates the Hessian and the
-    scratch its assembly fills (see the module docstring)."""
-
-    factor: np.ndarray
-    hess: np.ndarray | None = None
-    scratch: tuple = ()
-
-
 class _Basis:
     """Orthonormal real coordinates for all Hermitian (or real symmetric)
     matrices. ``mat`` maps (..., n) coordinates to (..., D, D) matrices
@@ -322,6 +313,8 @@ class _Basis:
         d = self.dim = dim_a * dim_b
         self.shape = (d, d)
         self.complex_field = complex_field
+        # the Hessian and its scratch, made by the first ``hessian`` call
+        self._buffers = None
         if complex_field:
             self.n = d * d
             return
@@ -364,13 +357,12 @@ class _Basis:
         return self._scale * (g[..., self._rows, self._cols]
                               + g[..., self._cols, self._rows])
 
-    def project(self, g: np.ndarray) -> np.ndarray:
+    def project_stack(self, g: np.ndarray) -> np.ndarray:
         """``mat(coords(g))``: the Hermitian (real field: symmetric) part."""
         gt = g.swapaxes(-1, -2)
         return 0.5 * (g + (gt.conj() if self.complex_field else gt))
 
     # The iteration's view: one D x D block of weight 1, with no map back.
-    project_stack = project
     weight = np.ones(1)
 
     def pair(self, x: np.ndarray) -> np.ndarray:
@@ -389,28 +381,21 @@ class _Basis:
     def full(self, b: np.ndarray) -> np.ndarray:
         return b
 
-    def newton_buffers(self) -> _NewtonBuffers:
-        n, d = self.n, self.dim
-        factor = np.empty((n, n), order="F")
-        if self.complex_field:
-            # the Hessian and two scratch slabs, as one (3, D, D, D, D) block
-            block = np.empty((3,) + (d,) * 4)
-            return _NewtonBuffers(factor, block[0].reshape(n, n), (block,))
-        # two slabs, a product and the slab rows read at both positions
-        rows = min(max(1, _SLAB_ENTRIES // (d * d)), n)
-        return _NewtonBuffers(factor, np.empty((n, n)),
-                              (*np.empty((3, rows, d, d)), np.empty((rows, 2 * n))))
-
-    def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
+    def hessian(self, gs) -> np.ndarray:
         """H_pq = sum over blocks of Re Tr[G M(e_p) G M(e_q)], with the
-        partial transposes of M(e_p), M(e_q) on blocks 3 and 4. Built in
-        the buffers of ``work`` (from ``newton_buffers``) and returned as
-        ``work.hess``; without them, in fresh ones."""
-        work = work or self.newton_buffers()
+        partial transposes of M(e_p), M(e_q) on blocks 3 and 4. The first
+        call makes the Hessian and its scratch; each later call refills
+        them and returns the same array."""
         if self.complex_field:
-            return self._hessian_complex(gs, work)
+            return self._hessian_complex(gs)
         g1, g2, g3, g4 = gs
         d, n = self.dim, self.n
+        if self._buffers is None:
+            # the Hessian, two slabs, a product and the slab rows read at
+            # both positions
+            rows = min(max(1, _SLAB_ENTRIES // (d * d)), n)
+            self._buffers = (np.empty((n, n)), *np.empty((3, rows, d, d)),
+                             np.empty((rows, 2 * n)))
         rows, cols = self._rows, self._cols
         rows_pt, cols_pt = self._rows_pt, self._cols_pt
         split = (-1, self.dim_a, self.dim_b, self.dim_a, self.dim_b)
@@ -418,8 +403,7 @@ class _Basis:
         # row p is the sum of outer(G[I_p], G[J_p]), read at (I_q, J_q)
         # and at (J_q, I_q); blocks 3 and 4 use the transposed positions,
         # read through the partial transpose of their slab
-        h = work.hess
-        slabs, slabs_pt, prods, reads = work.scratch
+        h, slabs, slabs_pt, prods, reads = self._buffers
         step = len(slabs)
         for lo in range(0, n, step):
             p = slice(lo, lo + step)
@@ -439,7 +423,7 @@ class _Basis:
             h[p] *= scale
         return h
 
-    def _hessian_complex(self, gs, work: _NewtonBuffers) -> np.ndarray:
+    def _hessian_complex(self, gs) -> np.ndarray:
         # With G = R + iJ, a block pair adds to H[ij,kl]
         #   sum_G R_ik R_jl + J_ik J_jl + J_il R_jk - R_il J_jk
         #   = sum_m P[i,k,m] Q[j,m,l] + P'[j,k,m] Q[i,m,l],
@@ -452,20 +436,24 @@ class _Basis:
         # slab. The partial transpose permutes the coordinates, so the
         # transposed pair enters through an axis permutation.
         d = self.dim
+        if self._buffers is None:
+            # the Hessian and two scratch slabs, as one (3, D, D, D, D) block
+            block = np.empty((3,) + (d,) * 4)
+            self._buffers = (block[0].reshape(self.n, self.n), block)
+        hess, block = self._buffers
         g = np.asarray(gs).reshape(2, 2, d, d)
         p = np.empty((2, 2, d, d, 2), dtype=np.complex128)
         np.multiply(g.transpose(0, 2, 3, 1), _ONE_I, out=p)
         # p[s, pair, i, k, (block, part)]: s = 0 for G, 1 for i G
         p = p.view(np.float64)
         q = p[0].swapaxes(2, 3).copy()
-        (block,) = work.scratch
         np.matmul(p[0, :, :, None], q[:, None], out=block[:2])
         h4, pair_pt, term = block[0], block[1], block[2]
         h4 += np.matmul(p[1, 0], q[0, :, None], out=term)
         pair_pt += np.matmul(p[1, 1], q[1, :, None], out=term)
         h8 = h4.reshape((self.dim_a, self.dim_b) * 4)
         h8 += _pt_axes(pair_pt, self.dim_a, self.dim_b)
-        return work.hess
+        return hess
 
 
 def _pt_axes(t4: np.ndarray, da: int, db: int) -> np.ndarray:
@@ -629,7 +617,7 @@ def _block_form(both: np.ndarray) -> _Blocks | None:
 
 class _ClosureBasis:
     """Orthonormal basis E_1..E_k of the Jordan closure, held as dense
-    matrices (``mat``, ``coords`` and ``project`` act on D x D matrices)
+    matrices (``mat`` and ``coords`` act on D x D matrices)
     and in the block form of the module docstring, ``blocks``: the form
     from ``_block_form`` when it rebuilds every E_p and E_p^{T_B}, and
     otherwise one D x D block (q the identity, weight 1). The iteration
@@ -673,10 +661,6 @@ class _ClosureBasis:
         d2 = self.dim ** 2
         return np.real(g.reshape(g.shape[:-2] + (d2,)) @ self._adj)
 
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the span of the basis."""
-        return self.mat(self.coords(g))
-
     def pair(self, x: np.ndarray) -> np.ndarray:
         """M(x) and M(x)^{T_B} as a (2, B, s, s) stack."""
         return (x @ self._stack).reshape(self._pair_shape)
@@ -688,7 +672,8 @@ class _ClosureBasis:
         return np.real(flat @ self._adj_stack)
 
     def project_stack(self, y: np.ndarray) -> np.ndarray:
-        """``project`` of each matrix of a (..., B, s, s) stack."""
+        """Orthogonal projection of each matrix of a (..., B, s, s) stack
+        onto the span of the basis."""
         lead = y.shape[:-3]
         half = len(self._adj_stack) // 2
         x = np.real(y.reshape(lead + (-1,)) @ self._adj_stack[:half])
@@ -697,12 +682,9 @@ class _ClosureBasis:
     def full(self, stack: np.ndarray) -> np.ndarray:
         return self.blocks.full(stack)
 
-    def newton_buffers(self) -> _NewtonBuffers:
-        return _NewtonBuffers(np.empty((self.n, self.n), order="F"))
-
-    def hessian(self, gs, work: _NewtonBuffers | None = None) -> np.ndarray:
+    def hessian(self, gs) -> np.ndarray:
         """The k x k Hessian from (4, B, s, s) blocks G; it is small and
-        takes no buffer from ``work``. Each block of G multiplies the k
+        made afresh on each call. Each block of G multiplies the k
         blocks E_p side by side, [G E_1 .. G E_k], and then stacked, so a
         block takes two products however large k is."""
         k, (b, s, _) = self.n, self.shape
@@ -917,13 +899,6 @@ def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray, z: np.ndarray):
 # LAPACK's Cholesky factor and solve through scipy. They are module
 # attributes, so that a caller can wrap them, and ``_load_lapack`` binds
 # them at the first solve, so that importing this module loads no scipy.
-def __getattr__(name: str):
-    if name in ("dpotrf", "dpotrs"):
-        _load_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _load_lapack() -> None:
     """Bind ``dpotrf`` and ``dpotrs`` to scipy's routines unless they are
     bound already (a wrapped routine stays)."""
@@ -1081,7 +1056,7 @@ def _solve(x_work: np.ndarray, canon: _Basis, gap_tol: float,
     z = np.broadcast_to(eye, stack).copy()
     chols = _chol_blocks(*basis.pair(x), eye, z)
     chol_s, chol_z = chols[:4], chols[4:]
-    work = basis.newton_buffers()
+    factor = np.empty((basis.n, basis.n), order="F")
     _load_lapack()
     steps = 0
     failure = None
@@ -1116,8 +1091,7 @@ def _solve(x_work: np.ndarray, canon: _Basis, gap_tol: float,
         th = t.conj().swapaxes(-1, -2)
         root = np.sqrt(lam)
         y = t / root[..., None]
-        chol = _newton_factor(basis.hessian(y.conj().swapaxes(-1, -2) @ y, work),
-                              work.factor)
+        chol = _newton_factor(basis.hessian(y.conj().swapaxes(-1, -2) @ y), factor)
         if chol is None:
             failure = "Newton system factorization failed"
             break

@@ -32,7 +32,7 @@ from locclab import (
     operator_to_json,
     trace_norm,
 )
-from locclab import cli
+from locclab import cli, game, protocols
 from locclab.cli import ExperimentConfig, load_manifest, main
 from locclab.game import play_trial
 from locclab.stats import wilson_interval
@@ -657,6 +657,57 @@ class TestRateCommand:
         err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
                         "--r", "0.5", "--n-list", "5,x")
         assert err["type"] == "ConfigError"
+
+
+def stream_matches(entry: str, labels: tuple) -> bool:
+    """Whether a seed_streams entry such as ``rate.<n>.<t>.success`` names
+    the substream of ``labels``: each ``<...>`` part stands for one
+    integer label, every other part for itself."""
+    parts = entry.split(".")
+    return len(parts) == len(labels) and all(
+        isinstance(label, (int, np.integer))
+        if part.startswith("<") and part.endswith(">") else part == label
+        for part, label in zip(parts, labels))
+
+
+class TestSeedStreams:
+    """The manifest names, in the README's notation, each substream that
+    the run drew and no other."""
+
+    CONCENTRATE = ["concentrate", "--lambda", "0.9", "--d2", "2", "--n", "8"]
+    RUNS = {
+        "simulate": ["simulate", "--protocol", "iid", "--p", "0.6",
+                     "--rounds", "8", "--trials", "3"],
+        "rate": ["rate", "--protocol", "iid", "--p", "0.6", "--r", "0.5",
+                 "--n-list", "4,8", "--trials", "2"],
+        "detect": ["detect", "--n", "10", "--trials", "3"],
+        "detect-one-world": ["detect", "--n", "10", "--trials", "1"],
+        "concentrate-sampled": [*CONCENTRATE, "--mode", "sample",
+                                "--samples", "50", "--target", "1.0"],
+        "concentrate-sampled-law": [*CONCENTRATE, "--mode", "sample",
+                                    "--samples", "50"],
+        "concentrate-exact": [*CONCENTRATE, "--mode", "exact",
+                              "--target", "1.0"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_entries_are_the_streams_drawn(self, capsys, tmp_path,
+                                           monkeypatch, name):
+        drawn = []
+        for module in (game, protocols):
+            def recording(root, *labels, draw=module.rng_from):
+                drawn.append(labels)
+                return draw(root, *labels)
+
+            monkeypatch.setattr(module, "rng_from", recording)
+        run_json(capsys, *self.RUNS[name], "--seed", "4", "--out", str(tmp_path))
+        entries = load_manifest(tmp_path / "manifest.json")["seed_streams"]
+        # an exact law draws nothing
+        assert bool(drawn) == (name != "concentrate-exact")
+        for labels in drawn:
+            assert sum(stream_matches(e, labels) for e in entries) == 1, labels
+        for entry in entries:
+            assert any(stream_matches(entry, labels) for labels in drawn), entry
 
 
 # game commands, with the number of trials each plays

@@ -174,9 +174,11 @@ class TestCanonicalBasis:
         ref = reference_hessian(elements, gs, da, db)
         scale = np.abs(ref).max()
         assert np.abs(basis.hessian(gs) - ref).max() <= 1e-12 * scale
-        # one row per slab exercises every slab boundary of the real field
+        # one row per slab exercises every slab boundary of the real field;
+        # a basis sizes its slabs at its first Hessian, so a fresh one
         monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 1)
-        assert np.abs(basis.hessian(gs) - ref).max() <= 1e-12 * scale
+        sliced = sdp._Basis(da, db, complex_field=not real)
+        assert np.abs(sliced.hessian(gs) - ref).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("real", [False, True])
     def test_pair_is_the_matrix_and_its_partial_transpose(self, real):
@@ -213,25 +215,43 @@ class TestComplexHessian:
         basis, elements, gs = self.case(da, db, 61 + 7 * da + db)
         ref = reference_hessian(elements, gs, da, db)
         scale = np.abs(ref).max()
-        fresh = basis.hessian(gs)
-        assert np.abs(fresh - ref).max() <= 1e-12 * scale
-        work = basis.newton_buffers()
-        assert basis.hessian(gs, work) is work.hess
-        assert np.abs(work.hess - ref).max() <= 1e-12 * scale
+        first = basis.hessian(gs)
+        assert np.abs(first - ref).max() <= 1e-12 * scale
+        fresh = first.copy()
+        # a second call refills the arrays that the first one made
+        assert basis.hessian(gs) is first
+        np.testing.assert_array_equal(first, fresh)
 
     def test_buffered_calls_leave_no_stale_scratch(self):
         basis, _, gs = self.case(2, 4, 67)
         other = gs[::-1] + 0.5 * np.eye(8)
-        work = basis.newton_buffers()
-        for g in (gs, other, gs):
-            fresh = basis.hessian(g)
-            assert basis.hessian(g, work) is work.hess
-            np.testing.assert_array_equal(work.hess, fresh)
+        hess = basis.hessian(gs)
+        for g in (other, gs, other):
+            fresh = sdp._Basis(2, 4, complex_field=True).hessian(g)
+            assert basis.hessian(g) is hess
+            np.testing.assert_array_equal(hess, fresh)
 
-    def test_buffers_hold_no_complex_array(self):
-        work = sdp._Basis(3, 2, complex_field=True).newton_buffers()
-        arrays = [work.factor, work.hess, *work.scratch]
-        assert all(a.dtype == np.float64 for a in arrays)
+    def test_buffers_hold_no_complex_array(self, monkeypatch):
+        # the Hessian and its scratch, held by the basis, and the factor
+        # that a complex-field solve hands to dpotrf are all real
+        basis, _, gs = self.case(3, 2, 68)
+        basis.hessian(gs)
+        held = [a for v in vars(basis).values()
+                for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert held and all(a.dtype == np.float64 for a in held)
+        sdp._load_lapack()
+        potrf = sdp.dpotrf
+        factors = []
+
+        def recording(a, **kw):
+            factors.append((a.dtype, a.flags.f_contiguous))
+            return potrf(a, **kw)
+
+        monkeypatch.setattr(sdp, "dpotrf", recording)
+        res = sdp.solve_ppt_two_outcome(*random_objective(np.random.default_rng(69), 3, 2))
+        assert res.coords == 36
+        assert set(factors) == {(np.dtype(np.float64), True)}
 
 
 class TestObjectiveValidation:
@@ -338,6 +358,7 @@ class TestCertifiedGap:
             return a, 1
 
         x, da, db = werner(3)
+        sdp._load_lapack()
         monkeypatch.setattr(sdp, "dpotrf", never)
         with pytest.raises(SolverError, match="factorization") as err:
             sdp.solve_ppt_two_outcome(x, da, db)
@@ -376,6 +397,7 @@ class TestCertifiedGap:
         # the first factorization of every Newton system reports "not
         # positive definite", so every direction is solved with
         # hess + ridge * I
+        sdp._load_lapack()
         potrf = sdp.dpotrf
         diagonals = []
 
@@ -545,7 +567,12 @@ class TestProjection:
         g = rng.normal(size=(4, d, d))
         if not real:
             g = g + 1j * rng.normal(size=(4, d, d))
-        got = basis.project(g)
+        if closure_basis:
+            # a random subspace is no algebra: one D x D block of weight 1
+            assert basis.shape == (1, d, d)
+            got = basis.project_stack(g[:, None])[:, 0]
+        else:
+            got = basis.project_stack(g)
         assert got.shape == g.shape
         assert np.abs(got - basis.mat(basis.coords(g))).max() <= 1e-15
 
@@ -985,6 +1012,7 @@ class TestNewtonSystems:
     def test_ridge_retry_factors_each_point_twice(self, monkeypatch):
         # the first factorization of every Newton system fails, as in
         # TestCertifiedGap; each iterate is then factored with a ridge, once
+        sdp._load_lapack()
         potrf = sdp.dpotrf
         calls = []
 
@@ -1001,18 +1029,23 @@ class TestNewtonSystems:
     @pytest.mark.parametrize("real", [False, True])
     def test_buffered_hessian_equals_a_fresh_one(self, real, monkeypatch):
         rng = np.random.default_rng(51 + real)
-        basis = sdp._Basis(3, 2, complex_field=not real)
         gs = np.array([random_positive(rng, 6, real) for _ in range(4)])
-        first, second = basis.hessian(gs), basis.hessian(gs)
-        assert not np.shares_memory(first, second)
-        np.testing.assert_array_equal(first, second)
-        work = basis.newton_buffers()
-        assert basis.hessian(gs, work) is work.hess
-        np.testing.assert_array_equal(work.hess, first)
-        # several slabs per buffer, the last one shorter than the rest
-        monkeypatch.setattr(sdp, "_SLAB_ENTRIES", 4 * 36)
-        work = basis.newton_buffers()
-        np.testing.assert_array_equal(basis.hessian(gs, work), first)
+        other = gs[::-1] + 0.5 * np.eye(6)
+
+        def fresh(g):
+            return sdp._Basis(3, 2, complex_field=not real).hessian(g)
+
+        # a second call on one basis refills the arrays of the first and
+        # equals a fresh basis's Hessian, with one slab per buffer and then
+        # with several, the last one shorter than the rest
+        cases = [(g, fresh(g)) for g in (other, gs)]
+        for entries in (sdp._SLAB_ENTRIES, 4 * 36):
+            monkeypatch.setattr(sdp, "_SLAB_ENTRIES", entries)
+            basis = sdp._Basis(3, 2, complex_field=not real)
+            first = basis.hessian(gs)
+            for g, want in cases:
+                assert basis.hessian(g) is first
+                np.testing.assert_array_equal(first, want)
 
 
 def svd_scaling(chol_s, chol_z):
