@@ -54,26 +54,12 @@ from .stats import wilson_interval
 
 ARTIFACT_VERSION = "1"
 
-_PARAM_KEYS = {
-    "helstrom": {"state0", "state1", "family", "d"},
-    "bounds": {"state0", "state1", "family", "d"},
-    "simulate": {"protocol", "p", "d1", "lam", "d2", "n_block", "rounds",
-                 "trials"},
-    "detect": {"p_tau", "p_locc", "delta", "n", "trace_distance", "trials",
-               "mode"},
-    "concentrate": {"lam", "d2", "n", "mode", "samples", "target"},
-    "rate": {"protocol", "p", "d1", "lam", "d2", "n_block", "r", "n_list",
-             "trials"},
-    "entropy": {"lam", "d2", "d1", "eps_prime"},
-    "construct": {"family", "d", "d2", "lam", "dim"},
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully specified run: command, its parameters, and the
-    plumbing knobs. Round-trips losslessly through to_dict/from_dict;
-    unknown fields are rejected."""
+    plumbing knobs, built from the parsed flags by ``_config_from_args``:
+    the parser is the schema of every name, type, default and choice."""
 
     command: str
     seed: int = 0
@@ -83,16 +69,8 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in _PARAM_KEYS:
-            raise ConfigError(f"unknown command {self.command!r}")
         if self.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {self.threads}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"--format must be json or csv, got {self.fmt!r}")
-        unknown = set(self.params) - _PARAM_KEYS[self.command]
-        if unknown:
-            raise ConfigError(f"unknown parameters for {self.command}: "
-                              f"{sorted(unknown)}")
 
     def to_dict(self) -> dict:
         return {"command": self.command, "seed": self.seed, "out": self.out,
@@ -106,19 +84,6 @@ class ExperimentConfig:
         regardless of where or how parallel they ran."""
         return {"command": self.command, "seed": self.seed,
                 "params": dict(sorted(self.params.items()))}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        allowed = {"command", "seed", "out", "threads", "format", "params"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "command" not in data:
-            raise ConfigError("config is missing the command field")
-        return cls(command=data["command"], seed=int(data.get("seed", 0)),
-                   out=data.get("out"), threads=int(data.get("threads", 1)),
-                   fmt=data.get("format", "json"),
-                   params=dict(data.get("params", {})))
 
 
 def _canonical_json(obj) -> str:
@@ -173,10 +138,10 @@ def _read_text(path: Path, what: str) -> str:
 
 
 def load_manifest(path, verify: bool = True) -> dict:
-    """Re-load a run manifest, re-hashing the recorded artifacts.
-    A missing or non-file manifest or artifact, or a digest mismatch (a
-    tampered or regenerated artifact), raises ConfigError; a malformed
-    manifest raises ParseError."""
+    """Re-load a run manifest, re-hashing the recorded inputs and
+    outputs. A missing or non-file manifest, input or output, or a
+    digest mismatch (a tampered or regenerated file), raises
+    ConfigError; a malformed manifest raises ParseError."""
     path = Path(path)
     text = _read_text(path, "manifest")
     try:
@@ -189,11 +154,11 @@ def load_manifest(path, verify: bool = True) -> dict:
     outputs, inputs = manifest.get("outputs", {}), manifest.get("inputs", {})
     if not (isinstance(outputs, dict) and isinstance(inputs, dict)):
         raise ParseError("manifest outputs and inputs must be JSON objects")
-    if verify:  # an input that no longer exists is not checked
+    if verify:
         recorded = [(path.parent / name, digest, "output")
                     for name, digest in outputs.items()]
         recorded += [(Path(name), digest, "input")
-                     for name, digest in inputs.items() if Path(name).exists()]
+                     for name, digest in inputs.items()]
         for target, digest, what in recorded:
             if not target.is_file():
                 raise ConfigError(f"manifest {what} {target} is missing or "
@@ -207,21 +172,23 @@ def load_manifest(path, verify: bool = True) -> dict:
 
 
 def _require(params: dict, *names):
+    """Check parameters that only some --protocol or --family values need."""
     missing = [n for n in names if params.get(n) is None]
     if missing:
         raise ConfigError(f"missing required parameters: {missing}")
 
 
 def _param(params: dict, name: str, default):
-    """``params[name]``, or ``default`` when it is missing or None. Any
+    """``params[name]``, or ``default`` when it is missing or None: a
+    default that lives only in the command, outside the config hash. Any
     given value, 0 included, is kept for the command to check."""
     value = params.get(name)
     return default if value is None else value
 
 
-def _count(params: dict, name: str, default: int) -> int:
-    """A round or trial count: ``default`` when absent, else >= 1."""
-    value = int(_param(params, name, default))
+def _count(params: dict, name: str) -> int:
+    """A round or trial count, which must be >= 1."""
+    value = params[name]
     if value < 1:
         raise ConfigError(f"--{name} must be >= 1, got {value}")
     return value
@@ -238,7 +205,7 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
                   for p in paths]
         return states[0], states[1], paths
     family = params.get("family")
-    d = int(_param(params, "d", 2))
+    d = _param(params, "d", 2)
     if family == "werner":
         s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
         return s0, s1, []
@@ -248,21 +215,22 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
         pure[0, 0] = 1.0
         return (DensityOperator(layout, pure),
                 DensityOperator(layout, np.eye(d) / d), [])
-    raise ConfigError("give --state0/--state1 files or --family "
-                      "{werner,pure-vs-mixed}")
+    raise ConfigError("give --state0/--state1 files or --family")
 
 
 def _make_strategy(params: dict):
-    protocol = params.get("protocol")
-    if protocol == "iid":
+    """The --protocol strategy and the manifest entries of the substreams
+    that building it drew: a memory-block strategy that samples its block
+    law draws one, off root 0 whatever --seed is."""
+    if params["protocol"] == "iid":
         _require(params, "p")
-        return IIDStrategy(float(params["p"]))
-    if protocol == "memory-block":
-        _require(params, "lam", "d2", "n_block")
-        d1 = int(_param(params, "d1", 2))
-        spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
-        return memory_block_strategy(d1, spec, int(params["n_block"]))
-    raise ConfigError(f"--protocol must be iid or memory-block, got {protocol!r}")
+        return IIDStrategy(params["p"]), ()
+    _require(params, "lam", "d2", "n_block")
+    strategy = memory_block_strategy(
+        _param(params, "d1", 2), PsiSpec(lam=params["lam"], d2=params["d2"]),
+        params["n_block"])
+    return strategy, (() if strategy.block_law_exact
+                      else ("concentration-success.<n>.<samples>",))
 
 
 def _ci_json(successes: int, trials: int) -> list[float] | None:
@@ -421,18 +389,17 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
 
 def cmd_entropy(config: ExperimentConfig) -> dict:
     params = config.params
-    _require(params, "lam", "d2")
-    spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
+    spec = PsiSpec(lam=params["lam"], d2=params["d2"])
     eps_prime = _param(params, "eps_prime", psi_product_distance(spec))
-    d1 = int(_param(params, "d1", 2))
-    cond = check_psi_conditions(spec, d1, float(eps_prime))
+    d1 = _param(params, "d1", 2)
+    cond = check_psi_conditions(spec, d1, eps_prime)
     return {
         "entropy_bits": cond.entropy_bits,
         "trace_distance_to_product": cond.trace_distance,
         "near_product": cond.near_product,
         "entropy_excess": cond.entropy_excess,
         "d1": d1,
-        "eps_prime": float(eps_prime),
+        "eps_prime": eps_prime,
     }
 
 
@@ -440,28 +407,23 @@ def cmd_construct(config: ExperimentConfig) -> dict:
     params = config.params
     if not config.out:
         raise ConfigError("construct requires --out DIRECTORY")
-    family = params.get("family")
+    family = params["family"]
     if family == "werner":
-        d = int(_param(params, "d", 2))
-        s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
+        s0, s1 = make_hiding_pair(HidingPairSpec(d=_param(params, "d", 2)))
         ops = {"sigma0.json": s0, "sigma1.json": s1}
     elif family == "psi":
         _require(params, "lam", "d2")
-        psi = make_psi(PsiSpec(lam=float(params["lam"]), d2=int(params["d2"])))
+        psi = make_psi(PsiSpec(lam=params["lam"], d2=params["d2"]))
         ops = {"psi.json": psi.to_density()}
     elif family == "rho-pair":
         _require(params, "lam", "d2")
-        d = int(_param(params, "d", 2))
-        pair = make_hiding_pair(HidingPairSpec(d=d))
-        psi = make_psi(PsiSpec(lam=float(params["lam"]), d2=int(params["d2"])))
+        pair = make_hiding_pair(HidingPairSpec(d=_param(params, "d", 2)))
+        psi = make_psi(PsiSpec(lam=params["lam"], d2=params["d2"]))
         r0, r1 = make_rho_pair(pair, psi)
         ops = {"rho0.json": r0, "rho1.json": r1}
-    elif family == "max-entangled":
-        dim = int(_param(params, "dim", 2))
-        ops = {"phi.json": make_max_entangled(dim).to_density()}
     else:
-        raise ConfigError("construct --family must be one of werner, psi, "
-                          "rho-pair, max-entangled")
+        dim = _param(params, "dim", 2)
+        ops = {"phi.json": make_max_entangled(dim).to_density()}
     # the operators are built (and their parameters checked) before --out
     # is created, so a rejected run leaves nothing behind
     files = {name: [operator_to_json(op), "\n"] for name, op in ops.items()}
@@ -470,12 +432,8 @@ def cmd_construct(config: ExperimentConfig) -> dict:
 
 def cmd_concentrate(config: ExperimentConfig) -> dict:
     params = config.params
-    _require(params, "lam", "d2", "n")
-    spec = PsiSpec(lam=float(params["lam"]), d2=int(params["d2"]))
-    spectrum = psi_spectrum(spec)
-    n = int(params["n"])
-    mode = _param(params, "mode", "auto")
-    samples = int(_param(params, "samples", 100_000))
+    spectrum = psi_spectrum(PsiSpec(lam=params["lam"], d2=params["d2"]))
+    n, mode, samples = params["n"], params["mode"], params["samples"]
     counts, log2_dim, probability = _law_columns(spectrum, n, mode, samples,
                                                  config.seed)
     log2_dim, probability = log2_dim.tolist(), probability.tolist()
@@ -495,10 +453,9 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
     streams = ("concentration-distribution.<n>.<samples>",) if sampled else ()
     target = params.get("target")
     if target is not None:
-        est = concentration_success_prob(spectrum, n, float(target),
-                                         mode=mode, samples=samples,
-                                         seed=config.seed)
-        report["target_log2_dim"] = float(target)
+        est = concentration_success_prob(spectrum, n, target, mode=mode,
+                                         samples=samples, seed=config.seed)
+        report["target_log2_dim"] = target
         report["success_prob"] = est.estimate
         report["success_ci"] = [est.ci_low, est.ci_high]
         report["success_exact"] = est.exact
@@ -513,15 +470,15 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
 
 def cmd_simulate(config: ExperimentConfig) -> dict:
     params = config.params
-    strategy = _make_strategy(params)
-    rounds = _count(params, "rounds", 100)
-    trials = _count(params, "trials", 1)
+    strategy, streams = _make_strategy(params)
+    rounds = _count(params, "rounds")
+    trials = _count(params, "trials")
 
     scores, written = _play_games(
         config, strategy.protocol_id, rounds,
         (play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
          for t in range(trials)),
-        seed_streams=_trial_streams("trial.<t>"))
+        seed_streams=streams + _trial_streams("trial.<t>"))
     rates = [score / rounds for score in scores]
     return {
         "protocol_id": strategy.protocol_id,
@@ -540,15 +497,14 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
 
 def cmd_detect(config: ExperimentConfig) -> dict:
     params = config.params
-    delta = float(_param(params, "delta", 0.05))
-    mode = _param(params, "mode", "catalyst-threshold")
-    trials = _count(params, "trials", 100)
+    delta, mode = params["delta"], params["mode"]
+    trials = _count(params, "trials")
     n = params.get("n")
     if n is None:
-        n = min_rounds(delta, float(_param(params, "trace_distance", 1.0)))
-    det_config = DetectionConfig(p_tau=float(_param(params, "p_tau", 0.9)),
-                                 p_locc=float(_param(params, "p_locc", 0.75)),
-                                 delta=delta, n=int(n), mode=mode)
+        n = min_rounds(delta, _param(params, "trace_distance", 1.0))
+    det_config = DetectionConfig(p_tau=params["p_tau"],
+                                 p_locc=params["p_locc"], delta=delta, n=n,
+                                 mode=mode)
     oracle = default_detection_oracle(det_config)
 
     worlds = ("tau", "gamma")  # trial t plays worlds[t % 2]
@@ -587,24 +543,23 @@ def cmd_detect(config: ExperimentConfig) -> dict:
 
 def cmd_rate(config: ExperimentConfig) -> dict:
     params = config.params
-    strategy = _make_strategy(params)
-    _require(params, "r", "n_list")
-    r = float(params["r"])
+    strategy, streams = _make_strategy(params)
+    r = params["r"]
     if not 0.0 <= r <= 1.0:
         raise ConfigError(f"--r must lie in [0, 1], got {r}")
     try:
-        n_list = [int(tok) for tok in str(params["n_list"]).split(",") if tok]
+        n_list = [int(tok) for tok in params["n_list"].split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--n-list must be comma-separated integers: {exc}")
     if not n_list or any(n < 1 for n in n_list):
         raise ConfigError("--n-list must contain positive integers")
-    trials = _count(params, "trials", 100)
+    trials = _count(params, "trials")
 
     scores, written = _play_games(
         config, strategy.protocol_id, n_list[-1],
         (play_trial(strategy, None, n, config.seed, stream=("rate", n, t))
          for n in n_list for t in range(trials)),
-        seed_streams=_trial_streams("rate.<n>.<t>"))
+        seed_streams=streams + _trial_streams("rate.<n>.<t>"))
     # scores come checkpoint by checkpoint, ``trials`` of each
     hits = [sum(RateEstimate.reached(score, r, n) for score in scores[i:i + trials])
             for i, n in zip(range(0, len(scores), trials), n_list)]
@@ -655,7 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--state0", type=str)
     pair.add_argument("--state1", type=str)
-    pair.add_argument("--family", choices=("werner", "pure-vs-mixed"))
     pair.add_argument("--d", type=int)
 
     protocol = argparse.ArgumentParser(add_help=False)
@@ -667,10 +621,13 @@ def _build_parser() -> argparse.ArgumentParser:
     protocol.add_argument("--d2", type=int)
     protocol.add_argument("--n-block", dest="n_block", type=int)
 
-    sub.add_parser("helstrom", parents=[common, pair],
-                   help="optimal two-state discrimination probability")
-    sub.add_parser("bounds", parents=[common, pair],
-                   help="LOCC lower / PPT upper / global bound bracket")
+    p = sub.add_parser("helstrom", parents=[common, pair],
+                       help="optimal two-state discrimination probability")
+    p.add_argument("--family", choices=("werner", "pure-vs-mixed"))
+    p = sub.add_parser("bounds", parents=[common, pair],
+                       help="LOCC lower / PPT upper / global bound bracket")
+    # the PPT bracket needs a bipartite pair, which pure-vs-mixed is not
+    p.add_argument("--family", choices=("werner",))
 
     p = sub.add_parser("simulate", parents=[common, protocol],
                        help="multi-round discrimination game")

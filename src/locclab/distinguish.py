@@ -108,8 +108,8 @@ class OneWayProtocol:
     the product projector |u_k><u_k| (x) |v_km><v_km|, with the factors
     ordered A (x) B. With ``guess``, a (k, m) array of 0s and 1s, the
     outcomes are coarse-grained to the two guesses. Construction checks
-    both bases unitary, so the protocol is one-way LOCC by structure;
-    ``name`` labels it as a witness.
+    both bases finite and unitary, so the protocol is one-way LOCC by
+    structure; ``name`` labels it as a witness (``BoundBracket.witness_id``).
     """
 
     first_party: str

@@ -23,8 +23,10 @@ u. Rows share that stream in trial order, so a large ensemble is played
 in chunks of rows, in bounded memory and with the numbers of one call.
 The base-class ``play`` is the adapter that resets the strategy before
 each row and drives ``success_probability``/``observe``/``descriptor``
-round by round; the built-in strategies override it with closed forms,
-vectorized over trials, that return the same numbers.
+round by round; the built-in strategies (i.i.d., history-capped,
+reusable-memory blocks) override it with closed forms, vectorized over
+trials, that return the same numbers, and the tests take their scalar
+methods as the reference.
 
 ``play_trial`` is the core with one trial on its per-trial substreams,
 plus the referee bits, returned as a ``TrialArrays``; the CLI game
@@ -43,6 +45,10 @@ stream's values in one array call gives the same numbers, in row-major
 order, as drawing them one by one, so the engine reproduces the
 round-by-round transcripts exactly and the first k rows of an ensemble
 are the k-trial ensemble.
+
+Also here: threshold detection with its Hoeffding and Azuma tails, and
+the supermartingale drift audit; rate and detection estimates carry 99%
+Wilson intervals (``locclab.stats``).
 """
 
 from __future__ import annotations
@@ -232,6 +238,7 @@ class MemoryBlockStrategy(Strategy):
         est = concentration_success_prob(
             psi_spectrum(psi_spec), n_block, n_block * math.log2(d1))
         self.block_success_prob = est.estimate
+        self.block_law_exact = est.exact  # else sampled off root 0
         self.eps_tilde = 1.0 - est.estimate
         self._rng: np.random.Generator | None = None
         self._block = 0

@@ -19,7 +19,8 @@ It gives gammaln's values bit for bit, so log2_dim is what the log-gamma
 formula gave, and no concentration or game command has to import scipy
 (which takes longer than most of those commands' work).
 
-Exact mode lists the label types as array rows and weighs them once, so
+Exact mode lists the label types as array rows (at most
+``_MAX_EXACT_TYPES``, 1e6) and weighs them once, so
 a success probability is a tail sum of those weights; the rows are built
 one label at a time, each generation stacking the vectors of every smaller
 total behind their leading occupation. Sampling mode draws ``_ROW_CHUNK``
@@ -46,8 +47,10 @@ int and two floats, it cannot be part of a reference cycle, and the
 outcomes are built with the collector paused (when it is enabled and no
 other Python thread is alive; it is enabled again afterwards), so those
 that outlive the young generations no longer set off full collections
-during the build. The ``concentrate`` command reads the law's columns
-directly and builds no outcome.
+during the build. Setting or deleting any attribute of an outcome raises
+``dataclasses.FrozenInstanceError``. The ``concentrate`` command reads
+the law's columns directly and builds no outcome. A copy count or
+``samples`` below 1 and a non-finite target raise SpecError.
 
 An exact distribution leaves its law behind for the success
 probability: the module keeps the key (spectrum values, n) and the

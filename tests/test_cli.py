@@ -57,30 +57,59 @@ def run_error(capsys, *argv):
     return json.loads(err)["error"]
 
 
+def run_usage_error(capsys, *argv):
+    """The parser's rejection of argv: exit status 2, a usage message on
+    stderr and nothing on stdout."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "usage: locclab" in captured.err
+    return captured.err
+
+
 class TestExperimentConfig:
-    def test_round_trip(self):
-        config = ExperimentConfig(command="helstrom", seed=7, out="runs/x",
-                                  threads=2, fmt="csv",
-                                  params={"family": "werner", "d": 3})
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+    # the parser is the config's one schema: it rejects what no command
+    # accepts before any config is built
+    def test_unknown_config_field(self, capsys):
+        err = run_usage_error(capsys, "helstrom", "--family", "werner",
+                              "--typo", "1")
+        assert "unrecognized arguments: --typo 1" in err
 
-    def test_unknown_config_field(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"command": "helstrom", "typo": 1})
+    def test_missing_command(self, capsys):
+        run_usage_error(capsys, "--seed", "3")
 
-    def test_missing_command(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({"seed": 3})
+    def test_unknown_parameter(self, capsys):
+        err = run_usage_error(capsys, "helstrom", "--family", "werner",
+                              "--rounds", "5")
+        assert "unrecognized arguments: --rounds 5" in err
 
-    def test_unknown_parameter(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(command="helstrom", params={"rounds": 5})
-
-    def test_plumbing_validation(self):
+    def test_plumbing_validation(self, capsys):
         with pytest.raises(ConfigError):
             ExperimentConfig(command="helstrom", threads=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(command="helstrom", fmt="xml")
+        err = run_error(capsys, "helstrom", "--family", "werner",
+                        "--threads", "0")
+        assert err == {"type": "ConfigError",
+                       "message": "--threads must be >= 1, got 0"}
+        err = run_usage_error(capsys, "helstrom", "--family", "werner",
+                              "--format", "xml")
+        assert "invalid choice: 'xml'" in err
+
+    @pytest.mark.parametrize("argv, params", [
+        (["detect", "--n", "10"],
+         {"delta": 0.05, "mode": "catalyst-threshold", "n": 10, "p_locc": 0.75,
+          "p_tau": 0.9, "trials": 100}),
+        (["entropy", "--lambda", "0.5", "--d2", "4"], {"lam": 0.5, "d2": 4}),
+        (["construct", "--family", "max-entangled"],
+         {"family": "max-entangled"}),
+    ], ids=["detect", "entropy", "construct"])
+    def test_params_hold_the_parsed_flags(self, argv, params):
+        # the parser's defaults are parameters; a default that lives only
+        # in the command (d1, eps_prime, dim, trace_distance) stays out of
+        # the config and its hash
+        args = cli._build_parser().parse_args(argv)
+        assert cli._config_from_args(args).params == params
 
     def test_physics_dict_excludes_plumbing(self):
         config = ExperimentConfig(command="helstrom", seed=7, out="x",
@@ -189,6 +218,12 @@ class TestBoundsCommand:
         assert report["locc_lower"] == pytest.approx(1.0, abs=1e-9)
         assert report["helstrom"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_family_is_a_bipartite_pair(self, capsys):
+        # pure-vs-mixed lives on one party, so it has no PPT bracket;
+        # helstrom still offers it (TestHelstromCommand)
+        err = run_usage_error(capsys, "bounds", "--family", "pure-vs-mixed")
+        assert "invalid choice: 'pure-vs-mixed'" in err
+
 
 class TestEntropyCommand:
     def test_balanced_qubit(self, capsys):
@@ -257,6 +292,21 @@ class TestConstructCommand:
         path = tmp_path / "big.bin"
         path.write_bytes(data)
         assert cli._sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+    def test_missing_input_fails(self, capsys, tmp_path):
+        w, manifest = tmp_path / "w", tmp_path / "h" / "manifest.json"
+        run_json(capsys, "construct", "--family", "werner", "--d", "2",
+                 "--out", str(w))
+        run_json(capsys, "helstrom", "--state0", str(w / "sigma0.json"),
+                 "--state1", str(w / "sigma1.json"),
+                 "--out", str(manifest.parent))
+        load_manifest(manifest)
+        (w / "sigma0.json").unlink()
+        with pytest.raises(ConfigError, match="manifest input .*sigma0.json "
+                                              "is missing"):
+            load_manifest(manifest)
+        # the manifest can still be read without checking its files
+        assert load_manifest(manifest, verify=False)["inputs"]
 
     def test_requires_out(self, capsys):
         err = run_error(capsys, "construct", "--family", "werner", "--d", "2")
@@ -670,6 +720,10 @@ def stream_matches(entry: str, labels: tuple) -> bool:
         for part, label in zip(parts, labels))
 
 
+BLOCK24 = ["--protocol", "memory-block", "--lambda", "0.5", "--d2", "8",
+           "--n-block", "24"]
+
+
 class TestSeedStreams:
     """The manifest names, in the README's notation, each substream that
     the run drew and no other."""
@@ -688,6 +742,14 @@ class TestSeedStreams:
                                     "--samples", "50"],
         "concentrate-exact": [*CONCENTRATE, "--mode", "exact",
                               "--target", "1.0"],
+        # a block law too large to enumerate is sampled, off root 0
+        "simulate-memory-block": ["simulate", *BLOCK24, "--rounds", "30",
+                                  "--trials", "2"],
+        "rate-memory-block": ["rate", *BLOCK24, "--r", "0.5", "--n-list",
+                              "24,48", "--trials", "2"],
+        # an enumerated block law draws nothing
+        "rate-memory-block-exact": ["rate", *MB, "--n-block", "4", "--r",
+                                    "0.5", "--n-list", "8", "--trials", "2"],
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
