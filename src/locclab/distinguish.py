@@ -300,21 +300,19 @@ class PPTBound:
     newton_steps: int
 
 
-def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator,
-            gap_tol: float = TOL.sdp_gap) -> PPTBound:
+def ppt_sdp(rho0: DensityOperator, rho1: DensityOperator) -> PPTBound:
     """The PPT relaxation of the pair with its solver diagnostics:
     the certified value (capped by the Helstrom value), the certificate
-    gap, the primal value reached and the solver iterations taken (one
-    Newton system each).
+    gap (at most 1e-6, since |U(B)| <= 1 for a difference of states),
+    the primal value reached and the solver iterations taken (at most
+    800, one Newton system each).
     :func:`ppt_upper_bound` returns only the value."""
-    return _ppt_sdp(_canonical_difference(rho0, rho1), helstrom(rho0, rho1),
-                    gap_tol)
+    return _ppt_sdp(_canonical_difference(rho0, rho1), helstrom(rho0, rho1))
 
 
-def _ppt_sdp(d4: np.ndarray, h: float, gap_tol: float) -> PPTBound:
+def _ppt_sdp(d4: np.ndarray, h: float) -> PPTBound:
     da, db = d4.shape[:2]
-    res: SDPResult = solve_ppt_two_outcome(d4.reshape(da * db, da * db), da, db,
-                                           gap_tol=gap_tol)
+    res: SDPResult = solve_ppt_two_outcome(d4.reshape(da * db, da * db), da, db)
     # res.value = U(res.certificate), checked by eigenvalue sums, bounds
     # the SDP optimum from above; the global optimum h is an independent
     # upper bound, so the min is still certified
@@ -324,11 +322,10 @@ def _ppt_sdp(d4: np.ndarray, h: float, gap_tol: float) -> PPTBound:
                     newton_steps=res.newton_steps)
 
 
-def ppt_upper_bound(rho0: DensityOperator, rho1: DensityOperator,
-                    gap_tol: float = TOL.sdp_gap) -> float:
+def ppt_upper_bound(rho0: DensityOperator, rho1: DensityOperator) -> float:
     """Certified upper bound on every LOCC (indeed every PPT) success
     probability for the pair."""
-    return ppt_sdp(rho0, rho1, gap_tol=gap_tol).value
+    return ppt_sdp(rho0, rho1).value
 
 
 def thm2_locc_bound(eps: float, eps_prime: float) -> float:
@@ -367,13 +364,14 @@ class BoundBracket:
 
 
 def bound_bracket(rho0: DensityOperator, rho1: DensityOperator,
-                  library: tuple[OneWayProtocol, ...] | None = None,
-                  gap_tol: float = TOL.sdp_gap) -> BoundBracket:
+                  library: tuple[OneWayProtocol, ...] | None = None) -> BoundBracket:
     """Compute all three bounds and package them with the best witness;
-    the Helstrom value and the canonical difference are formed once."""
+    the Helstrom value and the canonical difference are formed once. The
+    PPT value is certified to a solver gap of at most 1e-6 (see
+    :func:`ppt_sdp`)."""
     h = helstrom(rho0, rho1)
     d4 = _canonical_difference(rho0, rho1)
     low, witness = _locc_lower(d4, library)
-    ppt = _ppt_sdp(d4, h, gap_tol)
+    ppt = _ppt_sdp(d4, h)
     return BoundBracket(helstrom=h, locc_lower=low, ppt_upper=ppt.value,
                         witness=witness, sdp_gap=ppt.sdp_gap)

@@ -71,6 +71,13 @@ from .stats import wilson_interval
 
 Label = int | str
 
+# The drift audit's trajectories per bucket, z-score bound and share of
+# buckets allowed past it; the default oracle's drop after a failure.
+_AUDIT_MIN_COUNT = 50
+_AUDIT_Z_TOL = 3.0
+_AUDIT_ALLOWED_EXCEEDANCE = 0.005
+_ORACLE_DROP = 0.1
+
 
 # --- strategies ----------------------------------------------------------
 
@@ -612,11 +619,11 @@ class DetectionOracle:
         raise SpecError(f"world must be 'tau' or 'gamma', got {world!r}")
 
 
-def default_detection_oracle(config: DetectionConfig,
-                             drop: float = 0.1) -> DetectionOracle:
-    """tau: i.i.d. success at p_tau. gamma: history-capped at p_locc
+def default_detection_oracle(config: DetectionConfig) -> DetectionOracle:
+    """tau: i.i.d. success at p_tau. gamma: history-capped at p_locc,
+    dropping by min(0.1, p_locc) after its first failure
     (supermartingale-constrained by construction)."""
-    drop = min(drop, config.p_locc)
+    drop = min(_ORACLE_DROP, config.p_locc)
     return DetectionOracle(tau=IIDStrategy(config.p_tau, protocol_id="world-tau"),
                            gamma=HistoryCappedStrategy(config.p_locc, drop))
 
@@ -706,10 +713,9 @@ def min_rounds(delta: float, trace_distance: float) -> int:
         raise DomainError(f"trace distance must lie strictly in (0, 2), got {t}")
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
+    # 0 < t < 2 puts a1 in (0, 1/4) and a2 in (0, 1/2)
     a1 = 0.25 - t / 8.0
     a2 = 0.5 - t / 4.0
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise DomainError(f"logarithm arguments must be positive, got {a1}, {a2}")
     bound = max(-math.log(a1) / (2.0 * delta * delta),
                 2.0 * -math.log(a2) / (delta * delta))
     return math.floor(bound) + 1
@@ -733,12 +739,12 @@ def azuma_bound(n: int, delta: float) -> float:
 class SupermartingaleReport:
     """Bucketed conditional-drift audit of C_j = S_j - j p_cap.
 
-    Buckets are (round, running score) cells with at least min_count
+    Buckets are (round, running score) cells with at least 50
     trajectories. Each bucket's empirical next-round success frequency
     is z-scored against p_cap; with thousands of buckets a 3 sigma
     excursion is expected by chance about 0.13% of the time, so the
-    audit passes when at most ``allowed_exceedance`` of buckets exceed
-    z_tol and every increment is bounded by 1.
+    audit passes when at most ``allowed_exceedance`` (0.5%) of buckets
+    exceed ``z_tol`` (3.0) and every increment is bounded by 1.
     """
 
     trajectories: int
@@ -761,18 +767,17 @@ class SupermartingaleReport:
             self.exceedance_frac <= self.allowed_exceedance)
 
 
-def check_supermartingale(ensemble, p_cap: float, min_count: int = 50,
-                          z_tol: float = 3.0,
-                          allowed_exceedance: float = 0.005
-                          ) -> SupermartingaleReport:
+def check_supermartingale(ensemble, p_cap: float) -> SupermartingaleReport:
     """Audit that conditional success frequencies never drift above
     p_cap beyond statistical tolerance.
 
     ``ensemble`` is either a (trials, n) 0/1 matrix or a list of
     ``TrialArrays`` of n rounds each, whose success indicators X are
     the rows. Trajectories are bucketed by (j, S_j); within each bucket
-    the next-round success frequency p_hat is compared to p_cap with
-    the null standard error sqrt(p_cap (1 - p_cap) / m).
+    of at least 50 trajectories the next-round success frequency p_hat
+    is compared to p_cap with the null standard error
+    sqrt(p_cap (1 - p_cap) / m), and the audit passes when at most 0.5%
+    of those buckets sit more than 3.0 standard errors above p_cap.
     """
     if isinstance(ensemble, np.ndarray):
         x = ensemble
@@ -800,18 +805,18 @@ def check_supermartingale(ensemble, p_cap: float, min_count: int = 50,
     for j in range(n):
         counts = np.bincount(scores)
         sums = np.bincount(scores, weights=x[:, j])
-        kept = counts >= min_count
+        kept = counts >= _AUDIT_MIN_COUNT
         m = counts[kept]
         z = (sums[kept] / m - p_cap) / np.sqrt(null_var / m)
         if m.size:
             max_z = max(max_z, float(z.max()))
         buckets += m.size
-        violations += int(np.count_nonzero(z > z_tol))
+        violations += int(np.count_nonzero(z > _AUDIT_Z_TOL))
         scores += x[:, j]
     return SupermartingaleReport(
         trajectories=trials, n=n, p_cap=p_cap, buckets=buckets,
         violations=violations, max_z=max_z, increments_bounded=increments_ok,
-        z_tol=z_tol, allowed_exceedance=allowed_exceedance)
+        z_tol=_AUDIT_Z_TOL, allowed_exceedance=_AUDIT_ALLOWED_EXCEEDANCE)
 
 
 # --- density-matrix backend check ------------------------------------------

@@ -49,18 +49,18 @@ Optim. 2, 575 (1992)).
 
 Stop. The value is U(B) of B = Z4 - Z3, read straight off the dual
 iterate (see Certificate). The gap contract is relative above 1: a gap
-counts as closed at gap_tol max(1, |U(B)|). U(B) is checked once
-<S, Z> <= gap_tol max(1, |Re Tr[M X]|) (the primal value standing in
-for U(B) until it is known), and the solve stops when U(B) - Re Tr[M X]
-<= gap_tol max(1, |U(B)|) / 10; the check's U(B) and B are the reported
-ones, not computed again. A solve that runs out of ``max_newton``
-iterations, loses positive definiteness (an iterate, or the Newton
-system after its ridge retries) or stalls (<S, Z> and the residual
-negligible while the gap stays open) ends at its last iterate: it
-returns when that iterate's gap is at most gap_tol max(1, |U(B)|), and
+counts as closed at 1e-6 max(1, |U(B)|) (1e-6 is TOL.sdp_gap). U(B) is
+checked once <S, Z> <= 1e-6 max(1, |Re Tr[M X]|) (the primal value
+standing in for U(B) until it is known), and the solve stops when
+U(B) - Re Tr[M X] <= 1e-7 max(1, |U(B)|); the check's U(B) and B are
+the reported ones, not computed again. A solve that runs out of its 800
+iterations (_MAX_NEWTON), loses positive definiteness (an iterate, or
+the Newton system after its ridge retries) or stalls (<S, Z> and the
+residual negligible while the gap stays open) ends at its last iterate:
+it returns when that iterate's gap is at most 1e-6 max(1, |U(B)|), and
 raises SolverError carrying U(B) and the gap otherwise. An objective of
 trace norm at most 2, as every bracket's rho0 - rho1 is, has |U(B)| <= 1
-at the optimum, so there the contract is the absolute gap_tol.
+at the optimum, so there the contract is the absolute gap 1e-6.
 
 Buffers. Building and factoring a canonical Newton system takes n x n
 arrays of 0.5 MB at D = 16: the Hessian, the scratch slabs its assembly
@@ -253,6 +253,8 @@ _SLAB_ENTRIES = 1 << 16
 _ONE_I = np.array([1.0, 1j]).reshape(2, 1, 1, 1, 1)
 # Fraction of the step to the boundary that an iteration takes.
 _STEP_TO_BOUNDARY = 0.95
+# Most iterations (one Newton system each) of a solve; read at each solve.
+_MAX_NEWTON = 800
 
 
 def _eigh(a: np.ndarray):
@@ -931,13 +933,6 @@ def _positive_int(value) -> bool:
             and value >= 1)
 
 
-def _finite_above(value, floor: float) -> bool:
-    try:
-        return math.isfinite(value) and value > floor
-    except TypeError:
-        return False
-
-
 def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> float:
     """U(B) = Tr[(X - B^{T_B})_+] + Tr[B_+] for a Hermitian ``b``, plus
     the rounding allowance D^2 eps ||A||_F of each eigenvalue sum."""
@@ -979,18 +974,14 @@ def _step_lengths(p_s: np.ndarray, p_z: np.ndarray | None) -> tuple:
             1.0 if low_z >= -_STEP_TO_BOUNDARY else _STEP_TO_BOUNDARY / -low_z)
 
 
-def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
-                          gap_tol: float = TOL.sdp_gap,
-                          max_newton: int = 800) -> SDPResult:
+def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int,
+                          dim_b: int) -> SDPResult:
     """Run the primal-dual solve. Raises SolverError on factor dimensions
-    that are not integers >= 1 or on dimension overflow, on a ``gap_tol``
-    that is not finite and positive or a ``max_newton`` (the most
-    iterations, one Newton system each) that is not an integer >= 1, and
-    when the certified gap of the last iterate exceeds
-    ``gap_tol`` * max(1, |U(B)|) (see the module docstring): after
-    ``max_newton`` iterations, when an iterate or its Newton system stops
-    being positive definite, or when the iterates stall (these carry the
-    certified value and its gap)."""
+    that are not integers >= 1 or on dimension overflow, and when the
+    certified gap of the last iterate exceeds 1e-6 max(1, |U(B)|) (see
+    the module docstring): after 800 iterations, when an iterate or its
+    Newton system stops being positive definite, or when the iterates
+    stall (these carry the certified value and its gap)."""
     if not (_positive_int(dim_a) and _positive_int(dim_b)):
         raise SolverError(f"factor dimensions must be integers >= 1, got {dim_a!r}, {dim_b!r}")
     d = dim_a * dim_b
@@ -1002,10 +993,6 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     if d > MAX_TOTAL_DIM:
         raise SolverError(
             f"total dimension {d} exceeds the bundled solver limit {MAX_TOTAL_DIM}")
-    if not _finite_above(gap_tol, 0.0):
-        raise SolverError(f"gap tolerance must be finite and positive, got {gap_tol}")
-    if not _positive_int(max_newton):
-        raise SolverError(f"max_newton must be an integer >= 1, got {max_newton!r}")
     if float(np.abs(x_mat - x_mat.conj().T).max()) > TOL.hermitian * max(
             1.0, float(np.abs(x_mat).max())):
         raise NumericError("SDP objective matrix must be Hermitian")
@@ -1018,13 +1005,13 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int, dim_b: int,
     # a failed factorization or eigensolve leaves NaN, which the checks
     # of the iteration read as a lost positive definiteness
     with np.errstate(all="ignore"):
-        return _solve(x_work, _Basis(dim_a, dim_b, complex_field), gap_tol, max_newton)
+        return _solve(x_work, _Basis(dim_a, dim_b, complex_field))
 
 
-def _solve(x_work: np.ndarray, canon: _Basis, gap_tol: float,
-           max_newton: int) -> SDPResult:
+def _solve(x_work: np.ndarray, canon: _Basis) -> SDPResult:
     """The primal-dual iteration of ``solve_ppt_two_outcome`` on its
     checked objective (real for the real field)."""
+    gap_tol, max_newton = TOL.sdp_gap, _MAX_NEWTON
     dim_a, dim_b, d = canon.dim_a, canon.dim_b, canon.dim
     basis = _jordan_closure(x_work, canon) or canon
     # the iteration runs on stacks of the basis's blocks (one D x D block

@@ -12,10 +12,10 @@ import math
 WILSON_Z_99 = 2.5758293035489004  # Phi^{-1}(0.995)
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = WILSON_Z_99) -> tuple[float, float]:
-    """Wilson score interval for ``successes`` out of ``trials`` >= 1
-    independent Bernoulli draws, clipped to [0, 1]."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval (z = WILSON_Z_99) for ``successes`` out
+    of ``trials`` >= 1 independent Bernoulli draws, clipped to [0, 1]."""
+    z = WILSON_Z_99
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -129,6 +129,11 @@ class TestHelstromCommand:
                           "--d", "2")
         assert report["p_opt"] == pytest.approx(0.75, abs=1e-12)
 
+    def test_neither_files_nor_family(self, capsys):
+        err = run_error(capsys, "helstrom")
+        assert err["type"] == "ConfigError"
+        assert "--state0/--state1 files or --family" in err["message"]
+
     def test_from_constructed_files(self, capsys, tmp_path):
         run_json(capsys, "construct", "--family", "werner", "--d", "2",
                  "--out", str(tmp_path))
@@ -707,6 +712,18 @@ class TestRateCommand:
         err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
                         "--r", "0.5", "--n-list", "5,x")
         assert err["type"] == "ConfigError"
+
+    def test_non_positive_checkpoint(self, capsys):
+        err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
+                        "--r", "0.5", "--n-list", "0,5")
+        assert err["type"] == "ConfigError"
+        assert "positive integers" in err["message"]
+
+    def test_rate_outside_unit_interval(self, capsys):
+        err = run_error(capsys, "rate", "--protocol", "iid", "--p", "0.5",
+                        "--r", "1.5", "--n-list", "5")
+        assert err["type"] == "ConfigError"
+        assert "--r must lie in [0, 1], got 1.5" in err["message"]
 
 
 def stream_matches(entry: str, labels: tuple) -> bool:

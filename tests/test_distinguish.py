@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -49,6 +50,12 @@ def element_value(protocol: OneWayProtocol, delta: np.ndarray) -> float:
     """The protocol's success probability on the difference ``delta``
     (A (x) B order) from its POVM elements: 1/2 + 1/4 sum |Tr[E delta]|."""
     traces = np.einsum("nij,ji->n", protocol.elements(), delta).real
+    # the protocol's functionals read the same traces, per outcome or per
+    # guess, from its conditional blocks
+    d1, d2 = protocol.first.shape[0], protocol.cond.shape[1]
+    da, db = (d1, d2) if protocol.first_party == "A" else (d2, d1)
+    blocks = protocol.blocks(np.asarray(delta).reshape(da, db, da, db))
+    np.testing.assert_allclose(protocol.functionals(blocks), traces, rtol=0, atol=1e-12)
     return 0.5 + 0.25 * float(np.abs(traces).sum())
 
 
@@ -357,6 +364,11 @@ class TestPptUpperBound:
         assert 0.0 <= bound.sdp_gap <= 1e-6
         assert bound.value == pytest.approx(5.0 / 6.0, abs=1e-5)
 
+    def test_parameters_are_the_pair(self):
+        # the solver gap is TOL.sdp_gap, not a parameter
+        for fn in (ppt_sdp, ppt_upper_bound):
+            assert list(inspect.signature(fn).parameters) == ["rho0", "rho1"]
+
     def test_never_exceeds_helstrom(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
@@ -422,6 +434,10 @@ class TestBoundBracket:
         x = s0.entries - s1.entries
         for protocol in one_way_library(s0, s1):
             assert element_value(protocol, x) <= upper + 1e-6
+
+    def test_parameters_are_the_pair_and_library(self):
+        assert list(inspect.signature(bound_bracket).parameters) == [
+            "rho0", "rho1", "library"]
 
     @pytest.mark.parametrize("end", ["helstrom", "locc_lower", "ppt_upper"])
     def test_nan_end_is_refused(self, end):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import tracemalloc
@@ -219,6 +220,14 @@ class TestArrayEngine:
         assert p[0].tolist() == [p_cap] + [p_cap - drop] * 9
         assert d[0] == ["failed=0"] + ["failed=1"] * 10
         assert p[1].tolist() == [p_cap] * 10 and d[1] == ["failed=0"] * 11
+
+    @pytest.mark.parametrize("p_cap,drop,match", [
+        (1.5, 0.1, "cap 1.5 outside"), (-0.1, 0.0, "cap -0.1 outside"),
+        (0.5, 0.6, "drop 0.6 must lie"), (0.5, -0.1, "drop -0.1 must lie"),
+    ])
+    def test_history_capped_range(self, p_cap, drop, match):
+        with pytest.raises(SpecError, match=match):
+            HistoryCappedStrategy(p_cap, drop)
 
     def test_memory_block_recharge_draws(self):
         strategy = memory_block_strategy(2, PsiSpec(lam=0.5, d2=4), 4)
@@ -600,6 +609,22 @@ class TestDetectionConfig:
         with pytest.raises(SpecError):
             DetectionConfig(p_tau=1.0, p_locc=0.6, delta=0.0, n=10)
 
+    @pytest.mark.parametrize("p_tau,p_locc,match", [
+        (1.5, 0.6, "p_tau = 1.5 outside"), (1.0, -0.2, "p_locc = -0.2 outside"),
+    ])
+    def test_probabilities_in_unit_interval(self, p_tau, p_locc, match):
+        with pytest.raises(SpecError, match=match):
+            DetectionConfig(p_tau=p_tau, p_locc=p_locc, delta=0.1, n=10)
+
+    def test_round_count_positive(self):
+        with pytest.raises(SpecError, match="round count must be >= 1, got 0"):
+            DetectionConfig(p_tau=1.0, p_locc=0.6, delta=0.1, n=0)
+
+    def test_memory_mode_delta_at_most_the_gap(self):
+        with pytest.raises(SpecError, match="memory mode needs"):
+            DetectionConfig(p_tau=1.0, p_locc=0.6, delta=0.25, n=10,
+                            mode="memory-threshold")
+
     def test_memory_mode_allows_closed_endpoint(self):
         DetectionConfig(p_tau=1.0, p_locc=0.6, delta=0.2, n=10,
                         mode="memory-threshold")
@@ -617,6 +642,16 @@ class TestDetectionConfig:
         assert oracle.strategy_for("tau").protocol_id == "world-tau"
         with pytest.raises(SpecError):
             oracle.strategy_for("limbo")
+
+    def test_default_oracle_takes_only_the_config(self):
+        # gamma drops by min(0.1, p_locc) after its first failure
+        assert list(inspect.signature(default_detection_oracle).parameters) == [
+            "config"]
+        for p_locc, drop in ((0.5, 0.1), (0.05, 0.05)):
+            oracle = default_detection_oracle(
+                DetectionConfig(p_tau=1.0, p_locc=p_locc, delta=0.1, n=10,
+                                mode="memory-threshold"))
+            assert oracle.gamma.drop == drop
 
 
 class TestDetection:
@@ -738,10 +773,20 @@ class TestSupermartingaleAudit:
 
     def test_transcript_list_input(self):
         trs = [play_trial(IIDStrategy(0.5), n=10, seed=s) for s in range(120)]
-        report = check_supermartingale(trs, p_cap=0.5, min_count=30)
+        report = check_supermartingale(trs, p_cap=0.5)
         assert report.trajectories == 120 and report.n == 10
         x = np.array([tr.X for tr in trs], dtype=np.uint8)
-        assert check_supermartingale(x, p_cap=0.5, min_count=30) == report
+        assert check_supermartingale(x, p_cap=0.5) == report
+
+    def test_thresholds_are_constants(self):
+        # 50 trajectories per bucket, 3 sigma, 0.5% of buckets
+        assert list(inspect.signature(check_supermartingale).parameters) == [
+            "ensemble", "p_cap"]
+        for trials, buckets in ((49, 0), (50, 3)):
+            ones = np.ones((trials, 3), dtype=np.uint8)
+            report = check_supermartingale(ones, p_cap=0.5)
+            assert report.buckets == buckets
+            assert (report.z_tol, report.allowed_exceedance) == (3.0, 0.005)
 
     def test_ragged_transcript_list_rejected(self):
         trs = [play_trial(IIDStrategy(0.5), n=n, seed=1) for n in (10, 9)]

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import math
 import pickle
@@ -46,6 +47,7 @@ from locclab import protocols
 from locclab.protocols import (_compositions, _distinct_rows, _exact_law,
                                _log_factorials)
 from locclab.seeding import rng_from
+from locclab.stats import WILSON_Z_99, wilson_interval
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -950,6 +952,15 @@ class TestSuccessProbability:
         est = concentration_success_prob(spec, 2, 1.0)
         assert est.exact
         assert est.estimate == pytest.approx(0.5, abs=1e-12)
+
+    def test_wilson_interval_is_99_percent(self):
+        # the level is the package's one Wilson level, not a parameter
+        assert list(inspect.signature(wilson_interval).parameters) == [
+            "successes", "trials"]
+        z = WILSON_Z_99
+        lo, hi = wilson_interval(0, 10)
+        assert lo == pytest.approx(0.0, abs=1e-15)
+        assert hi == pytest.approx(z * z / (10 + z * z), rel=1e-14)
 
     def test_wilson_interval_brackets_exact(self):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))

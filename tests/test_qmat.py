@@ -199,6 +199,11 @@ class TestTraceNorm:
         op = Operator(A2, np.diag([3.0, -4.0]))
         assert trace_norm(op) == pytest.approx(7.0, abs=1e-13)
 
+    def test_non_hermitian_sums_singular_values(self):
+        # [[0, 2], [0, 0]] has singular values 2 and 0 but both eigenvalues 0
+        assert trace_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(
+            2.0, abs=1e-13)
+
 
 class TestFidelity:
     def test_self(self):
@@ -279,6 +284,11 @@ class TestJsonRoundTrip:
         np.testing.assert_array_equal(back.entries, m.entries)
         assert operator_to_json(back) == text
 
+    def test_pure_state_is_written_as_its_density(self):
+        v = PureState(AB22, (np.kron(ket(0), ket(0)) + np.kron(ket(1), ket(1)))
+                      / math.sqrt(2))
+        assert operator_to_json(v) == operator_to_json(v.to_density())
+
     def test_non_density_path(self):
         op = Operator(A2, np.diag([3.0, -4.0]))
         back = operator_from_json(operator_to_json(op), density=False)
@@ -314,6 +324,35 @@ class TestLayoutAndPermute:
         renamed = relabel(bell_density(), {"B1": "B9"})
         assert renamed.layout.labels == ("A1", "B9")
         np.testing.assert_array_equal(renamed.entries, bell_density().entries)
+
+
+class TestPureState:
+    def test_tensor_of_pure_states(self):
+        v = tensor(PureState(A2, ket(0)), PureState(B2, ket(1)))
+        assert isinstance(v, PureState) and v.layout == AB22
+        np.testing.assert_array_equal(v.amplitudes, np.kron(ket(0), ket(1)))
+
+    @pytest.mark.parametrize("pure_first", [True, False])
+    def test_tensor_with_an_operator_is_refused(self, pure_first):
+        pure = PureState(A2, ket(0))
+        rho = DensityOperator(B2, np.eye(2) / 2)
+        args = (pure, rho) if pure_first else (rho, pure)
+        with pytest.raises(LayoutError, match="to_density"):
+            tensor(*args)
+
+    def test_permute_reorders_amplitudes(self):
+        v = PureState(AB22, np.kron(ket(0), ket(1)))
+        swapped = permute(v, ("B1", "A1"))
+        assert isinstance(swapped, PureState)
+        assert swapped.layout.labels == ("B1", "A1")
+        np.testing.assert_array_equal(swapped.amplitudes, np.kron(ket(1), ket(0)))
+
+    def test_relabel_keeps_amplitudes(self):
+        v = PureState(AB22, np.kron(ket(0), ket(1)))
+        renamed = relabel(v, {"A1": "A9"})
+        assert isinstance(renamed, PureState)
+        assert renamed.layout.labels == ("A9", "B1")
+        np.testing.assert_array_equal(renamed.amplitudes, v.amplitudes)
 
 
 def test_density_operator_invariants_enforced():

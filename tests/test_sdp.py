@@ -5,6 +5,7 @@ certified bound), the one-matrix dual certificate that keeps a wrong
 closure from producing a wrong certified value, and a family of pairs
 with a closed-form PPT value."""
 
+import inspect
 import math
 import warnings
 
@@ -262,27 +263,6 @@ class TestObjectiveValidation:
         with pytest.raises(NumericError):
             sdp.solve_ppt_two_outcome(x, 2, 2)
 
-    @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, math.nan])
-    def test_gap_tolerance_must_be_positive(self, gap_tol):
-        # a negative tolerance once ran the path with t < 0 and returned
-        # -0.75 as the "upper bound" of an SDP whose optimum is 0.75
-        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
-        with pytest.raises(SolverError, match="gap tolerance") as err:
-            sdp.solve_ppt_two_outcome(x, 2, 2, gap_tol=gap_tol)
-        assert err.value.value is None and err.value.gap is None
-
-    @pytest.mark.parametrize("kw,match", [
-        ({"gap_tol": math.inf}, "gap tolerance"),
-        ({"gap_tol": "1e-6"}, "gap tolerance"),
-        ({"max_newton": -1}, "max_newton"), ({"max_newton": 0}, "max_newton"),
-        ({"max_newton": 2.5}, "max_newton"), ({"max_newton": True}, "max_newton"),
-    ], ids=["gap-inf", "gap-str", "steps-neg", "steps-0", "steps-float", "steps-bool"])
-    def test_path_parameters_are_checked_before_the_path(self, kw, match):
-        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
-        with pytest.raises(SolverError, match=match) as err:
-            sdp.solve_ppt_two_outcome(x, 2, 2, **kw)
-        assert err.value.value is None and err.value.gap is None
-
     @pytest.mark.parametrize("da,db", [(0, 2), (-2, -2), (2.0, 2), (True, 4)])
     def test_factor_dimensions_must_be_positive_integers(self, da, db):
         # (0, 2) and (-2, -2) once escaped as numpy's bare ValueError
@@ -291,9 +271,30 @@ class TestObjectiveValidation:
             sdp.solve_ppt_two_outcome(x, da, db)
         assert err.value.value is None and err.value.gap is None
 
+    def test_objective_shape_must_match_the_factors(self):
+        with pytest.raises(SolverError, match=r"objective shape \(4, 4\) != \(6, 6\)"):
+            sdp.solve_ppt_two_outcome(np.eye(4, dtype=complex), 2, 3)
+
+    def test_total_dimension_is_capped(self):
+        # D = 65 is one past the bundled solver's limit
+        with pytest.raises(SolverError, match="total dimension 65 exceeds"):
+            sdp.solve_ppt_two_outcome(np.eye(65, dtype=complex), 5, 13)
+
+    def test_non_hermitian_objective_raises_numeric_error(self):
+        x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
+        x[0, 1] = 1e-3
+        with pytest.raises(NumericError, match="Hermitian"):
+            sdp.solve_ppt_two_outcome(x, 2, 2)
+
+    def test_parameters_are_the_objective_and_its_factors(self):
+        # the gap (TOL.sdp_gap) and iteration cap (_MAX_NEWTON) are
+        # constants, not parameters
+        assert list(inspect.signature(sdp.solve_ppt_two_outcome).parameters) == [
+            "x_mat", "dim_a", "dim_b"]
+
     def test_smallest_valid_parameters_solve(self):
         x = np.diag([0.5, -0.25, 0.25, -0.5]).astype(complex)
-        res = sdp.solve_ppt_two_outcome(x, 2, 2, max_newton=np.int64(800))
+        res = sdp.solve_ppt_two_outcome(x, 2, 2)
         assert res.value == pytest.approx(0.75, abs=1e-6)
 
 
@@ -367,10 +368,12 @@ class TestCertifiedGap:
         assert err.value.value == value
         assert err.value.value - err.value.gap == pytest.approx(primal, abs=1e-12)
 
-    def test_iteration_limit_raises_with_the_last_bound(self):
+    def test_iteration_limit_raises_with_the_last_bound(self, monkeypatch):
         x, da, db = werner(3)
-        with pytest.raises(SolverError, match="within 3 iterations") as err:
-            sdp.solve_ppt_two_outcome(x, da, db, max_newton=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_MAX_NEWTON", 3)
+            with pytest.raises(SolverError, match="within 3 iterations") as err:
+                sdp.solve_ppt_two_outcome(x, da, db)
         optimum = sdp.solve_ppt_two_outcome(x, da, db)
         assert err.value.gap > 1e-6
         assert err.value.value >= optimum.value
@@ -418,9 +421,9 @@ class TestCertifiedGap:
 
 
 class TestRelativeGap:
-    # the certified gap is held to gap_tol * max(1, |U(B)|): an objective
+    # the certified gap is held to 1e-6 * max(1, |U(B)|): an objective
     # scaled past trace norm 2 asks for the same relative accuracy, and
-    # the bracket objectives (|U| <= 1) keep the absolute gap_tol
+    # the bracket objectives (|U| <= 1) keep the absolute gap 1e-6
     @pytest.mark.parametrize("scale", [1e3, 1e4])
     def test_scaled_objective_certifies_a_relative_gap(self, scale):
         x, da, db = werner_power(2, 3)
@@ -432,12 +435,13 @@ class TestRelativeGap:
         assert res.value == pytest.approx(
             sdp._dual_bound(scale * x, res.certificate, da, db), rel=1e-14)
 
-    def test_unit_objectives_keep_the_absolute_gap(self):
+    def test_unit_objectives_keep_the_absolute_gap(self, monkeypatch):
         # |U(B)| <= 1, so the last gap of an unfinished solve is still
-        # held to gap_tol itself
+        # held to 1e-6 itself
         x, da, db = werner(3)
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 3)
         with pytest.raises(SolverError, match=r"exceeds 1e-06"):
-            sdp.solve_ppt_two_outcome(x, da, db, max_newton=3)
+            sdp.solve_ppt_two_outcome(x, da, db)
 
 
 def swap_mixture(c, a, real):
@@ -947,8 +951,9 @@ class TestCertificateReuse:
         # three iterations end before <S, Z> reaches the tolerance, so no
         # gap check ran: the one call is the certificate of the error
         calls = self.recorded(monkeypatch)
+        monkeypatch.setattr(sdp, "_MAX_NEWTON", 3)
         with pytest.raises(SolverError, match="within 3 iterations") as err:
-            sdp.solve_ppt_two_outcome(*werner(3), max_newton=3)
+            sdp.solve_ppt_two_outcome(*werner(3))
         assert len(calls) == 1
         assert err.value.value == calls[0][1]
 
@@ -980,7 +985,7 @@ class TestPinnedSolves:
         res = sdp.solve_ppt_two_outcome(*inp)
         assert res.value >= value - gap
         assert res.primal <= value
-        # the stop at gap_tol / 10 gives a tighter bound than the barrier's
+        # the stop at a gap of 1e-7 gives a tighter bound than the barrier's
         assert res.value < value and res.gap <= 1e-7
 
 

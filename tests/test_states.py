@@ -242,6 +242,15 @@ class TestSchmidtSpectrum:
         with pytest.raises(SpecError):
             SchmidtSpectrum(values=((0.5, 1), (0.25, 1)))
 
+    @pytest.mark.parametrize("values,match", [
+        ((), "at least one value"),
+        (((1.5, 1), (-0.5, 1)), "probability -0.5 < 0"),
+        (((1.0, 1), (0.5, 0)), "multiplicity 0 < 1"),
+    ], ids=["empty", "negative", "multiplicity-0"])
+    def test_malformed_values_rejected(self, values, match):
+        with pytest.raises(SpecError, match=match):
+            SchmidtSpectrum(values=values)
+
     @pytest.mark.parametrize("values", [
         ((math.nan, 1), (0.5, 1)),
         ((0.5, 1), (math.nan, 1)),
