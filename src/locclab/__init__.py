@@ -5,9 +5,10 @@ Layers, bottom up:
 
 - qmat: labeled tensor-factor density operators, partial trace and
   transpose, trace norm, fidelity, entropy, JSON round-trip.
-- states: the concrete state families (symmetric/antisymmetric hiding
-  pairs, the tunable near-product entangled psi, maximally entangled
-  resources, random separable samples).
+- states: the concrete state families as density operators
+  (symmetric/antisymmetric hiding pairs, the tunable near-product
+  entangled psi, maximally entangled resources, random separable
+  samples).
 - distinguish: Helstrom optimum, one-way LOCC protocols (certified
   lower bounds), a bundled interior-point SDP for the PPT relaxation
   (certified upper bounds), and the closed-form bound chain combining
@@ -27,7 +28,7 @@ from .errors import (CatalystViolation, ChannelError, ConfigError,
                      SpecError)
 from .tolerances import TOL, Tolerances
 from .seeding import rng_from, seed_sequence
-from .qmat import (DensityOperator, Operator, PureState, TensorLayout,
+from .qmat import (DensityOperator, Operator, TensorLayout,
                    fidelity, operator_from_json, operator_to_json,
                    partial_trace, partial_transpose, permute, relabel,
                    tensor, trace_norm, von_neumann_entropy)
@@ -63,7 +64,7 @@ __all__ = [
     "LoccLabError", "LayoutError", "NumericError", "SpecError",
     "ChannelError", "ConfigError", "ModeError", "ResourceError",
     "DomainError", "CatalystViolation", "SolverError", "ParseError",
-    "TensorLayout", "Operator", "DensityOperator", "PureState",
+    "TensorLayout", "Operator", "DensityOperator",
     "tensor", "permute", "relabel", "partial_trace", "partial_transpose",
     "trace_norm", "fidelity", "von_neumann_entropy",
     "operator_to_json", "operator_from_json",

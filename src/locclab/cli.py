@@ -413,8 +413,7 @@ def cmd_construct(config: ExperimentConfig) -> dict:
         ops = {"sigma0.json": s0, "sigma1.json": s1}
     elif family == "psi":
         _require(params, "lam", "d2")
-        psi = make_psi(PsiSpec(lam=params["lam"], d2=params["d2"]))
-        ops = {"psi.json": psi.to_density()}
+        ops = {"psi.json": make_psi(PsiSpec(lam=params["lam"], d2=params["d2"]))}
     elif family == "rho-pair":
         _require(params, "lam", "d2")
         pair = make_hiding_pair(HidingPairSpec(d=_param(params, "d", 2)))
@@ -423,7 +422,7 @@ def cmd_construct(config: ExperimentConfig) -> dict:
         ops = {"rho0.json": r0, "rho1.json": r1}
     else:
         dim = _param(params, "dim", 2)
-        ops = {"phi.json": make_max_entangled(dim).to_density()}
+        ops = {"phi.json": make_max_entangled(dim)}
     # the operators are built (and their parameters checked) before --out
     # is created, so a rejected run leaves nothing behind
     files = {name: [operator_to_json(op), "\n"] for name, op in ops.items()}

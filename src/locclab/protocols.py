@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import (DomainError, LayoutError, ModeError, ResourceError,
                      SpecError)
-from .qmat import DensityOperator, PureState, TensorLayout, permute, tensor
+from .qmat import DensityOperator, TensorLayout, permute, tensor
 from .seeding import rng_from
 from .states import SchmidtSpectrum
 from .stats import wilson_interval
@@ -118,13 +118,15 @@ class TeleportResult:
 
 
 def teleport(state: DensityOperator, x_label: str,
-             resource: PureState) -> TeleportResult:
+             resource: DensityOperator) -> TeleportResult:
     """Teleport the ``x_label`` factor of ``state`` through ``resource``.
 
-    The resource must be the canonical maximally entangled |phi_L> (up
-    to global phase) on two factors matching the teleported dimension;
-    anything else raises ResourceError. The output carries the factor on
-    the resource's B register, appended after the untouched factors.
+    The resource must be the density |phi_L><phi_L| of the canonical
+    maximally entangled state (``make_max_entangled``) on two factors
+    matching the teleported dimension: its fidelity <phi_L|resource|phi_L>
+    must reach 1 - 1e-10. Any other resource, a mixed one included,
+    raises ResourceError. The output carries the factor on the
+    resource's B register, appended after the untouched factors.
     """
     layout = state.layout
     dim = layout.dim_of(x_label)
@@ -135,19 +137,18 @@ def teleport(state: DensityOperator, x_label: str,
     if da != dim or db != dim:
         raise LayoutError(f"resource dimensions ({da}, {db}) do not match the "
                           f"teleported factor dimension {dim}")
-    amp = resource.amplitudes.reshape(dim, dim)
-    overlap = abs(np.trace(amp)) ** 2 / dim
-    if overlap < 1.0 - 1e-10:
+    phi = np.zeros(dim * dim, dtype=np.complex128)
+    phi[:: dim + 1] = 1.0 / math.sqrt(dim)
+    fid = float((phi @ resource.entries @ phi).real)
+    if fid < 1.0 - 1e-10:
         raise ResourceError("teleportation is defined only for the maximally "
-                            f"entangled resource |phi_{dim}>; overlap^2 = {overlap:.6f}")
+                            f"entangled resource |phi_{dim}>; fidelity = {fid:.6f}")
 
     rest_labels = [lab for lab in layout.labels if lab != x_label]
-    total = tensor(state, resource.to_density())
+    total = tensor(state, resource)
     total = permute(total, [x_label, ra, rb] + rest_labels)
     rest_dim = math.prod(layout.dim_of(lab) for lab in rest_labels)
 
-    phi = np.zeros(dim * dim, dtype=np.complex128)
-    phi[:: dim + 1] = 1.0 / math.sqrt(dim)
     shift = _shift(dim)
     clock = _clock(dim)
     eye_tail = np.eye(dim * rest_dim)

@@ -141,42 +141,10 @@ class DensityOperator(Operator):
             raise NumericError(f"density operator trace {tr} != 1 within {TOL.trace}")
 
 
-@dataclass(frozen=True)
-class PureState:
-    """A normalized state vector with a layout."""
-
-    layout: TensorLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if arr.shape != (self.layout.dim,):
-            raise LayoutError(
-                f"amplitude length {arr.shape[0]} != layout dim {self.layout.dim}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise NumericError("pure-state amplitudes contain non-finite values")
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > TOL.unit_norm:
-            raise NumericError(
-                f"pure state norm {nrm} deviates from 1 beyond {TOL.unit_norm}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    def to_density(self) -> DensityOperator:
-        v = self.amplitudes
-        return DensityOperator(self.layout, np.outer(v, v.conj()))
-
-
 def tensor(a, b):
-    """Tensor product. Operator x Operator -> Operator (Density x Density
-    -> Density), PureState x PureState -> PureState. Layouts concatenate;
-    shared labels raise LayoutError."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        layout = a.layout.concat(b.layout)
-        return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, PureState) or isinstance(b, PureState):
-        raise LayoutError("tensor of a pure state with an operator is not defined; "
-                          "convert with to_density() first")
+    """Tensor product: a DensityOperator when both factors are states, an
+    Operator otherwise. Layouts concatenate; shared labels raise
+    LayoutError."""
     layout = a.layout.concat(b.layout)
     ent = np.kron(a.entries, b.entries)
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
@@ -191,14 +159,9 @@ def permute(m, labels):
     perm = [layout.position(lab) for lab in new_layout.labels]
     k = len(layout.factors)
     dims = layout.dims
-    if isinstance(m, PureState):
-        vec = m.amplitudes.reshape(dims).transpose(perm).reshape(-1)
-        return PureState(new_layout, vec)
     axes = perm + [p + k for p in perm]
     ent = m.entries.reshape(dims + dims).transpose(axes)
-    ent = ent.reshape(new_layout.dim, new_layout.dim)
-    cls = DensityOperator if isinstance(m, DensityOperator) else Operator
-    return cls(new_layout, ent)
+    return type(m)(new_layout, ent.reshape(new_layout.dim, new_layout.dim))
 
 
 def relabel(m, mapping: dict):
@@ -208,11 +171,7 @@ def relabel(m, mapping: dict):
     if unknown:
         raise LayoutError(f"labels {sorted(unknown)} not in layout {layout.labels}")
     factors = tuple((mapping.get(lab, lab), dim) for lab, dim in layout.factors)
-    new_layout = TensorLayout(factors)
-    if isinstance(m, PureState):
-        return PureState(new_layout, m.amplitudes)
-    cls = DensityOperator if isinstance(m, DensityOperator) else Operator
-    return cls(new_layout, m.entries)
+    return type(m)(TensorLayout(factors), m.entries)
 
 
 def partial_trace(m, labels):
@@ -234,9 +193,7 @@ def partial_trace(m, labels):
                + [k + i for i in range(k) if layout.labels[i] not in gone])
     ent = np.einsum(t, row_idx + col_idx, out_idx)
     d = new_layout.dim
-    ent = ent.reshape(d, d)
-    cls = DensityOperator if isinstance(m, DensityOperator) else Operator
-    return cls(new_layout, ent)
+    return type(m)(new_layout, ent.reshape(d, d))
 
 
 def partial_transpose(m, labels) -> Operator:
@@ -262,7 +219,7 @@ def partial_transpose(m, labels) -> Operator:
 
 
 def _as_array(m) -> np.ndarray:
-    if isinstance(m, (Operator, DensityOperator)):
+    if isinstance(m, Operator):
         return m.entries
     arr = np.asarray(m, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -313,11 +270,8 @@ def _fmt17(x: float) -> str:
 
 
 def operator_to_json(m) -> str:
-    """Serialize an Operator/DensityOperator (or a PureState's density)
-    to the canonical JSON form: layout plus row-major [re, im] pairs at
-    17 significant digits."""
-    if isinstance(m, PureState):
-        m = m.to_density()
+    """Serialize an Operator or DensityOperator to the canonical JSON
+    form: layout plus row-major [re, im] pairs at 17 significant digits."""
     layout_part = json.dumps(
         [{"label": lab, "dim": dim} for lab, dim in m.layout.factors],
         separators=(",", ":"))
@@ -329,7 +283,9 @@ def operator_to_json(m) -> str:
 def operator_from_json(text: str, density: bool = True):
     """Parse the canonical JSON operator form.
 
-    Malformed JSON raises :class:`ParseError` carrying the byte offset.
+    Malformed JSON raises :class:`ParseError` carrying the byte offset,
+    and so does a layout factor whose label is not a JSON string or whose
+    dim is not a JSON integer (``2.9``, ``true`` and ``"2"`` included).
     With ``density=True`` the result is validated as a DensityOperator.
     """
     try:
@@ -341,6 +297,11 @@ def operator_from_json(text: str, density: bool = True):
         raise ParseError("operator JSON must have exactly the keys 'layout' and 'entries'")
     try:
         factors = tuple((f["label"], f["dim"]) for f in doc["layout"])
+        for lab, dim in factors:
+            # bool is an int subclass, so the type is compared exactly
+            if not isinstance(lab, str) or type(dim) is not int:
+                raise ParseError(f"layout factor (label {lab!r}, dim {dim!r}) "
+                                 "needs a string label and an integer dim")
         layout = TensorLayout(factors)
         pairs = doc["entries"]
         arr = np.empty(len(pairs), dtype=np.complex128)

@@ -6,6 +6,9 @@
   Schmidt coefficient and a (d2-1)-fold degenerate tail,
 * maximally entangled resource states,
 * a seeded sampler of separable states for bound sanity checks.
+
+Every state is a :class:`DensityOperator`; a pure one is the rank-one
+|v><v| built from its closed-form vector v.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, SpecError
-from .qmat import DensityOperator, PureState, TensorLayout, permute, tensor
+from .qmat import DensityOperator, TensorLayout, permute, tensor
 from .seeding import rng_from
 from .tolerances import TOL
 
@@ -114,9 +117,11 @@ def make_hiding_pair(spec: HidingPairSpec,
     return sigma0, sigma1
 
 
-def make_psi(spec: PsiSpec, labels: tuple[str, str] = ("A2", "B2")) -> PureState:
-    """The near-product state with Schmidt spectrum
-    (lambda, (1-lambda)/(d2-1) x (d2-1))."""
+def make_psi(spec: PsiSpec, labels: tuple[str, str] = ("A2", "B2"),
+             ) -> DensityOperator:
+    """|psi><psi| for the near-product state with Schmidt spectrum
+    (lambda, (1-lambda)/(d2-1) x (d2-1)), built as the outer product of
+    its closed-form vector."""
     d2 = spec.d2
     amp = np.zeros(d2 * d2, dtype=np.complex128)
     amp[0] = math.sqrt(spec.lam)
@@ -124,7 +129,7 @@ def make_psi(spec: PsiSpec, labels: tuple[str, str] = ("A2", "B2")) -> PureState
     for i in range(1, d2):
         amp[i * d2 + i] = tail
     layout = TensorLayout(((labels[0], d2), (labels[1], d2)))
-    return PureState(layout, amp)
+    return DensityOperator(layout, np.outer(amp, amp.conj()))
 
 
 def psi_spectrum(spec: PsiSpec) -> SchmidtSpectrum:
@@ -172,22 +177,23 @@ def check_psi_conditions(spec: PsiSpec, d1: int, eps_prime: float) -> PsiConditi
 
 
 def make_rho_pair(hiding: tuple[DensityOperator, DensityOperator],
-                  psi: PureState) -> tuple[DensityOperator, DensityOperator]:
-    """Attach the same entangled psi to both hiding states:
-    rho_i = sigma_i (x) |psi><psi|."""
-    psi_rho = psi.to_density()
-    return tensor(hiding[0], psi_rho), tensor(hiding[1], psi_rho)
+                  psi: DensityOperator) -> tuple[DensityOperator, DensityOperator]:
+    """Attach the same state psi (``make_psi``'s |psi><psi|) to both
+    hiding states: rho_i = sigma_i (x) psi."""
+    return tensor(hiding[0], psi), tensor(hiding[1], psi)
 
 
-def make_max_entangled(dim: int, labels: tuple[str, str] = ("Ap", "Bp")) -> PureState:
-    """|phi_L> = L^{-1/2} sum_i |ii> on the two named registers."""
+def make_max_entangled(dim: int, labels: tuple[str, str] = ("Ap", "Bp"),
+                       ) -> DensityOperator:
+    """|phi_L><phi_L| for |phi_L> = L^{-1/2} sum_i |ii> on the two named
+    registers, built as the outer product of its closed-form vector."""
     if dim < 1:
         raise SpecError(f"maximally entangled dimension must be >= 1, got {dim}")
     amp = np.zeros(dim * dim, dtype=np.complex128)
     for i in range(dim):
         amp[i * dim + i] = 1.0 / math.sqrt(dim)
     layout = TensorLayout(((labels[0], dim), (labels[1], dim)))
-    return PureState(layout, amp)
+    return DensityOperator(layout, np.outer(amp, amp.conj()))
 
 
 def _haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,8 +16,6 @@ class Tolerances:
     psd: float = 1e-9
     # |Tr(rho) - 1| accepted as unit trace
     trace: float = 1e-10
-    # |  ||v||_2 - 1 | accepted as a normalized pure state
-    unit_norm: float = 1e-12
     # POVM completeness: max entrywise |sum_i M_i - I|
     povm_sum: float = 1e-9
     # Schmidt spectrum normalization |sum p*m - 1|

@@ -255,7 +255,35 @@ class TestEntropyCommand:
         assert loose["near_product"]
 
 
+CONSTRUCTED = {
+    "psi": (["--lambda", "0.7", "--d2", "3"], {
+        "psi.json":
+        "300a4375cb12961cc9e8cabc602f8066cd269af4f403c059ccf7154f5daf7ae1"}),
+    "rho-pair": (["--lambda", "0.9", "--d2", "2", "--d", "3"], {
+        "rho0.json":
+        "c33776c8ed119c492ab1a436bdcab131f099943b402e9f79425dbe426e640966",
+        "rho1.json":
+        "96abd6b86be9d53abf7ce8e9a851f7fcfda42a945fbb044e718bf5aab0b860cc"}),
+    "max-entangled": (["--dim", "4"], {
+        "phi.json":
+        "516a61a4c764a1c6c5d7062653f8e3ffde1d3ccac6c91a19d2ca59ad7d02d568"}),
+    "werner": (["--d", "3"], {
+        "sigma0.json":
+        "09fcc541326de40434f57e6213fa626e76e911924309d1ef1b0e3945eb5c7d01",
+        "sigma1.json":
+        "478b0e73de3a5117ffa37a96b3880d71171f4f55a3085fc5779b45ce4827c00b"}),
+}
+
+
 class TestConstructCommand:
+    @pytest.mark.parametrize("family", sorted(CONSTRUCTED))
+    def test_artifact_digests(self, capsys, tmp_path, family):
+        flags, digests = CONSTRUCTED[family]
+        run_json(capsys, "construct", "--family", family, *flags,
+                 "--out", str(tmp_path))
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
     def test_psi_artifacts_and_manifest(self, capsys, tmp_path):
         report = run_json(capsys, "construct", "--family", "psi",
                           "--lambda", "0.5", "--d2", "2",
@@ -980,6 +1008,15 @@ class TestErrorSurface:
                         "--state1", str(bad))
         assert err["type"] == "ParseError"
         assert err["offset"] == len('{"layout": "\u03c8",'.encode("utf-8"))
+
+    def test_state_file_layout_dim_must_be_an_integer(self, capsys, tmp_path):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"layout": [{"label": "A1", "dim": true}], '
+                       '"entries": [[1.0, 0.0]]}')
+        err = run_error(capsys, "helstrom", "--state0", str(bad),
+                        "--state1", str(bad))
+        assert err["type"] == "ParseError"
+        assert "integer dim" in err["message"]
 
     def test_state_file_is_a_directory(self, capsys, tmp_path):
         err = run_error(capsys, "helstrom", "--state0", str(tmp_path),

@@ -102,6 +102,20 @@ class TestTeleport:
         with pytest.raises(ResourceError):
             teleport(state, "X", skew)
 
+    def test_mixed_resource(self):
+        # (|00><00| + |11><11|)/2 has fidelity 1/2 with |phi_2>
+        state = DensityOperator(TensorLayout((("X", 2),)), np.eye(2) / 2)
+        classical = DensityOperator(TensorLayout((("Ap", 2), ("Bp", 2))),
+                                    np.diag([0.5, 0.0, 0.0, 0.5]))
+        with pytest.raises(ResourceError, match="fidelity = 0.500000"):
+            teleport(state, "X", classical)
+
+    def test_one_factor_resource(self):
+        state = DensityOperator(TensorLayout((("X", 2),)), np.eye(2) / 2)
+        single = DensityOperator(TensorLayout((("Ap", 4),)), np.eye(4) / 4)
+        with pytest.raises(LayoutError, match="exactly two factors"):
+            teleport(state, "X", single)
+
     def test_random_states_exact(self):
         rng = np.random.default_rng(42)
         for dim in (2, 3):
@@ -117,10 +131,10 @@ class TestTeleport:
         # teleporting one half of an entangled state must carry the
         # correlations along, not just the marginal
         phi = make_max_entangled(2, labels=("X", "K"))
-        out = teleport(phi.to_density(), "X", make_max_entangled(2)).state
+        out = teleport(phi, "X", make_max_entangled(2)).state
         assert set(out.layout.labels) == {"K", "Bp"}
         aligned = permute(out, ("K", "Bp")) if out.layout.labels != ("K", "Bp") else out
-        np.testing.assert_allclose(aligned.entries, phi.to_density().entries,
+        np.testing.assert_allclose(aligned.entries, phi.entries,
                                    atol=1e-12)
 
 

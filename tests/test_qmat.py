@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import locclab
+from locclab import qmat
 from locclab import (
     DensityOperator,
     LayoutError,
     NumericError,
     Operator,
-    PureState,
+    ParseError,
     TensorLayout,
     fidelity,
     operator_from_json,
@@ -284,11 +287,6 @@ class TestJsonRoundTrip:
         np.testing.assert_array_equal(back.entries, m.entries)
         assert operator_to_json(back) == text
 
-    def test_pure_state_is_written_as_its_density(self):
-        v = PureState(AB22, (np.kron(ket(0), ket(0)) + np.kron(ket(1), ket(1)))
-                      / math.sqrt(2))
-        assert operator_to_json(v) == operator_to_json(v.to_density())
-
     def test_non_density_path(self):
         op = Operator(A2, np.diag([3.0, -4.0]))
         back = operator_from_json(operator_to_json(op), density=False)
@@ -301,6 +299,24 @@ class TestJsonRoundTrip:
         back = operator_from_json(operator_to_json(m))
         assert back.entries[0, 0].real == 1.0 / 3.0
         assert back.entries[1, 1].real == 2.0 / 3.0
+
+
+class TestJsonLayoutTypes:
+    # a layout factor is read as written, with no int() or str()
+    # coercion; each file below would parse as a valid one-factor state
+    # of dimension ``dim`` if it were coerced
+    @pytest.mark.parametrize("factor, dim", [
+        ({"label": "A1", "dim": 2.9}, 2),
+        ({"label": "A1", "dim": True}, 1),
+        ({"label": "A1", "dim": "2"}, 2),
+        ({"label": 7, "dim": 2}, 2),
+    ], ids=["float-dim", "bool-dim", "string-dim", "int-label"])
+    def test_malformed_factor_is_a_parse_error(self, factor, dim):
+        entries = [[1.0 / dim if i == j else 0.0, 0.0]
+                   for i in range(dim) for j in range(dim)]
+        text = json.dumps({"layout": [factor], "entries": entries})
+        with pytest.raises(ParseError, match="string label and an integer dim"):
+            operator_from_json(text)
 
 
 class TestLayoutAndPermute:
@@ -325,34 +341,27 @@ class TestLayoutAndPermute:
         assert renamed.layout.labels == ("A1", "B9")
         np.testing.assert_array_equal(renamed.entries, bell_density().entries)
 
+    @pytest.mark.parametrize("kind", [Operator, DensityOperator])
+    def test_rebuilds_keep_the_kind(self, kind):
+        m = kind(AB22, bell_density().entries)
+        for out in (permute(m, ("B1", "A1")), relabel(m, {"B1": "B9"}),
+                    partial_trace(m, {"B1"})):
+            assert type(out) is kind
 
-class TestPureState:
-    def test_tensor_of_pure_states(self):
-        v = tensor(PureState(A2, ket(0)), PureState(B2, ket(1)))
-        assert isinstance(v, PureState) and v.layout == AB22
-        np.testing.assert_array_equal(v.amplitudes, np.kron(ket(0), ket(1)))
 
-    @pytest.mark.parametrize("pure_first", [True, False])
-    def test_tensor_with_an_operator_is_refused(self, pure_first):
-        pure = PureState(A2, ket(0))
-        rho = DensityOperator(B2, np.eye(2) / 2)
-        args = (pure, rho) if pure_first else (rho, pure)
-        with pytest.raises(LayoutError, match="to_density"):
-            tensor(*args)
+def test_one_state_type():
+    # every public class locclab.qmat defines is exported, and these are
+    # all of them: a pure state is the DensityOperator |v><v|, with no
+    # state-vector type beside it
+    def classes(names, space):
+        return sorted(name for name in names
+                      if isinstance(space[name], type)
+                      and space[name].__module__ == "locclab.qmat")
 
-    def test_permute_reorders_amplitudes(self):
-        v = PureState(AB22, np.kron(ket(0), ket(1)))
-        swapped = permute(v, ("B1", "A1"))
-        assert isinstance(swapped, PureState)
-        assert swapped.layout.labels == ("B1", "A1")
-        np.testing.assert_array_equal(swapped.amplitudes, np.kron(ket(1), ket(0)))
-
-    def test_relabel_keeps_amplitudes(self):
-        v = PureState(AB22, np.kron(ket(0), ket(1)))
-        renamed = relabel(v, {"A1": "A9"})
-        assert isinstance(renamed, PureState)
-        assert renamed.layout.labels == ("A9", "B1")
-        np.testing.assert_array_equal(renamed.amplitudes, v.amplitudes)
+    exported = classes(locclab.__all__, vars(locclab))
+    defined = classes([name for name in vars(qmat) if not name.startswith("_")],
+                      vars(qmat))
+    assert exported == defined == ["DensityOperator", "Operator", "TensorLayout"]
 
 
 def test_density_operator_invariants_enforced():
@@ -362,11 +371,6 @@ def test_density_operator_invariants_enforced():
         DensityOperator(A2, np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not Hermitian
     with pytest.raises(Exception):
         DensityOperator(A2, np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-def test_pure_state_norm_enforced():
-    with pytest.raises(Exception):
-        PureState(A2, np.array([1.0, 1.0]))
 
 
 def test_spectral_reconstruction_accuracy():

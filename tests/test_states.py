@@ -71,31 +71,30 @@ class TestHidingPair:
 
 class TestMakePsi:
     def test_bell_case(self):
-        psi = make_psi(PsiSpec(lam=0.5, d2=2))
-        rho = psi.to_density()
+        rho = make_psi(PsiSpec(lam=0.5, d2=2))
         marg = partial_trace(rho, {"B2"})
         assert von_neumann_entropy(marg) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_spectrum_case(self):
         for d2 in (2, 4, 5):
             psi = make_psi(PsiSpec(lam=1.0 / d2, d2=d2))
-            marg = partial_trace(psi.to_density(), {"B2"})
+            marg = partial_trace(psi, {"B2"})
             assert von_neumann_entropy(marg) == pytest.approx(
                 math.log2(d2), abs=1e-10)
 
     def test_overlap_with_00(self):
         psi = make_psi(PsiSpec(lam=0.9, d2=5))
-        assert abs(psi.amplitudes[0]) ** 2 == pytest.approx(0.9, abs=1e-12)
+        assert abs(psi.entries[0, 0]) == pytest.approx(0.9, abs=1e-12)
 
     def test_point_nine_example(self):
         spec = PsiSpec(lam=0.9, d2=5)
         psi = make_psi(spec)
-        marg = partial_trace(psi.to_density(), {"B2"})
+        marg = partial_trace(psi, {"B2"})
         assert von_neumann_entropy(marg) == pytest.approx(0.669, abs=1e-3)
         # trace distance to |00><00| for pure states: 2 sqrt(1 - lambda)
         product = np.zeros((25, 25), dtype=np.complex128)
         product[0, 0] = 1.0
-        dist = trace_norm(psi.to_density().entries - product)
+        dist = trace_norm(psi.entries - product)
         assert dist == pytest.approx(2 * math.sqrt(0.1), abs=1e-10)
         assert psi_product_distance(spec) == pytest.approx(dist, abs=1e-10)
 
@@ -105,7 +104,7 @@ class TestMakePsi:
             lam = float(rng.uniform(0.05, 0.95))
             d2 = int(rng.integers(2, 7))
             spec = PsiSpec(lam=lam, d2=d2)
-            marg = partial_trace(make_psi(spec).to_density(), {"B2"})
+            marg = partial_trace(make_psi(spec), {"B2"})
             assert von_neumann_entropy(marg) == pytest.approx(
                 closed_form_entropy(lam, d2), abs=1e-10)
             assert psi_marginal_entropy(spec) == pytest.approx(
@@ -165,7 +164,7 @@ class TestRhoPair:
         psi = make_psi(PsiSpec(lam=0.7, d2=3))
         for rho in make_rho_pair(pair, psi):
             marg = partial_trace(rho, {"A1", "B1"})
-            np.testing.assert_allclose(marg.entries, psi.to_density().entries,
+            np.testing.assert_allclose(marg.entries, psi.entries,
                                        atol=1e-12)
 
     def test_dimensions_and_validity(self):
@@ -182,13 +181,13 @@ class TestRhoPair:
 class TestMaxEntangled:
     def test_dim_one(self):
         phi = make_max_entangled(1)
-        assert phi.amplitudes.shape == (1,)
-        assert abs(abs(phi.amplitudes[0]) - 1.0) < 1e-12
+        assert phi.entries.shape == (1, 1)
+        assert abs(abs(phi.entries[0, 0]) - 1.0) < 1e-12
 
     def test_entropies(self):
         for dim, bits in ((2, 1.0), (4, 2.0)):
             phi = make_max_entangled(dim)
-            marg = partial_trace(phi.to_density(), {phi.layout.labels[1]})
+            marg = partial_trace(phi, {phi.layout.labels[1]})
             assert von_neumann_entropy(marg) == pytest.approx(bits, abs=1e-12)
             np.testing.assert_allclose(marg.entries, np.eye(dim) / dim,
                                        atol=1e-12)
@@ -196,6 +195,27 @@ class TestMaxEntangled:
     def test_invalid_dim(self):
         with pytest.raises(SpecError):
             make_max_entangled(0)
+
+
+class TestRankOneStates:
+    # a pure state is the DensityOperator np.outer(v, v*) of its
+    # closed-form vector v, entry for entry
+    @pytest.mark.parametrize("lam, d2", [(0.5, 2), (0.7, 3), (0.999, 4)])
+    def test_psi(self, lam, d2):
+        v = np.zeros(d2 * d2, dtype=np.complex128)
+        v[0] = math.sqrt(lam)
+        v[d2 + 1::d2 + 1] = math.sqrt((1.0 - lam) / (d2 - 1))
+        psi = make_psi(PsiSpec(lam=lam, d2=d2))
+        assert type(psi) is DensityOperator
+        np.testing.assert_array_equal(psi.entries, np.outer(v, v.conj()))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_max_entangled(self, dim):
+        v = np.zeros(dim * dim, dtype=np.complex128)
+        v[::dim + 1] = 1.0 / math.sqrt(dim)
+        phi = make_max_entangled(dim)
+        assert type(phi) is DensityOperator
+        np.testing.assert_array_equal(phi.entries, np.outer(v, v.conj()))
 
 
 class TestSampleSeparable:
