@@ -22,6 +22,11 @@ from .errors import LayoutError, NumericError, ParseError
 from .tolerances import TOL
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bool is an int subclass but no dimension."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TensorLayout:
     """Ordered (label, dimension) factors of a tensor-product space."""
@@ -29,6 +34,10 @@ class TensorLayout:
     factors: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        for lab, dim in self.factors:
+            if not isinstance(lab, str) or not _is_integer(dim):
+                raise LayoutError(f"factor (label {lab!r}, dim {dim!r}) needs "
+                                  "a string label and an integer dimension")
         factors = tuple((str(lab), int(dim)) for lab, dim in self.factors)
         object.__setattr__(self, "factors", factors)
         labels = [lab for lab, _ in factors]

@@ -194,10 +194,15 @@ No external solver is used; numpy/scipy provide dense linear algebra
 only. The Newton system's dpotrf/dpotrs are the package's only scipy
 calls (the closure uses numpy alone). ``_load_lapack`` binds them once,
 at the first solve, not with this module, so a process that never
-solves loads no scipy. The batched eigensolves and Cholesky factors of
-the iteration and the closure call the LAPACK gufuncs that numpy.linalg
-itself calls (numpy.linalg._umath_linalg's eigh_lo, eigvalsh_lo and
-cholesky_lo, through ``_eigh``, ``_eigvalsh`` and ``_cholesky``): at the
+solves loads no scipy. It takes them from scipy's compiled LAPACK
+module ``scipy.linalg._flapack`` and never runs the ``scipy.linalg``
+package init, which costs more than a small bracket; they are the
+routine objects ``scipy.linalg.lapack`` re-exports, so every solve gives
+the same bits. For the same reason the batched eigensolves and
+Cholesky factors of the iteration and the closure call the LAPACK
+gufuncs that numpy.linalg itself calls (numpy.linalg._umath_linalg's
+eigh_lo, eigvalsh_lo and cholesky_lo, through ``_eigh``, ``_eigvalsh``
+and ``_cholesky``): at the
 solver's block sizes numpy.linalg's wrapper (dtype checks, an errstate
 per call) costs about as many Python calls as the rest of an iteration,
 and the same gufunc gives the same bits. A failed factorization or
@@ -213,7 +218,11 @@ D = 64 for the complex field, and 16 times that at D = 128.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -898,16 +907,33 @@ def _chol_blocks(m: np.ndarray, mt: np.ndarray, eye: np.ndarray, z: np.ndarray):
     return chols if np.isfinite(chols).all() else None
 
 
-# LAPACK's Cholesky factor and solve through scipy. They are module
-# attributes, so that a caller can wrap them, and ``_load_lapack`` binds
-# them at the first solve, so that importing this module loads no scipy.
+# LAPACK's Cholesky factor and solve, from scipy's compiled LAPACK module.
+# They are module attributes, so that a caller can wrap them, and
+# ``_load_lapack`` binds them at the first solve, so that importing this
+# module loads no scipy. It loads that extension module alone, as the
+# iteration calls numpy's ``_umath_linalg`` gufuncs without their
+# wrapper: the ``scipy.linalg`` package init costs more than a small
+# bracket, and the routines are the objects ``scipy.linalg.lapack``
+# re-exports.
 def _load_lapack() -> None:
-    """Bind ``dpotrf`` and ``dpotrs`` to scipy's routines unless they are
-    bound already (a wrapped routine stays)."""
+    """Bind ``dpotrf`` and ``dpotrs`` to the routines of
+    ``scipy.linalg._flapack`` unless they are bound already (a wrapped
+    routine stays). The extension is reused when ``sys.modules`` holds
+    it; otherwise only the top-level ``scipy`` package is imported, and
+    the extension is loaded from its ``linalg`` directory and registered
+    under its own name, so a later ``import scipy.linalg`` shares it."""
     if "dpotrs" not in globals():
-        from scipy.linalg import lapack
-        globals().setdefault("dpotrf", lapack.dpotrf)
-        globals().setdefault("dpotrs", lapack.dpotrs)
+        name = "scipy.linalg._flapack"
+        flapack = sys.modules.get(name)
+        if flapack is None:
+            import scipy
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+            flapack = importlib.util.module_from_spec(spec)
+            sys.modules[name] = flapack
+            spec.loader.exec_module(flapack)
+        globals().setdefault("dpotrf", flapack.dpotrf)
+        globals().setdefault("dpotrs", flapack.dpotrs)
 
 
 def _newton_factor(hess: np.ndarray, factor: np.ndarray):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, SpecError
-from .qmat import DensityOperator, TensorLayout, permute, tensor
+from .qmat import DensityOperator, TensorLayout, _is_integer, permute, tensor
 from .seeding import rng_from
 from .tolerances import TOL
 
@@ -56,6 +56,9 @@ class SchmidtSpectrum:
     values: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
+        for _, m in self.values:
+            if not _is_integer(m):
+                raise SpecError(f"spectrum multiplicity {m!r} is not an integer")
         vals = tuple((float(p), int(m)) for p, m in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:

@@ -324,6 +324,23 @@ class TestLayoutAndPermute:
         with pytest.raises(LayoutError):
             TensorLayout((("A1", 2), ("A1", 2)))
 
+    # coerced, the first layout would read as (("7", 2), ("B", 1))
+    @pytest.mark.parametrize("factors", [
+        ((7, 2.9), ("B", True)),
+        (("A", 2.9),),
+        (("A", True),),
+        ((7, 2),),
+    ], ids=["int-label-float-dim-bool-dim", "float-dim", "bool-dim",
+            "int-label"])
+    def test_factor_types_are_not_coerced(self, factors):
+        with pytest.raises(LayoutError, match="string label and an integer"):
+            TensorLayout(factors)
+
+    def test_numpy_integer_dims_accepted(self):
+        layout = TensorLayout((("A", np.int64(3)), ("B", np.int32(2))))
+        assert layout.factors == (("A", 3), ("B", 2))
+        assert all(type(dim) is int for dim in layout.dims)
+
     def test_permute_swaps_factors(self):
         rng = np.random.default_rng(50)
         a = DensityOperator(A2, random_density(rng, 2))

@@ -271,6 +271,20 @@ class TestSchmidtSpectrum:
         with pytest.raises(SpecError, match=match):
             SchmidtSpectrum(values=values)
 
+    # read as 2 and 1, each multiplicity would give a mass of exactly 1
+    @pytest.mark.parametrize("values", [
+        ((0.5, 2.7),),
+        ((0.5, True), (0.5, 1)),
+    ], ids=["float", "bool"])
+    def test_multiplicity_is_not_coerced(self, values):
+        with pytest.raises(SpecError, match="is not an integer"):
+            SchmidtSpectrum(values=values)
+
+    def test_numpy_integer_multiplicity_accepted(self):
+        spec = SchmidtSpectrum(values=((0.5, np.int64(1)), (0.25, np.int32(2))))
+        assert spec.values == ((0.5, 1), (0.25, 2))
+        assert spec.num_labels == 3
+
     @pytest.mark.parametrize("values", [
         ((math.nan, 1), (0.5, 1)),
         ((0.5, 1), (math.nan, 1)),
