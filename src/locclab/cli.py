@@ -39,14 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .distinguish import _same_layout, bound_bracket
 from .errors import ConfigError, LoccLabError, ParseError
 from .game import (DetectionConfig, IIDStrategy, RateEstimate, TrialArrays,
                    azuma_bound, default_detection_oracle, hoeffding_bound,
                    memory_block_strategy, min_rounds, play_trial)
 from .protocols import _law_columns, _use_exact, concentration_success_prob
-from .qmat import (DensityOperator, TensorLayout, _fmt17, operator_from_json,
-                   operator_to_json, trace_norm)
+from .qmat import (DensityOperator, TensorLayout, _fmt17, _same_layout,
+                   operator_from_json, operator_to_json, trace_norm)
 from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, make_psi,
                      make_rho_pair, psi_product_distance, psi_spectrum)
@@ -218,19 +217,26 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
     raise ConfigError("give --state0/--state1 files or --family")
 
 
-def _make_strategy(params: dict):
-    """The --protocol strategy and the manifest entries of the substreams
-    that building it drew: a memory-block strategy that samples its block
-    law draws one, off root 0 whatever --seed is."""
+def _make_strategy(params: dict, seed: int):
+    """The --protocol strategy, the manifest entries of the substreams
+    that building it drew, and its entries in the run's report. A
+    memory-block strategy whose block law has too many label types to
+    enumerate samples it from one substream of the --seed root, and the
+    report gives that estimate's 99% Wilson interval and sample count; an
+    exact law draws and adds nothing."""
     if params["protocol"] == "iid":
         _require(params, "p")
-        return IIDStrategy(params["p"]), ()
+        return IIDStrategy(params["p"]), (), {}
     _require(params, "lam", "d2", "n_block")
     strategy = memory_block_strategy(
         _param(params, "d1", 2), PsiSpec(lam=params["lam"], d2=params["d2"]),
-        params["n_block"])
-    return strategy, (() if strategy.block_law_exact
-                      else ("concentration-success.<n>.<samples>",))
+        params["n_block"], seed)
+    est = strategy.block_estimate
+    if est.exact:
+        return strategy, (), {}
+    return strategy, ("concentration-success.<n>.<samples>",), {
+        "block_success_ci": [est.ci_low, est.ci_high],
+        "block_success_samples": est.samples}
 
 
 def _ci_json(successes: int, trials: int) -> list[float] | None:
@@ -373,6 +379,9 @@ def cmd_helstrom(config: ExperimentConfig) -> dict:
 
 
 def cmd_bounds(config: ExperimentConfig) -> dict:
+    # the one command that solves loads the solver layer, and only it
+    from .distinguish import bound_bracket
+
     rho0, rho1, inputs = _load_pair(config.params)
     bracket = bound_bracket(rho0, rho1)
     report = {
@@ -469,7 +478,7 @@ def cmd_concentrate(config: ExperimentConfig) -> dict:
 
 def cmd_simulate(config: ExperimentConfig) -> dict:
     params = config.params
-    strategy, streams = _make_strategy(params)
+    strategy, streams, block = _make_strategy(params, config.seed)
     rounds = _count(params, "rounds")
     trials = _count(params, "trials")
 
@@ -490,6 +499,7 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
         # independent rounds (the iid protocol)
         "pooled_rounds": trials * rounds,
         "mean_rate_ci": _ci_json(sum(scores), trials * rounds),
+        **block,
         **written,
     }
 
@@ -542,7 +552,7 @@ def cmd_detect(config: ExperimentConfig) -> dict:
 
 def cmd_rate(config: ExperimentConfig) -> dict:
     params = config.params
-    strategy, streams = _make_strategy(params)
+    strategy, streams, block = _make_strategy(params, config.seed)
     r = params["r"]
     if not 0.0 <= r <= 1.0:
         raise ConfigError(f"--r must lie in [0, 1], got {r}")
@@ -569,6 +579,7 @@ def cmd_rate(config: ExperimentConfig) -> dict:
         "success_ci": [_ci_json(h, trials) for h in hits],
         "trials": trials,
         "protocol_id": strategy.protocol_id,
+        **block,
         **written,
     }
 

@@ -37,17 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChannelError, ConfigError, LayoutError, NumericError, SpecError
-from .qmat import DensityOperator, Operator, permute, trace_norm
+from .qmat import DensityOperator, Operator, _same_layout, permute, trace_norm
 from .sdp import SDPResult, solve_ppt_two_outcome
 from .tolerances import TOL
-
-
-def _same_layout(rho0: DensityOperator, rho1: DensityOperator) -> None:
-    """Raise LayoutError unless both states have the same (label, dim)
-    factors."""
-    if rho0.layout != rho1.layout:
-        raise LayoutError(
-            f"state layouts differ: {rho0.layout.factors} vs {rho1.layout.factors}")
 
 
 def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> float:

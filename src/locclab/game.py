@@ -222,12 +222,14 @@ class MemoryBlockStrategy(Strategy):
     the exact probability that the Schmidt-type measurement yields at
     least n_block log2(d1) bits, recharges the budget for the next
     block, while failure leaves only fair guessing (probability 1/2)
-    for that block.
+    for that block. A block law with too many label types to enumerate
+    is sampled, from the ``concentration-success`` substream of root
+    ``seed``, and the strategy keeps that estimate in ``block_estimate``.
     """
 
     protocol_id = "memory-block"
 
-    def __init__(self, d1: int, psi_spec: PsiSpec, n_block: int):
+    def __init__(self, d1: int, psi_spec: PsiSpec, n_block: int, seed: int = 0):
         if d1 < 2:
             raise SpecError(f"d1 must be >= 2, got {d1}")
         if n_block < 1:
@@ -243,9 +245,9 @@ class MemoryBlockStrategy(Strategy):
         self.psi_spec = psi_spec
         self.n_block = n_block
         est = concentration_success_prob(
-            psi_spectrum(psi_spec), n_block, n_block * math.log2(d1))
+            psi_spectrum(psi_spec), n_block, n_block * math.log2(d1), seed=seed)
+        self.block_estimate = est  # exact, or sampled off root ``seed``
         self.block_success_prob = est.estimate
-        self.block_law_exact = est.exact  # else sampled off root 0
         self.eps_tilde = 1.0 - est.estimate
         self._rng: np.random.Generator | None = None
         self._block = 0
@@ -298,10 +300,10 @@ def _block_descriptors(size: int, n: int) -> tuple[tuple[str, ...], ...]:
         for budget in ("degraded", "full"))
 
 
-def memory_block_strategy(d1: int, psi_spec: PsiSpec,
-                          n_block: int) -> MemoryBlockStrategy:
+def memory_block_strategy(d1: int, psi_spec: PsiSpec, n_block: int,
+                          seed: int = 0) -> MemoryBlockStrategy:
     """Build the reusable-memory block strategy (see MemoryBlockStrategy)."""
-    return MemoryBlockStrategy(d1, psi_spec, n_block)
+    return MemoryBlockStrategy(d1, psi_spec, n_block, seed)
 
 
 # --- game engine ----------------------------------------------------------

@@ -99,6 +99,14 @@ class TensorLayout:
         return TensorLayout(tuple((lab, self.dim_of(lab)) for lab in labels))
 
 
+def _same_layout(rho0: DensityOperator, rho1: DensityOperator) -> None:
+    """Raise LayoutError unless both states have the same (label, dim)
+    factors."""
+    if rho0.layout != rho1.layout:
+        raise LayoutError(
+            f"state layouts differ: {rho0.layout.factors} vs {rho1.layout.factors}")
+
+
 def _clean_matrix(entries, dim: int) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, order="C")
     if arr.shape != (dim, dim):

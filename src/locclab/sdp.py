@@ -195,12 +195,13 @@ only. The Newton system's dpotrf/dpotrs are the package's only scipy
 calls (the closure uses numpy alone). ``_load_lapack`` binds them once,
 at the first solve, not with this module, so a process that never
 solves loads no scipy. It takes them from scipy's compiled LAPACK
-module ``scipy.linalg._flapack`` and never runs the ``scipy.linalg``
-package init, which costs more than a small bracket; they are the
-routine objects ``scipy.linalg.lapack`` re-exports, so every solve gives
-the same bits. For the same reason the batched eigensolves and
-Cholesky factors of the iteration and the closure call the LAPACK
-gufuncs that numpy.linalg itself calls (numpy.linalg._umath_linalg's
+module ``scipy.linalg._flapack``, found with ``importlib.util.find_spec``
+and loaded on its own: neither the ``scipy.linalg`` package init, which
+costs more than a small bracket, nor the top-level ``scipy`` one runs.
+They are the routine objects ``scipy.linalg.lapack`` re-exports, so
+every solve gives the same bits. For the same reason the batched
+eigensolves and Cholesky factors of the iteration and the closure call
+the LAPACK gufuncs that numpy.linalg itself calls (numpy.linalg._umath_linalg's
 eigh_lo, eigvalsh_lo and cholesky_lo, through ``_eigh``, ``_eigvalsh``
 and ``_cholesky``): at the
 solver's block sizes numpy.linalg's wrapper (dtype checks, an errstate
@@ -919,16 +920,23 @@ def _load_lapack() -> None:
     """Bind ``dpotrf`` and ``dpotrs`` to the routines of
     ``scipy.linalg._flapack`` unless they are bound already (a wrapped
     routine stays). The extension is reused when ``sys.modules`` holds
-    it; otherwise only the top-level ``scipy`` package is imported, and
-    the extension is loaded from its ``linalg`` directory and registered
-    under its own name, so a later ``import scipy.linalg`` shares it."""
+    it; otherwise no scipy package runs: ``find_spec`` locates the
+    ``scipy`` directory without importing it, and the extension is loaded
+    from its ``linalg`` directory and registered under its own name, so a
+    later ``import scipy.linalg`` shares it. Without scipy the first solve
+    raises ModuleNotFoundError."""
     if "dpotrs" not in globals():
         name = "scipy.linalg._flapack"
         flapack = sys.modules.get(name)
         if flapack is None:
-            import scipy
-            spec = importlib.machinery.PathFinder.find_spec(
-                name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+            # scipy's package init (its test utilities pull in subprocess)
+            # costs more than loading the extension; it is not run
+            scipy = importlib.util.find_spec("scipy")
+            spec = scipy and importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(path, "linalg")
+                       for path in scipy.submodule_search_locations])
+            if spec is None:
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
             flapack = importlib.util.module_from_spec(spec)
             sys.modules[name] = flapack
             spec.loader.exec_module(flapack)

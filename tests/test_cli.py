@@ -787,7 +787,7 @@ class TestSeedStreams:
                                     "--samples", "50"],
         "concentrate-exact": [*CONCENTRATE, "--mode", "exact",
                               "--target", "1.0"],
-        # a block law too large to enumerate is sampled, off root 0
+        # a block law too large to enumerate is sampled, off the --seed root
         "simulate-memory-block": ["simulate", *BLOCK24, "--rounds", "30",
                                   "--trials", "2"],
         "rate-memory-block": ["rate", *BLOCK24, "--r", "0.5", "--n-list",
@@ -815,6 +815,39 @@ class TestSeedStreams:
             assert sum(stream_matches(e, labels) for e in entries) == 1, labels
         for entry in entries:
             assert any(stream_matches(entry, labels) for labels in drawn), entry
+
+
+class TestBlockLawSeed:
+    """A block law too large to enumerate is sampled from the --seed root,
+    and the report gives that estimate's interval and sample count."""
+
+    def test_seed_sets_the_recharge_probability(self):
+        spec = locclab.PsiSpec(lam=0.5, d2=8)
+        q = [locclab.memory_block_strategy(2, spec, 24, seed).block_success_prob
+             for seed in (1, 2, 2)]
+        assert q[0] != q[1]
+        assert q[1] == q[2]
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", *BLOCK24, "--rounds", "30", "--trials", "2"],
+        ["rate", *BLOCK24, "--r", "0.5", "--n-list", "24", "--trials", "2"]])
+    def test_reports_follow_the_seed(self, capsys, command):
+        reports = [run_json(capsys, *command, "--seed", seed)
+                   for seed in ("1", "2", "2")]
+        est = locclab.memory_block_strategy(
+            2, locclab.PsiSpec(lam=0.5, d2=8), 24, seed=2).block_estimate
+        cis = [r["block_success_ci"] for r in reports]
+        assert cis[0] != cis[1]
+        assert cis[1] == cis[2] == [est.ci_low, est.ci_high]
+        assert [r["block_success_samples"] for r in reports] == [est.samples] * 3
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", *MB, "--n-block", "4", "--rounds", "8", "--trials", "2"],
+        ["rate", "--protocol", "iid", "--p", "0.6", "--r", "0.5",
+         "--n-list", "4", "--trials", "2"]])
+    def test_exact_or_iid_adds_nothing(self, capsys, command):
+        report = run_json(capsys, *command, "--seed", "3")
+        assert not {"block_success_ci", "block_success_samples"} & set(report)
 
 
 # game commands, with the number of trials each plays

@@ -1,6 +1,6 @@
 """The comparison tools under tools/: the parity panel's ``--compare`` and
-bench_pairs' seed list, on hand-written inputs (no solve, no benchmark
-run)."""
+bench_pairs' seed list and summary, on hand-written inputs (no solve, no
+benchmark run)."""
 
 import importlib.util
 import json
@@ -88,3 +88,21 @@ class TestParseSeeds:
     def test_repeated_or_single_seed(self, text):
         with pytest.raises(bench_pairs.PairError):
             bench_pairs.parse_seeds(text)
+
+
+class TestSummary:
+    def test_wins_split_by_the_side_that_ran_first(self):
+        first = ["parent", "change"] * 3
+        records = {
+            "parent": {"first": first,
+                       "series": {"setup_s": [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]},
+                       "items": {"werner-d2": [1.0] * 6}},
+            "change": {"first": first,
+                       "series": {"setup_s": [1.0, 3.0, 1.0, 1.0, 1.0, 3.0]},
+                       "items": {"werner-d2": [0.5] * 6}},
+        }
+        metric, item = bench_pairs.summary(records)
+        assert metric.endswith("change lower in 4/6 pairs "
+                               "(3/3 parent first, 1/3 change first)")
+        assert metric.startswith("setup_s      parent 2 [2, 2] change 1 [1, ")
+        assert item.endswith("change lower in 6/6")

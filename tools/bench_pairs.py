@@ -145,15 +145,20 @@ def quartiles(values: list[float]) -> str:
 
 def summary(records: dict) -> list[str]:
     """One line per metric: each side's median and quartiles and the pairs
-    where the change is lower; one line per item: the medians."""
+    where the change is lower, in all and split by the side that ran
+    first; one line per item: the medians."""
     parent, change = records["parent"], records["change"]
+    first = parent["first"]
     lines = []
     for name, values in parent["series"].items():
         other = change["series"][name]
-        lower = sum(c < p for p, c in zip(values, other))
+        lower = [c < p for p, c in zip(values, other)]
+        split = ", ".join(
+            f"{sum(w for w, f in zip(lower, first) if f == side)}/"
+            f"{first.count(side)} {side} first" for side in SIDES)
         lines.append(f"{name:<12} parent {quartiles(values)} change "
                      f"{quartiles(other)}  change lower in "
-                     f"{lower}/{len(values)} pairs")
+                     f"{sum(lower)}/{len(values)} pairs ({split})")
     for label, values in parent["items"].items():
         other = change["items"][label]
         lower = sum(c < p for p, c in zip(values, other))
