@@ -60,7 +60,7 @@ _EXPORTS = {
         "BoundBracket", "bound_bracket"),
     "protocols": (
         "TeleportResult", "teleport",
-        "ConcentrationOutcome", "SchmidtTypeState", "SuccessEstimate",
+        "ConcentrationOutcome", "SuccessEstimate",
         "concentration_distribution", "concentration_success_prob",
         "sample_type", "type_log2_dim", "log2_multinomial",
         "FailureExponentFit", "failure_exponent_fit"),
@@ -69,9 +69,9 @@ _EXPORTS = {
         "TrialArrays", "Strategy", "IIDStrategy",
         "HistoryCappedStrategy", "MemoryBlockStrategy", "memory_block_strategy",
         "play_trial", "simulate_ensemble", "RateEstimate", "estimate_rate",
-        "DetectionConfig", "DetectionOracle", "DetectionResult",
-        "DetectionReport", "default_detection_oracle", "detect_catalyst",
-        "detection_accuracy", "min_rounds", "hoeffding_bound", "azuma_bound",
+        "DetectionConfig", "DetectionOracle", "DetectionReport",
+        "default_detection_oracle", "detection_accuracy", "min_rounds",
+        "hoeffding_bound", "azuma_bound",
         "SupermartingaleReport", "check_supermartingale",
         "run_teleport_discrimination"),
     "cli": (),

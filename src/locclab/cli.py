@@ -484,7 +484,7 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, strategy.protocol_id, rounds,
-        (play_trial(strategy, None, rounds, config.seed, stream=("trial", t))
+        (play_trial(strategy, rounds, config.seed, stream=("trial", t))
          for t in range(trials)),
         seed_streams=streams + _trial_streams("trial.<t>"))
     rates = [score / rounds for score in scores]
@@ -523,7 +523,7 @@ def cmd_detect(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, "detect-" + mode, det_config.n,
-        (play_trial(oracle.strategy_for(worlds[t % 2]), None, det_config.n,
+        (play_trial(oracle.strategy_for(worlds[t % 2]), det_config.n,
                     config.seed, stream=("trial", t, "detect", worlds[t % 2]))
          for t in range(trials)),
         guess=guess,
@@ -566,7 +566,7 @@ def cmd_rate(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, strategy.protocol_id, n_list[-1],
-        (play_trial(strategy, None, n, config.seed, stream=("rate", n, t))
+        (play_trial(strategy, n, config.seed, stream=("rate", n, t))
          for n in n_list for t in range(trials)),
         seed_streams=streams + _trial_streams("rate.<n>.<t>"))
     # scores come checkpoint by checkpoint, ``trials`` of each

@@ -47,8 +47,12 @@ round-by-round transcripts exactly and the first k rows of an ensemble
 are the k-trial ensemble.
 
 Also here: threshold detection with its Hoeffding and Azuma tails, and
-the supermartingale drift audit; rate and detection estimates carry 99%
-Wilson intervals (``locclab.stats``).
+the supermartingale drift audit of a ``simulate_ensemble`` matrix; rate
+and detection estimates carry 99% Wilson intervals (``locclab.stats``).
+Each law has one path: ``DetectionConfig.guess`` is the threshold rule,
+which ``detection_accuracy`` applies to an ensemble per world and the
+CLI's ``detect`` to each trial it plays, and a strategy reads nothing
+but its success uniforms and its own stream.
 """
 
 from __future__ import annotations
@@ -85,17 +89,18 @@ class Strategy(ABC):
     """Per-round success-probability oracle with owned memory state.
 
     Strategies learn outcomes only through ``observe`` (match or not);
-    the referee bit never reaches them. Subclasses with ``catalytic``
-    True promise an unchanged memory descriptor across every round, and
-    the engine verifies that promise instead of trusting it.
+    the referee bit never reaches them, and neither does any state: what
+    a strategy knows is its own memory and its own random stream.
+    Subclasses that set ``catalytic`` True promise an unchanged memory
+    descriptor across every round, and the engine verifies that promise
+    instead of trusting it.
     """
 
     protocol_id: str = "strategy"
     catalytic: bool = False
 
-    def reset(self, rng: np.random.Generator, pair=None) -> None:
-        """Initialize per-trial state; ``pair`` carries (rho0, rho1) for
-        strategies that consult actual states."""
+    def reset(self, rng: np.random.Generator) -> None:
+        """Initialize per-trial state; ``rng`` is the strategy's own stream."""
 
     @abstractmethod
     def success_probability(self, j: int) -> float:
@@ -107,7 +112,7 @@ class Strategy(ABC):
     def descriptor(self) -> str:
         return "-"
 
-    def play(self, u: np.ndarray, rng: np.random.Generator, pair=None
+    def play(self, u: np.ndarray, rng: np.random.Generator
              ) -> tuple[np.ndarray, list[list[str]]]:
         """Play one trial per row of the (trials, n) success uniforms
         ``u`` (round j of row t succeeds iff u[t, j-1] < p[t, j-1]) and
@@ -115,11 +120,10 @@ class Strategy(ABC):
         descriptor list per trial: the descriptor before round 1, then
         the one after each round; rows with equal descriptors may share
         one list, which callers only read. ``rng`` is the strategy's own
-        stream, shared by the rows in order; ``pair`` is what ``reset``
-        takes. An override must keep each row causal: p[t, j-1] may
-        depend on u[t, :j-1] and rng only, and its draws from rng must
-        be the ones the scalar methods make, row after row, in the same
-        order.
+        stream, shared by the rows in order. An override must keep each
+        row causal: p[t, j-1] may depend on u[t, :j-1] and rng only, and
+        its draws from rng must be the ones the scalar methods make, row
+        after row, in the same order.
 
         This default resets the strategy before each row, then plays it
         round by round through success_probability, observe and
@@ -132,7 +136,7 @@ class Strategy(ABC):
         p = np.full((trials, n), np.nan)
         descriptors = []
         for row, u_row in zip(p, u.tolist()):
-            self.reset(rng, pair)
+            self.reset(rng)
             memory = [self.descriptor()]
             for j, uj in enumerate(u_row, 1):
                 pj = row[j - 1] = float(self.success_probability(j))
@@ -149,13 +153,11 @@ class Strategy(ABC):
 class IIDStrategy(Strategy):
     """Memoryless oracle succeeding with fixed probability p each round."""
 
-    def __init__(self, p: float, protocol_id: str = "iid",
-                 catalytic: bool = False):
+    def __init__(self, p: float, protocol_id: str = "iid"):
         if not 0.0 <= p <= 1.0:
             raise SpecError(f"success probability {p} outside [0, 1]")
         self.p = float(p)
         self.protocol_id = protocol_id
-        self.catalytic = catalytic
 
     def success_probability(self, j: int) -> float:
         return self.p
@@ -163,7 +165,7 @@ class IIDStrategy(Strategy):
     def descriptor(self) -> str:
         return f"iid:{self.p:.12g}"
 
-    def play(self, u, rng, pair=None):
+    def play(self, u, rng):
         trials, n = u.shape
         return np.full(u.shape, self.p), [[self.descriptor()] * (n + 1)] * trials
 
@@ -185,7 +187,7 @@ class HistoryCappedStrategy(Strategy):
         self.drop = float(drop)
         self._failed = False
 
-    def reset(self, rng, pair=None) -> None:
+    def reset(self, rng) -> None:
         self._failed = False
 
     def success_probability(self, j: int) -> float:
@@ -198,7 +200,7 @@ class HistoryCappedStrategy(Strategy):
     def descriptor(self) -> str:
         return f"failed={int(self._failed)}"
 
-    def play(self, u, rng, pair=None):
+    def play(self, u, rng):
         trials, n = u.shape
         misses = u >= self.p_cap
         # each row's first failed round, n + 1 when it never fails
@@ -254,7 +256,7 @@ class MemoryBlockStrategy(Strategy):
         self._used = 0
         self._charged = True
 
-    def reset(self, rng, pair=None) -> None:
+    def reset(self, rng) -> None:
         self._rng = rng
         self._block = 0
         self._used = 0
@@ -274,7 +276,7 @@ class MemoryBlockStrategy(Strategy):
         budget = "full" if self._charged else "degraded"
         return f"block={self._block};budget={budget};used={self._used}"
 
-    def play(self, u, rng, pair=None):
+    def play(self, u, rng):
         (trials, n), size = u.shape, self.n_block
         # block k's budget per row; each completed block draws one recharge
         charged = np.ones((trials, n // size + 1), dtype=bool)
@@ -388,8 +390,7 @@ def _first_change(descriptors: list[str]) -> int | None:
 _CHUNK_CELLS = 1 << 18
 
 
-def _play_rows(strategy: Strategy, pair, u: np.ndarray,
-               rng: np.random.Generator
+def _play_rows(strategy: Strategy, u: np.ndarray, rng: np.random.Generator
                ) -> tuple[np.ndarray, list[list[str]]]:
     """``strategy.play`` on the (rows, n) success uniforms ``u`` and the
     strategy stream ``rng``; returns the success indicators X = 1[u < p]
@@ -402,7 +403,7 @@ def _play_rows(strategy: Strategy, pair, u: np.ndarray,
     ``play`` returned.
     """
     trials, n = u.shape
-    p, descriptors = strategy.play(u, rng, pair)
+    p, descriptors = strategy.play(u, rng)
     p = np.asarray(p, dtype=float)
     malformed = (f"{type(strategy).__name__}.play returned probabilities of "
                  f"shape {p.shape} and {len(descriptors)} descriptor lists for "
@@ -432,7 +433,7 @@ def _play_rows(strategy: Strategy, pair, u: np.ndarray,
     return u < p, descriptors
 
 
-def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
+def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
                   stream: tuple[Label, ...]) -> np.ndarray:
     """The engine core of the ensembles: play ``trials`` rows of n rounds
     on the ``(*stream, "success" | "strategy")`` substreams of ``seed``
@@ -459,29 +460,28 @@ def _play_checked(strategy: Strategy, pair, n: int, trials: int, seed: int,
     u = np.empty((min(rows, trials), n))
     for lo in range(0, trials, rows):
         chunk = x[lo:lo + rows]
-        chunk[...], _ = _play_rows(strategy, pair,
+        chunk[...], _ = _play_rows(strategy,
                                    uniforms.random(out=u[:len(chunk)]), own)
     return x
 
 
-def play_trial(strategy: Strategy, pair=None, n: int = 1, seed: int = 0,
+def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
                stream: tuple[Label, ...] = ()) -> TrialArrays:
     """Play n rounds against a uniform referee and return the arrays.
 
     This is the checked engine core with one trial: success uniforms and
     strategy randomness come from the ``(*stream, "success" |
     "strategy")`` substreams of ``seed``, referee bits from
-    ``(*stream, "rounds")``. ``pair`` is forwarded to the strategy's
-    reset for state-aware strategies; synthetic oracles ignore it.
-    ``stream`` prefixes the substream labels so callers (trials,
-    detection worlds) stay on independent random streams of the same
-    root seed. On top of the core's checks, the ``TrialArrays``
-    constructor verifies X = 1[Y = Z] and S = cumsum(X).
+    ``(*stream, "rounds")``. ``stream`` prefixes the substream labels so
+    callers (trials, detection worlds) stay on independent random
+    streams of the same root seed. The strategy gets the uniforms and
+    its stream and nothing else. On top of the core's checks, the
+    ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
     if n < 1:
         raise SpecError(f"round count must be >= 1, got {n}")
     (success,), (descriptors,) = _play_rows(
-        strategy, pair, rng_from(seed, *stream, "success").random((1, n)),
+        strategy, rng_from(seed, *stream, "success").random((1, n)),
         rng_from(seed, *stream, "strategy"))
     z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
     y = np.where(success, z, 1 - z)
@@ -494,7 +494,7 @@ def simulate_ensemble(strategy: Strategy, n: int, trials: int,
                       seed: int = 0) -> np.ndarray:
     """(trials, n) matrix of success indicators: one call of the engine
     core on the ``("ensemble",)`` stream pair."""
-    return _play_checked(strategy, None, n, trials, seed,
+    return _play_checked(strategy, n, trials, seed,
                          ("ensemble",)).view(np.uint8)
 
 
@@ -542,14 +542,22 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
     Each checkpoint is one fresh ensemble of independent trials on the
     ``("rate", n)`` stream pair (memory strategies are not resumable
     across checkpoints).
+
+    The second positional slot, ``pair``, takes only None, and any other
+    value raises SpecError: no strategy reads a state. It stays because
+    the benchmark's workloads (``perfbench/workloads.py``) pass None in
+    it, and it goes with the benchmark change of ROADMAP item 1.
     """
+    if pair is not None:
+        raise SpecError("estimate_rate takes no state pair: its second "
+                        f"argument must be None, got {type(pair).__name__}")
     if not 0.0 <= r <= 1.0:
         raise SpecError(f"target rate {r} outside [0, 1]")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
     fracs = []
     for n in n_list:
-        x = _play_checked(strategy, pair, n, trials, seed, ("rate", n))
+        x = _play_checked(strategy, n, trials, seed, ("rate", n))
         fracs.append(float(np.mean(RateEstimate.reached(x.sum(axis=1), r, n))))
     return RateEstimate(r=float(r), n_list=tuple(int(n) for n in n_list),
                         success_frac=tuple(fracs), trials=trials)
@@ -631,32 +639,6 @@ def default_detection_oracle(config: DetectionConfig) -> DetectionOracle:
 
 
 @dataclass(frozen=True)
-class DetectionResult:
-    guess: str
-    world: str
-    final_score: int
-    transcript: TrialArrays
-
-    @property
-    def correct(self) -> bool:
-        return self.guess == self.world
-
-
-def detect_catalyst(config: DetectionConfig, round_oracle: DetectionOracle,
-                    seed: int = 0, world: str = "tau",
-                    stream: tuple[Label, ...] = ()) -> DetectionResult:
-    """Run the threshold test in the named simulated world and guess
-    which world produced the transcript."""
-    strategy = round_oracle.strategy_for(world)
-    transcript = play_trial(strategy, None, config.n, seed,
-                            stream=stream + ("detect", world))
-    frac = transcript.success_fraction
-    return DetectionResult(guess=config.guess(frac), world=world,
-                           final_score=transcript.final_score,
-                           transcript=transcript)
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     """Per-world empirical correctness with the tail bounds the
     threshold rule is measured against; each world ran ``trials``
@@ -691,7 +673,7 @@ def detection_accuracy(config: DetectionConfig, round_oracle: DetectionOracle,
     stream pair."""
     corr = {}
     for world in ("tau", "gamma"):
-        x = _play_checked(round_oracle.strategy_for(world), None, config.n,
+        x = _play_checked(round_oracle.strategy_for(world), config.n,
                           trials, seed, ("accuracy", world))
         guesses = config.guess(x.sum(axis=1) / config.n)
         corr[world] = float(np.mean(guesses == world))
@@ -709,17 +691,25 @@ def min_rounds(delta: float, trace_distance: float) -> int:
 
         n > max{ (1/2 delta^2) [-ln(1/4 - T/8)],
                  (2/delta^2)   [-ln(1/2 - T/4)] },  T = trace distance.
+
+    DomainError unless 0 < T < 2, delta > 0 and the bound is finite: a
+    delta so small that its square underflows, or that the bound
+    overflows, has no round count.
     """
     t = trace_distance
     if not 0.0 < t < 2.0:
         raise DomainError(f"trace distance must lie strictly in (0, 2), got {t}")
-    if delta <= 0.0:
+    if not delta > 0.0:  # a NaN fails this test too
         raise DomainError(f"delta must be positive, got {delta}")
     # 0 < t < 2 puts a1 in (0, 1/4) and a2 in (0, 1/2)
     a1 = 0.25 - t / 8.0
     a2 = 0.5 - t / 4.0
-    bound = max(-math.log(a1) / (2.0 * delta * delta),
-                2.0 * -math.log(a2) / (delta * delta))
+    bound = (max(-math.log(a1) / (2.0 * delta * delta),
+                 2.0 * -math.log(a2) / (delta * delta))
+             if delta * delta > 0.0 else math.inf)
+    if bound == math.inf:
+        raise DomainError(f"delta = {delta} is too small: the round count "
+                          "it needs is not a finite float")
     return math.floor(bound) + 1
 
 
@@ -773,24 +763,16 @@ def check_supermartingale(ensemble, p_cap: float) -> SupermartingaleReport:
     """Audit that conditional success frequencies never drift above
     p_cap beyond statistical tolerance.
 
-    ``ensemble`` is either a (trials, n) 0/1 matrix or a list of
-    ``TrialArrays`` of n rounds each, whose success indicators X are
-    the rows. Trajectories are bucketed by (j, S_j); within each bucket
-    of at least 50 trajectories the next-round success frequency p_hat
-    is compared to p_cap with the null standard error
+    ``ensemble`` is the (trials, n) 0/1 matrix of success indicators
+    that ``simulate_ensemble`` returns; anything else is a SpecError.
+    Trajectories are bucketed by (j, S_j); within each bucket of at
+    least 50 trajectories the next-round success frequency p_hat is
+    compared to p_cap with the null standard error
     sqrt(p_cap (1 - p_cap) / m), and the audit passes when at most 0.5%
     of those buckets sit more than 3.0 standard errors above p_cap.
     """
-    if isinstance(ensemble, np.ndarray):
-        x = ensemble
-    else:
-        rows = [tr.X for tr in ensemble]
-        lengths = sorted({len(row) for row in rows})
-        if len(lengths) > 1:
-            raise SpecError(f"ensemble trials must have equal round counts, "
-                            f"got {lengths}")
-        x = np.array(rows, dtype=np.uint8)
-    if x.ndim != 2 or x.size == 0:
+    x = ensemble
+    if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.size):
         raise SpecError("ensemble must be a nonempty (trials, n) matrix")
     if not np.isin(x, (0, 1)).all():
         raise SpecError("success indicators must be 0/1")

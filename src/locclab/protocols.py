@@ -11,7 +11,10 @@ the occupation vector k of the n local Schmidt labels. Every label
 string in a type class carries the same coefficient prod_i p_i^{k_i/2},
 so the post-measurement state is maximally entangled on a subspace of
 dimension exactly the multinomial coefficient n!/prod_i k_i!, and
-log2_dim is its base-2 logarithm. Occupations are integers, so ln k! is
+log2_dim is its base-2 logarithm. ``sample_type`` draws one outcome and
+``type_log2_dim`` sizes it; ``concentration_distribution`` is the whole
+law and ``concentration_success_prob`` its tail, and no object holds a
+measured state between them. Occupations are integers, so ln k! is
 read from an exact table of k = 0..n: a port of Cephes ``lgam`` (the
 routine behind ``scipy.special.gammaln``) at the integer points x = k+1
 only, with Cephes' constants and operation order and libm's ``log``.
@@ -70,7 +73,7 @@ import itertools
 import math
 import threading
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -378,43 +381,6 @@ def _refuse_delete(self, name):
 # TypeError from super(); refuse every name, as a plain frozen dataclass does.
 ConcentrationOutcome.__setattr__ = _refuse_set
 ConcentrationOutcome.__delattr__ = _refuse_delete
-
-
-@dataclass
-class SchmidtTypeState:
-    """n copies of a pure state tracked at the Schmidt-type level.
-
-    Before measurement the occupation vector is all zeros and
-    ``collapsed`` is False; ``measure`` samples a type, records it, and
-    returns the corresponding outcome.
-    """
-
-    spectrum: SchmidtSpectrum
-    n: int
-    counts: tuple[int, ...] = field(default=())
-    collapsed: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise SpecError(f"copy count must be >= 1, got {self.n}")
-        if not self.counts:
-            self.counts = tuple([0] * self.spectrum.num_labels)
-        if self.collapsed:
-            if sum(self.counts) != self.n:
-                raise SpecError("collapsed type state must have counts summing to n")
-        elif any(self.counts):
-            raise SpecError("uncollapsed type state must have all-zero counts")
-
-    def measure(self, rng: np.random.Generator) -> ConcentrationOutcome:
-        if self.collapsed:
-            raise SpecError("type state already collapsed")
-        counts = sample_type(self.spectrum, self.n, rng)
-        self.counts = tuple(int(c) for c in counts)
-        self.collapsed = True
-        return ConcentrationOutcome(
-            counts=self.counts,
-            log2_dim=type_log2_dim(self.spectrum, counts),
-            probability=1.0)
 
 
 def sample_type(spectrum: SchmidtSpectrum, n: int, rng) -> np.ndarray:

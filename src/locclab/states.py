@@ -166,9 +166,12 @@ class PsiConditions:
 def check_psi_conditions(spec: PsiSpec, d1: int, eps_prime: float) -> PsiConditions:
     """near_product is the sufficient condition 2 sqrt(1-lambda) < eps';
     entropy_excess = S(psi^A2) - log2(d1) must be positive for psi to
-    bank more than one fresh d1-dimensional register per round."""
+    bank more than one fresh d1-dimensional register per round. SpecError
+    unless d1 >= 2 and eps' is finite and nonnegative."""
     if d1 < 2:
         raise SpecError(f"memory dimension d1 must be >= 2, got {d1}")
+    if not 0.0 <= eps_prime < math.inf:  # a NaN fails this test too
+        raise SpecError(f"eps' must be finite and >= 0, got {eps_prime}")
     ent = psi_marginal_entropy(spec)
     dist = psi_product_distance(spec)
     return PsiConditions(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import hashlib
@@ -55,6 +56,14 @@ def run_error(capsys, *argv):
     assert code == 1
     assert out == ""
     return json.loads(err)["error"]
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity, which are
+    not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_usage_error(capsys, *argv):
@@ -253,6 +262,19 @@ class TestEntropyCommand:
             loose["trace_distance_to_product"], abs=1e-15)
         assert not tight["near_product"]
         assert loose["near_product"]
+
+    def test_report_is_strict_json(self, capsys):
+        code, out, _ = run_cli(capsys, "entropy", "--lambda", "0.5", "--d2",
+                               "8", "--d1", "2", "--eps-prime", "0")
+        assert code == 0
+        assert strict_json(out)["eps_prime"] == 0.0
+
+    @pytest.mark.parametrize("eps_prime", ["nan", "inf", "-1"])
+    def test_eps_prime_must_be_finite_and_nonnegative(self, capsys, eps_prime):
+        err = run_error(capsys, "entropy", "--lambda", "0.5", "--d2", "8",
+                        f"--eps-prime={eps_prime}")
+        assert err["type"] == "SpecError"
+        assert "eps' must be finite and >= 0" in err["message"]
 
 
 CONSTRUCTED = {
@@ -507,7 +529,7 @@ class Escaped(locclab.Strategy):
     QUIRKS = ('say "hi"', "back\\slash", "\u03c8\u2192\u03bb", "tab\tbell\x07",
               "new\nline", "")
 
-    def reset(self, rng, pair=None):
+    def reset(self, rng):
         self.hits = 0
 
     def success_probability(self, j):
@@ -522,7 +544,7 @@ class Escaped(locclab.Strategy):
 
 class TestRunFileWriter:
     def test_escaped_descriptors(self, tmp_path):
-        trials = [(t, play_trial(Escaped(), None, n, 3, stream=("trial", t)))
+        trials = [(t, play_trial(Escaped(), n, 3, stream=("trial", t)))
                   for t, n in enumerate((5, 40, 1, 17))]
         descriptors = {m for _, tr in trials for m in tr.descriptors[1:]}
         assert {q for q in Escaped.QUIRKS
@@ -548,7 +570,7 @@ class TestRunFileWriter:
                  str(trials), "--seed", str(seed), "--out", str(tmp_path))
         strategy = locclab.memory_block_strategy(
             2, locclab.PsiSpec(lam=0.5, d2=4), 4)
-        played = [play_trial(strategy, None, n, seed, stream=("rate", n, t))
+        played = [play_trial(strategy, n, seed, stream=("rate", n, t))
                   for n in n_list for t in range(trials)]
         lines = (tmp_path / "transcripts.jsonl").read_text().splitlines(
             keepends=True)
@@ -620,6 +642,16 @@ class TestDetectCommand:
         err = run_error(capsys, "detect", "--p-tau", "0.6", "--p-locc", "0.5",
                         "--delta", "0.4", "--n", "10")
         assert err["type"] == "SpecError"
+
+    @pytest.mark.parametrize("delta,message", [
+        ("nan", "delta must be positive, got nan"),
+        ("1e-300", "delta = 1e-300 is too small"),
+    ])
+    def test_round_count_needs_a_usable_delta(self, capsys, delta, message):
+        # without --n the round count comes from min_rounds
+        err = run_error(capsys, "detect", "--delta", delta, "--trials", "2")
+        assert err == {"type": "DomainError", "message": err["message"]}
+        assert message in err["message"]
 
 
 class TestConcentrateCommand:
@@ -1009,6 +1041,62 @@ def test_non_positive_value_is_an_error(capsys, tmp_path, case):
     err = run_error(capsys, *argv, "--out", str(tmp_path))
     assert err["type"] == error
     assert ">= " in err["message"]
+
+
+# small README values for the flags each command with a float flag
+# needs; --protocol iid when the float flag is --p, which only iid reads
+FLOAT_FLAG_BASES = {
+    "simulate": ["--protocol", "memory-block", "--d1", "2", "--lambda", "0.5",
+                 "--d2", "8", "--n-block", "4", "--rounds", "8", "--trials",
+                 "2"],
+    "rate": ["--protocol", "memory-block", "--d1", "2", "--lambda", "0.5",
+             "--d2", "8", "--n-block", "4", "--r", "0.9", "--n-list", "8",
+             "--trials", "2"],
+    "detect": ["--p-tau", "0.9", "--p-locc", "0.75", "--delta", "0.05",
+               "--trials", "2"],
+    "concentrate": ["--lambda", "0.5", "--d2", "2", "--n", "2", "--target",
+                    "1.0"],
+    "entropy": ["--lambda", "0.5", "--d2", "8", "--d1", "2"],
+    "construct": ["--family", "psi", "--lambda", "0.5", "--d2", "2"],
+}
+
+
+def float_flags():
+    """(command, flag) for every ``type=float`` option of the parser."""
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, sub in commands.items() for action in sub._actions
+            if action.type is float]
+
+
+FLOAT_FLAGS = float_flags()
+
+
+def test_every_float_flag_is_covered():
+    assert {command for command, _ in FLOAT_FLAGS} == set(FLOAT_FLAG_BASES)
+    assert ("detect", "--delta") in FLOAT_FLAGS  # the walk finds the flags
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+def test_non_finite_float_stays_structured(capsys, tmp_path, command, flag,
+                                           value):
+    # a non-finite value is refused with one structured error, or the run
+    # succeeds and its stdout is strict JSON; the last --flag=value wins
+    base = FLOAT_FLAG_BASES[command]
+    if flag == "--p":
+        base = ["--protocol", "iid", *base[2:]]
+    code, out, err = run_cli(capsys, command, *base, f"{flag}={value}",
+                             "--out", str(tmp_path / "run"))
+    if code == 0:
+        assert isinstance(strict_json(out), dict)
+    else:
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert issubclass(getattr(locclab, error["type"]), locclab.LoccLabError)
 
 
 class TestErrorSurface:

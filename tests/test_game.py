@@ -21,7 +21,6 @@ from locclab import (
     check_supermartingale,
     concentration_success_prob,
     default_detection_oracle,
-    detect_catalyst,
     detection_accuracy,
     estimate_rate,
     hoeffding_bound,
@@ -47,7 +46,7 @@ class ShiftyCatalyst(Strategy):
     def __init__(self):
         self._rounds = 0
 
-    def reset(self, rng, pair=None):
+    def reset(self, rng):
         self._rounds = 0
 
     def success_probability(self, j):
@@ -84,7 +83,7 @@ class BadAtRound(Strategy):
         self.catalytic = change is not None
         self.rounds = 0
 
-    def reset(self, rng, pair=None):
+    def reset(self, rng):
         self.rounds = 0
 
     def success_probability(self, j):
@@ -104,7 +103,7 @@ def reference_game(strategy, n, seed=0, stream=()):
         raise SpecError(f"round count must be >= 1, got {n}")
     rng_rounds = rng_from(seed, *stream, "rounds")
     rng_success = rng_from(seed, *stream, "success")
-    strategy.reset(rng_from(seed, *stream, "strategy"), None)
+    strategy.reset(rng_from(seed, *stream, "strategy"))
     zs, ys, xs, ps, memory = [], [], [], [], [strategy.descriptor()]
     for j in range(1, n + 1):
         before = strategy.descriptor()
@@ -129,6 +128,13 @@ def reference_game(strategy, n, seed=0, stream=()):
     return ps, zs, ys, xs, memory
 
 
+class CatalyticIID(IIDStrategy):
+    """The i.i.d. oracle declared catalytic: its descriptor never moves,
+    so the engine's catalyst check passes every round."""
+
+    catalytic = True
+
+
 MB = dict(d1=2, psi_spec=PsiSpec(lam=0.5, d2=4))
 # (id, strategy, n): p = 0 and 1, both drop extremes, and memory blocks
 # with n < n_block, n = k n_block, n not a multiple, and n_block = 1
@@ -136,7 +142,7 @@ BUILTINS = [
     ("iid-0", IIDStrategy(0.0), 7),
     ("iid-1", IIDStrategy(1.0), 7),
     ("iid-0.3", IIDStrategy(0.3), 50),
-    ("iid-catalytic", IIDStrategy(0.6, catalytic=True), 20),
+    ("iid-catalytic", CatalyticIID(0.6), 20),
     ("capped", HistoryCappedStrategy(0.8, 0.3), 60),
     ("capped-drop0", HistoryCappedStrategy(0.8, 0.0), 30),
     ("capped-drop-all", HistoryCappedStrategy(0.6, 0.6), 30),
@@ -199,7 +205,7 @@ class TestArrayEngine:
     def test_engine_matches_round_loop(self, name, strategy, n):
         for seed, stream in ((0, ()), (5, ("trial", 3)), (9, ("rate", n, 1))):
             ps, zs, ys, xs, memory = reference_game(strategy, n, seed, stream)
-            tr = play_trial(strategy, None, n, seed, stream)
+            tr = play_trial(strategy, n, seed, stream)
             assert isinstance(tr, TrialArrays) and tr.n == n
             assert tr.Z.tolist() == zs and tr.Y.tolist() == ys
             assert tr.X.tolist() == xs
@@ -248,7 +254,7 @@ class TestArrayEngine:
         with pytest.raises(error, match=re.escape(message)) as ref:
             reference_game(strategy, 6, seed=1)
         with pytest.raises(error) as got:
-            play_trial(strategy, None, 6, seed=1)
+            play_trial(strategy, 6, seed=1)
         assert str(got.value) == str(ref.value)
         with pytest.raises(error) as ensemble:
             simulate_ensemble(strategy, 6, trials=3, seed=1)
@@ -264,18 +270,18 @@ class TestArrayEngine:
 
     def test_malformed_play_rejected(self):
         class Short(IIDStrategy):
-            def play(self, u, rng, pair=None):
-                p, d = super().play(u, rng, pair)
+            def play(self, u, rng):
+                p, d = super().play(u, rng)
                 return p[:, :-1], d
 
         class ShortMemory(IIDStrategy):
-            def play(self, u, rng, pair=None):
-                p, d = super().play(u, rng, pair)
+            def play(self, u, rng):
+                p, d = super().play(u, rng)
                 return p, [memory[:-1] for memory in d]
 
         for strategy in (Short(0.5), ShortMemory(0.5)):
             with pytest.raises(SpecError, match="want 5 and 6"):
-                play_trial(strategy, None, 5)
+                play_trial(strategy, 5)
 
 
 class TestChunkedCore:
@@ -454,10 +460,10 @@ class TestTrialArrays:
         assert tr.final_score == 1
 
     def test_value_equality(self):
-        a = play_trial(IIDStrategy(0.6), None, 50, 9)
-        b = play_trial(IIDStrategy(0.6), None, 50, 9)
+        a = play_trial(IIDStrategy(0.6), 50, 9)
+        b = play_trial(IIDStrategy(0.6), 50, 9)
         assert a is not b and a == b and not a != b
-        assert a != play_trial(IIDStrategy(0.6), None, 49, 9)
+        assert a != play_trial(IIDStrategy(0.6), 49, 9)
         assert a != "trial"
         same = dict(Z=[0, 1], Y=[0, 1])
         assert trial(**same) == trial(**same)
@@ -655,13 +661,6 @@ class TestDetectionConfig:
 
 
 class TestDetection:
-    def test_perfect_separation(self):
-        config = DetectionConfig(p_tau=1.0, p_locc=0.5, delta=0.1, n=50)
-        oracle = default_detection_oracle(config)
-        for world in ("tau", "gamma"):
-            res = detect_catalyst(config, oracle, seed=0, world=world)
-            assert res.world == world and res.correct
-
     def test_accuracy_report(self):
         config = DetectionConfig(p_tau=1.0, p_locc=0.5, delta=0.1, n=50)
         oracle = default_detection_oracle(config)
@@ -697,19 +696,12 @@ class TestDetection:
         report = detection_accuracy(config, oracle, trials=20, seed=6)
         for world, p, frac in (("tau", 0.9, report.p_corr_tau),
                                ("gamma", 0.7, report.p_corr_gamma)):
-            # detect_catalyst's rule on the ("accuracy", world) stream
+            # the threshold rule on the ("accuracy", world) stream
             rng = rng_from(6, "accuracy", world, "success")
             scores = [sum(rng.random() < p for _ in range(50)) for _ in range(20)]
             guesses = ["tau" if abs(s / 50 - 0.9) <= 0.05 else "gamma"
                        for s in scores]
             assert frac == guesses.count(world) / 20
-
-    def test_detection_determinism(self):
-        config = DetectionConfig(p_tau=0.9, p_locc=0.5, delta=0.1, n=30)
-        oracle = default_detection_oracle(config)
-        a = detect_catalyst(config, oracle, seed=5, world="gamma")
-        b = detect_catalyst(config, oracle, seed=5, world="gamma")
-        assert a.transcript == b.transcript
 
 
 class TestConcentrationBounds:
@@ -733,6 +725,17 @@ class TestConcentrationBounds:
             min_rounds(0.1, 0.0)
         with pytest.raises(DomainError):
             min_rounds(0.0, 1.0)
+        # NaN fails every comparison, so each test must be written to fail
+        for delta, t in ((math.nan, 1.0), (-math.inf, 1.0), (0.1, math.nan)):
+            with pytest.raises(DomainError):
+                min_rounds(delta, t)
+
+    @pytest.mark.parametrize("delta", [1e-300, 5e-324, 1e-160])
+    def test_min_rounds_refuses_a_delta_with_no_finite_bound(self, delta):
+        # delta^2 is 0.0 (the bound would divide by zero) or, at 1e-160,
+        # subnormal, and the quotient overflows to inf
+        with pytest.raises(DomainError, match="too small"):
+            min_rounds(delta, 1.0)
 
     def test_hoeffding_exact(self):
         assert hoeffding_bound(100, 0.1) == pytest.approx(
@@ -771,13 +774,6 @@ class TestSupermartingaleAudit:
         assert (report.buckets, report.violations) == (618, 492)
         assert report.max_z == float.fromhex("0x1.cfe26e06c27e2p+3")
 
-    def test_transcript_list_input(self):
-        trs = [play_trial(IIDStrategy(0.5), n=10, seed=s) for s in range(120)]
-        report = check_supermartingale(trs, p_cap=0.5)
-        assert report.trajectories == 120 and report.n == 10
-        x = np.array([tr.X for tr in trs], dtype=np.uint8)
-        assert check_supermartingale(x, p_cap=0.5) == report
-
     def test_thresholds_are_constants(self):
         # 50 trajectories per bucket, 3 sigma, 0.5% of buckets
         assert list(inspect.signature(check_supermartingale).parameters) == [
@@ -788,12 +784,11 @@ class TestSupermartingaleAudit:
             assert report.buckets == buckets
             assert (report.z_tol, report.allowed_exceedance) == (3.0, 0.005)
 
-    def test_ragged_transcript_list_rejected(self):
-        trs = [play_trial(IIDStrategy(0.5), n=n, seed=1) for n in (10, 9)]
-        with pytest.raises(SpecError, match=re.escape("got [9, 10]")):
-            check_supermartingale(trs, p_cap=0.5)
-
     def test_input_validation(self):
+        # the (trials, n) matrix is the one input form
+        trs = [play_trial(IIDStrategy(0.5), n=10, seed=s) for s in range(3)]
+        with pytest.raises(SpecError, match=re.escape("(trials, n) matrix")):
+            check_supermartingale(trs, p_cap=0.5)
         with pytest.raises(SpecError):
             check_supermartingale(np.array([[0, 2]]), p_cap=0.5)
         with pytest.raises(SpecError):
@@ -835,11 +830,11 @@ class TestTeleportDiscrimination:
 
 
 GAME_API = sorted([
-    "DetectionConfig", "DetectionOracle", "DetectionReport", "DetectionResult",
+    "DetectionConfig", "DetectionOracle", "DetectionReport",
     "HistoryCappedStrategy", "IIDStrategy", "MemoryBlockStrategy",
     "RateEstimate", "Strategy", "SupermartingaleReport", "TrialArrays",
     "azuma_bound", "check_supermartingale", "default_detection_oracle",
-    "detect_catalyst", "detection_accuracy", "estimate_rate",
+    "detection_accuracy", "estimate_rate",
     "hoeffding_bound", "memory_block_strategy", "min_rounds", "play_trial",
     "run_teleport_discrimination", "simulate_ensemble",
 ])
@@ -866,3 +861,35 @@ class TestPublicNames:
         defined = from_game([name for name in vars(game)
                              if not name.startswith("_")], vars(game))
         assert exported == defined == GAME_API
+
+    def test_library_only_paths_are_gone(self):
+        # DetectionConfig.guess is the one threshold rule and sample_type
+        # the one draw of a Schmidt type; no second path is exported
+        for name in ("SchmidtTypeState", "detect_catalyst", "DetectionResult"):
+            assert name not in locclab.__all__
+            with pytest.raises(AttributeError):
+                getattr(locclab, name)
+
+
+def parameters(fn) -> list[str]:
+    return list(inspect.signature(fn).parameters)
+
+
+class TestEngineTakesNoState:
+    # a strategy reads its success uniforms and its own stream, nothing more
+    def test_strategy_hooks(self):
+        assert parameters(Strategy.reset) == ["self", "rng"]
+        for cls in (Strategy, IIDStrategy, HistoryCappedStrategy,
+                    game.MemoryBlockStrategy):
+            assert parameters(cls.play) == ["self", "u", "rng"], cls
+        assert parameters(IIDStrategy.__init__) == ["self", "p", "protocol_id"]
+
+    def test_play_trial_signature(self):
+        assert parameters(play_trial) == ["strategy", "n", "seed", "stream"]
+
+    def test_estimate_rate_slot_takes_only_none(self):
+        strategy = IIDStrategy(0.5)
+        with pytest.raises(SpecError, match="must be None, got object"):
+            estimate_rate(strategy, object(), 0.5, 4, (3,), 1)
+        assert estimate_rate(strategy, None, 0.5, 4, (3,), 1) == estimate_rate(
+            strategy, r=0.5, trials=4, n_list=(3,), seed=1)

@@ -25,7 +25,6 @@ from locclab import (
     PsiSpec,
     ResourceError,
     SchmidtSpectrum,
-    SchmidtTypeState,
     SpecError,
     TensorLayout,
     concentration_distribution,
@@ -205,24 +204,6 @@ class TestLogFactorials:
     def test_any_shape(self):
         k = np.array([[0, 5, 40], [13, 2000, 12]])
         np.testing.assert_array_equal(_log_factorials(k), gammaln(k + 1.0))
-
-
-class TestSchmidtTypeState:
-    def test_measure_once(self):
-        state = SchmidtTypeState(psi_spectrum(PsiSpec(lam=0.5, d2=2)), n=10)
-        assert not state.collapsed
-        out = state.measure(np.random.default_rng(0))
-        assert state.collapsed
-        assert sum(out.counts) == 10
-        with pytest.raises(SpecError):
-            state.measure(np.random.default_rng(1))
-
-    def test_construction_invariants(self):
-        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
-        with pytest.raises(SpecError):
-            SchmidtTypeState(spec, n=3, counts=(1, 1), collapsed=True)
-        with pytest.raises(SpecError):
-            SchmidtTypeState(spec, n=3, counts=(2, 1), collapsed=False)
 
 
 class TestSampleType:
