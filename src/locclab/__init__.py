@@ -51,8 +51,8 @@ _EXPORTS = {
     "states": (
         "HidingPairSpec", "PsiSpec", "SchmidtSpectrum", "PsiConditions",
         "make_hiding_pair", "make_psi", "make_rho_pair", "make_max_entangled",
-        "psi_spectrum", "psi_marginal_entropy", "psi_product_distance",
-        "check_psi_conditions", "sample_separable"),
+        "psi_spectrum", "psi_product_distance", "check_psi_conditions",
+        "sample_separable"),
     "sdp": ("SDPResult", "solve_ppt_two_outcome"),
     "distinguish": (
         "OneWayProtocol", "one_way_library", "locc_lower_bound", "helstrom",
@@ -62,8 +62,7 @@ _EXPORTS = {
         "TeleportResult", "teleport",
         "ConcentrationOutcome", "SuccessEstimate",
         "concentration_distribution", "concentration_success_prob",
-        "sample_type", "type_log2_dim", "log2_multinomial",
-        "FailureExponentFit", "failure_exponent_fit"),
+        "log2_multinomial", "FailureExponentFit", "failure_exponent_fit"),
     "stats": (),
     "game": (
         "TrialArrays", "Strategy", "IIDStrategy",

@@ -46,9 +46,10 @@ from .game import (DetectionConfig, IIDStrategy, RateEstimate, TrialArrays,
 from .protocols import _law_columns, _use_exact, concentration_success_prob
 from .qmat import (DensityOperator, TensorLayout, _fmt17, _same_layout,
                    operator_from_json, operator_to_json, trace_norm)
-from .states import (HidingPairSpec, PsiSpec, check_psi_conditions,
-                     make_hiding_pair, make_max_entangled, make_psi,
-                     make_rho_pair, psi_product_distance, psi_spectrum)
+from .states import (HidingPairSpec, PsiSpec, _check_side,
+                     check_psi_conditions, make_hiding_pair,
+                     make_max_entangled, make_psi, make_rho_pair,
+                     psi_product_distance, psi_spectrum)
 from .stats import wilson_interval
 
 ARTIFACT_VERSION = "1"
@@ -209,6 +210,7 @@ def _load_pair(params: dict) -> tuple[DensityOperator, DensityOperator, list[Pat
         s0, s1 = make_hiding_pair(HidingPairSpec(d=d))
         return s0, s1, []
     if family == "pure-vs-mixed":
+        _check_side(d, f"pure-vs-mixed at d = {d}")
         layout = TensorLayout((("A", d),))
         pure = np.zeros((d, d), dtype=np.complex128)
         pure[0, 0] = 1.0

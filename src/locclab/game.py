@@ -388,6 +388,9 @@ def _first_change(descriptors: list[str]) -> int | None:
 
 # uniforms per chunk of rows the engine core plays at once (2 MiB of float64)
 _CHUNK_CELLS = 1 << 18
+# most rounds of one trial, which holds ~60 bytes per round in arrays and
+# ~620 with memory-block descriptors and the CLI's --out lines (~0.6 GB)
+_MAX_ROUNDS = 1_000_000
 
 
 def _play_rows(strategy: Strategy, u: np.ndarray, rng: np.random.Generator
@@ -446,8 +449,8 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     chunk reuses, and ``play`` draws from its stream row after row, so
     the chunks give the numbers of one call.
     """
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_ROUNDS:
+        raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
     uniforms = rng_from(seed, *stream, "success")
@@ -478,8 +481,8 @@ def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
     its stream and nothing else. On top of the core's checks, the
     ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_ROUNDS:
+        raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
     (success,), (descriptors,) = _play_rows(
         strategy, rng_from(seed, *stream, "success").random((1, n)),
         rng_from(seed, *stream, "strategy"))

@@ -11,10 +11,10 @@ the occupation vector k of the n local Schmidt labels. Every label
 string in a type class carries the same coefficient prod_i p_i^{k_i/2},
 so the post-measurement state is maximally entangled on a subspace of
 dimension exactly the multinomial coefficient n!/prod_i k_i!, and
-log2_dim is its base-2 logarithm. ``sample_type`` draws one outcome and
-``type_log2_dim`` sizes it; ``concentration_distribution`` is the whole
-law and ``concentration_success_prob`` its tail, and no object holds a
-measured state between them. Occupations are integers, so ln k! is
+log2_dim is its base-2 logarithm. ``concentration_distribution`` is the
+whole law and ``concentration_success_prob`` its tail: ``_draws`` samples
+types, ``_log_multinomial`` sizes them, and no object holds a measured
+state between them. Occupations are integers, so ln k! is
 read from an exact table of k = 0..n: a port of Cephes ``lgam`` (the
 routine behind ``scipy.special.gammaln``) at the integer points x = k+1
 only, with Cephes' constants and operation order and libm's ``log``.
@@ -53,17 +53,16 @@ that outlive the young generations no longer set off full collections
 during the build. Setting or deleting any attribute of an outcome raises
 ``dataclasses.FrozenInstanceError``. The ``concentrate`` command reads
 the law's columns directly and builds no outcome. A copy count or
-``samples`` below 1 and a non-finite target raise SpecError.
+``samples`` below 1, a size past its limit (``_MAX_COPIES`` copies,
+``_MAX_LABELS`` labels, ``_MAX_SAMPLES`` samples of a sampled law) and a
+non-finite target raise SpecError.
 
-An exact distribution leaves its law behind for the success
-probability: the module keeps the key (spectrum values, n) and the
-log-weight and weight columns of the last exact distribution, made
-read-only (16 bytes per type), when no type has zero weight (so the
-columns it already holds are the whole law). An exact success
-probability on the same (spectrum, n) takes its tail sum from them and
-enumerates the law only otherwise; the next exact distribution replaces
-them. Exact success probabilities are also memoized per (spectrum, n,
-target), which the memory-block strategies re-ask for.
+The last exact law asked for is memoized, read-only, by
+``_last_exact_law``; the distribution and the exact success probability
+both read it, so a success probability after a distribution of the same
+(spectrum, n) enumerates nothing. Exact success probabilities are also
+memoized per (spectrum, n, target), which the memory-block strategies
+re-ask for.
 """
 
 from __future__ import annotations
@@ -86,6 +85,11 @@ from .states import SchmidtSpectrum
 from .stats import wilson_interval
 
 _MAX_EXACT_TYPES = 1_000_000
+# largest laws: the ln k! table takes ~82 bytes per copy while it is built,
+# a block of draws 8 * _ROW_CHUNK bytes per label, a law's keys ~34 per sample
+_MAX_COPIES = 1_000_000
+_MAX_LABELS = 256
+_MAX_SAMPLES = 10_000_000
 _LOG2 = math.log(2.0)
 # rows of occupations drawn, weighed or turned into ln k! values at a time
 # (~1 MB of int64 or float64 at 8 labels)
@@ -258,17 +262,6 @@ def log2_multinomial(counts) -> float:
     return float((ln_n - _log_factorials(counts).sum()) / _LOG2)
 
 
-def type_log2_dim(spectrum: SchmidtSpectrum, counts) -> float:
-    """log2 dimension of the type class picked out by a label occupation
-    vector: the strings sharing the type have equal coefficients, so the
-    class concentrates a maximally entangled state of multinomial size."""
-    counts = _occupations(counts)
-    if counts.shape != (spectrum.num_labels,):
-        raise SpecError(f"counts shape {counts.shape} does not match the "
-                        f"{spectrum.num_labels} spectrum labels")
-    return log2_multinomial(counts)
-
-
 class _TableRow:
     """The slots behind a bulk outcome's deferred ``counts``: a read-only
     view of at most ``_VIEW_ROWS`` rows of its law's (m, labels) unsigned
@@ -383,17 +376,6 @@ ConcentrationOutcome.__setattr__ = _refuse_set
 ConcentrationOutcome.__delattr__ = _refuse_delete
 
 
-def sample_type(spectrum: SchmidtSpectrum, n: int, rng) -> np.ndarray:
-    """Draw one label occupation vector (multinomial over the label
-    probabilities; for the two-valued psi spectrum this is k0 ~
-    Binomial(n, lambda) with the rest uniform over the tail labels)."""
-    if n < 1:
-        raise SpecError(f"copy count must be >= 1, got {n}")
-    if isinstance(rng, (int, np.integer)):
-        rng = rng_from(int(rng), "sample-type")
-    return rng.multinomial(n, spectrum.label_probabilities())
-
-
 def _count_compositions(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
@@ -451,8 +433,16 @@ def _exact_law(spectrum: SchmidtSpectrum, n: int):
     return counts, logw, np.where(impossible, 0.0, np.exp(logw + mass))
 
 
-# ((spectrum values, n), (logw, weights)) of the last exact distribution
-_last_law: tuple = (None, None)
+@lru_cache(maxsize=1)
+def _last_exact_law(values: tuple, n: int):
+    """``_exact_law`` of the spectrum ``values`` on n copies, read-only:
+    the one memo of an exact law, holding the last (values, n) asked for.
+    A miss drops the held law before it enumerates the next one."""
+    _last_exact_law.cache_clear()
+    law = _exact_law(SchmidtSpectrum(values=values), n)
+    for column in law:
+        column.flags.writeable = False
+    return law
 
 
 def _distinct_rows(blocks, shape: tuple[int, int], base: int, dtype):
@@ -503,13 +493,17 @@ def _draws(rng: np.random.Generator, n: int, label_p: np.ndarray,
 
 def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
                samples: int) -> bool:
-    """Validate the shared arguments; True when ``mode`` resolves to exact."""
-    if n < 1:
-        raise SpecError(f"copy count must be >= 1, got {n}")
+    """Validate the shared arguments, copies and labels against their
+    limits; True when ``mode`` resolves to exact."""
+    if not 1 <= n <= _MAX_COPIES:
+        raise SpecError(f"copy count {n} outside 1..{_MAX_COPIES} (the limit)")
     if mode not in ("auto", "exact", "sample"):
         raise SpecError(f"unknown mode {mode!r}")
     if samples < 1:
         raise SpecError(f"sample count must be >= 1, got {samples}")
+    if spectrum.num_labels > _MAX_LABELS:
+        raise SpecError(f"{spectrum.num_labels} Schmidt labels exceed the "
+                        f"limit {_MAX_LABELS}")
     n_types = _count_compositions(n, spectrum.num_labels)
     exact_ok = n_types <= _MAX_EXACT_TYPES
     if mode == "exact" and not exact_ok:
@@ -525,13 +519,14 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
     of dtype ``np.min_scalar_type(n)`` (uint8 up to n = 255), and two
     length-m float columns, without the types of weight zero. Both modes
     build the table in that dtype, so no wider copy of it ever exists. An
-    exact law with no zero-weight type is left in ``_last_law`` for
-    ``_exact_success_cached``."""
-    global _last_law
-    exact = _use_exact(spectrum, n, mode, samples)
-    if exact:
-        counts, logw, weights = _exact_law(spectrum, n)
+    exact law is read through ``_last_exact_law``; a sampled one sizes its
+    keys by ``samples``, which must not pass ``_MAX_SAMPLES``."""
+    if _use_exact(spectrum, n, mode, samples):
+        counts, logw, weights = _last_exact_law(spectrum.values, n)
     else:
+        if samples > _MAX_SAMPLES:
+            raise SpecError(f"sample count {samples} exceeds the limit "
+                            f"{_MAX_SAMPLES} of a sampled law")
         rng = rng_from(seed, "concentration-distribution", n, samples)
         label_p = spectrum.label_probabilities()
         counts, freq = _distinct_rows(
@@ -541,12 +536,7 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
         logw = _log_multinomial(counts, n)
     keep = weights != 0.0
     if not keep.all():
-        # rebinding drops the unfiltered arrays before the outcomes are built
         counts, logw, weights = counts[keep], logw[keep], weights[keep]
-    elif exact:
-        # the whole law, read-only, for _exact_success_cached
-        logw.flags.writeable = weights.flags.writeable = False
-        _last_law = ((spectrum.values, n), (logw, weights))
     return counts, np.maximum(logw / _LOG2, 0.0), weights
 
 
@@ -605,11 +595,7 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
 
 @lru_cache(maxsize=256)
 def _exact_success_cached(values: tuple, n: int, target: float) -> float:
-    key, law = _last_law
-    if key == (values, n):
-        logw, weights = law
-    else:
-        _, logw, weights = _exact_law(SchmidtSpectrum(values=values), n)
+    _, logw, weights = _last_exact_law(values, n)
     p = np.where(logw / _LOG2 < target - 1e-9, 0.0, weights).sum()
     return float(min(max(p, 0.0), 1.0))
 

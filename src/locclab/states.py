@@ -8,7 +8,8 @@
 * a seeded sampler of separable states for bound sanity checks.
 
 Every state is a :class:`DensityOperator`; a pure one is the rank-one
-|v><v| built from its closed-form vector v.
+|v><v| built from its closed-form vector v; a side past ``_MAX_SIDE`` is
+refused first. psi's marginal entropy is ``psi_spectrum(spec).entropy_bits``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ from .errors import LayoutError, SpecError
 from .qmat import DensityOperator, TensorLayout, _is_integer, permute, tensor
 from .seeding import rng_from
 from .tolerances import TOL
+
+# largest side D of a family's density matrix (16 D^2 bytes: 64 MiB)
+_MAX_SIDE = 2048
+
+
+def _check_side(side: int, what: str) -> None:
+    """SpecError unless ``what``'s matrix side fits ``_MAX_SIDE``."""
+    if side > _MAX_SIDE:
+        raise SpecError(f"{what} needs a density matrix of side {side}, "
+                        f"above the limit {_MAX_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,7 @@ def make_hiding_pair(spec: HidingPairSpec,
     pair is perfectly distinguishable globally.
     """
     d = spec.d
+    _check_side(d * d, f"the hiding pair at d = {d}")
     eye = np.eye(d * d)
     sw = _swap(d)
     p_sym = (eye + sw) / 2.0
@@ -126,6 +138,7 @@ def make_psi(spec: PsiSpec, labels: tuple[str, str] = ("A2", "B2"),
     (lambda, (1-lambda)/(d2-1) x (d2-1)), built as the outer product of
     its closed-form vector."""
     d2 = spec.d2
+    _check_side(d2 * d2, f"psi at d2 = {d2}")
     amp = np.zeros(d2 * d2, dtype=np.complex128)
     amp[0] = math.sqrt(spec.lam)
     tail = math.sqrt((1.0 - spec.lam) / (d2 - 1))
@@ -138,12 +151,6 @@ def make_psi(spec: PsiSpec, labels: tuple[str, str] = ("A2", "B2"),
 def psi_spectrum(spec: PsiSpec) -> SchmidtSpectrum:
     q = (1.0 - spec.lam) / (spec.d2 - 1)
     return SchmidtSpectrum(((spec.lam, 1), (q, spec.d2 - 1)))
-
-
-def psi_marginal_entropy(spec: PsiSpec) -> float:
-    """Closed form S(psi^A2) = -l log2 l - (1-l) log2[(1-l)/(d2-1)] in bits."""
-    lam, d2 = spec.lam, spec.d2
-    return -lam * math.log2(lam) - (1.0 - lam) * math.log2((1.0 - lam) / (d2 - 1))
 
 
 def psi_product_distance(spec: PsiSpec) -> float:
@@ -172,7 +179,7 @@ def check_psi_conditions(spec: PsiSpec, d1: int, eps_prime: float) -> PsiConditi
         raise SpecError(f"memory dimension d1 must be >= 2, got {d1}")
     if not 0.0 <= eps_prime < math.inf:  # a NaN fails this test too
         raise SpecError(f"eps' must be finite and >= 0, got {eps_prime}")
-    ent = psi_marginal_entropy(spec)
+    ent = psi_spectrum(spec).entropy_bits
     dist = psi_product_distance(spec)
     return PsiConditions(
         near_product=dist < eps_prime,
@@ -186,6 +193,7 @@ def make_rho_pair(hiding: tuple[DensityOperator, DensityOperator],
                   psi: DensityOperator) -> tuple[DensityOperator, DensityOperator]:
     """Attach the same state psi (``make_psi``'s |psi><psi|) to both
     hiding states: rho_i = sigma_i (x) psi."""
+    _check_side(len(hiding[0].entries) * len(psi.entries), "the rho pair")
     return tensor(hiding[0], psi), tensor(hiding[1], psi)
 
 
@@ -195,6 +203,7 @@ def make_max_entangled(dim: int, labels: tuple[str, str] = ("Ap", "Bp"),
     registers, built as the outer product of its closed-form vector."""
     if dim < 1:
         raise SpecError(f"maximally entangled dimension must be >= 1, got {dim}")
+    _check_side(dim * dim, f"the maximally entangled state at dim = {dim}")
     amp = np.zeros(dim * dim, dtype=np.complex128)
     for i in range(dim):
         amp[i * dim + i] = 1.0 / math.sqrt(dim)

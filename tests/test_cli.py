@@ -276,6 +276,20 @@ class TestEntropyCommand:
         assert err["type"] == "SpecError"
         assert "eps' must be finite and >= 0" in err["message"]
 
+    def test_entropy_bits_equal_concentrate_bit_for_bit(self, capsys):
+        # psi's marginal entropy has one formula, which both commands print;
+        # a second closed form differed from it at 40 of these 990 points
+        grid = [repr(float(lam)) for lam in np.linspace(0.01, 0.99, 99)]
+        for lam in ["0.04", *grid]:
+            for d2 in map(str, range(2, 12)):
+                args = ("--lambda", lam, "--d2", d2)
+                entropy = run_json(capsys, "entropy", *args)
+                law = run_json(capsys, "concentrate", *args, "--n", "1")
+                assert repr(entropy["entropy_bits"]) == \
+                    repr(law["entropy_bits"]), args
+        assert run_json(capsys, "entropy", "--lambda", "0.04", "--d2", "8"
+                        )["entropy_bits"] == 2.9373529142577146
+
 
 CONSTRUCTED = {
     "psi": (["--lambda", "0.7", "--d2", "3"], {
@@ -711,6 +725,7 @@ class TestConcentrateCommand:
             return law(*args)
         law = protocols._exact_law
         monkeypatch.setattr(protocols, "_exact_law", counted)
+        protocols._last_exact_law.cache_clear()
         protocols._exact_success_cached.cache_clear()
         report = run_json(capsys, "concentrate", "--lambda", "0.41", "--d2",
                           "4", "--n", "9", "--mode", "exact", "--target",
@@ -718,7 +733,7 @@ class TestConcentrateCommand:
         assert calls == [9]
         # a cold computation of the same success probability agrees
         protocols._exact_success_cached.cache_clear()
-        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        protocols._last_exact_law.cache_clear()
         cold = locclab.concentration_success_prob(
             locclab.psi_spectrum(locclab.PsiSpec(lam=0.41, d2=4)), 9, 8.5,
             mode="exact")
@@ -1097,6 +1112,93 @@ def test_non_finite_float_stays_structured(capsys, tmp_path, command, flag,
         assert (code, out) == (1, "")
         error = json.loads(err)["error"]
         assert issubclass(getattr(locclab, error["type"]), locclab.LoccLabError)
+
+
+# a minimal valid command per command that has an int flag, with the
+# family or protocol that reads the most of them; construct's --dim is
+# read only by max-entangled
+INT_FLAG_BASES = {
+    "helstrom": ["--family", "werner"],
+    "bounds": ["--family", "werner"],
+    "simulate": FLOAT_FLAG_BASES["simulate"],
+    "rate": FLOAT_FLAG_BASES["rate"],
+    "detect": ["--trials", "2"],
+    "concentrate": ["--lambda", "0.5", "--d2", "2", "--n", "2", "--mode",
+                    "sample", "--samples", "10"],
+    "entropy": ["--lambda", "0.5", "--d2", "8"],
+    "construct": ["--family", "rho-pair", "--lambda", "0.5", "--d2", "2"],
+    ("construct", "--dim"): ["--family", "max-entangled"],
+}
+# --seed only names a stream and --threads changes no work; --trials
+# counts trials, which the game commands play and drop one at a time, so
+# a huge count costs time, not an allocation
+INT_FLAGS_UNSIZED = {"--seed", "--threads", "--trials"}
+
+
+def int_flags():
+    """(command, flag) for every ``type=int`` option of the parser that
+    can size an allocation."""
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(command, action.option_strings[0])
+            for command, sub in commands.items() for action in sub._actions
+            if action.type is int
+            and action.option_strings[0] not in INT_FLAGS_UNSIZED]
+
+
+INT_FLAGS = int_flags()
+
+
+def test_every_int_flag_is_covered():
+    assert {command for command, _ in INT_FLAGS} == \
+        {key for key in INT_FLAG_BASES if isinstance(key, str)}
+    assert ("construct", "--dim") in INT_FLAGS  # the walk finds the flags
+
+
+@pytest.mark.parametrize("command,flag", INT_FLAGS,
+                         ids=[f"{c}{f}" for c, f in INT_FLAGS])
+def test_huge_int_stays_structured(capsys, tmp_path, command, flag):
+    # 10^14 is refused with one structured error before anything is sized
+    # by it, or the run succeeds and its stdout is strict JSON
+    base = INT_FLAG_BASES.get((command, flag), INT_FLAG_BASES[command])
+    code, out, err = run_cli(capsys, command, *base, flag, str(10**14),
+                             "--out", str(tmp_path / "run"))
+    if code == 0:
+        assert isinstance(strict_json(out), dict)
+    else:
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert issubclass(getattr(locclab, error["type"]), locclab.LoccLabError)
+
+
+@pytest.mark.parametrize("argv", [
+    "detect --delta 1e-10 --trials 1",
+    "simulate --protocol iid --p 0.5 --rounds 100000000000000 --trials 1",
+    "rate --protocol iid --p 0.5 --r 0.5 --n-list 100000000000000 --trials 1",
+    "concentrate --lambda 0.5 --d2 2 --n 4 --mode sample "
+    "--samples 100000000000000",
+    "concentrate --lambda 0.5 --d2 2 --n 100000000000000 --samples 10",
+    "simulate --protocol memory-block --d1 2 --lambda 0.5 --d2 8 "
+    "--n-block 100000000000000 --rounds 10 --trials 1",
+    "concentrate --lambda 0.5 --d2 100000000000000 --n 2 --mode sample "
+    "--samples 10",
+    "helstrom --family werner --d 100000",
+    "helstrom --family pure-vs-mixed --d 100000",
+    "construct --family max-entangled --dim 1000000",
+    "construct --family rho-pair --d 12 --lambda 0.5 --d2 4",
+])
+def test_oversize_run_names_its_limit(capsys, tmp_path, argv):
+    err = run_error(capsys, *argv.split(), "--out", str(tmp_path / "run"))
+    assert err["type"] == "SpecError" and "limit" in err["message"]
+    assert not (tmp_path / "run").exists() or \
+        not any((tmp_path / "run").iterdir())
+
+
+def test_entropy_of_a_huge_d2_sizes_nothing(capsys):
+    report = run_json(capsys, "entropy", "--lambda", "0.5", "--d2",
+                      "100000000000")
+    assert report["entropy_bits"] > 18.0
 
 
 class TestErrorSurface:

@@ -346,6 +346,34 @@ def trial(Z, Y, X=None, S=None, descriptors=None, protocol_id="x"):
                        descriptors=descriptors)
 
 
+class TestRoundLimit:
+    """One trial plays at most _MAX_ROUNDS rounds: the engine core
+    refuses more before it draws anything."""
+
+    class Undrawable(IIDStrategy):
+        def play(self, u, rng):
+            raise AssertionError("the engine drew rounds past the limit")
+
+    def calls(self, n):
+        strategy = self.Undrawable(0.5)
+        return (lambda: play_trial(strategy, n),
+                lambda: simulate_ensemble(strategy, n, trials=1),
+                lambda: estimate_rate(strategy, None, 0.5, 1, (n,)))
+
+    def test_huge_round_count_is_refused(self):
+        for call in self.calls(277258872223978094593):
+            with pytest.raises(SpecError, match="outside 1..1000000"):
+                call()
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(game, "_MAX_ROUNDS", 12)
+        assert play_trial(IIDStrategy(0.5), 12).n == 12
+        assert simulate_ensemble(IIDStrategy(0.5), 12, trials=3).shape == (3, 12)
+        for call in self.calls(13):
+            with pytest.raises(SpecError, match="outside 1..12 "):
+                call()
+
+
 class TestRunGame:
     """One trial of the engine core, ``play_trial``."""
 
@@ -863,9 +891,11 @@ class TestPublicNames:
         assert exported == defined == GAME_API
 
     def test_library_only_paths_are_gone(self):
-        # DetectionConfig.guess is the one threshold rule and sample_type
-        # the one draw of a Schmidt type; no second path is exported
-        for name in ("SchmidtTypeState", "detect_catalyst", "DetectionResult"):
+        # DetectionConfig.guess is the one threshold rule, the law's
+        # ``_draws`` the one draw of a Schmidt type and SchmidtSpectrum's
+        # entropy_bits the one marginal entropy; no second path is exported
+        for name in ("SchmidtTypeState", "detect_catalyst", "DetectionResult",
+                     "sample_type", "type_log2_dim", "psi_marginal_entropy"):
             assert name not in locclab.__all__
             with pytest.raises(AttributeError):
                 getattr(locclab, name)

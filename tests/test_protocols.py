@@ -38,9 +38,7 @@ from locclab import (
     make_psi,
     permute,
     psi_spectrum,
-    sample_type,
     teleport,
-    type_log2_dim,
 )
 from locclab import protocols
 from locclab.protocols import (_compositions, _distinct_rows, _exact_law,
@@ -147,12 +145,14 @@ class TestTypeAccounting:
             math.log2(math.comb(6, 3)), abs=1e-12)
 
     def test_type_log2_dim_validation(self):
-        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
-        assert type_log2_dim(spec, [1, 1]) == pytest.approx(1.0, abs=1e-12)
+        # log2_multinomial sizes one type: it gives each outcome's log2_dim
+        # and refuses a negative occupation
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=3))
+        for o in concentration_distribution(spec, 4, mode="exact"):
+            assert log2_multinomial(o.counts) == pytest.approx(o.log2_dim,
+                                                               abs=1e-12)
         with pytest.raises(SpecError):
-            type_log2_dim(spec, [1, 1, 0])
-        with pytest.raises(SpecError):
-            type_log2_dim(spec, [3, -1])
+            log2_multinomial([3, -1])
 
     @pytest.mark.parametrize("counts", [[-1, 2], [0.5, 0.5], [math.nan, 1],
                                         [math.inf, 1], [1e300, 1], ["a", 1],
@@ -168,9 +168,8 @@ class TestTypeAccounting:
 
     @pytest.mark.parametrize("counts", [[1.5, 0.5], [math.nan, 2], [3.0, -1.0]])
     def test_type_log2_dim_rejects_non_integers(self, counts):
-        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
         with pytest.raises(SpecError):
-            type_log2_dim(spec, counts)
+            log2_multinomial(counts)
 
     def test_outcome_validation(self):
         with pytest.raises(SpecError):
@@ -207,34 +206,27 @@ class TestLogFactorials:
 
 
 class TestSampleType:
-    def test_seed_determinism(self):
-        spec = psi_spectrum(PsiSpec(lam=0.3, d2=4))
-        a = sample_type(spec, 50, 7)
-        b = sample_type(spec, 50, 7)
-        np.testing.assert_array_equal(a, b)
-
-    def test_counts_sum(self):
-        spec = psi_spectrum(PsiSpec(lam=0.3, d2=4))
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            assert sample_type(spec, 17, rng).sum() == 17
+    """The sampled law's types, drawn by ``_draws``; TestCompactLaws
+    checks the draws against one ``rng.multinomial`` call."""
 
     def test_chi_square_goodness_of_fit(self):
-        # n=4, d2=2: five binomial categories, 1e5 draws
-        lam = 0.5
-        spec = psi_spectrum(PsiSpec(lam=lam, d2=2))
-        rng = np.random.default_rng(123)
-        draws = np.array([sample_type(spec, 4, rng)[0] for _ in range(100_000)])
-        observed = np.bincount(draws, minlength=5)
-        expected = np.array([math.comb(4, k) * lam ** k * (1 - lam) ** (4 - k)
-                             for k in range(5)]) * 100_000
+        # n=4, d2=2: the sampled law's weights over five binomial
+        # categories, 1e5 draws, against the exact law
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        samples = 100_000
+        sampled = {o.counts: o.probability for o in concentration_distribution(
+            spec, 4, mode="sample", samples=samples, seed=123)}
+        exact = concentration_distribution(spec, 4, mode="exact")
+        assert len(exact) == 5 and set(sampled) <= {o.counts for o in exact}
+        observed = np.array([sampled.get(o.counts, 0.0) for o in exact]) * samples
+        expected = np.array([o.probability for o in exact]) * samples
         stat = ((observed - expected) ** 2 / expected).sum()
         assert chi2.sf(stat, df=4) > 0.001
 
     def test_invalid_copy_count(self):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
         with pytest.raises(SpecError):
-            sample_type(spec, 0, 0)
+            concentration_distribution(spec, 0, mode="sample", samples=10)
 
 
 class TestConcentrationDistribution:
@@ -734,14 +726,14 @@ class TestCompactLaws:
         assert [o._row for o in law16] == [i % rows for i in range(m)]
         assert len({id(o._row) for o in law16}) == rows
 
-    def test_exact_law_retains_what_the_design_says(self, monkeypatch):
+    def test_exact_law_retains_what_the_design_says(self):
         # Per outcome: the outcome itself, its slot in the distribution's
-        # tuple, its row of the one-byte table, its two floats and its
-        # (logw, weight) in _last_law; per view of _VIEW_ROWS rows at most
-        # 256 bytes (the array object and its shape and strides); 128 KB
-        # for the rest. An int64 table and a fresh int per outcome would
-        # add 56 + 28 bytes each.
-        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        # tuple, its row of the one-byte table (which the law memo shares),
+        # its two floats and its (logw, weight) in the law memo; per view
+        # of _VIEW_ROWS rows at most 256 bytes (the array object and its
+        # shape and strides); 128 KB for the rest. An int64 table and a
+        # fresh int per outcome would add 56 + 28 bytes each.
+        protocols._last_exact_law.cache_clear()
         n = 12
         m, labels = math.comb(n + 7, 7), 8
         gc.collect()
@@ -758,14 +750,14 @@ class TestCompactLaws:
                  + 131_072)
         assert retained <= bound
 
-    def test_exact_law_peak_is_narrow(self, monkeypatch):
+    def test_exact_law_peak_is_narrow(self):
         # The law is built in the one-byte table's dtype: at most four
         # float64 columns (mass, logw, weights and one temporary), two bool
         # columns and the table are alive at once, plus one _ROW_CHUNK-row
         # float lookup while ln k! is read; 256 KB for the rest. That is
         # 68 bytes per type at n = 12 (47 measured); an int64 table and its
         # float64 cast peak at 136.
-        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        protocols._last_exact_law.cache_clear()
         n = 12
         m, labels = math.comb(n + 7, 7), 8
         gc.collect()
@@ -782,8 +774,9 @@ class TestCompactLaws:
 
 
 class TestLawMemo:
-    """The last exact law's (logw, weights) columns, kept for the exact
-    success probability of the same (spectrum, n)."""
+    """``_last_exact_law``, the one memo of an exact law: it keeps the last
+    (spectrum, n) asked for, and the distribution and the exact success
+    probability both read the law through it."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -796,16 +789,17 @@ class TestLawMemo:
             return law(spectrum, n)
         law = protocols._exact_law
         monkeypatch.setattr(protocols, "_exact_law", counting)
-        monkeypatch.setattr(protocols, "_last_law", (None, None))
+        protocols._last_exact_law.cache_clear()
         protocols._exact_success_cached.cache_clear()
         yield calls
+        protocols._last_exact_law.cache_clear()
         protocols._exact_success_cached.cache_clear()
 
     @staticmethod
     def cold(spec, n, target):
         """The success probability from a freshly enumerated law."""
         protocols._exact_success_cached.cache_clear()
-        protocols._last_law = (None, None)
+        protocols._last_exact_law.cache_clear()
         return concentration_success_prob(spec, n, target,
                                           mode="exact").estimate
 
@@ -818,6 +812,7 @@ class TestLawMemo:
         cold = [self.cold(spec, n, t) for t in targets]
         assert counted == [n] * len(targets)
         counted.clear()
+        protocols._last_exact_law.cache_clear()
         concentration_distribution(spec, n, mode="exact")
         protocols._exact_success_cached.cache_clear()
         warm = [concentration_success_prob(spec, n, t, mode="exact").estimate
@@ -837,39 +832,58 @@ class TestLawMemo:
         concentration_distribution(spec, 8, mode="exact")
         concentration_success_prob(spec, 9, 5.0, mode="exact")
         assert counted == [9, 9, 9, 8, 9]
-        # only a distribution leaves its law behind
+        # a success probability leaves its law behind too
         concentration_success_prob(spec, 9, 4.0, mode="exact")
-        assert counted == [9, 9, 9, 8, 9, 9]
-        assert protocols._last_law[0] == (spec.values, 8)
+        concentration_distribution(spec, 9, mode="exact")
+        assert counted == [9, 9, 9, 8, 9]
+        assert protocols._last_exact_law.cache_info().currsize == 1
         assert concentration_success_prob(spec, 9, 5.0, mode="exact"
                                           ).estimate == self.cold(spec, 9, 5.0)
+
+    def test_memo_holds_one_law(self, monkeypatch, counted):
+        # ... and none while it enumerates the next
+        held = []
+
+        def law(spectrum, n):
+            held.append(protocols._last_exact_law.cache_info().currsize)
+            return enumerate_law(spectrum, n)
+        enumerate_law = protocols._exact_law
+        monkeypatch.setattr(protocols, "_exact_law", law)
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
+        for n in (5, 6, 5):
+            concentration_distribution(spec, n, mode="exact")
+            assert protocols._last_exact_law.cache_info().currsize == 1
+        assert counted == [5, 6, 5] and held == [0, 0, 0]
 
     def test_kept_arrays_are_read_only(self, counted):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
         concentration_distribution(spec, 7, mode="exact")
-        key, (logw, weights) = protocols._last_law
-        assert key == (spec.values, 7)
-        assert len(logw) == len(weights) == math.comb(7 + 3, 3)
-        for column in (logw, weights):
+        counts, logw, weights = protocols._last_exact_law(spec.values, 7)
+        assert counted == [7]
+        assert len(counts) == len(logw) == len(weights) == math.comb(7 + 3, 3)
+        for column in (counts, logw, weights):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
-                column[0] = 0.0
+                column[0] = 0
 
-    def test_zero_weight_law_is_not_kept(self, counted):
+    def test_zero_weight_law_is_kept_whole(self, counted):
         # a zero-probability label gives zero-weight types; the
-        # distribution drops them and keeps nothing
+        # distribution drops them, and the memo keeps the whole law
         spec = SchmidtSpectrum(values=((0.6, 1), (0.4, 1), (0.0, 2)))
         dist = concentration_distribution(spec, 5, mode="exact")
-        assert len(dist) == 6 and protocols._last_law == (None, None)
+        assert len(dist) == 6
+        assert len(protocols._last_exact_law(spec.values, 5)[2]) == \
+            math.comb(5 + 3, 3)
         est = concentration_success_prob(spec, 5, 2.0, mode="exact").estimate
-        assert counted == [5, 5]
+        assert counted == [5]
         assert est == pytest.approx(math.fsum(
             o.probability for o in dist if o.log2_dim >= 2.0 - 1e-9), abs=1e-12)
 
     def test_sampled_distribution_keeps_nothing(self, counted):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
         concentration_distribution(spec, 9, mode="sample", samples=500)
-        assert protocols._last_law == (None, None) and counted == []
+        assert protocols._last_exact_law.cache_info().currsize == 0
+        assert counted == []
 
 
 class TestArgumentValidation:
@@ -895,6 +909,34 @@ class TestArgumentValidation:
         with pytest.raises(SpecError):
             concentration_success_prob(spec, 4, target, mode=mode,
                                        samples=100)
+
+    @pytest.mark.parametrize("n, labels, samples", [
+        (10**14, 2, 10), (4, 10**14, 10), (4, 2, 10**14)])
+    def test_oversize_laws_are_refused(self, n, labels, samples):
+        # refused before any array is sized by them
+        spec = SchmidtSpectrum(values=((1.0 / labels, labels),))
+        with pytest.raises(SpecError, match="limit"):
+            protocols._law_columns(spec, n, "sample", samples, 0)
+
+    def test_limits_are_inclusive(self, monkeypatch):
+        monkeypatch.setattr(protocols, "_MAX_COPIES", 9)
+        monkeypatch.setattr(protocols, "_MAX_LABELS", 4)
+        monkeypatch.setattr(protocols, "_MAX_SAMPLES", 50)
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
+        wide = psi_spectrum(PsiSpec(lam=0.5, d2=5))
+        concentration_distribution(spec, 9, mode="sample", samples=50)
+        concentration_success_prob(spec, 9, 4.0, mode="sample", samples=51)
+        # an exact law sizes nothing by its samples
+        concentration_distribution(spec, 2, samples=51)
+        for call in (
+                lambda: concentration_distribution(spec, 10, mode="sample"),
+                lambda: concentration_success_prob(spec, 10, 4.0),
+                lambda: concentration_distribution(spec, 9, mode="sample",
+                                                   samples=51),
+                lambda: concentration_distribution(wide, 2),
+                lambda: concentration_success_prob(wide, 2, 1.0)):
+            with pytest.raises(SpecError, match="limit"):
+                call()
 
 
 class TestMaximalEntanglementWitness:

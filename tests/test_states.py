@@ -19,7 +19,6 @@ from locclab import (
     operator_to_json,
     partial_trace,
     partial_transpose,
-    psi_marginal_entropy,
     psi_product_distance,
     psi_spectrum,
     sample_separable,
@@ -107,7 +106,7 @@ class TestMakePsi:
             marg = partial_trace(make_psi(spec), {"B2"})
             assert von_neumann_entropy(marg) == pytest.approx(
                 closed_form_entropy(lam, d2), abs=1e-10)
-            assert psi_marginal_entropy(spec) == pytest.approx(
+            assert psi_spectrum(spec).entropy_bits == pytest.approx(
                 closed_form_entropy(lam, d2), abs=1e-12)
 
     def test_product_distance_identity_random_specs(self):
@@ -147,7 +146,7 @@ class TestPsiConditions:
     def test_report_fields_consistent(self):
         spec = PsiSpec(lam=0.7, d2=3)
         cond = check_psi_conditions(spec, 2, 0.5)
-        assert cond.entropy_bits == pytest.approx(psi_marginal_entropy(spec))
+        assert cond.entropy_bits == psi_spectrum(spec).entropy_bits
         assert cond.trace_distance == pytest.approx(psi_product_distance(spec))
         assert cond.near_product == (cond.trace_distance < 0.5)
 
@@ -195,6 +194,34 @@ class TestMaxEntangled:
     def test_invalid_dim(self):
         with pytest.raises(SpecError):
             make_max_entangled(0)
+
+
+class TestSideLimit:
+    """A family whose density matrix would have a side above _MAX_SIDE is
+    refused before anything is allocated."""
+
+    def test_huge_families_are_refused(self):
+        for build in (lambda: make_hiding_pair(HidingPairSpec(d=10**5)),
+                      lambda: make_psi(PsiSpec(lam=0.5, d2=10**14)),
+                      lambda: make_max_entangled(10**6)):
+            with pytest.raises(SpecError, match="above the limit 2048"):
+                build()
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        from locclab import states
+        monkeypatch.setattr(states, "_MAX_SIDE", 16)
+        pair = make_hiding_pair(HidingPairSpec(d=4))
+        small_pair = make_hiding_pair(HidingPairSpec(d=2))
+        assert make_psi(PsiSpec(lam=0.5, d2=4)).layout.dims == (4, 4)
+        assert make_max_entangled(4).layout.dims == (4, 4)
+        make_rho_pair(small_pair, make_psi(PsiSpec(lam=0.5, d2=2)))
+        for build in (lambda: make_hiding_pair(HidingPairSpec(d=5)),
+                      lambda: make_psi(PsiSpec(lam=0.5, d2=5)),
+                      lambda: make_max_entangled(5),
+                      lambda: make_rho_pair(pair, make_psi(
+                          PsiSpec(lam=0.5, d2=2)))):
+            with pytest.raises(SpecError, match="above the limit 16"):
+                build()
 
 
 class TestRankOneStates:
