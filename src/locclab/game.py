@@ -391,6 +391,9 @@ _CHUNK_CELLS = 1 << 18
 # most rounds of one trial, which holds ~60 bytes per round in arrays and
 # ~620 with memory-block descriptors and the CLI's --out lines (~0.6 GB)
 _MAX_ROUNDS = 1_000_000
+# most success indicators (trials x rounds) of one ensemble, whose bool
+# matrix is allocated whole: 256 MiB
+_MAX_CELLS = 1 << 28
 
 
 def _play_rows(strategy: Strategy, u: np.ndarray, rng: np.random.Generator
@@ -442,6 +445,8 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     on the ``(*stream, "success" | "strategy")`` substreams of ``seed``
     and return the success indicators, shape (trials, n).
 
+    SpecError, before anything is allocated, unless 1 <= n <=
+    ``_MAX_ROUNDS``, trials >= 1 and trials * n <= ``_MAX_CELLS``.
     Rows are played and checked (``_play_rows``) in chunks of at most
     max(1, _CHUNK_CELLS // n) rows, whose descriptors are dropped, so
     memory beyond the result stays bounded. A chunk's uniforms are the
@@ -453,6 +458,9 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
         raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
+    if trials * n > _MAX_CELLS:
+        raise SpecError(f"{trials} trials of {n} rounds exceed the limit "
+                        f"{_MAX_CELLS} of success indicators per ensemble")
     uniforms = rng_from(seed, *stream, "success")
     own = rng_from(seed, *stream, "strategy")
     x = np.empty((trials, n), dtype=bool)

@@ -41,11 +41,17 @@ The distribution's outcomes are built in bulk from the columns: their
 checks run once on the whole columns, and the slots of bare instances are
 filled directly. Each outcome's ``counts`` tuple is built on its first
 read from its row of the law's read-only counts table, which the outcomes
-keep alive, so building an outcome makes one object for the cyclic
-garbage collector to track, not two. An outcome refers to a view of at
-most ``_VIEW_ROWS`` rows of the table and to its row there, an int that
-CPython keeps cached, so besides itself it adds only its two floats to
-what the law keeps alive. Since an outcome refers only to the table, an
+keep alive, by a data descriptor over the ``counts`` slot, so building an
+outcome makes one object for the cyclic garbage collector to track, not
+two, and every other field read stays a plain slot read. An outcome
+refers to a view of at most ``_VIEW_ROWS`` rows of the table and to its
+row there, an int that CPython keeps cached. Its two floats are interned
+on their float64 bit patterns, ``_ROW_CHUNK`` rows at a time through a
+fixed table of ``_BUCKETS`` hash buckets: a row shares its bucket's float
+when the bits are equal and keeps its own otherwise, so no value changes
+(-0.0 and 0.0 stay apart) and no sort runs. Besides the outcomes
+themselves, the law then keeps about one float per distinct value alive,
+not two per outcome. Since an outcome refers only to the table, an
 int and two floats, it cannot be part of a reference cycle, and the
 outcomes are built with the collector paused (when it is enabled and no
 other Python thread is alive; it is enabled again afterwards), so those
@@ -98,6 +104,12 @@ _ROW_CHUNK = 16_384
 # keeps one cached int object for each of -5..256, so an outcome's row
 # index in its view, 0..255, makes no new object
 _VIEW_ROWS = 256
+# buckets of the table that bulk outcomes' float columns are interned in
+# (an n = 16 law has 1 210 distinct probabilities and 154 log2_dims), and
+# the multiplier of the hash that maps a float64 bit pattern to one of them
+_BUCKET_BITS = 16
+_BUCKETS = 1 << _BUCKET_BITS
+_HASH_MULT = np.uint64(0xFF51AFD7ED558CCD)
 
 
 # --- teleportation -----------------------------------------------------
@@ -270,6 +282,90 @@ class _TableRow:
     __slots__ = ("_table", "_row")
 
 
+class _DeferredCounts:
+    """Data descriptor over the ``counts`` slot: a read of an empty slot
+    (a bulk outcome whose counts were never read) fills it with the tuple
+    of Python ints of the outcome's table row. Living on the class, it
+    leaves every other attribute a plain slot read; a ``__getattr__`` hook
+    would put every attribute read of every outcome on CPython's slow
+    path."""
+
+    __slots__ = ("_slot",)
+
+    def __init__(self, slot):
+        self._slot = slot
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        try:
+            return self._slot.__get__(obj, owner)
+        except AttributeError:
+            counts = tuple(obj._table[obj._row].tolist())
+            self._slot.__set__(obj, counts)
+            return counts
+
+    def __set__(self, obj, value):
+        self._slot.__set__(obj, value)
+
+    def __delete__(self, obj):
+        self._slot.__delete__(obj)
+
+
+def _bucket(bits: np.ndarray) -> np.ndarray:
+    """The bucket of each uint64 bit pattern: the top ``_BUCKET_BITS`` bits
+    of x * ``_HASH_MULT`` (mod 2^64) after x ^= x >> 33, the first steps of
+    MurmurHash3's 64-bit finalizer: the shift folds the sign, exponent and
+    high mantissa bits into the low ones, which the product spreads over
+    the top bits."""
+    mixed = bits ^ (bits >> np.uint64(33))
+    mixed *= _HASH_MULT
+    mixed >>= np.uint64(64 - _BUCKET_BITS)
+    return mixed.astype(np.intp)
+
+
+def _interned(column: np.ndarray):
+    """The float64 ``column`` as Python floats, ``_ROW_CHUNK`` rows at a
+    time, rows of equal bits sharing one float object.
+
+    Each chunk's bit patterns (its uint64 view) are hashed into a table of
+    ``_BUCKETS`` buckets by ``_bucket``. The first row to reach an empty
+    bucket puts its float there for good, and a row takes its bucket's
+    float only when that float's bits equal the row's own, so no value
+    changes and -0.0 and 0.0 stay apart; a row whose bucket holds another
+    value gets a float of its own. No sort runs over the column, and the
+    table keeps only the floats put in it: a bucket holds 1 + the index of
+    its float, 0 while empty.
+    """
+    held = np.zeros(_BUCKETS, dtype=np.intp)
+    first = np.empty(_BUCKETS, dtype=np.intp)
+    floats = np.empty(1, dtype=object)
+    kept = np.zeros(1, dtype=np.uint64)    # the bits of each of floats
+    for lo in range(0, len(column), _ROW_CHUNK):
+        chunk = column[lo:lo + _ROW_CHUNK]
+        bits = chunk.view(np.uint64)
+        bucket = _bucket(bits)
+        at = held[bucket]
+        rows = np.flatnonzero(at == 0)
+        if rows.size:
+            # one row per empty bucket: the one whose index the last write
+            # left in first[] (numpy writes repeated indices in order, so
+            # in the reversed row list, the chunk's first row)
+            empty = bucket[rows]
+            first[empty[::-1]] = rows[::-1]
+            claims = first[empty] == rows
+            new = rows[claims]
+            held[empty[claims]] = np.arange(len(floats), len(floats) + len(new))
+            floats = np.concatenate((floats, chunk[new].astype(object)))
+            kept = np.concatenate((kept, bits[new]))
+            at[rows] = held[empty]
+        out = floats[at]
+        own = kept[at] != bits
+        if own.any():
+            out[own] = chunk[own].astype(object)
+        yield out.tolist()
+
+
 @dataclass(frozen=True, slots=True)
 class ConcentrationOutcome(_TableRow):
     """One type-measurement outcome: label occupation vector, log2 of
@@ -279,9 +375,12 @@ class ConcentrationOutcome(_TableRow):
     Outcomes built in bulk by ``concentration_distribution`` each refer to
     a view of the law's read-only (m, labels) unsigned integer counts
     table and build their ``counts`` tuple of Python ints from their row
-    of it on first read, so one outcome kept on its own keeps the whole
-    table alive. Equality, hashing, repr, pickling and copies see only the
-    tuple.
+    of it on first read (``_DeferredCounts``, the descriptor over the
+    ``counts`` slot), so one outcome kept on its own keeps the whole table
+    alive. Their ``log2_dim`` and ``probability`` are plain slots that
+    share one float object among outcomes whose values have the same bits
+    (``_interned``). Equality, hashing, repr, pickling and copies see only
+    the tuple and the two values.
     """
 
     counts: tuple[int, ...]
@@ -294,15 +393,6 @@ class ConcentrationOutcome(_TableRow):
                             "nonnegative")
         if not (-1e-12 <= self.probability <= 1.0 + 1e-12):
             raise SpecError(f"probability {self.probability} outside [0, 1]")
-
-    def __getattr__(self, name):
-        # reached only while a bulk outcome's counts slot is empty
-        if name != "counts":
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        counts = tuple(self._table[self._row].tolist())
-        object.__setattr__(self, "counts", counts)
-        return counts
 
     @classmethod
     def _from_columns(cls, counts: np.ndarray, log2_dim: np.ndarray,
@@ -317,7 +407,10 @@ class ConcentrationOutcome(_TableRow):
         in that view (a cached small int) in place of a counts tuple, so an
         outcome is one GC-tracked object. The outcomes take ``counts`` over,
         whatever its integer dtype: it is made read-only in place, not
-        copied.
+        copied. Each float column is interned on its bit patterns, one
+        ``_ROW_CHUNK`` at a time (``_interned``): rows of equal bits share
+        one float unless another value holds their bucket, so a law keeps
+        about one float per distinct value, not two per outcome.
 
         The outcomes are built with the cyclic collector paused when it is
         enabled and the calling thread is the only Python thread, and it is
@@ -350,11 +443,13 @@ class ConcentrationOutcome(_TableRow):
                 maxlen=0)
             deque(map(cls._row.__set__, out,
                       itertools.cycle(range(_VIEW_ROWS))), maxlen=0)
-            # one column at a time, so each one's Python list is freed
-            # before the next is built
-            deque(map(cls.log2_dim.__set__, out, log2_dim.tolist()), maxlen=0)
-            deque(map(cls.probability.__set__, out, probability.tolist()),
-                  maxlen=0)
+            # one column and one chunk at a time, so no column-long list of
+            # floats is built
+            for column, slot in ((log2_dim, cls.log2_dim),
+                                 (probability, cls.probability)):
+                deque(map(slot.__set__, out, itertools.chain.from_iterable(
+                    _interned(np.asarray(column, np.float64)))),
+                    maxlen=0)
             return tuple(out)
         finally:
             if pause:
@@ -374,6 +469,7 @@ def _refuse_delete(self, name):
 # TypeError from super(); refuse every name, as a plain frozen dataclass does.
 ConcentrationOutcome.__setattr__ = _refuse_set
 ConcentrationOutcome.__delattr__ = _refuse_delete
+ConcentrationOutcome.counts = _DeferredCounts(ConcentrationOutcome.counts)
 
 
 def _count_compositions(total: int, parts: int) -> int:

@@ -374,6 +374,39 @@ class TestRoundLimit:
                 call()
 
 
+class TestEnsembleLimit:
+    """An ensemble holds at most _MAX_CELLS success indicators: the engine
+    core refuses more before it allocates its (trials, n) matrix."""
+
+    @staticmethod
+    def calls(trials):
+        config = DetectionConfig(p_tau=0.9, p_locc=0.75, delta=0.05, n=1000)
+        return (lambda: simulate_ensemble(IIDStrategy(0.5), 1000, trials),
+                lambda: estimate_rate(IIDStrategy(0.5), None, 0.5, trials,
+                                      (1000,)),
+                lambda: detection_accuracy(
+                    config, default_detection_oracle(config), trials=trials))
+
+    @pytest.mark.parametrize("call", range(3))
+    def test_huge_ensemble_allocates_nothing(self, call):
+        run = self.calls(10**12)[call]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match="exceed the limit 268435456"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65_536
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(game, "_MAX_CELLS", 3000)
+        assert simulate_ensemble(IIDStrategy(0.5), 1000, 3).shape == (3, 1000)
+        for run in self.calls(4):
+            with pytest.raises(SpecError, match="4 trials of 1000 rounds"):
+                run()
+
+
 class TestRunGame:
     """One trial of the engine core, ``play_trial``."""
 

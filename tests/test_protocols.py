@@ -773,6 +773,114 @@ class TestCompactLaws:
         assert peak <= bound
 
 
+class TestSharedFloats:
+    """Bulk outcomes intern each float column on its bit patterns: a row
+    shares its bucket's float when the bits are equal and keeps its own
+    float otherwise."""
+
+    @staticmethod
+    def bits(x: float) -> int:
+        return np.array([x]).view(np.uint64)[0].item()
+
+    @staticmethod
+    def colliding_pair() -> tuple[float, float]:
+        """The first two of 1/1000, 2/1000, ... that share a bucket."""
+        values = np.arange(1, 1000) / 1000.0
+        seen = {}
+        for v, b in zip(values.tolist(),
+                        protocols._bucket(values.view(np.uint64)).tolist()):
+            if b in seen:
+                return seen[b], v
+            seen[b] = v
+        raise AssertionError("no two values share a bucket")
+
+    def test_rows_share_only_equal_bits(self):
+        a, b = self.colliding_pair()
+        bucket_a, bucket_b = protocols._bucket(
+            np.array([a, b]).view(np.uint64)).tolist()
+        assert a != b and bucket_a == bucket_b
+        # past one chunk, so rows of a later chunk meet an earlier bucket
+        pattern = [0.0, -0.0, a, 0.25, b, 0.25, -0.0, a, b, 0.0, 0.5]
+        m = protocols._ROW_CHUNK + len(pattern)
+        column = np.resize(np.array(pattern), m)
+        counts = np.zeros((m, 2), dtype=np.uint8)
+        dist = ConcentrationOutcome._from_columns(counts, column,
+                                                  column[::-1].copy())
+        for floats, source in (([o.log2_dim for o in dist], column),
+                               ([o.probability for o in dist], column[::-1])):
+            assert all(type(x) is float for x in floats)
+            assert [self.bits(x) for x in floats] == \
+                source.view(np.uint64).tolist()
+            # the first row of each bucket keeps its float; a later row
+            # shares it exactly when its bits are the same
+            owner = {}
+            for x, bucket in zip(floats, protocols._bucket(
+                    source.view(np.uint64)).tolist()):
+                first = owner.setdefault(bucket, x)
+                assert (x is first) == (self.bits(x) == self.bits(first))
+            by_bits = {}
+            for x in floats:
+                by_bits.setdefault(self.bits(x), set()).add(id(x))
+            # the one of a and b that comes second meets a bucket that holds
+            # the other, so every row of it keeps its own float
+            rows = source.tolist()
+            held, lost = (a, b) if rows.index(a) < rows.index(b) else (b, a)
+            for v in (0.0, -0.0, held, 0.25, 0.5):
+                assert len(by_bits[self.bits(v)]) == 1
+            assert len(by_bits[self.bits(lost)]) == rows.count(lost) > 1
+            assert by_bits[self.bits(0.0)] != by_bits[self.bits(-0.0)]
+
+    @staticmethod
+    def distinct(column: np.ndarray) -> int:
+        return len(np.unique(column.view(np.uint64)))
+
+    def retained(self, build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dist = build()
+            return dist, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_exact_law_keeps_one_float_per_value(self):
+        # Per outcome: the outcome itself, its slot in the distribution's
+        # tuple, its row of the one-byte table and its (logw, weight) in the
+        # law memo; 24 bytes per distinct value of each float column; per
+        # view of _VIEW_ROWS rows 256 bytes; 128 KB for the rest. Two floats
+        # per outcome would add 48 bytes each (2.4 MB here).
+        protocols._last_exact_law.cache_clear()
+        n, labels = 12, 8
+        _, log2_dim, probability = protocols._law_columns(PSI_35, n, "exact",
+                                                          1, 0)
+        values = self.distinct(log2_dim) + self.distinct(probability)
+        protocols._last_exact_law.cache_clear()
+        dist, retained = self.retained(
+            lambda: concentration_distribution(PSI_35, n, mode="exact"))
+        m = len(dist)
+        bound = (m * (sys.getsizeof(dist[0]) + 8 + labels + 16)
+                 + values * sys.getsizeof(1.0)
+                 + -(-m // protocols._VIEW_ROWS) * 256 + 131_072)
+        assert retained <= bound
+        assert len({id(o.log2_dim) for o in dist}) == self.distinct(log2_dim)
+
+    def test_sampled_law_keeps_one_float_per_value(self):
+        # As for the exact law, without the memo's two columns: a sampled
+        # law keeps its table, outcomes and floats only.
+        n, labels, samples = 64, 8, 20_000
+        _, log2_dim, probability = protocols._law_columns(
+            PSI_35, n, "sample", samples, 7)
+        values = self.distinct(log2_dim) + self.distinct(probability)
+        dist, retained = self.retained(
+            lambda: concentration_distribution(PSI_35, n, mode="sample",
+                                               samples=samples, seed=7))
+        m = len(dist)
+        bound = (m * (sys.getsizeof(dist[0]) + 8 + labels)
+                 + values * sys.getsizeof(1.0)
+                 + -(-m // protocols._VIEW_ROWS) * 256 + 131_072)
+        assert retained <= bound
+
+
 class TestLawMemo:
     """``_last_exact_law``, the one memo of an exact law: it keeps the last
     (spectrum, n) asked for, and the distribution and the exact success

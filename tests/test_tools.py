@@ -1,6 +1,6 @@
 """The comparison tools under tools/: the parity panel's ``--compare`` and
-bench_pairs' seed list and summary, on hand-written inputs (no solve, no
-benchmark run)."""
+bench_pairs' seed list, summary and verdicts, on hand-written inputs (no
+solve, no benchmark run)."""
 
 import importlib.util
 import json
@@ -101,8 +101,65 @@ class TestSummary:
                        "series": {"setup_s": [1.0, 3.0, 1.0, 1.0, 1.0, 3.0]},
                        "items": {"werner-d2": [0.5] * 6}},
         }
-        metric, item = bench_pairs.summary(records)
+        metric, verdict, item = bench_pairs.summary(records, END_TO_END)
         assert metric.endswith("change lower in 4/6 pairs "
                                "(3/3 parent first, 1/3 change first)")
         assert metric.startswith("setup_s      parent 2 [2, 2] change 1 [1, ")
+        assert verdict == " " * 13 + bench_pairs.verdicts(
+            [2.0] * 6, [1.0, 3.0, 1.0, 1.0, 1.0, 3.0], END_TO_END[0])
         assert item.endswith("change lower in 6/6")
+
+
+# the end_to_end entries bench_pairs reads from BENCHMARK.json
+END_TO_END = [{"name": "setup_s", "unit": "s", "better": "lower",
+               "bound": 0.25},
+              {"name": "rate", "unit": "1/s", "better": "higher",
+               "bound": 0.1}]
+
+
+class TestVerdicts:
+    PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+    def verdict(self, other, metric=0, parent=None):
+        return bench_pairs.verdicts(parent or self.PARENT, other,
+                                    END_TO_END[metric])
+
+    def test_gain_needs_nine_tenths_of_the_pairs(self):
+        # the parent's quartiles are 9.875 and 10.125: an IQR of 0.25
+        nine = [5.0] * 9 + [11.0]
+        assert self.verdict(nine).startswith(
+            "gain met (better in 9/10 pairs, medians 5 apart, parent IQR 0.25)")
+        eight = [5.0] * 8 + [11.0, 11.0]
+        assert self.verdict(eight).startswith("gain not met (better in 8/10")
+
+    def test_ties_count_for_neither_side(self):
+        tied = [5.0] * 8 + self.PARENT[8:]
+        assert self.verdict(tied).startswith("gain not met (better in 8/10")
+
+    def test_gain_needs_medians_apart_by_more_than_the_iqr(self):
+        close = [p - 0.2 for p in self.PARENT]
+        assert self.verdict(close).startswith(
+            "gain not met (better in 10/10 pairs")
+        assert self.verdict([p - 0.3 for p in self.PARENT]).startswith(
+            "gain met (better in 10/10 pairs")
+
+    def test_higher_is_better(self):
+        rate = [p + 1.0 for p in self.PARENT]
+        assert self.verdict(rate, metric=1).startswith(
+            "gain met (better in 10/10")
+        assert self.verdict(self.PARENT[::-1], metric=1, parent=rate) \
+            .startswith("gain not met (better in 0/10")
+
+    def test_bound(self):
+        # setup_s: lower is better, 25% bound on 10.0
+        assert "within bound (median +25.00%" in self.verdict(
+            [p * 1.25 for p in self.PARENT])
+        assert "beyond bound (median +26.00%" in self.verdict(
+            [p * 1.26 for p in self.PARENT])
+        assert "within bound (median -50.00%" in self.verdict(
+            [p * 0.5 for p in self.PARENT])
+        # rate: higher is better, 10% bound
+        assert "within bound (median -10.00%" in self.verdict(
+            [p * 0.9 for p in self.PARENT], metric=1)
+        assert "beyond bound (median -11.00%" in self.verdict(
+            [p * 0.89 for p in self.PARENT], metric=1)

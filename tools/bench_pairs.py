@@ -19,6 +19,13 @@ every pair's end-to-end metric values and the per-item medians of each
 run. Its ``result`` holds the median over the pairs of each metric, in the
 runner's result-line format.
 
+The summary it prints gives each metric two verdicts, read from the
+change checkout's ``BENCHMARK.json`` (``end_to_end``: ``better`` and
+``bound``): whether the change shows a gain (better in at least nine
+tenths of the pairs, ties counting for neither, and medians apart by more
+than the parent's interquartile range) and whether its median stays
+within the metric's bound of the parent's.
+
 It stops and exits 1 at the first run that exits non-zero or reports a
 failed item, and then writes no file.
 """
@@ -61,11 +68,14 @@ def diff_digest(checkout: Path) -> str | None:
     return hashlib.sha256(proc.stdout).hexdigest()
 
 
+def benchmark(checkout: Path) -> dict:
+    return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
 def run_seconds(checkout: Path) -> int:
     """The run length the checkout's benchmark sets, which run.py uses
     when it gets no --seconds."""
-    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return int(spec["run_seconds"])
+    return int(benchmark(checkout)["run_seconds"])
 
 
 def item_medians(checkout: Path, workload: str, seed: int) -> dict:
@@ -143,11 +153,37 @@ def quartiles(values: list[float]) -> str:
     return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
-def summary(records: dict) -> list[str]:
-    """One line per metric: each side's median and quartiles and the pairs
+def verdicts(values: list[float], other: list[float], metric: dict) -> str:
+    """The gain and bound verdicts of the change's series ``other`` against
+    the parent's ``values`` on one ``end_to_end`` metric of BENCHMARK.json.
+
+    Gain: the change is better (by the metric's ``better``) in at least
+    nine tenths of the pairs, ties counting for neither, and its median is
+    better by more than the distance between the parent's quartiles.
+    Bound: the change's median is worse than the parent's by at most the
+    metric's ``bound``, a fraction of the parent's median.
+    """
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0.0 for p, c in zip(values, other))
+    base, med = statistics.median(values), statistics.median(other)
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    gain = 10 * wins >= 9 * len(values) and sign * (base - med) > q3 - q1
+    change = (med - base) / base
+    return (f"gain {'met' if gain else 'not met'} (better in {wins}/"
+            f"{len(values)} pairs, medians {abs(med - base):.6g} apart, "
+            f"parent IQR {q3 - q1:.6g}); "
+            f"{'within' if sign * change <= metric['bound'] else 'beyond'} "
+            f"bound (median {change:+.2%}, bound {metric['bound']:.0%}, "
+            f"{metric['better']} is better)")
+
+
+def summary(records: dict, end_to_end: list[dict]) -> list[str]:
+    """Two lines per metric: each side's median and quartiles and the pairs
     where the change is lower, in all and split by the side that ran
-    first; one line per item: the medians."""
+    first, then the metric's ``verdicts`` by its ``end_to_end`` entry;
+    one line per item: the medians."""
     parent, change = records["parent"], records["change"]
+    metrics = {m["name"]: m for m in end_to_end}
     first = parent["first"]
     lines = []
     for name, values in parent["series"].items():
@@ -159,6 +195,7 @@ def summary(records: dict) -> list[str]:
         lines.append(f"{name:<12} parent {quartiles(values)} change "
                      f"{quartiles(other)}  change lower in "
                      f"{sum(lower)}/{len(values)} pairs ({split})")
+        lines.append(f"{'':<12} {verdicts(values, other, metrics[name])}")
     for label, values in parent["items"].items():
         other = change["items"][label]
         lower = sum(c < p for p, c in zip(values, other))
@@ -199,7 +236,8 @@ def main(argv=None) -> int:
         path = dirs["change"] / f"BENCH_{args.label}-{side}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"# wrote {path}")
-    print("\n".join(summary(records)))
+    print("\n".join(summary(records,
+                             benchmark(dirs["change"])["end_to_end"])))
     return 0
 
 
