@@ -391,7 +391,7 @@ def cmd_bounds(config: ExperimentConfig) -> dict:
         "ppt_upper": bracket.ppt_upper,
         "helstrom": bracket.helstrom,
         "sdp_gap": bracket.sdp_gap,
-        "witness": bracket.witness_id,
+        "witness": bracket.witness.name,
     }
     _write_outputs(config, {"report.json": [_canonical_json(report), "\n"]},
                    inputs=inputs)

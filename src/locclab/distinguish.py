@@ -20,8 +20,10 @@ the party that measures first and one conditional basis for the other
 party per first outcome, both checked unitary. The protocol is one-way
 LOCC by construction, its value is read off the conditional blocks
 <u_k|Delta|u_k> without forming any D x D element, and the winning
-protocol is the LOCC witness itself. The default library is scored
-witness-only: each strategy's value comes from its raw bases and
+protocol is the LOCC witness itself: its bases are all it holds, and the
+guess on each outcome is the sign of that outcome's functional. The
+default library has three strategies (:func:`one_way_library`) and is
+scored witness-only: each strategy's value comes from its raw bases and
 conditional blocks with the protocol's own arithmetic, and only the
 winner is built and checked as a protocol, so its reported value is
 the one the witness reads. The LOCC and PPT bounds read the
@@ -75,19 +77,14 @@ def _conditional_blocks(d4_first: np.ndarray, first: np.ndarray) -> np.ndarray:
     return np.einsum("ak,abcd,ck->kbd", first.conj(), d4_first, first)
 
 
-def _functionals(cond: np.ndarray, blocks: np.ndarray,
-                 guess: np.ndarray | None) -> np.ndarray:
-    """:meth:`OneWayProtocol.functionals` of conditional bases ``cond``
-    and a guess map ``guess`` (None: every outcome)."""
-    t = np.einsum("kbm,kbc,kcm->km", cond.conj(), blocks, cond).real
-    if guess is None:
-        return t.reshape(-1)
-    return np.array([t[guess == g].sum() for g in (0, 1)])
+def _functionals(cond: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """:meth:`OneWayProtocol.functionals` of conditional bases ``cond``."""
+    return np.einsum("kbm,kbc,kcm->km", cond.conj(), blocks, cond).real.reshape(-1)
 
 
-def _value(cond: np.ndarray, blocks: np.ndarray, guess: np.ndarray | None) -> float:
+def _value(cond: np.ndarray, blocks: np.ndarray) -> float:
     """:meth:`OneWayProtocol.value` of the same arrays."""
-    return 0.5 + 0.25 * float(np.abs(_functionals(cond, blocks, guess)).sum())
+    return 0.5 + 0.25 * float(np.abs(_functionals(cond, blocks)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,16 +95,16 @@ class OneWayProtocol:
     ``first``; on outcome k the other party measures the columns v_km of
     the unitary ``cond[k]`` (one (k, d2, d2) stack). Outcome (k, m) is
     the product projector |u_k><u_k| (x) |v_km><v_km|, with the factors
-    ordered A (x) B. With ``guess``, a (k, m) array of 0s and 1s, the
-    outcomes are coarse-grained to the two guesses. Construction checks
-    both bases finite and unitary, so the protocol is one-way LOCC by
-    structure; ``name`` labels it as a witness (``BoundBracket.witness_id``).
+    ordered A (x) B. The bases are the whole protocol: the guess on an
+    outcome is the sign of its functional Tr[M Delta], which
+    :meth:`value` reads as |Tr[M Delta]|. Construction checks both bases
+    finite and unitary, so the protocol is one-way LOCC by structure;
+    ``name`` labels it as a witness.
     """
 
     first_party: str
     first: np.ndarray
     cond: np.ndarray
-    guess: np.ndarray | None = None
     name: str = "one-way"
 
     def __post_init__(self):
@@ -133,21 +130,12 @@ class OneWayProtocol:
             if not defect <= TOL.povm_sum:
                 raise ChannelError(f"{label} basis is not unitary: "
                                    f"max |U^dagger U - I| = {defect:.3e}")
-        arrays = [("first", first), ("cond", cond)]
-        if self.guess is not None:
-            guess = np.array(self.guess)
-            if guess.shape != cond.shape[:2] or not np.isin(guess, (0, 1)).all():
-                raise ChannelError(f"guess map must be a {cond.shape[:2]} array "
-                                   f"of 0s and 1s")
-            arrays.append(("guess", guess.astype(np.int8)))
-        for attr, arr in arrays:
+        for attr, arr in (("first", first), ("cond", cond)):
             arr.setflags(write=False)
             object.__setattr__(self, attr, arr)
 
     @property
     def outcomes(self) -> tuple[str, ...]:
-        if self.guess is not None:
-            return ("guess0", "guess1")
         k, m = self.cond.shape[:2]
         first, second = ("a", "b") if self.first_party == "A" else ("b", "a")
         return tuple(f"{first}{i}{second}{j}" for i in range(k) for j in range(m))
@@ -164,13 +152,12 @@ class OneWayProtocol:
 
     def functionals(self, blocks: np.ndarray) -> np.ndarray:
         """Tr[M Delta] for each outcome M, from the conditional blocks:
-        v_km^dagger <u_k|Delta|u_k> v_km, summed per guess when the
-        outcomes are coarse-grained."""
-        return _functionals(self.cond, blocks, self.guess)
+        v_km^dagger <u_k|Delta|u_k> v_km."""
+        return _functionals(self.cond, blocks)
 
     def value(self, blocks: np.ndarray) -> float:
         """Success probability 1/2 + 1/4 sum_M |Tr[M Delta]|."""
-        return _value(self.cond, blocks, self.guess)
+        return _value(self.cond, blocks)
 
     def elements(self) -> np.ndarray:
         """The (n, D, D) stack of POVM elements, in :attr:`outcomes`
@@ -180,12 +167,8 @@ class OneWayProtocol:
         p1 = np.einsum("ik,jk->kij", self.first, self.first.conj())
         p2 = np.einsum("kim,kjm->kmij", self.cond, self.cond.conj())
         order = "kmiajb" if self.first_party == "A" else "kmaibj"
-        elems = np.einsum(f"kij,kmab->{order}", p1, p2).reshape(
+        return np.einsum(f"kij,kmab->{order}", p1, p2).reshape(
             k * m, d1 * d2, d1 * d2)
-        if self.guess is None:
-            return elems
-        plus = elems[self.guess.reshape(-1) == 0].sum(axis=0)
-        return np.stack((plus, np.eye(d1 * d2) - plus))
 
 
 def _canonical_difference(rho0: DensityOperator, rho1: DensityOperator) -> np.ndarray:
@@ -207,7 +190,7 @@ def _library(d4: np.ndarray) -> list[tuple[dict, np.ndarray]]:
     comp = dict(first_party="A", first=first,
                 cond=np.array(np.broadcast_to(np.eye(db, dtype=np.complex128),
                                               (da, db, db))),
-                guess=None, name="computational-product")
+                name="computational-product")
     entries = [(comp, _conditional_blocks(d4, first))]
     # measure A first, then the mirror: the same construction on the
     # party-swapped difference tensor
@@ -217,13 +200,7 @@ def _library(d4: np.ndarray) -> list[tuple[dict, np.ndarray]]:
         blocks = _conditional_blocks(d4_first, first)
         cond = np.array(np.linalg.eigh(blocks)[1], dtype=np.complex128)
         entries.append((dict(first_party=party, first=np.array(first, dtype=np.complex128),
-                             cond=cond, guess=None, name=name), blocks))
-    # outcomes grouped by the sign of their functional keep the value
-    adaptive, blocks = entries[1]
-    guess = (_functionals(adaptive["cond"], blocks, None) < 0.0).reshape(
-        adaptive["cond"].shape[:2]).astype(np.int8)
-    entries.append((dict(adaptive, guess=guess, name="a-eig-conditional-b-binary"),
-                    blocks))
+                             cond=cond, name=name), blocks))
     return entries
 
 
@@ -232,12 +209,10 @@ def one_way_library(rho0: DensityOperator, rho1: DensityOperator,
     """Deterministic library of named one-way LOCC protocols adapted to
     the pair's difference operator.
 
-    Contents: the computational product basis; measure-A-first in the
-    eigenbasis of the A marginal of the difference with conditional B
-    eigenbases; the mirrored measure-B-first protocol; and a two-outcome
-    coarse graining of the adaptive protocol (outcomes grouped by the
-    sign of their difference functional, so the value is preserved
-    while the outcome count drops to 2).
+    Contents, three strategies: the computational product basis;
+    measure-A-first in the eigenbasis of the A marginal of the difference
+    with conditional B eigenbases; and the mirrored measure-B-first
+    protocol.
     """
     d4 = _canonical_difference(rho0, rho1)
     return tuple(OneWayProtocol(**args) for args, _ in _library(d4))
@@ -263,7 +238,7 @@ def _locc_lower(d4: np.ndarray, library: tuple[OneWayProtocol, ...] | None,
     built as a protocol; its value is the one that protocol reads."""
     if library is None:
         entries = _library(d4)
-        values = [_value(args["cond"], blocks, args["guess"]) for args, blocks in entries]
+        values = [_value(args["cond"], blocks) for args, blocks in entries]
     elif not library:
         raise ConfigError("strategy library is empty")
     else:
@@ -349,10 +324,6 @@ class BoundBracket:
             if not lo <= hi + slack:
                 raise NumericError(
                     f"bound bracket out of order: {chain}")
-
-    @property
-    def witness_id(self) -> str:
-        return self.witness.name
 
 
 def bound_bracket(rho0: DensityOperator, rho1: DensityOperator,

@@ -27,8 +27,7 @@ class SpecError(LoccLabError):
 class ChannelError(LoccLabError):
     """One-way protocol invariant violation: a first party other than A
     or B, bases that are empty, of the wrong shape, not finite or not
-    unitary (so the outcomes would not form a complete measurement), or
-    a guess map that is not one 0 or 1 per outcome."""
+    unitary (so the outcomes would not form a complete measurement)."""
 
 
 class ConfigError(LoccLabError):

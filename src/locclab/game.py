@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import CatalystViolation, DomainError, SpecError
 from .protocols import concentration_success_prob, teleport
-from .qmat import DensityOperator
+from .qmat import DensityOperator, _check_integer
 from .seeding import rng_from
 from .states import (HidingPairSpec, PsiSpec, _swap, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, psi_product_distance,
@@ -232,8 +232,10 @@ class MemoryBlockStrategy(Strategy):
     protocol_id = "memory-block"
 
     def __init__(self, d1: int, psi_spec: PsiSpec, n_block: int, seed: int = 0):
+        _check_integer(d1, "d1")
         if d1 < 2:
             raise SpecError(f"d1 must be >= 2, got {d1}")
+        _check_integer(n_block, "n_block")
         if n_block < 1:
             raise SpecError(f"n_block must be >= 1, got {n_block}")
         conditions = check_psi_conditions(
@@ -445,8 +447,9 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     on the ``(*stream, "success" | "strategy")`` substreams of ``seed``
     and return the success indicators, shape (trials, n).
 
-    SpecError, before anything is allocated, unless 1 <= n <=
-    ``_MAX_ROUNDS``, trials >= 1 and trials * n <= ``_MAX_CELLS``.
+    SpecError, before anything is allocated, unless n and trials are
+    integers, 1 <= n <= ``_MAX_ROUNDS``, trials >= 1 and trials * n <=
+    ``_MAX_CELLS``.
     Rows are played and checked (``_play_rows``) in chunks of at most
     max(1, _CHUNK_CELLS // n) rows, whose descriptors are dropped, so
     memory beyond the result stays bounded. A chunk's uniforms are the
@@ -454,8 +457,10 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     chunk reuses, and ``play`` draws from its stream row after row, so
     the chunks give the numbers of one call.
     """
+    _check_integer(n, "round count")
     if not 1 <= n <= _MAX_ROUNDS:
         raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
+    _check_integer(trials, "trial count")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
     if trials * n > _MAX_CELLS:
@@ -489,6 +494,7 @@ def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
     its stream and nothing else. On top of the core's checks, the
     ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
+    _check_integer(n, "round count")
     if not 1 <= n <= _MAX_ROUNDS:
         raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
     (success,), (descriptors,) = _play_rows(
@@ -564,6 +570,7 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
                         f"argument must be None, got {type(pair).__name__}")
     if not 0.0 <= r <= 1.0:
         raise SpecError(f"target rate {r} outside [0, 1]")
+    _check_integer(trials, "trial count")
     if trials < 1:
         raise SpecError(f"trial count must be >= 1, got {trials}")
     fracs = []
@@ -600,6 +607,7 @@ class DetectionConfig:
                 raise SpecError(f"{name} = {p} outside [0, 1]")
         if self.p_tau <= self.p_locc:
             raise SpecError(f"p_tau = {self.p_tau} must exceed p_locc = {self.p_locc}")
+        _check_integer(self.n, "round count")
         if self.n < 1:
             raise SpecError(f"round count must be >= 1, got {self.n}")
         gap = (self.p_tau - self.p_locc) / 2.0
@@ -829,6 +837,7 @@ def run_teleport_discrimination(d: int = 2, n: int = 1000,
     outcomes of all rounds are one array draw each from the
     ``("teleport", "rounds" | "outcome")`` substreams of ``seed``.
     """
+    _check_integer(n, "round count")
     if n < 1:
         raise SpecError(f"round count must be >= 1, got {n}")
     sigma0, sigma1 = make_hiding_pair(HidingPairSpec(d=d))

@@ -59,9 +59,10 @@ that outlive the young generations no longer set off full collections
 during the build. Setting or deleting any attribute of an outcome raises
 ``dataclasses.FrozenInstanceError``. The ``concentrate`` command reads
 the law's columns directly and builds no outcome. A copy count or
-``samples`` below 1, a size past its limit (``_MAX_COPIES`` copies,
-``_MAX_LABELS`` labels, ``_MAX_SAMPLES`` samples of a sampled law) and a
-non-finite target raise SpecError.
+``samples`` that is not an integer (a bool is none) or is below 1, a
+size past its limit (``_MAX_COPIES`` copies, ``_MAX_LABELS`` labels,
+``_MAX_SAMPLES`` samples of a sampled law) and a non-finite target raise
+SpecError.
 
 The last exact law asked for is memoized, read-only, by
 ``_last_exact_law``; the distribution and the exact success probability
@@ -78,14 +79,14 @@ import itertools
 import math
 import threading
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DomainError, LayoutError, ModeError, ResourceError,
                      SpecError)
-from .qmat import DensityOperator, TensorLayout, permute, tensor
+from .qmat import DensityOperator, TensorLayout, _check_integer, permute, tensor
 from .seeding import rng_from
 from .states import SchmidtSpectrum
 from .stats import wilson_interval
@@ -274,14 +275,6 @@ def log2_multinomial(counts) -> float:
     return float((ln_n - _log_factorials(counts).sum()) / _LOG2)
 
 
-class _TableRow:
-    """The slots behind a bulk outcome's deferred ``counts``: a read-only
-    view of at most ``_VIEW_ROWS`` rows of its law's (m, labels) unsigned
-    integer counts table, and its row in that view."""
-
-    __slots__ = ("_table", "_row")
-
-
 class _DeferredCounts:
     """Data descriptor over the ``counts`` slot: a read of an empty slot
     (a bulk outcome whose counts were never read) fills it with the tuple
@@ -366,8 +359,8 @@ def _interned(column: np.ndarray):
         yield out.tolist()
 
 
-@dataclass(frozen=True, slots=True)
-class ConcentrationOutcome(_TableRow):
+@dataclass(frozen=True)
+class ConcentrationOutcome:
     """One type-measurement outcome: label occupation vector, log2 of
     the concentrated maximally-entangled dimension, and its probability
     (or empirical weight in sampling mode).
@@ -383,6 +376,10 @@ class ConcentrationOutcome(_TableRow):
     the tuple and the two values.
     """
 
+    # besides the fields: a read-only view of at most ``_VIEW_ROWS`` rows
+    # of the law's counts table, and the outcome's row in that view
+    __slots__ = ("counts", "log2_dim", "probability", "_table", "_row")
+
     counts: tuple[int, ...]
     log2_dim: float
     probability: float
@@ -393,6 +390,15 @@ class ConcentrationOutcome(_TableRow):
                             "nonnegative")
         if not (-1e-12 <= self.probability <= 1.0 + 1e-12):
             raise SpecError(f"probability {self.probability} outside [0, 1]")
+
+    # the state is the field list, as slots=True would define it, so
+    # pickles keep their bytes
+    def __getstate__(self):
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __setstate__(self, state):
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def _from_columns(cls, counts: np.ndarray, log2_dim: np.ndarray,
@@ -456,19 +462,6 @@ class ConcentrationOutcome(_TableRow):
                 gc.enable()
 
 
-def _refuse_set(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delete(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# The __setattr__ and __delattr__ that frozen=True generates name the class
-# that slots=True replaces, so on a name that is not a field they raise
-# TypeError from super(); refuse every name, as a plain frozen dataclass does.
-ConcentrationOutcome.__setattr__ = _refuse_set
-ConcentrationOutcome.__delattr__ = _refuse_delete
 ConcentrationOutcome.counts = _DeferredCounts(ConcentrationOutcome.counts)
 
 
@@ -591,10 +584,12 @@ def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
                samples: int) -> bool:
     """Validate the shared arguments, copies and labels against their
     limits; True when ``mode`` resolves to exact."""
+    _check_integer(n, "copy count")
     if not 1 <= n <= _MAX_COPIES:
         raise SpecError(f"copy count {n} outside 1..{_MAX_COPIES} (the limit)")
     if mode not in ("auto", "exact", "sample"):
         raise SpecError(f"unknown mode {mode!r}")
+    _check_integer(samples, "sample count")
     if samples < 1:
         raise SpecError(f"sample count must be >= 1, got {samples}")
     if spectrum.num_labels > _MAX_LABELS:

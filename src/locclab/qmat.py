@@ -18,13 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, NumericError, ParseError
+from .errors import LayoutError, NumericError, ParseError, SpecError
 from .tolerances import TOL
 
 
 def _is_integer(value) -> bool:
     """A Python or numpy integer; bool is an int subclass but no dimension."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(value, what: str) -> None:
+    """SpecError unless ``value`` is an integer (``_is_integer``); the
+    count and dimension arguments check this before their range."""
+    if not _is_integer(value):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 import inspect
 import math
-from dataclasses import replace
-
+from dataclasses import fields
 import numpy as np
 import pytest
 
@@ -50,8 +49,8 @@ def element_value(protocol: OneWayProtocol, delta: np.ndarray) -> float:
     """The protocol's success probability on the difference ``delta``
     (A (x) B order) from its POVM elements: 1/2 + 1/4 sum |Tr[E delta]|."""
     traces = np.einsum("nij,ji->n", protocol.elements(), delta).real
-    # the protocol's functionals read the same traces, per outcome or per
-    # guess, from its conditional blocks
+    # the protocol's functionals read the same traces, per outcome, from
+    # its conditional blocks
     d1, d2 = protocol.first.shape[0], protocol.cond.shape[1]
     da, db = (d1, d2) if protocol.first_party == "A" else (d2, d1)
     blocks = protocol.blocks(np.asarray(delta).reshape(da, db, da, db))
@@ -175,37 +174,44 @@ class TestProtocolValue:
             assert value <= helstrom(rho0, rho1) + 1e-12
 
     def test_coarse_graining_never_increases_value(self):
-        # merging outcomes can only hide signal; the library's sign
-        # grouping hides none
+        # merging outcomes can only hide signal: the adaptive protocol's
+        # elements summed into two random groups read no more than it
         rng = np.random.default_rng(12)
         for _ in range(20):
             rho0, rho1 = random_pair(rng)
             d4 = canonical_difference(rho0, rho1)
-            _, adaptive, _, binary = one_way_library(rho0, rho1)
+            adaptive = one_way_library(rho0, rho1)[1]
             fine = adaptive.value(adaptive.blocks(d4))
-            coarse = replace(adaptive, guess=rng.integers(0, 2, size=(2, 2)))
-            assert coarse.value(coarse.blocks(d4)) <= fine + 1e-12
-            assert binary.value(binary.blocks(d4)) == pytest.approx(fine, abs=1e-15)
+            traces = np.einsum("nij,ji->n", adaptive.elements(),
+                               d4.reshape(4, 4)).real
+            group = rng.integers(0, 2, size=traces.size)
+            coarse = 0.5 + 0.25 * sum(abs(traces[group == g].sum()) for g in (0, 1))
+            assert coarse <= fine + 1e-12
 
 
 class TestChannelValidation:
     """Each invariant of a one-way protocol raises ChannelError."""
 
-    @pytest.mark.parametrize("party, first, cond, guess, message", [
-        ("A", np.zeros((0, 0)), np.zeros((0, 2, 2)), None, "first basis has shape"),
-        ("A", EYE2, np.stack([EYE2, EYE2]), np.zeros((2, 3)), "guess map must be"),
-        ("A", np.ones((2, 3)), np.stack([EYE2, EYE2]), None, "first basis has shape"),
-        ("A", EYE2, np.stack([EYE2] * 3), None, "conditional bases have shape"),
-        ("B", SQUASHED, np.stack([EYE2, EYE2]), None, "first basis is not unitary"),
-        ("A", EYE2, np.stack([EYE2, np.diag([np.nan, 1.0])]), None, "not finite"),
-        ("A", np.diag([np.inf, 1.0]), np.stack([EYE2, EYE2]), None, "not finite"),
-        ("C", EYE2, np.stack([EYE2, EYE2]), None, "first party must be"),
-        ("A", EYE2, np.stack([EYE2, EYE2]), np.full((2, 2), 2), "guess map must be"),
-    ], ids=["empty", "outcome-count", "non-square", "mixed-dims", "incomplete",
-            "nan", "inf", "first-party", "guess-values"])
-    def test_each_invariant_is_enforced(self, party, first, cond, guess, message):
+    @pytest.mark.parametrize("party, first, cond, message", [
+        ("A", np.zeros((0, 0)), np.zeros((0, 2, 2)), "first basis has shape"),
+        ("A", np.ones((2, 3)), np.stack([EYE2, EYE2]), "first basis has shape"),
+        ("A", EYE2, np.stack([EYE2] * 3), "conditional bases have shape"),
+        ("A", EYE2, np.ones((2, 2, 3)), "conditional bases have shape"),
+        ("B", SQUASHED, np.stack([EYE2, EYE2]), "first basis is not unitary"),
+        ("A", EYE2, np.stack([EYE2, np.diag([np.nan, 1.0])]), "not finite"),
+        ("A", np.diag([np.inf, 1.0]), np.stack([EYE2, EYE2]), "not finite"),
+        ("C", EYE2, np.stack([EYE2, EYE2]), "first party must be"),
+    ], ids=["empty", "non-square", "mixed-dims", "non-square-conditional",
+            "incomplete", "nan", "inf", "first-party"])
+    def test_each_invariant_is_enforced(self, party, first, cond, message):
         with pytest.raises(ChannelError, match=message):
-            OneWayProtocol(party, first, cond, guess)
+            OneWayProtocol(party, first, cond)
+
+    def test_fields_are_the_bases_and_the_name(self):
+        # Bob's guess is the sign of each outcome's functional, so the
+        # bases and the name are the whole witness
+        assert [f.name for f in fields(OneWayProtocol)] == [
+            "first_party", "first", "cond", "name"]
 
     def test_incomplete_conditional_basis_is_refused(self):
         # a conditional "basis" that is one projector does not sum to I
@@ -214,10 +220,10 @@ class TestChannelValidation:
 
     def test_protocol_holds_read_only_copies(self):
         first, cond = EYE2.copy(), np.stack([EYE2, EYE2])
-        protocol = OneWayProtocol("A", first, cond, guess=np.eye(2, dtype=int))
+        protocol = OneWayProtocol("A", first, cond)
         first[0, 0] = cond[0, 0, 0] = 0.0
         assert protocol.first[0, 0] == protocol.cond[0, 0, 0] == 1.0
-        for arr in (protocol.first, protocol.cond, protocol.guess):
+        for arr in (protocol.first, protocol.cond):
             assert not arr.flags.writeable
 
 
@@ -259,7 +265,7 @@ def canonical_difference(rho0, rho1):
 
 
 def expected_library(d4):
-    """The four library channels rebuilt from raw numpy, in library
+    """The three library protocols rebuilt from raw numpy, in library
     order: (name, [(outcome label, element), ...])."""
     da, db = d4.shape[0], d4.shape[1]
 
@@ -301,13 +307,26 @@ def expected_library(d4):
         for m in range(da):
             b_first.append((f"b{k}a{m}", np.kron(proj(va[:, m]), proj(u))))
 
-    delta = d4.reshape(da * db, da * db)
-    plus = sum((e for _, e in a_first if np.trace(e @ delta).real >= 0.0),
-               np.zeros_like(delta))
-    binary = [("guess0", plus), ("guess1", np.eye(da * db) - plus)]
     return [("computational-product", comp), ("a-eig-conditional-b", a_first),
-            ("b-eig-conditional-a", b_first),
-            ("a-eig-conditional-b-binary", binary)]
+            ("b-eig-conditional-a", b_first)]
+
+
+BRACKET_SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4), (4, 4), (2, 8))
+
+
+def two_outcome_pairs():
+    """A seeded random pair of each shape of the generic brackets, the
+    Werner pairs d = 2..4 and the composed D = 16 pair."""
+    for i, (da, db) in enumerate(BRACKET_SHAPES):
+        rng = np.random.default_rng(300 + i)
+        layout = TensorLayout((("A1", da), ("B1", db)))
+        yield (f"random{da}x{db}",
+               (DensityOperator(layout, random_density(rng, da * db)),
+                DensityOperator(layout, random_density(rng, da * db))))
+    for d in (2, 3, 4):
+        yield f"werner{d}", make_hiding_pair(HidingPairSpec(d=d))
+    yield "composed16", make_rho_pair(make_hiding_pair(HidingPairSpec(d=2)),
+                                      make_psi(PsiSpec(lam=0.9, d2=2)))
 
 
 class TestOneWayLibrary:
@@ -330,6 +349,22 @@ class TestOneWayLibrary:
             assert protocol.outcomes == tuple(label for label, _ in elems)
             for got, (_, want) in zip(protocol.elements(), elems):
                 assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("pair", [pair for _, pair in two_outcome_pairs()],
+                             ids=[label for label, _ in two_outcome_pairs()])
+    def test_value_is_attained_by_two_outcomes(self, pair):
+        # the guess on each outcome is the sign of its functional: the
+        # product projectors with Re Tr[M Delta] >= 0, summed into M0,
+        # and I - M0 read the protocol's value
+        d4 = canonical_difference(*pair)
+        delta = d4.reshape(d4.shape[0] * d4.shape[1], -1)
+        for protocol in one_way_library(*pair):
+            elems = protocol.elements()
+            traces = np.einsum("nij,ji->n", elems, delta).real
+            m0 = elems[traces >= 0.0].sum(axis=0)
+            two = 0.5 + 0.5 * np.trace(m0 @ delta).real
+            assert two == pytest.approx(protocol.value(protocol.blocks(d4)),
+                                        rel=0, abs=1e-12)
 
 
 class TestPptUpperBound:
@@ -517,7 +552,7 @@ class TestProtocolWitnesses:
     @pytest.mark.parametrize("pair", [pair for _, pair, _ in witness_pairs()],
                              ids=[label for label, _, _ in witness_pairs()])
     def test_library_protocols_are_povms(self, pair):
-        # every strategy, the binary coarse graining included
+        # every strategy of the library
         for protocol in one_way_library(*pair):
             elems = protocol.elements()
             eye = np.eye(elems.shape[1])
@@ -533,7 +568,7 @@ class TestProtocolWitnesses:
         pair = make_rho_pair(make_hiding_pair(HidingPairSpec(d=2)),
                              make_psi(PsiSpec(lam=0.9, d2=3)))
         _, witness = locc_lower_bound(*pair)
-        assert bound_bracket(*pair).witness_id == witness.name
+        assert bound_bracket(*pair).witness.name == witness.name
 
     def test_default_library_builds_only_the_witness(self, monkeypatch):
         # the default strategies are scored from their bases; only the
@@ -548,7 +583,7 @@ class TestProtocolWitnesses:
         monkeypatch.setattr(OneWayProtocol, "__post_init__", counting)
         for _, pair, witness in witness_pairs():
             built.clear()
-            assert bound_bracket(*pair).witness_id == witness
+            assert bound_bracket(*pair).witness.name == witness
             assert built == [witness]
 
     def test_witness_is_the_best_of_the_built_library(self):
@@ -567,8 +602,8 @@ class TestProtocolWitnesses:
         for pair in pairs:
             value, want = locc_lower_bound(*pair, library=one_way_library(*pair))
             br = bound_bracket(*pair)
-            assert br.locc_lower == value and br.witness_id == want.name
-            for attr in ("first", "cond", "guess"):
+            assert br.locc_lower == value and br.witness.name == want.name
+            for attr in ("first", "cond"):
                 np.testing.assert_array_equal(getattr(br.witness, attr),
                                               getattr(want, attr))
             names.add(want.name)
@@ -580,8 +615,7 @@ class TestProtocolWitnesses:
         pair = (DensityOperator(layout, random_density(rng, 6)),
                 DensityOperator(layout, random_density(rng, 6)))
         library = one_way_library(*pair)
-        assert [p.first_party for p in library] == ["A", "A", "B", "A"]
-        assert library[3].guess is not None
+        assert [p.first_party for p in library] == ["A", "A", "B"]
         value, witness = locc_lower_bound(*pair, library=library)
         default_value, default_witness = locc_lower_bound(*pair)
         assert value == default_value

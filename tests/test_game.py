@@ -407,6 +407,48 @@ class TestEnsembleLimit:
                 run()
 
 
+def _count_entries():
+    """(label, call, a valid value): every count or dimension argument of
+    the game layer."""
+    iid, psi = IIDStrategy(0.5), PsiSpec(lam=0.5, d2=8)
+    config = DetectionConfig(p_tau=0.9, p_locc=0.75, delta=0.05, n=4)
+    oracle = default_detection_oracle(config)
+    return [
+        ("play_trial-n", lambda v: play_trial(iid, v), 4),
+        ("simulate_ensemble-n", lambda v: simulate_ensemble(iid, v, 3), 4),
+        ("simulate_ensemble-trials", lambda v: simulate_ensemble(iid, 4, v), 3),
+        ("estimate_rate-trials",
+         lambda v: estimate_rate(iid, None, 0.5, v, (4,)), 3),
+        ("estimate_rate-n_list",
+         lambda v: estimate_rate(iid, None, 0.5, 3, (v,)), 4),
+        ("detection_accuracy-trials",
+         lambda v: detection_accuracy(config, oracle, trials=v), 3),
+        ("DetectionConfig-n",
+         lambda v: DetectionConfig(p_tau=0.9, p_locc=0.75, delta=0.05, n=v), 4),
+        ("memory_block_strategy-d1", lambda v: memory_block_strategy(v, psi, 4), 2),
+        ("memory_block_strategy-n_block",
+         lambda v: memory_block_strategy(2, psi, v), 4),
+        ("run_teleport_discrimination-d",
+         lambda v: run_teleport_discrimination(d=v, n=4), 2),
+        ("run_teleport_discrimination-n",
+         lambda v: run_teleport_discrimination(d=2, n=v), 4),
+    ]
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "int64"])
+@pytest.mark.parametrize("entry", range(len(_count_entries())),
+                         ids=[label for label, _, _ in _count_entries()])
+def test_counts_and_dimensions_must_be_integers(entry, value):
+    # a float or a bool count is a SpecError, not a raw TypeError from
+    # numpy; a numpy integer is an integer
+    _, call, good = _count_entries()[entry]
+    if value == "int64":
+        call(np.int64(good))
+    else:
+        with pytest.raises(SpecError, match="must be an integer"):
+            call(value)
+
+
 class TestRunGame:
     """One trial of the engine core, ``play_trial``."""
 

@@ -96,7 +96,7 @@ def rotate(pair, parties: str, seed: int):
         return OneWayProtocol(
             first_party=w.first_party,
             first=party[w.first_party].conj().T @ w.first,
-            cond=party[second].conj().T @ w.cond, guess=w.guess, name=w.name)
+            cond=party[second].conj().T @ w.cond, name=w.name)
     return rotated, back
 
 
@@ -107,7 +107,7 @@ def conjugate(pair):
 
     def back(w: OneWayProtocol) -> OneWayProtocol:
         return OneWayProtocol(first_party=w.first_party, first=w.first.conj(),
-                              cond=w.cond.conj(), guess=w.guess, name=w.name)
+                              cond=w.cond.conj(), name=w.name)
     return conj, back
 
 
@@ -120,8 +120,7 @@ def swap_parties(pair):
 
     def back(w: OneWayProtocol) -> OneWayProtocol:
         return OneWayProtocol(first_party="B" if w.first_party == "A" else "A",
-                              first=w.first, cond=w.cond, guess=w.guess,
-                              name=w.name)
+                              first=w.first, cond=w.cond, name=w.name)
     return swapped, back
 
 

@@ -1047,6 +1047,36 @@ class TestArgumentValidation:
                 call()
 
 
+def _count_entries():
+    """(label, call, a valid value): every count argument of the
+    concentration laws."""
+    spec = psi_spectrum(PsiSpec(lam=0.5, d2=3))
+    return [
+        ("distribution-n", lambda v: concentration_distribution(spec, v), 4),
+        ("distribution-samples",
+         lambda v: concentration_distribution(spec, 4, mode="sample",
+                                              samples=v), 50),
+        ("success-n", lambda v: concentration_success_prob(spec, v, 1.0), 4),
+        ("success-samples",
+         lambda v: concentration_success_prob(spec, 4, 1.0, mode="sample",
+                                              samples=v), 50),
+    ]
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "int64"])
+@pytest.mark.parametrize("entry", range(len(_count_entries())),
+                         ids=[label for label, _, _ in _count_entries()])
+def test_counts_must_be_integers(entry, value):
+    # a float or a bool count is a SpecError, not a raw TypeError from
+    # numpy; a numpy integer is an integer
+    _, call, good = _count_entries()[entry]
+    if value == "int64":
+        call(np.int64(good))
+    else:
+        with pytest.raises(SpecError, match="must be an integer"):
+            call(value)
+
+
 class TestMaximalEntanglementWitness:
     def test_explicit_type_projection(self):
         # build |psi>^(x)n literally for n <= 3 and check that each type

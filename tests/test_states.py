@@ -276,6 +276,35 @@ class TestSampleSeparable:
         assert np.linalg.eigvalsh(rho.entries).min() > -1e-12
 
 
+def _dimension_entries():
+    """(label, call, a valid value): every count or dimension argument of
+    the state families."""
+    layout = TensorLayout((("A1", 2), ("B1", 2)))
+    return [
+        ("HidingPairSpec-d", lambda v: make_hiding_pair(HidingPairSpec(d=v)), 2),
+        ("PsiSpec-d2", lambda v: make_psi(PsiSpec(lam=0.5, d2=v)), 4),
+        ("check_psi_conditions-d1",
+         lambda v: check_psi_conditions(PsiSpec(lam=0.5, d2=8), v, 0.1), 2),
+        ("make_max_entangled-dim", lambda v: make_max_entangled(v), 4),
+        ("sample_separable-k_terms",
+         lambda v: sample_separable(layout, v, seed=3), 4),
+    ]
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "int64"])
+@pytest.mark.parametrize("entry", range(len(_dimension_entries())),
+                         ids=[label for label, _, _ in _dimension_entries()])
+def test_dimensions_and_counts_must_be_integers(entry, value):
+    # a float or a bool dimension is a SpecError, not a raw TypeError from
+    # numpy; a numpy integer is an integer
+    _, call, good = _dimension_entries()[entry]
+    if value == "int64":
+        call(np.int64(good))
+    else:
+        with pytest.raises(SpecError, match="must be an integer"):
+            call(value)
+
+
 class TestSchmidtSpectrum:
     def test_psi_spectrum_layout(self):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=8))

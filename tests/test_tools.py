@@ -1,13 +1,17 @@
 """The comparison tools under tools/: the parity panel's ``--compare`` and
 bench_pairs' seed list, summary and verdicts, on hand-written inputs (no
-solve, no benchmark run)."""
+benchmark run), and the panel's bracket record on one d = 2 Werner
+bracket."""
 
+import dataclasses
 import importlib.util
 import json
 import math
 from pathlib import Path
 
 import pytest
+
+import locclab
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -77,6 +81,16 @@ class TestParityCompare:
         assert code == 1
         assert f"werner-3: only in {tmp_path / 'a.json'}" in out.splitlines()
         assert out.splitlines()[-1] == "# 1 of 2 objectives bit-identical"
+
+
+class TestBracketFields:
+    def test_witness_record_holds_every_protocol_field(self):
+        # a field added to or dropped from the protocol cannot fall out of
+        # the parity record unnoticed
+        pair = locclab.make_hiding_pair(locclab.HidingPairSpec(d=2))
+        witness = parity_panel.bracket_fields(locclab, *pair)["witness"]
+        assert set(witness) == {f.name for f in
+                                dataclasses.fields(locclab.OneWayProtocol)}
 
 
 class TestParseSeeds:

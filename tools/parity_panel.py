@@ -183,8 +183,7 @@ def bracket_fields(L, rho0, rho1) -> dict:
         "helstrom": encode(br.helstrom), "locc_lower": encode(br.locc_lower),
         "ppt_upper": encode(br.ppt_upper), "sdp_gap": encode(br.sdp_gap),
         "witness": {"name": w.name, "first_party": w.first_party,
-                    "first": encode(w.first), "cond": encode(w.cond),
-                    "guess": encode(w.guess)},
+                    "first": encode(w.first), "cond": encode(w.cond)},
     }
 
 
