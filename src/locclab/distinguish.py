@@ -298,8 +298,8 @@ def ppt_upper_bound(rho0: DensityOperator, rho1: DensityOperator) -> float:
 def thm2_locc_bound(eps: float, eps_prime: float) -> float:
     """Closed-form LOCC ceiling eps + (1 + eps')/2 for a hiding pair
     with LOCC norm <= 4 eps tensored with a state eps'-close to product."""
-    if eps < 0.0 or eps_prime < 0.0:
-        raise SpecError(f"bound parameters must be nonnegative, got "
+    if not (0.0 <= eps < math.inf and 0.0 <= eps_prime < math.inf):
+        raise SpecError(f"bound parameters must be finite and >= 0, got "
                         f"eps={eps}, eps'={eps_prime}")
     return eps + (1.0 + eps_prime) / 2.0
 

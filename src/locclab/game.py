@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import CatalystViolation, DomainError, SpecError
 from .protocols import concentration_success_prob, teleport
-from .qmat import DensityOperator, _check_integer
+from .qmat import DensityOperator, _check_count
 from .seeding import rng_from
 from .states import (HidingPairSpec, PsiSpec, _swap, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, psi_product_distance,
@@ -232,14 +232,9 @@ class MemoryBlockStrategy(Strategy):
     protocol_id = "memory-block"
 
     def __init__(self, d1: int, psi_spec: PsiSpec, n_block: int, seed: int = 0):
-        _check_integer(d1, "d1")
-        if d1 < 2:
-            raise SpecError(f"d1 must be >= 2, got {d1}")
-        _check_integer(n_block, "n_block")
-        if n_block < 1:
-            raise SpecError(f"n_block must be >= 1, got {n_block}")
         conditions = check_psi_conditions(
             psi_spec, d1, eps_prime=psi_product_distance(psi_spec))
+        _check_count(n_block, "n_block")
         if conditions.entropy_excess <= 0.0:
             raise SpecError(
                 "memory-block protocol needs marginal entropy exceeding "
@@ -457,12 +452,8 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     chunk reuses, and ``play`` draws from its stream row after row, so
     the chunks give the numbers of one call.
     """
-    _check_integer(n, "round count")
-    if not 1 <= n <= _MAX_ROUNDS:
-        raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
-    _check_integer(trials, "trial count")
-    if trials < 1:
-        raise SpecError(f"trial count must be >= 1, got {trials}")
+    _check_count(n, "round count", high=_MAX_ROUNDS)
+    _check_count(trials, "trial count")
     if trials * n > _MAX_CELLS:
         raise SpecError(f"{trials} trials of {n} rounds exceed the limit "
                         f"{_MAX_CELLS} of success indicators per ensemble")
@@ -494,9 +485,7 @@ def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
     its stream and nothing else. On top of the core's checks, the
     ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
-    _check_integer(n, "round count")
-    if not 1 <= n <= _MAX_ROUNDS:
-        raise SpecError(f"round count {n} outside 1..{_MAX_ROUNDS} (the limit)")
+    _check_count(n, "round count", high=_MAX_ROUNDS)
     (success,), (descriptors,) = _play_rows(
         strategy, rng_from(seed, *stream, "success").random((1, n)),
         rng_from(seed, *stream, "strategy"))
@@ -570,9 +559,7 @@ def estimate_rate(strategy: Strategy, pair=None, r: float = 0.0,
                         f"argument must be None, got {type(pair).__name__}")
     if not 0.0 <= r <= 1.0:
         raise SpecError(f"target rate {r} outside [0, 1]")
-    _check_integer(trials, "trial count")
-    if trials < 1:
-        raise SpecError(f"trial count must be >= 1, got {trials}")
+    _check_count(trials, "trial count")
     fracs = []
     for n in n_list:
         x = _play_checked(strategy, n, trials, seed, ("rate", n))
@@ -607,9 +594,7 @@ class DetectionConfig:
                 raise SpecError(f"{name} = {p} outside [0, 1]")
         if self.p_tau <= self.p_locc:
             raise SpecError(f"p_tau = {self.p_tau} must exceed p_locc = {self.p_locc}")
-        _check_integer(self.n, "round count")
-        if self.n < 1:
-            raise SpecError(f"round count must be >= 1, got {self.n}")
+        _check_count(self.n, "round count")
         gap = (self.p_tau - self.p_locc) / 2.0
         if self.mode == "catalyst-threshold":
             if not 0.0 < self.delta < gap:
@@ -837,9 +822,7 @@ def run_teleport_discrimination(d: int = 2, n: int = 1000,
     outcomes of all rounds are one array draw each from the
     ``("teleport", "rounds" | "outcome")`` substreams of ``seed``.
     """
-    _check_integer(n, "round count")
-    if n < 1:
-        raise SpecError(f"round count must be >= 1, got {n}")
+    _check_count(n, "round count")
     sigma0, sigma1 = make_hiding_pair(HidingPairSpec(d=d))
     resource = make_max_entangled(d, labels=("Ap", "Bp"))
     outputs: list[DensityOperator] = []

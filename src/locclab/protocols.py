@@ -86,7 +86,7 @@ import numpy as np
 
 from .errors import (DomainError, LayoutError, ModeError, ResourceError,
                      SpecError)
-from .qmat import DensityOperator, TensorLayout, _check_integer, permute, tensor
+from .qmat import DensityOperator, TensorLayout, _check_count, permute, tensor
 from .seeding import rng_from
 from .states import SchmidtSpectrum
 from .stats import wilson_interval
@@ -584,14 +584,10 @@ def _use_exact(spectrum: SchmidtSpectrum, n: int, mode: str,
                samples: int) -> bool:
     """Validate the shared arguments, copies and labels against their
     limits; True when ``mode`` resolves to exact."""
-    _check_integer(n, "copy count")
-    if not 1 <= n <= _MAX_COPIES:
-        raise SpecError(f"copy count {n} outside 1..{_MAX_COPIES} (the limit)")
+    _check_count(n, "copy count", high=_MAX_COPIES)
     if mode not in ("auto", "exact", "sample"):
         raise SpecError(f"unknown mode {mode!r}")
-    _check_integer(samples, "sample count")
-    if samples < 1:
-        raise SpecError(f"sample count must be >= 1, got {samples}")
+    _check_count(samples, "sample count")
     if spectrum.num_labels > _MAX_LABELS:
         raise SpecError(f"{spectrum.num_labels} Schmidt labels exceed the "
                         f"limit {_MAX_LABELS}")
@@ -706,7 +702,10 @@ def failure_exponent_fit(spectrum: SchmidtSpectrum, target_bits_per_copy: float,
                          n_list) -> FailureExponentFit:
     """Fit the exponential decay of the concentration failure
     probability at a fixed per-copy target rate."""
-    n_arr = [int(n) for n in n_list]
+    n_arr = list(n_list)
+    for n in n_arr:
+        _check_count(n, "copy count", high=_MAX_COPIES)
+    n_arr = [int(n) for n in n_arr]
     fails = []
     for n in n_arr:
         est = concentration_success_prob(spectrum, n, target_bits_per_copy * n)

@@ -6,6 +6,10 @@ party and labels beginning with ``B`` to the B party; bipartite
 operations split on that convention. Factor order is part of the value:
 reordering is always the explicit :func:`permute`, never implicit.
 
+Counts, dimensions and seeds across the package follow one rule,
+``_check_count``: each is a Python or numpy integer in its range (bool is
+refused, numpy integers are accepted), else SpecError.
+
 Serialization uses a stable JSON form with floats printed to 17
 significant digits, which round-trips IEEE-754 doubles bit-exactly.
 """
@@ -27,11 +31,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_integer(value, what: str) -> None:
-    """SpecError unless ``value`` is an integer (``_is_integer``); the
-    count and dimension arguments check this before their range."""
+def _check_count(value, what: str, low: int = 1, high: int | None = None,
+                 ) -> None:
+    """SpecError unless ``value`` is an integer (``_is_integer``) in
+    ``low..high``; the one check of every count, dimension and seed."""
     if not _is_integer(value):
         raise SpecError(f"{what} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise SpecError(f"{what} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise SpecError(f"{what} {value} outside {low}..{high} (the limit)")
 
 
 @dataclass(frozen=True)
@@ -307,9 +317,11 @@ def operator_to_json(m) -> str:
 def operator_from_json(text: str, density: bool = True):
     """Parse the canonical JSON operator form.
 
-    Malformed JSON raises :class:`ParseError` carrying the byte offset,
-    and so does a layout factor whose label is not a JSON string or whose
-    dim is not a JSON integer (``2.9``, ``true`` and ``"2"`` included).
+    Malformed JSON raises :class:`ParseError` carrying the byte offset.
+    So, without an offset, do a layout factor whose label is not a JSON
+    string or whose dim is not a JSON integer (``2.9``, ``true`` and
+    ``"2"`` included) and an entry part that is not a JSON number
+    (``true`` included).
     With ``density=True`` the result is validated as a DensityOperator.
     """
     try:
@@ -331,6 +343,8 @@ def operator_from_json(text: str, density: bool = True):
         arr = np.empty(len(pairs), dtype=np.complex128)
         for i, pair in enumerate(pairs):
             re, im = pair
+            if not {type(re), type(im)} <= {int, float}:
+                raise ParseError(f"entry {i} {pair!r} needs two JSON numbers")
             arr[i] = complex(re, im)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"operator JSON structure invalid: {exc}") from exc

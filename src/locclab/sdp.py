@@ -230,6 +230,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NumericError, SolverError
+from .qmat import _is_integer
 from .tolerances import TOL
 
 MAX_TOTAL_DIM = 64
@@ -962,11 +963,6 @@ def _newton_factor(hess: np.ndarray, factor: np.ndarray):
     return None
 
 
-def _positive_int(value) -> bool:
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= 1)
-
-
 def _dual_bound(x_mat: np.ndarray, b: np.ndarray, dim_a: int, dim_b: int) -> float:
     """U(B) = Tr[(X - B^{T_B})_+] + Tr[B_+] for a Hermitian ``b``, plus
     the rounding allowance D^2 eps ||A||_F of each eigenvalue sum."""
@@ -1016,7 +1012,7 @@ def solve_ppt_two_outcome(x_mat: np.ndarray, dim_a: int,
     the module docstring): after 800 iterations, when an iterate or its
     Newton system stops being positive definite, or when the iterates
     stall (these carry the certified value and its gap)."""
-    if not (_positive_int(dim_a) and _positive_int(dim_b)):
+    if not all(_is_integer(dim) and dim >= 1 for dim in (dim_a, dim_b)):
         raise SolverError(f"factor dimensions must be integers >= 1, got {dim_a!r}, {dim_b!r}")
     d = dim_a * dim_b
     x_mat = np.asarray(x_mat, dtype=np.complex128)

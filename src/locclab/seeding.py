@@ -6,6 +6,11 @@ ints); the labels are hashed with SHA-256 into a SeedSequence spawn key,
 so streams are stable across runs, platforms and process counts. The
 bit generator is Philox, a counter-based generator, so independently
 labeled streams never overlap.
+
+The root follows the package's count rule (``qmat._check_count``): an
+integer >= 0, numpy integers included, bool refused, else SpecError; it
+is never truncated. A numpy-integer label names the stream of the equal
+Python int.
 """
 
 from __future__ import annotations
@@ -14,12 +19,17 @@ import hashlib
 
 import numpy as np
 
+from .qmat import _check_count
+
 Label = str | int
 
 
 def seed_sequence(root: int, *labels: Label) -> np.random.SeedSequence:
     """Derive the SeedSequence for the substream named by ``labels``."""
-    digest = hashlib.sha256(repr(tuple(labels)).encode("utf-8")).digest()
+    _check_count(root, "seed", low=0)
+    labels = tuple(int(lab) if isinstance(lab, np.integer) else lab
+                   for lab in labels)
+    digest = hashlib.sha256(repr(labels).encode("utf-8")).digest()
     key = tuple(int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4))
     return np.random.SeedSequence(entropy=int(root), spawn_key=key)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayoutError, SpecError
-from .qmat import (DensityOperator, TensorLayout, _check_integer, _is_integer,
+from .qmat import (DensityOperator, TensorLayout, _check_count, _is_integer,
                    permute, tensor)
 from .seeding import rng_from
 from .tolerances import TOL
@@ -43,9 +43,7 @@ class HidingPairSpec:
     d: int
 
     def __post_init__(self):
-        _check_integer(self.d, "hiding pair local dimension d")
-        if self.d < 2:
-            raise SpecError(f"hiding pair needs local dimension d >= 2, got {self.d}")
+        _check_count(self.d, "hiding pair local dimension d", low=2)
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,7 @@ class PsiSpec:
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise SpecError(f"lambda must lie strictly in (0, 1), got {self.lam}")
-        _check_integer(self.d2, "psi local dimension d2")
-        if self.d2 < 2:
-            raise SpecError(f"psi needs local dimension d2 >= 2, got {self.d2}")
+        _check_count(self.d2, "psi local dimension d2", low=2)
 
 
 @dataclass(frozen=True)
@@ -178,9 +174,7 @@ def check_psi_conditions(spec: PsiSpec, d1: int, eps_prime: float) -> PsiConditi
     entropy_excess = S(psi^A2) - log2(d1) must be positive for psi to
     bank more than one fresh d1-dimensional register per round. SpecError
     unless d1 >= 2 is an integer and eps' is finite and nonnegative."""
-    _check_integer(d1, "memory dimension d1")
-    if d1 < 2:
-        raise SpecError(f"memory dimension d1 must be >= 2, got {d1}")
+    _check_count(d1, "memory dimension d1", low=2)
     if not 0.0 <= eps_prime < math.inf:  # a NaN fails this test too
         raise SpecError(f"eps' must be finite and >= 0, got {eps_prime}")
     ent = psi_spectrum(spec).entropy_bits
@@ -205,9 +199,7 @@ def make_max_entangled(dim: int, labels: tuple[str, str] = ("Ap", "Bp"),
                        ) -> DensityOperator:
     """|phi_L><phi_L| for |phi_L> = L^{-1/2} sum_i |ii> on the two named
     registers, built as the outer product of its closed-form vector."""
-    _check_integer(dim, "maximally entangled dimension")
-    if dim < 1:
-        raise SpecError(f"maximally entangled dimension must be >= 1, got {dim}")
+    _check_count(dim, "maximally entangled dimension")
     _check_side(dim * dim, f"the maximally entangled state at dim = {dim}")
     amp = np.zeros(dim * dim, dtype=np.complex128)
     for i in range(dim):
@@ -229,9 +221,7 @@ def sample_separable(layout: TensorLayout, k_terms: int, seed: int,
     The same (layout, k_terms, seed) always yields byte-identical
     operators.
     """
-    _check_integer(k_terms, "separable sampler's k_terms")
-    if k_terms < 1:
-        raise SpecError(f"separable sampler needs k_terms >= 1, got {k_terms}")
+    _check_count(k_terms, "separable sampler's k_terms")
     a_labels = layout.party_labels("A")
     b_labels = layout.party_labels("B")
     if not a_labels or not b_labels:

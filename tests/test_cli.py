@@ -1129,9 +1129,10 @@ INT_FLAG_BASES = {
     "construct": ["--family", "rho-pair", "--lambda", "0.5", "--d2", "2"],
     ("construct", "--dim"): ["--family", "max-entangled"],
 }
-# --seed only names a stream and --threads changes no work; --trials
-# counts trials, which the game commands play and drop one at a time, so
-# a huge count costs time, not an allocation
+# --seed names a stream and sizes nothing, though it must be an integer
+# >= 0 (test_negative_seed_stays_structured); --threads changes no work;
+# --trials counts trials, which the game commands play and drop one at a
+# time, so a huge count costs time, not an allocation
 INT_FLAGS_UNSIZED = {"--seed", "--threads", "--trials"}
 
 
@@ -1170,6 +1171,27 @@ def test_huge_int_stays_structured(capsys, tmp_path, command, flag):
         assert (code, out) == (1, "")
         error = json.loads(err)["error"]
         assert issubclass(getattr(locclab, error["type"]), locclab.LoccLabError)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_negative_seed_stays_structured(capsys, tmp_path, command):
+    # a command that draws from the seed refuses -1 with one structured
+    # error; one that reads no stream succeeds with strict JSON
+    code, out, err = run_cli(capsys, command, *INT_FLAG_BASES[command],
+                             "--seed", "-1", "--out", str(tmp_path / "run"))
+    if code == 0:
+        assert isinstance(strict_json(out), dict)
+    else:
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "SpecError", "message": "seed must be >= 0, got -1"}
+
+
+def test_negative_seed_of_a_game_is_a_spec_error(capsys):
+    err = run_error(capsys, "simulate", "--protocol", "iid", "--p", "0.5",
+                    "--rounds", "3", "--seed", "-1")
+    assert err == {"type": "SpecError",
+                   "message": "seed must be >= 0, got -1"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -432,6 +432,13 @@ class TestThm2Bound:
         with pytest.raises(SpecError):
             thm2_locc_bound(0.0, -0.1)
 
+    @pytest.mark.parametrize("eps, eps_prime", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_inputs(self, eps, eps_prime):
+        # a NaN or an infinite parameter is no ceiling
+        with pytest.raises(SpecError, match="finite and >= 0"):
+            thm2_locc_bound(eps, eps_prime)
+
     def test_dominates_composed_ppt_value(self):
         # eps = PPT excess of the bare hiding pair, eps' = 2 sqrt(1-lambda);
         # the composed-pair PPT value must stay below the analytic ceiling

@@ -1165,3 +1165,17 @@ class TestFailureExponent:
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
         with pytest.raises(DomainError):
             failure_exponent_fit(spec, 0.0, (4, 8))  # never fails
+
+    @pytest.mark.parametrize("n_list", [(10.7, 12.2), (8, True), (8, 0)],
+                             ids=["floats", "bool", "zero"])
+    def test_copy_counts_follow_the_count_rule(self, n_list):
+        # 10.7 is refused, never truncated to 10
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        with pytest.raises(SpecError, match="copy count"):
+            failure_exponent_fit(spec, 1.0, n_list)
+
+    def test_numpy_copy_counts_fit_as_python_ints(self):
+        spec = psi_spectrum(PsiSpec(lam=0.5, d2=2))
+        fit = failure_exponent_fit(spec, 0.5, np.array([8, 12]))
+        assert fit == failure_exponent_fit(spec, 0.5, (8, 12))
+        assert all(type(n) is int for n in fit.n_list)

@@ -319,6 +319,40 @@ class TestJsonLayoutTypes:
             operator_from_json(text)
 
 
+class TestJsonEntryTypes:
+    @pytest.mark.parametrize("entries", [
+        [[True, False]], [[1.0, False]], [[None, 0.0]], [["1", 0.0]]],
+        ids=["bool-real", "bool-imag", "null", "string"])
+    def test_entry_part_must_be_a_json_number(self, entries):
+        # [[true, false]] would read as the valid state 1+0j if coerced
+        text = json.dumps({"layout": [{"label": "A1", "dim": 1}],
+                           "entries": entries})
+        with pytest.raises(ParseError):
+            operator_from_json(text)
+
+
+class TestCountRule:
+    """``qmat._check_count``, the one rule for counts, dimensions and
+    seeds."""
+
+    @pytest.mark.parametrize("value", [1, 5, np.int64(5), np.uint8(1)])
+    def test_integers_in_range_pass(self, value):
+        qmat._check_count(value, "count", high=5)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, False, "3", None])
+    def test_non_integers_are_refused(self, value):
+        with pytest.raises(locclab.SpecError, match="count must be an integer"):
+            qmat._check_count(value, "count", low=0)
+
+    def test_the_two_range_messages(self):
+        with pytest.raises(locclab.SpecError,
+                           match=r"^count must be >= 2, got 1$"):
+            qmat._check_count(1, "count", low=2)
+        with pytest.raises(locclab.SpecError,
+                           match=r"^count 13 outside 1\.\.12 \(the limit\)$"):
+            qmat._check_count(13, "count", high=12)
+
+
 class TestLayoutAndPermute:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(LayoutError):
@@ -375,7 +409,9 @@ def test_one_state_type():
                       if isinstance(space[name], type)
                       and space[name].__module__ == "locclab.qmat")
 
-    exported = classes(locclab.__all__, vars(locclab))
+    # getattr, not vars(locclab): an export is bound on its first read
+    exported = classes(locclab.__all__, {name: getattr(locclab, name)
+                                         for name in locclab.__all__})
     defined = classes([name for name in vars(qmat) if not name.startswith("_")],
                       vars(qmat))
     assert exported == defined == ["DensityOperator", "Operator", "TensorLayout"]

@@ -103,6 +103,20 @@ class TestParseSeeds:
         with pytest.raises(bench_pairs.PairError):
             bench_pairs.parse_seeds(text)
 
+    @pytest.mark.parametrize("text", ["201-204,310-305", "-3,4", "a,b",
+                                      "201-,205", "1.5,2", ""])
+    def test_malformed_part(self, text):
+        # a descending range would yield no seeds and shrink the series
+        with pytest.raises(bench_pairs.PairError, match="neither a seed"):
+            bench_pairs.parse_seeds(text)
+
+    def test_malformed_seeds_exit_one(self, tmp_path, capsys):
+        code = bench_pairs.main(["--workload", "brackets", "--parent",
+                                 str(tmp_path), "--change", str(tmp_path),
+                                 "--label", "x", "--seeds=-3,4"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("bench_pairs: seeds '-3,4'")
+
 
 class TestSummary:
     def test_wins_split_by_the_side_that_ran_first(self):

@@ -48,11 +48,17 @@ class PairError(Exception):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'201-204,301' -> [201, 202, 203, 204, 301]."""
+    """'201-204,301' -> [201, 202, 203, 204, 301]. Each part is a seed
+    >= 0 or an ascending range lo-hi; anything else raises PairError, so
+    a series never shrinks unnoticed."""
     seeds = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.strip().partition("-")
+        hi = hi if dash else lo
+        if not (lo.isdecimal() and hi.isdecimal()) or int(hi) < int(lo):
+            raise PairError(f"seeds {text!r}: {part!r} is neither a seed >= 0 "
+                            "nor an ascending range lo-hi")
+        seeds.extend(range(int(lo), int(hi) + 1))
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
         raise PairError(f"seeds {text!r}: need two or more, none repeated")
     return seeds
