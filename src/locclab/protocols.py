@@ -39,19 +39,20 @@ so only one chunk of them is ever cast to float.
 
 The distribution's outcomes are built in bulk from the columns: their
 checks run once on the whole columns, and the slots of bare instances are
-filled directly. Each outcome's ``counts`` tuple is built on its first
-read from its row of the law's read-only counts table, which the outcomes
-keep alive, by a data descriptor over the ``counts`` slot, so building an
-outcome makes one object for the cyclic garbage collector to track, not
-two, and every other field read stays a plain slot read. An outcome
-refers to a view of at most ``_VIEW_ROWS`` rows of the table and to its
-row there, an int that CPython keeps cached. Its two floats are interned
-on their float64 bit patterns, ``_ROW_CHUNK`` rows at a time through a
-fixed table of ``_BUCKETS`` hash buckets: a row shares its bucket's float
-when the bits are equal and keeps its own otherwise, so no value changes
-(-0.0 and 0.0 stay apart) and no sort runs. Besides the outcomes
-themselves, the law then keeps about one float per distinct value alive,
-not two per outcome. Since an outcome refers only to the table, an
+filled directly, straight into the one tuple that is returned. An outcome
+has four slots: its three fields and a view of at most ``_VIEW_ROWS`` rows
+of the law's read-only counts table, which the outcomes keep alive. Until
+it is first read, a bulk outcome's ``counts`` slot holds its row in that
+view, an int 0..255 that CPython keeps cached; a data descriptor over the
+slot swaps it for the row's tuple on that read. So building an outcome
+makes one object for the cyclic garbage collector to track, not two, and
+every other field read stays a plain slot read. Its two floats are
+interned on their float64 bit patterns, ``_ROW_CHUNK`` rows at a time
+through a fixed table of ``_BUCKETS`` hash buckets: a row shares its
+bucket's float when the bits are equal and keeps its own otherwise, so no
+value changes (-0.0 and 0.0 stay apart) and no sort runs. Besides the
+outcomes themselves, the law then keeps about one float per distinct value
+alive, not two per outcome. Since an outcome refers only to the table, an
 int and two floats, it cannot be part of a reference cycle, and the
 outcomes are built with the collector paused (when it is enabled and no
 other Python thread is alive; it is enabled again afterwards), so those
@@ -65,8 +66,10 @@ size past its limit (``_MAX_COPIES`` copies, ``_MAX_LABELS`` labels,
 SpecError.
 
 The last exact law asked for is memoized, read-only, by
-``_last_exact_law``; the distribution and the exact success probability
-both read it, so a success probability after a distribution of the same
+``_last_exact_law`` as (counts, log2_dim, weights) columns; the
+distribution reads them as they are, with no copy when no type has weight
+zero, and the exact success probability thresholds the same log2_dim
+column, so a success probability after a distribution of the same
 (spectrum, n) enumerates nothing. Exact success probabilities are also
 memoized per (spectrum, n, target), which the memory-block strategies
 re-ask for.
@@ -276,12 +279,12 @@ def log2_multinomial(counts) -> float:
 
 
 class _DeferredCounts:
-    """Data descriptor over the ``counts`` slot: a read of an empty slot
-    (a bulk outcome whose counts were never read) fills it with the tuple
-    of Python ints of the outcome's table row. Living on the class, it
-    leaves every other attribute a plain slot read; a ``__getattr__`` hook
-    would put every attribute read of every outcome on CPython's slow
-    path."""
+    """Data descriptor over the ``counts`` slot. A bulk outcome whose
+    counts were never read holds its row in its table view there, a cached
+    int; the first read swaps it for the tuple of Python ints of that row,
+    and every later read finds the tuple. Living on the class, it leaves
+    every other attribute a plain slot read; a ``__getattr__`` hook would
+    put every attribute read of every outcome on CPython's slow path."""
 
     __slots__ = ("_slot",)
 
@@ -291,12 +294,14 @@ class _DeferredCounts:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        try:
-            return self._slot.__get__(obj, owner)
-        except AttributeError:
-            counts = tuple(obj._table[obj._row].tolist())
-            self._slot.__set__(obj, counts)
-            return counts
+        counts = self._slot.__get__(obj, owner)
+        if type(counts) is int:
+            # a plain outcome given an int has no table and keeps the int
+            table = getattr(obj, "_table", None)
+            if table is not None:
+                counts = tuple(table[counts].tolist())
+                self._slot.__set__(obj, counts)
+        return counts
 
     def __set__(self, obj, value):
         self._slot.__set__(obj, value)
@@ -365,20 +370,22 @@ class ConcentrationOutcome:
     the concentrated maximally-entangled dimension, and its probability
     (or empirical weight in sampling mode).
 
-    Outcomes built in bulk by ``concentration_distribution`` each refer to
-    a view of the law's read-only (m, labels) unsigned integer counts
-    table and build their ``counts`` tuple of Python ints from their row
-    of it on first read (``_DeferredCounts``, the descriptor over the
-    ``counts`` slot), so one outcome kept on its own keeps the whole table
-    alive. Their ``log2_dim`` and ``probability`` are plain slots that
-    share one float object among outcomes whose values have the same bits
-    (``_interned``). Equality, hashing, repr, pickling and copies see only
-    the tuple and the two values.
+    An outcome has four slots, the same for every outcome. Outcomes built
+    in bulk by ``concentration_distribution`` each refer to a view of the
+    law's read-only (m, labels) unsigned integer counts table, and their
+    ``counts`` slot holds their row in that view until its first read,
+    which swaps in the tuple of Python ints of the row
+    (``_DeferredCounts``, the descriptor over the slot); so one outcome
+    kept on its own keeps the whole table alive. Their ``log2_dim`` and
+    ``probability`` are plain slots that share one float object among
+    outcomes whose values have the same bits (``_interned``). Equality,
+    hashing, repr, pickling and copies see only the tuple and the two
+    values.
     """
 
-    # besides the fields: a read-only view of at most ``_VIEW_ROWS`` rows
-    # of the law's counts table, and the outcome's row in that view
-    __slots__ = ("counts", "log2_dim", "probability", "_table", "_row")
+    # besides the fields: a bulk outcome's read-only view of at most
+    # ``_VIEW_ROWS`` rows of the law's counts table
+    __slots__ = ("counts", "log2_dim", "probability", "_table")
 
     counts: tuple[int, ...]
     log2_dim: float
@@ -408,15 +415,17 @@ class ConcentrationOutcome:
 
         ``__post_init__``'s checks run once on the whole columns; the first
         bad row is rebuilt by the constructor so it raises the same error.
-        The slots of bare instances are then filled by their descriptors,
-        each with a view of ``_VIEW_ROWS`` rows of ``counts`` and its row
-        in that view (a cached small int) in place of a counts tuple, so an
-        outcome is one GC-tracked object. The outcomes take ``counts`` over,
-        whatever its integer dtype: it is made read-only in place, not
-        copied. Each float column is interned on its bit patterns, one
-        ``_ROW_CHUNK`` at a time (``_interned``): rows of equal bits share
-        one float unless another value holds their bucket, so a law keeps
-        about one float per distinct value, not two per outcome.
+        The bare instances are made straight into the returned tuple, and
+        their slots are then filled by the slot descriptors: ``_table``
+        with a view of ``_VIEW_ROWS`` rows of ``counts`` and ``counts``
+        with the outcome's row in that view (a cached small int) in place
+        of its tuple, so an outcome is one GC-tracked object of four
+        slots. The outcomes take ``counts`` over, whatever its integer
+        dtype: it is made read-only in place, not copied. Each float
+        column is interned on its bit patterns, one ``_ROW_CHUNK`` at a
+        time (``_interned``): rows of equal bits share one float unless
+        another value holds their bucket, so a law keeps about one float
+        per distinct value, not two per outcome.
 
         The outcomes are built with the cyclic collector paused when it is
         enabled and the calling thread is the only Python thread, and it is
@@ -441,13 +450,14 @@ class ConcentrationOutcome:
         if pause:
             gc.disable()
         try:
-            # a list, then one tuple: a tuple grown from an iterator without
-            # a length hint is resized, and re-tracked by the GC, as it grows
-            out = list(map(object.__new__, itertools.repeat(cls, m)))
+            # no list beside the tuple: grown from an iterator without a
+            # length hint, it is resized as it grows (at most a quarter
+            # over m before its last trim)
+            out = tuple(map(object.__new__, itertools.repeat(cls, m)))
             deque(map(cls._table.__set__, out, itertools.chain.from_iterable(
                 map(itertools.repeat, views, itertools.repeat(_VIEW_ROWS)))),
                 maxlen=0)
-            deque(map(cls._row.__set__, out,
+            deque(map(cls.counts._slot.__set__, out,
                       itertools.cycle(range(_VIEW_ROWS))), maxlen=0)
             # one column and one chunk at a time, so no column-long list of
             # floats is built
@@ -456,7 +466,7 @@ class ConcentrationOutcome:
                 deque(map(slot.__set__, out, itertools.chain.from_iterable(
                     _interned(np.asarray(column, np.float64)))),
                     maxlen=0)
-            return tuple(out)
+            return out
         finally:
             if pause:
                 gc.enable()
@@ -522,13 +532,27 @@ def _exact_law(spectrum: SchmidtSpectrum, n: int):
     return counts, logw, np.where(impossible, 0.0, np.exp(logw + mass))
 
 
+def _log2_dims(logw: np.ndarray) -> np.ndarray:
+    """``np.maximum(logw / ln 2, 0.0)``, the log2 dimensions of types whose
+    ln multinomial is ``logw``, computed in place in ``logw``. The clamp
+    never acts on a law's own values: ln multinomial is 0.0 exactly for a
+    type of one label and at least ln 2 for any other."""
+    np.divide(logw, _LOG2, out=logw)
+    return np.maximum(logw, 0.0, out=logw)
+
+
 @lru_cache(maxsize=1)
 def _last_exact_law(values: tuple, n: int):
-    """``_exact_law`` of the spectrum ``values`` on n copies, read-only:
-    the one memo of an exact law, holding the last (values, n) asked for.
-    A miss drops the held law before it enumerates the next one."""
+    """(counts, log2_dim, weights) of the spectrum ``values`` on n copies,
+    read-only: ``_exact_law`` with its logw column turned in place into
+    the clamped log2_dim column (``_log2_dims``), so the law keeps one
+    float column of dimensions, which the distribution and the exact
+    success probability both read. The one memo of an exact law, holding
+    the last (values, n) asked for; a miss drops the held law before it
+    enumerates the next one."""
     _last_exact_law.cache_clear()
-    law = _exact_law(SchmidtSpectrum(values=values), n)
+    counts, logw, weights = _exact_law(SchmidtSpectrum(values=values), n)
+    law = counts, _log2_dims(logw), weights
     for column in law:
         column.flags.writeable = False
     return law
@@ -606,10 +630,12 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
     of dtype ``np.min_scalar_type(n)`` (uint8 up to n = 255), and two
     length-m float columns, without the types of weight zero. Both modes
     build the table in that dtype, so no wider copy of it ever exists. An
-    exact law is read through ``_last_exact_law``; a sampled one sizes its
-    keys by ``samples``, which must not pass ``_MAX_SAMPLES``."""
+    exact law is read through ``_last_exact_law``: when no type has weight
+    zero, the three columns returned are the memo's own read-only arrays,
+    log2_dim included, not copies. A sampled law sizes its keys by
+    ``samples``, which must not pass ``_MAX_SAMPLES``."""
     if _use_exact(spectrum, n, mode, samples):
-        counts, logw, weights = _last_exact_law(spectrum.values, n)
+        counts, log2_dim, weights = _last_exact_law(spectrum.values, n)
     else:
         if samples > _MAX_SAMPLES:
             raise SpecError(f"sample count {samples} exceeds the limit "
@@ -620,11 +646,11 @@ def _law_columns(spectrum: SchmidtSpectrum, n: int, mode: str, samples: int,
             _draws(rng, n, label_p, samples), (samples, label_p.size), n + 1,
             np.min_scalar_type(n))
         weights = freq / samples
-        logw = _log_multinomial(counts, n)
+        log2_dim = _log2_dims(_log_multinomial(counts, n))
     keep = weights != 0.0
     if not keep.all():
-        counts, logw, weights = counts[keep], logw[keep], weights[keep]
-    return counts, np.maximum(logw / _LOG2, 0.0), weights
+        counts, log2_dim, weights = counts[keep], log2_dim[keep], weights[keep]
+    return counts, log2_dim, weights
 
 
 def concentration_distribution(spectrum: SchmidtSpectrum, n: int,
@@ -682,8 +708,10 @@ def concentration_success_prob(spectrum: SchmidtSpectrum, n: int,
 
 @lru_cache(maxsize=256)
 def _exact_success_cached(values: tuple, n: int, target: float) -> float:
-    _, logw, weights = _last_exact_law(values, n)
-    p = np.where(logw / _LOG2 < target - 1e-9, 0.0, weights).sum()
+    """The weight of the memoized law's types whose log2_dim reaches
+    ``target`` (less 1e-9), read from the memo's own log2_dim column."""
+    _, log2_dim, weights = _last_exact_law(values, n)
+    p = np.where(log2_dim < target - 1e-9, 0.0, weights).sum()
     return float(min(max(p, 0.0), 1.0))
 
 

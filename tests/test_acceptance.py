@@ -14,8 +14,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES
-from test_distinguish import commutant_grid_value, random_density
+from conftest import ACCEPTANCE_LINES, random_density
+from test_distinguish import commutant_grid_value
 
 from locclab import (
     DensityOperator,

@@ -4,6 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import random_density
+
 from locclab import (
     BoundBracket,
     ChannelError,
@@ -32,12 +34,6 @@ from locclab import (
 )
 
 AB22 = TensorLayout((("A1", 2), ("B1", 2)))
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def random_pair(rng: np.random.Generator) -> tuple[DensityOperator, DensityOperator]:

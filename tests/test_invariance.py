@@ -25,6 +25,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_density
+
 from locclab import (
     DensityOperator,
     HidingPairSpec,
@@ -47,13 +49,8 @@ def random_pair(da: int, db: int, seed: int):
     """Two seeded random complex density operators on A (x) B."""
     rng = np.random.default_rng([seed, da, db])
     layout = TensorLayout((("A", da), ("B", db)))
-    pair = []
-    for _ in range(2):
-        g = (rng.standard_normal((da * db,) * 2)
-             + 1j * rng.standard_normal((da * db,) * 2))
-        m = g @ g.conj().T
-        pair.append(DensityOperator(layout, m / np.trace(m).real))
-    return tuple(pair)
+    return tuple(DensityOperator(layout, random_density(rng, da * db))
+                 for _ in range(2))
 
 
 FAMILIES = {

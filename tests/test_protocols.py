@@ -15,6 +15,8 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chi2
 
+from conftest import random_density
+
 from locclab import (
     ConcentrationOutcome,
     DensityOperator,
@@ -45,12 +47,6 @@ from locclab.protocols import (_compositions, _distinct_rows, _exact_law,
                                _log_factorials)
 from locclab.seeding import rng_from
 from locclab.stats import WILSON_Z_99, wilson_interval
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def random_spectrum(rng: np.random.Generator) -> SchmidtSpectrum:
@@ -555,6 +551,31 @@ class TestDeferredCounts:
         assert o == plain and hash(o) == hash(plain) and repr(o) == repr(plain)
         assert pickle.loads(pickle.dumps(o)) == plain == copy.copy(o)
 
+    def test_first_read_raises_nothing(self):
+        # the row index sits in the counts slot, so the first read takes
+        # no failed slot lookup: no exception is raised in any frame
+        dist = concentration_distribution(PSI_35, 9, mode="exact")
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception":
+                raised.append((frame.f_code.co_name, arg[0]))
+            return tracer
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            counts = [o.counts for o in dist]
+        finally:
+            sys.settrace(old)
+        assert raised == []
+        assert all(o.counts is c for o, c in zip(dist, counts))
+
+    def test_plain_outcome_keeps_an_int(self):
+        # only a bulk outcome, which has a table, holds a row index
+        o = ConcentrationOutcome(3, 0.0, 1.0)
+        assert o.counts == 3
+        assert not hasattr(o, "_table")
+
     def test_pickle_size_does_not_grow_with_the_law(self, law16):
         law9 = concentration_distribution(PSI_35, 9, mode="exact")
         for o in (law9[0], law9[-1], law16[0], law16[-1]):
@@ -718,18 +739,61 @@ class TestCompactLaws:
             list(map(tuple, _compositions(n, 2).tolist()))
         assert all(type(c) is int for o in dist for c in o.counts)
 
-    def test_outcomes_share_views_and_row_indices(self, law16):
-        m, rows = len(law16), protocols._VIEW_ROWS
-        assert len({id(o._table) for o in law16}) == -(-m // rows)
-        assert len({id(o._table.base) for o in law16}) == 1
-        assert {o._table.dtype for o in law16} == {np.dtype(np.uint8)}
-        assert [o._row for o in law16] == [i % rows for i in range(m)]
-        assert len({id(o._row) for o in law16}) == rows
+    def test_outcomes_share_views_and_row_indices(self):
+        # until its first read, a bulk outcome's raw counts slot holds its
+        # row in its view, a cached small int; the read swaps in the tuple
+        law = concentration_distribution(PSI_35, 12, mode="exact")
+        raw = ConcentrationOutcome.counts._slot.__get__
+        m, rows = len(law), protocols._VIEW_ROWS
+        assert len({id(o._table) for o in law}) == -(-m // rows)
+        assert len({id(o._table.base) for o in law}) == 1
+        assert {o._table.dtype for o in law} == {np.dtype(np.uint8)}
+        assert [raw(o) for o in law] == [i % rows for i in range(m)]
+        assert {type(raw(o)) for o in law} == {int}
+        assert len({id(raw(o)) for o in law}) == rows
+        counts = [o.counts for o in law]
+        assert all(raw(o) is c for o, c in zip(law, counts))
+        assert counts == list(map(tuple, protocols._law_columns(
+            PSI_35, 12, "exact", 1, 0)[0].tolist()))
+
+    def test_bulk_and_plain_outcomes_have_four_slots(self):
+        bulk = concentration_distribution(PSI_35, 5, mode="exact")[3]
+        plain = ConcentrationOutcome(bulk.counts, bulk.log2_dim,
+                                     bulk.probability)
+        unread = concentration_distribution(PSI_35, 5, mode="exact")[3]
+        assert ConcentrationOutcome.__slots__ == (
+            "counts", "log2_dim", "probability", "_table")
+        # no __dict__ and no __weakref__ beside the four slots
+        assert ConcentrationOutcome.__basicsize__ == \
+            object.__basicsize__ + 4 * np.dtype(np.intp).itemsize
+        assert sys.getsizeof(unread) == sys.getsizeof(bulk) == \
+            sys.getsizeof(plain)
+
+    def test_build_holds_one_chunk_of_temporaries(self):
+        # With the law memoized, building the outcomes peaks above what it
+        # retains by the interning's two bucket tables (2 * _BUCKETS
+        # intps) and one _ROW_CHUNK of temporaries (at most 80 bytes a row;
+        # ~61 measured). A list of the outcomes beside their tuple, or a
+        # second log2_dim column, would add 8 bytes per outcome (400 KB
+        # here) and exceed the bound.
+        n = 12
+        protocols._law_columns(PSI_35, n, "exact", 1, 0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dist = concentration_distribution(PSI_35, n, mode="exact")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dist) == math.comb(n + 7, 7)
+        bound = (2 * protocols._BUCKETS * np.dtype(np.intp).itemsize
+                 + protocols._ROW_CHUNK * 80)
+        assert peak - retained <= bound
 
     def test_exact_law_retains_what_the_design_says(self):
         # Per outcome: the outcome itself, its slot in the distribution's
         # tuple, its row of the one-byte table (which the law memo shares),
-        # its two floats and its (logw, weight) in the law memo; per view
+        # its two floats and its (log2_dim, weight) in the law memo; per view
         # of _VIEW_ROWS rows at most 256 bytes (the array object and its
         # shape and strides); 128 KB for the rest. An int64 table and a
         # fresh int per outcome would add 56 + 28 bytes each.
@@ -845,10 +909,10 @@ class TestSharedFloats:
 
     def test_exact_law_keeps_one_float_per_value(self):
         # Per outcome: the outcome itself, its slot in the distribution's
-        # tuple, its row of the one-byte table and its (logw, weight) in the
-        # law memo; 24 bytes per distinct value of each float column; per
-        # view of _VIEW_ROWS rows 256 bytes; 128 KB for the rest. Two floats
-        # per outcome would add 48 bytes each (2.4 MB here).
+        # tuple, its row of the one-byte table and its (log2_dim, weight) in
+        # the law memo; 24 bytes per distinct value of each float column;
+        # per view of _VIEW_ROWS rows 256 bytes; 128 KB for the rest. Two
+        # floats per outcome would add 48 bytes each (2.4 MB here).
         protocols._last_exact_law.cache_clear()
         n, labels = 12, 8
         _, log2_dim, probability = protocols._law_columns(PSI_35, n, "exact",
@@ -966,13 +1030,48 @@ class TestLawMemo:
     def test_kept_arrays_are_read_only(self, counted):
         spec = psi_spectrum(PsiSpec(lam=0.5, d2=4))
         concentration_distribution(spec, 7, mode="exact")
-        counts, logw, weights = protocols._last_exact_law(spec.values, 7)
+        counts, log2_dim, weights = protocols._last_exact_law(spec.values, 7)
         assert counted == [7]
-        assert len(counts) == len(logw) == len(weights) == math.comb(7 + 3, 3)
-        for column in (counts, logw, weights):
+        assert len(counts) == len(log2_dim) == len(weights) == \
+            math.comb(7 + 3, 3)
+        for column in (counts, log2_dim, weights):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 0
+
+    def test_exact_columns_are_the_memo_s(self, counted, capsys):
+        # the exact columns are the memo's own read-only arrays, log2_dim
+        # included, and the concentrate command only reads them
+        from locclab.cli import main
+        memo = protocols._last_exact_law(PSI_35.values, 9)
+        kept = [column.copy() for column in memo]
+        columns = protocols._law_columns(PSI_35, 9, "exact", 1, 0)
+        assert all(a is b for a, b in zip(columns, memo))
+        assert not columns[1].flags.writeable
+        assert main(["concentrate", "--lambda", "0.35", "--d2", "8", "--n",
+                     "9", "--mode", "exact", "--target", "12"]) == 0
+        capsys.readouterr()
+        assert counted == [9]
+        assert protocols._last_exact_law(PSI_35.values, 9) is memo
+        for column, copy_ in zip(memo, kept):
+            assert not column.flags.writeable
+            assert column.tobytes() == copy_.tobytes()
+
+    @pytest.mark.parametrize("values, n", [
+        (PSI_35.values, 9),
+        (psi_spectrum(PsiSpec(lam=0.27, d2=4)).values, 11),
+        (((0.6, 1), (0.4, 1), (0.0, 2)), 5),    # types of weight zero
+        (((1.0, 1),), 4),                       # one type, log2_dim 0.0
+    ])
+    def test_memo_column_is_logw_over_ln2(self, values, n):
+        # bit for bit: the clamp at 0 never acts on a law's own values
+        protocols._last_exact_law.cache_clear()
+        _, log2_dim, _ = protocols._last_exact_law(values, n)
+        _, logw, _ = _exact_law(SchmidtSpectrum(values=values), n)
+        assert logw.min() >= 0.0
+        assert log2_dim.view(np.uint64).tolist() == \
+            (logw / math.log(2.0)).view(np.uint64).tolist()
+        protocols._last_exact_law.cache_clear()
 
     def test_zero_weight_law_is_kept_whole(self, counted):
         # a zero-probability label gives zero-weight types; the

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_density
+
 import locclab
 from locclab import qmat
 from locclab import (
@@ -34,12 +36,6 @@ def ket(i: int, dim: int = 2) -> np.ndarray:
     v = np.zeros(dim, dtype=np.complex128)
     v[i] = 1.0
     return v
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -12,6 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_density
+
 from locclab import (
     HidingPairSpec,
     NumericError,
@@ -40,14 +42,6 @@ def werner(d):
 def composed(lam, d2):
     pair = make_hiding_pair(HidingPairSpec(d=2))
     return objective(make_rho_pair(pair, make_psi(PsiSpec(lam=lam, d2=d2))))
-
-
-def random_density(rng, dim, real=False):
-    g = rng.normal(size=(dim, dim))
-    if not real:
-        g = g + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
 
 
 def random_objective(rng, da, db, real=False):
