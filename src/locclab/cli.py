@@ -11,11 +11,15 @@ cannot be written is a ConfigError naming the path.
 
 All randomness flows from the --seed root through labeled substreams
 (the labels appear in the manifest), and the game commands (simulate,
-rate, detect) play their trials with the array engine ``play_trial`` in
-trial-id order in one thread, writing each trial's JSONL lines straight
-from its arrays, so identical (config, seed, version) give
-byte-identical JSONL/CSV artifacts. They keep only the scores (with
---out each trial's lines are written before the next is played).
+rate, detect) play their trials with the engine core in trial-id order
+in one thread, through ``game._play_trials``: each trial is what
+``play_trial`` returns on its substreams, whose keys are derived a chunk
+of trials at a time in one batch (``seeding.philox_keys``, matched to
+numpy's ``SeedSequence``) and loaded into three reused generators. Each
+trial's JSONL lines are written straight from its arrays, so identical
+(config, seed, version) give byte-identical JSONL/CSV artifacts. They
+keep only the scores (with --out each trial's lines are written before
+the next is played).
 ``--threads`` is still accepted and validated but changes no work:
 every trial is a few vector operations, and there is no pool.
 
@@ -41,8 +45,8 @@ import numpy as np
 
 from .errors import ConfigError, LoccLabError, ParseError
 from .game import (DetectionConfig, IIDStrategy, RateEstimate, TrialArrays,
-                   azuma_bound, default_detection_oracle, hoeffding_bound,
-                   memory_block_strategy, min_rounds, play_trial)
+                   _play_trials, azuma_bound, default_detection_oracle,
+                   hoeffding_bound, memory_block_strategy, min_rounds)
 from .protocols import _law_columns, _use_exact, concentration_success_prob
 from .qmat import (DensityOperator, TensorLayout, _fmt17, _same_layout,
                    operator_from_json, operator_to_json, trace_norm)
@@ -293,8 +297,8 @@ _ROUND_HEADS = tuple(f'{{"X":{c >> 2},"Y":{c >> 1 & 1},"Z":{c & 1},"j":'
 
 
 def _trial_streams(*prefixes: str) -> tuple[str, ...]:
-    """Manifest entries of the substreams that ``play_trial`` draws under
-    each stream prefix."""
+    """Manifest entries of the substreams that a trial draws under each
+    stream prefix (``game._TRIAL_STREAMS``)."""
     return tuple(f"{prefix}.{name}" for prefix in prefixes
                  for name in ("rounds", "success", "strategy"))
 
@@ -486,8 +490,8 @@ def cmd_simulate(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, strategy.protocol_id, rounds,
-        (play_trial(strategy, rounds, config.seed, stream=("trial", t))
-         for t in range(trials)),
+        _play_trials(((strategy, rounds, ("trial", t)) for t in range(trials)),
+                     config.seed),
         seed_streams=streams + _trial_streams("trial.<t>"))
     rates = [score / rounds for score in scores]
     return {
@@ -525,9 +529,9 @@ def cmd_detect(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, "detect-" + mode, det_config.n,
-        (play_trial(oracle.strategy_for(worlds[t % 2]), det_config.n,
-                    config.seed, stream=("trial", t, "detect", worlds[t % 2]))
-         for t in range(trials)),
+        _play_trials(((oracle.strategy_for(worlds[t % 2]), det_config.n,
+                       ("trial", t, "detect", worlds[t % 2]))
+                      for t in range(trials)), config.seed),
         guess=guess,
         seed_streams=_trial_streams(*(f"trial.<t>.detect.{world}"
                                       for world in worlds[:trials])))
@@ -568,8 +572,8 @@ def cmd_rate(config: ExperimentConfig) -> dict:
 
     scores, written = _play_games(
         config, strategy.protocol_id, n_list[-1],
-        (play_trial(strategy, n, config.seed, stream=("rate", n, t))
-         for n in n_list for t in range(trials)),
+        _play_trials(((strategy, n, ("rate", n, t))
+                      for n in n_list for t in range(trials)), config.seed),
         seed_streams=streams + _trial_streams("rate.<n>.<t>"))
     # scores come checkpoint by checkpoint, ``trials`` of each
     hits = [sum(RateEstimate.reached(score, r, n) for score in scores[i:i + trials])

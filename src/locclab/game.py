@@ -29,14 +29,19 @@ trials, that return the same numbers, and the tests take their scalar
 methods as the reference.
 
 ``play_trial`` is the core with one trial on its per-trial substreams,
-plus the referee bits, returned as a ``TrialArrays``; the CLI game
-commands write its arrays. The library ensembles
+plus the referee bits, returned as a ``TrialArrays``. The CLI game
+commands play their trials through ``_play_trials``, which yields, trial
+by trial, what ``play_trial`` returns on the same streams: it derives
+the three stream keys of a chunk of trials in one batch
+(``seeding.philox_keys``, whose reference is numpy's ``SeedSequence``)
+and re-keys three reused Philox generators as each trial starts, instead
+of building three generators per trial. The library ensembles
 (``simulate_ensemble``, ``estimate_rate``, ``detection_accuracy``) call
 the core once per ensemble, checkpoint or world, on the
 ``("ensemble",)``, ``("rate", n)`` and ``("accuracy", world)``
-prefixes. They never need referee bits, and one stream pair per
-ensemble avoids seeding a generator per trial, so their numbers differ
-from the CLI's for the same seed.
+prefixes. They never need referee bits, and they draw each ensemble in
+array calls from one stream pair, so their numbers differ from the CLI's
+for the same seed.
 
 Randomness: referee bits, success draws, and strategy-owned randomness
 come from independently labeled substreams of one root seed, so
@@ -57,8 +62,10 @@ but its success uniforms and its own stream.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,7 +74,7 @@ import numpy as np
 from .errors import CatalystViolation, DomainError, SpecError
 from .protocols import concentration_success_prob, teleport
 from .qmat import DensityOperator, _check_count
-from .seeding import rng_from
+from .seeding import keyed_rng, philox_keys, rekey, rng_from
 from .states import (HidingPairSpec, PsiSpec, _swap, check_psi_conditions,
                      make_hiding_pair, make_max_entangled, psi_product_distance,
                      psi_spectrum)
@@ -472,6 +479,26 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     return x
 
 
+# the substreams of one trial, in the order their keys are derived
+_TRIAL_STREAMS = ("success", "strategy", "rounds")
+# trials whose stream keys are derived in one batch (3 keys each)
+_KEY_CHUNK = 256
+
+
+def _play_streams(strategy: Strategy, n: int, success: np.random.Generator,
+                  own: np.random.Generator, rounds: np.random.Generator
+                  ) -> TrialArrays:
+    """The engine core on one trial of n rounds (a checked count), with
+    its success, strategy and referee-bit generators."""
+    (matched,), (descriptors,) = _play_rows(strategy,
+                                            success.random((1, n)), own)
+    z = rounds.integers(0, 2, size=n)
+    y = np.where(matched, z, 1 - z)
+    x = (y == z).astype(np.int64)
+    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x,
+                       S=np.cumsum(x), descriptors=descriptors)
+
+
 def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
                stream: tuple[Label, ...] = ()) -> TrialArrays:
     """Play n rounds against a uniform referee and return the arrays.
@@ -486,14 +513,35 @@ def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
     ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
     _check_count(n, "round count", high=_MAX_ROUNDS)
-    (success,), (descriptors,) = _play_rows(
-        strategy, rng_from(seed, *stream, "success").random((1, n)),
-        rng_from(seed, *stream, "strategy"))
-    z = rng_from(seed, *stream, "rounds").integers(0, 2, size=n)
-    y = np.where(success, z, 1 - z)
-    x = (y == z).astype(np.int64)
-    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x,
-                       S=np.cumsum(x), descriptors=descriptors)
+    return _play_streams(strategy, n, *(rng_from(seed, *stream, name)
+                                        for name in _TRIAL_STREAMS))
+
+
+def _play_trials(games: Iterable[tuple[Strategy, int, tuple[Label, ...]]],
+                 seed: int) -> Iterator[TrialArrays]:
+    """Play each ``(strategy, n, stream)`` of ``games`` in order and yield
+    what ``play_trial(strategy, n, seed, stream)`` returns, trial by
+    trial, as the CLI game commands need.
+
+    The three stream keys of ``_KEY_CHUNK`` games at a time come from one
+    batch derivation (``seeding.philox_keys``), and three generators,
+    built once, are re-keyed to a trial's streams when it starts, after
+    the previous trial was yielded. So memory holds one trial and one
+    chunk of games and keys whatever their number, and a strategy that
+    keeps its generator holds it only for the trial it plays.
+    """
+    generators = [keyed_rng(np.zeros(2, dtype=np.uint64))
+                  for _ in _TRIAL_STREAMS]
+    games = iter(games)
+    while chunk := list(itertools.islice(games, _KEY_CHUNK)):
+        keys = philox_keys(seed, [(*stream, name) for _, _, stream in chunk
+                                  for name in _TRIAL_STREAMS])
+        keys = keys.reshape(len(chunk), len(_TRIAL_STREAMS), 2)
+        for (strategy, n, _), trial_keys in zip(chunk, keys):
+            _check_count(n, "round count", high=_MAX_ROUNDS)
+            for rng, key in zip(generators, trial_keys):
+                rekey(rng, key)
+            yield _play_streams(strategy, n, *generators)
 
 
 def simulate_ensemble(strategy: Strategy, n: int, trials: int,

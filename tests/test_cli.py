@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -854,6 +856,13 @@ class TestSeedStreams:
                 return draw(root, *labels)
 
             monkeypatch.setattr(module, "rng_from", recording)
+
+        # the game commands derive their trials' keys in batches
+        def recording_batch(root, streams, derive=game.philox_keys):
+            drawn.extend(streams)
+            return derive(root, streams)
+
+        monkeypatch.setattr(game, "philox_keys", recording_batch)
         run_json(capsys, *self.RUNS[name], "--seed", "4", "--out", str(tmp_path))
         entries = load_manifest(tmp_path / "manifest.json")["seed_streams"]
         # an exact law draws nothing
@@ -915,15 +924,21 @@ class TestTrialMemory:
     @staticmethod
     def live_at_each_call(monkeypatch, capsys, argv):
         refs, live = [], []
-        play = cli.play_trial
+        play = cli._play_trials
 
         def tracked(*args, **kwargs):
-            live.append(sum(ref() is not None for ref in refs))
-            trial = play(*args, **kwargs)
-            refs.append(weakref.ref(trial))
-            return trial
+            trials = play(*args, **kwargs)
+            while True:
+                alive = sum(ref() is not None for ref in refs)
+                trial = next(trials, None)
+                if trial is None:
+                    return
+                live.append(alive)
+                refs.append(weakref.ref(trial))
+                yield trial
+                del trial
 
-        monkeypatch.setattr(cli, "play_trial", tracked)
+        monkeypatch.setattr(cli, "_play_trials", tracked)
         report = run_json(capsys, *argv)
         monkeypatch.undo()
         return report, live
@@ -942,21 +957,51 @@ class TestTrialMemory:
         # the same report, but for the files written
         assert written.pop("files") and written == report
 
+    def test_traced_peak_is_flat_in_the_trial_count(self, monkeypatch,
+                                                     capsys):
+        # stream keys are derived a chunk of trials at a time: with chunks
+        # of 8, a hundred chunks of trials add to the traced peak only the
+        # scores a run keeps (~9 bytes a trial), where keys derived for
+        # every trial at once would add ~550
+        monkeypatch.setattr(game, "_KEY_CHUNK", 8)
+        argv = ["rate", "--protocol", "iid", "--p", "0.5", "--r", "0.5",
+                "--n-list", "2", "--trials"]
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_json(capsys, *argv, str(trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # an untraced run fills the first-call caches and the interpreter's
+        # free lists of small objects, which would otherwise fill with
+        # traced objects at up to 2000 per size; no collection may empty
+        # them in between
+        gc.disable()
+        try:
+            run_json(capsys, *argv, "3000")
+            small, large = peak(32), peak(800)
+        finally:
+            gc.enable()
+        assert large - small < 128 * (800 - 32)
+
     @pytest.mark.parametrize("name", sorted(GAMES))
     def test_failed_run_leaves_no_run_files(self, monkeypatch, capsys,
                                             tmp_path, name):
         argv, _ = GAMES[name]
         out = tmp_path / "run"
         run_json(capsys, *argv, "--out", str(out))  # an earlier run's files
-        play, calls = cli.play_trial, []
+        play = cli._play_trials
 
         def failing(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
-                raise SpecError("third trial refused")
-            return play(*args, **kwargs)
+            for k, trial in enumerate(play(*args, **kwargs), 1):
+                if k == 3:
+                    raise SpecError("third trial refused")
+                yield trial
 
-        monkeypatch.setattr(cli, "play_trial", failing)
+        monkeypatch.setattr(cli, "_play_trials", failing)
         err = run_error(capsys, *argv, "--out", str(out))
         assert err == {"type": "SpecError", "message": "third trial refused"}
         assert list(out.iterdir()) == []

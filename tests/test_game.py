@@ -334,6 +334,122 @@ class TestChunkedCore:
         assert peak < x.nbytes + 16 * 2**20
 
 
+class ScalarBlock(game.MemoryBlockStrategy):
+    """The memory-block strategy played round by round by the base-class
+    adapter: its scalar ``reset`` stores the generator it is given and
+    ``observe`` draws each recharge from it."""
+
+    play = Strategy.play
+
+
+def scalar_block(n_block):
+    return ScalarBlock(n_block=n_block, seed=0, **MB)
+
+
+def philox_state(rng) -> tuple:
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestBatchedTrials:
+    """The CLI's trial iterator derives the stream keys of _KEY_CHUNK
+    trials at a time and re-keys three reused generators per trial; every
+    trial must be the one ``play_trial`` plays on the same streams."""
+
+    STRATEGIES = BUILTINS + [("slow-iid", SlowIID(0.6), 20),
+                             ("scalar-block", scalar_block(4), 37)]
+
+    @staticmethod
+    def games(strategy, n, trials):
+        # rate-like: two round counts, and stream labels of both kinds
+        return [(strategy, n + (t % 2), ("rate", n + (t % 2), t))
+                for t in range(trials)]
+
+    @staticmethod
+    def assert_played_as_play_trial(games, seed):
+        played = list(game._play_trials(iter(games), seed))
+        assert len(played) == len(games)
+        for tr, (strategy, n, stream) in zip(played, games):
+            assert tr == play_trial(strategy, n, seed, stream), stream
+
+    @pytest.mark.parametrize("name,strategy,n", STRATEGIES,
+                             ids=[c[0] for c in STRATEGIES])
+    def test_equals_play_trial_around_chunk_boundaries(self, name, strategy,
+                                                       n, monkeypatch):
+        # chunks of 3 trials: runs that end just before, exactly at and
+        # just after a boundary, and one that crosses two
+        monkeypatch.setattr(game, "_KEY_CHUNK", 3)
+        for trials in (2, 3, 4, 7):
+            self.assert_played_as_play_trial(
+                self.games(strategy, n, trials), seed=trials)
+
+    def test_default_chunk_boundary(self):
+        chunk = game._KEY_CHUNK
+        for trials in (chunk - 1, chunk, chunk + 1):
+            self.assert_played_as_play_trial(
+                self.games(IIDStrategy(0.6), 3, trials), seed=2**64 + trials)
+
+    def test_detect_worlds_alternate(self, monkeypatch):
+        # detect alternates two strategies that share the reused generators
+        monkeypatch.setattr(game, "_KEY_CHUNK", 4)
+        worlds = {"tau": scalar_block(2), "gamma": HistoryCappedStrategy(0.7)}
+        games = [(worlds[w], 9, ("trial", t, "detect", w))
+                 for t, w in zip(range(9), ["tau", "gamma"] * 5)]
+        self.assert_played_as_play_trial(games, seed=5)
+
+    def test_no_generator_rekeyed_while_its_trial_holds_it(self, monkeypatch):
+        # when a trial is handed out, the generator its strategy stored is
+        # still at the end of that trial's own strategy stream: re-keying
+        # waits for the next trial
+        monkeypatch.setattr(game, "_KEY_CHUNK", 2)
+        strategy, n = scalar_block(1), 6
+        games = [(strategy, n, ("trial", t)) for t in range(5)]
+        held = []
+        for tr, (_, _, stream) in zip(game._play_trials(games, 3), games):
+            reference = scalar_block(1)
+            assert tr == play_trial(reference, n, 3, stream)
+            assert strategy._rng is not reference._rng
+            assert philox_state(strategy._rng) == philox_state(
+                reference._rng), stream
+            held.append(strategy._rng)
+        # one strategy generator, reused by every trial
+        assert all(rng is held[0] for rng in held)
+
+    def test_errors_are_those_of_play_trial(self):
+        games = [(IIDStrategy(0.5), 4, ("trial", 0)),
+                 (BadAtRound(bad=3), 6, ("trial", 1))]
+        trials = game._play_trials(games, 1)
+        assert next(trials) == play_trial(IIDStrategy(0.5), 4, 1, ("trial", 0))
+        with pytest.raises(SpecError,
+                           match=re.escape("1.5 outside [0, 1] in round 3")):
+            next(trials)
+        for n in (0, 2.0, game._MAX_ROUNDS + 1):
+            with pytest.raises(SpecError, match="round count"):
+                list(game._play_trials([(IIDStrategy(0.5), n, ())], 0))
+
+    def test_one_chunk_of_games_and_keys_at_a_time(self, monkeypatch):
+        # when a trial is handed out, at most the rest of its chunk of
+        # games has been read, and each batch derives one chunk's keys
+        monkeypatch.setattr(game, "_KEY_CHUNK", 4)
+        read, batches = [], []
+
+        def games():
+            for t in range(11):
+                read.append(t)
+                yield IIDStrategy(0.5), 2, ("trial", t)
+
+        def recording(root, streams, derive=game.philox_keys):
+            batches.append(len(streams))
+            return derive(root, streams)
+
+        monkeypatch.setattr(game, "philox_keys", recording)
+        for t, _ in enumerate(game._play_trials(games(), 1)):
+            assert len(read) == min(11, (t // 4 + 1) * 4)
+        assert batches == [12, 12, 9]
+
+
 def trial(Z, Y, X=None, S=None, descriptors=None, protocol_id="x"):
     """A hand-built TrialArrays; X, S and the descriptors default to
     the consistent ones."""

@@ -191,3 +191,116 @@ class TestVerdicts:
             [p * 0.9 for p in self.PARENT], metric=1)
         assert "beyond bound (median -11.00%" in self.verdict(
             [p * 0.89 for p in self.PARENT], metric=1)
+
+
+def results_record(passes: list[dict], p50: float, tail: float) -> dict:
+    """A runner results record: per pass its scale and (label, s) items,
+    and the two item metrics."""
+    return {"passes_detail": [
+                {"scale": scale, "items": [{"label": label, "s": s}
+                                           for label, s in items]}
+                for scale, items in passes],
+            "metrics": {"item_p50_s": {"value": p50, "unit": "s"},
+                        "item_tail_s": {"value": tail, "unit": "s"}}}
+
+
+class TestMetricItems:
+    # two passes, scale 2 and 1: scaled latencies 0.2 a, 0.6 b, 1.0 c,
+    # 0.3 a, 0.5 b, 0.9 c
+    PASSES = [(2.0, [("a", 0.1), ("b", 0.3), ("c", 0.5)]),
+              (1.0, [("a", 0.3), ("b", 0.5), ("c", 0.9)])]
+
+    def test_median_of_an_even_count_names_both_middle_items(self):
+        # sorted 0.2 a, 0.3 a, 0.5 b, 0.6 b, 0.9 c, 1.0 c: the median 0.55
+        # is the mean of the two b latencies; the tail is a c latency
+        record = results_record(self.PASSES, 0.55, 0.9)
+        assert bench_pairs.metric_items(record) == {
+            "item_p50_s": ["b", "b"], "item_tail_s": ["c"]}
+
+    def test_median_between_two_items(self):
+        passes = [(1.0, [("a", 0.3), ("d", 0.4), ("b", 0.5), ("c", 0.9)])]
+        record = results_record(passes, 0.45, 0.3)
+        assert bench_pairs.metric_items(record) == {
+            "item_p50_s": ["d", "b"], "item_tail_s": ["a"]}
+
+    def test_odd_count_names_the_middle_item(self):
+        passes = [(1.0, [("a", 0.3), ("b", 0.5), ("c", 0.9)])]
+        assert bench_pairs.metric_items(results_record(passes, 0.5, 0.9)) == {
+            "item_p50_s": ["b"], "item_tail_s": ["c"]}
+
+    def test_item_medians_are_scaled(self):
+        record = results_record(self.PASSES, 0.55, 0.9)
+        assert bench_pairs.item_medians(record) == pytest.approx(
+            {"a": 0.25, "b": 0.55, "c": 0.95})
+
+    def test_summary_names_the_setters_per_side(self):
+        first = ["parent", "change"] * 2
+        records = {
+            side: {"first": first,
+                   "series": {"item_p50_s": values},
+                   "set_by": set_by, "items": {}}
+            for side, values, set_by in (
+                ("parent", [2.0, 2.1, 2.0, 2.2],
+                 [{"item_p50_s": ["x"]}] * 4),
+                ("change", [1.0, 1.1, 1.0, 1.2],
+                 [{"item_p50_s": ["y"]}] * 3 + [{"item_p50_s": ["x", "y"]}]))}
+        lines = bench_pairs.summary(records, [
+            {"name": "item_p50_s", "unit": "s", "better": "lower",
+             "bound": 0.25}])
+        assert len(lines) == 3
+        assert lines[2] == " " * 13 + ("set by: parent x x4; change y x3, "
+                                       "x/y x1")
+
+
+# a stand-in for perfbench/run.py: two passes of items a, b, c whose
+# latencies follow the seed, the runner's results record, its "# machine"
+# line and its result line
+FAKE_RUNNER = '''
+import json, statistics, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+workload = sys.argv[sys.argv.index("--workload") + 1]
+passes = [{"scale": 1.0, "items": [{"label": label, "s": s * seed}
+                                   for label, s in items]}
+          for items in ([("a", 0.1), ("b", 0.3), ("c", 0.5)],
+                        [("a", 0.2), ("b", 0.4), ("c", 0.9)])]
+lat = sorted(i["s"] for p in passes for i in p["items"])
+metrics = {name: {"value": value, "unit": unit} for name, value, unit in (
+    ("setup_s", 0.1, "s"), ("item_p50_s", statistics.median(lat), "s"),
+    ("item_tail_s", lat[-2], "s"))}
+out = Path(".perfbench_out", "results")
+out.mkdir(parents=True, exist_ok=True)
+(out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(
+    {"metrics": metrics, "passes_detail": passes}))
+print("# machine " + json.dumps({"nproc": 2}))
+print(json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                  "metrics": metrics}))
+'''
+
+
+class TestMain:
+    def test_pairs_record_and_print_the_item_setters(self, tmp_path, capsys):
+        sides = {}
+        for side in bench_pairs.SIDES:
+            checkout = sides[side] = tmp_path / side
+            (checkout / "perfbench").mkdir(parents=True)
+            (checkout / "perfbench" / "run.py").write_text(FAKE_RUNNER)
+            (checkout / "BENCHMARK.json").write_text(json.dumps(
+                {"run_seconds": 1, "end_to_end": END_TO_END + [
+                    {"name": name, "unit": "s", "better": "lower",
+                     "bound": 0.25} for name in bench_pairs.ITEM_METRICS]}))
+        code = bench_pairs.main(["--parent", str(sides["parent"]),
+                                 "--change", str(sides["change"]),
+                                 "--label", "fake", "--seeds", "1,2"])
+        assert code == 0
+        record = json.loads((sides["change"] / "BENCH_fake-change.json")
+                            .read_text())
+        # latencies 0.1 a, 0.2 a, 0.3 b, 0.4 b, 0.5 c, 0.9 c (times the
+        # seed): the median straddles the two b items, the tail is a c
+        assert record["set_by"] == [{"item_p50_s": ["b", "b"],
+                                     "item_tail_s": ["c"]}] * 2
+        assert record["item_medians"] == pytest.approx(
+            {"a": 0.225, "b": 0.525, "c": 1.05})
+        out = capsys.readouterr().out.splitlines()
+        assert out.count(" " * 13 + "set by: parent b/b x2; change b/b x2") == 1
+        assert out.count(" " * 13 + "set by: parent c x2; change c x2") == 1

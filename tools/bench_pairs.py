@@ -15,16 +15,19 @@ Each side gets ``BENCH_<label>-parent.json`` or ``BENCH_<label>-change.json``
 at the root of the change checkout. A file holds the runner's
 ``# machine`` facts, the digest of the checkout's uncommitted diff (null
 when there is none), the seeds, which side ran first for each of them,
-every pair's end-to-end metric values and the per-item medians of each
-run. Its ``result`` holds the median over the pairs of each metric, in the
-runner's result-line format.
+every pair's end-to-end metric values, the per-item medians of each
+run and, per run, the items that set ``item_p50_s`` and ``item_tail_s``
+(``set_by``). Its ``result`` holds the median over the pairs of each
+metric, in the runner's result-line format.
 
 The summary it prints gives each metric two verdicts, read from the
 change checkout's ``BENCHMARK.json`` (``end_to_end``: ``better`` and
 ``bound``): whether the change shows a gain (better in at least nine
 tenths of the pairs, ties counting for neither, and medians apart by more
 than the parent's interquartile range) and whether its median stays
-within the metric's bound of the parent's.
+within the metric's bound of the parent's. Under ``item_p50_s`` and
+``item_tail_s`` it names the items that set them on each side, since
+either is one item's latency and moves when a single item crosses it.
 
 It stops and exits 1 at the first run that exits non-zero or reports a
 failed item, and then writes no file.
@@ -33,6 +36,8 @@ failed item, and then writes no file.
 from __future__ import annotations
 
 import argparse
+import bisect
+import collections
 import hashlib
 import json
 import statistics
@@ -84,23 +89,56 @@ def run_seconds(checkout: Path) -> int:
     return int(benchmark(checkout)["run_seconds"])
 
 
-def item_medians(checkout: Path, workload: str, seed: int) -> dict:
-    """Median scaled latency of each item label over the run's passes.
+def results_record(checkout: Path, workload: str, seed: int) -> dict:
+    """perfbench/run.py's own results record of a run
+    (``.perfbench_out/results/<workload>-seed<seed>-trace0.json``).
 
-    This reads perfbench/run.py's own results record
-    (``.perfbench_out/results/<workload>-seed<seed>-trace0.json``, its
-    ``passes_detail`` -> ``items`` -> ``s`` and per-pass ``scale``), so it
-    depends on that record's layout and is the only place here that does.
-    Once the runner exports per-item figures itself (ROADMAP *Export*),
-    take them from there and delete this."""
+    ``item_medians`` and ``metric_items`` read its ``passes_detail`` ->
+    ``items`` -> ``label`` and ``s``, each pass's ``scale`` and its
+    ``metrics``, so they depend on that record's layout and are the only
+    places here that do. Once the runner exports per-item figures itself
+    (ROADMAP *Export*), take them from there and delete these."""
     path = (checkout / ".perfbench_out" / "results"
             / f"{workload}-seed{seed}-trace0.json")
-    record = json.loads(path.read_text(encoding="utf-8"))
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def scaled_items(record: dict) -> list[tuple[float, str]]:
+    """(scaled latency, label) of every item of every pass, ascending: the
+    latencies the runner takes ``item_p50_s`` and ``item_tail_s`` from."""
+    return sorted((item["s"] * rec["scale"], item["label"])
+                  for rec in record["passes_detail"] for item in rec["items"])
+
+
+def item_medians(record: dict) -> dict:
+    """Median scaled latency of each item label over the run's passes."""
     times: dict[str, list[float]] = {}
-    for rec in record["passes_detail"]:
-        for item in rec["items"]:
-            times.setdefault(item["label"], []).append(item["s"] * rec["scale"])
+    for s, label in scaled_items(record):
+        times.setdefault(label, []).append(s)
     return {label: statistics.median(v) for label, v in sorted(times.items())}
+
+
+# the end-to-end metrics that are one item's latency, or the mean of two
+ITEM_METRICS = ("item_p50_s", "item_tail_s")
+
+
+def metric_items(record: dict) -> dict[str, list[str]]:
+    """The labels of the items that set each of ``ITEM_METRICS`` in a run:
+    the one item whose scaled latency is the metric's value, or, for a
+    median of an even count, the two whose latencies straddle it.
+    ``item_p50_s`` is one item's median, so a claim on it can move because
+    a single item crosses it, and its report should say which item."""
+    items = scaled_items(record)
+    latencies = [s for s, _ in items]
+    found = {}
+    for name in ITEM_METRICS:
+        value = record["metrics"][name]["value"]
+        hi = bisect.bisect_left(latencies, value)
+        if hi < len(items) and latencies[hi] == value:
+            found[name] = [items[hi][1]]
+        else:
+            found[name] = [items[hi - 1][1], items[hi][1]]
+    return found
 
 
 def run_side(checkout: Path, workload: str, seed: int) -> dict:
@@ -119,8 +157,9 @@ def run_side(checkout: Path, workload: str, seed: int) -> dict:
                         "items\n" + "\n".join(failures))
     machine = next(json.loads(ln[len("# machine "):]) for ln in lines
                    if ln.startswith("# machine "))
+    record = results_record(checkout, workload, seed)
     return {"machine": machine, "result": result,
-            "items": item_medians(checkout, workload, seed)}
+            "items": item_medians(record), "set_by": metric_items(record)}
 
 
 def side_record(side: str, args, seconds: int, seeds: list[int],
@@ -143,6 +182,7 @@ def side_record(side: str, args, seconds: int, seeds: list[int],
         "series": series,
         "items": items,
         "item_medians": {k: statistics.median(v) for k, v in items.items()},
+        "set_by": [r["set_by"] for r in runs],
         "result": {
             "correct": True,
             "attempted": sum(r["result"]["attempted"] for r in runs),
@@ -183,11 +223,21 @@ def verdicts(values: list[float], other: list[float], metric: dict) -> str:
             f"{metric['better']} is better)")
 
 
+def setters(runs: list[dict], name: str) -> str:
+    """'a x7, a/b x3': how often each item, or each straddling pair of
+    items, set the metric ``name`` over a side's runs."""
+    counts = collections.Counter("/".join(run[name]) for run in runs)
+    return ", ".join(f"{key} x{n}" for key, n in
+                     sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
 def summary(records: dict, end_to_end: list[dict]) -> list[str]:
     """Two lines per metric: each side's median and quartiles and the pairs
     where the change is lower, in all and split by the side that ran
-    first, then the metric's ``verdicts`` by its ``end_to_end`` entry;
-    one line per item: the medians."""
+    first, then the metric's ``verdicts`` by its ``end_to_end`` entry,
+    and for each of ``ITEM_METRICS`` a third: the items that set it in
+    each side's runs (``metric_items``); one line per item: the
+    medians."""
     parent, change = records["parent"], records["change"]
     metrics = {m["name"]: m for m in end_to_end}
     first = parent["first"]
@@ -202,6 +252,10 @@ def summary(records: dict, end_to_end: list[dict]) -> list[str]:
                      f"{quartiles(other)}  change lower in "
                      f"{sum(lower)}/{len(values)} pairs ({split})")
         lines.append(f"{'':<12} {verdicts(values, other, metrics[name])}")
+        if name in ITEM_METRICS:
+            lines.append(f"{'':<12} set by: parent "
+                         f"{setters(parent['set_by'], name)}; change "
+                         f"{setters(change['set_by'], name)}")
     for label, values in parent["items"].items():
         other = change["items"][label]
         lower = sum(c < p for p, c in zip(values, other))
