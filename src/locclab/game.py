@@ -320,9 +320,11 @@ class TrialArrays:
     indicators X = 1[Y = Z], running score S, and the memory descriptor
     before round 1 followed by the one after each round (n + 1 strings).
 
-    The constructor checks these invariants with a few whole-array
-    operations and raises SpecError naming the first offending round.
-    Two trials are equal when their protocol, descriptors and arrays
+    The constructor checks these invariants, in this order: the lengths,
+    one integer type, Z and Y bits with X = 1[Y = Z], and S = cumsum(X).
+    A valid trial costs one whole-array test per invariant; only when a
+    test fails is the first offending round located, and SpecError names
+    it. Two trials are equal when their protocol, descriptors and arrays
     are; trials are not hashable.
     """
 
@@ -348,15 +350,16 @@ class TrialArrays:
         if np.result_type(*arrays).kind not in "biu":
             raise SpecError(f"transcript arrays must share an integer type, got "
                             f"Z {z.dtype}, Y {y.dtype}, X {x.dtype}, S {s.dtype}")
-        # zero exactly in the rounds where Z, Y and X are bits and X = 1[Y = Z]
-        bad = ((z | y | x) >> 1) | (x ^ z ^ y ^ 1)
-        if bad.any():
+        # zero exactly in the rounds where Z and Y are bits and X = 1[Y = Z]
+        # (X = Z ^ Y ^ 1 is then a bit too)
+        bad = ((z | y) >> 1) | (x ^ z ^ y ^ 1)
+        if np.count_nonzero(bad):
             j = int(np.flatnonzero(bad)[0])
             raise SpecError(f"round {j + 1}: Z and Y must be bits"
                             if (z[j] | y[j]) >> 1
                             else f"round {j + 1}: X must indicate Y == Z")
-        telescopes = s == np.cumsum(x)
-        if not telescopes.all():
+        telescopes = s == x.cumsum()
+        if np.count_nonzero(telescopes) != n:
             k = int(telescopes.argmin())
             raise SpecError(f"S_{k + 1} = {s[k]} does not telescope")
 
@@ -406,41 +409,51 @@ def _play_rows(strategy: Strategy, u: np.ndarray, rng: np.random.Generator
     strategy stream ``rng``; returns the success indicators X = 1[u < p]
     with the descriptor lists.
 
-    Every invariant of the round loop is checked, trial by trial:
-    declared probabilities in [0, 1] (SpecError naming the first
-    offending round), unchanged descriptors for catalytic strategies
-    (CatalystViolation naming the first changed round), and the shapes
-    ``play`` returned.
+    Every invariant of the round loop is checked, in this order: the
+    shapes ``play`` returned, declared probabilities in [0, 1] (SpecError
+    naming the first offending round of the first offending trial),
+    unchanged descriptors for catalytic strategies (CatalystViolation
+    naming the first changed round, when it comes before that trial's
+    first bad round), and n + 1 descriptors per trial. The probabilities
+    cost one whole-array test; the offending trial and round are located,
+    and a message formatted, only when it fails. A catalytic strategy's
+    descriptors are compared trial by trial.
     """
     trials, n = u.shape
     p, descriptors = strategy.play(u, rng)
     p = np.asarray(p, dtype=float)
-    malformed = (f"{type(strategy).__name__}.play returned probabilities of "
-                 f"shape {p.shape} and {len(descriptors)} descriptor lists for "
-                 f"{trials} trials of {n} rounds (want {n} and {n + 1} per trial)")
     if p.shape != (trials, n) or len(descriptors) != trials:
-        raise SpecError(malformed)
-
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    bad_round = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, n + 1)
-    # report the first failing trial; without the catalytic check, that
-    # is the first trial with a bad probability
-    for t in (range(trials) if strategy.catalytic
-              else np.flatnonzero(bad_round <= n)[:1]):
-        memory, first_bad = descriptors[t], int(bad_round[t])
-        changed = _first_change(memory) if strategy.catalytic else None
-        if changed is not None and changed < first_bad:
-            raise CatalystViolation(
-                f"round {changed}: catalytic strategy changed its memory "
-                f"descriptor from {memory[changed - 1]!r} to "
-                f"{memory[changed]!r}")
-        if first_bad <= n:
-            raise SpecError(f"strategy declared success probability "
-                            f"{float(p[t, first_bad - 1])} outside [0, 1] "
-                            f"in round {first_bad}")
+        raise SpecError(_malformed(strategy, p, descriptors, trials, n))
+    ok = (p >= 0.0) & (p <= 1.0)  # False at NaN
+    if strategy.catalytic or np.count_nonzero(ok) != ok.size:
+        bad = ~ok
+        bad_round = np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, n + 1)
+        # report the first failing trial; without the catalytic check,
+        # that is the first trial with a bad probability
+        for t in (range(trials) if strategy.catalytic
+                  else np.flatnonzero(bad_round <= n)[:1]):
+            memory, first_bad = descriptors[t], int(bad_round[t])
+            changed = _first_change(memory) if strategy.catalytic else None
+            if changed is not None and changed < first_bad:
+                raise CatalystViolation(
+                    f"round {changed}: catalytic strategy changed its memory "
+                    f"descriptor from {memory[changed - 1]!r} to "
+                    f"{memory[changed]!r}")
+            if first_bad <= n:
+                raise SpecError(f"strategy declared success probability "
+                                f"{float(p[t, first_bad - 1])} outside [0, 1] "
+                                f"in round {first_bad}")
     if any(len(memory) != n + 1 for memory in descriptors):
-        raise SpecError(malformed)
+        raise SpecError(_malformed(strategy, p, descriptors, trials, n))
     return u < p, descriptors
+
+
+def _malformed(strategy: Strategy, p: np.ndarray, descriptors: list,
+               trials: int, n: int) -> str:
+    """The error message for a ``play`` return of the wrong shape."""
+    return (f"{type(strategy).__name__}.play returned probabilities of "
+            f"shape {p.shape} and {len(descriptors)} descriptor lists for "
+            f"{trials} trials of {n} rounds (want {n} and {n + 1} per trial)")
 
 
 def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
@@ -489,14 +502,19 @@ def _play_streams(strategy: Strategy, n: int, success: np.random.Generator,
                   own: np.random.Generator, rounds: np.random.Generator
                   ) -> TrialArrays:
     """The engine core on one trial of n rounds (a checked count), with
-    its success, strategy and referee-bit generators."""
+    its success, strategy and referee-bit generators.
+
+    The guess is Y = Z where the round succeeded and 1 - Z elsewhere,
+    built as Y = Z ^ X ^ 1 from the success indicators X; the
+    ``TrialArrays`` constructor still checks X = 1[Y = Z] on the whole
+    arrays, and locates a failing round only when that check fails.
+    """
     (matched,), (descriptors,) = _play_rows(strategy,
                                             success.random((1, n)), own)
     z = rounds.integers(0, 2, size=n)
-    y = np.where(matched, z, 1 - z)
-    x = (y == z).astype(np.int64)
-    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=y, X=x,
-                       S=np.cumsum(x), descriptors=descriptors)
+    x = matched.astype(np.int64)
+    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=z ^ x ^ 1,
+                       X=x, S=x.cumsum(), descriptors=descriptors)
 
 
 def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
@@ -536,7 +554,8 @@ def _play_trials(games: Iterable[tuple[Strategy, int, tuple[Label, ...]]],
     while chunk := list(itertools.islice(games, _KEY_CHUNK)):
         keys = philox_keys(seed, [(*stream, name) for _, _, stream in chunk
                                   for name in _TRIAL_STREAMS])
-        keys = keys.reshape(len(chunk), len(_TRIAL_STREAMS), 2)
+        # Python ints, which rekey hands numpy faster than array items
+        keys = keys.reshape(len(chunk), len(_TRIAL_STREAMS), 2).tolist()
         for (strategy, n, _), trial_keys in zip(chunk, keys):
             _check_count(n, "round count", high=_MAX_ROUNDS)
             for rng, key in zip(generators, trial_keys):

@@ -23,13 +23,15 @@ it), done in uint32 array arithmetic over the batch, so a stream costs
 its SHA-256 and a few array operations. ``keyed_rng`` and ``rekey`` turn
 a key into a generator, and re-point a generator at another key, with
 the state that ``Philox(SeedSequence)`` starts from, so a caller that
-plays many short streams reuses its generators.
+plays many short streams reuses its generators; a re-keying builds no
+dict.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -183,15 +185,28 @@ def keyed_rng(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
-_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS = (0, 0, 0, 0)
+# each thread's Philox state dict for ``rekey``, built at its first call
+_STATES = threading.local()
 
 
-def rekey(rng: np.random.Generator, key: np.ndarray) -> None:
+def rekey(rng: np.random.Generator, key: np.ndarray | Sequence[int]) -> None:
     """Point the Philox generator ``rng`` at the start of the stream with
-    ``key``: counter and output buffer zeroed and the buffered half of a
-    64-bit draw (``has_uint32``, ``uinteger``) dropped, the state that
-    ``Philox(SeedSequence)`` starts from."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    ``key`` (a row of ``philox_keys``, or its two words as ints): counter
+    and output buffer zeroed and the buffered half of a 64-bit draw
+    (``has_uint32``, ``uinteger``) dropped, the state that
+    ``Philox(SeedSequence)`` starts from.
+
+    The state goes to numpy as one dict per thread whose key is swapped
+    in, so a call builds no dict, and the zeros are Python ints, which
+    numpy reads faster than the items of an array.
+    """
+    try:
+        state = _STATES.philox
+    except AttributeError:
+        state = _STATES.philox = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": None},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state["state"]["key"] = key
+    rng.bit_generator.state = state

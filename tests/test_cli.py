@@ -872,6 +872,25 @@ class TestSeedStreams:
         for entry in entries:
             assert any(stream_matches(entry, labels) for labels in drawn), entry
 
+    @pytest.mark.parametrize("name", ["simulate", "rate", "detect",
+                                      "detect-one-world",
+                                      "simulate-memory-block"])
+    def test_trial_entries_name_the_engine_substreams(self, capsys, tmp_path,
+                                                      name):
+        # the manifest's names of a trial's substreams (cli._trial_streams)
+        # and the engine's (game._TRIAL_STREAMS) are two lists: a name
+        # renamed or added in one of them must fail here
+        run_json(capsys, *self.RUNS[name], "--seed", "4", "--out", str(tmp_path))
+        entries = load_manifest(tmp_path / "manifest.json")["seed_streams"]
+        per_prefix = {}
+        for entry in entries:
+            prefix, _, stream = entry.rpartition(".")
+            if "<t>" in prefix:
+                per_prefix.setdefault(prefix, []).append(stream)
+        assert per_prefix
+        for prefix, streams in per_prefix.items():
+            assert sorted(streams) == sorted(game._TRIAL_STREAMS), prefix
+
 
 class TestBlockLawSeed:
     """A block law too large to enumerate is sampled from the --seed root,

@@ -693,6 +693,182 @@ class TestTrialArrays:
             hash(a)
 
 
+class Scripted(Strategy):
+    """Returns the probabilities and descriptor lists it was built with,
+    whatever the uniforms; ``catalytic`` as asked."""
+
+    protocol_id = "scripted"
+
+    def __init__(self, p, descriptors, catalytic=False):
+        self.p, self.descriptors, self.catalytic = p, descriptors, catalytic
+
+    def success_probability(self, j):
+        raise AssertionError("only play is called")
+
+    def play(self, u, rng):
+        return self.p, self.descriptors
+
+
+def scripted_rows(bad=(), trials=3, n=5, memory=None, catalytic=False,
+                  p=None):
+    """``_play_rows`` on a Scripted strategy: probabilities 0.5 except
+    the (trial, round, value) entries of ``bad`` (rounds from 1),
+    descriptor lists ``memory`` (default n + 1 dashes per trial)."""
+    if p is None:
+        p = np.full((trials, n), 0.5)
+        for t, j, value in bad:
+            p[t, j - 1] = value
+    if memory is None:
+        memory = [["-"] * (n + 1) for _ in range(trials)]
+    return game._play_rows(Scripted(p, memory, catalytic),
+                           np.zeros((trials, n)), None)
+
+
+def declared(value, j):
+    return (f"strategy declared success probability {value} outside [0, 1] "
+            f"in round {j}")
+
+
+def malformed(shape, lists, trials=3, n=5):
+    return (f"Scripted.play returned probabilities of shape {shape} and "
+            f"{lists} descriptor lists for {trials} trials of {n} rounds "
+            f"(want {n} and {n + 1} per trial)")
+
+
+def changed(j, before, after):
+    return (f"round {j}: catalytic strategy changed its memory descriptor "
+            f"from {before!r} to {after!r}")
+
+
+def moves(n, j, before="a", after="b"):
+    """n + 1 descriptors that change after round j."""
+    return [before] * j + [after] * (n + 1 - j)
+
+
+# (id, scripted_rows arguments, error, message): every check of the
+# engine core, each with a second defect that must not win; the first
+# offending trial is reported, and in it the first offending round
+ROW_DEFECTS = [
+    ("bad-in-a-later-trial", dict(bad=[(1, 4, 1.5)]), SpecError,
+     declared(1.5, 4)),
+    ("first-bad-trial-wins", dict(bad=[(2, 1, -0.5), (1, 4, 1.5)]),
+     SpecError, declared(1.5, 4)),
+    ("first-bad-round-wins", dict(bad=[(1, 5, -1.0), (1, 3, 2.0)]),
+     SpecError, declared(2.0, 3)),
+    ("nan", dict(bad=[(2, 2, math.nan), (2, 4, 7.0)]), SpecError,
+     declared("nan", 2)),
+    ("inf", dict(bad=[(1, 3, math.inf)]), SpecError, declared("inf", 3)),
+    ("minus-inf", dict(bad=[(2, 5, -math.inf)]), SpecError,
+     declared("-inf", 5)),
+    ("bad-probability-beats-short-descriptors",
+     dict(bad=[(2, 2, 1.5)],
+          memory=[["-"] * 5, ["-"] * 6, ["-"] * 7]), SpecError,
+     declared(1.5, 2)),
+    ("short-descriptors",
+     dict(memory=[["-"] * 6, ["-"] * 6, ["-"] * 5]), SpecError,
+     malformed((3, 5), 3)),
+    ("short-probabilities", dict(p=np.full((3, 4), 1.5)), SpecError,
+     malformed((3, 4), 3)),
+    ("missing-trial", dict(p=np.full((2, 5), math.nan)), SpecError,
+     malformed((2, 5), 3)),
+    ("flat-probabilities", dict(p=np.full(5, 0.5), trials=1), SpecError,
+     malformed((5,), 1, trials=1)),
+    ("missing-descriptor-list",
+     dict(bad=[(0, 1, 1.5)], memory=[["-"] * 6] * 2), SpecError,
+     malformed((3, 5), 2)),
+    ("change-before-bad-round",
+     dict(bad=[(1, 4, 1.5)], memory=[["a"] * 6, moves(5, 2), ["a"] * 6],
+          catalytic=True), CatalystViolation, changed(2, "a", "b")),
+    ("bad-trial-before-changing-trial",
+     dict(bad=[(0, 3, 1.5)], memory=[["a"] * 6, moves(5, 1), ["a"] * 6],
+          catalytic=True), SpecError, declared(1.5, 3)),
+    ("bad-round-is-the-changed-round",
+     dict(bad=[(1, 3, math.nan)], memory=[["a"] * 6, moves(5, 3),
+                                          moves(5, 1)],
+          catalytic=True), SpecError, declared("nan", 3)),
+    ("change-without-bad-round",
+     dict(memory=[["a"] * 6, ["a"] * 6, moves(5, 4, "x", "y")],
+          catalytic=True), CatalystViolation, changed(4, "x", "y")),
+    ("change-beats-short-descriptors",
+     dict(memory=[["a"] * 5, moves(5, 1), ["a"] * 6], catalytic=True),
+     CatalystViolation, changed(1, "a", "b")),
+]
+
+
+class TestFirstDefectIsReported:
+    """Which defect the engine core and TrialArrays report, and how: the
+    exception type and message of every check with a second defect
+    present."""
+
+    @pytest.mark.parametrize("case,kwargs,error,message", ROW_DEFECTS,
+                             ids=[c[0] for c in ROW_DEFECTS])
+    def test_play_rows(self, case, kwargs, error, message):
+        with pytest.raises(error) as got:
+            scripted_rows(**kwargs)
+        assert type(got.value) is error and str(got.value) == message
+
+    def test_valid_rows_pass(self):
+        memory = [["a"] * 6] * 3
+        for catalytic in (False, True):
+            x, d = scripted_rows(memory=memory, catalytic=catalytic,
+                                 p=np.array([[0.0, 1.0, 0.5, 1.0, 0.0]] * 3))
+            assert x.tolist() == [[False, True, True, True, False]] * 3
+            assert d is memory
+
+    def test_malformed_play_trial(self):
+        # play_trial and the CLI's trials reach the same checks
+        strategy = Scripted(np.array([[0.5, 1.0]]), [["-"] * 2])
+        with pytest.raises(SpecError) as got:
+            play_trial(strategy, 2)
+        assert str(got.value) == malformed((1, 2), 1, trials=1, n=2)
+        strategy = Scripted(np.array([[0.5, 1.5]]), [["-"] * 3])
+        with pytest.raises(SpecError) as got:
+            next(game._play_trials([(strategy, 2, ())], 0))
+        assert str(got.value) == declared(1.5, 2)
+
+    # (id, trial arguments, message): two defects, the first one wins
+    TRIAL_DEFECTS = [
+        ("length-beats-type", dict(Z=[0.0, 1.0, 0.0, 1.0, 0.0],
+                                   Y=[0.0, 1.0, 0.0, 1.0], X=[1, 1, 1, 1],
+                                   S=[1, 2, 3, 4]),
+         "transcript length mismatch: n=4, Z (5,), Y (4,), S (4,), "
+         "5 descriptors (want n >= 1 rounds and n + 1 descriptors)"),
+        ("descriptors-beat-telescoping", dict(
+            Z=[0, 1], Y=[0, 1], S=[0, 0], descriptors=["-"] * 4),
+         "transcript length mismatch: n=2, Z (2,), Y (2,), S (2,), "
+         "4 descriptors (want n >= 1 rounds and n + 1 descriptors)"),
+        ("type-beats-bits", dict(Z=[0, 5], Y=[0.0, 1.0], X=[1, 0]),
+         "transcript arrays must share an integer type, got Z int64, "
+         "Y float64, X int64, S int64"),
+        ("mixed-sign-integers-are-no-shared-type", dict(
+            Z=np.array([0, 1], dtype=np.uint64), Y=[0, 1]),
+         "transcript arrays must share an integer type, got Z uint64, "
+         "Y int64, X int64, S int64"),
+        ("bits-beat-telescoping", dict(Z=[0, 1, 3, 0], Y=[0, 1, 0, 0],
+                                       X=[1, 1, 0, 1], S=[0, 2, 2, 3]),
+         "round 3: Z and Y must be bits"),
+        ("indicator-beats-telescoping", dict(Z=[0, 1, 0, 0], Y=[0, 1, 0, 1],
+                                             X=[1, 1, 1, 1], S=[1, 5, 3, 4]),
+         "round 4: X must indicate Y == Z"),
+        ("earlier-indicator-beats-bits", dict(Z=[0, 1, 0, 0], Y=[1, 2, 0, 0],
+                                              X=[1, 0, 1, 1]),
+         "round 1: X must indicate Y == Z"),
+        ("negative-bit", dict(Z=[0, 1, 0], Y=[0, 1, -1], X=[1, 1, 0],
+                              S=[1, 1, 1]),
+         "round 3: Z and Y must be bits"),
+        ("first-telescoping-failure", dict(Z=[0, 1, 0, 0], Y=[0, 1, 0, 0],
+                                           S=[1, 3, 3, 3]),
+         "S_2 = 3 does not telescope"),
+    ]
+
+    @pytest.mark.parametrize("case,kwargs,message", TRIAL_DEFECTS,
+                             ids=[c[0] for c in TRIAL_DEFECTS])
+    def test_trial_arrays(self, case, kwargs, message):
+        with pytest.raises(SpecError) as got:
+            trial(**kwargs)
+        assert type(got.value) is SpecError and str(got.value) == message
+
+
 class TestSimulateEnsemble:
     def test_batch_statistics(self):
         x = simulate_ensemble(IIDStrategy(0.75), n=1000, trials=200, seed=4)

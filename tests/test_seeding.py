@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,33 @@ def test_rekeyed_generator_draws_what_rng_from_draws(draw):
         rng.random(3)
         rekey(rng, key)
         assert draw(rng) == draw(rng_from(11, *stream)), stream
+        # the key as its two words in Python ints, as the game engine
+        # passes it
+        rng.random(3)
+        rekey(rng, key.tolist())
+        assert draw(rng) == draw(rng_from(11, *stream)), stream
+
+
+def test_rekey_in_threads():
+    # each thread re-keys through a state dict of its own
+    labels = [("t", t) for t in range(4)]
+    keys = philox_keys(5, labels).tolist()
+    results = {}
+
+    def play(t):
+        rng = keyed_rng(np.zeros(2, dtype=np.uint64))
+        for _ in range(200):
+            rekey(rng, keys[t])
+            results[t] = rng.integers(0, 2**32, 3).tolist()
+
+    threads = [threading.Thread(target=play, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for t, labels_t in enumerate(labels):
+        assert results[t] == rng_from(5, *labels_t).integers(
+            0, 2**32, 3).tolist()
 
 
 # the first two uint32 draws at root 7 of a label tuple of each kind the

@@ -251,6 +251,32 @@ class TestMetricItems:
         assert lines[2] == " " * 13 + ("set by: parent x x4; change y x3, "
                                        "x/y x1")
 
+    def test_summary_gives_each_setters_medians(self):
+        # x sets item_p50_s on the parent, y on the change and w, which has
+        # no per-item record, once; z sets nothing
+        first = ["parent", "change"] * 2
+        items = {"parent": {"x": [2.0, 2.1, 2.0, 2.2], "y": [1.0, 1.2, 1.1, 1.0],
+                            "z": [0.5] * 4},
+                 "change": {"x": [1.5, 2.2, 1.6, 1.5], "y": [1.0] * 4,
+                            "z": [0.4] * 4}}
+        set_by = {"parent": [{"item_p50_s": ["x"]}] * 4,
+                  "change": [{"item_p50_s": ["y"]}] * 3
+                  + [{"item_p50_s": ["w", "y"]}]}
+        records = {side: {"first": first,
+                          "series": {"item_p50_s": [1.0, 1.1, 1.0, 1.2]},
+                          "set_by": set_by[side], "items": items[side]}
+                   for side in bench_pairs.SIDES}
+        lines = bench_pairs.summary(records, [
+            {"name": "item_p50_s", "unit": "s", "better": "lower",
+             "bound": 0.25}])
+        assert lines[3:] == [
+            " " * 13 + "x: parent 2.05 s change 1.55 s  change lower in 3/4",
+            " " * 13 + "y: parent 1.05 s change 1 s  change lower in 2/4",
+            f"  item {'x':<36} parent 2.05 s change 1.55 s  change lower "
+            "in 3/4",
+            f"  item {'y':<36} parent 1.05 s change 1 s  change lower in 2/4",
+            f"  item {'z':<36} parent 0.5 s change 0.4 s  change lower in 4/4"]
+
 
 # a stand-in for perfbench/run.py: two passes of items a, b, c whose
 # latencies follow the seed, the runner's results record, its "# machine"
@@ -304,3 +330,9 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         assert out.count(" " * 13 + "set by: parent b/b x2; change b/b x2") == 1
         assert out.count(" " * 13 + "set by: parent c x2; change c x2") == 1
+        # each setter's medians over the two runs: b 0.35 and 0.7, c 0.7
+        # and 1.4 (times the seed), the same on both sides
+        assert out.count(" " * 13 + "b: parent 0.525 s change 0.525 s  "
+                         "change lower in 0/2") == 1
+        assert out.count(" " * 13 + "c: parent 1.05 s change 1.05 s  "
+                         "change lower in 0/2") == 1

@@ -27,7 +27,9 @@ tenths of the pairs, ties counting for neither, and medians apart by more
 than the parent's interquartile range) and whether its median stays
 within the metric's bound of the parent's. Under ``item_p50_s`` and
 ``item_tail_s`` it names the items that set them on each side, since
-either is one item's latency and moves when a single item crosses it.
+either is one item's latency and moves when a single item crosses it,
+and gives each such item's parent and change medians and the pairs in
+which the change was faster.
 
 It stops and exits 1 at the first run that exits non-zero or reports a
 failed item, and then writes no file.
@@ -231,13 +233,23 @@ def setters(runs: list[dict], name: str) -> str:
                      sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
+def item_line(head: str, values: list[float], other: list[float]) -> str:
+    """``head`` and one item's parent and change medians over the runs,
+    with the pairs where the change is lower (faster)."""
+    lower = sum(c < p for p, c in zip(values, other))
+    return (f"{head} parent {statistics.median(values):.4g} s change "
+            f"{statistics.median(other):.4g} s  change lower in "
+            f"{lower}/{len(values)}")
+
+
 def summary(records: dict, end_to_end: list[dict]) -> list[str]:
     """Two lines per metric: each side's median and quartiles and the pairs
     where the change is lower, in all and split by the side that ran
-    first, then the metric's ``verdicts`` by its ``end_to_end`` entry,
-    and for each of ``ITEM_METRICS`` a third: the items that set it in
-    each side's runs (``metric_items``); one line per item: the
-    medians."""
+    first, then the metric's ``verdicts`` by its ``end_to_end`` entry.
+    For each of ``ITEM_METRICS`` a third names the items that set it in
+    each side's runs (``metric_items``), and one more line per such item,
+    of either side, gives its medians (``item_line``), since the metric
+    moves with those items. Then one line per item: the medians."""
     parent, change = records["parent"], records["change"]
     metrics = {m["name"]: m for m in end_to_end}
     first = parent["first"]
@@ -256,13 +268,15 @@ def summary(records: dict, end_to_end: list[dict]) -> list[str]:
             lines.append(f"{'':<12} set by: parent "
                          f"{setters(parent['set_by'], name)}; change "
                          f"{setters(change['set_by'], name)}")
+            labels = {label for run in parent["set_by"] + change["set_by"]
+                      for label in run[name]}
+            lines += [item_line(f"{'':<12} {label}:", parent["items"][label],
+                                change["items"][label])
+                      for label in sorted(labels)
+                      if label in parent["items"] and label in change["items"]]
     for label, values in parent["items"].items():
-        other = change["items"][label]
-        lower = sum(c < p for p, c in zip(values, other))
-        lines.append(f"  item {label:<36} parent "
-                     f"{statistics.median(values):.4g} s change "
-                     f"{statistics.median(other):.4g} s  change lower in "
-                     f"{lower}/{len(values)}")
+        lines.append(item_line(f"  item {label:<36}", values,
+                               change["items"][label]))
     return lines
 
 
