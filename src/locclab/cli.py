@@ -12,14 +12,15 @@ cannot be written is a ConfigError naming the path.
 All randomness flows from the --seed root through labeled substreams
 (the labels appear in the manifest), and the game commands (simulate,
 rate, detect) play their trials with the engine core in trial-id order
-in one thread, through ``game._play_trials``: each trial is what
-``play_trial`` returns on its substreams, whose keys are derived a chunk
-of trials at a time in one batch (``seeding.philox_keys``, matched to
-numpy's ``SeedSequence``) and loaded into three reused generators. Each
-trial's JSONL lines are written straight from its arrays, so identical
-(config, seed, version) give byte-identical JSONL/CSV artifacts. They
-keep only the scores (with --out each trial's lines are written before
-the next is played).
+in one thread, through ``game._play_trials``, the trial loop that
+``play_trial`` runs for one game: a trial's substreams, named by
+``game._TRIAL_STREAMS`` here and in the manifest, have their keys derived
+a chunk of trials at a time in one batch (``seeding.philox_keys``,
+matched to numpy's ``SeedSequence``) and loaded into three reused
+generators. Each trial's JSONL lines are written straight from its
+arrays, so identical (config, seed, version) give byte-identical
+JSONL/CSV artifacts. They keep only the scores (with --out each trial's
+lines are written before the next is played).
 ``--threads`` is still accepted and validated but changes no work:
 every trial is a few vector operations, and there is no pool.
 
@@ -44,9 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, LoccLabError, ParseError
-from .game import (DetectionConfig, IIDStrategy, RateEstimate, TrialArrays,
-                   _play_trials, azuma_bound, default_detection_oracle,
-                   hoeffding_bound, memory_block_strategy, min_rounds)
+from .game import (_TRIAL_STREAMS, DetectionConfig, IIDStrategy,
+                   RateEstimate, TrialArrays, _play_trials, azuma_bound,
+                   default_detection_oracle, hoeffding_bound,
+                   memory_block_strategy, min_rounds)
 from .protocols import _law_columns, _use_exact, concentration_success_prob
 from .qmat import (DensityOperator, TensorLayout, _fmt17, _same_layout,
                    operator_from_json, operator_to_json, trace_norm)
@@ -298,9 +300,9 @@ _ROUND_HEADS = tuple(f'{{"X":{c >> 2},"Y":{c >> 1 & 1},"Z":{c & 1},"j":'
 
 def _trial_streams(*prefixes: str) -> tuple[str, ...]:
     """Manifest entries of the substreams that a trial draws under each
-    stream prefix (``game._TRIAL_STREAMS``)."""
+    stream prefix, in ``game._TRIAL_STREAMS`` order."""
     return tuple(f"{prefix}.{name}" for prefix in prefixes
-                 for name in ("rounds", "success", "strategy"))
+                 for name in _TRIAL_STREAMS)
 
 
 def _play_games(config: ExperimentConfig, protocol_id: str, n: int,

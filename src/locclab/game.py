@@ -29,19 +29,17 @@ trials, that return the same numbers, and the tests take their scalar
 methods as the reference.
 
 ``play_trial`` is the core with one trial on its per-trial substreams,
-plus the referee bits, returned as a ``TrialArrays``. The CLI game
-commands play their trials through ``_play_trials``, which yields, trial
-by trial, what ``play_trial`` returns on the same streams: it derives
-the three stream keys of a chunk of trials in one batch
-(``seeding.philox_keys``, whose reference is numpy's ``SeedSequence``)
-and re-keys three reused Philox generators as each trial starts, instead
-of building three generators per trial. The library ensembles
-(``simulate_ensemble``, ``estimate_rate``, ``detection_accuracy``) call
-the core once per ensemble, checkpoint or world, on the
-``("ensemble",)``, ``("rate", n)`` and ``("accuracy", world)``
-prefixes. They never need referee bits, and they draw each ensemble in
-array calls from one stream pair, so their numbers differ from the CLI's
-for the same seed.
+plus the referee bits, returned as a ``TrialArrays``: the single game of
+``_play_trials``, the one trial loop, which the CLI game commands run
+over all their trials. It derives the three stream keys of a chunk of
+trials in one batch (``seeding.philox_keys``, whose reference is numpy's
+``SeedSequence``) and re-keys three reused Philox generators as each
+trial starts. The library ensembles (``simulate_ensemble``,
+``estimate_rate``, ``detection_accuracy``) call the core once per
+ensemble, checkpoint or world, on the ``("ensemble",)``, ``("rate", n)``
+and ``("accuracy", world)`` prefixes. They never need referee bits, and
+they draw each ensemble in array calls from one stream pair, so their
+numbers differ from the CLI's for the same seed.
 
 Randomness: referee bits, success draws, and strategy-owned randomness
 come from independently labeled substreams of one root seed, so
@@ -492,75 +490,69 @@ def _play_checked(strategy: Strategy, n: int, trials: int, seed: int,
     return x
 
 
-# the substreams of one trial, in the order their keys are derived
-_TRIAL_STREAMS = ("success", "strategy", "rounds")
+# the substreams of one trial, in the order of their manifest entries (a
+# key depends only on its labels, not on its place in a batch)
+_TRIAL_STREAMS = ("rounds", "success", "strategy")
 # trials whose stream keys are derived in one batch (3 keys each)
 _KEY_CHUNK = 256
-
-
-def _play_streams(strategy: Strategy, n: int, success: np.random.Generator,
-                  own: np.random.Generator, rounds: np.random.Generator
-                  ) -> TrialArrays:
-    """The engine core on one trial of n rounds (a checked count), with
-    its success, strategy and referee-bit generators.
-
-    The guess is Y = Z where the round succeeded and 1 - Z elsewhere,
-    built as Y = Z ^ X ^ 1 from the success indicators X; the
-    ``TrialArrays`` constructor still checks X = 1[Y = Z] on the whole
-    arrays, and locates a failing round only when that check fails.
-    """
-    (matched,), (descriptors,) = _play_rows(strategy,
-                                            success.random((1, n)), own)
-    z = rounds.integers(0, 2, size=n)
-    x = matched.astype(np.int64)
-    return TrialArrays(protocol_id=strategy.protocol_id, Z=z, Y=z ^ x ^ 1,
-                       X=x, S=x.cumsum(), descriptors=descriptors)
 
 
 def play_trial(strategy: Strategy, n: int = 1, seed: int = 0,
                stream: tuple[Label, ...] = ()) -> TrialArrays:
     """Play n rounds against a uniform referee and return the arrays.
 
-    This is the checked engine core with one trial: success uniforms and
-    strategy randomness come from the ``(*stream, "success" |
-    "strategy")`` substreams of ``seed``, referee bits from
-    ``(*stream, "rounds")``. ``stream`` prefixes the substream labels so
-    callers (trials, detection worlds) stay on independent random
-    streams of the same root seed. The strategy gets the uniforms and
-    its stream and nothing else. On top of the core's checks, the
+    This is the checked engine core with one trial, the single game of
+    ``_play_trials``: success uniforms and strategy randomness come from
+    the ``(*stream, "success" | "strategy")`` substreams of ``seed``,
+    referee bits from ``(*stream, "rounds")``. ``stream``, a tuple or list
+    of labels (a str or bytes is a SpecError), prefixes the substream
+    labels so callers (trials, detection worlds) stay on independent
+    random streams of the same root seed. The strategy gets the uniforms
+    and its stream and nothing else. On top of the core's checks, the
     ``TrialArrays`` constructor verifies X = 1[Y = Z] and S = cumsum(X).
     """
-    _check_count(n, "round count", high=_MAX_ROUNDS)
-    return _play_streams(strategy, n, *(rng_from(seed, *stream, name)
-                                        for name in _TRIAL_STREAMS))
+    return next(_play_trials([(strategy, n, stream)], seed))
 
 
 def _play_trials(games: Iterable[tuple[Strategy, int, tuple[Label, ...]]],
                  seed: int) -> Iterator[TrialArrays]:
     """Play each ``(strategy, n, stream)`` of ``games`` in order and yield
-    what ``play_trial(strategy, n, seed, stream)`` returns, trial by
-    trial, as the CLI game commands need.
+    its trial (see ``play_trial``), one at a time.
 
-    The three stream keys of ``_KEY_CHUNK`` games at a time come from one
-    batch derivation (``seeding.philox_keys``), and three generators,
-    built once, are re-keyed to a trial's streams when it starts, after
-    the previous trial was yielded. So memory holds one trial and one
-    chunk of games and keys whatever their number, and a strategy that
-    keeps its generator holds it only for the trial it plays.
+    The round counts and streams of ``_KEY_CHUNK`` games at a time are
+    checked, and then their stream keys come from one batch derivation
+    (``seeding.philox_keys``), so a bad round count or stream is reported
+    before a bad seed. Three generators, built once, are re-keyed to a
+    trial's streams when it starts, after the previous trial was yielded.
+    So memory holds one trial and one chunk of games and keys whatever
+    their number, and a strategy that keeps its generator holds it only
+    for the trial it plays. The guess is Y = Z ^ X ^ 1 from the success
+    indicators X, and the ``TrialArrays`` constructor checks X = 1[Y = Z].
     """
     generators = [keyed_rng(np.zeros(2, dtype=np.uint64))
                   for _ in _TRIAL_STREAMS]
+    rounds, success, own = generators
     games = iter(games)
     while chunk := list(itertools.islice(games, _KEY_CHUNK)):
+        for _, n, stream in chunk:
+            _check_count(n, "round count", high=_MAX_ROUNDS)
+            if isinstance(stream, (str, bytes)):
+                raise SpecError(f"stream must be a tuple of labels, got the "
+                                f"{type(stream).__name__} {stream!r}")
         keys = philox_keys(seed, [(*stream, name) for _, _, stream in chunk
                                   for name in _TRIAL_STREAMS])
         # Python ints, which rekey hands numpy faster than array items
         keys = keys.reshape(len(chunk), len(_TRIAL_STREAMS), 2).tolist()
         for (strategy, n, _), trial_keys in zip(chunk, keys):
-            _check_count(n, "round count", high=_MAX_ROUNDS)
             for rng, key in zip(generators, trial_keys):
                 rekey(rng, key)
-            yield _play_streams(strategy, n, *generators)
+            (matched,), (descriptors,) = _play_rows(
+                strategy, success.random((1, n)), own)
+            z = rounds.integers(0, 2, size=n)
+            x = matched.astype(np.int64)
+            yield TrialArrays(protocol_id=strategy.protocol_id, Z=z,
+                              Y=z ^ x ^ 1, X=x, S=x.cumsum(),
+                              descriptors=descriptors)
 
 
 def simulate_ensemble(strategy: Strategy, n: int, trials: int,

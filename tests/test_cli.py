@@ -877,9 +877,9 @@ class TestSeedStreams:
                                       "simulate-memory-block"])
     def test_trial_entries_name_the_engine_substreams(self, capsys, tmp_path,
                                                       name):
-        # the manifest's names of a trial's substreams (cli._trial_streams)
-        # and the engine's (game._TRIAL_STREAMS) are two lists: a name
-        # renamed or added in one of them must fail here
+        # the manifest names a trial's substreams (cli._trial_streams) by
+        # the engine's one tuple of them, game._TRIAL_STREAMS, and in its
+        # order
         run_json(capsys, *self.RUNS[name], "--seed", "4", "--out", str(tmp_path))
         entries = load_manifest(tmp_path / "manifest.json")["seed_streams"]
         per_prefix = {}
@@ -889,7 +889,7 @@ class TestSeedStreams:
                 per_prefix.setdefault(prefix, []).append(stream)
         assert per_prefix
         for prefix, streams in per_prefix.items():
-            assert sorted(streams) == sorted(game._TRIAL_STREAMS), prefix
+            assert tuple(streams) == game._TRIAL_STREAMS, prefix
 
 
 class TestBlockLawSeed:
@@ -1385,27 +1385,61 @@ def readme_examples():
 
 README_EXAMPLES = readme_examples()
 
+# SHA-256 of the stdout of each README example that runs no SDP (bounds
+# does), and of the files that detect writes to --out, except its
+# manifest, which records timings; each is the same at one BLAS thread
+# and at two
+README_STDOUT_SHA256 = {
+    "1-construct":
+        "47d45ecdd01bf759cd6d81c1d0d8382eb4d507d0d95454eb625895355c1085bc",
+    "2-helstrom":
+        "ac0da5f90e1029d5b448573d4dfe9f837caa237d7bc2409e70dd75b6bdc4a222",
+    "3-concentrate":
+        "50103541a4beb86b46dd4f7a6860722e3c0d9c9a328e95a70fa0b4fa41113a1c",
+    "4-concentrate":
+        "b162a838234f3f34f55624eadda28a6ba75098dfcb95dfe7637c8af98e3c3048",
+    "5-rate":
+        "9dd1882de32dbbb931f21c30559bd0dc2b8d7fe3ecf25f96b3f8cdafb88f6cef",
+    "6-detect":
+        "88907cbb35f9c5eb18c3469ba06201abc0c125243cf1ff808e1b852162fd8348",
+    "7-entropy":
+        "db0c3f509749b1fd2314afa8b8dfac7a3e29966b1af4b5e64683a2988ff708e1",
+}
+README_OUT_SHA256 = {
+    "6-detect": {
+        "runs/detect/summary.csv":
+            "a91d02bf19c80becb0dfe42acaf2bf2b09d70e75995a015b119c554e5ecf9e46",
+        "runs/detect/transcripts.jsonl":
+            "0b73d092a14b8eb69069e0a10af9bb8f2674f994b7f0ece925643be7a40ea408",
+    },
+}
+
 
 @pytest.mark.parametrize(
     "index", range(len(README_EXAMPLES)),
     ids=[f"{i}-{argv[0]}" for i, argv in enumerate(README_EXAMPLES)])
-def test_readme_example(capsys, tmp_path, index):
-    # each line runs as written, with its runs/... paths under tmp_path,
-    # after the earlier lines that write the runs/... files it reads
-    def local(argv):
-        return [str(tmp_path / a) if a.startswith("runs/") else a
-                for a in argv]
-
+def test_readme_example(capsys, tmp_path, monkeypatch, index):
+    # each line runs as written in tmp_path, after the earlier lines that
+    # write the runs/... files it reads, and prints its pinned bytes
+    monkeypatch.chdir(tmp_path)
     argv = README_EXAMPLES[index]
     for earlier in README_EXAMPLES[:index]:
         if "--out" in earlier:
             out = earlier[earlier.index("--out") + 1] + "/"
             if any(a.startswith(out) for a in argv):
-                run_json(capsys, *local(earlier))
-    code, out, err = run_cli(capsys, *local(argv))
+                run_json(capsys, *earlier)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert out.endswith("\n") and "\n" not in out[:-1]
     assert isinstance(json.loads(out), dict)
+    key = f"{index}-{argv[0]}"
+    assert argv[0] == "bounds" or key in README_STDOUT_SHA256, key
+    if key in README_STDOUT_SHA256:
+        assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+                == README_STDOUT_SHA256[key])
+    for path, digest in README_OUT_SHA256.get(key, {}).items():
+        assert hashlib.sha256(
+            (tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 # What an installer writes into the `locclab` script: load the declared
 # entry point and exit with its return value. Run as

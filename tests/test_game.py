@@ -128,6 +128,14 @@ def reference_game(strategy, n, seed=0, stream=()):
     return ps, zs, ys, xs, memory
 
 
+def reference_trial(strategy, n, seed=0, stream=()):
+    """The trial of ``reference_game`` as a TrialArrays."""
+    _, zs, ys, xs, memory = reference_game(strategy, n, seed, stream)
+    return TrialArrays(protocol_id=strategy.protocol_id, Z=np.array(zs),
+                       Y=np.array(ys), X=np.array(xs), S=np.cumsum(xs),
+                       descriptors=memory)
+
+
 class CatalyticIID(IIDStrategy):
     """The i.i.d. oracle declared catalytic: its descriptor never moves,
     so the engine's catalyst check passes every round."""
@@ -354,9 +362,11 @@ def philox_state(rng) -> tuple:
 
 
 class TestBatchedTrials:
-    """The CLI's trial iterator derives the stream keys of _KEY_CHUNK
-    trials at a time and re-keys three reused generators per trial; every
-    trial must be the one ``play_trial`` plays on the same streams."""
+    """The trial loop (``play_trial`` with one game, the CLI's game
+    commands with many) derives the stream keys of _KEY_CHUNK trials at a
+    time and re-keys three reused generators per trial; every trial must
+    be the one the round-by-round engine, ``reference_game`` on
+    ``rng_from`` streams, plays on the same streams."""
 
     STRATEGIES = BUILTINS + [("slow-iid", SlowIID(0.6), 20),
                              ("scalar-block", scalar_block(4), 37)]
@@ -368,11 +378,11 @@ class TestBatchedTrials:
                 for t in range(trials)]
 
     @staticmethod
-    def assert_played_as_play_trial(games, seed):
+    def assert_played_as_round_loop(games, seed):
         played = list(game._play_trials(iter(games), seed))
         assert len(played) == len(games)
         for tr, (strategy, n, stream) in zip(played, games):
-            assert tr == play_trial(strategy, n, seed, stream), stream
+            assert tr == reference_trial(strategy, n, seed, stream), stream
 
     @pytest.mark.parametrize("name,strategy,n", STRATEGIES,
                              ids=[c[0] for c in STRATEGIES])
@@ -382,13 +392,13 @@ class TestBatchedTrials:
         # just after a boundary, and one that crosses two
         monkeypatch.setattr(game, "_KEY_CHUNK", 3)
         for trials in (2, 3, 4, 7):
-            self.assert_played_as_play_trial(
+            self.assert_played_as_round_loop(
                 self.games(strategy, n, trials), seed=trials)
 
     def test_default_chunk_boundary(self):
         chunk = game._KEY_CHUNK
         for trials in (chunk - 1, chunk, chunk + 1):
-            self.assert_played_as_play_trial(
+            self.assert_played_as_round_loop(
                 self.games(IIDStrategy(0.6), 3, trials), seed=2**64 + trials)
 
     def test_detect_worlds_alternate(self, monkeypatch):
@@ -397,7 +407,7 @@ class TestBatchedTrials:
         worlds = {"tau": scalar_block(2), "gamma": HistoryCappedStrategy(0.7)}
         games = [(worlds[w], 9, ("trial", t, "detect", w))
                  for t, w in zip(range(9), ["tau", "gamma"] * 5)]
-        self.assert_played_as_play_trial(games, seed=5)
+        self.assert_played_as_round_loop(games, seed=5)
 
     def test_no_generator_rekeyed_while_its_trial_holds_it(self, monkeypatch):
         # when a trial is handed out, the generator its strategy stored is
@@ -409,7 +419,7 @@ class TestBatchedTrials:
         held = []
         for tr, (_, _, stream) in zip(game._play_trials(games, 3), games):
             reference = scalar_block(1)
-            assert tr == play_trial(reference, n, 3, stream)
+            assert tr == reference_trial(reference, n, 3, stream)
             assert strategy._rng is not reference._rng
             assert philox_state(strategy._rng) == philox_state(
                 reference._rng), stream
@@ -421,7 +431,8 @@ class TestBatchedTrials:
         games = [(IIDStrategy(0.5), 4, ("trial", 0)),
                  (BadAtRound(bad=3), 6, ("trial", 1))]
         trials = game._play_trials(games, 1)
-        assert next(trials) == play_trial(IIDStrategy(0.5), 4, 1, ("trial", 0))
+        assert next(trials) == reference_trial(IIDStrategy(0.5), 4, 1,
+                                               ("trial", 0))
         with pytest.raises(SpecError,
                            match=re.escape("1.5 outside [0, 1] in round 3")):
             next(trials)
@@ -608,6 +619,37 @@ class TestRunGame:
     def test_invalid_round_count(self):
         with pytest.raises(SpecError):
             play_trial(IIDStrategy(0.5), n=0)
+
+    def test_round_count_reported_before_seed(self):
+        # the round count is checked first, then the stream, then the seed
+        with pytest.raises(SpecError, match=re.escape(
+                "round count 0 outside 1..1000000")):
+            play_trial(IIDStrategy(0.5), 0, seed=-1)
+        with pytest.raises(SpecError, match="round count must be an integer"):
+            play_trial(IIDStrategy(0.5), 2.0, seed=-1, stream="trial")
+        with pytest.raises(SpecError, match="stream must be a tuple"):
+            play_trial(IIDStrategy(0.5), 2, seed=-1, stream="trial")
+        with pytest.raises(SpecError, match="seed must be >= 0, got -1"):
+            play_trial(IIDStrategy(0.5), 2, seed=-1)
+
+    @pytest.mark.parametrize("stream", ["trial", b"trial"])
+    def test_str_or_bytes_stream_refused(self, stream):
+        # either would name one substream label per character (or byte)
+        message = (f"stream must be a tuple of labels, got the "
+                   f"{type(stream).__name__} {stream!r}")
+        with pytest.raises(SpecError) as got:
+            play_trial(IIDStrategy(0.5), 8, 0, stream)
+        assert str(got.value) == message
+        with pytest.raises(SpecError, match=re.escape(message)):
+            next(game._play_trials([(IIDStrategy(0.5), 8, stream)], 0))
+
+    def test_tuple_and_list_streams(self):
+        # a list of labels names the stream of the equal tuple
+        strategy = HistoryCappedStrategy(0.7)
+        tr = play_trial(strategy, 40, 3, ("trial", 2))
+        assert tr == reference_trial(strategy, 40, 3, ("trial", 2))
+        assert play_trial(strategy, 40, 3, ["trial", 2]) == tr
+        assert play_trial(strategy, 40, 3, ("trial", 3)) != tr
 
     def test_catalyst_violation(self):
         with pytest.raises(CatalystViolation):

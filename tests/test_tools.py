@@ -118,6 +118,20 @@ class TestParseSeeds:
         assert capsys.readouterr().err.startswith("bench_pairs: seeds '-3,4'")
 
 
+class TestCheckoutPaths:
+    def test_paths_of_unequal_length_exit_one(self, tmp_path, capsys):
+        # refused before any run: neither checkout has a runner
+        (tmp_path / "parent").mkdir()
+        (tmp_path / "changed").mkdir()
+        code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                                 "--change", str(tmp_path / "changed"),
+                                 "--label", "x", "--seeds", "1,2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "bench_pairs: checkout paths differ in length: ")
+        assert not list(tmp_path.glob("*/BENCH_*"))
+
+
 class TestSummary:
     def test_wins_split_by_the_side_that_ran_first(self):
         first = ["parent", "change"] * 3

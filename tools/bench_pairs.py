@@ -32,7 +32,10 @@ and gives each such item's parent and change medians and the pairs in
 which the change was faster.
 
 It stops and exits 1 at the first run that exits non-zero or reports a
-failed item, and then writes no file.
+failed item, and then writes no file. It exits 1 before any run when the
+two resolved checkout paths differ in length: the length of a
+checkout's path has been seen to move ``exact-dist-n11``, and with it
+``item_p50_s``, by 10%.
 """
 
 from __future__ import annotations
@@ -291,6 +294,11 @@ def main(argv=None) -> int:
     try:
         seeds = parse_seeds(args.seeds)
         dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+        if len(str(dirs["parent"])) != len(str(dirs["change"])):
+            raise PairError(
+                f"checkout paths differ in length: {dirs['parent']} "
+                f"({len(str(dirs['parent']))} characters) and "
+                f"{dirs['change']} ({len(str(dirs['change']))})")
         diffs = {side: diff_digest(d) for side, d in dirs.items()}
         runs = {side: [] for side in SIDES}
         first = []
